@@ -105,7 +105,7 @@ def _print_record(rec: BenchRecord, stats=None) -> None:
               f"syrk={c['syrk']} gemm={c['gemm']}")
 
 
-def _append_csv(path: str, rows: list, header: list) -> None:
+def _write_csv(path: str, rows: list, header: list) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -141,7 +141,7 @@ def cmd_factor(args) -> int:
             r = residual(A, x, b)
             print(f"  solve: relative residual = {r:.3e}")
     if args.csv:
-        _append_csv(args.csv, [rec.to_row()], CSV_HEADER)
+        _write_csv(args.csv, [rec.to_row()], CSV_HEADER)
     return 0
 
 
@@ -153,7 +153,8 @@ def solve_original(result: FactorizationResult, b: np.ndarray) -> np.ndarray:
 
 
 def residual(A: SymmetricSparseMatrix, x: np.ndarray, b: np.ndarray) -> float:
-    r = A.to_dense() @ x - b
+    """||A x - b|| / ||b|| (or / 1 for b = 0) with a sparse matvec."""
+    r = A.matvec(x) - b
     nb = float(np.linalg.norm(b))
     return float(np.linalg.norm(r)) / (nb if nb > 0 else 1.0)
 
@@ -216,8 +217,8 @@ def cmd_analyze(args) -> int:
             f, l = S.cols(j)
             rows.append([str(j), str(f + 1), str(l + 1), str(S.width(j)),
                          str(S.mrows(j)), str(S.nblocks(j))])
-        _append_csv(args.csv, rows,
-                    ["snode", "first_col", "last_col", "width", "rows_below", "blocks"])
+        _write_csv(args.csv, rows,
+                   ["snode", "first_col", "last_col", "width", "rows_below", "blocks"])
     return 0
 
 
@@ -272,13 +273,13 @@ def cmd_bench(args) -> int:
                 times[m].append(np.inf)
             _print_record(rows[-1])
     if args.csv:
-        _append_csv(args.csv, [r.to_row() for r in rows], CSV_HEADER)
+        _write_csv(args.csv, [r.to_row() for r in rows], CSV_HEADER)
     taus = tau_grid(args.tau_max, args.tau_step)
     profile = performance_profile(times, taus)
     if args.profile_csv:
         prows = [[m, repr(float(t)), repr(float(v))]
                  for m in methods for t, v in zip(taus, profile[m])]
-        _append_csv(args.profile_csv, prows, ["method", "tau", "fraction"])
+        _write_csv(args.profile_csv, prows, ["method", "tau", "fraction"])
     for m in methods:
         print(f"profile {m}: tau=1 -> {profile[m][0]:.3f}, tau={taus[-1]:g} -> {profile[m][-1]:.3f}")
     return 0

@@ -2,14 +2,21 @@
 triangle, right triangular solve against a panel, symmetric rank-k downdate and
 rectangular multiply-accumulate.
 
-All four operate on column-major views into supernode panels and only ever
-subtract products (every update in the factorizations has that sign).  The
-reference backend is plain numpy; the vendor backend routes the same contracts
-through BLAS/LAPACK via scipy.
+All four work in place on numpy views into supernode panels, read only the
+lower triangle of a triangular operand, and only ever subtract products (every
+update in the factorizations has that sign).  The reference backend is plain
+numpy and is the oracle for the other.  The vendor backend calls LAPACK's
+dpotrf and BLAS's dtrsm/dsyrk/dgemm through the function pointers scipy
+exports for Cython, passing each view's data pointer and leading dimension: no
+copies and no float scratch.  Its operands must therefore be column-major
+float64 views (adjacent rows, columns at least max(1, rows) elements apart,
+which every panel slice is); any other operand raises ValueError.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,50 +31,12 @@ class NotPositiveDefiniteError(ArithmeticError):
         super().__init__(detail or f"non-positive pivot at index {index}")
 
 
-@dataclass(frozen=True)
-class PanelView:
-    """Rectangular window into a column-major panel.
-
-    ``panel`` is the full 2-D array (its leading dimension is the row count of
-    the allocation); the window is ``rows`` x ``cols`` starting at
-    (``row_off``, ``col_off``).
-    """
-
-    panel: np.ndarray
-    row_off: int = 0
-    col_off: int = 0
-    rows: int = None
-    cols: int = None
-
-    def __post_init__(self):
-        if self.panel.ndim != 2:
-            raise ValueError("panel must be 2-D")
-        r = self.panel.shape[0] - self.row_off if self.rows is None else self.rows
-        c = self.panel.shape[1] - self.col_off if self.cols is None else self.cols
-        object.__setattr__(self, "rows", int(r))
-        object.__setattr__(self, "cols", int(c))
-        if self.row_off < 0 or self.col_off < 0 or self.rows < 0 or self.cols < 0:
-            raise ValueError("negative offset or extent")
-        if self.row_off + self.rows > self.panel.shape[0] or self.col_off + self.cols > self.panel.shape[1]:
-            raise ValueError("view exceeds the underlying panel")
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.panel[self.row_off:self.row_off + self.rows,
-                          self.col_off:self.col_off + self.cols]
-
-
-def _arr(x) -> np.ndarray:
-    return x.a if isinstance(x, PanelView) else x
-
-
 def chol_in_place(T) -> None:
     """Overwrite the lower triangle of square T with its Cholesky factor.
 
     The strict upper triangle is neither read nor written.  Raises
     NotPositiveDefiniteError carrying the failing pivot index.
     """
-    T = _arr(T)
     m = T.shape[0]
     if T.shape[1] != m:
         raise ValueError("chol_in_place needs a square view")
@@ -83,8 +52,6 @@ def chol_in_place(T) -> None:
 
 def trsm_right_lt(T, B) -> None:
     """B <- B * T^{-T} for a lower-triangular factor T (completes panel columns)."""
-    T = _arr(T)
-    B = _arr(B)
     m = T.shape[0]
     if T.shape[1] != m or B.shape[1] != m:
         raise ValueError("shape mismatch in trsm_right_lt")
@@ -97,8 +64,6 @@ def trsm_right_lt(T, B) -> None:
 
 def syrk_lower(C, X) -> None:
     """Lower triangle of C <- C - X X^T; the strict upper triangle is untouched."""
-    C = _arr(C)
-    X = _arr(X)
     m = C.shape[0]
     if C.shape[1] != m or X.shape[0] != m:
         raise ValueError("shape mismatch in syrk_lower")
@@ -110,9 +75,6 @@ def syrk_lower(C, X) -> None:
 
 def gemm_nt(C, X, Y) -> None:
     """C <- C - X Y^T over the full rectangle."""
-    C = _arr(C)
-    X = _arr(X)
-    Y = _arr(Y)
     if X.shape[1] != Y.shape[1] or C.shape[0] != X.shape[0] or C.shape[1] != Y.shape[0]:
         raise ValueError("shape mismatch in gemm_nt")
     if X.shape[1] == 0:
@@ -134,55 +96,133 @@ class KernelBackend:
 REFERENCE_BACKEND = KernelBackend("reference", chol_in_place, trsm_right_lt, syrk_lower, gemm_nt)
 
 
+_F8 = np.dtype(np.float64)
+# Byte offset of ``char *data`` in numpy's C array struct (PyArrayObject_fields):
+# it follows the object header.  ``_vendor_functions`` checks it once.
+_DATA_FIELD = object.__basicsize__
+_at = ctypes.c_void_p.from_address
+
+
+@functools.cache
+def _vendor_functions() -> tuple:
+    """dpotrf (LAPACK) and dtrsm, dsyrk, dgemm (BLAS) as ctypes functions of
+    the C function pointers scipy exports for Cython, resolved once per
+    process.  Every argument is a pointer, Fortran style."""
+    from scipy.linalg import cython_blas, cython_lapack
+
+    probe = np.zeros((3, 3), order="F")[1:, 1:]
+    if _at(id(probe) + _DATA_FIELD).value != probe.ctypes.data:
+        raise RuntimeError("unsupported numpy array layout: data pointer not found")
+    api = ctypes.pythonapi
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                   ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+
+    def load(module, name: str, nargs: int):
+        capsule = module.__pyx_capi__[name]
+        signature = name_of(capsule)  # the C prototype, e.g. b"void (char *, int *, ...)"
+        if signature.count(b"*") != nargs:
+            raise RuntimeError(f"unexpected prototype for {name}: {signature.decode()}")
+        proto = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)
+        return proto(pointer_of(capsule, signature))
+
+    return (load(cython_lapack, "dpotrf", 5), load(cython_blas, "dtrsm", 11),
+            load(cython_blas, "dsyrk", 10), load(cython_blas, "dgemm", 13))
+
+
+def _operand(a: np.ndarray, written: bool = False) -> tuple:
+    """Leading dimension (in elements) and data pointer of a column-major
+    float64 view.
+
+    Rows must be adjacent (a row stride of 8 bytes) and columns at least
+    max(1, rows) elements apart; a dimension of extent 1 has no stride
+    requirement.  Anything else raises ValueError, as does a read-only view
+    that the kernel would write.  The pointer is a c_void_p laid over the
+    array's own data field, valid while ``a`` lives: reading ``a.ctypes.data``
+    instead costs about 1.5 us, more than a small BLAS call.
+    """
+    if not isinstance(a, np.ndarray):
+        raise ValueError("kernel operands must be numpy arrays")
+    rows, cols = a.shape
+    rs, cs = a.strides
+    ld = cs >> 3 if cols > 1 else max(1, rows)
+    if a.dtype != _F8 or (rows > 1 and rs != 8) or \
+            (cols > 1 and (cs & 7 or ld < max(1, rows))):
+        raise ValueError(f"operand with shape {a.shape} and strides {a.strides} "
+                         "is not a column-major float64 view")
+    if written and not a.flags.writeable:
+        raise ValueError("output operand is read-only")
+    return ld, _at(id(a) + _DATA_FIELD)
+
+
 def vendor_backend() -> KernelBackend:
-    """LAPACK/BLAS-backed kernels (scipy).  Views are strided, so data is staged
-    through contiguous copies; the flops run inside the vendor library."""
-    from scipy.linalg import blas, lapack
+    """LAPACK/BLAS kernels (scipy's), called in place on the panel views.
+
+    Each call passes the views' data pointers and leading dimensions straight
+    to dpotrf, dtrsm, dsyrk or dgemm: no copies and no float scratch.  The
+    instance owns its argument cells, so one instance serves one thread.
+    """
+    dpotrf, dtrsm, dsyrk, dgemm = _vendor_functions()
+    byref = ctypes.byref
+    lower, notrans, right, trans = (byref(ctypes.c_char(f)) for f in (b"L", b"N", b"R", b"T"))
+    one, minus_one = byref(ctypes.c_double(1.0)), byref(ctypes.c_double(-1.0))
+    m, n, k, lda, ldb, ldc, info = cells = [ctypes.c_int() for _ in range(7)]
+    pm, pn, pk, plda, pldb, pldc, pinfo = (byref(c) for c in cells)
 
     def chol(T):
-        T = _arr(T)
-        m = T.shape[0]
-        if m == 0:
+        size = T.shape[0]
+        if T.shape[1] != size:
+            raise ValueError("chol_in_place needs a square view")
+        if size == 0:
             return
-        a, info = lapack.dpotrf(np.asfortranarray(T), lower=1, overwrite_a=1)
-        if info > 0:
-            raise NotPositiveDefiniteError(info - 1)
-        if info < 0:
-            raise ValueError(f"dpotrf: illegal argument {-info}")
-        il = np.tril_indices(m)
-        T[il] = a[il]
+        n.value = size
+        lda.value, t = _operand(T, True)
+        dpotrf(lower, pn, t, plda, pinfo)
+        if info.value > 0:
+            raise NotPositiveDefiniteError(info.value - 1)
+        if info.value < 0:
+            raise ValueError(f"dpotrf: illegal argument {-info.value}")
 
     def trsm(T, B):
-        T = _arr(T)
-        B = _arr(B)
-        if T.shape[0] == 0 or B.shape[0] == 0:
+        size = T.shape[0]
+        if T.shape[1] != size or B.shape[1] != size:
+            raise ValueError("shape mismatch in trsm_right_lt")
+        if size == 0 or B.shape[0] == 0:
             return
-        if np.any(np.diagonal(T) == 0.0):
+        lda.value, t = _operand(T)
+        ldb.value, b = _operand(B, True)
+        if (T.diagonal() == 0.0).any():
             raise ValueError("zero diagonal in triangular solve")
-        out = blas.dtrsm(1.0, np.asfortranarray(T), np.asfortranarray(B),
-                         side=1, lower=1, trans_a=1, overwrite_b=1)
-        B[:, :] = out
+        m.value = B.shape[0]
+        n.value = size
+        dtrsm(right, lower, trans, notrans, pm, pn, one, t, plda, b, pldb)
 
     def syrk(C, X):
-        C = _arr(C)
-        X = _arr(X)
-        m = C.shape[0]
-        if m == 0 or X.shape[1] == 0:
+        size, depth = X.shape
+        if C.shape != (size, size):
+            raise ValueError("shape mismatch in syrk_lower")
+        if size == 0 or depth == 0:
             return
-        out = blas.dsyrk(-1.0, np.asfortranarray(X), beta=1.0,
-                         c=np.asfortranarray(C), lower=1, overwrite_c=1)
-        il = np.tril_indices(m)
-        C[il] = out[il]
+        n.value = size
+        k.value = depth
+        lda.value, x = _operand(X)
+        ldc.value, c = _operand(C, True)
+        dsyrk(lower, notrans, pn, pk, minus_one, x, plda, one, c, pldc)
 
     def gemm(C, X, Y):
-        C = _arr(C)
-        X = _arr(X)
-        Y = _arr(Y)
-        if min(C.shape) == 0 or X.shape[1] == 0:
+        rows, depth = X.shape
+        cols = Y.shape[0]
+        if Y.shape[1] != depth or C.shape != (rows, cols):
+            raise ValueError("shape mismatch in gemm_nt")
+        if rows == 0 or cols == 0 or depth == 0:
             return
-        out = blas.dgemm(-1.0, np.asfortranarray(X), np.asfortranarray(Y),
-                         beta=1.0, c=np.asfortranarray(C), trans_b=1, overwrite_c=1)
-        C[:, :] = out
+        m.value = rows
+        n.value = cols
+        k.value = depth
+        lda.value, x = _operand(X)
+        ldb.value, y = _operand(Y)
+        ldc.value, c = _operand(C, True)
+        dgemm(notrans, trans, pm, pn, pk, minus_one, x, plda, y, pldb, one, c, pldc)
 
     return KernelBackend("vendor", chol, trsm, syrk, gemm)
 

@@ -129,6 +129,17 @@ class SymmetricSparseMatrix:
     def diagonal(self) -> np.ndarray:
         return self.values[self.pattern.colptr[:-1]]
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x from the stored lower triangle: each off-diagonal entry adds
+        to both its row and its column."""
+        p = self.pattern
+        cols = np.repeat(np.arange(self.n), np.diff(p.colptr))
+        y = np.bincount(p.rowind, weights=self.values * x[cols], minlength=self.n)
+        off = p.rowind != cols
+        y += np.bincount(cols[off], weights=self.values[off] * x[p.rowind[off]],
+                         minlength=self.n)
+        return y
+
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.n, self.n))
         for j in range(self.n):

@@ -445,6 +445,22 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
 # ---------------------------------------------------------------------------
 # Right-looking blocked.
 
+def block_run_ends(rb: list, sizes: list, lo: int) -> list:
+    """Where each run of consecutive blocks ends, for blocks lo..nb-1.
+
+    ``rb`` holds each block's first relative index against one target panel
+    and ``sizes`` its row count.  Block q+1 continues block q's run when its
+    rows sit directly below, rb[q+1] == rb[q] - sizes[q].  ``ends[q]`` is one
+    past the last block of the maximal run starting at q (entries below ``lo``
+    are not computed).
+    """
+    nb = len(rb)
+    ends = [nb] * nb
+    for q in range(nb - 2, lo - 1, -1):
+        ends[q] = ends[q + 1] if rb[q + 1] == rb[q] - sizes[q] else q + 1
+    return ends
+
+
 def factor_rlb(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
                backend: KernelBackend, stats: RunStats) -> None:
     """Blocked right-looking factorization: every update is a dense kernel call
@@ -452,9 +468,12 @@ def factor_rlb(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
     assembly counter stays at zero by construction."""
     if F.state != "A":
         raise FactorStateError("factor storage does not hold A")
-    stats.update_calls_per_snode = np.zeros(S.nsuper, dtype=np.int64)
+    per_snode = np.zeros(S.nsuper, dtype=np.int64)
+    stats.update_calls_per_snode = per_snode
     maxb = max((S.nblocks(j) for j in range(S.nsuper)), default=0)
     relB = np.zeros(maxb, dtype=np.int64)
+    syrk, gemm = backend.syrk, backend.gemm
+    nsyrk = ngemm = flops = 0
     R.to_relative()
     try:
         for j in range(S.nsuper):
@@ -463,12 +482,13 @@ def factor_rlb(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
             nb = S.nblocks(j)
             if nb == 0:
                 continue
-            sizes = S.block_sizes[j]
-            starts = S.block_starts[j]
-            rel = R.rel(j)
+            sizes = S.block_sizes[j].tolist()
+            # panel row where each block starts, plus the panel's end
+            starts = (S.block_starts[j] + a).tolist() + [S.glbind(j).size]
             rb = relB[:nb]
-            rb[:] = rel[starts]
+            rb[:] = R.rel(j)[S.block_starts[j]]
             pj = F.panel(j)
+            calls_before = nsyrk + ngemm
             b0 = 0
             C = j
             P = int(S.snode_parent[j])
@@ -477,37 +497,40 @@ def factor_rlb(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
                 if C != j:
                     rc = R.rel(C)
                     rb[b0:] = rc[rc.size - 1 - rb[b0:]]
-                g_p = S.glbind(P).size
+                rbl = rb.tolist()
                 m_p = S.mrows(P)
-                t = int(np.count_nonzero(rb[b0:] >= m_p))
-                if t:
+                t = b0
+                while t < nb and rbl[t] >= m_p:
+                    t += 1
+                if t > b0:
+                    g_p = S.glbind(P).size
                     pp = F.panel(P)
-                    for bi in range(b0, b0 + t):
-                        dB = int(rb[bi])
-                        sB = int(sizes[bi])
-                        p0 = g_p - 1 - dB
-                        XB = pj[a + starts[bi]:a + starts[bi] + sB, :]
-                        backend.syrk(pp[p0:p0 + sB, p0:p0 + sB], XB)
-                        stats.add("syrk", syrk_flops(sB, a))
-                        stats.update_calls_per_snode[j] += 1
+                    ends = block_run_ends(rbl, sizes, b0 + 1)
+                    for bi in range(b0, t):
+                        sB = sizes[bi]
+                        p0 = g_p - 1 - rbl[bi]
+                        XB = pj[starts[bi]:starts[bi + 1]]
+                        syrk(pp[p0:p0 + sB, p0:p0 + sB], XB)
+                        nsyrk += 1
+                        flops += syrk_flops(sB, a)
                         q = bi + 1
                         while q < nb:
-                            run = int(sizes[q])
-                            q2 = q + 1
-                            while q2 < nb and rb[q2] == rb[q2 - 1] - sizes[q2 - 1]:
-                                run += int(sizes[q2])
-                                q2 += 1
-                            p1 = g_p - 1 - int(rb[q])
-                            XB2 = pj[a + starts[q]:a + starts[q] + run, :]
-                            backend.gemm(pp[p1:p1 + run, p0:p0 + sB], XB2, XB)
-                            stats.add("gemm", gemm_flops(run, sB, a))
-                            stats.update_calls_per_snode[j] += 1
-                            q = q2
-                    b0 += t
+                            e = ends[q]
+                            run = starts[e] - starts[q]
+                            p1 = g_p - 1 - rbl[q]
+                            gemm(pp[p1:p1 + run, p0:p0 + sB], pj[starts[q]:starts[e]], XB)
+                            ngemm += 1
+                            flops += gemm_flops(run, sB, a)
+                            q = e
+                    b0 = t
                 C = P
                 P = int(S.snode_parent[P])
+            per_snode[j] = nsyrk + ngemm - calls_before
     finally:
         R.to_global()
+        stats.calls["syrk"] += nsyrk
+        stats.calls["gemm"] += ngemm
+        stats.flops += flops
     F.state = "L"
     stats.workspace_peak = 0
 

@@ -3,7 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from snchol.cli import (BenchRecord, CSV_HEADER, main, performance_profile, tau_grid)
+from snchol.cli import (BenchRecord, CSV_HEADER, main, performance_profile, residual,
+                        tau_grid)
+from snchol.matrix import SymmetricSparseMatrix, generate_spd
 
 
 def run_cli(*argv):
@@ -154,3 +156,35 @@ def test_solve_flag_reports_residual(fig1_mtx, capsys):
     out = capsys.readouterr().out
     line = [ln for ln in out.splitlines() if "residual" in ln][0]
     assert float(line.rsplit("=", 1)[1]) <= 9e-12
+
+
+def refuse_to_densify(monkeypatch):
+    def to_dense(self):
+        raise AssertionError("an n x n dense copy of A was built")
+    monkeypatch.setattr(SymmetricSparseMatrix, "to_dense", to_dense)
+
+
+def test_residual_matches_dense_without_densifying(monkeypatch):
+    rng = np.random.default_rng(3)
+    cases = []
+    for n, density in [(1, 1.0), (9, 0.5), (40, 0.1)]:
+        A = generate_spd(n, density, n)
+        x = rng.standard_normal(n)
+        b = rng.standard_normal(n)
+        want = np.linalg.norm(A.to_dense() @ x - b) / np.linalg.norm(b)
+        cases.append((A, x, b, want, np.linalg.norm(A.to_dense() @ x)))
+    refuse_to_densify(monkeypatch)
+    for A, x, b, want, ax in cases:
+        assert abs(residual(A, x, b) - want) <= 1e-12 * max(1.0, want)
+        assert abs(residual(A, x, np.zeros_like(b)) - ax) <= 1e-12 * max(1.0, ax)
+
+
+def test_factor_vendor_check_solve(monkeypatch, capsys):
+    refuse_to_densify(monkeypatch)
+    assert run_cli("factor", "gen:n=120,density=0.05,seed=4", "--method", "rlb",
+                   "--backend", "vendor", "--check", "--solve") == 0
+    out = capsys.readouterr().out
+    assert "backend=vendor" in out
+    for key in ("deviation", "residual"):
+        line = [ln for ln in out.splitlines() if key in ln][0]
+        assert float(line.rsplit("=", 1)[1]) <= 1e-10

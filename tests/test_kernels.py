@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from snchol.kernels import (NotPositiveDefiniteError, PanelView, chol_in_place,
-                            gemm_nt, get_backend, syrk_lower, trsm_right_lt,
-                            vendor_backend)
+from snchol.kernels import (NotPositiveDefiniteError, chol_in_place, gemm_nt,
+                            get_backend, syrk_lower, trsm_right_lt, vendor_backend)
 
 
 def random_spd(n, seed):
@@ -129,21 +128,183 @@ def test_gemm_shape_mismatch():
         gemm_nt(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 4)))
 
 
-def test_panel_view_bounds():
-    base = np.zeros((6, 4), order="F")
-    v = PanelView(base, 2, 1, 3, 2)
-    assert v.a.shape == (3, 2)
-    v.a[:] = 5.0
-    assert base[2:5, 1:3].sum() == 30.0
+@pytest.fixture(params=["reference", "vendor"])
+def backend(request):
+    return get_backend(request.param)
+
+
+PAD = 3
+
+
+def embed(M, rng):
+    """M copied into the middle of a larger random Fortran-order panel;
+    returns the panel and the strided window that holds M."""
+    r, c = M.shape
+    base = np.asfortranarray(rng.standard_normal((r + 2 * PAD, c + 2 * PAD + 1)))
+    view = base[PAD:PAD + r, PAD + 1:PAD + 1 + c]
+    view[:] = M
+    return base, view
+
+
+def untouched_outside(base, before, view):
+    """True when no entry of ``base`` outside the window ``view`` changed."""
+    inside = np.zeros(base.shape, dtype=bool)
+    inside[PAD:PAD + view.shape[0], PAD + 1:PAD + 1 + view.shape[1]] = True
+    return np.array_equal(base[~inside], before[~inside])
+
+
+def test_kernels_update_strided_subviews_in_place(backend):
+    rng = np.random.default_rng(10)
+    m, k, r = 6, 4, 5
+    A = random_spd(m, 1)
+    base, T = embed(A, rng)
+    before = base.copy()
+    backend.chol(T)
+    L = np.linalg.cholesky(A)
+    assert np.allclose(np.tril(T), L)
+    assert untouched_outside(base, before, T)
+
+    Bm = rng.standard_normal((r, m))
+    base, B = embed(Bm, rng)
+    before = base.copy()
+    _, Lv = embed(L, rng)
+    backend.trsm(Lv, B)
+    assert np.allclose(B @ L.T, Bm)
+    assert untouched_outside(base, before, B)
+
+    Xm = rng.standard_normal((m, k))
+    _, X = embed(Xm, rng)
+    Cm = rng.standard_normal((m, m))
+    base, C = embed(Cm, rng)
+    before = base.copy()
+    backend.syrk(C, X)
+    assert np.allclose(np.tril(C), np.tril(Cm - Xm @ Xm.T))
+    assert np.array_equal(np.triu(C, 1), np.triu(Cm, 1))
+    assert untouched_outside(base, before, C)
+
+    Ym = rng.standard_normal((r, k))
+    _, Y = embed(Ym, rng)
+    Gm = rng.standard_normal((m, r))
+    base, G = embed(Gm, rng)
+    before = base.copy()
+    backend.gemm(G, X, Y)
+    assert np.allclose(G, Gm - Xm @ Ym.T)
+    assert untouched_outside(base, before, G)
+
+
+def test_kernels_never_touch_a_poisoned_upper_triangle(backend):
+    rng = np.random.default_rng(11)
+    m = 7
+    iu = np.triu_indices(m, 1)
+    il = np.tril_indices(m)
+    A = random_spd(m, 2)
+    A[iu] = np.nan  # would propagate on any read
+    _, T = embed(A, rng)
+    backend.chol(T)
+    assert np.isfinite(T[il]).all() and np.isnan(T[iu]).all()
+
+    _, B = embed(rng.standard_normal((5, m)), rng)
+    backend.trsm(T, B)
+    assert np.isfinite(B).all()
+
+    C0 = rng.standard_normal((m, m))
+    C0[iu] = np.nan
+    _, C = embed(C0, rng)
+    _, X = embed(rng.standard_normal((m, 3)), rng)
+    backend.syrk(C, X)
+    assert np.isfinite(C[il]).all() and np.isnan(C[iu]).all()
+
+
+def test_vendor_matches_reference_on_strided_views():
+    vendor = get_backend("vendor")
+    rng = np.random.default_rng(12)
+    for m, k, r in [(1, 1, 1), (5, 3, 4), (33, 9, 17)]:
+        il = np.tril_indices(m)
+        A = random_spd(m, m)
+        _, T1 = embed(A, rng)
+        _, T2 = embed(A, rng)
+        chol_in_place(T1)
+        vendor.chol(T2)
+        assert np.abs(T1[il] - T2[il]).max() / np.abs(T1[il]).max() <= 1e-10
+
+        Bm = rng.standard_normal((r, m))
+        _, B1 = embed(Bm, rng)
+        _, B2 = embed(Bm, rng)
+        trsm_right_lt(T1, B1)
+        vendor.trsm(T2, B2)
+        assert np.abs(B1 - B2).max() / max(1.0, np.abs(B1).max()) <= 1e-10
+
+        _, X = embed(rng.standard_normal((m, k)), rng)
+        Cm = rng.standard_normal((m, m))
+        _, C1 = embed(Cm, rng)
+        _, C2 = embed(Cm, rng)
+        syrk_lower(C1, X)
+        vendor.syrk(C2, X)
+        assert np.abs(C1[il] - C2[il]).max() / np.abs(C1[il]).max() <= 1e-10
+
+        _, Y = embed(rng.standard_normal((r, k)), rng)
+        Gm = rng.standard_normal((m, r))
+        _, G1 = embed(Gm, rng)
+        _, G2 = embed(Gm, rng)
+        gemm_nt(G1, X, Y)
+        vendor.gemm(G2, X, Y)
+        assert np.abs(G1 - G2).max() / np.abs(G1).max() <= 1e-10
+
+
+def test_vendor_failing_pivot_index_matches_reference():
+    vendor = get_backend("vendor")
+    rng = np.random.default_rng(13)
+    m = 6
+    for p in range(m):
+        A = random_spd(m, p)
+        A[p, p] = -1.0  # leading minors of order <= p stay positive definite
+        got = []
+        for chol in (chol_in_place, vendor.chol):
+            _, T = embed(A, rng)
+            with pytest.raises(NotPositiveDefiniteError) as e:
+                chol(T)
+            got.append(e.value.index)
+        assert got == [p, p]
+
+
+def test_vendor_trsm_zero_diagonal():
+    vendor = get_backend("vendor")
+    T = np.asfortranarray(np.array([[2.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        PanelView(base, 4, 0, 3, 2)
+        vendor.trsm(T, np.ones((3, 2), order="F"))
 
 
-def test_kernels_accept_panel_views():
-    base = np.zeros((5, 5), order="F")
-    base[:2, :2] = np.array([[4.0, 0.0], [2.0, 5.0]])
-    chol_in_place(PanelView(base, 0, 0, 2, 2))
-    assert base[0, 0] == 2.0 and base[1, 0] == 1.0 and base[1, 1] == 2.0
+def test_vendor_rejects_operands_that_are_not_column_major():
+    vendor = get_backend("vendor")
+    X = np.ones((4, 3), order="F")
+    C = np.zeros((4, 4), order="F")
+    Y = np.ones((2, 3), order="F")
+    G = np.zeros((4, 2), order="F")
+    cases = [lambda: vendor.chol(np.ascontiguousarray(random_spd(3, 0))),
+             lambda: vendor.trsm(np.eye(3), np.ones((2, 3), order="F")),
+             lambda: vendor.trsm(np.eye(3, order="F"), np.ones((2, 3))),
+             lambda: vendor.syrk(C, np.ascontiguousarray(X)),
+             lambda: vendor.syrk(np.zeros((4, 4)), X),
+             lambda: vendor.gemm(G, X, np.ascontiguousarray(Y)),
+             lambda: vendor.gemm(np.zeros((4, 2)), X, Y),
+             lambda: vendor.gemm(G, X.astype(np.float32), Y),
+             lambda: vendor.syrk(C, np.ones((8, 3), order="F")[::2])]
+    for call in cases:
+        with pytest.raises(ValueError):
+            call()
+    C.flags.writeable = False
+    with pytest.raises(ValueError):
+        vendor.syrk(C, X)
+
+
+def test_vendor_accepts_any_stride_on_an_extent_one_dimension():
+    vendor = get_backend("vendor")
+    C = np.zeros((4, 1))  # C-order column: extent-1 column dimension
+    vendor.gemm(C, np.ones((4, 2), order="F"), np.ones((1, 2)))
+    assert np.array_equal(C, np.full((4, 1), -2.0))
+    R = np.zeros((1, 3))  # C-order row: extent-1 row dimension
+    vendor.gemm(R, np.ones((1, 2)), np.ones((3, 2), order="F"))
+    assert np.array_equal(R, np.full((1, 3), -2.0))
 
 
 def test_cdiv_composition_matches_dense_columns():
@@ -163,30 +324,31 @@ def test_backend_equivalence_reference_vs_vendor():
     vendor = get_backend("vendor")
     rng = np.random.default_rng(6)
     for m, k in [(5, 3), (40, 17), (200, 64)]:
-        A = random_spd(m, m)
-        T1, T2 = A.copy(), A.copy()
+        A = np.asfortranarray(random_spd(m, m))
+        T1, T2 = A.copy(order="F"), A.copy(order="F")
         chol_in_place(T1)
         vendor.chol(T2)
         il = np.tril_indices(m)
         assert np.abs(T1[il] - T2[il]).max() / np.abs(T1[il]).max() <= 1e-10
 
-        B = rng.standard_normal((k, m))
-        B1, B2 = B.copy(), B.copy()
-        Tl = np.tril(T1)
+        B = np.asfortranarray(rng.standard_normal((k, m)))
+        B1, B2 = B.copy(order="F"), B.copy(order="F")
+        Tl = np.asfortranarray(np.tril(T1))
         trsm_right_lt(Tl, B1)
         vendor.trsm(Tl, B2)
         assert np.abs(B1 - B2).max() / max(1.0, np.abs(B1).max()) <= 1e-10
 
-        X = rng.standard_normal((m, k))
-        C1 = rng.standard_normal((m, m))
-        C2 = C1.copy()
+        X = np.asfortranarray(rng.standard_normal((m, k)))
+        C1 = np.asfortranarray(rng.standard_normal((m, m)))
+        C2 = C1.copy(order="F")
         syrk_lower(C1, X)
         vendor.syrk(C2, X)
         assert np.abs(C1[il] - C2[il]).max() / np.abs(C1[il]).max() <= 1e-10
 
         Y = rng.standard_normal((k, k)) if k == m else rng.standard_normal((max(1, m - k), k))
-        G1 = rng.standard_normal((m, Y.shape[0]))
-        G2 = G1.copy()
+        Y = np.asfortranarray(Y)
+        G1 = np.asfortranarray(rng.standard_normal((m, Y.shape[0])))
+        G2 = G1.copy(order="F")
         gemm_nt(G1, X, Y)
         vendor.gemm(G2, X, Y)
         assert np.abs(G1 - G2).max() / np.abs(G1).max() <= 1e-10

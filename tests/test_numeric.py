@@ -1,17 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from snchol.kernels import NotPositiveDefiniteError, REFERENCE_BACKEND
-from snchol.matrix import SymmetricSparseMatrix, SymmetricSparsePattern, generate_spd
+from snchol.kernels import NotPositiveDefiniteError, REFERENCE_BACKEND, get_backend
+from snchol.matrix import (SymmetricSparseMatrix, SymmetricSparsePattern,
+                           apply_symmetric_permutation, generate_spd, minimum_degree_order)
 from snchol.numeric import (FactorStateError, RunOptions, RunStats, StructureError,
                             UpdateWorkspace, _extend_in_place, _pack_descending,
-                            build_indmap, deviation_from_reference, factor_reference,
-                            reference_to_dense, run_factorization, scatter_into_factor,
-                            solve)
+                            block_run_ends, build_indmap, deviation_from_reference,
+                            factor_reference, factor_rlb, reference_to_dense,
+                            run_factorization, scatter_into_factor, solve)
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, build_symbolic_factor,
                              elimination_tree, symbolic_factorization)
 
-from conftest import fig1_matrix, fig1_pattern
+from conftest import fig1_matrix, fig1_pattern, grid_laplacian
 
 
 def build_fig1(pr=False):
@@ -183,6 +186,67 @@ def test_rlb_fig1_kernel_counts_drop_after_reordering():
         assert r.stats.assembly_ops == 0
         assert r.stats.workspace_peak == 0
         assert deviation_from_reference(r) <= 1e-12
+
+
+def test_block_run_ends_matches_rescan():
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        nb = int(rng.integers(1, 9))
+        sizes = rng.integers(1, 4, nb).tolist()
+        rb = []  # descending first relative indices, with random gaps
+        d = int(rng.integers(0, 5)) + 2 * sum(sizes)
+        for z in sizes:
+            rb.append(d)
+            d -= z + int(rng.integers(0, 2))
+        lo = int(rng.integers(0, nb))
+        ends = block_run_ends(rb, sizes, lo)
+        for q in range(lo, nb):
+            q2 = q + 1
+            while q2 < nb and rb[q2] == rb[q2 - 1] - sizes[q2 - 1]:
+                q2 += 1
+            assert ends[q] == q2
+
+
+def counters(r):
+    s = r.stats
+    per = s.update_calls_per_snode
+    return (dict(s.calls), s.flops, s.assembly_ops, s.workspace_peak,
+            None if per is None else per.tolist())
+
+
+VENDOR_CASES = {"fig1": fig1_matrix, "grid": lambda: grid_laplacian(9),
+                "gen": lambda: generate_spd(80, 0.08, 21)}
+
+
+@pytest.mark.parametrize("case", list(VENDOR_CASES))
+def test_vendor_backend_matches_reference_backend(case):
+    A = VENDOR_CASES[case]()
+    kw = dict(ordering="mindeg", merge_cap=12.5, pr=True)
+    for method in ("mf", "ll", "rl", "rlb"):
+        ref = run(A, method, **kw)
+        ven = run(A, method, backend="vendor", **kw)
+        assert ven.stats.backend == "vendor"
+        assert deviation_from_reference(ven) <= 1e-10
+        assert counters(ven) == counters(ref)
+
+
+def test_rlb_on_vendor_allocates_no_float_scratch():
+    A = generate_spd(150, 0.3, 5)
+    A1 = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+    S = build_symbolic_factor(A1.pattern, BuildOptions(12.5, True))
+    F = scatter_into_factor(apply_symmetric_permutation(A1, S.relabel), S)
+    R = RelativeIndexMap(S)
+    backend = get_backend("vendor")
+    stats = RunStats("rlb", backend.name, S.n)
+    widest = max(S.width(j) for j in range(S.nsuper))
+    tracemalloc.start()
+    try:
+        factor_rlb(F, S, R, backend, stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # less than one float copy of the widest diagonal block
+    assert widest >= 40 and peak < 8 * widest * widest
 
 
 def test_single_supernode_dense_case():
