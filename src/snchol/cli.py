@@ -19,6 +19,7 @@ from .matrix import (MatrixMarketError, SymmetricSparseMatrix, apply_symmetric_p
                      generate_spd, read_matrix_market)
 from .numeric import (METHODS, FactorizationResult, RunOptions, deviation_from_reference,
                       ordering_permutation, run_factorization)
+from .reorder import reorder_within_supernodes
 from .symbolic import BuildOptions, build_symbolic_factor
 
 CSV_HEADER = ["matrix", "method", "backend", "ordering", "pr", "merge_cap", "repeats",
@@ -187,10 +188,9 @@ def cmd_analyze(args) -> int:
         return 1
     P = ordering_permutation(A, args.order)
     A1 = apply_symmetric_permutation(A, P)
-    S_pre = build_symbolic_factor(A1.pattern, BuildOptions(args.merge_cap, False))
-    S = S_pre
+    S = S_pre = build_symbolic_factor(A1.pattern, BuildOptions(args.merge_cap, False))
     if args.pr:
-        S = build_symbolic_factor(A1.pattern, BuildOptions(args.merge_cap, True))
+        _, S = reorder_within_supernodes(S_pre)
     ms = S.merge_stats
     nnz_a = A.pattern.nnz
     print(f"matrix={name} n={A.n} nnz(A)={nnz_a}")

@@ -58,12 +58,16 @@ class SymmetricSparsePattern:
             raise ValueError("colptr must start at 0 and be strictly increasing (diagonal required)")
         if colptr[-1] != rowind.size:
             raise ValueError("colptr[-1] must equal len(rowind)")
-        for j in range(self.n):
-            col = rowind[colptr[j]:colptr[j + 1]]
-            if col[0] != j:
-                raise ValueError(f"column {j} must store its diagonal first")
-            if col.size > 1 and (np.any(np.diff(col) <= 0) or col[-1] >= self.n):
-                raise ValueError(f"column {j} rows must be strictly ascending and < n")
+        starts = colptr[:-1]
+        no_diag = rowind[starts] != np.arange(self.n)
+        unordered = rowind >= self.n
+        unordered[1:] |= rowind[1:] <= rowind[:-1]
+        unordered[starts] = False  # a valid diagonal is < n and starts its column
+        bad = np.flatnonzero(no_diag | np.logical_or.reduceat(unordered, starts))
+        if bad.size and no_diag[bad[0]]:
+            raise ValueError(f"column {bad[0]} must store its diagonal first")
+        if bad.size:
+            raise ValueError(f"column {bad[0]} rows must be strictly ascending and < n")
 
     @property
     def nnz(self) -> int:

@@ -25,8 +25,8 @@ from .kernels import (KernelBackend, NotPositiveDefiniteError, gemm_flops,
                       get_backend, potrf_flops, syrk_flops, trsm_flops)
 from .matrix import (Permutation, SymmetricSparseMatrix, apply_symmetric_permutation,
                      minimum_degree_order)
-from .symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
-                       build_symbolic_factor, elimination_tree, symbolic_factorization)
+from .symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor, build_symbolic_factor,
+                       dense_update, elimination_tree, symbolic_factorization)
 
 
 class StructureError(ValueError):
@@ -371,9 +371,7 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                     stats.assembly_ops += r - t
                 continue
             Y = X[:c, :]
-            dense = (pos[:c].size <= 1 or pos[c - 1] - pos[0] == c - 1) and \
-                    (pos[c:].size <= 1 or pos[-1] - pos[c] == r - c - 1)
-            if dense:
+            if dense_update(pos, c):
                 p0 = int(pos[0])
                 backend.syrk(pj[p0:p0 + c, p0:p0 + c], Y)
                 stats.add("syrk", syrk_flops(c, S.width(k)))

@@ -48,14 +48,14 @@ def refine(partition: OrderedPartition, pivot) -> OrderedPartition:
         raise ValueError("pivot contains elements outside the ground set")
     if not pivot:
         return OrderedPartition(partition.ground, [list(c) for c in partition.cells])
-    hits = [i for i, cell in enumerate(partition.cells) if any(x in pivot for x in cell)]
+    parts = [([x for x in cell if x in pivot], cell) for cell in partition.cells]
+    hits = [i for i, (inside, _) in enumerate(parts) if inside]
     out = []
-    for i, cell in enumerate(partition.cells):
-        inside = [x for x in cell if x in pivot]
-        outside = [x for x in cell if x not in pivot]
-        if not inside or not outside:
+    for i, (inside, cell) in enumerate(parts):
+        if not inside or len(inside) == len(cell):
             out.append(list(cell))
             continue
+        outside = [x for x in cell if x not in pivot]
         if len(hits) > 1 and i == hits[0]:
             out.extend([outside, inside])
         else:
@@ -63,11 +63,9 @@ def refine(partition: OrderedPartition, pivot) -> OrderedPartition:
     return OrderedPartition(partition.ground, out)
 
 
-def _run_count(positions: np.ndarray) -> int:
-    """Number of maximal consecutive runs in a sorted position array."""
-    if positions.size == 0:
-        return 0
-    return 1 + int(np.count_nonzero(np.diff(positions) != 1))
+def _run_count(xs: list) -> int:
+    """Number of maximal runs of consecutive integers in an ascending list."""
+    return len(xs) - sum(b == a + 1 for a, b in zip(xs, xs[1:]))
 
 
 def reorder_within_supernodes(S: SymbolicFactor):
@@ -83,26 +81,22 @@ def reorder_within_supernodes(S: SymbolicFactor):
     for p in range(S.nsuper):
         f, l = S.cols(p)
         pivots = []
-        for k in (int(x) for x in S.updaters[p]):
+        for k in S.updaters[p].tolist():
             b = S.below(k)
-            s0 = int(np.searchsorted(b, f))
-            s1 = int(np.searchsorted(b, l, side="right"))
-            rows = b[s0:s1]
-            if rows.size:
-                pivots.append((rows.size, k, rows))
+            s0, s1 = b.searchsorted((f, l + 1)).tolist()
+            pivots.append((s1 - s0, k, b[s0:s1].tolist()))
         if not pivots:
             continue
         pivots.sort(key=lambda t: (-t[0], t[1]))
         part = OrderedPartition.single(range(f, l + 1))
         for _, _, rows in pivots:
-            part = refine(part, rows.tolist())
-        new_order = np.asarray(part.order(), dtype=np.int64)
-        cand = np.empty(l + 1 - f, dtype=np.int64)
-        cand[new_order - f] = np.arange(f, l + 1)
+            part = refine(part, rows)
+        new_order = part.order()
+        cand = dict(zip(new_order, range(len(new_order))))
         before = after = 0
         for _, _, rows in pivots:
-            before += _run_count(rows - f)
-            after += _run_count(np.sort(cand[rows - f]) - f)
+            before += _run_count(rows)
+            after += _run_count(sorted(cand[x] for x in rows))
         if after <= before:
             perm[new_order] = np.arange(f, l + 1)
     P = Permutation(perm)

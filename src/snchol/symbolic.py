@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,17 @@ def elimination_tree(pattern: SymmetricSparsePattern) -> EliminationTree:
                 parent[i] = j
     children = _children_lists(parent)
     return EliminationTree(parent, children, _postorder_forest(parent, children))
+
+
+def postorder_relabel(tree: EliminationTree):
+    """The permutation numbering ``tree``'s columns in its postorder, and the
+    tree under that numbering.  A postorder is an equivalent reordering, so the
+    relabelled tree is the elimination tree of the permuted pattern; its own
+    postorder is the identity."""
+    P = Permutation(np.argsort(tree.postorder, kind="stable"))
+    old_parent = tree.parent[P.inv]
+    parent = np.where(old_parent >= 0, P.perm[old_parent], -1)
+    return P, EliminationTree(parent, _children_lists(parent), np.arange(tree.n, dtype=np.int64))
 
 
 def _children_lists(parent: np.ndarray) -> tuple:
@@ -434,7 +446,13 @@ class Plans:
 
 class SymbolicFactor:
     """Supernode partition, per-supernode row lists, block lists and workspace
-    plans for the numeric factorizations.  Immutable once built."""
+    plans for the numeric factorizations.  Immutable once built.
+
+    The derived structure (``block_sizes``/``block_starts``, ``updaters`` and
+    ``plans``) is computed on first access and cached as tuples of read-only
+    arrays, so a factor that is only reordered pays for nothing but the
+    ``updaters`` the reordering reads.
+    """
 
     def __init__(self, n, first_col, col_to_snode, snode_parent, glbind,
                  relabel, options, merge_stats):
@@ -449,15 +467,10 @@ class SymbolicFactor:
         self.nsuper = self.first_col.size - 1
         self.snode_children = _children_lists(self.snode_parent)
 
-        self.factor_nnz = sum(_trap_nnz(self.width(j), self.glbind(j).size)
-                              for j in range(self.nsuper))
-        self.panel_storage = sum(self.width(j) * self.glbind(j).size
-                                 for j in range(self.nsuper))
-        self.work_flops = sum(_work_flops(self.width(j), self.mrows(j))
-                              for j in range(self.nsuper))
-        self._compute_blocks()
-        self._compute_updaters()
-        self._compute_plans()
+        shape = list(zip(np.diff(self.first_col).tolist(), (g.size for g in self._glbind)))
+        self.factor_nnz = sum(_trap_nnz(a, g) for a, g in shape)
+        self.panel_storage = sum(a * g for a, g in shape)
+        self.work_flops = sum(_work_flops(a, g - a) for a, g in shape)
 
     # -- geometry -----------------------------------------------------------
     def cols(self, j: int):
@@ -478,78 +491,96 @@ class SymbolicFactor:
     def nblocks(self, j: int) -> int:
         return self.block_sizes[j].size
 
-    # -- derived structure ---------------------------------------------------
-    def _compute_blocks(self):
-        sizes = []
-        starts = []
-        for j in range(self.nsuper):
-            b = self.below(j)
-            if b.size == 0:
-                sizes.append(np.zeros(0, dtype=np.int64))
-                starts.append(np.zeros(0, dtype=np.int64))
-                continue
-            owner = self.col_to_snode[b]
-            brk = np.flatnonzero((np.diff(b) != 1) | (np.diff(owner) != 0)) + 1
-            st = np.concatenate([[0], brk]).astype(np.int64)
-            en = np.concatenate([brk, [b.size]]).astype(np.int64)
-            sizes.append(en - st)
-            starts.append(st)
-        self.block_sizes = sizes
-        self.block_starts = starts
+    # -- derived structure, computed on first use ------------------------------
+    @cached_property
+    def _below_rows(self) -> tuple:
+        """Every below-diagonal row list concatenated; per row, its list's
+        supernode, the supernode owning it, and whether it starts a new
+        (list, owner) group."""
+        below = [self.below(j) for j in range(self.nsuper)]
+        rows = np.concatenate(below) if below else np.zeros(0, dtype=np.int64)
+        src = np.repeat(np.arange(self.nsuper), [b.size for b in below])
+        owner = self.col_to_snode[rows]
+        new = np.ones(rows.size, dtype=bool)
+        new[1:] = (owner[1:] != owner[:-1]) | (src[1:] != src[:-1])
+        return rows, src, owner, new
 
-    def _compute_updaters(self):
-        ups = [[] for _ in range(self.nsuper)]
-        for k in range(self.nsuper):
-            owners = np.unique(self.col_to_snode[self.below(k)])
-            for p in owners:
-                ups[int(p)].append(k)
-        self.updaters = [np.asarray(u, dtype=np.int64) for u in ups]
+    @cached_property
+    def _blocks(self) -> tuple:
+        """Per supernode, the sizes and the offsets into ``below(j)`` of its
+        dense blocks: maximal runs of consecutive rows with one owner."""
+        rows, src, _, new = self._below_rows
+        first = np.flatnonzero(new | (np.diff(rows, prepend=-2) != 1))
+        seg = np.searchsorted(src, np.arange(self.nsuper + 1))
+        bounds = np.searchsorted(first, seg)
+        return (_frozen_split(np.diff(first, append=rows.size), bounds),
+                _frozen_split(first - seg[src[first]], bounds))
 
-    def ll_update_shape(self, k: int, j: int):
-        """Geometry of supernode k's update into supernode j: suffix start in
-        k's row list, row and column counts, target positions in j's list, and
-        whether both the triangle part and the part below are contiguous there
-        (in which case the update can be applied directly to factor storage)."""
-        f, l = self.cols(j)
-        gk = self.glbind(k)
-        s0 = int(np.searchsorted(gk, f))
-        rows = gk[s0:]
-        c = int(np.searchsorted(rows, l, side="right"))
-        gj = self.glbind(j)
-        pos = np.searchsorted(gj, rows)
-        if pos.size and not np.array_equal(gj[pos], rows):
-            raise AssertionError("update rows missing from target structure")
-        dense = _contiguous(pos[:c]) and _contiguous(pos[c:])
-        return s0, rows.size, c, pos, dense
+    block_sizes = property(lambda self: self._blocks[0])
+    block_starts = property(lambda self: self._blocks[1])
 
-    def _compute_plans(self):
-        push = np.zeros(self.nsuper, dtype=np.int64)
-        square = np.zeros(self.nsuper, dtype=np.int64)
-        for j in range(self.nsuper):
-            m = self.mrows(j)
-            square[j] = m * m
-            p = self.snode_parent[j]
-            if p >= 0:
-                consumed = int(np.searchsorted(self.below(j), self.first_col[p + 1] - 1,
-                                               side="right"))
-                rest = m - consumed
-                push[j] = rest * (rest + 1) // 2
+    @cached_property
+    def updaters(self) -> tuple:
+        """updaters[p]: the supernodes with rows in p's columns, ascending."""
+        _, src, owner, new = self._below_rows
+        k, p = src[new], owner[new]
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(p, minlength=self.nsuper))])
+        return _frozen_split(k[np.argsort(p, kind="stable")], bounds)
+
+    @cached_property
+    def plans(self) -> Plans:
+        rows, src, _, _ = self._below_rows
+        parent = self.snode_parent
+        m = np.array([g.size for g in self._glbind], dtype=np.int64) - np.diff(self.first_col)
+        rest = m - np.bincount(src[rows < self.first_col[parent[src] + 1]], minlength=self.nsuper)
+        push = np.where(parent >= 0, rest * (rest + 1) // 2, 0)
+        square = m * m
         post, mf_peak = stack_minimizing_postorder(
-            self.snode_parent, square, push, enabled=self.options.sibling_order)
-        ll_peak = 0
-        for j in range(self.nsuper):
-            for k in self.updaters[j]:
-                if self.width(int(k)) == 1:
-                    continue
-                _, r, c, _, dense = self.ll_update_shape(int(k), j)
-                if not dense:
-                    ll_peak = max(ll_peak, r * c)
+            parent, square, push, enabled=self.options.sibling_order)
         rl_peak = int(square.max()) if self.nsuper else 0
-        self.plans = Plans(post, int(mf_peak), push, square, ll_peak, rl_peak)
+        for a in (post, push, square):
+            a.flags.writeable = False
+        return Plans(post, int(mf_peak), push, square, _ll_peak(self), rl_peak)
 
 
-def _contiguous(pos: np.ndarray) -> bool:
-    return pos.size <= 1 or bool(np.all(np.diff(pos) == 1))
+def _frozen_split(a: np.ndarray, bounds: np.ndarray) -> tuple:
+    """Read-only views a[bounds[i]:bounds[i + 1]]."""
+    a.flags.writeable = False
+    b = bounds.tolist()
+    return tuple(a[lo:hi] for lo, hi in zip(b, b[1:]))
+
+
+def dense_update(pos, c: int) -> bool:
+    """Whether an update lands on contiguous target storage: ``pos`` holds the
+    strictly ascending positions of the updating rows in the target's row list,
+    its first ``c`` the target's own columns, and both the triangle part and
+    the part below it must each be one run."""
+    r = len(pos)
+    return bool((c <= 1 or pos[c - 1] - pos[0] == c - 1)
+                and (r - c <= 1 or pos[r - 1] - pos[c] == r - c - 1))
+
+
+def _ll_peak(S: SymbolicFactor) -> int:
+    """Largest slab ``factor_ll`` needs: rows times columns of the largest
+    update from a supernode wider than one column that is not dense_update."""
+    peak = 0
+    indmap = np.zeros(S.n, dtype=np.int64)  # stale outside gj; the check clips
+    for j in range(S.nsuper):
+        f, l = S.cols(j)
+        gj = S.glbind(j)
+        indmap[gj] = np.arange(gj.size)
+        for k in S.updaters[j].tolist():
+            if S.width(k) == 1:
+                continue
+            gk = S.glbind(k)
+            rows = gk[gk.searchsorted(f):]
+            pos = indmap[rows]
+            if (gj.take(pos, mode="clip") != rows).any():
+                raise AssertionError("update rows missing from target structure")
+            c = int(rows.searchsorted(l, "right"))
+            if not dense_update(pos, c):
+                peak = max(peak, rows.size * c)
+    return peak
 
 
 def _permute_pattern(pattern: SymmetricSparsePattern, P: Permutation) -> SymmetricSparsePattern:
@@ -567,10 +598,8 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
     ``.relabel`` holds the composed permutation this analysis applied on top of
     the input pattern; apply it to the matrix before scattering values.
     """
-    t0 = elimination_tree(pattern)
-    p_post = Permutation(np.argsort(t0.postorder, kind="stable"))
+    p_post, t1 = postorder_relabel(elimination_tree(pattern))
     pat1 = _permute_pattern(pattern, p_post)
-    t1 = elimination_tree(pat1)
     glb1 = symbolic_factorization(pat1, t1)
     part1 = fundamental_supernodes(t1, glb1)
     mr = merge_supernodes(part1, t1, glb1, options.merge_cap)
@@ -580,4 +609,5 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
     if options.pr:
         from .reorder import reorder_within_supernodes
         _, S = reorder_within_supernodes(S)
+    S.block_sizes, S.plans  # derive them here, as part of the analysis
     return S

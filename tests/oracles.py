@@ -145,3 +145,60 @@ def min_incoming_blocks_exhaustive(S, p: int) -> int:
         c = incoming_block_count(S, p, pos)
         best = c if best is None else min(best, c)
     return best
+
+
+def ll_peak_per_pair(S) -> int:
+    """The left-looking slab plan by one binary search per (updater, target)
+    pair: for every supernode k wider than one column that updates j, the
+    update's rows are located in j's row list, and a non-contiguous placement
+    of either the triangle part or the part below needs rows x columns."""
+    peak = 0
+    for j in range(S.nsuper):
+        f, l = S.cols(j)
+        gj = S.glbind(j)
+        for k in S.updaters[j]:
+            if S.width(int(k)) == 1:
+                continue
+            gk = S.glbind(int(k))
+            rows = gk[int(np.searchsorted(gk, f)):]
+            c = int(np.searchsorted(rows, l, side="right"))
+            pos = np.searchsorted(gj, rows)
+            if pos.size and not np.array_equal(gj[pos], rows):
+                raise AssertionError("update rows missing from target structure")
+            if not all(p.size <= 1 or np.all(np.diff(p) == 1) for p in (pos[:c], pos[c:])):
+                peak = max(peak, rows.size * c)
+    return peak
+
+
+def column_error(n: int, colptr, rowind):
+    """First per-column rejection of a CSC lower-triangle pattern, checked
+    column by column (colptr itself assumed valid), or None."""
+    for j in range(n):
+        col = rowind[colptr[j]:colptr[j + 1]]
+        if col[0] != j:
+            return f"column {j} must store its diagonal first"
+        if col.size > 1 and (np.any(np.diff(col) <= 0) or col[-1] >= n):
+            return f"column {j} rows must be strictly ascending and < n"
+    return None
+
+
+def block_lists(S) -> tuple:
+    """(sizes, starts) of each supernode's dense blocks, one supernode at a time."""
+    sizes, starts = [], []
+    for j in range(S.nsuper):
+        b = S.below(j)
+        owner = S.col_to_snode[b]
+        brk = np.flatnonzero((np.diff(b) != 1) | (np.diff(owner) != 0)) + 1
+        st = np.concatenate([[0], brk]).astype(np.int64) if b.size else brk
+        sizes.append(np.diff(np.concatenate([st, [b.size]])))
+        starts.append(st)
+    return sizes, starts
+
+
+def updater_lists(S) -> list:
+    """updaters[p] by appending each k to the owners of its below rows."""
+    ups = [[] for _ in range(S.nsuper)]
+    for k in range(S.nsuper):
+        for p in np.unique(S.col_to_snode[S.below(k)]):
+            ups[int(p)].append(k)
+    return ups

@@ -5,7 +5,9 @@ import pytest
 
 from snchol.cli import (BenchRecord, CSV_HEADER, main, performance_profile, residual,
                         tau_grid)
-from snchol.matrix import SymmetricSparseMatrix, generate_spd
+from snchol.matrix import (SymmetricSparseMatrix, apply_symmetric_permutation, generate_spd,
+                           minimum_degree_order)
+from snchol.symbolic import BuildOptions, build_symbolic_factor
 
 
 def run_cli(*argv):
@@ -66,6 +68,24 @@ def test_analyze_fig1(fig1_mtx, capsys, tmp_path):
     assert "blocks after  reordering: count=2" in out
     rows = list(csv.reader(csvp.open()))
     assert rows[0][0] == "snode" and len(rows) == 4
+
+
+def test_analyze_gen_reordered_lines_match_a_full_build(capsys):
+    # analyze reorders the unreordered factor it already built instead of
+    # running the pipeline again; the result must be the pr=True build
+    spec = "gen:n=200,density=0.03,seed=3"
+    assert run_cli("analyze", spec) == 0
+    out = capsys.readouterr().out.splitlines()
+    A = generate_spd(200, 0.03, 3)
+    A1 = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+    S = build_symbolic_factor(A1.pattern, BuildOptions(12.5, True))
+    count = sum(S.nblocks(j) for j in range(S.nsuper))
+    mean = sum(S.mrows(j) for j in range(S.nsuper)) / count
+    assert f"blocks after  reordering: count={count} mean_len={mean:.3f}" in out
+    assert (f"workspace plans (floats): mf={S.plans.mf_peak} ll={S.plans.ll_peak} "
+            f"rl={S.plans.rl_peak} rlb=0") in out
+    before = [ln for ln in out if ln.startswith("blocks before")][0]
+    assert before != f"blocks before reordering: count={count} mean_len={mean:.3f}"
 
 
 def test_analyze_diagonal(tmp_path, capsys):

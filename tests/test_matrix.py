@@ -171,8 +171,44 @@ def test_minimum_degree_tridiagonal_no_fill():
     assert oracles.fill_count(pat, P.perm) == base
 
 
+PATTERN_REJECTIONS = [
+    # (n, colptr, rowind, message, first offending column or None)
+    (2, [0, 2], [0, 1], "colptr must have length n+1", None),
+    (2, [1, 2, 3], [0, 0, 1], "colptr must start at 0", None),
+    (3, [0, 2, 2, 3], [0, 1, 2], "strictly increasing", None),
+    (2, [0, 1, 3], [0, 1], "colptr[-1] must equal len(rowind)", None),
+    (2, [0, 1, 2], [1, 1], "must store its diagonal first", 0),
+    (4, [0, 2, 3, 5, 6], [0, 1, 1, 3, 2, 3], "must store its diagonal first", 2),
+    (4, [0, 2, 5, 7, 8], [0, 1, 1, 3, 3, 2, 3, 3], "strictly ascending and < n", 1),
+    (4, [0, 2, 4, 7, 8], [0, 3, 1, 2, 2, 3, 2, 3], "strictly ascending and < n", 2),
+    (4, [0, 2, 3, 5, 6], [0, 2, 1, 2, 4, 3], "strictly ascending and < n", 2),
+    (5, [0, 1, 3, 4, 6, 7], [0, 1, 1, 2, 4, 3, 4], "strictly ascending and < n", 1),
+    (5, [0, 1, 2, 3, 5, 6], [0, 2, 2, 3, 3, 4], "must store its diagonal first", 1),
+]
+
+
 def test_pattern_validation():
-    with pytest.raises(ValueError):
-        SymmetricSparsePattern(2, np.array([0, 1, 2]), np.array([1, 1]))  # no diag first
-    with pytest.raises(ValueError):
-        SymmetricSparsePattern(2, np.array([0, 2]), np.array([0, 1]))  # colptr short
+    """Each rejection raises its own message and names the first bad column;
+    a later bad column never masks an earlier one."""
+    for n, colptr, rowind, message, col in PATTERN_REJECTIONS:
+        with pytest.raises(ValueError) as err:
+            SymmetricSparsePattern(n, np.array(colptr), np.array(rowind))
+        assert message in str(err.value)
+        if col is not None:
+            assert str(err.value).startswith(f"column {col} ")
+
+
+def test_pattern_validation_names_the_column_a_per_column_scan_names():
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        pat = generate_spd(int(rng.integers(1, 15)), 0.3, trial).pattern
+        rowind = pat.rowind.copy()
+        for _ in range(int(rng.integers(1, 3))):
+            rowind[rng.integers(rowind.size)] = rng.integers(-1, pat.n + 2)
+        want = oracles.column_error(pat.n, pat.colptr, rowind)
+        if want is None:
+            SymmetricSparsePattern(pat.n, pat.colptr, rowind)
+            continue
+        with pytest.raises(ValueError) as err:
+            SymmetricSparsePattern(pat.n, pat.colptr, rowind)
+        assert str(err.value) == want

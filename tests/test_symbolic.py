@@ -1,16 +1,19 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
+from snchol import reorder, symbolic
 from snchol.matrix import (Permutation, SymmetricSparsePattern, apply_symmetric_permutation,
                            generate_spd, minimum_degree_order)
-from snchol.symbolic import (BuildOptions, IndexModeError, RelativeIndexMap,
+from snchol.symbolic import (BuildOptions, IndexModeError, RelativeIndexMap, SymbolicFactor,
                              build_symbolic_factor, compose_relative, elimination_tree,
                              extract_block_relind, fundamental_supernodes,
-                             merge_supernodes, stack_minimizing_postorder,
-                             symbolic_factorization)
+                             merge_supernodes, postorder_relabel,
+                             stack_minimizing_postorder, symbolic_factorization)
 
 import oracles
-from conftest import fig1_matrix, fig1_pattern
+from conftest import fig1_matrix, fig1_pattern, grid_laplacian
 
 
 def build_fig1(merge_cap=None, pr=False):
@@ -36,6 +39,30 @@ def test_etree_matches_brute_force():
         t = elimination_tree(A.pattern)
         glb = oracles.boolean_fill(A.pattern)
         assert np.array_equal(t.parent, oracles.etree_from_structure(glb))
+
+
+def forest_patterns():
+    """Seeded patterns plus the edge cases: n=1, diagonal-only, a forest of
+    disconnected trees and a long chain."""
+    pats = [generate_spd(n, d, seed).pattern
+            for n, d, seed in ((12, 0.2, 1), (30, 0.1, 2), (40, 0.05, 3), (25, 0.3, 4))]
+    pats.append(SymmetricSparsePattern.from_columns(1, [[]]))
+    pats.append(SymmetricSparsePattern.from_columns(7, [[]] * 7))
+    # three components, labels interleaved so the postorder moves columns
+    pats.append(SymmetricSparsePattern.from_columns(
+        9, [[3, 6], [4], [5, 8], [6], [7], [8], [], [], []]))
+    pats.append(SymmetricSparsePattern.from_columns(6, [[j + 1] for j in range(5)] + [[]]))
+    return pats
+
+
+def test_postorder_relabel_is_the_etree_of_the_permuted_pattern():
+    for pat in forest_patterns():
+        P, t1 = postorder_relabel(elimination_tree(pat))
+        want = elimination_tree(symbolic._permute_pattern(pat, P))
+        assert np.array_equal(t1.parent, want.parent)
+        assert t1.children == want.children
+        assert np.array_equal(t1.postorder, want.postorder)
+        assert np.array_equal(t1.postorder, np.arange(pat.n))
 
 
 # -- per-column structure -----------------------------------------------------
@@ -369,3 +396,74 @@ def test_supernode_interior_permutation_keeps_panels_valid():
             sj = int(S.col_to_snode[jcol])
             panel_rows = set(int(perm[r]) for r in S.glbind(sj).tolist())
             assert set(true_glb[jcol].tolist()) <= panel_rows
+
+
+def ll_peak_cases():
+    mats = [("fig1", fig1_matrix()), ("grid6", grid_laplacian(6)), ("grid9", grid_laplacian(9))]
+    mats += [(f"gen{d}", generate_spd(60, d, 7)) for d in (0.02, 0.05, 0.1, 0.3)]
+    opts = [BuildOptions(None, True), BuildOptions(12.5, True), BuildOptions(None, False),
+            BuildOptions(12.5, False), BuildOptions(12.5, True, False)]
+    for name, A in mats:
+        if name != "fig1":
+            A = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+        for o in opts:
+            yield name, o, A.pattern
+
+
+def test_ll_peak_matches_per_pair_reference():
+    peaks = set()
+    for name, opts, pat in ll_peak_cases():
+        S = build_symbolic_factor(pat, opts)
+        assert S.plans.ll_peak == oracles.ll_peak_per_pair(S), (name, opts)
+        peaks.add(S.plans.ll_peak)
+    assert len(peaks) > 3  # the cases exercise the plan, not just zeros
+
+
+def test_blocks_and_updaters_match_per_supernode_loops():
+    for name, opts, pat in ll_peak_cases():
+        S = build_symbolic_factor(pat, opts)
+        sizes, starts = oracles.block_lists(S)
+        assert [b.tolist() for b in S.block_sizes] == [b.tolist() for b in sizes], name
+        assert [b.tolist() for b in S.block_starts] == [b.tolist() for b in starts], name
+        assert [u.tolist() for u in S.updaters] == oracles.updater_lists(S), name
+
+
+def count_derivations(monkeypatch, names) -> dict:
+    """Wrap the named cached properties of SymbolicFactor so each derivation
+    is counted; returns name -> count."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        func = SymbolicFactor.__dict__[name].func
+
+        def counted(self, name=name, func=func):
+            counts[name] += 1
+            return func(self)
+        prop = cached_property(counted)
+        prop.__set_name__(SymbolicFactor, name)
+        monkeypatch.setattr(SymbolicFactor, name, prop)
+    return counts
+
+
+def test_one_build_derives_blocks_and_plans_once(monkeypatch):
+    counts = count_derivations(monkeypatch, ("_blocks", "updaters", "plans"))
+    builds = []
+    orig = reorder.reorder_within_supernodes
+    monkeypatch.setattr(reorder, "reorder_within_supernodes",
+                        lambda S: builds.append(S) or orig(S))
+    A = generate_spd(80, 0.05, 3)
+    S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
+    assert len(builds) == 1
+    assert counts == {"_blocks": 1, "updaters": 2, "plans": 1}
+    # blocks and plans were derived during the build; using them derives nothing
+    _ = [S.nblocks(j) for j in range(S.nsuper)], S.plans, S.block_starts, S.updaters
+    assert counts == {"_blocks": 1, "updaters": 2, "plans": 1}
+    assert "plans" not in vars(builds[0]) and "_blocks" not in vars(builds[0])
+
+
+def test_derived_structure_is_read_only():
+    A = generate_spd(50, 0.08, 5)
+    S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
+    arrays = [*S.block_sizes, *S.block_starts, *S.updaters, S.plans.mf_postorder,
+              S.plans.push_size, S.plans.square_size]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    assert all(isinstance(x, tuple) for x in (S.block_sizes, S.block_starts, S.updaters))
