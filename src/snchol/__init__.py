@@ -20,7 +20,7 @@ from .numeric import (FactorStorage, FactorizationResult, RunOptions, RunStats,
 from .reorder import OrderedPartition, refine, reorder_within_supernodes
 from .symbolic import (BuildOptions, EliminationTree, RelativeIndexMap,
                        SupernodePartition, SymbolicFactor, build_symbolic_factor,
-                       compose_relative, elimination_tree, extract_block_relind,
+                       compose_relative, elimination_tree,
                        fundamental_supernodes, merge_supernodes,
                        stack_minimizing_postorder, symbolic_factorization)
 

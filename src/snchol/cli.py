@@ -121,7 +121,7 @@ def cmd_factor(args) -> int:
         return 1
     try:
         result = run_factorization(A, _run_opts(args))
-    except NotPositiveDefiniteError as e:
+    except (NotPositiveDefiniteError, ValueError) as e:
         print(f"error: factorization ({args.method}): {e}", file=sys.stderr)
         return 1
     stats = result.stats
@@ -174,7 +174,7 @@ def cmd_check(args) -> int:
             ok = dev <= 1e-10
             failed |= not ok
             print(f"{name} {method}: deviation={dev:.3e} {'ok' if ok else 'FAIL'}")
-        except NotPositiveDefiniteError as e:
+        except (NotPositiveDefiniteError, ValueError) as e:
             print(f"{name} {method}: error: {e}")
             failed = True
     return 1 if failed else 0
@@ -258,7 +258,7 @@ def cmd_bench(args) -> int:
                     result = run_factorization(A, _run_opts(args, m))
                     samples.append(result.stats.wall_seconds)
                     stats = result.stats
-            except NotPositiveDefiniteError as e:
+            except (NotPositiveDefiniteError, ValueError) as e:
                 status = f"factorization error: {e}"
             if status == "ok":
                 med = float(np.median(samples))

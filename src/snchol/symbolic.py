@@ -136,13 +136,9 @@ def fundamental_supernodes(tree: EliminationTree, glb: list) -> SupernodePartiti
     """Maximal runs where each column's below-structure equals the next column's
     structure and the next column has exactly one child."""
     n = tree.n
-    nchild = np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        if tree.parent[j] >= 0:
-            nchild[tree.parent[j]] += 1
     firsts = [0] if n else []
     for j in range(1, n):
-        joined = (tree.parent[j - 1] == j and nchild[j] == 1
+        joined = (tree.parent[j - 1] == j and len(tree.children[j]) == 1
                   and glb[j - 1].size == glb[j].size + 1)
         if not joined:
             firsts.append(j)
@@ -204,10 +200,7 @@ def merge_supernodes(partition: SupernodePartition, tree: EliminationTree,
     for s in range(ns):
         if below[s].size:
             parent[s] = partition.col_to_snode[below[s][0]]
-    children = [[] for _ in range(ns)]
-    for s in range(ns):
-        if parent[s] >= 0:
-            children[parent[s]].append(s)
+    children = [list(kids) for kids in _children_lists(parent)]
     alive = np.ones(ns, dtype=bool)
 
     nnz_before = sum(_trap_nnz(ncols[s], ncols[s] + below[s].size) for s in range(ns))
@@ -317,10 +310,7 @@ def stack_minimizing_postorder(snode_parent: np.ndarray, square_size: np.ndarray
     evaluated exactly.  Returns (postorder, predicted peak).
     """
     ns = snode_parent.size
-    children = [[] for _ in range(ns)]
-    for s in range(ns):
-        if snode_parent[s] >= 0:
-            children[snode_parent[s]].append(s)
+    children = _children_lists(snode_parent)
     speak = np.zeros(ns, dtype=np.int64)
     chosen = [None] * ns
     for j in range(ns):  # ids ascend toward the roots, so children come first
@@ -356,10 +346,6 @@ def stack_minimizing_postorder(snode_parent: np.ndarray, square_size: np.ndarray
 # ---------------------------------------------------------------------------
 # Relative indices.
 
-class IndexModeError(RuntimeError):
-    """Raised when a relative/global transformation is applied in the wrong mode."""
-
-
 def compose_relative(rel_jc: np.ndarray, rel_cp: np.ndarray) -> np.ndarray:
     """Relative indices against a grandparent: gather each distance through the
     intermediate list.  Entry d becomes rel_cp[len(rel_cp) - 1 - d]."""
@@ -369,57 +355,58 @@ def compose_relative(rel_jc: np.ndarray, rel_cp: np.ndarray) -> np.ndarray:
     return rel_cp[rel_cp.size - 1 - rel_jc]
 
 
-def extract_block_relind(rel: np.ndarray, block_sizes) -> np.ndarray:
-    """One relative index per block: the entry of each block's first row."""
-    sizes = np.asarray(block_sizes, dtype=np.int64)
-    if sizes.sum() != rel.size:
-        raise ValueError("block sizes do not partition the relative index list")
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-    return np.asarray(rel)[starts]
-
-
 class RelativeIndexMap:
-    """Per-supernode shared-row lists against the parent, transformable in
-    place between global row numbers and distance-from-bottom relative indices.
+    """Each supernode's below-diagonal rows as relative indices against its
+    parent: a row's distance from the bottom of the parent's row list.
 
-    One factorization owns the map for its duration; the mode flag guards
-    against double transformation.
+    Computed once, held as read-only arrays; ``walk`` carries them up the
+    ancestor chain for the right-looking methods.
     """
 
     def __init__(self, S: "SymbolicFactor"):
-        self._S = S
-        self.lists = [S.below(j).copy() for j in range(S.nsuper)]
-        self.mode = "global"
+        rels = []
+        for j in range(S.nsuper):
+            rows = S.below(j)
+            pos = np.zeros(0, dtype=np.int64)
+            if rows.size:  # only roots have no rows below
+                pg = S.glbind(S.snode_parent[j])
+                pos = np.searchsorted(pg, rows)
+                if not np.array_equal(pg.take(pos, mode="clip"), rows):
+                    raise ValueError(f"row of supernode {j} missing from parent structure")
+                pos = pg.size - 1 - pos
+            pos.flags.writeable = False
+            rels.append(pos)
+        self._rel = tuple(rels)
+        self._parent = S.snode_parent.tolist()
+        self._mrows = [S.mrows(j) for j in range(S.nsuper)]
 
     def rel(self, j: int) -> np.ndarray:
-        return self.lists[j]
+        return self._rel[j]
 
-    def to_relative(self) -> None:
-        if self.mode != "global":
-            raise IndexModeError("map is already in relative mode")
-        S = self._S
-        for j in range(S.nsuper):
-            p = S.snode_parent[j]
-            if p < 0:
-                continue
-            pg = S.glbind(p)
-            pos = np.searchsorted(pg, self.lists[j])
-            if pos.size and not np.array_equal(pg[pos], self.lists[j]):
-                raise ValueError(f"row of supernode {j} missing from parent structure")
-            self.lists[j] = pg.size - 1 - pos
-        self.mode = "relative"
-
-    def to_global(self) -> None:
-        if self.mode != "relative":
-            raise IndexModeError("map is already in global mode")
-        S = self._S
-        for j in range(S.nsuper):
-            p = S.snode_parent[j]
-            if p < 0:
-                continue
-            pg = S.glbind(p)
-            self.lists[j] = pg[pg.size - 1 - self.lists[j]]
-        self.mode = "global"
+    def walk(self, j: int, rel: np.ndarray):
+        """Carry ``rel`` up the ancestor chain: a writable copy of some of
+        supernode j's relative indices against its parent, in their order (all
+        of them, or each block's first).  At each step up, the entries not yet
+        placed are composed in place against the next ancestor.  Yields
+        (P, lo, hi) where rel[lo:hi] land in ancestor P's own columns; the
+        segments cover 0..len(rel) in order, and on each yield rel[lo:] is
+        relative to P."""
+        parent, mrows, rels = self._parent, self._mrows, self._rel
+        n = rel.size
+        lo, C, P = 0, j, parent[j]
+        while lo < n:
+            assert P >= 0, "rows left after the root"
+            if C != j:
+                rc = rels[C]
+                rel[lo:] = rc[rc.size - 1 - rel[lo:]]
+            # rel descends, so P's own columns (indices >= mrows[P]) come first
+            hi = lo
+            while hi < n and rel[hi] >= mrows[P]:
+                hi += 1
+            if hi > lo:
+                yield P, lo, hi
+                lo = hi
+            C, P = P, parent[P]
 
 
 # ---------------------------------------------------------------------------

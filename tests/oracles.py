@@ -202,3 +202,17 @@ def updater_lists(S) -> list:
         for p in np.unique(S.col_to_snode[S.below(k)]):
             ups[int(p)].append(k)
     return ups
+
+
+def dense_deviation(result) -> float:
+    """Deviation of a factorization result from the column algorithm by
+    comparing two dense n x n factors (the check the sparse comparison
+    replaced; small cases only)."""
+    from snchol.numeric import factor_reference, reference_to_dense
+    from snchol.symbolic import elimination_tree, symbolic_factorization
+    A2 = result.A_factored
+    glb = symbolic_factorization(A2.pattern, elimination_tree(A2.pattern))
+    Lref = reference_to_dense(A2.n, *factor_reference(A2, glb))
+    Lgot = result.dense_factor()
+    scale = max(1.0, float(np.abs(Lref).max(initial=0.0)))
+    return float(np.abs(Lgot - Lref).max(initial=0.0)) / scale

@@ -15,7 +15,7 @@ from snchol.matrix import generate_spd
 from snchol.numeric import RunOptions, run_factorization
 from snchol.reorder import reorder_within_supernodes
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, build_symbolic_factor,
-                             compose_relative, elimination_tree, extract_block_relind,
+                             compose_relative, elimination_tree,
                              fundamental_supernodes, stack_minimizing_postorder,
                              symbolic_factorization)
 
@@ -45,13 +45,12 @@ def test_criterion_1_figure1_structural_suite():
     assert (S.glbind(1) + 1).tolist() == [3, 4, 5, 7, 8]
     assert (S.glbind(2) + 1).tolist() == [5, 6, 7, 8, 9]
     R = RelativeIndexMap(S)
-    R.to_relative()
     assert R.rel(0).tolist() == [4, 3, 0]
     assert R.rel(1).tolist() == [4, 2, 1]
     assert S.block_sizes[0].tolist() == [2, 1]
     assert S.block_sizes[1].tolist() == [1, 2]
-    assert extract_block_relind(R.rel(0), S.block_sizes[0]).tolist() == [4, 0]
-    assert extract_block_relind(R.rel(1), S.block_sizes[1]).tolist() == [4, 2]
+    assert R.rel(0)[S.block_starts[0]].tolist() == [4, 0]
+    assert R.rel(1)[S.block_starts[1]].tolist() == [4, 2]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _passline(1, f"tree, supernodes, row lists, relative and block indices exact "

@@ -7,6 +7,7 @@ from snchol.cli import (BenchRecord, CSV_HEADER, main, performance_profile, resi
                         tau_grid)
 from snchol.matrix import (SymmetricSparseMatrix, apply_symmetric_permutation, generate_spd,
                            minimum_degree_order)
+from snchol import numeric
 from snchol.symbolic import BuildOptions, build_symbolic_factor
 
 
@@ -208,3 +209,39 @@ def test_factor_vendor_check_solve(monkeypatch, capsys):
     for key in ("deviation", "residual"):
         line = [ln for ln in out.splitlines() if key in ln][0]
         assert float(line.rsplit("=", 1)[1]) <= 1e-10
+
+
+def refuse_dense_factors(monkeypatch):
+    def dense(*args):
+        raise AssertionError("an n x n dense factor was built")
+    monkeypatch.setattr(numeric.FactorizationResult, "dense_factor", dense)
+    monkeypatch.setattr(numeric, "reference_to_dense", dense)
+
+
+@pytest.mark.parametrize("method", ["ref", "mf", "rlb"])
+def test_factor_check_compares_factors_sparsely(monkeypatch, capsys, method):
+    refuse_dense_factors(monkeypatch)
+    refuse_to_densify(monkeypatch)
+    assert run_cli("factor", "gen:n=120,density=0.05,seed=4", "--method", method,
+                   "--check") == 0
+    line = [ln for ln in capsys.readouterr().out.splitlines() if "deviation" in ln][0]
+    assert float(line.rsplit("=", 1)[1]) <= 1e-10
+
+
+def test_check_subcommand_compares_factors_sparsely(monkeypatch, capsys):
+    refuse_dense_factors(monkeypatch)
+    assert run_cli("check", "gen:n=120,density=0.05,seed=4") == 0
+    assert capsys.readouterr().out.count(" ok") == 4
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_input_is_reported_without_traceback(tmp_path, capsys, value):
+    p = tmp_path / "bad.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                 f"3 3 4\n1 1 4\n3 1 {value}\n2 2 4\n3 3 4\n")
+    assert run_cli("factor", str(p), "--method", "mf") == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "(2, 0)" in err
+    assert run_cli("check", str(p)) == 1
+    out = capsys.readouterr().out
+    assert out.count("non-finite") == 4

@@ -6,14 +6,16 @@ import pytest
 from snchol.kernels import NotPositiveDefiniteError, REFERENCE_BACKEND, get_backend
 from snchol.matrix import (SymmetricSparseMatrix, SymmetricSparsePattern,
                            apply_symmetric_permutation, generate_spd, minimum_degree_order)
-from snchol.numeric import (FactorStateError, RunOptions, RunStats, StructureError,
-                            UpdateWorkspace, _extend_in_place, _pack_descending,
-                            block_run_ends, build_indmap, deviation_from_reference,
-                            factor_reference, factor_rlb, reference_to_dense,
-                            run_factorization, scatter_into_factor, solve)
+from snchol.numeric import (METHODS, FactorStateError, RunOptions, RunStats,
+                            StructureError, UpdateWorkspace, _extend_in_place,
+                            _pack_descending, block_run_ends, build_indmap,
+                            deviation_from_reference, factor_mf, factor_reference, factor_rl,
+                            factor_rlb, reference_to_dense, run_factorization,
+                            scatter_into_factor, solve)
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, build_symbolic_factor,
                              elimination_tree, symbolic_factorization)
 
+import oracles
 from conftest import fig1_matrix, fig1_pattern, grid_laplacian
 
 
@@ -55,7 +57,7 @@ def test_scatter_gather_round_trip():
     A2 = apply_symmetric_permutation(A, S.relabel)
     F = scatter_into_factor(A2, S)
     assert F.data.size == S.panel_storage  # one slot per panel entry
-    L = F.to_dense_lower()
+    L = reference_to_dense(S.n, *F.lower_csc())
     assert np.array_equal(L, np.tril(A2.to_dense()))
 
 
@@ -324,7 +326,7 @@ def test_relative_map_restored_after_each_method():
     for method in ("mf", "rl", "rlb"):
         r = run(A, method)
         b = np.ones(A.n)
-        x = r.solve(b)  # solve requires global indices, so this proves restoration
+        x = r.solve(b)  # the map the method read leaves the panels solvable
         assert np.isfinite(x).all()
 
 
@@ -383,3 +385,124 @@ def test_pivot_error_names_supernode_and_column():
     with pytest.raises(NotPositiveDefiniteError) as e:
         run(A, "ll")
     assert "column" in str(e.value)
+
+
+# -- relative index map shared across factorizations ----------------------------
+
+RIGHT_LOOKING = {"mf": lambda F, S, R, be, st: factor_mf(F, S, R, UpdateWorkspace(S, "mf"),
+                                                         be, st),
+                 "rl": lambda F, S, R, be, st: factor_rl(F, S, R, UpdateWorkspace(S, "rl"),
+                                                         be, st),
+                 "rlb": factor_rlb}
+
+
+def layered(A):
+    """Permuted matrix and symbolic factor, as the driver builds them."""
+    A1 = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+    S = build_symbolic_factor(A1.pattern, BuildOptions(12.5, True))
+    return apply_symmetric_permutation(A1, S.relabel), S
+
+
+def test_one_relative_map_serves_repeated_factorizations():
+    A2, S = layered(generate_spd(70, 0.08, 17))
+    R = RelativeIndexMap(S)
+    for method, factor in RIGHT_LOOKING.items():
+        panels = []
+        for _ in range(2):
+            F = scatter_into_factor(A2, S)
+            factor(F, S, R, REFERENCE_BACKEND, RunStats(method, "reference", S.n))
+            panels.append(F.data)
+        assert np.array_equal(panels[0], panels[1]), method
+
+
+def indefinite_pair_matrix(seed: int):
+    """An SPD gen: matrix plus a disconnected 2x2 component [[1, 3], [3, 1]]
+    (positive diagonal, not positive definite), labels shuffled.  Returns the
+    matrix and the pair's two columns."""
+    base = generate_spd(24, 0.15, seed).to_dense()
+    n = base.shape[0] + 2
+    D = np.zeros((n, n))
+    D[:n - 2, :n - 2] = base
+    D[n - 2:, n - 2:] = [[1.0, 3.0], [3.0, 1.0]]
+    new = np.random.default_rng(seed).permutation(n)  # new[old]
+    M = np.zeros_like(D)
+    M[np.ix_(new, new)] = D
+    cols = [np.flatnonzero(M[j + 1:, j]) + j + 1 for j in range(n)]
+    pat = SymmetricSparsePattern.from_columns(n, [c.tolist() for c in cols])
+    vals = np.concatenate([M[pat.col(j), j] for j in range(n)])
+    return SymmetricSparseMatrix(pat, vals), {int(new[n - 2]), int(new[n - 1])}
+
+
+def test_failed_factorization_leaves_the_map_as_built():
+    A, _ = indefinite_pair_matrix(8)
+    A2, S = layered(A)
+    R = RelativeIndexMap(S)
+    fresh = RelativeIndexMap(S)
+    for method, factor in RIGHT_LOOKING.items():
+        F = scatter_into_factor(A2, S)
+        with pytest.raises(NotPositiveDefiniteError):
+            factor(F, S, R, REFERENCE_BACKEND, RunStats(method, "reference", S.n))
+        for j in range(S.nsuper):
+            assert np.array_equal(R.rel(j), fresh.rel(j))
+
+
+# -- entry checks and error numbering ------------------------------------------
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected_in_input_numbering(value):
+    A = generate_spd(30, 0.2, 3)
+    off = 1  # (1, 0): column 0 stores its diagonal, then row 1
+    diag = int(A.pattern.colptr[7])  # (7, 7)
+    assert A.pattern.rowind[off] == 1 and A.pattern.rowind[diag] == 7
+    for k, where in ((off, "(1, 0)"), (diag, "(7, 7)")):
+        v = A.values.copy()
+        v[k] = value
+        B = SymmetricSparseMatrix(A.pattern, v)
+        for method in METHODS:
+            for ordering in ("natural", "mindeg"):
+                with pytest.raises(ValueError) as e:
+                    run(B, method, ordering=ordering, merge_cap=12.5, pr=True)
+                assert "non-finite" in str(e.value) and where in str(e.value), method
+
+
+def test_pivot_error_names_a_column_of_the_input():
+    for seed in range(4):
+        A, pair = indefinite_pair_matrix(seed)
+        for method in METHODS:
+            for ordering in ("natural", "mindeg"):
+                with pytest.raises(NotPositiveDefiniteError) as e:
+                    run(A, method, ordering=ordering, merge_cap=12.5, pr=True)
+                assert e.value.index in pair, (seed, method, ordering)
+                assert f"column {e.value.index}" in str(e.value)
+                assert ("supernode" in str(e.value)) == (method != "ref")
+
+
+# -- sparse deviation check ------------------------------------------------------
+
+def test_sparse_deviation_equals_the_dense_comparison():
+    cases = [fig1_matrix(), grid_laplacian(7)] + [generate_spd(n, d, seed) for n, d, seed in
+                                                 ((30, 0.2, 1), (60, 0.05, 2), (45, 0.3, 3))]
+    for A in cases:
+        for cap, pr in ((None, False), (12.5, True)):
+            for method in METHODS:
+                r = run(A, method, ordering="mindeg", merge_cap=cap, pr=pr)
+                assert deviation_from_reference(r) == oracles.dense_deviation(r)
+                # an entry only the panels hold (merged fill) must count too
+                slot = None if r.F is None else fill_slot(r)
+                if slot is not None:
+                    r.F.data[slot] += 0.5
+                    assert deviation_from_reference(r) == oracles.dense_deviation(r) > 1e-3
+
+
+def fill_slot(r):
+    """Offset into F.data of a lower-triangle panel entry outside the column
+    algorithm's structure (a slot supernode merging added), or None."""
+    A2, S, F = r.A_factored, r.S, r.F
+    glb = symbolic_factorization(A2.pattern, elimination_tree(A2.pattern))
+    for j in range(S.nsuper):
+        g = S.glbind(j)
+        for c in range(S.width(j)):
+            missing = np.flatnonzero(~np.isin(g[c:], glb[int(S.first_col[j]) + c]))
+            if missing.size:
+                return int(F.offsets[j]) + c * g.size + c + int(missing[0])
+    return None

@@ -6,9 +6,9 @@ import pytest
 from snchol import reorder, symbolic
 from snchol.matrix import (Permutation, SymmetricSparsePattern, apply_symmetric_permutation,
                            generate_spd, minimum_degree_order)
-from snchol.symbolic import (BuildOptions, IndexModeError, RelativeIndexMap, SymbolicFactor,
+from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
                              build_symbolic_factor, compose_relative, elimination_tree,
-                             extract_block_relind, fundamental_supernodes,
+                             fundamental_supernodes,
                              merge_supernodes, postorder_relabel,
                              stack_minimizing_postorder, symbolic_factorization)
 
@@ -254,11 +254,10 @@ def test_sibling_order_matches_exhaustive():
 def test_relind_fig1():
     S = build_fig1()
     R = RelativeIndexMap(S)
-    R.to_relative()
     assert R.rel(0).tolist() == [4, 3, 0]
     assert R.rel(1).tolist() == [4, 2, 1]
-    R.to_global()
-    assert (R.rel(0) + 1).tolist() == [5, 6, 9]
+    assert R.rel(2).tolist() == []  # the root has no parent
+    assert (S.below(0) + 1).tolist() == [5, 6, 9]
 
 
 def test_relind_full_overlap_and_round_trip():
@@ -269,27 +268,81 @@ def test_relind_full_overlap_and_round_trip():
     S = build_symbolic_factor(pat, BuildOptions(None, False))
     if S.nsuper >= 2:
         R = RelativeIndexMap(S)
-        R.to_relative()
         m = S.glbind(S.nsuper - 1).size
         assert R.rel(0).tolist() == list(range(m - 1, -1, -1))
     for seed in range(5):
         A = generate_spd(25, 0.2, seed + 40)
         S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
         R = RelativeIndexMap(S)
-        before = [r.copy() for r in R.lists]
-        R.to_relative()
-        R.to_global()
-        assert all(np.array_equal(a, b) for a, b in zip(before, R.lists))
+        for j in range(S.nsuper):
+            p = S.snode_parent[j]
+            if p >= 0:  # each distance leads back to the row it stands for
+                pg = S.glbind(p)
+                assert np.array_equal(pg[pg.size - 1 - R.rel(j)], S.below(j))
 
 
-def test_relind_mode_guard():
-    S = build_fig1()
+def test_relind_arrays_are_read_only():
+    A = generate_spd(40, 0.1, 6)
+    S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
     R = RelativeIndexMap(S)
-    with pytest.raises(IndexModeError):
-        R.to_global()
-    R.to_relative()
-    with pytest.raises(IndexModeError):
-        R.to_relative()
+    for j in range(S.nsuper):
+        assert not R.rel(j).flags.writeable
+    j = next(j for j in range(S.nsuper) if R.rel(j).size)
+    with pytest.raises(ValueError):
+        R.rel(j)[0] = 0
+
+
+def test_relind_rejects_row_missing_from_parent():
+    S = build_fig1()
+    glb = [S.glbind(j) for j in range(S.nsuper)]
+    glb[2] = glb[2][glb[2] != 5]  # drop row 6 (0-based 5), which supernode 0 needs
+    broken = SymbolicFactor(S.n, S.first_col, S.col_to_snode, S.snode_parent, glb,
+                            S.relabel, S.options, S.merge_stats)
+    with pytest.raises(ValueError, match="supernode 0 missing from parent"):
+        RelativeIndexMap(broken)
+
+
+def walk_factors():
+    """Symbolic factors of fig1, two grids and seeded ``gen:`` matrices under
+    every merge cap / reorder combination the driver offers."""
+    mats = [fig1_matrix(), grid_laplacian(6), grid_laplacian(9)]
+    mats += [generate_spd(n, d, seed) for n, d, seed in ((40, 0.1, 1), (60, 0.05, 2),
+                                                        (30, 0.3, 3))]
+    for A in mats:
+        pat = apply_symmetric_permutation(A, minimum_degree_order(A.pattern)).pattern
+        for cap in (None, 12.5):
+            for pr in (False, True):
+                yield build_symbolic_factor(pat, BuildOptions(cap, pr))
+
+
+def test_walk_segments_match_composition_and_direct_indices():
+    """Every segment the walk yields holds, for rows that land in that
+    ancestor's own columns, the indices a chain of compose_relative calls and
+    the direct search give; the segments cover the list in order."""
+    segments = 0
+    for S in walk_factors():
+        R = RelativeIndexMap(S)
+        for j in range(S.nsuper):
+            for idx in (np.arange(S.mrows(j)), S.block_starts[j]):  # rows, block firsts
+                rows = S.below(j)[idx]
+                rel = R.rel(j)[idx]
+                covered = 0
+                for P, lo, hi in R.walk(j, rel):
+                    assert lo == covered < hi
+                    assert (S.col_to_snode[rows[lo:hi]] == P).all()
+                    chain = R.rel(j)[idx][lo:hi]
+                    A = int(S.snode_parent[j])
+                    while A != P:
+                        chain = compose_relative(chain, R.rel(A))
+                        A = int(S.snode_parent[A])
+                    assert np.array_equal(rel[lo:hi], chain)
+                    # everything not placed yet is relative to P as well
+                    assert np.array_equal(rel[lo:], oracles.relind_direct(rows[lo:],
+                                                                          S.glbind(P)))
+                    covered = hi
+                    segments += 1
+                assert covered == rows.size
+    assert segments > 2000
 
 
 def test_compose_relative_worked_example():
@@ -329,14 +382,6 @@ def test_compose_relative_associative_along_paths():
         a = compose_relative(compose_relative(jc, cp), pq)
         b = oracles.relind_direct(j_rows, q_rows)
         assert np.array_equal(a, b)
-
-
-def test_extract_block_relind():
-    assert extract_block_relind(np.array([4, 3, 0]), [2, 1]).tolist() == [4, 0]
-    assert extract_block_relind(np.array([4, 2, 1]), [1, 2]).tolist() == [4, 2]
-    assert extract_block_relind(np.array([7, 6, 5]), [3]).tolist() == [7]
-    with pytest.raises(ValueError):
-        extract_block_relind(np.array([4, 3, 0]), [2, 2])
 
 
 # -- assembled factor ---------------------------------------------------------
