@@ -13,15 +13,14 @@ from .matrix import (MatrixMarketError, Permutation, SymmetricSparseMatrix,
                      SymmetricSparsePattern, apply_symmetric_permutation,
                      generate_spd, minimum_degree_order, read_matrix_market,
                      write_matrix_market)
-from .numeric import (FactorStorage, FactorizationResult, RunOptions, RunStats,
-                      UpdateWorkspace, deviation_from_reference, factor_ll,
+from .numeric import (FactorStorage, FactorizationResult, NonFiniteEntryError, RunOptions,
+                      RunStats, UpdateWorkspace, deviation_from_reference, factor_ll,
                       factor_mf, factor_reference, factor_rl, factor_rlb,
                       run_factorization, scatter_into_factor, solve)
-from .reorder import OrderedPartition, refine, reorder_within_supernodes
+from .reorder import refine, reorder_within_supernodes
 from .symbolic import (BuildOptions, EliminationTree, RelativeIndexMap,
-                       SupernodePartition, SymbolicFactor, build_symbolic_factor,
-                       compose_relative, elimination_tree,
-                       fundamental_supernodes, merge_supernodes,
+                       SymbolicFactor, build_symbolic_factor, compose_relative,
+                       elimination_tree, fundamental_supernodes, merge_supernodes,
                        stack_minimizing_postorder, symbolic_factorization)
 
 __version__ = "0.1.0"

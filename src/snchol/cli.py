@@ -17,8 +17,8 @@ import numpy as np
 from .kernels import NotPositiveDefiniteError
 from .matrix import (MatrixMarketError, SymmetricSparseMatrix, apply_symmetric_permutation,
                      generate_spd, read_matrix_market)
-from .numeric import (METHODS, FactorizationResult, RunOptions, deviation_from_reference,
-                      ordering_permutation, run_factorization)
+from .numeric import (METHODS, FactorizationResult, NonFiniteEntryError, RunOptions,
+                      deviation_from_reference, ordering_permutation, run_factorization)
 from .reorder import reorder_within_supernodes
 from .symbolic import BuildOptions, build_symbolic_factor
 
@@ -106,6 +106,14 @@ def _print_record(rec: BenchRecord, stats=None) -> None:
               f"syrk={c['syrk']} gemm={c['gemm']}")
 
 
+def _message(e: Exception) -> str:
+    """An error's text with the input's rows and columns counted from 1, as
+    Matrix Market files count them."""
+    if isinstance(e, (NotPositiveDefiniteError, NonFiniteEntryError)):
+        return e.numbered(1)
+    return str(e)
+
+
 def _write_csv(path: str, rows: list, header: list) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -122,7 +130,7 @@ def cmd_factor(args) -> int:
     try:
         result = run_factorization(A, _run_opts(args))
     except (NotPositiveDefiniteError, ValueError) as e:
-        print(f"error: factorization ({args.method}): {e}", file=sys.stderr)
+        print(f"error: factorization ({args.method}): {_message(e)}", file=sys.stderr)
         return 1
     stats = result.stats
     rec = BenchRecord(name, args.method, stats.backend, args.order, args.pr,
@@ -175,7 +183,7 @@ def cmd_check(args) -> int:
             failed |= not ok
             print(f"{name} {method}: deviation={dev:.3e} {'ok' if ok else 'FAIL'}")
         except (NotPositiveDefiniteError, ValueError) as e:
-            print(f"{name} {method}: error: {e}")
+            print(f"{name} {method}: error: {_message(e)}")
             failed = True
     return 1 if failed else 0
 
@@ -259,7 +267,7 @@ def cmd_bench(args) -> int:
                     samples.append(result.stats.wall_seconds)
                     stats = result.stats
             except (NotPositiveDefiniteError, ValueError) as e:
-                status = f"factorization error: {e}"
+                status = f"factorization error: {_message(e)}"
             if status == "ok":
                 med = float(np.median(samples))
                 rows.append(BenchRecord(name, m, stats.backend, args.order, args.pr,

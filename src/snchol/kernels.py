@@ -24,11 +24,17 @@ import numpy as np
 
 
 class NotPositiveDefiniteError(ArithmeticError):
-    """Raised when a pivot is not strictly positive; ``index`` is the pivot position."""
+    """Raised when a pivot is not strictly positive; ``index`` is the pivot
+    position, 0-based.  ``template`` is the message with ``{}`` where the index
+    goes, so ``numbered`` can count it from another base."""
 
-    def __init__(self, index: int, detail: str = ""):
+    def __init__(self, index: int, template: str = "non-positive pivot at index {}"):
         self.index = int(index)
-        super().__init__(detail or f"non-positive pivot at index {index}")
+        self.template = template
+        super().__init__(self.numbered(0))
+
+    def numbered(self, base: int) -> str:
+        return self.template.format(self.index + base)
 
 
 def chol_in_place(T) -> None:

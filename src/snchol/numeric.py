@@ -38,6 +38,18 @@ class StructureError(ValueError):
     """A numeric entry does not fit the symbolic structure."""
 
 
+class NonFiniteEntryError(ValueError):
+    """A NaN or infinite ``value`` at (``row``, ``col``), 0-based;
+    ``numbered`` counts them from another base."""
+
+    def __init__(self, value: float, row: int, col: int):
+        self.value, self.row, self.col = value, row, col
+        super().__init__(self.numbered(0))
+
+    def numbered(self, base: int) -> str:
+        return f"non-finite entry {self.value} at ({self.row + base}, {self.col + base})"
+
+
 class FactorStateError(RuntimeError):
     """Operation requires the factor storage in a different state."""
 
@@ -150,7 +162,7 @@ def _pivot_error(col: int, S: SymbolicFactor = None,
     if S is not None:
         j = int(S.col_to_snode[col])
         where = f" (supernode {j}, local {col - int(S.first_col[j])})"
-    return NotPositiveDefiniteError(shown, f"non-positive pivot at column {shown}{where}")
+    return NotPositiveDefiniteError(shown, f"non-positive pivot at column {{}}{where}")
 
 
 def _cdiv(F: FactorStorage, j: int, backend: KernelBackend, stats: RunStats) -> None:
@@ -562,7 +574,6 @@ class RunOptions:
     ordering: str = "mindeg"  # natural | mindeg | file:<path>
     pr: bool = True
     merge_cap: float | None = 12.5
-    sibling_order: bool = True
 
 
 @dataclass
@@ -601,26 +612,28 @@ def ordering_permutation(A: SymmetricSparseMatrix, spec: str) -> Permutation:
 
 
 def _check_entries(A: SymmetricSparseMatrix) -> None:
-    """Reject a non-finite value (ValueError) or a diagonal entry that is not
-    positive (NotPositiveDefiniteError), naming it in A's own numbering."""
+    """Reject a non-finite value (NonFiniteEntryError) or a diagonal entry that
+    is missing or not positive (NotPositiveDefiniteError), naming it in A's
+    own numbering."""
     bad = np.flatnonzero(~np.isfinite(A.values))
     if bad.size:
         k = int(bad[0])
-        i = int(A.pattern.rowind[k])
         j = int(np.searchsorted(A.pattern.colptr, k, side="right")) - 1
-        raise ValueError(f"non-finite entry {A.values[k]} at ({i}, {j})")
+        raise NonFiniteEntryError(A.values[k], int(A.pattern.rowind[k]), j)
     bad = np.flatnonzero(~(A.diagonal() > 0.0))
     if bad.size:
-        raise NotPositiveDefiniteError(int(bad[0]),
-                                       f"diagonal entry {int(bad[0])} is not positive")
+        j = int(bad[0])
+        what = "is missing" if A.missing_diag[j] else "is not positive"
+        raise NotPositiveDefiniteError(j, f"diagonal entry {{}} {what}")
 
 
 def run_factorization(A: SymmetricSparseMatrix, opts: RunOptions) -> FactorizationResult:
     """Order, analyze, scatter and factor A with the selected method.
 
-    Only the numeric factorization is timed.  Raises ValueError on a
-    non-finite entry and NotPositiveDefiniteError on a non-positive diagonal
-    entry or pivot; either names its row or column in A's numbering.
+    Only the numeric factorization is timed.  Raises NonFiniteEntryError (a
+    ValueError) on a non-finite entry and NotPositiveDefiniteError on a
+    missing or non-positive diagonal entry or pivot; either names its row or
+    column in A's numbering.
     """
     if opts.method not in METHODS:
         raise ValueError(f"unknown method '{opts.method}'")
@@ -634,8 +647,7 @@ def run_factorization(A: SymmetricSparseMatrix, opts: RunOptions) -> Factorizati
         glb = symbolic_factorization(A1.pattern, elimination_tree(A1.pattern))
         result = FactorizationResult(RunStats("ref", "none", A.n), A1, p_order)
     else:
-        S = build_symbolic_factor(A1.pattern,
-                                  BuildOptions(opts.merge_cap, opts.pr, opts.sibling_order))
+        S = build_symbolic_factor(A1.pattern, BuildOptions(opts.merge_cap, opts.pr))
         A2 = apply_symmetric_permutation(A1, S.relabel)
         F = scatter_into_factor(A2, S)
         stats = RunStats(opts.method, backend.name, A.n,

@@ -3,13 +3,13 @@
 Each supernode's columns start as a single cell; every descendant supernode
 that updates it splits the cells by its row set.  The refined cell order makes
 the rows each descendant touches contiguous wherever the splits allow, which
-turns its updates into fewer, larger dense blocks.  The permutation never moves
-a column out of its supernode, so the factor nonzero count is unchanged.
+turns its updates into fewer, larger dense blocks.  A partition is a plain
+list of cells, each a list of columns.  The permutation never moves a column
+out of its supernode, so the factor nonzero count, the first columns and the
+supernodal tree are unchanged.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,26 +17,10 @@ from .matrix import Permutation
 from .symbolic import SymbolicFactor
 
 
-@dataclass
-class OrderedPartition:
-    """Ordered list of disjoint cells covering a ground set; cell order and the
-    order inside each cell are both significant."""
-
-    ground: frozenset
-    cells: list
-
-    @classmethod
-    def single(cls, items) -> "OrderedPartition":
-        items = list(items)
-        return cls(frozenset(items), [items])
-
-    def order(self) -> list:
-        return [x for cell in self.cells for x in cell]
-
-
-def refine(partition: OrderedPartition, pivot) -> OrderedPartition:
-    """Split every cell into its pivot and non-pivot parts (stable inside each
-    part).
+def refine(cells: list, pivot) -> list:
+    """Split every cell of an ordered partition (a list of disjoint lists; cell
+    order and the order inside each cell both count) into its pivot and
+    non-pivot parts, stable inside each part.
 
     Split parts are placed toward the pivot's span: the leftmost split cell
     keeps its non-pivot part first, the rightmost keeps its pivot part first,
@@ -44,11 +28,9 @@ def refine(partition: OrderedPartition, pivot) -> OrderedPartition:
     existing cells allow it.  A pivot wholly inside one cell goes in front.
     """
     pivot = set(pivot)
-    if not pivot <= partition.ground:
+    parts = [([x for x in cell if x in pivot], cell) for cell in cells]
+    if sum(len(inside) for inside, _ in parts) != len(pivot):
         raise ValueError("pivot contains elements outside the ground set")
-    if not pivot:
-        return OrderedPartition(partition.ground, [list(c) for c in partition.cells])
-    parts = [([x for x in cell if x in pivot], cell) for cell in partition.cells]
     hits = [i for i, (inside, _) in enumerate(parts) if inside]
     out = []
     for i, (inside, cell) in enumerate(parts):
@@ -60,7 +42,7 @@ def refine(partition: OrderedPartition, pivot) -> OrderedPartition:
             out.extend([outside, inside])
         else:
             out.extend([inside, outside])
-    return OrderedPartition(partition.ground, out)
+    return out
 
 
 def _run_count(xs: list) -> int:
@@ -74,7 +56,8 @@ def reorder_within_supernodes(S: SymbolicFactor):
     Updaters are applied largest row set first (ties by ascending supernode).
     If refinement would increase a supernode's incoming block count, that
     supernode keeps its original order.  Returns the global permutation
-    (identity across supernode boundaries) and the rebuilt symbolic factor.
+    (identity across supernode boundaries) and the symbolic factor rebuilt
+    from the same first columns and the permuted row lists.
     """
     n = S.n
     perm = np.arange(n, dtype=np.int64)
@@ -88,10 +71,10 @@ def reorder_within_supernodes(S: SymbolicFactor):
         if not pivots:
             continue
         pivots.sort(key=lambda t: (-t[0], t[1]))
-        part = OrderedPartition.single(range(f, l + 1))
+        cells = [list(range(f, l + 1))]
         for _, _, rows in pivots:
-            part = refine(part, rows)
-        new_order = part.order()
+            cells = refine(cells, rows)
+        new_order = [x for cell in cells for x in cell]
         cand = dict(zip(new_order, range(len(new_order))))
         before = after = 0
         for _, _, rows in pivots:
@@ -101,6 +84,5 @@ def reorder_within_supernodes(S: SymbolicFactor):
             perm[new_order] = np.arange(f, l + 1)
     P = Permutation(perm)
     glb_new = [np.sort(P.perm[S.glbind(j)]) for j in range(S.nsuper)]
-    S2 = SymbolicFactor(S.n, S.first_col, S.col_to_snode, S.snode_parent, glb_new,
-                        S.relabel.compose(P), S.options, S.merge_stats)
+    S2 = SymbolicFactor(S.first_col, glb_new, S.relabel.compose(P), S.options, S.merge_stats)
     return P, S2

@@ -5,6 +5,12 @@ per-column factor structure, fundamental supernodes, supernode merging under a
 storage-growth cap, a stack-minimizing sibling order for the multifrontal
 schedule, per-supernode row lists and dense-block lists, relative indices, and
 workspace size plans for each factorization method.
+
+A supernode partition travels as its first columns (sentinel n included) plus
+one row list per supernode: ``fundamental_supernodes`` returns the first
+columns, ``merge_supernodes`` returns them relabelled with the new row lists,
+and ``SymbolicFactor`` derives the column owners and the supernodal tree from
+the two.
 """
 
 from __future__ import annotations
@@ -80,24 +86,23 @@ def _children_lists(parent: np.ndarray) -> tuple:
     return tuple(tuple(k) for k in kids)
 
 
-def _postorder_forest(parent, children, child_order=None) -> np.ndarray:
-    n = len(parent)
-    out = np.empty(n, dtype=np.int64)
-    pos = 0
-    roots = [j for j in range(n) if parent[j] == -1]
-    for root in roots:
+def _postorder_forest(parent, children) -> np.ndarray:
+    """Postorder of the forest, visiting roots by ascending id and each node's
+    children in the order ``children`` lists them; nodes no root reaches are
+    left out."""
+    out = []
+    for root in (j for j in range(len(parent)) if parent[j] == -1):
         stack = [(root, 0)]
         while stack:
             v, ci = stack[-1]
-            kids = children[v] if child_order is None else child_order[v]
+            kids = children[v]
             if ci < len(kids):
                 stack[-1] = (v, ci + 1)
                 stack.append((kids[ci], 0))
             else:
                 stack.pop()
-                out[pos] = v
-                pos += 1
-    return out
+                out.append(v)
+    return np.asarray(out, dtype=np.int64)
 
 
 def symbolic_factorization(pattern: SymmetricSparsePattern, tree: EliminationTree) -> list:
@@ -112,29 +117,21 @@ def symbolic_factorization(pattern: SymmetricSparsePattern, tree: EliminationTre
     return glb
 
 
-@dataclass(frozen=True)
-class SupernodePartition:
-    """Partition of the columns into consecutive intervals."""
-
-    first_col: np.ndarray  # length nsuper+1, sentinel n at the end
-    col_to_snode: np.ndarray
-
-    @property
-    def nsuper(self) -> int:
-        return self.first_col.size - 1
-
-    @classmethod
-    def from_firsts(cls, n: int, firsts: list) -> "SupernodePartition":
-        fc = np.asarray(list(firsts) + [n], dtype=np.int64)
-        c2s = np.zeros(n, dtype=np.int64)
-        for s in range(fc.size - 1):
-            c2s[fc[s]:fc[s + 1]] = s
-        return cls(fc, c2s)
+def _supernodal_tree(first_col: np.ndarray, glbind: list) -> tuple:
+    """Column owners and supernode parents of a partition (first columns,
+    sentinel n included) with each supernode's row list: a supernode's parent
+    owns its first row below the diagonal, and a root has none (-1)."""
+    widths = np.diff(first_col)
+    owner = np.repeat(np.arange(widths.size, dtype=np.int64), widths)
+    first_below = np.array([g[a] if g.size > a else -1 for g, a in zip(glbind, widths.tolist())],
+                           dtype=np.int64)
+    return owner, np.where(first_below >= 0, owner[first_below], -1)
 
 
-def fundamental_supernodes(tree: EliminationTree, glb: list) -> SupernodePartition:
-    """Maximal runs where each column's below-structure equals the next column's
-    structure and the next column has exactly one child."""
+def fundamental_supernodes(tree: EliminationTree, glb: list) -> np.ndarray:
+    """First column of each maximal run where each column's below-structure
+    equals the next column's structure and the next column has exactly one
+    child, followed by the sentinel n."""
     n = tree.n
     firsts = [0] if n else []
     for j in range(1, n):
@@ -142,7 +139,7 @@ def fundamental_supernodes(tree: EliminationTree, glb: list) -> SupernodePartiti
                   and glb[j - 1].size == glb[j].size + 1)
         if not joined:
             firsts.append(j)
-    return SupernodePartition.from_firsts(n, firsts)
+    return np.asarray(firsts + [n], dtype=np.int64)
 
 
 def _trap_nnz(a: int, g: int) -> int:
@@ -164,24 +161,7 @@ class MergeStats:
     merges: int
 
 
-@dataclass(frozen=True)
-class MergeResult:
-    """Coarsened partition on relabeled columns.
-
-    Merging a non-adjacent child into its parent is only representable after a
-    relabeling, so the result carries the old-to-new column permutation along
-    with the relabeled supernode structure.
-    """
-
-    partition: SupernodePartition
-    relabel: Permutation
-    snode_parent: np.ndarray
-    glbind: list
-    stats: MergeStats
-
-
-def merge_supernodes(partition: SupernodePartition, tree: EliminationTree,
-                     glb: list, cap: float | None) -> MergeResult:
+def merge_supernodes(first_col: np.ndarray, glb: list, cap: float | None):
     """Greedily merge child-parent supernode pairs, cheapest new fill first.
 
     The candidate cost is the true growth in factor nonzeros: the child's
@@ -189,17 +169,20 @@ def merge_supernodes(partition: SupernodePartition, tree: EliminationTree,
     adds |C| * (|glbind(P)| - |below(C)|) entries.  Merging stops before the
     merge that would push cumulative growth above ``cap`` percent of the
     unmerged factor nonzero count; ``cap=None`` disables merging entirely.
+
+    Merging a non-adjacent child into its parent is only representable after a
+    relabeling, so the columns are relabelled by a postorder of the merged tree
+    (children by ascending id, each merged supernode keeping its original
+    column order).  Returns the relabelled first columns (sentinel included),
+    the old-to-new column permutation, the relabelled row lists and the stats.
     """
-    n = tree.n
-    ns = partition.nsuper
-    fc = partition.first_col
-    ncols = [int(fc[s + 1] - fc[s]) for s in range(ns)]
+    fc = np.asarray(first_col, dtype=np.int64)
+    n = int(fc[-1])
+    ns = fc.size - 1
+    ncols = np.diff(fc).tolist()
     cols = [np.arange(fc[s], fc[s + 1], dtype=np.int64) for s in range(ns)]
     below = [glb[fc[s]][ncols[s]:].copy() for s in range(ns)]
-    parent = np.full(ns, -1, dtype=np.int64)
-    for s in range(ns):
-        if below[s].size:
-            parent[s] = partition.col_to_snode[below[s][0]]
+    _, parent = _supernodal_tree(fc, [glb[f] for f in fc[:-1].tolist()])
     children = [list(kids) for kids in _children_lists(parent)]
     alive = np.ones(ns, dtype=bool)
 
@@ -239,45 +222,18 @@ def merge_supernodes(partition: SupernodePartition, tree: EliminationTree,
             grown += d
             merges += 1
 
-    # Relabel columns by a postorder of the merged tree; within a merged
-    # supernode the original (topological) column order is kept.
-    live = np.flatnonzero(alive)
-    order_key = {int(s): int(cols[s][0]) for s in live}
-    kids_sorted = {int(s): sorted(children[s], key=lambda t: order_key[t]) for s in live}
-    roots = sorted((int(s) for s in live if parent[s] < 0), key=lambda t: order_key[t])
-    post = []
-    for root in roots:
-        stack = [(root, 0)]
-        while stack:
-            v, ci = stack[-1]
-            kids = kids_sorted[v]
-            if ci < len(kids):
-                stack[-1] = (v, ci + 1)
-                stack.append((kids[ci], 0))
-            else:
-                stack.pop()
-                post.append(v)
+    # a merged-away supernode is in no child list and is no root
+    post = _postorder_forest(parent, [sorted(k) for k in children]).tolist()
+    firsts = np.cumsum([0] + [ncols[s] for s in post]).tolist()
     perm = np.empty(n, dtype=np.int64)
-    firsts = []
-    snode_at = {}
-    nxt = 0
-    for s in post:
-        snode_at[s] = len(firsts)
-        firsts.append(nxt)
-        perm[cols[s]] = np.arange(nxt, nxt + ncols[s])
-        nxt += ncols[s]
-    relabel = Permutation(perm)
-    new_parent = np.array(
-        [snode_at[int(parent[s])] if parent[s] >= 0 else -1 for s in post], dtype=np.int64)
-    new_glb = []
-    for s in post:
-        own = np.arange(firsts[snode_at[s]], firsts[snode_at[s]] + ncols[s], dtype=np.int64)
-        new_glb.append(np.concatenate([own, np.sort(perm[below[s]])]))
+    for s, f in zip(post, firsts):
+        perm[cols[s]] = np.arange(f, f + ncols[s])
+    glbind = [np.concatenate([np.arange(f, f + ncols[s]), np.sort(perm[below[s]])])
+              for s, f in zip(post, firsts)]
     nnz_after = sum(_trap_nnz(ncols[s], ncols[s] + below[s].size) for s in post)
     work_after = sum(_work_flops(ncols[s], below[s].size) for s in post)
     stats = MergeStats(ns, len(post), nnz_before, nnz_after, work_before, work_after, merges)
-    return MergeResult(SupernodePartition.from_firsts(n, firsts), relabel,
-                       new_parent, new_glb, stats)
+    return np.asarray(firsts, dtype=np.int64), Permutation(perm), glbind, stats
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +255,7 @@ def _eval_stack(order, speak, push, square) -> int:
 
 
 def stack_minimizing_postorder(snode_parent: np.ndarray, square_size: np.ndarray,
-                               push_size: np.ndarray, enabled: bool = True):
+                               push_size: np.ndarray):
     """Postorder of the supernodal tree whose sibling order minimizes the
     update-matrix stack peak.
 
@@ -320,11 +276,6 @@ def stack_minimizing_postorder(snode_parent: np.ndarray, square_size: np.ndarray
             speak[j] = sq
             chosen[j] = ()
             continue
-        if not enabled:
-            order = sorted(kids)
-            speak[j] = _eval_stack(order, speak, push_size, sq)
-            chosen[j] = tuple(order)
-            continue
         base = sorted(kids, key=lambda c: (-(int(speak[c]) - int(push_size[c])), c))
         best = tuple(base)
         best_peak = _eval_stack(base, speak, push_size, sq)
@@ -339,7 +290,7 @@ def stack_minimizing_postorder(snode_parent: np.ndarray, square_size: np.ndarray
     for s in range(ns):
         if snode_parent[s] < 0:
             peak = max(peak, int(speak[s]))
-    post = _postorder_forest(snode_parent, None, child_order=chosen)
+    post = _postorder_forest(snode_parent, chosen)
     return post, peak
 
 
@@ -416,7 +367,6 @@ class RelativeIndexMap:
 class BuildOptions:
     merge_cap: float | None = 12.5
     pr: bool = True
-    sibling_order: bool = True
 
 
 @dataclass(frozen=True)
@@ -435,23 +385,26 @@ class SymbolicFactor:
     """Supernode partition, per-supernode row lists, block lists and workspace
     plans for the numeric factorizations.  Immutable once built.
 
+    The partition's first columns (sentinel n included) and the row lists
+    determine the supernodal tree: ``col_to_snode`` repeats each supernode id
+    over its columns, and a supernode's parent owns its first row below the
+    diagonal (-1 for a root).
+
     The derived structure (``block_sizes``/``block_starts``, ``updaters`` and
     ``plans``) is computed on first access and cached as tuples of read-only
     arrays, so a factor that is only reordered pays for nothing but the
     ``updaters`` the reordering reads.
     """
 
-    def __init__(self, n, first_col, col_to_snode, snode_parent, glbind,
-                 relabel, options, merge_stats):
-        self.n = int(n)
+    def __init__(self, first_col, glbind, relabel, options, merge_stats):
         self.first_col = np.asarray(first_col, dtype=np.int64)
-        self.col_to_snode = np.asarray(col_to_snode, dtype=np.int64)
-        self.snode_parent = np.asarray(snode_parent, dtype=np.int64)
+        self.n = int(self.first_col[-1])
+        self.nsuper = self.first_col.size - 1
         self._glbind = [np.asarray(g, dtype=np.int64) for g in glbind]
         self.relabel = relabel
         self.options = options
         self.merge_stats = merge_stats
-        self.nsuper = self.first_col.size - 1
+        self.col_to_snode, self.snode_parent = _supernodal_tree(self.first_col, self._glbind)
         self.snode_children = _children_lists(self.snode_parent)
 
         shape = list(zip(np.diff(self.first_col).tolist(), (g.size for g in self._glbind)))
@@ -522,8 +475,7 @@ class SymbolicFactor:
         rest = m - np.bincount(src[rows < self.first_col[parent[src] + 1]], minlength=self.nsuper)
         push = np.where(parent >= 0, rest * (rest + 1) // 2, 0)
         square = m * m
-        post, mf_peak = stack_minimizing_postorder(
-            parent, square, push, enabled=self.options.sibling_order)
+        post, mf_peak = stack_minimizing_postorder(parent, square, push)
         rl_peak = int(square.max()) if self.nsuper else 0
         for a in (post, push, square):
             a.flags.writeable = False
@@ -586,13 +538,10 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
     the input pattern; apply it to the matrix before scattering values.
     """
     p_post, t1 = postorder_relabel(elimination_tree(pattern))
-    pat1 = _permute_pattern(pattern, p_post)
-    glb1 = symbolic_factorization(pat1, t1)
-    part1 = fundamental_supernodes(t1, glb1)
-    mr = merge_supernodes(part1, t1, glb1, options.merge_cap)
-    S = SymbolicFactor(pattern.n, mr.partition.first_col, mr.partition.col_to_snode,
-                       mr.snode_parent, mr.glbind, p_post.compose(mr.relabel),
-                       options, mr.stats)
+    glb1 = symbolic_factorization(_permute_pattern(pattern, p_post), t1)
+    first_col, relabel, glbind, stats = merge_supernodes(
+        fundamental_supernodes(t1, glb1), glb1, options.merge_cap)
+    S = SymbolicFactor(first_col, glbind, p_post.compose(relabel), options, stats)
     if options.pr:
         from .reorder import reorder_within_supernodes
         _, S = reorder_within_supernodes(S)

@@ -241,7 +241,32 @@ def test_non_finite_input_is_reported_without_traceback(tmp_path, capsys, value)
                  f"3 3 4\n1 1 4\n3 1 {value}\n2 2 4\n3 3 4\n")
     assert run_cli("factor", str(p), "--method", "mf") == 1
     err = capsys.readouterr().err
-    assert "non-finite" in err and "(2, 0)" in err
+    assert "non-finite" in err and "(3, 1)" in err
     assert run_cli("check", str(p)) == 1
     out = capsys.readouterr().out
     assert out.count("non-finite") == 4
+
+
+# Matrix Market files count rows and columns from 1, and so do the messages
+# the command line prints about them.
+ONE_BASED_ERRORS = {
+    "non-finite": ("3 3 4\n1 1 4\n3 1 nan\n2 2 4\n3 3 4\n", "non-finite entry nan at (3, 1)"),
+    "missing-diagonal": ("3 3 3\n1 1 4\n3 1 1\n3 3 4\n", "diagonal entry 2 is missing"),
+    "indefinite": ("2 2 3\n1 1 1\n2 1 3\n2 2 1\n", "non-positive pivot at column 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_BASED_ERRORS))
+def test_errors_name_rows_and_columns_as_the_file_does(tmp_path, capsys, case):
+    body, message = ONE_BASED_ERRORS[case]
+    p = tmp_path / "bad.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real symmetric\n" + body)
+    for method in ("ref", "mf", "rlb"):
+        assert run_cli("factor", str(p), "--method", method) == 1
+        assert message in capsys.readouterr().err, method
+    assert run_cli("check", str(p)) == 1
+    assert capsys.readouterr().out.count(message) == 4
+    lst = tmp_path / "list.txt"
+    lst.write_text(f"{p}\n")
+    assert run_cli("bench", str(lst), "--methods", "mf", "--repeats", "1") == 0
+    assert message in capsys.readouterr().out

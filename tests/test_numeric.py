@@ -5,8 +5,9 @@ import pytest
 
 from snchol.kernels import NotPositiveDefiniteError, REFERENCE_BACKEND, get_backend
 from snchol.matrix import (SymmetricSparseMatrix, SymmetricSparsePattern,
-                           apply_symmetric_permutation, generate_spd, minimum_degree_order)
-from snchol.numeric import (METHODS, FactorStateError, RunOptions, RunStats,
+                           apply_symmetric_permutation, generate_spd, minimum_degree_order,
+                           read_matrix_market)
+from snchol.numeric import (METHODS, FactorStateError, NonFiniteEntryError, RunOptions, RunStats,
                             StructureError, UpdateWorkspace, _extend_in_place,
                             _pack_descending, block_run_ends, build_indmap,
                             deviation_from_reference, factor_mf, factor_reference, factor_rl,
@@ -298,19 +299,6 @@ def test_mf_rl_flops_equal_assembly_differs():
     assert rmf.stats.assembly_ops != rrl.stats.assembly_ops
 
 
-def test_mf_without_sibling_ordering_still_matches_its_plan():
-    for seed in range(4):
-        A = generate_spd(40, 0.1, seed + 120)
-        r = run_factorization(A, RunOptions(method="mf", ordering="mindeg",
-                                            merge_cap=12.5, pr=True,
-                                            sibling_order=False))
-        assert deviation_from_reference(r) <= 1e-10
-        assert r.stats.workspace_peak == r.S.plans.mf_peak
-        opt = run_factorization(A, RunOptions(method="mf", ordering="mindeg",
-                                              merge_cap=12.5, pr=True))
-        assert opt.S.plans.mf_peak <= r.S.plans.mf_peak
-
-
 def test_workspace_peaks_match_plans():
     for seed in range(6):
         A = generate_spd(45, 0.12, seed + 90)
@@ -454,15 +442,34 @@ def test_non_finite_entries_are_rejected_in_input_numbering(value):
     off = 1  # (1, 0): column 0 stores its diagonal, then row 1
     diag = int(A.pattern.colptr[7])  # (7, 7)
     assert A.pattern.rowind[off] == 1 and A.pattern.rowind[diag] == 7
-    for k, where in ((off, "(1, 0)"), (diag, "(7, 7)")):
+    for k, (i, j) in ((off, (1, 0)), (diag, (7, 7))):
         v = A.values.copy()
         v[k] = value
         B = SymmetricSparseMatrix(A.pattern, v)
         for method in METHODS:
             for ordering in ("natural", "mindeg"):
-                with pytest.raises(ValueError) as e:
+                with pytest.raises(NonFiniteEntryError) as e:
                     run(B, method, ordering=ordering, merge_cap=12.5, pr=True)
-                assert "non-finite" in str(e.value) and where in str(e.value), method
+                assert (e.value.row, e.value.col) == (i, j), method
+                assert str(e.value) == f"non-finite entry {value} at ({i}, {j})", method
+                assert e.value.numbered(1) == f"non-finite entry {value} at ({i + 1}, {j + 1})"
+
+
+def test_missing_diagonal_is_named_as_missing(tmp_path):
+    path = tmp_path / "missing.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "3 3 3\n1 1 4\n3 1 1\n3 3 4\n")
+    A = read_matrix_market(path)
+    assert A.missing_diag.tolist() == [False, True, False]
+    for method in METHODS:
+        with pytest.raises(NotPositiveDefiniteError) as e:
+            run(A, method, ordering="mindeg")
+        assert e.value.index == 1
+        assert str(e.value) == "diagonal entry 1 is missing"
+        assert e.value.numbered(1) == "diagonal entry 2 is missing"
+    zero = SymmetricSparseMatrix(A.pattern, A.values)  # the inserted zero, not flagged
+    with pytest.raises(NotPositiveDefiniteError, match="diagonal entry 1 is not positive"):
+        run(zero, "rlb")
 
 
 def test_pivot_error_names_a_column_of_the_input():
@@ -474,6 +481,7 @@ def test_pivot_error_names_a_column_of_the_input():
                     run(A, method, ordering=ordering, merge_cap=12.5, pr=True)
                 assert e.value.index in pair, (seed, method, ordering)
                 assert f"column {e.value.index}" in str(e.value)
+                assert f"column {e.value.index + 1}" in e.value.numbered(1)
                 assert ("supernode" in str(e.value)) == (method != "ref")
 
 

@@ -1,0 +1,90 @@
+"""Property-based differential tests over generated patterns.
+
+Each pattern family (n = 1, diagonal-only, dense, disconnected forests, long
+chains, random sparse) is drawn with random vertex labels and diagonally
+dominant values, so every matrix is SPD.  Every supernodal method, on both
+kernel backends and under every merge cap / reorder setting, must match the
+column oracle, hit its workspace plan exactly, and (for rlb) use no workspace
+and no assembly.  Examples are derandomized, so the suite is reproducible.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from snchol.matrix import _assemble_lower
+from snchol.numeric import RunOptions, deviation_from_reference, run_factorization
+
+PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+KINDS = ("single", "diagonal", "dense", "forest", "chain", "random")
+SIZES = {"single": st.just(1), "dense": st.integers(2, 10), "chain": st.integers(2, 60)}
+MERGE_CAPS = (None, 0.0, 12.5)
+
+
+def edges(kind: str, n: int, rng) -> tuple:
+    """Undirected edges (i > j) of one pattern family on vertices 0..n-1."""
+    if kind in ("single", "diagonal"):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if kind == "dense":
+        return np.tril_indices(n, -1)
+    if kind == "chain":
+        v = np.arange(1, n)
+        return v, v - 1
+    if kind == "forest":  # each vertex links to an earlier one, unless it starts a new tree
+        v = np.arange(1, n)
+        links = rng.random(n - 1) > 0.2
+        up = (rng.random(n - 1) * v).astype(np.int64)
+        return v[links], up[links]
+    i, j = np.tril_indices(n, -1)
+    keep = rng.random(i.size) < rng.uniform(0.05, 0.5)
+    return i[keep], j[keep]
+
+
+@st.composite
+def spd_matrices(draw, kind: str):
+    n = draw(SIZES.get(kind, st.integers(2, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    i, j = edges(kind, n, rng)
+    label = rng.permutation(n)
+    i, j = label[i], label[j]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    w = rng.uniform(-1.0, 1.0, lo.size)
+    diag = np.ones(n)
+    np.add.at(diag, lo, np.abs(w))
+    np.add.at(diag, hi, np.abs(w))
+    d = np.arange(n, dtype=np.int64)
+    return _assemble_lower(n, np.concatenate([hi, d]), np.concatenate([lo, d]),
+                           np.concatenate([w, diag]), pattern_only=False)
+
+
+def supernodal_tree(S) -> tuple:
+    """Column owners and supernode parents, worked out from the first columns
+    and the row lists alone."""
+    owner = np.searchsorted(S.first_col, np.arange(S.n), side="right") - 1
+    parent = [int(owner[S.glbind(j)[S.width(j)]]) if S.mrows(j) else -1
+              for j in range(S.nsuper)]
+    return owner.tolist(), parent
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_every_method_matches_ref_and_its_plans(kind, data):
+    A = data.draw(spd_matrices(kind))
+    cap = data.draw(st.sampled_from(MERGE_CAPS))
+    pr = data.draw(st.booleans())
+    ordering = data.draw(st.sampled_from(("natural", "mindeg")))
+    for backend in ("reference", "vendor"):
+        for method in ("mf", "ll", "rl", "rlb"):
+            r = run_factorization(A, RunOptions(method=method, backend=backend, ordering=ordering,
+                                                pr=pr, merge_cap=cap))
+            where = (kind, A.n, cap, pr, ordering, backend, method)
+            assert deviation_from_reference(r) <= 1e-10, where
+            S, stats = r.S, r.stats
+            assert supernodal_tree(S) == (S.col_to_snode.tolist(), S.snode_parent.tolist()), where
+            if method == "rlb":
+                assert stats.assembly_ops == stats.workspace_peak == 0, where
+            else:
+                plan = {"mf": S.plans.mf_peak, "ll": S.plans.ll_peak, "rl": S.plans.rl_peak}
+                assert stats.workspace_peak == plan[method], where

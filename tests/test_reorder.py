@@ -3,45 +3,38 @@ import pytest
 
 from snchol.matrix import (apply_symmetric_permutation, generate_spd,
                            minimum_degree_order)
-from snchol.reorder import OrderedPartition, refine, reorder_within_supernodes
+from snchol.reorder import refine, reorder_within_supernodes
 from snchol.symbolic import BuildOptions, build_symbolic_factor
 
 import oracles
 from conftest import fig1_pattern
 
 
-def cells_of(p):
-    return [list(c) for c in p.cells]
-
-
 def test_refine_splits_single_cell():
-    p = OrderedPartition.single([5, 6, 7, 8, 9])
-    q = refine(p, {5, 6, 9})
-    assert cells_of(q) == [[5, 6, 9], [7, 8]]
+    assert refine([[5, 6, 7, 8, 9]], {5, 6, 9}) == [[5, 6, 9], [7, 8]]
 
 
 def test_refine_full_and_empty_pivots_no_change():
-    p = OrderedPartition.single([5, 6, 7, 8, 9])
-    assert cells_of(refine(p, {5, 6, 7, 8, 9})) == [[5, 6, 7, 8, 9]]
-    assert cells_of(refine(p, set())) == [[5, 6, 7, 8, 9]]
+    cells = [[5, 6, 7, 8, 9]]
+    assert refine(cells, {5, 6, 7, 8, 9}) == [[5, 6, 7, 8, 9]]
+    assert refine(cells, set()) == [[5, 6, 7, 8, 9]]
 
 
 def test_refine_rejects_foreign_elements():
-    p = OrderedPartition.single([1, 2, 3])
-    with pytest.raises(ValueError):
-        refine(p, {2, 9})
+    with pytest.raises(ValueError, match="outside the ground set"):
+        refine([[1, 2, 3]], {2, 9})
 
 
 def test_refine_keeps_first_pivot_contiguous():
     rng = np.random.default_rng(0)
     for _ in range(50):
         ground = list(range(int(rng.integers(3, 12))))
-        p = OrderedPartition.single(ground)
+        cells = [ground]
         pivots = [set(rng.choice(ground, size=rng.integers(1, len(ground) + 1),
                                  replace=False).tolist()) for _ in range(4)]
         for piv in pivots:
-            p = refine(p, piv)
-        order = p.order()
+            cells = refine(cells, piv)
+        order = [x for cell in cells for x in cell]
         pos = sorted(order.index(x) for x in pivots[0])
         assert pos == list(range(pos[0], pos[0] + len(pos)))
 

@@ -102,15 +102,15 @@ def test_structure_matches_boolean_elimination():
 def test_fundamental_fig1():
     pat = fig1_pattern()
     t = elimination_tree(pat)
-    part = fundamental_supernodes(t, symbolic_factorization(pat, t))
-    assert (part.first_col + 1).tolist() == [1, 3, 5, 10]
+    first_col = fundamental_supernodes(t, symbolic_factorization(pat, t))
+    assert (first_col + 1).tolist() == [1, 3, 5, 10]
 
 
 def test_fundamental_diagonal_singletons():
     pat = SymmetricSparsePattern.from_columns(4, [[]] * 4)
     t = elimination_tree(pat)
-    part = fundamental_supernodes(t, symbolic_factorization(pat, t))
-    assert part.nsuper == 4
+    first_col = fundamental_supernodes(t, symbolic_factorization(pat, t))
+    assert first_col.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_fundamental_matches_definition():
@@ -124,7 +124,8 @@ def test_fundamental_matches_definition():
             apply_symmetric_permutation(A, P), post).pattern
         t = elimination_tree(pat)
         glb = symbolic_factorization(pat, t)
-        part = fundamental_supernodes(t, glb)
+        first_col = fundamental_supernodes(t, glb)
+        col_to_snode = np.repeat(np.arange(first_col.size - 1), np.diff(first_col))
         nchild = np.zeros(pat.n, dtype=int)
         for j in range(pat.n):
             if t.parent[j] >= 0:
@@ -132,7 +133,7 @@ def test_fundamental_matches_definition():
         for j in range(1, pat.n):
             same_def = (t.parent[j - 1] == j and nchild[j] == 1 and
                         np.array_equal(glb[j - 1][1:], glb[j]))
-            same_got = part.col_to_snode[j - 1] == part.col_to_snode[j]
+            same_got = col_to_snode[j - 1] == col_to_snode[j]
             assert same_def == same_got
 
 
@@ -142,32 +143,32 @@ def _fig1_merge_inputs():
     pat = fig1_pattern()
     t = elimination_tree(pat)
     glb = symbolic_factorization(pat, t)
-    return fundamental_supernodes(t, glb), t, glb
+    return fundamental_supernodes(t, glb), glb
 
 
 def test_merge_cap_zero_keeps_fig1():
-    part, t, glb = _fig1_merge_inputs()
-    mr = merge_supernodes(part, t, glb, 0.0)
-    assert mr.stats.merges == 0
-    assert np.array_equal(mr.partition.first_col, part.first_col)
-    assert np.array_equal(mr.relabel.perm, np.arange(9))
+    first_col, glb = _fig1_merge_inputs()
+    merged_first_col, relabel, _, stats = merge_supernodes(first_col, glb, 0.0)
+    assert stats.merges == 0
+    assert np.array_equal(merged_first_col, first_col)
+    assert np.array_equal(relabel.perm, np.arange(9))
 
 
 def test_merge_fig1_picks_cheapest_pair():
-    part, t, glb = _fig1_merge_inputs()
+    first_col, glb = _fig1_merge_inputs()
     # exhaustive pair costs: merging a child with |C| columns and m below rows
     # into a parent with row list length g adds |C| * (g - m) entries
     cost_j1 = 2 * (5 - 3)
     cost_j2 = 2 * (5 - 3)
     assert min(cost_j1, cost_j2) == 4
-    mr = merge_supernodes(part, t, glb, 12.5)
+    merged_first_col, relabel, _, stats = merge_supernodes(first_col, glb, 12.5)
     # tie broken by the smaller first column: {1,2} merges into {5..9}
-    assert mr.stats.merges == 1
-    assert mr.stats.nnz_after - mr.stats.nnz_before == 4
-    assert (mr.partition.first_col + 1).tolist() == [1, 3, 10]
+    assert stats.merges == 1
+    assert stats.nnz_after - stats.nnz_before == 4
+    assert (merged_first_col + 1).tolist() == [1, 3, 10]
     # relabeled: {3,4} now leads, the merged supernode spans 7 columns
-    assert (mr.relabel.perm + 1).tolist() == [3, 4, 1, 2, 5, 6, 7, 8, 9]
-    assert mr.stats.nnz_before == 33
+    assert (relabel.perm + 1).tolist() == [3, 4, 1, 2, 5, 6, 7, 8, 9]
+    assert stats.nnz_before == 33
 
 
 def test_merge_zero_cost_chain_collapses():
@@ -182,13 +183,13 @@ def test_merge_zero_cost_chain_collapses():
     t = elimination_tree(pat)
     glb = symbolic_factorization(pat, t)
     assert all(np.array_equal(g, pat.col(j)) for j, g in enumerate(glb))  # no fill
-    part = fundamental_supernodes(t, glb)
-    assert (part.first_col + 1).tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11]
-    mr = merge_supernodes(part, t, glb, 0.0)
-    assert mr.stats.nnz_after == mr.stats.nnz_before
-    widths = np.diff(mr.partition.first_col)
+    first_col = fundamental_supernodes(t, glb)
+    assert (first_col + 1).tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11]
+    merged_first_col, _, _, stats = merge_supernodes(first_col, glb, 0.0)
+    assert stats.nnz_after == stats.nnz_before
+    widths = np.diff(merged_first_col)
     assert widths.max() == 6  # columns 5..10 collapsed into one supernode
-    assert mr.stats.nsuper_after == 5
+    assert stats.nsuper_after == 5
 
 
 def test_merge_growth_respects_cap():
@@ -296,8 +297,7 @@ def test_relind_rejects_row_missing_from_parent():
     S = build_fig1()
     glb = [S.glbind(j) for j in range(S.nsuper)]
     glb[2] = glb[2][glb[2] != 5]  # drop row 6 (0-based 5), which supernode 0 needs
-    broken = SymbolicFactor(S.n, S.first_col, S.col_to_snode, S.snode_parent, glb,
-                            S.relabel, S.options, S.merge_stats)
+    broken = SymbolicFactor(S.first_col, glb, S.relabel, S.options, S.merge_stats)
     with pytest.raises(ValueError, match="supernode 0 missing from parent"):
         RelativeIndexMap(broken)
 
@@ -447,7 +447,7 @@ def ll_peak_cases():
     mats = [("fig1", fig1_matrix()), ("grid6", grid_laplacian(6)), ("grid9", grid_laplacian(9))]
     mats += [(f"gen{d}", generate_spd(60, d, 7)) for d in (0.02, 0.05, 0.1, 0.3)]
     opts = [BuildOptions(None, True), BuildOptions(12.5, True), BuildOptions(None, False),
-            BuildOptions(12.5, False), BuildOptions(12.5, True, False)]
+            BuildOptions(12.5, False)]
     for name, A in mats:
         if name != "fig1":
             A = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
