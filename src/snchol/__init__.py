@@ -13,9 +13,9 @@ from .matrix import (MatrixMarketError, Permutation, SymmetricSparseMatrix,
                      SymmetricSparsePattern, apply_symmetric_permutation,
                      generate_spd, minimum_degree_order, read_matrix_market,
                      write_matrix_market)
-from .numeric import (FactorStorage, FactorizationResult, NonFiniteEntryError, RunOptions,
-                      RunStats, UpdateWorkspace, deviation_from_reference, factor_ll,
-                      factor_mf, factor_reference, factor_rl, factor_rlb,
+from .numeric import (Analysis, FactorStorage, FactorizationResult, NonFiniteEntryError,
+                      RunOptions, RunStats, UpdateWorkspace, analyze, deviation_from_reference,
+                      factor_ll, factor_mf, factor_reference, factor_rl, factor_rlb,
                       run_factorization, scatter_into_factor, solve)
 from .reorder import refine, reorder_within_supernodes
 from .symbolic import (BuildOptions, EliminationTree, RelativeIndexMap,

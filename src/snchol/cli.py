@@ -1,4 +1,5 @@
-"""Command line front end: analyze, factor, check and bench subcommands.
+"""Command line front end: analyze, factor, check and bench subcommands, each
+over one ``numeric.analyze`` per matrix (``check`` runs the column oracle once).
 
 ``bench`` emits one CSV row per (matrix, method) with median-of-N timings plus
 a companion performance-profile CSV: for each method, the fraction of matrices
@@ -15,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import NotPositiveDefiniteError
-from .matrix import (MatrixMarketError, SymmetricSparseMatrix, apply_symmetric_permutation,
-                     generate_spd, read_matrix_market)
-from .numeric import (METHODS, FactorizationResult, NonFiniteEntryError, RunOptions,
-                      deviation_from_reference, ordering_permutation, run_factorization)
+from .matrix import MatrixMarketError, SymmetricSparseMatrix, generate_spd, read_matrix_market
+from .numeric import (METHODS, FactorizationResult, NonFiniteEntryError, analyze, column_factor,
+                      deviation_from_reference)
 from .reorder import reorder_within_supernodes
-from .symbolic import BuildOptions, build_symbolic_factor
 
 CSV_HEADER = ["matrix", "method", "backend", "ordering", "pr", "merge_cap", "repeats",
               "wall_seconds", "flops", "factor_nnz", "workspace_peak", "assembly_ops",
@@ -88,11 +87,6 @@ def load_matrix(spec: str, default_seed: int) -> tuple:
     return spec, read_matrix_market(spec)
 
 
-def _run_opts(args, method: str = None) -> RunOptions:
-    return RunOptions(method=method or args.method, backend=args.backend,
-                      ordering=args.order, pr=args.pr, merge_cap=args.merge_cap)
-
-
 def _print_record(rec: BenchRecord, stats=None) -> None:
     cap = "off" if rec.merge_cap is None else f"{rec.merge_cap:g}"
     print(f"matrix={rec.matrix} method={rec.method} backend={rec.backend} "
@@ -122,13 +116,9 @@ def _write_csv(path: str, rows: list, header: list) -> None:
 
 
 def cmd_factor(args) -> int:
+    name, A = load_matrix(args.matrix, args.seed)
     try:
-        name, A = load_matrix(args.matrix, args.seed)
-    except (OSError, MatrixMarketError) as e:
-        print(f"error: input: {e}", file=sys.stderr)
-        return 1
-    try:
-        result = run_factorization(A, _run_opts(args))
+        result = analyze(A, args.order, args.merge_cap, args.pr).factor(args.method, args.backend)
     except (NotPositiveDefiniteError, ValueError) as e:
         print(f"error: factorization ({args.method}): {_message(e)}", file=sys.stderr)
         return 1
@@ -169,16 +159,20 @@ def residual(A: SymmetricSparseMatrix, x: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_check(args) -> int:
+    name, A = load_matrix(args.matrix, args.seed)
     try:
-        name, A = load_matrix(args.matrix, args.seed)
-    except (OSError, MatrixMarketError) as e:
-        print(f"error: input: {e}", file=sys.stderr)
-        return 1
+        analysis, failure = analyze(A, args.order, args.merge_cap, args.pr), None
+    except (NotPositiveDefiniteError, ValueError) as e:
+        failure = e
     failed = False
+    oracle = None  # the column algorithm's factor, once a method has succeeded
     for method in ("mf", "ll", "rl", "rlb"):
         try:
-            result = run_factorization(A, _run_opts(args, method))
-            dev = deviation_from_reference(result)
+            if failure:
+                raise failure
+            result = analysis.factor(method, args.backend)
+            oracle = oracle or column_factor(analysis.A2)
+            dev = deviation_from_reference(result, oracle)
             ok = dev <= 1e-10
             failed |= not ok
             print(f"{name} {method}: deviation={dev:.3e} {'ok' if ok else 'FAIL'}")
@@ -189,14 +183,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    name, A = load_matrix(args.matrix, args.seed)
     try:
-        name, A = load_matrix(args.matrix, args.seed)
-    except (OSError, MatrixMarketError) as e:
-        print(f"error: input: {e}", file=sys.stderr)
+        S = S_pre = analyze(A, args.order, args.merge_cap, pr=False).S
+    except (NotPositiveDefiniteError, ValueError) as e:
+        print(f"error: analysis: {_message(e)}", file=sys.stderr)
         return 1
-    P = ordering_permutation(A, args.order)
-    A1 = apply_symmetric_permutation(A, P)
-    S = S_pre = build_symbolic_factor(A1.pattern, BuildOptions(args.merge_cap, False))
     if args.pr:
         _, S = reorder_within_supernodes(S_pre)
     ms = S.merge_stats
@@ -234,12 +226,8 @@ def cmd_bench(args) -> int:
     if args.repeats < 1 or args.repeats % 2 == 0:
         print("error: --repeats must be odd", file=sys.stderr)
         return 1
-    try:
-        with open(args.list) as fh:
-            specs = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except OSError as e:
-        print(f"error: input: {e}", file=sys.stderr)
-        return 1
+    with open(args.list) as fh:
+        specs = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     methods = args.methods.split(",") if args.methods else list(METHODS)
     for m in methods:
         if m not in METHODS:
@@ -257,28 +245,27 @@ def cmd_bench(args) -> int:
                                         f"input error: {e}"))
                 times[m].append(np.inf)
             continue
+        try:
+            analysis, failure = analyze(A, args.order, args.merge_cap, args.pr), None
+        except (NotPositiveDefiniteError, ValueError) as e:
+            failure = e
         for m in methods:
-            samples = []
-            stats = None
-            status = "ok"
             try:
-                for _ in range(args.repeats):
-                    result = run_factorization(A, _run_opts(args, m))
-                    samples.append(result.stats.wall_seconds)
-                    stats = result.stats
+                if failure:
+                    raise failure
+                runs = [analysis.factor(m, args.backend).stats for _ in range(args.repeats)]
             except (NotPositiveDefiniteError, ValueError) as e:
-                status = f"factorization error: {_message(e)}"
-            if status == "ok":
-                med = float(np.median(samples))
-                rows.append(BenchRecord(name, m, stats.backend, args.order, args.pr,
-                                        args.merge_cap, args.repeats, med, stats.flops,
-                                        stats.factor_nnz, stats.workspace_peak,
-                                        stats.assembly_ops))
-                times[m].append(med)
-            else:
                 rows.append(BenchRecord(name, m, args.backend, args.order, args.pr,
-                                        args.merge_cap, args.repeats, 0.0, 0, 0, 0, 0, status))
+                                        args.merge_cap, args.repeats, 0.0, 0, 0, 0, 0,
+                                        f"factorization error: {_message(e)}"))
                 times[m].append(np.inf)
+            else:
+                s = runs[-1]
+                med = float(np.median([r.wall_seconds for r in runs]))
+                rows.append(BenchRecord(name, m, s.backend, args.order, args.pr, args.merge_cap,
+                                        args.repeats, med, s.flops, s.factor_nnz,
+                                        s.workspace_peak, s.assembly_ops))
+                times[m].append(med)
             _print_record(rows[-1])
     if args.csv:
         _write_csv(args.csv, [r.to_row() for r in rows], CSV_HEADER)
@@ -341,7 +328,11 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_bench)
 
     args = top.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, MatrixMarketError) as e:
+        print(f"error: input: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -76,28 +76,6 @@ class SymmetricSparsePattern:
     def col(self, j: int) -> np.ndarray:
         return self.rowind[self.colptr[j]:self.colptr[j + 1]]
 
-    @classmethod
-    def from_columns(cls, n: int, cols: list) -> "SymmetricSparsePattern":
-        """Build from per-column row lists; the diagonal is added if absent."""
-        colptr = np.zeros(n + 1, dtype=np.int64)
-        rows = []
-        for j in range(n):
-            c = np.unique(np.asarray(list(cols[j]) + [j], dtype=np.int64))
-            if c[0] != j:
-                raise ValueError(f"column {j} contains rows above the diagonal")
-            rows.append(c)
-            colptr[j + 1] = colptr[j] + c.size
-        return cls(n, colptr, np.concatenate(rows) if rows else np.zeros(0, np.int64))
-
-    def to_dense_bool(self) -> np.ndarray:
-        """Dense symmetric boolean adjacency (tests and oracles only)."""
-        B = np.zeros((self.n, self.n), dtype=bool)
-        for j in range(self.n):
-            c = self.col(j)
-            B[c, j] = True
-            B[j, c] = True
-        return B
-
 
 @dataclass(frozen=True)
 class SymmetricSparseMatrix:
@@ -235,6 +213,11 @@ def read_matrix_market(path) -> SymmetricSparseMatrix:
         nrows, ncols, nent = (int(t) for t in toks)
     except ValueError:
         raise MatrixMarketHeaderError(f"line {lineno}: size line must have 3 integers")
+    if min(nrows, ncols, nent) < 0:
+        raise MatrixMarketHeaderError(f"line {lineno}: negative dimension or entry count")
+    if nent > len(lines) - lineno:  # checked before the entry arrays are allocated
+        raise MatrixMarketHeaderError(f"line {lineno}: declares {nent} entries but only "
+                                      f"{len(lines) - lineno} line(s) follow")
     if nrows != ncols:
         raise MatrixMarketSymmetryError(f"line {lineno}: matrix is {nrows}x{ncols}, not square")
     n = nrows

@@ -28,8 +28,8 @@ import numpy as np
 
 from .kernels import (KernelBackend, NotPositiveDefiniteError, gemm_flops,
                       get_backend, potrf_flops, syrk_flops, trsm_flops)
-from .matrix import (Permutation, SymmetricSparseMatrix, apply_symmetric_permutation,
-                     minimum_degree_order)
+from .matrix import (Permutation, SymmetricSparseMatrix, SymmetricSparsePattern,
+                     apply_symmetric_permutation, minimum_degree_order)
 from .symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor, build_symbolic_factor,
                        dense_update, elimination_tree, symbolic_factorization)
 
@@ -82,11 +82,8 @@ class FactorStorage:
 
     def __init__(self, S: SymbolicFactor):
         self.S = S
-        off = np.zeros(S.nsuper + 1, dtype=np.int64)
-        for j in range(S.nsuper):
-            off[j + 1] = off[j] + S.glbind(j).size * S.width(j)
-        self.offsets = off
-        self.data = np.zeros(int(off[-1]))
+        self.offsets = S.panel_offsets
+        self.data = np.zeros(S.panel_storage)
         self.state = "A"
 
     def panel(self, j: int) -> np.ndarray:
@@ -112,26 +109,37 @@ class FactorStorage:
         return colptr, np.concatenate(rows), np.concatenate(vals)
 
 
+def scatter_slots(pattern: SymmetricSparsePattern, S: SymbolicFactor) -> np.ndarray:
+    """The offset in ``F.data`` of each stored entry of ``pattern``.  Raises
+    StructureError naming the first entry, in column order, outside the
+    factor structure."""
+    if pattern.n != S.n:
+        raise ValueError("matrix and symbolic factor dimensions differ")
+    glb = [S.glbind(j) for j in range(S.nsuper)] + [np.zeros(0, np.int64)]
+    lens = np.array([g.size for g in glb[:-1]], dtype=np.int64)
+    cols = np.repeat(np.arange(S.n, dtype=np.int64), np.diff(pattern.colptr))
+    owner = S.col_to_snode[cols]
+    # one sorted key per (supernode, row) of the row lists finds every entry at once
+    keys = np.concatenate(glb) + np.repeat(np.arange(S.nsuper) * S.n, lens)
+    want = owner * S.n + pattern.rowind
+    at = np.searchsorted(keys, want)
+    bad = np.flatnonzero(keys.take(at, mode="clip") != want)
+    if bad.size:
+        k = int(bad[0])
+        raise StructureError(f"entry ({pattern.rowind[k]},{cols[k]}) of A is outside the "
+                             "factor structure")
+    pos = at - (np.cumsum(lens) - lens)[owner]
+    return S.panel_offsets[owner] + (cols - S.first_col[owner]) * lens[owner] + pos
+
+
 def scatter_into_factor(A: SymmetricSparseMatrix, S: SymbolicFactor) -> FactorStorage:
     """Scatter A's lower triangle into fresh panels; all other slots are zero.
 
     A must already carry the full ordering the symbolic factor was built for.
     """
-    if A.n != S.n:
-        raise ValueError("matrix and symbolic factor dimensions differ")
+    slots = scatter_slots(A.pattern, S)
     F = FactorStorage(S)
-    for j in range(S.n):
-        sj = int(S.col_to_snode[j])
-        c = j - int(S.first_col[sj])
-        g = S.glbind(sj)
-        rows = A.pattern.col(j)
-        pos = np.searchsorted(g, rows)
-        ok = (pos < g.size) & (g[np.minimum(pos, g.size - 1)] == rows)
-        if not ok.all():
-            bad = int(rows[~ok][0])
-            raise StructureError(f"entry ({bad},{j}) of A is outside the factor structure")
-        F.panel(sj)[pos, c] = A.col_values(j)
-    F.state = "A"
+    F.data[slots] = A.values
     return F
 
 
@@ -205,9 +213,7 @@ def factor_reference(A: SymmetricSparseMatrix, glb: list, stats: RunStats = None
     for k in range(n):
         for j in glb[k][1:]:
             updaters[int(j)].append(k)
-    colptr = np.zeros(n + 1, dtype=np.int64)
-    for j in range(n):
-        colptr[j + 1] = colptr[j] + glb[j].size
+    colptr = np.cumsum([0] + [g.size for g in glb], dtype=np.int64)
     rowind = np.concatenate(glb) if n else np.zeros(0, np.int64)
     values = np.zeros(int(colptr[-1]))
     t = np.zeros(n)
@@ -233,15 +239,6 @@ def factor_reference(A: SymmetricSparseMatrix, glb: list, stats: RunStats = None
         values[colptr[j]:colptr[j + 1]] = col
     stats.factor_nnz = int(colptr[-1])
     return colptr, rowind, values
-
-
-def reference_to_dense(n: int, colptr, rowind, values) -> np.ndarray:
-    """Dense n x n image of a CSC lower triangle (tests and small checks)."""
-    L = np.zeros((n, n))
-    for j in range(n):
-        seg = slice(colptr[j], colptr[j + 1])
-        L[rowind[seg], j] = values[seg]
-    return L
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +586,6 @@ class FactorizationResult:
         """The factor's lower triangle as (colptr, rowind, values)."""
         return self.ref_factor if self.F is None else self.F.lower_csc()
 
-    def dense_factor(self) -> np.ndarray:
-        return reference_to_dense(self.stats.n, *self.factor_csc())
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.F is None:
             raise FactorStateError("solve is available for the supernodal methods")
@@ -627,60 +621,91 @@ def _check_entries(A: SymmetricSparseMatrix) -> None:
         raise NotPositiveDefiniteError(j, f"diagonal entry {{}} {what}")
 
 
-def run_factorization(A: SymmetricSparseMatrix, opts: RunOptions) -> FactorizationResult:
-    """Order, analyze, scatter and factor A with the selected method.
+@dataclass(frozen=True)
+class Analysis:
+    """What every method factors from, derived once by ``analyze``: the
+    ordering ``p_order``, the ordered matrix ``A1`` (what ``ref`` factors), the
+    symbolic factor ``S``, ``A2`` (``A1`` relabelled by ``S``, what the
+    supernodal methods factor) and the offset in ``F.data`` of each stored
+    entry of ``A2``."""
 
-    Only the numeric factorization is timed.  Raises NonFiniteEntryError (a
-    ValueError) on a non-finite entry and NotPositiveDefiniteError on a
-    missing or non-positive diagonal entry or pivot; either names its row or
-    column in A's numbering.
-    """
+    p_order: Permutation
+    A1: SymmetricSparseMatrix
+    S: SymbolicFactor
+    A2: SymmetricSparseMatrix
+    slots: np.ndarray
+
+    def factor(self, method: str = "rlb", backend: str = "reference") -> FactorizationResult:
+        """Factor fresh panels with one method, timing only the numeric
+        factorization.  A failed pivot raises NotPositiveDefiniteError naming
+        its column in the analyzed matrix's numbering."""
+        if method not in METHODS:
+            raise ValueError(f"unknown method '{method}'")
+        backend = get_backend(backend)
+        if method == "ref":
+            S = F = None
+            glb = symbolic_factorization(self.A1.pattern, elimination_tree(self.A1.pattern))
+            result = FactorizationResult(RunStats("ref", "none", self.A1.n), self.A1, self.p_order)
+        else:
+            S, F = self.S, FactorStorage(self.S)
+            F.data[self.slots] = self.A2.values
+            R = RelativeIndexMap(S) if method in ("mf", "rl", "rlb") else None
+            W = UpdateWorkspace(S, method) if method in ("mf", "ll", "rl") else None
+            stats = RunStats(method, backend.name, S.n,
+                             factor_nnz=S.factor_nnz, panel_storage=S.panel_storage)
+            result = FactorizationResult(stats, self.A2, self.p_order.compose(S.relabel), S, F)
+        stats = result.stats
+        t0 = time.perf_counter()
+        try:
+            if method == "ref":
+                result.ref_factor = factor_reference(self.A1, glb, stats)
+            elif method == "mf":
+                factor_mf(F, S, R, W, backend, stats)
+            elif method == "ll":
+                factor_ll(F, S, W, backend, stats)
+            elif method == "rl":
+                factor_rl(F, S, R, W, backend, stats)
+            else:
+                factor_rlb(F, S, R, backend, stats)
+        except NotPositiveDefiniteError as e:
+            raise _pivot_error(e.index, S, result.perm_total) from None
+        stats.wall_seconds = time.perf_counter() - t0
+        return result
+
+
+def analyze(A: SymmetricSparseMatrix, ordering: str = "mindeg", merge_cap: float | None = 12.5,
+            pr: bool = True) -> Analysis:
+    """Check A's entries, order it, build the symbolic factor and map A's entries
+    to panel slots.  A non-finite entry raises NonFiniteEntryError, a missing or
+    non-positive diagonal NotPositiveDefiniteError, named in A's numbering."""
+    _check_entries(A)
+    p_order = ordering_permutation(A, ordering)
+    A1 = apply_symmetric_permutation(A, p_order)
+    S = build_symbolic_factor(A1.pattern, BuildOptions(merge_cap, pr))
+    A2 = apply_symmetric_permutation(A1, S.relabel)
+    return Analysis(p_order, A1, S, A2, scatter_slots(A2.pattern, S))
+
+
+def run_factorization(A: SymmetricSparseMatrix, opts: RunOptions) -> FactorizationResult:
+    """``analyze`` A, then factor it with ``opts.method``."""
     if opts.method not in METHODS:
         raise ValueError(f"unknown method '{opts.method}'")
-    _check_entries(A)
-    backend = get_backend(opts.backend)
-    p_order = ordering_permutation(A, opts.ordering)
-    A1 = apply_symmetric_permutation(A, p_order)
-
-    S = R = W = None
-    if opts.method == "ref":
-        glb = symbolic_factorization(A1.pattern, elimination_tree(A1.pattern))
-        result = FactorizationResult(RunStats("ref", "none", A.n), A1, p_order)
-    else:
-        S = build_symbolic_factor(A1.pattern, BuildOptions(opts.merge_cap, opts.pr))
-        A2 = apply_symmetric_permutation(A1, S.relabel)
-        F = scatter_into_factor(A2, S)
-        stats = RunStats(opts.method, backend.name, A.n,
-                         factor_nnz=S.factor_nnz, panel_storage=S.panel_storage)
-        R = RelativeIndexMap(S) if opts.method in ("mf", "rl", "rlb") else None
-        W = UpdateWorkspace(S, opts.method) if opts.method in ("mf", "ll", "rl") else None
-        result = FactorizationResult(stats, A2, p_order.compose(S.relabel), S=S, F=F)
-    stats, F = result.stats, result.F
-    t0 = time.perf_counter()
-    try:
-        if opts.method == "ref":
-            result.ref_factor = factor_reference(A1, glb, stats)
-        elif opts.method == "mf":
-            factor_mf(F, S, R, W, backend, stats)
-        elif opts.method == "ll":
-            factor_ll(F, S, W, backend, stats)
-        elif opts.method == "rl":
-            factor_rl(F, S, R, W, backend, stats)
-        else:
-            factor_rlb(F, S, R, backend, stats)
-    except NotPositiveDefiniteError as e:
-        raise _pivot_error(e.index, S, result.perm_total) from None
-    stats.wall_seconds = time.perf_counter() - t0
-    return result
+    return analyze(A, opts.ordering, opts.merge_cap, opts.pr).factor(opts.method, opts.backend)
 
 
-def deviation_from_reference(result: FactorizationResult) -> float:
-    """Max-norm relative deviation of a factor from the column algorithm run on
-    the same permuted matrix, compared entry by entry in CSC form: an entry
-    only one side holds counts against a zero on the other."""
-    A2 = result.A_factored
-    n = A2.n
-    ref = factor_reference(A2, symbolic_factorization(A2.pattern, elimination_tree(A2.pattern)))
+def column_factor(A: SymmetricSparseMatrix) -> tuple:
+    """The column algorithm's factor of A as (colptr, rowind, values)."""
+    return factor_reference(A, symbolic_factorization(A.pattern, elimination_tree(A.pattern)))
+
+
+def deviation_from_reference(result: FactorizationResult, ref: tuple = None) -> float:
+    """Max-norm relative deviation of a factor from ``ref``, the column
+    algorithm's factor of the same permuted matrix (computed here when not
+    given), compared entry by entry in CSC form: an entry only one side holds
+    counts against a zero on the other."""
+    n = result.A_factored.n
+    if ref is None:
+        ref = column_factor(result.A_factored)
     got = result.factor_csc()
 
     def keys(csc):

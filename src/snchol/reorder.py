@@ -84,5 +84,5 @@ def reorder_within_supernodes(S: SymbolicFactor):
             perm[new_order] = np.arange(f, l + 1)
     P = Permutation(perm)
     glb_new = [np.sort(P.perm[S.glbind(j)]) for j in range(S.nsuper)]
-    S2 = SymbolicFactor(S.first_col, glb_new, S.relabel.compose(P), S.options, S.merge_stats)
+    S2 = SymbolicFactor(S.first_col, glb_new, S.relabel.compose(P), S.merge_stats)
     return P, S2

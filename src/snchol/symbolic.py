@@ -396,20 +396,21 @@ class SymbolicFactor:
     ``updaters`` the reordering reads.
     """
 
-    def __init__(self, first_col, glbind, relabel, options, merge_stats):
+    def __init__(self, first_col, glbind, relabel, merge_stats):
         self.first_col = np.asarray(first_col, dtype=np.int64)
         self.n = int(self.first_col[-1])
         self.nsuper = self.first_col.size - 1
         self._glbind = [np.asarray(g, dtype=np.int64) for g in glbind]
         self.relabel = relabel
-        self.options = options
         self.merge_stats = merge_stats
         self.col_to_snode, self.snode_parent = _supernodal_tree(self.first_col, self._glbind)
         self.snode_children = _children_lists(self.snode_parent)
 
         shape = list(zip(np.diff(self.first_col).tolist(), (g.size for g in self._glbind)))
         self.factor_nnz = sum(_trap_nnz(a, g) for a, g in shape)
-        self.panel_storage = sum(a * g for a, g in shape)
+        # where each supernode's column-major panel starts in the factor storage
+        self.panel_offsets = np.cumsum([0] + [a * g for a, g in shape], dtype=np.int64)
+        self.panel_storage = int(self.panel_offsets[-1])
         self.work_flops = sum(_work_flops(a, g - a) for a, g in shape)
 
     # -- geometry -----------------------------------------------------------
@@ -541,7 +542,7 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
     glb1 = symbolic_factorization(_permute_pattern(pattern, p_post), t1)
     first_col, relabel, glbind, stats = merge_supernodes(
         fundamental_supernodes(t1, glb1), glb1, options.merge_cap)
-    S = SymbolicFactor(first_col, glbind, p_post.compose(relabel), options, stats)
+    S = SymbolicFactor(first_col, glbind, p_post.compose(relabel), stats)
     if options.pr:
         from .reorder import reorder_within_supernodes
         _, S = reorder_within_supernodes(S)

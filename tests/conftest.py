@@ -3,6 +3,8 @@ import pytest
 
 from snchol.matrix import SymmetricSparseMatrix, SymmetricSparsePattern
 
+import oracles
+
 # The 9x9 worked example: three supernodes {1,2}, {3,4}, {5..9} with two
 # dense blocks from each child into the third before reordering, one after.
 FIG1_LOWER_COLS = {1: [2, 5, 6, 9], 2: [5, 9], 3: [4, 5, 7, 8], 4: [5, 8],
@@ -11,7 +13,7 @@ FIG1_LOWER_COLS = {1: [2, 5, 6, 9], 2: [5, 9], 3: [4, 5, 7, 8], 4: [5, 8],
 
 def fig1_pattern() -> SymmetricSparsePattern:
     cols = [sorted(r - 1 for r in FIG1_LOWER_COLS[j + 1]) for j in range(9)]
-    return SymmetricSparsePattern.from_columns(9, cols)
+    return oracles.pattern_from_columns(9, cols)
 
 
 def fig1_matrix(diag=10.0, off=1.0) -> SymmetricSparseMatrix:

@@ -12,10 +12,39 @@ import numpy as np
 from snchol.matrix import SymmetricSparsePattern, SymmetricSparseMatrix
 
 
+def pattern_from_columns(n: int, cols: list) -> SymmetricSparsePattern:
+    """A pattern from per-column row lists; the diagonal is added if absent."""
+    colptr = np.zeros(n + 1, dtype=np.int64)
+    rows = []
+    for j in range(n):
+        c = np.unique(np.asarray(list(cols[j]) + [j], dtype=np.int64))
+        if c[0] != j:
+            raise ValueError(f"column {j} contains rows above the diagonal")
+        rows.append(c)
+        colptr[j + 1] = colptr[j] + c.size
+    return SymmetricSparsePattern(n, colptr, np.concatenate(rows) if rows else np.zeros(0, np.int64))
+
+
+def reference_to_dense(n: int, colptr, rowind, values) -> np.ndarray:
+    """Dense n x n image of a CSC lower triangle."""
+    L = np.zeros((n, n))
+    for j in range(n):
+        seg = slice(colptr[j], colptr[j + 1])
+        L[rowind[seg], j] = values[seg]
+    return L
+
+
+def dense_factor(result) -> np.ndarray:
+    """A factorization result's factor as a dense n x n lower triangle."""
+    return reference_to_dense(result.stats.n, *result.factor_csc())
+
+
 def boolean_fill(pattern: SymmetricSparsePattern) -> list:
     """Per-column factor row lists by dense boolean elimination."""
     n = pattern.n
-    B = pattern.to_dense_bool()
+    B = np.zeros((n, n), dtype=bool)
+    for j in range(n):
+        B[pattern.col(j), j] = B[j, pattern.col(j)] = True
     np.fill_diagonal(B, True)
     for k in range(n):
         rows = np.flatnonzero(B[k + 1:, k]) + k + 1
@@ -41,7 +70,7 @@ def fill_count(pattern: SymmetricSparsePattern, perm: np.ndarray) -> int:
         for i in pattern.col(j)[1:]:
             a, b = sorted((int(perm[i]), int(perm[j])))
             cols[a].append(b)
-    p2 = SymmetricSparsePattern.from_columns(n, [sorted(set(c)) for c in cols])
+    p2 = pattern_from_columns(n, [sorted(set(c)) for c in cols])
     return sum(g.size for g in boolean_fill(p2))
 
 
@@ -208,11 +237,31 @@ def dense_deviation(result) -> float:
     """Deviation of a factorization result from the column algorithm by
     comparing two dense n x n factors (the check the sparse comparison
     replaced; small cases only)."""
-    from snchol.numeric import factor_reference, reference_to_dense
-    from snchol.symbolic import elimination_tree, symbolic_factorization
+    from snchol.numeric import column_factor
     A2 = result.A_factored
-    glb = symbolic_factorization(A2.pattern, elimination_tree(A2.pattern))
-    Lref = reference_to_dense(A2.n, *factor_reference(A2, glb))
-    Lgot = result.dense_factor()
+    Lref = reference_to_dense(A2.n, *column_factor(A2))
+    Lgot = dense_factor(result)
     scale = max(1.0, float(np.abs(Lref).max(initial=0.0)))
     return float(np.abs(Lgot - Lref).max(initial=0.0)) / scale
+
+
+def scatter_per_column(A, S):
+    """Scatter A's lower triangle into fresh panels one column at a time,
+    locating each column's rows in its supernode's row list by binary search
+    (the loop the slot map replaced)."""
+    from snchol.numeric import FactorStorage, StructureError
+    if A.n != S.n:
+        raise ValueError("matrix and symbolic factor dimensions differ")
+    F = FactorStorage(S)
+    for j in range(S.n):
+        sj = int(S.col_to_snode[j])
+        c = j - int(S.first_col[sj])
+        g = S.glbind(sj)
+        rows = A.pattern.col(j)
+        pos = np.searchsorted(g, rows)
+        ok = (pos < g.size) & (g[np.minimum(pos, g.size - 1)] == rows)
+        if not ok.all():
+            bad = int(rows[~ok][0])
+            raise StructureError(f"entry ({bad},{j}) of A is outside the factor structure")
+        F.panel(sj)[pos, c] = A.col_values(j)
+    return F

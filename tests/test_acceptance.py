@@ -96,7 +96,7 @@ def oracle_suite():
         for method in ("ref", "mf", "ll", "rl", "rlb"):
             r = run_factorization(A, RunOptions(method=method, ordering="mindeg",
                                                 merge_cap=cap, pr=pr))
-            L = r.dense_factor()
+            L = oracles.dense_factor(r)
             Ld = np.linalg.cholesky(r.A_factored.to_dense())
             dev = float(np.abs(L - Ld).max() / max(1.0, np.abs(Ld).max()))
             if method == "ref":

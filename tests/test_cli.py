@@ -3,11 +3,12 @@ import csv
 import numpy as np
 import pytest
 
-from snchol.cli import (BenchRecord, CSV_HEADER, main, performance_profile, residual,
-                        tau_grid)
+from snchol.cli import (BenchRecord, CSV_HEADER, load_matrix, main, performance_profile,
+                        residual, tau_grid)
 from snchol.matrix import (SymmetricSparseMatrix, apply_symmetric_permutation, generate_spd,
                            minimum_degree_order)
 from snchol import numeric
+from snchol.numeric import RunOptions, deviation_from_reference, run_factorization
 from snchol.symbolic import BuildOptions, build_symbolic_factor
 
 
@@ -55,8 +56,77 @@ def test_factor_errors_exit_nonzero(tmp_path, capsys):
     assert "factorization (rlb)" in err
 
 
+@pytest.mark.parametrize("size_line", ["3 3 -1", "-2 -2 0", "3 3 100000000000000"])
+def test_bad_size_line_is_an_input_error(tmp_path, capsys, size_line):
+    p = tmp_path / "bad.mtx"
+    p.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{size_line}\n1 1 4\n")
+    assert run_cli("factor", str(p)) == 1
+    assert capsys.readouterr().err.startswith("error: input: line 2: ")
+    lst = tmp_path / "list.txt"
+    lst.write_text(f"{p}\n")
+    out_csv = tmp_path / "bench.csv"
+    assert run_cli("bench", str(lst), "--methods", "rlb", "--repeats", "1",
+                   "--csv", str(out_csv)) == 0
+    rec = BenchRecord.from_row(list(csv.reader(out_csv.open()))[1])
+    assert rec.status.startswith("input error: line 2: ")
+
+
 def test_check_subcommand(fig1_mtx):
     assert run_cli("check", str(fig1_mtx), "--order", "natural") == 0
+
+
+def test_check_runs_ordering_analysis_and_oracle_once(monkeypatch):
+    calls = {}
+
+    def count(name):
+        fn = getattr(numeric, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(numeric, name, counted)
+
+    names = ("minimum_degree_order", "build_symbolic_factor", "factor_reference")
+    for name in names:
+        count(name)
+    assert run_cli("check", "gen:n=150,density=0.03,seed=5") == 0
+    assert calls == {name: 1 for name in names}
+
+
+def fresh_inputs(fig1_mtx) -> dict:
+    """Spec -> matrix for the fig1 file and two ``gen:`` inputs."""
+    specs = [str(fig1_mtx), "gen:n=150,density=0.03,seed=5", "gen:n=90,density=0.08,seed=11"]
+    return {spec: load_matrix(spec, 0)[1] for spec in specs}
+
+
+def test_check_prints_what_a_fresh_pipeline_per_method_gives(fig1_mtx, capsys):
+    for spec, A in fresh_inputs(fig1_mtx).items():
+        assert run_cli("check", spec) == 0
+        want = []
+        for method in ("mf", "ll", "rl", "rlb"):
+            dev = deviation_from_reference(run_factorization(A, RunOptions(method=method)))
+            want.append(f"{spec} {method}: deviation={dev:.3e} {'ok' if dev <= 1e-10 else 'FAIL'}")
+        assert capsys.readouterr().out.splitlines() == want
+
+
+def test_bench_rows_match_a_fresh_pipeline_per_repeat(fig1_mtx, tmp_path):
+    inputs = fresh_inputs(fig1_mtx)
+    lst = tmp_path / "mats.txt"
+    lst.write_text("".join(f"{spec}\n" for spec in inputs))
+    out_csv = tmp_path / "bench.csv"
+    assert run_cli("bench", str(lst), "--repeats", "3", "--csv", str(out_csv)) == 0
+    rows = list(csv.reader(out_csv.open()))[1:]
+    want = []
+    for spec, A in inputs.items():
+        for method in ("ref", "mf", "ll", "rl", "rlb"):
+            s = run_factorization(A, RunOptions(method=method)).stats
+            want.append(BenchRecord(spec, method, s.backend, "mindeg", True, 12.5, 3, 0.0,
+                                    s.flops, s.factor_nnz, s.workspace_peak,
+                                    s.assembly_ops).to_row())
+    wall = CSV_HEADER.index("wall_seconds")
+    for row in rows + want:
+        row[wall] = "-"
+    assert rows == want
 
 
 def test_analyze_fig1(fig1_mtx, capsys, tmp_path):
@@ -211,16 +281,8 @@ def test_factor_vendor_check_solve(monkeypatch, capsys):
         assert float(line.rsplit("=", 1)[1]) <= 1e-10
 
 
-def refuse_dense_factors(monkeypatch):
-    def dense(*args):
-        raise AssertionError("an n x n dense factor was built")
-    monkeypatch.setattr(numeric.FactorizationResult, "dense_factor", dense)
-    monkeypatch.setattr(numeric, "reference_to_dense", dense)
-
-
 @pytest.mark.parametrize("method", ["ref", "mf", "rlb"])
 def test_factor_check_compares_factors_sparsely(monkeypatch, capsys, method):
-    refuse_dense_factors(monkeypatch)
     refuse_to_densify(monkeypatch)
     assert run_cli("factor", "gen:n=120,density=0.05,seed=4", "--method", method,
                    "--check") == 0
@@ -229,7 +291,7 @@ def test_factor_check_compares_factors_sparsely(monkeypatch, capsys, method):
 
 
 def test_check_subcommand_compares_factors_sparsely(monkeypatch, capsys):
-    refuse_dense_factors(monkeypatch)
+    refuse_to_densify(monkeypatch)
     assert run_cli("check", "gen:n=120,density=0.05,seed=4") == 0
     assert capsys.readouterr().out.count(" ok") == 4
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from snchol.matrix import (MatrixMarketError, MatrixMarketHeaderError,
                            MatrixMarketIndexError, MatrixMarketSymmetryError,
@@ -69,12 +70,78 @@ def test_read_errors_name_line_numbers(tmp_path):
          MatrixMarketIndexError, "line 3"),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\nx y z\n",
          MatrixMarketError, "line 3"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n3 3 -1\n",
+         MatrixMarketHeaderError, "line 2: negative dimension or entry count"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n-2 -2 0\n",
+         MatrixMarketHeaderError, "line 2: negative dimension or entry count"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n3 3 100000000000000\n1 1 1\n",
+         MatrixMarketHeaderError, "line 2: declares 100000000000000 entries but only 1 line"),
     ]
     for text, exc, fragment in cases:
         p = tmp_path / "bad.mtx"
         p.write_text(text)
         with pytest.raises(exc, match=fragment):
             read_matrix_market(p)
+
+
+def rarely(draw) -> bool:
+    return draw(st.sampled_from([False, False, False, True]))
+
+
+JUNK = st.sampled_from(["x", "1.5", "1e3", "-", "nan", "%"])
+
+
+def mm_fields(ints):
+    """Up to four fields of a line: integers from ``ints``, now and then one
+    that is not."""
+    field = st.sampled_from([False, False, False, True]).flatmap(
+        lambda bad: JUNK if bad else ints.map(str))
+    return st.lists(field, max_size=4)
+
+
+@st.composite
+def matrix_market_texts(draw) -> str:
+    """Matrix Market files, well formed or broken in the header, the size line
+    or the entry lines: missing, extra or non-numeric fields, out-of-range and
+    negative indices, and entry counts that are short, long, negative or huge."""
+    head = ["%%MatrixMarket", "matrix", "coordinate",
+            draw(st.sampled_from(["real", "pattern", "integer", "complex"])),
+            draw(st.sampled_from(["symmetric", "SYMMETRIC", "general"]))]
+    if rarely(draw):  # break, drop or add a header field
+        k = draw(st.integers(0, len(head)))
+        head = head[:k] + [draw(st.sampled_from(["", "array", "vector", "junk"]))] + head[k + 1:]
+    n = draw(st.integers(-2, 0) if rarely(draw) else st.integers(1, 6))
+    lines = [" ".join(head)] + draw(st.lists(st.just("% comment"), max_size=2))
+    entries = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rarely(draw):
+            entries.append(draw(mm_fields(st.integers(-1, n + 1))))
+        else:
+            i, j = (draw(st.integers(1, max(n, 1))) for _ in "ij")
+            entries.append([str(i), str(j), draw(st.sampled_from(["4", "-1", "0.5", "1e300"]))])
+    count = len(entries)
+    if rarely(draw):
+        count = draw(st.one_of(st.integers(-3, 12), st.integers(10**9, 10**18)))
+    size = draw(mm_fields(st.integers(-3, 8))) if rarely(draw) else [str(n), str(n), str(count)]
+    if not rarely(draw) or not rarely(draw):  # now and then the size line is missing
+        lines.append(" ".join(size))
+    lines += [" ".join(e) for e in entries]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=matrix_market_texts())
+def test_reader_returns_a_matrix_or_raises_its_own_error(tmp_path, text):
+    p = tmp_path / "fuzz.mtx"
+    p.write_text(text)
+    try:
+        A = read_matrix_market(p)
+    except MatrixMarketError:
+        return
+    size_line = next(ln for ln in text.splitlines()[1:] if ln.strip() and not ln.startswith("%"))
+    assert A.n == int(size_line.split()[0])
+    assert A.values.size == A.pattern.nnz
 
 
 def test_write_read_round_trip(tmp_path):
@@ -147,7 +214,7 @@ def test_generate_spd_basics():
 
 
 def test_minimum_degree_diagonal_is_identity():
-    pat = SymmetricSparsePattern.from_columns(4, [[], [], [], []])
+    pat = oracles.pattern_from_columns(4, [[], [], [], []])
     P = minimum_degree_order(pat)
     assert np.array_equal(P.perm, np.arange(4))
 
@@ -155,7 +222,7 @@ def test_minimum_degree_diagonal_is_identity():
 def test_minimum_degree_star_defers_center():
     # center ties with the final leaf at degree 1 and wins by smaller index,
     # so it lands in one of the last two positions; the order stays fill-free
-    pat = SymmetricSparsePattern.from_columns(5, [[1, 2, 3, 4], [], [], [], []])
+    pat = oracles.pattern_from_columns(5, [[1, 2, 3, 4], [], [], [], []])
     P = minimum_degree_order(pat)
     assert P.perm[0] >= 3
     import itertools
@@ -165,7 +232,7 @@ def test_minimum_degree_star_defers_center():
 
 
 def test_minimum_degree_tridiagonal_no_fill():
-    pat = SymmetricSparsePattern.from_columns(6, [[1], [2], [3], [4], [5], []])
+    pat = oracles.pattern_from_columns(6, [[1], [2], [3], [4], [5], []])
     P = minimum_degree_order(pat)
     base = sum(pat.col(j).size for j in range(6))
     assert oracles.fill_count(pat, P.perm) == base

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from snchol.kernels import NotPositiveDefiniteError, REFERENCE_BACKEND, get_backend
-from snchol.matrix import (SymmetricSparseMatrix, SymmetricSparsePattern,
-                           apply_symmetric_permutation, generate_spd, minimum_degree_order,
-                           read_matrix_market)
+from snchol.matrix import (SymmetricSparseMatrix, _assemble_lower, apply_symmetric_permutation,
+                           generate_spd, minimum_degree_order, read_matrix_market)
 from snchol.numeric import (METHODS, FactorStateError, NonFiniteEntryError, RunOptions, RunStats,
                             StructureError, UpdateWorkspace, _extend_in_place,
-                            _pack_descending, block_run_ends, build_indmap,
+                            _pack_descending, analyze, block_run_ends, build_indmap,
                             deviation_from_reference, factor_mf, factor_reference, factor_rl,
-                            factor_rlb, reference_to_dense, run_factorization,
-                            scatter_into_factor, solve)
+                            factor_rlb, run_factorization, scatter_into_factor, solve)
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, build_symbolic_factor,
                              elimination_tree, symbolic_factorization)
 
@@ -33,7 +31,7 @@ def run(A, method, **kw):
 # -- scatter ------------------------------------------------------------------
 
 def test_scatter_diagonal():
-    pat = SymmetricSparsePattern.from_columns(3, [[]] * 3)
+    pat = oracles.pattern_from_columns(3, [[]] * 3)
     A = SymmetricSparseMatrix(pat, np.array([2.0, 3.0, 4.0]))
     S = build_symbolic_factor(pat, BuildOptions(None, False))
     F = scatter_into_factor(A, S)
@@ -58,44 +56,93 @@ def test_scatter_gather_round_trip():
     A2 = apply_symmetric_permutation(A, S.relabel)
     F = scatter_into_factor(A2, S)
     assert F.data.size == S.panel_storage  # one slot per panel entry
-    L = reference_to_dense(S.n, *F.lower_csc())
+    L = oracles.reference_to_dense(S.n, *F.lower_csc())
     assert np.array_equal(L, np.tril(A2.to_dense()))
 
 
 def test_scatter_rejects_foreign_entry():
-    pat = SymmetricSparsePattern.from_columns(3, [[2], [], []])
+    pat = oracles.pattern_from_columns(3, [[2], [], []])
     A = SymmetricSparseMatrix(pat, np.array([1.0, 0.5, 1.0, 1.0]))
-    diag = SymmetricSparsePattern.from_columns(3, [[]] * 3)
+    diag = oracles.pattern_from_columns(3, [[]] * 3)
     S = build_symbolic_factor(diag, BuildOptions(None, False))
     with pytest.raises(StructureError):
         scatter_into_factor(A, S)
 
 
+def scatter_cases():
+    """(A2, S) for fig1, two grids and seeded ``gen:`` matrices, each ordered by
+    minimum degree and analyzed under merge cap off/12.5 and reorder on/off."""
+    mats = [fig1_matrix(), grid_laplacian(6), grid_laplacian(11)]
+    mats += [generate_spd(n, d, seed) for n, d, seed in ((40, 0.1, 1), (80, 0.05, 2),
+                                                        (30, 0.3, 3), (120, 0.02, 4))]
+    for A in mats:
+        A1 = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+        for cap in (None, 12.5):
+            for pr in (False, True):
+                S = build_symbolic_factor(A1.pattern, BuildOptions(cap, pr))
+                yield apply_symmetric_permutation(A1, S.relabel), S
+
+
+def test_slot_map_scatters_what_the_column_loop_scatters():
+    for A2, S in scatter_cases():
+        F = scatter_into_factor(A2, S)
+        want = oracles.scatter_per_column(A2, S)
+        assert np.diff(F.offsets).tolist() == [S.glbind(j).size * S.width(j)
+                                               for j in range(S.nsuper)]
+        assert F.data.tobytes() == want.data.tobytes()
+
+
+def test_slot_map_names_the_entry_the_column_loop_names():
+    rng = np.random.default_rng(41)
+    corrupted = 0
+    for A2, S in scatter_cases():
+        n = A2.n
+        outside = [(i, j) for j in range(n)
+                   for i in np.setdiff1d(np.arange(j + 1, n), S.glbind(int(S.col_to_snode[j])))]
+        if not outside:
+            continue
+        for _ in range(3):
+            pick = rng.choice(len(outside), size=min(len(outside), int(rng.integers(1, 4))),
+                              replace=False)
+            rows, cols = np.array([outside[k] for k in pick], dtype=np.int64).T
+            p = A2.pattern
+            B = _assemble_lower(n, np.concatenate([p.rowind, rows]),
+                                np.concatenate([np.repeat(np.arange(n), np.diff(p.colptr)), cols]),
+                                np.concatenate([A2.values, np.ones(rows.size)]), False)
+            with pytest.raises(StructureError) as got:
+                scatter_into_factor(B, S)
+            with pytest.raises(StructureError) as want:
+                oracles.scatter_per_column(B, S)
+            assert str(got.value) == str(want.value)
+            corrupted += 1
+    assert corrupted >= 30
+
+
 # -- reference column algorithm ------------------------------------------------
 
 def test_reference_one_by_one_and_dense_2x2():
-    pat = SymmetricSparsePattern.from_columns(1, [[]])
+    pat = oracles.pattern_from_columns(1, [[]])
     A = SymmetricSparseMatrix(pat, np.array([4.0]))
     glb = symbolic_factorization(pat, elimination_tree(pat))
     _, _, vals = factor_reference(A, glb)
     assert vals.tolist() == [2.0]
 
-    pat = SymmetricSparsePattern.from_columns(2, [[1], []])
+    pat = oracles.pattern_from_columns(2, [[1], []])
     A = SymmetricSparseMatrix(pat, np.array([4.0, 2.0, 5.0]))
     glb = symbolic_factorization(pat, elimination_tree(pat))
-    L = reference_to_dense(2, *factor_reference(A, glb))
+    L = oracles.reference_to_dense(2, *factor_reference(A, glb))
     assert np.allclose(L, [[2.0, 0.0], [1.0, 2.0]])
 
 
 def test_reference_matches_dense_cholesky_on_fig1():
     A = fig1_matrix()
     glb = symbolic_factorization(A.pattern, elimination_tree(A.pattern))
-    L = reference_to_dense(9, *factor_reference(A, glb))
+    L = oracles.reference_to_dense(9, *factor_reference(A, glb))
     assert np.abs(L - np.linalg.cholesky(A.to_dense())).max() <= 1e-12
 
 
 def test_reference_raises_on_indefinite():
-    pat = SymmetricSparsePattern.from_columns(2, [[1], []])
+    pat = oracles.pattern_from_columns(2, [[1], []])
     A = SymmetricSparseMatrix(pat, np.array([1.0, 3.0, 1.0]))  # not SPD
     glb = symbolic_factorization(pat, elimination_tree(pat))
     with pytest.raises(NotPositiveDefiniteError) as e:
@@ -146,11 +193,11 @@ def test_pack_descending_matches_out_of_place():
 
 
 def test_mf_diagonal_no_stack_traffic():
-    pat = SymmetricSparsePattern.from_columns(4, [[]] * 4)
+    pat = oracles.pattern_from_columns(4, [[]] * 4)
     A = SymmetricSparseMatrix(pat, np.full(4, 9.0))
     r = run(A, "mf")
     assert r.stats.workspace_peak == 0
-    assert np.allclose(np.diag(r.dense_factor()), 3.0)
+    assert np.allclose(np.diag(oracles.dense_factor(r)), 3.0)
 
 
 def test_mf_fig1_matches_reference_and_plan():
@@ -264,7 +311,7 @@ def test_single_supernode_dense_case():
 def test_ll_single_column_updaters_path():
     # tridiagonal with merging off: every supernode is one column wide, so the
     # left-looking method takes its fused scale-scatter path throughout
-    pat = SymmetricSparsePattern.from_columns(6, [[1], [2], [3], [4], [5], []])
+    pat = oracles.pattern_from_columns(6, [[1], [2], [3], [4], [5], []])
     vals = np.concatenate([[4.0, -1.0]] * 5 + [[4.0]])
     A = SymmetricSparseMatrix(pat, vals)
     r = run(A, "ll")
@@ -285,7 +332,7 @@ def test_cross_method_equivalence_and_structure():
                 r = run(A, method, ordering="mindeg", merge_cap=cap, pr=pr)
                 Ld = np.linalg.cholesky(r.A_factored.to_dense())
                 scale = max(1.0, np.abs(Ld).max())
-                assert np.abs(r.dense_factor() - Ld).max() / scale <= 1e-10
+                assert np.abs(oracles.dense_factor(r) - Ld).max() / scale <= 1e-10
                 if base is None:
                     base = r.stats.flops
                 assert r.stats.flops == base  # identical kernel flop totals
@@ -319,13 +366,13 @@ def test_relative_map_restored_after_each_method():
 
 
 def test_solve_identity_and_2x2():
-    pat = SymmetricSparsePattern.from_columns(3, [[]] * 3)
+    pat = oracles.pattern_from_columns(3, [[]] * 3)
     A = SymmetricSparseMatrix(pat, np.ones(3))
     r = run(A, "rlb")
     b = np.array([3.0, -1.0, 2.0])
     assert np.allclose(r.solve(b), b)
 
-    pat = SymmetricSparsePattern.from_columns(2, [[1], []])
+    pat = oracles.pattern_from_columns(2, [[1], []])
     A = SymmetricSparseMatrix(pat, np.array([4.0, 2.0, 5.0]))
     r = run(A, "rlb")
     b = np.array([8.0, 9.0])
@@ -353,14 +400,30 @@ def test_solve_requires_factored_state():
 
 
 def test_diagonal_flops_are_square_roots_only():
-    pat = SymmetricSparsePattern.from_columns(5, [[]] * 5)
+    pat = oracles.pattern_from_columns(5, [[]] * 5)
     A = SymmetricSparseMatrix(pat, np.full(5, 4.0))
     r = run(A, "rlb")
     assert r.stats.flops == 5
 
 
+def test_errors_keep_their_precedence():
+    """Unknown method, then non-finite entry, then a missing or non-positive
+    diagonal, then unknown backend."""
+    pat = oracles.pattern_from_columns(3, [[1], [], []])
+    nan = SymmetricSparseMatrix(pat, np.array([1.0, np.nan, 1.0, -1.0]))
+    negative = SymmetricSparseMatrix(pat, np.array([1.0, 0.5, 1.0, -1.0]))
+    good = SymmetricSparseMatrix(pat, np.array([1.0, 0.5, 1.0, 1.0]))
+    cases = [(nan, "xyz", "turbo", ValueError, "unknown method"),
+             (nan, "rlb", "turbo", NonFiniteEntryError, "non-finite"),
+             (negative, "ref", "turbo", NotPositiveDefiniteError, "diagonal entry 2"),
+             (good, "mf", "turbo", ValueError, "unknown kernel backend")]
+    for A, method, backend, exc, message in cases:
+        with pytest.raises(exc, match=message):
+            run_factorization(A, RunOptions(method=method, backend=backend))
+
+
 def test_entry_check_rejects_nonpositive_diagonal():
-    pat = SymmetricSparsePattern.from_columns(2, [[1], []])
+    pat = oracles.pattern_from_columns(2, [[1], []])
     A = SymmetricSparseMatrix(pat, np.array([1.0, 0.5, -2.0]))
     with pytest.raises(NotPositiveDefiniteError):
         run(A, "rlb")
@@ -368,7 +431,7 @@ def test_entry_check_rejects_nonpositive_diagonal():
 
 def test_pivot_error_names_supernode_and_column():
     # A leading 2x2 that is positive definite but a trailing block that is not
-    pat = SymmetricSparsePattern.from_columns(3, [[1, 2], [2], []])
+    pat = oracles.pattern_from_columns(3, [[1, 2], [2], []])
     A = SymmetricSparseMatrix(pat, np.array([4.0, 2.0, 2.0, 4.0, 4.0, 3.0]))
     with pytest.raises(NotPositiveDefiniteError) as e:
         run(A, "ll")
@@ -403,6 +466,24 @@ def test_one_relative_map_serves_repeated_factorizations():
         assert np.array_equal(panels[0], panels[1]), method
 
 
+def test_one_analysis_serves_every_method_on_both_backends():
+    for A in (grid_laplacian(8), generate_spd(90, 0.04, 21)):
+        analysis = analyze(A)
+        for method in METHODS:
+            for backend in ("reference", "vendor"):
+                got = analysis.factor(method, backend)
+                fresh = run_factorization(A, RunOptions(method=method, backend=backend))
+                assert counters(got) == counters(fresh), (method, backend)
+                assert got.stats.factor_nnz == fresh.stats.factor_nnz
+                assert np.array_equal(got.perm_total.perm, fresh.perm_total.perm)
+                if method == "ref":  # the ordered matrix, not the relabelled one
+                    assert got.A_factored is analysis.A1
+                    assert all(x.tobytes() == y.tobytes()
+                               for x, y in zip(got.ref_factor, fresh.ref_factor))
+                else:
+                    assert got.F.data.tobytes() == fresh.F.data.tobytes(), (method, backend)
+
+
 def indefinite_pair_matrix(seed: int):
     """An SPD gen: matrix plus a disconnected 2x2 component [[1, 3], [3, 1]]
     (positive diagonal, not positive definite), labels shuffled.  Returns the
@@ -416,7 +497,7 @@ def indefinite_pair_matrix(seed: int):
     M = np.zeros_like(D)
     M[np.ix_(new, new)] = D
     cols = [np.flatnonzero(M[j + 1:, j]) + j + 1 for j in range(n)]
-    pat = SymmetricSparsePattern.from_columns(n, [c.tolist() for c in cols])
+    pat = oracles.pattern_from_columns(n, [c.tolist() for c in cols])
     vals = np.concatenate([M[pat.col(j), j] for j in range(n)])
     return SymmetricSparseMatrix(pat, vals), {int(new[n - 2]), int(new[n - 1])}
 

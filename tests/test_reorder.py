@@ -53,8 +53,7 @@ def test_reorder_single_descendant_single_block():
     # each supernode updated by at most one descendant ends with one block
     cols = {1: [5, 7], 2: [5, 7], 3: [6, 8], 4: [6, 8],
             5: [6, 7, 8], 6: [7, 8], 7: [8], 8: []}
-    from snchol.matrix import SymmetricSparsePattern
-    pat = SymmetricSparsePattern.from_columns(
+    pat = oracles.pattern_from_columns(
         8, [sorted(r - 1 for r in cols[j + 1]) for j in range(8)])
     S = build_symbolic_factor(pat, BuildOptions(None, False))
     _, S2 = reorder_within_supernodes(S)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from snchol import reorder, symbolic
-from snchol.matrix import (Permutation, SymmetricSparsePattern, apply_symmetric_permutation,
-                           generate_spd, minimum_degree_order)
+from snchol.matrix import (Permutation, apply_symmetric_permutation, generate_spd,
+                           minimum_degree_order)
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
                              build_symbolic_factor, compose_relative, elimination_tree,
                              fundamental_supernodes,
@@ -28,7 +28,7 @@ def test_etree_fig1():
 
 
 def test_etree_diagonal_all_roots():
-    pat = SymmetricSparsePattern.from_columns(5, [[]] * 5)
+    pat = oracles.pattern_from_columns(5, [[]] * 5)
     t = elimination_tree(pat)
     assert np.all(t.parent == -1)
 
@@ -46,12 +46,12 @@ def forest_patterns():
     disconnected trees and a long chain."""
     pats = [generate_spd(n, d, seed).pattern
             for n, d, seed in ((12, 0.2, 1), (30, 0.1, 2), (40, 0.05, 3), (25, 0.3, 4))]
-    pats.append(SymmetricSparsePattern.from_columns(1, [[]]))
-    pats.append(SymmetricSparsePattern.from_columns(7, [[]] * 7))
+    pats.append(oracles.pattern_from_columns(1, [[]]))
+    pats.append(oracles.pattern_from_columns(7, [[]] * 7))
     # three components, labels interleaved so the postorder moves columns
-    pats.append(SymmetricSparsePattern.from_columns(
+    pats.append(oracles.pattern_from_columns(
         9, [[3, 6], [4], [5, 8], [6], [7], [8], [], [], []]))
-    pats.append(SymmetricSparsePattern.from_columns(6, [[j + 1] for j in range(5)] + [[]]))
+    pats.append(oracles.pattern_from_columns(6, [[j + 1] for j in range(5)] + [[]]))
     return pats
 
 
@@ -82,7 +82,7 @@ def test_structure_fig1():
 
 
 def test_structure_tridiagonal():
-    pat = SymmetricSparsePattern.from_columns(5, [[1], [2], [3], [4], []])
+    pat = oracles.pattern_from_columns(5, [[1], [2], [3], [4], []])
     glb = symbolic_factorization(pat, elimination_tree(pat))
     for j in range(4):
         assert glb[j].tolist() == [j, j + 1]
@@ -107,7 +107,7 @@ def test_fundamental_fig1():
 
 
 def test_fundamental_diagonal_singletons():
-    pat = SymmetricSparsePattern.from_columns(4, [[]] * 4)
+    pat = oracles.pattern_from_columns(4, [[]] * 4)
     t = elimination_tree(pat)
     first_col = fundamental_supernodes(t, symbolic_factorization(pat, t))
     assert first_col.tolist() == [0, 1, 2, 3, 4]
@@ -178,7 +178,7 @@ def test_merge_zero_cost_chain_collapses():
     cols = {1: [6, 9], 2: [7, 9], 3: [8, 9], 4: [9],
             5: [6, 7, 8, 9, 10], 6: [7, 8, 9, 10], 7: [8, 9, 10],
             8: [9, 10], 9: [10], 10: []}
-    pat = SymmetricSparsePattern.from_columns(
+    pat = oracles.pattern_from_columns(
         10, [sorted(r - 1 for r in cols[j + 1]) for j in range(10)])
     t = elimination_tree(pat)
     glb = symbolic_factorization(pat, t)
@@ -264,7 +264,7 @@ def test_relind_fig1():
 def test_relind_full_overlap_and_round_trip():
     # child sharing the parent's entire row list of length m maps to m-1..0
     cols = {1: [2, 3, 4], 2: [3, 4], 3: [4], 4: []}
-    pat = SymmetricSparsePattern.from_columns(4, [sorted(r - 1 for r in cols[j + 1])
+    pat = oracles.pattern_from_columns(4, [sorted(r - 1 for r in cols[j + 1])
                                                   for j in range(4)])
     S = build_symbolic_factor(pat, BuildOptions(None, False))
     if S.nsuper >= 2:
@@ -297,7 +297,7 @@ def test_relind_rejects_row_missing_from_parent():
     S = build_fig1()
     glb = [S.glbind(j) for j in range(S.nsuper)]
     glb[2] = glb[2][glb[2] != 5]  # drop row 6 (0-based 5), which supernode 0 needs
-    broken = SymbolicFactor(S.first_col, glb, S.relabel, S.options, S.merge_stats)
+    broken = SymbolicFactor(S.first_col, glb, S.relabel, S.merge_stats)
     with pytest.raises(ValueError, match="supernode 0 missing from parent"):
         RelativeIndexMap(broken)
 
@@ -399,7 +399,7 @@ def test_build_fig1_blocks_and_plans():
 
 
 def test_build_diagonal_trivial_plans():
-    pat = SymmetricSparsePattern.from_columns(6, [[]] * 6)
+    pat = oracles.pattern_from_columns(6, [[]] * 6)
     S = build_symbolic_factor(pat, BuildOptions(0.0, True))
     assert S.factor_nnz == 6
     assert S.plans.mf_peak == 0 and S.plans.ll_peak == 0 and S.plans.rl_peak == 0
