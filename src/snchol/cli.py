@@ -211,6 +211,9 @@ def cmd_analyze(args) -> int:
     print(f"blocks after  reordering: count={b1} mean_len={m1:.3f}")
     print(f"workspace plans (floats): mf={S.plans.mf_peak} ll={S.plans.ll_peak} "
           f"rl={S.plans.rl_peak} rlb=0")
+    sched = S.rlb_schedule
+    print(f"rlb schedule: syrk={sched.calls['syrk']} gemm={sched.calls['gemm']} "
+          f"flops={sched.flops}")
     if args.csv:
         rows = []
         for j in range(S.nsuper):

@@ -11,6 +11,10 @@ exports for Cython, passing each view's data pointer and leading dimension: no
 copies and no float scratch.  Its operands must therefore be column-major
 float64 views (adjacent rows, columns at least max(1, rows) elements apart,
 which every panel slice is); any other operand raises ValueError.
+
+A ``CallSchedule`` is a precompiled list of syrk/gemm updates given as offsets
+into one flat float64 array.  A backend may run one by address
+(``run_schedule``; the vendor backend calls BLAS at ``base + 8*offset``).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -90,19 +95,58 @@ def gemm_nt(C, X, Y) -> None:
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """Function table for the four kernels plus a name tag for reporting."""
+    """Function table for the four kernels plus a name tag for reporting.
+
+    ``run_schedule(data, schedule, lo, hi)``, when given, runs rows lo..hi of a
+    ``CallSchedule`` on ``data`` itself; without it the caller runs them
+    through ``syrk`` and ``gemm`` on numpy views.
+    """
 
     name: str
     chol: Callable
     trsm: Callable
     syrk: Callable
     gemm: Callable
+    run_schedule: Callable | None = None
+
+
+SYRK, GEMM = 0, 1
+_F8 = np.dtype(np.float64)
+
+
+@dataclass(frozen=True)
+class CallSchedule:
+    """Updates of one flat float64 array ``storage`` elements long, one int row
+    per kernel call, in execution order: ``(kind, c, ldc, m, n, k, x, y, ldx)``.
+
+    A GEMM row subtracts X Y^T from the m-by-n rectangle C; a SYRK row
+    subtracts X X^T from the lower triangle of the n-by-n C (m = n, y = x).
+    C starts at offset ``c`` with leading dimension ``ldc``; X (m-by-k) and Y
+    (n-by-k) start at ``x`` and ``y`` with leading dimension ``ldx``.  Rows
+    ``ptr[j]:ptr[j + 1]`` form group j.  Whoever builds one checks every
+    rectangle against the storage it indexes: the runners trust the rows.
+    """
+
+    rows: np.ndarray
+    ptr: np.ndarray
+    storage: int
+
+    @cached_property
+    def calls(self) -> dict:
+        nsyrk = int(np.count_nonzero(self.rows[:, 0] == SYRK))
+        return {"syrk": nsyrk, "gemm": self.rows.shape[0] - nsyrk}
+
+    @cached_property
+    def flops(self) -> int:
+        kind, m, n, k = (self.rows[:, i] for i in (0, 3, 4, 5))
+        # syrk_flops(n, k) = k n (n + 1) and gemm_flops(m, n, k) = 2 m n k
+        per_kn = np.where(kind == SYRK, np.add(n, 1, dtype=np.int64),
+                          np.multiply(m, 2, dtype=np.int64))
+        return int(np.multiply(k, n, dtype=np.int64) @ per_kn)
 
 
 REFERENCE_BACKEND = KernelBackend("reference", chol_in_place, trsm_right_lt, syrk_lower, gemm_nt)
 
-
-_F8 = np.dtype(np.float64)
 # Byte offset of ``char *data`` in numpy's C array struct (PyArrayObject_fields):
 # it follows the object header.  ``_vendor_functions`` checks it once.
 _DATA_FIELD = object.__basicsize__
@@ -161,12 +205,28 @@ def _operand(a: np.ndarray, written: bool = False) -> tuple:
     return ld, _at(id(a) + _DATA_FIELD)
 
 
+def _storage_address(data, size: int) -> int:
+    """Base address of ``data``, once it is checked to be the writeable,
+    contiguous, 1-D float64 array of ``size`` elements a schedule indexes."""
+    if not isinstance(data, np.ndarray) or data.dtype != _F8 or data.ndim != 1:
+        raise ValueError("schedule storage must be a 1-D float64 array")
+    if not data.flags.c_contiguous:
+        raise ValueError("schedule storage must be contiguous")
+    if not data.flags.writeable:
+        raise ValueError("schedule storage is read-only")
+    if data.size != size:
+        raise ValueError(f"schedule storage has {data.size} elements, the schedule indexes {size}")
+    return data.ctypes.data
+
+
 def vendor_backend() -> KernelBackend:
     """LAPACK/BLAS kernels (scipy's), called in place on the panel views.
 
     Each call passes the views' data pointers and leading dimensions straight
-    to dpotrf, dtrsm, dsyrk or dgemm: no copies and no float scratch.  The
-    instance owns its argument cells, so one instance serves one thread.
+    to dpotrf, dtrsm, dsyrk or dgemm: no copies and no float scratch.
+    ``run_schedule`` calls dsyrk/dgemm at ``base + 8*offset`` from one checked
+    base address per group of rows.  The instance owns its argument cells, so
+    one instance serves one thread.
     """
     dpotrf, dtrsm, dsyrk, dgemm = _vendor_functions()
     byref = ctypes.byref
@@ -230,7 +290,30 @@ def vendor_backend() -> KernelBackend:
         ldc.value, c = _operand(C, True)
         dgemm(notrans, trans, pm, pn, pk, minus_one, x, plda, y, pldb, one, c, pldc)
 
-    return KernelBackend("vendor", chol, trsm, syrk, gemm)
+    # Every argument below is a ctypes pointer object, which ctypes passes as
+    # it is; declaring 10-13 argument types costs about 1 us per call in
+    # conversions, more than a small update.
+    bsyrk, bgemm = (ctypes.CFUNCTYPE(None)(ctypes.cast(f, ctypes.c_void_p).value)
+                    for f in (dsyrk, dgemm))
+    pc, px, py = (ctypes.c_void_p() for _ in range(3))
+
+    def run_schedule(data, schedule, lo, hi):
+        base = _storage_address(data, schedule.storage)
+        for kind, c, ld_c, rows, cols, depth, x, y, ld_x in schedule.rows[lo:hi].tolist():
+            pc.value = base + 8 * c
+            px.value = base + 8 * x
+            n.value = cols
+            k.value = depth
+            lda.value = ld_x
+            ldc.value = ld_c
+            if kind == SYRK:
+                bsyrk(lower, notrans, pn, pk, minus_one, px, plda, one, pc, pldc)
+            else:
+                py.value = base + 8 * y
+                m.value = rows
+                bgemm(notrans, trans, pm, pn, pk, minus_one, px, plda, py, plda, one, pc, pldc)
+
+    return KernelBackend("vendor", chol, trsm, syrk, gemm, run_schedule)
 
 
 def get_backend(name: str) -> KernelBackend:

@@ -11,12 +11,15 @@ ll    left-looking supernodal with an index map and one scratch update matrix
 rl    right-looking: one square update matrix per supernode, assembled up the
       ancestor chain with one composed relative index per update row
 rlb   right-looking blocked: dense blocks updated straight into ancestor
-      panels with one composed relative index per block; no floating-point
-      workspace, no assembly at all
+      panels by the kernel calls of ``S.rlb_schedule``, compiled once at
+      analysis; no floating-point workspace, no assembly at all
 
-rl and rlb walk the ancestor chain through ``RelativeIndexMap.walk``, which
-composes the map's read-only relative indices; mf, ll and rl scatter-add
-update triangles through ``_assemble``.
+rl walks the ancestor chain through ``RelativeIndexMap.walk``, which composes
+the map's read-only relative indices; mf, ll and rl scatter-add update
+triangles through ``_assemble``.  rlb runs its schedule one supernode's rows at
+a time, through the backend's ``run_schedule`` where it has one (the vendor
+backend calls BLAS at addresses in ``F.data``) and through numpy views
+otherwise.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (KernelBackend, NotPositiveDefiniteError, gemm_flops,
-                      get_backend, potrf_flops, syrk_flops, trsm_flops)
+from .kernels import (SYRK, KernelBackend, NotPositiveDefiniteError, gemm_flops, get_backend,
+                      potrf_flops, syrk_flops, trsm_flops)
 from .matrix import (Permutation, SymmetricSparseMatrix, SymmetricSparsePattern,
                      apply_symmetric_permutation, minimum_degree_order)
 from .symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor, build_symbolic_factor,
@@ -115,20 +118,15 @@ def scatter_slots(pattern: SymmetricSparsePattern, S: SymbolicFactor) -> np.ndar
     factor structure."""
     if pattern.n != S.n:
         raise ValueError("matrix and symbolic factor dimensions differ")
-    glb = [S.glbind(j) for j in range(S.nsuper)] + [np.zeros(0, np.int64)]
-    lens = np.array([g.size for g in glb[:-1]], dtype=np.int64)
     cols = np.repeat(np.arange(S.n, dtype=np.int64), np.diff(pattern.colptr))
     owner = S.col_to_snode[cols]
-    # one sorted key per (supernode, row) of the row lists finds every entry at once
-    keys = np.concatenate(glb) + np.repeat(np.arange(S.nsuper) * S.n, lens)
-    want = owner * S.n + pattern.rowind
-    at = np.searchsorted(keys, want)
-    bad = np.flatnonzero(keys.take(at, mode="clip") != want)
+    pos = S.row_positions(owner, pattern.rowind)
+    bad = np.flatnonzero(pos < 0)
     if bad.size:
         k = int(bad[0])
         raise StructureError(f"entry ({pattern.rowind[k]},{cols[k]}) of A is outside the "
                              "factor structure")
-    pos = at - (np.cumsum(lens) - lens)[owner]
+    lens = np.array([S.glbind(j).size for j in range(S.nsuper)], dtype=np.int64)
     return S.panel_offsets[owner] + (cols - S.first_col[owner]) * lens[owner] + pos
 
 
@@ -446,75 +444,52 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
 # ---------------------------------------------------------------------------
 # Right-looking blocked.
 
-def block_run_ends(rb: list, sizes: list, lo: int) -> list:
-    """Where each run of consecutive blocks ends, for blocks lo..nb-1.
-
-    ``rb`` holds each block's first relative index against one target panel
-    and ``sizes`` its row count.  Block q+1 continues block q's run when its
-    rows sit directly below, rb[q+1] == rb[q] - sizes[q].  ``ends[q]`` is one
-    past the last block of the maximal run starting at q (entries below ``lo``
-    are not computed).
-    """
-    nb = len(rb)
-    ends = [nb] * nb
-    for q in range(nb - 2, lo - 1, -1):
-        ends[q] = ends[q + 1] if rb[q + 1] == rb[q] - sizes[q] else q + 1
-    return ends
-
-
 def factor_rlb(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
                backend: KernelBackend, stats: RunStats) -> None:
     """Blocked right-looking factorization: every update is a dense kernel call
-    straight into an ancestor panel.  No floating-point workspace exists and the
-    assembly counter stays at zero by construction."""
+    straight into an ancestor panel, run from ``S.rlb_schedule`` right after
+    its supernode's own columns are factored.  No floating-point workspace
+    exists and the assembly counter stays at zero by construction.  ``R`` is
+    not used; the parameter stays so that existing callers keep working."""
     if F.state != "A":
         raise FactorStateError("factor storage does not hold A")
-    per_snode = np.zeros(S.nsuper, dtype=np.int64)
-    stats.update_calls_per_snode = per_snode
-    maxb = max((S.nblocks(j) for j in range(S.nsuper)), default=0)
-    relB = np.zeros(maxb, dtype=np.int64)
-    syrk, gemm = backend.syrk, backend.gemm
-    nsyrk = ngemm = flops = 0
+    schedule = S.rlb_schedule
+    ptr = schedule.ptr.tolist()
     for j in range(S.nsuper):
-        a = S.width(j)
         _cdiv(F, j, backend, stats)
-        nb = S.nblocks(j)
-        if nb == 0:
+        lo, hi = ptr[j], ptr[j + 1]
+        if hi == lo:
             continue
-        sizes = S.block_sizes[j].tolist()
-        # panel row where each block starts, plus the panel's end
-        starts = (S.block_starts[j] + a).tolist() + [S.glbind(j).size]
-        rb = relB[:nb]
-        rb[:] = R.rel(j)[S.block_starts[j]]
-        pj = F.panel(j)
-        calls_before = nsyrk + ngemm
-        for P, lo, hi in R.walk(j, rb):
-            rbl = rb.tolist()
-            g_p = S.glbind(P).size
-            pp = F.panel(P)
-            ends = block_run_ends(rbl, sizes, lo + 1)
-            for bi in range(lo, hi):
-                sB = sizes[bi]
-                p0 = g_p - 1 - rbl[bi]
-                XB = pj[starts[bi]:starts[bi + 1]]
-                syrk(pp[p0:p0 + sB, p0:p0 + sB], XB)
-                nsyrk += 1
-                flops += syrk_flops(sB, a)
-                q = bi + 1
-                while q < nb:
-                    e = ends[q]
-                    run = starts[e] - starts[q]
-                    p1 = g_p - 1 - rbl[q]
-                    gemm(pp[p1:p1 + run, p0:p0 + sB], pj[starts[q]:starts[e]], XB)
-                    ngemm += 1
-                    flops += gemm_flops(run, sB, a)
-                    q = e
-        per_snode[j] = nsyrk + ngemm - calls_before
-    stats.calls["syrk"] += nsyrk
-    stats.calls["gemm"] += ngemm
-    stats.flops += flops
+        if backend.run_schedule:
+            backend.run_schedule(F.data, schedule, lo, hi)
+        else:
+            _rlb_views(F, schedule, j, lo, hi, backend)
+    for kind, count in schedule.calls.items():
+        stats.calls[kind] += count
+    stats.flops += schedule.flops
+    stats.update_calls_per_snode = np.diff(schedule.ptr)
     F.state = "L"
     stats.workspace_peak = 0
+
+
+def _rlb_views(F: FactorStorage, schedule, j: int, lo: int, hi: int,
+               backend: KernelBackend) -> None:
+    """Run rows lo..hi of ``schedule``, supernode j's updates, through
+    ``backend.syrk``/``gemm`` on numpy views.  Their operands are row ranges of
+    j's panel over all its columns (the schedule's extent check holds them
+    to that); C is a view of ``F.data`` that numpy checks against its bounds."""
+    syrk, gemm, view, f8 = backend.syrk, backend.gemm, np.ndarray, F.data.dtype
+    pj, at = F.panel(j), int(F.offsets[j])
+    y_at = Y = None
+    for kind, c, ldc, m, n, _, x, y, _ in schedule.rows[lo:hi].tolist():
+        X = pj[x - at:x - at + m]
+        if kind == SYRK:
+            syrk(view((n, n), f8, F.data, 8 * c, (8, 8 * ldc)), X)
+            y_at, Y = x, X  # the gemm rows that follow a syrk row share its X
+            continue
+        if y != y_at:
+            y_at, Y = y, pj[y - at:y - at + n]
+        gemm(view((m, n), f8, F.data, 8 * c, (8, 8 * ldc)), X, Y)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +624,7 @@ class Analysis:
         else:
             S, F = self.S, FactorStorage(self.S)
             F.data[self.slots] = self.A2.values
-            R = RelativeIndexMap(S) if method in ("mf", "rl", "rlb") else None
+            R = RelativeIndexMap(S) if method in ("mf", "rl") else None
             W = UpdateWorkspace(S, method) if method in ("mf", "ll", "rl") else None
             stats = RunStats(method, backend.name, S.n,
                              factor_nnz=S.factor_nnz, panel_storage=S.panel_storage)

@@ -28,12 +28,12 @@ def refine(cells: list, pivot) -> list:
     existing cells allow it.  A pivot wholly inside one cell goes in front.
     """
     pivot = set(pivot)
-    parts = [([x for x in cell if x in pivot], cell) for cell in cells]
-    if sum(len(inside) for inside, _ in parts) != len(pivot):
+    insides = [[x for x in cell if x in pivot] for cell in cells]
+    if sum(map(len, insides)) != len(pivot):
         raise ValueError("pivot contains elements outside the ground set")
-    hits = [i for i, (inside, _) in enumerate(parts) if inside]
+    hits = [i for i, inside in enumerate(insides) if inside]
     out = []
-    for i, (inside, cell) in enumerate(parts):
+    for i, (inside, cell) in enumerate(zip(insides, cells)):
         if not inside or len(inside) == len(cell):
             out.append(list(cell))
             continue

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import potrf_flops, syrk_flops, trsm_flops
+from .kernels import GEMM, SYRK, CallSchedule, potrf_flops, syrk_flops, trsm_flops
 from .matrix import Permutation, SymmetricSparseMatrix, SymmetricSparsePattern, apply_symmetric_permutation
 
 
@@ -311,7 +311,7 @@ class RelativeIndexMap:
     parent: a row's distance from the bottom of the parent's row list.
 
     Computed once, held as read-only arrays; ``walk`` carries them up the
-    ancestor chain for the right-looking methods.
+    ancestor chain for the right-looking method rl.
     """
 
     def __init__(self, S: "SymbolicFactor"):
@@ -390,10 +390,10 @@ class SymbolicFactor:
     over its columns, and a supernode's parent owns its first row below the
     diagonal (-1 for a root).
 
-    The derived structure (``block_sizes``/``block_starts``, ``updaters`` and
-    ``plans``) is computed on first access and cached as tuples of read-only
-    arrays, so a factor that is only reordered pays for nothing but the
-    ``updaters`` the reordering reads.
+    The derived structure (``block_sizes``/``block_starts``, ``updaters``,
+    ``plans`` and ``rlb_schedule``) is computed on first access and cached as
+    read-only arrays, so a factor that is only reordered pays for nothing but
+    the ``updaters`` the reordering reads.
     """
 
     def __init__(self, first_col, glbind, relabel, merge_stats):
@@ -406,7 +406,8 @@ class SymbolicFactor:
         self.col_to_snode, self.snode_parent = _supernodal_tree(self.first_col, self._glbind)
         self.snode_children = _children_lists(self.snode_parent)
 
-        shape = list(zip(np.diff(self.first_col).tolist(), (g.size for g in self._glbind)))
+        self._lens = np.array([g.size for g in self._glbind], dtype=np.int64)
+        shape = list(zip(np.diff(self.first_col).tolist(), self._lens.tolist()))
         self.factor_nnz = sum(_trap_nnz(a, g) for a, g in shape)
         # where each supernode's column-major panel starts in the factor storage
         self.panel_offsets = np.cumsum([0] + [a * g for a, g in shape], dtype=np.int64)
@@ -432,7 +433,23 @@ class SymbolicFactor:
     def nblocks(self, j: int) -> int:
         return self.block_sizes[j].size
 
+    def row_positions(self, snodes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Where each row sits in its supernode's row list, or -1 where the
+        list lacks it."""
+        keys, starts = self._row_keys
+        want = np.asarray(snodes, dtype=np.int64) * self.n + rows
+        at = np.searchsorted(keys, want)
+        return np.where(keys.take(at, mode="clip") == want, at - starts[snodes], -1)
+
     # -- derived structure, computed on first use ------------------------------
+    @cached_property
+    def _row_keys(self) -> tuple:
+        """One ascending key per (supernode, row) of the row lists, and where
+        each supernode's keys start."""
+        keys = np.concatenate(self._glbind + [np.zeros(0, np.int64)])
+        keys += np.repeat(np.arange(self.nsuper) * self.n, self._lens)
+        return keys, np.cumsum(self._lens) - self._lens
+
     @cached_property
     def _below_rows(self) -> tuple:
         """Every below-diagonal row list concatenated; per row, its list's
@@ -482,6 +499,103 @@ class SymbolicFactor:
             a.flags.writeable = False
         return Plans(post, int(mf_peak), push, square, _ll_peak(self), rl_peak)
 
+    @cached_property
+    def rlb_schedule(self) -> CallSchedule:
+        """``factor_rlb``'s updates as a ``CallSchedule`` over the panel
+        storage, group j holding supernode j's calls in execution order.
+
+        Block b of supernode j lands in the columns of the supernode P owning
+        its rows.  It updates P's diagonal triangle at its own rows (SYRK),
+        then, for each maximal run of later blocks of j whose rows sit directly
+        below one another in P's row list, the rectangle at those rows (GEMM).
+        Every rectangle is checked against its panel (``check_call_extents``).
+        """
+        schedule = CallSchedule(*_rlb_rows(self), self.panel_storage)
+        check_call_extents(self, schedule)
+        schedule.calls, schedule.flops  # derive the prediction here, as part of the analysis
+        return schedule
+
+
+def _rlb_rows(S: SymbolicFactor) -> tuple:
+    """``rlb_schedule``'s rows and row pointer, before they are checked."""
+    nb = [b.size for b in S.block_sizes]
+    pairs = sum(k * (k + 1) // 2 for k in nb)  # bounds every index below
+    it = np.int32 if max(S.panel_storage, pairs) < 2**31 else np.int64
+    empty = (np.zeros(0, np.int64),)
+    sizes = np.concatenate(S.block_sizes + empty).astype(it)
+    src = np.repeat(np.arange(S.nsuper, dtype=it), nb)
+    width, lens, offsets = (a.astype(it) for a in (np.diff(S.first_col), S._lens,
+                                                   S.panel_offsets))
+    # each block's first row, as an offset into its supernode's row list
+    start = width[src] + np.concatenate(S.block_starts + empty).astype(it)
+    owner, b, q, pos, m = _rlb_runs(S, sizes, src, start)
+    P, j = owner[b], src[b]
+    syrk = q == b
+    rows = np.empty((b.size, 9), dtype=it)
+    rows[:, 0] = np.where(syrk, SYRK, GEMM)
+    rows[:, 1] = offsets[P] + lens[P] * pos[syrk][b] + pos  # b's syrk has b's position
+    rows[:, 2] = lens[P]
+    rows[:, 3] = m
+    rows[:, 4] = sizes[b]
+    rows[:, 5] = width[j]
+    rows[:, 6] = offsets[j] + start[q]
+    rows[:, 7] = offsets[j] + start[b]
+    rows[:, 8] = lens[j]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=S.nsuper))])
+    rows.flags.writeable = ptr.flags.writeable = False
+    return rows, ptr
+
+
+def _rlb_runs(S: SymbolicFactor, sizes, src, start) -> tuple:
+    """The owner of each block's rows, and per ``rlb`` call in execution order
+    the block b it is for, its first block q (q == b for b's syrk), q's
+    position in the owner's row list and the rows it updates.  Raises
+    ValueError when a block's rows are not all in the owner's row list.
+    Indices keep the dtype of the inputs."""
+    keys, list_at = S._row_keys  # a key is supernode * n + row
+    first_row = keys[list_at[src] + start] - src * np.int64(S.n)
+    owner = S.col_to_snode[first_row].astype(src.dtype)
+    # The blocks of one supernode with one owner form a group.  Each group
+    # looks up once, in its owner's row list, every block from its own first
+    # to the supernode's last.
+    blk = np.arange(src.size, dtype=src.dtype)
+    end = np.cumsum(np.bincount(src, minlength=S.nsuper), dtype=src.dtype)[src]
+    group = np.ones(src.size, dtype=bool)
+    group[1:] = (src[1:] != src[:-1]) | (owner[1:] != owner[:-1])
+    first = np.flatnonzero(group).astype(src.dtype)
+    span = end[first] - first
+    look = _ranges(first, span)
+    target = owner[first].repeat(span)
+    found = S.row_positions(target, first_row[look])
+    # a block's rows are consecutive, so they are all in the ascending list
+    # when its last row is where the first one's position says
+    last = np.minimum(found + sizes[look] - 1, S._lens[target] - 1)
+    if (found < 0).any() or (keys[list_at[target] + last] - target * np.int64(S.n)
+                             != first_row[look] + sizes[look] - 1).any():
+        raise ValueError("block rows missing from the target supernode's structure")
+    found = found.astype(src.dtype)
+    # one (block b, block q >= b of its supernode) pair per call candidate,
+    # by b then q: q == b is b's syrk, the rest its gemm rows
+    g = np.cumsum(group, dtype=src.dtype) - 1
+    count = end - blk
+    b = blk.repeat(count)
+    q = _ranges(blk, count)
+    pos = found[_ranges(np.cumsum(span, dtype=src.dtype)[g] - span[g] + blk - first[g], count)]
+    # a gemm continues the previous row's run when q sits right below it
+    cont = np.zeros(b.size, dtype=bool)
+    cont[1:] = (q[1:] > b[1:] + 1) & (pos[1:] == pos[:-1] + sizes[q[:-1]])
+    call = np.flatnonzero(~cont)
+    m = np.add.reduceat(sizes[q], call) if call.size else sizes[:0]
+    return owner, b[call], q[call], pos[call], m
+
+
+def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """lo[0], ..., lo[0] + count[0] - 1, lo[1], ..., concatenated, in lo's
+    dtype."""
+    at = np.cumsum(count, dtype=lo.dtype) - count
+    return (lo - at).repeat(count) + np.arange(at[-1] + count[-1] if count.size else 0,
+                                               dtype=lo.dtype)
+
 
 def _frozen_split(a: np.ndarray, bounds: np.ndarray) -> tuple:
     """Read-only views a[bounds[i]:bounds[i + 1]]."""
@@ -502,25 +616,55 @@ def dense_update(pos, c: int) -> bool:
 
 def _ll_peak(S: SymbolicFactor) -> int:
     """Largest slab ``factor_ll`` needs: rows times columns of the largest
-    update from a supernode wider than one column that is not dense_update."""
-    peak = 0
-    indmap = np.zeros(S.n, dtype=np.int64)  # stale outside gj; the check clips
-    for j in range(S.nsuper):
-        f, l = S.cols(j)
-        gj = S.glbind(j)
-        indmap[gj] = np.arange(gj.size)
-        for k in S.updaters[j].tolist():
-            if S.width(k) == 1:
-                continue
-            gk = S.glbind(k)
-            rows = gk[gk.searchsorted(f):]
-            pos = indmap[rows]
-            if (gj.take(pos, mode="clip") != rows).any():
-                raise AssertionError("update rows missing from target structure")
-            c = int(rows.searchsorted(l, "right"))
-            if not dense_update(pos, c):
-                peak = max(peak, rows.size * c)
-    return peak
+    update from a supernode wider than one column that is not dense_update.
+
+    Supernode k updates j with the r rows of its list from the first in j's
+    columns to the end, the first c of them in j's columns; dense_update's
+    test is applied to all those updates at once."""
+    rows, src, owner, new = S._below_rows
+    group = np.flatnonzero(new)  # one (k, j) update per group
+    c = np.diff(group, append=rows.size)
+    k, j = src[group], owner[group]
+    r = np.searchsorted(src, k, side="right") - group
+    keep = np.diff(S.first_col)[k] > 1
+    group, c, r, j = group[keep], c[keep], r[keep], j[keep]
+    pos = S.row_positions(np.repeat(j, r), rows[_ranges(group, r)])
+    if (pos < 0).any():
+        raise AssertionError("update rows missing from target structure")
+    at = np.cumsum(r) - r  # where each update's positions start in pos
+    last = at + r - 1
+    head = (c <= 1) | (pos[at + c - 1] - pos[at] == c - 1)
+    tail = (r - c <= 1) | (pos[last] - pos[np.minimum(at + c, last)] == r - c - 1)
+    return int((r * c)[~(head & tail)].max(initial=0))
+
+
+def check_call_extents(S: SymbolicFactor, schedule: CallSchedule) -> None:
+    """Raise ValueError unless ``schedule`` indexes S's panel storage and
+    every call of its group j reads two row ranges of supernode j's panel, over
+    all its columns, and writes a rectangle of a later panel, each with its
+    panel's leading dimension and inside its rows and columns."""
+    rows, ptr = schedule.rows, schedule.ptr
+    if (schedule.storage != S.panel_storage or ptr.shape != (S.nsuper + 1,) or ptr[0] != 0
+            or ptr[-1] != rows.shape[0] or (np.diff(ptr) < 0).any()):
+        raise ValueError("schedule does not match the symbolic factor's panels")
+    offsets, widths, lens = S.panel_offsets, np.diff(S.first_col), S._lens
+    group = np.repeat(np.arange(S.nsuper), np.diff(ptr))
+    chunk = 2048  # rows checked at a time, which bounds the temporaries
+    for lo in range(0, rows.shape[0], chunk):
+        _, c, ldc, m, n, k, x, y, ldx = np.ascontiguousarray(rows[lo:lo + chunk].T, np.int64)
+        j = group[lo:lo + chunk]
+        # C: an m-by-n rectangle of panel P
+        P = np.clip(np.searchsorted(offsets, c, side="right") - 1, 0, S.nsuper - 1)
+        col, row = np.divmod(c - offsets[P], np.maximum(ldc, 1))
+        ok = ((c >= 0) & (P > j) & (ldc == lens[P]) & (np.minimum(m, n) >= 1)
+              & (row + m <= ldc) & (col + n <= widths[P]))
+        # X and Y: m and n rows of panel j, all its columns
+        x, y = x - offsets[j], y - offsets[j]
+        ok &= ((k == widths[j]) & (ldx == lens[j]) & (np.minimum(x, y) >= 0)
+               & (x + m <= ldx) & (y + n <= ldx))
+        if not ok.all():
+            i = lo + int(np.flatnonzero(~ok)[0])
+            raise ValueError(f"kernel call {i} {rows[i].tolist()} leaves its panels")
 
 
 def _permute_pattern(pattern: SymmetricSparsePattern, P: Permutation) -> SymmetricSparsePattern:
@@ -534,7 +678,8 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
 
     Steps: elimination tree, postorder relabel, per-column structure,
     fundamental supernodes, merging under the storage cap (with its relabel),
-    optional within-supernode reordering, block lists and workspace plans.
+    optional within-supernode reordering, block lists, workspace plans and
+    the ``rlb`` call schedule.
     ``.relabel`` holds the composed permutation this analysis applied on top of
     the input pattern; apply it to the matrix before scattering values.
     """
@@ -546,5 +691,5 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
     if options.pr:
         from .reorder import reorder_within_supernodes
         _, S = reorder_within_supernodes(S)
-    S.block_sizes, S.plans  # derive them here, as part of the analysis
+    S.block_sizes, S.updaters, S.plans, S.rlb_schedule  # derive them here, as part of the analysis
     return S

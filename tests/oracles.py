@@ -265,3 +265,40 @@ def scatter_per_column(A, S):
             raise StructureError(f"entry ({bad},{j}) of A is outside the factor structure")
         F.panel(sj)[pos, c] = A.col_values(j)
     return F
+
+
+def rlb_calls_by_walk(S, R) -> tuple:
+    """rlb's kernel calls as ``CallSchedule`` rows ``(kind, c, ldc, m, n, k, x,
+    y, ldx)`` and the number of calls per supernode, found the way
+    ``factor_rlb`` found them before its schedule was compiled: carry each
+    supernode's block-first relative indices up the ancestor chain with
+    ``R.walk``; each block landing in ancestor P updates P's triangle at its
+    rows (syrk), then the rectangle at each run of later blocks whose rows sit
+    directly below one another in P's row list (gemm), rescanning for the
+    run's end."""
+    from snchol.kernels import GEMM, SYRK
+    rows, per = [], []
+    for j in range(S.nsuper):
+        a, g, off = S.width(j), S.glbind(j).size, int(S.panel_offsets[j])
+        sizes = S.block_sizes[j].tolist()
+        starts = (S.block_starts[j] + a).tolist() + [g]
+        rb = R.rel(j)[S.block_starts[j]].copy()
+        before = len(rows)
+        for P, lo, hi in R.walk(j, rb):
+            rbl = rb.tolist()
+            gp = S.glbind(P).size
+            for bi in range(lo, hi):
+                p0 = gp - 1 - rbl[bi]
+                col = int(S.panel_offsets[P]) + p0 * gp
+                y = off + starts[bi]
+                rows.append([SYRK, col + p0, gp, sizes[bi], sizes[bi], a, y, y, g])
+                q = bi + 1
+                while q < len(sizes):
+                    e = q + 1
+                    while e < len(sizes) and rbl[e] == rbl[e - 1] - sizes[e - 1]:
+                        e += 1
+                    rows.append([GEMM, col + gp - 1 - rbl[q], gp, starts[e] - starts[q],
+                                 sizes[bi], a, off + starts[q], y, g])
+                    q = e
+        per.append(len(rows) - before)
+    return np.array(rows, dtype=np.int64).reshape(-1, 9), per

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from snchol.cli import (BenchRecord, CSV_HEADER, load_matrix, main, performance_
 from snchol.matrix import (SymmetricSparseMatrix, apply_symmetric_permutation, generate_spd,
                            minimum_degree_order)
 from snchol import numeric
-from snchol.numeric import RunOptions, deviation_from_reference, run_factorization
+from snchol.kernels import potrf_flops, trsm_flops
+from snchol.numeric import RunOptions, analyze, deviation_from_reference, run_factorization
 from snchol.symbolic import BuildOptions, build_symbolic_factor
 
 
@@ -157,6 +159,24 @@ def test_analyze_gen_reordered_lines_match_a_full_build(capsys):
             f"rl={S.plans.rl_peak} rlb=0") in out
     before = [ln for ln in out if ln.startswith("blocks before")][0]
     assert before != f"blocks before reordering: count={count} mean_len={mean:.3f}"
+
+
+@pytest.mark.parametrize("order,cap,pr", [("natural", "off", False), ("natural", "off", True),
+                                          ("mindeg", "12.5", True)])
+def test_analyze_predicts_the_rlb_kernel_calls(fig1_mtx, capsys, order, cap, pr):
+    opts = ["--order", order, "--merge-cap", cap, "--pr" if pr else "--no-pr"]
+    for matrix in (str(fig1_mtx), "gen:n=200,density=0.03,seed=3"):
+        assert run_cli("analyze", matrix, *opts) == 0
+        line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("rlb schedule")]
+        syrk, gemm, flops = re.fullmatch(r"rlb schedule: syrk=(\d+) gemm=(\d+) flops=(\d+)",
+                                         line[0]).groups()
+        assert run_cli("factor", matrix, "--method", "rlb", "--backend", "vendor", *opts) == 0
+        out = capsys.readouterr().out
+        assert f"syrk={syrk} gemm={gemm}" in out
+        S = analyze(load_matrix(matrix, 0)[1], order, None if cap == "off" else 12.5, pr).S
+        diagonal = sum(potrf_flops(S.width(j)) + trsm_flops(S.mrows(j), S.width(j))
+                       for j in range(S.nsuper))
+        assert int(re.search(r" flops=(\d+)", out).group(1)) == int(flops) + diagonal
 
 
 def test_analyze_diagonal(tmp_path, capsys):

@@ -3,16 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snchol.kernels import NotPositiveDefiniteError, REFERENCE_BACKEND, get_backend
+from snchol import numeric
+from snchol.kernels import (GEMM, CallSchedule, KernelBackend, NotPositiveDefiniteError,
+                            REFERENCE_BACKEND, gemm_flops, get_backend, potrf_flops, syrk_flops,
+                            trsm_flops)
 from snchol.matrix import (SymmetricSparseMatrix, _assemble_lower, apply_symmetric_permutation,
                            generate_spd, minimum_degree_order, read_matrix_market)
 from snchol.numeric import (METHODS, FactorStateError, NonFiniteEntryError, RunOptions, RunStats,
                             StructureError, UpdateWorkspace, _extend_in_place,
-                            _pack_descending, analyze, block_run_ends, build_indmap,
+                            _pack_descending, analyze, build_indmap,
                             deviation_from_reference, factor_mf, factor_reference, factor_rl,
                             factor_rlb, run_factorization, scatter_into_factor, solve)
-from snchol.symbolic import (BuildOptions, RelativeIndexMap, build_symbolic_factor,
-                             elimination_tree, symbolic_factorization)
+from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
+                             build_symbolic_factor, check_call_extents, elimination_tree,
+                             symbolic_factorization)
 
 import oracles
 from conftest import fig1_matrix, fig1_pattern, grid_laplacian
@@ -238,23 +242,139 @@ def test_rlb_fig1_kernel_counts_drop_after_reordering():
         assert deviation_from_reference(r) <= 1e-12
 
 
-def test_block_run_ends_matches_rescan():
-    rng = np.random.default_rng(14)
-    for _ in range(300):
-        nb = int(rng.integers(1, 9))
-        sizes = rng.integers(1, 4, nb).tolist()
-        rb = []  # descending first relative indices, with random gaps
-        d = int(rng.integers(0, 5)) + 2 * sum(sizes)
-        for z in sizes:
-            rb.append(d)
-            d -= z + int(rng.integers(0, 2))
-        lo = int(rng.integers(0, nb))
-        ends = block_run_ends(rb, sizes, lo)
-        for q in range(lo, nb):
-            q2 = q + 1
-            while q2 < nb and rb[q2] == rb[q2 - 1] - sizes[q2 - 1]:
-                q2 += 1
-            assert ends[q] == q2
+def schedule_cases():
+    """(name, analysis) for fig1 in its own order, with and without
+    reordering, and for a grid and seeded gen: matrices under minimum degree,
+    merge cap off/12.5 and reordering off/on."""
+    for pr in (False, True):
+        yield f"fig1-pr{int(pr)}", analyze(fig1_matrix(), "natural", None, pr)
+    mats = {"grid9": grid_laplacian(9)}
+    mats.update({f"gen{n}-{d}": generate_spd(n, d, seed)
+                 for n, d, seed in ((40, 0.1, 1), (60, 0.05, 2), (30, 0.3, 3), (80, 0.08, 21))})
+    for name, A in mats.items():
+        for cap in (None, 12.5):
+            for pr in (False, True):
+                yield f"{name}-{cap}-pr{int(pr)}", analyze(A, "mindeg", cap, pr)
+
+
+def test_rlb_schedule_is_the_walk_row_for_row():
+    calls = 0
+    for name, an in schedule_cases():
+        S = an.S
+        sched = S.rlb_schedule
+        rows, per = oracles.rlb_calls_by_walk(S, RelativeIndexMap(S))
+        assert np.array_equal(sched.rows, rows), name
+        assert np.diff(sched.ptr).tolist() == per, name
+        assert sched.rows.dtype == np.int32 and not sched.rows.flags.writeable
+        calls += rows.shape[0]
+    assert calls > 1000
+
+
+def counting_backend(base, log):
+    """``base``'s kernels with every syrk/gemm call logged as (kind, flops
+    from the operand shapes); a plain backend, so rlb runs it on views."""
+    def syrk(C, X):
+        log.append(("syrk", syrk_flops(*X.shape)))
+        base.syrk(C, X)
+
+    def gemm(C, X, Y):
+        log.append(("gemm", gemm_flops(X.shape[0], Y.shape[0], X.shape[1])))
+        base.gemm(C, X, Y)
+    return KernelBackend(base.name, base.chol, base.trsm, syrk, gemm)
+
+
+@pytest.mark.parametrize("backend", ["reference", "vendor"])
+def test_rlb_runs_what_its_schedule_predicts(backend):
+    """The driver's counters, and the calls a counting backend sees on the view
+    path, are the schedule's rows; both paths give the driver's panels."""
+    for name, an in schedule_cases():
+        S = an.S
+        sched = S.rlb_schedule
+        diagonal = sum(potrf_flops(S.width(j)) + trsm_flops(S.mrows(j), S.width(j))
+                       for j in range(S.nsuper))
+        r = an.factor("rlb", backend)
+        log = []
+        for be in (get_backend(backend), counting_backend(get_backend(backend), log)):
+            F = scatter_into_factor(an.A2, S)
+            stats = RunStats("rlb", backend, S.n)
+            factor_rlb(F, S, None, be, stats)
+            for got in (stats, r.stats):
+                assert {k: got.calls[k] for k in ("syrk", "gemm")} == sched.calls, name
+                assert got.flops - diagonal == sched.flops, name
+                assert got.update_calls_per_snode.tolist() == np.diff(sched.ptr).tolist(), name
+            assert np.array_equal(F.data, r.F.data), name
+        assert [k for k, _ in log].count("syrk") == sched.calls["syrk"], name
+        assert [k for k, _ in log].count("gemm") == sched.calls["gemm"], name
+        assert sum(f for _, f in log) == sched.flops, name
+
+
+def vendor_case():
+    an = analyze(generate_spd(80, 0.08, 21), "mindeg", 12.5, True)
+    return an.S, scatter_into_factor(an.A2, an.S).data
+
+
+@pytest.mark.parametrize("bad", ["float32", "strided", "read-only", "short", "long"])
+def test_vendor_schedule_runner_rejects_storage_before_any_call(bad):
+    S, data = vendor_case()
+    sched = S.rlb_schedule
+    storage = {"float32": data.astype(np.float32),
+               "strided": np.repeat(data, 2)[::2],
+               "read-only": data,
+               "short": data[:-1].copy(),
+               "long": np.append(data, 0.0)}[bad]
+    if bad == "read-only":
+        storage.flags.writeable = False
+    before = storage.copy()
+    with pytest.raises(ValueError, match="schedule storage"):
+        get_backend("vendor").run_schedule(storage, sched, 0, sched.rows.shape[0])
+    assert storage.tobytes() == before.tobytes()
+
+
+def corrupt(rows, i, col, value):
+    bad = rows.copy()
+    bad[i, col] = value
+    return bad
+
+
+@pytest.mark.parametrize("how", ["rows past the column end", "columns past the panel",
+                                 "leading dimension", "writes its own panel", "negative offset",
+                                 "Y in another panel", "offset past the storage", "empty",
+                                 "part of the columns"])
+def test_extent_check_rejects_a_call_that_leaves_its_panel(how):
+    S, _ = vendor_case()
+    sched = S.rlb_schedule
+    rows, ptr = sched.rows, sched.ptr
+    check_call_extents(S, sched)
+    i = int(np.flatnonzero(rows[:, 0] == GEMM)[0])
+    j = int(np.searchsorted(ptr, i, side="right")) - 1
+    kind, c, ldc, m, n, k, x, y, ldx = rows[i].tolist()
+    bad = {"rows past the column end": lambda: corrupt(rows, i, 3, ldc),
+           "columns past the panel": lambda: corrupt(rows, i, 4, n + S.width(j + 1) + ldc),
+           "leading dimension": lambda: corrupt(rows, i, 2, ldc + 1),
+           "writes its own panel": lambda: corrupt(rows, i, 1, int(S.panel_offsets[j])),
+           "negative offset": lambda: corrupt(rows, i, 6, -1),
+           "Y in another panel": lambda: corrupt(rows, i, 7, int(S.panel_offsets[j + 1])),
+           "offset past the storage": lambda: corrupt(rows, i, 1, S.panel_storage),
+           "empty": lambda: corrupt(rows, i, 5, 0),
+           "part of the columns": lambda: corrupt(rows, i, 5, k - 1)}[how]()
+    with pytest.raises(ValueError, match="leaves its panels"):
+        check_call_extents(S, CallSchedule(bad, ptr, sched.storage))
+
+
+def test_schedule_build_rejects_rows_missing_from_the_target():
+    S = build_fig1()
+    glb = [S.glbind(j) for j in range(S.nsuper)]
+    glb[2] = glb[2][glb[2] != 5]  # drop row 6 (0-based 5), which supernode 0 updates
+    broken = SymbolicFactor(S.first_col, glb, S.relabel, S.merge_stats)
+    with pytest.raises(ValueError, match="missing from the target"):
+        broken.rlb_schedule
+
+
+def test_rlb_factors_without_a_relative_index_map(monkeypatch):
+    built = []
+    monkeypatch.setattr(numeric, "RelativeIndexMap", lambda S: built.append(S))
+    r = analyze(grid_laplacian(8)).factor("rlb", "vendor")
+    assert built == [] and deviation_from_reference(r) <= 1e-12
 
 
 def counters(r):

@@ -5,7 +5,9 @@ chains, random sparse) is drawn with random vertex labels and diagonally
 dominant values, so every matrix is SPD.  Every supernodal method, on both
 kernel backends and under every merge cap / reorder setting, must match the
 column oracle, hit its workspace plan exactly, and (for rlb) use no workspace
-and no assembly.  Examples are derandomized, so the suite is reproducible.
+and no assembly and make exactly the calls its precompiled schedule lists, the
+calls the ancestor walk finds.  Examples are derandomized, so the suite is
+reproducible.
 """
 
 import numpy as np
@@ -14,6 +16,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from snchol.matrix import _assemble_lower
 from snchol.numeric import RunOptions, deviation_from_reference, run_factorization
+from snchol.symbolic import RelativeIndexMap
+
+import oracles
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -85,6 +90,13 @@ def test_every_method_matches_ref_and_its_plans(kind, data):
             assert supernodal_tree(S) == (S.col_to_snode.tolist(), S.snode_parent.tolist()), where
             if method == "rlb":
                 assert stats.assembly_ops == stats.workspace_peak == 0, where
+                sched = S.rlb_schedule
+                assert {k: stats.calls[k] for k in ("syrk", "gemm")} == sched.calls, where
+                assert stats.update_calls_per_snode.tolist() == np.diff(sched.ptr).tolist()
             else:
                 plan = {"mf": S.plans.mf_peak, "ll": S.plans.ll_peak, "rl": S.plans.rl_peak}
                 assert stats.workspace_peak == plan[method], where
+    rows, per = oracles.rlb_calls_by_walk(S, RelativeIndexMap(S))
+    assert np.array_equal(S.rlb_schedule.rows, rows), where
+    assert np.diff(S.rlb_schedule.ptr).tolist() == per, where
+    assert S.plans.ll_peak == oracles.ll_peak_per_pair(S), where

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from snchol import reorder, symbolic
-from snchol.matrix import (Permutation, apply_symmetric_permutation, generate_spd,
-                           minimum_degree_order)
+from snchol.matrix import (Permutation, SymmetricSparsePattern, apply_symmetric_permutation,
+                           generate_spd, minimum_degree_order)
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
                              build_symbolic_factor, compose_relative, elimination_tree,
                              fundamental_supernodes,
@@ -490,7 +490,7 @@ def count_derivations(monkeypatch, names) -> dict:
 
 
 def test_one_build_derives_blocks_and_plans_once(monkeypatch):
-    counts = count_derivations(monkeypatch, ("_blocks", "updaters", "plans"))
+    counts = count_derivations(monkeypatch, ("_blocks", "updaters", "plans", "rlb_schedule"))
     builds = []
     orig = reorder.reorder_within_supernodes
     monkeypatch.setattr(reorder, "reorder_within_supernodes",
@@ -498,17 +498,28 @@ def test_one_build_derives_blocks_and_plans_once(monkeypatch):
     A = generate_spd(80, 0.05, 3)
     S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
     assert len(builds) == 1
-    assert counts == {"_blocks": 1, "updaters": 2, "plans": 1}
-    # blocks and plans were derived during the build; using them derives nothing
-    _ = [S.nblocks(j) for j in range(S.nsuper)], S.plans, S.block_starts, S.updaters
-    assert counts == {"_blocks": 1, "updaters": 2, "plans": 1}
-    assert "plans" not in vars(builds[0]) and "_blocks" not in vars(builds[0])
+    assert counts == {"_blocks": 1, "updaters": 2, "plans": 1, "rlb_schedule": 1}
+    # blocks, plans and the schedule were derived during the build; using them
+    # derives nothing
+    _ = ([S.nblocks(j) for j in range(S.nsuper)], S.plans, S.block_starts, S.updaters,
+         S.rlb_schedule)
+    assert counts == {"_blocks": 1, "updaters": 2, "plans": 1, "rlb_schedule": 1}
+    assert not {"plans", "_blocks", "rlb_schedule"} & set(vars(builds[0]))
 
 
 def test_derived_structure_is_read_only():
     A = generate_spd(50, 0.08, 5)
     S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
     arrays = [*S.block_sizes, *S.block_starts, *S.updaters, S.plans.mf_postorder,
-              S.plans.push_size, S.plans.square_size]
+              S.plans.push_size, S.plans.square_size, S.rlb_schedule.rows, S.rlb_schedule.ptr]
     assert arrays and not any(a.flags.writeable for a in arrays)
     assert all(isinstance(x, tuple) for x in (S.block_sizes, S.block_starts, S.updaters))
+
+
+def test_row_positions_keys_do_not_overflow_narrow_supernode_ids():
+    n = 50_000  # n * nsuper is past the int32 range
+    pat = SymmetricSparsePattern(n, np.arange(n + 1, dtype=np.int64), np.arange(n))
+    S = build_symbolic_factor(pat, BuildOptions(None, False))
+    last = np.array([n - 1], dtype=np.int32)
+    assert S.row_positions(last, last).tolist() == [0]
+    assert S.row_positions(last, last - 1).tolist() == [-1]
