@@ -19,7 +19,6 @@ from .kernels import NotPositiveDefiniteError
 from .matrix import MatrixMarketError, SymmetricSparseMatrix, generate_spd, read_matrix_market
 from .numeric import (METHODS, FactorizationResult, NonFiniteEntryError, analyze, column_factor,
                       deviation_from_reference)
-from .reorder import reorder_within_supernodes
 
 CSV_HEADER = ["matrix", "method", "backend", "ordering", "pr", "merge_cap", "repeats",
               "wall_seconds", "flops", "factor_nnz", "workspace_peak", "assembly_ops",
@@ -185,12 +184,10 @@ def cmd_check(args) -> int:
 def cmd_analyze(args) -> int:
     name, A = load_matrix(args.matrix, args.seed)
     try:
-        S = S_pre = analyze(A, args.order, args.merge_cap, pr=False).S
+        S = analyze(A, args.order, args.merge_cap, args.pr).S
     except (NotPositiveDefiniteError, ValueError) as e:
         print(f"error: analysis: {_message(e)}", file=sys.stderr)
         return 1
-    if args.pr:
-        _, S = reorder_within_supernodes(S_pre)
     ms = S.merge_stats
     nnz_a = A.pattern.nnz
     print(f"matrix={name} n={A.n} nnz(A)={nnz_a}")
@@ -200,15 +197,14 @@ def cmd_analyze(args) -> int:
     wgrowth = 100.0 * (ms.work_after - ms.work_before) / max(1, ms.work_before)
     print(f"merging: storage growth={growth:.3f}% work growth={wgrowth:.3f}%")
 
-    def block_stats(sym):
-        count = sum(sym.nblocks(j) for j in range(sym.nsuper))
-        rows = sum(sym.mrows(j) for j in range(sym.nsuper))
-        return count, (rows / count if count else 0.0)
-
-    b0, m0 = block_stats(S_pre)
-    b1, m1 = block_stats(S)
-    print(f"blocks before reordering: count={b0} mean_len={m0:.3f}")
-    print(f"blocks after  reordering: count={b1} mean_len={m1:.3f}")
+    # reordering permutes rows within supernodes: it changes the block count,
+    # not the number of rows the blocks cover
+    rows = sum(S.mrows(j) for j in range(S.nsuper))
+    after = sum(S.nblocks(j) for j in range(S.nsuper))
+    before = after if ms.blocks_before_reorder is None else ms.blocks_before_reorder
+    for when, count in (("before", before), ("after ", after)):
+        print(f"blocks {when} reordering: count={count} "
+              f"mean_len={rows / count if count else 0.0:.3f}")
     print(f"workspace plans (floats): mf={S.plans.mf_peak} ll={S.plans.ll_peak} "
           f"rl={S.plans.rl_peak} rlb=0")
     sched = S.rlb_schedule

@@ -4,13 +4,22 @@ rectangular multiply-accumulate.
 
 All four work in place on numpy views into supernode panels, read only the
 lower triangle of a triangular operand, and only ever subtract products (every
-update in the factorizations has that sign).  The reference backend is plain
-numpy and is the oracle for the other.  The vendor backend calls LAPACK's
-dpotrf and BLAS's dtrsm/dsyrk/dgemm through the function pointers scipy
-exports for Cython, passing each view's data pointer and leading dimension: no
-copies and no float scratch.  Its operands must therefore be column-major
-float64 views (adjacent rows, columns at least max(1, rows) elements apart,
-which every panel slice is); any other operand raises ValueError.
+update in the factorizations has that sign).
+
+The reference backend is numpy only (matmul and ``numpy.linalg``) and is the
+oracle for the other.  Each call is one ``numpy.linalg.cholesky``, one
+``numpy.linalg.solve`` or one product written back through a lower-triangle
+mask; operands of at most ``LOOP_MAX_COLS`` columns keep a per-column loop,
+which is faster at that size.  Its temporaries are per call and no larger than
+the call's operands, so ``rlb``'s zero-workspace claim is asserted on the
+vendor backend.
+
+The vendor backend calls LAPACK's dpotrf and BLAS's dtrsm/dsyrk/dgemm through
+the function pointers scipy exports for Cython, passing each view's data
+pointer and leading dimension: no copies and no float scratch.  Its operands
+must therefore be column-major float64 views (adjacent rows, columns at least
+max(1, rows) elements apart, which every panel slice is); any other operand
+raises ValueError.
 
 A ``CallSchedule`` is a precompiled list of syrk/gemm updates given as offsets
 into one flat float64 array.  A backend may run one by address
@@ -21,6 +30,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -42,15 +52,39 @@ class NotPositiveDefiniteError(ArithmeticError):
         return self.template.format(self.index + base)
 
 
+# Operands with at most this many columns keep the per-column loops: below it
+# one numpy.linalg call costs more than the loop it replaces.
+LOOP_MAX_COLS = 2
+
+
+def _lower_mask(m: int) -> np.ndarray:
+    """m-by-m boolean mask of the lower triangle, diagonal included."""
+    i = np.arange(m)
+    return i[:, None] >= i
+
+
 def chol_in_place(T) -> None:
     """Overwrite the lower triangle of square T with its Cholesky factor.
 
     The strict upper triangle is neither read nor written.  Raises
-    NotPositiveDefiniteError carrying the failing pivot index.
+    NotPositiveDefiniteError carrying the failing pivot index.  Beyond
+    ``LOOP_MAX_COLS`` columns this is ``numpy.linalg.cholesky`` (which reads
+    only the lower triangle) written back through a lower-triangle mask; when
+    that fails, or leaves a pivot that is not positive (a NaN pivot comes back
+    as NaN rather than an error), the column loop reruns on the untouched T to
+    find the failing index.
     """
     m = T.shape[0]
     if T.shape[1] != m:
         raise ValueError("chol_in_place needs a square view")
+    if m > LOOP_MAX_COLS:
+        try:
+            L = np.linalg.cholesky(T)
+            if (L.diagonal() > 0.0).all():
+                np.copyto(T, L, where=_lower_mask(m))
+                return
+        except np.linalg.LinAlgError:
+            pass  # the loop below finds the failing pivot
     for j in range(m):
         d = T[j, j] - T[j, :j] @ T[j, :j]
         if not d > 0.0:
@@ -62,23 +96,36 @@ def chol_in_place(T) -> None:
 
 
 def trsm_right_lt(T, B) -> None:
-    """B <- B * T^{-T} for a lower-triangular factor T (completes panel columns)."""
+    """B <- B * T^{-T} for a lower-triangular factor T (completes panel columns).
+
+    T's strict upper triangle is not read.  Beyond ``LOOP_MAX_COLS`` columns
+    this is one ``numpy.linalg.solve`` of T's lower triangle against B^T.
+    """
     m = T.shape[0]
     if T.shape[1] != m or B.shape[1] != m:
         raise ValueError("shape mismatch in trsm_right_lt")
+    zero = np.flatnonzero(T.diagonal() == 0.0)
+    if zero.size:
+        raise ValueError(f"zero diagonal at index {zero[0]} in triangular solve")
+    if m > LOOP_MAX_COLS:
+        if B.shape[0]:
+            B[...] = np.linalg.solve(np.where(_lower_mask(m), T, 0.0), B.T).T
+        return
     for j in range(m):
-        d = T[j, j]
-        if d == 0.0:
-            raise ValueError(f"zero diagonal at index {j} in triangular solve")
-        B[:, j] = (B[:, j] - B[:, :j] @ T[j, :j]) / d
+        B[:, j] = (B[:, j] - B[:, :j] @ T[j, :j]) / T[j, j]
 
 
 def syrk_lower(C, X) -> None:
-    """Lower triangle of C <- C - X X^T; the strict upper triangle is untouched."""
+    """Lower triangle of C <- C - X X^T; the strict upper triangle is neither
+    read nor written.  Beyond ``LOOP_MAX_COLS`` columns this is one product
+    subtracted through a lower-triangle mask."""
     m = C.shape[0]
     if C.shape[1] != m or X.shape[0] != m:
         raise ValueError("shape mismatch in syrk_lower")
     if X.shape[1] == 0:
+        return
+    if m > LOOP_MAX_COLS:
+        np.subtract(C, X @ X.T, out=C, where=_lower_mask(m))
         return
     for j in range(m):
         C[j:, j] -= X[j:, :] @ X[j, :]
@@ -157,7 +204,12 @@ _at = ctypes.c_void_p.from_address
 def _vendor_functions() -> tuple:
     """dpotrf (LAPACK) and dtrsm, dsyrk, dgemm (BLAS) as ctypes functions of
     the C function pointers scipy exports for Cython, resolved once per
-    process.  Every argument is a pointer, Fortran style."""
+    process.  Every argument is a pointer, Fortran style.
+
+    The prototypes declare no argument types: every caller passes ctypes
+    pointer objects, which ctypes hands on as they are, while declaring 5-13
+    ``c_void_p`` arguments costs about 1 us per call in conversions, more than
+    a small update."""
     from scipy.linalg import cython_blas, cython_lapack
 
     probe = np.zeros((3, 3), order="F")[1:, 1:]
@@ -173,8 +225,7 @@ def _vendor_functions() -> tuple:
         signature = name_of(capsule)  # the C prototype, e.g. b"void (char *, int *, ...)"
         if signature.count(b"*") != nargs:
             raise RuntimeError(f"unexpected prototype for {name}: {signature.decode()}")
-        proto = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)
-        return proto(pointer_of(capsule, signature))
+        return ctypes.CFUNCTYPE(None)(pointer_of(capsule, signature))
 
     return (load(cython_lapack, "dpotrf", 5), load(cython_blas, "dtrsm", 11),
             load(cython_blas, "dsyrk", 10), load(cython_blas, "dgemm", 13))
@@ -244,10 +295,14 @@ def vendor_backend() -> KernelBackend:
         n.value = size
         lda.value, t = _operand(T, True)
         dpotrf(lower, pn, t, plda, pinfo)
-        if info.value > 0:
-            raise NotPositiveDefiniteError(info.value - 1)
+        if info.value == 0 and not math.isnan(T.diagonal().sum()):
+            return
         if info.value < 0:
             raise ValueError(f"dpotrf: illegal argument {-info.value}")
+        # dpotrf takes a NaN pivot's square root instead of stopping there
+        done = info.value - 1 if info.value else size
+        nan = np.flatnonzero(np.isnan(T.diagonal()[:done]))
+        raise NotPositiveDefiniteError(int(nan[0]) if nan.size else done)
 
     def trsm(T, B):
         size = T.shape[0]
@@ -290,11 +345,6 @@ def vendor_backend() -> KernelBackend:
         ldc.value, c = _operand(C, True)
         dgemm(notrans, trans, pm, pn, pk, minus_one, x, plda, y, pldb, one, c, pldc)
 
-    # Every argument below is a ctypes pointer object, which ctypes passes as
-    # it is; declaring 10-13 argument types costs about 1 us per call in
-    # conversions, more than a small update.
-    bsyrk, bgemm = (ctypes.CFUNCTYPE(None)(ctypes.cast(f, ctypes.c_void_p).value)
-                    for f in (dsyrk, dgemm))
     pc, px, py = (ctypes.c_void_p() for _ in range(3))
 
     def run_schedule(data, schedule, lo, hi):
@@ -307,11 +357,11 @@ def vendor_backend() -> KernelBackend:
             lda.value = ld_x
             ldc.value = ld_c
             if kind == SYRK:
-                bsyrk(lower, notrans, pn, pk, minus_one, px, plda, one, pc, pldc)
+                dsyrk(lower, notrans, pn, pk, minus_one, px, plda, one, pc, pldc)
             else:
                 py.value = base + 8 * y
                 m.value = rows
-                bgemm(notrans, trans, pm, pn, pk, minus_one, px, plda, py, plda, one, pc, pldc)
+                dgemm(notrans, trans, pm, pn, pk, minus_one, px, plda, py, plda, one, pc, pldc)
 
     return KernelBackend("vendor", chol, trsm, syrk, gemm, run_schedule)
 

@@ -11,6 +11,8 @@ supernodal tree are unchanged.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .matrix import Permutation
@@ -57,10 +59,12 @@ def reorder_within_supernodes(S: SymbolicFactor):
     If refinement would increase a supernode's incoming block count, that
     supernode keeps its original order.  Returns the global permutation
     (identity across supernode boundaries) and the symbolic factor rebuilt
-    from the same first columns and the permuted row lists.
+    from the same first columns and the permuted row lists, whose
+    ``merge_stats.blocks_before_reorder`` is S's block count.
     """
     n = S.n
     perm = np.arange(n, dtype=np.int64)
+    blocks = 0  # S's blocks: the runs of each updater's rows, summed over supernodes
     for p in range(S.nsuper):
         f, l = S.cols(p)
         pivots = []
@@ -80,9 +84,11 @@ def reorder_within_supernodes(S: SymbolicFactor):
         for _, _, rows in pivots:
             before += _run_count(rows)
             after += _run_count(sorted(cand[x] for x in rows))
+        blocks += before
         if after <= before:
             perm[new_order] = np.arange(f, l + 1)
     P = Permutation(perm)
     glb_new = [np.sort(P.perm[S.glbind(j)]) for j in range(S.nsuper)]
-    S2 = SymbolicFactor(S.first_col, glb_new, S.relabel.compose(P), S.merge_stats)
+    stats = replace(S.merge_stats, blocks_before_reorder=blocks)
+    S2 = SymbolicFactor(S.first_col, glb_new, S.relabel.compose(P), stats)
     return P, S2

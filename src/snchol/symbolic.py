@@ -152,6 +152,10 @@ def _work_flops(a: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class MergeStats:
+    """How merging changed the factor.  ``blocks_before_reorder`` is the
+    merged factor's block count, recorded when within-supernode reordering
+    follows (None when it does not)."""
+
     nsuper_before: int
     nsuper_after: int
     nnz_before: int
@@ -159,6 +163,7 @@ class MergeStats:
     work_before: int
     work_after: int
     merges: int
+    blocks_before_reorder: int | None = None
 
 
 def merge_supernodes(first_col: np.ndarray, glb: list, cap: float | None):

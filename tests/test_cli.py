@@ -161,6 +161,32 @@ def test_analyze_gen_reordered_lines_match_a_full_build(capsys):
     assert before != f"blocks before reordering: count={count} mean_len={mean:.3f}"
 
 
+def test_analyze_builds_one_schedule_and_one_plan_set(capsys, monkeypatch):
+    # the "blocks before reordering" line comes from the reordering's own
+    # tally, not from schedules and plans of a second, unreordered factor
+    from snchol import symbolic
+    spec = "gen:n=200,density=0.03,seed=3"
+    A = generate_spd(200, 0.03, 3)
+    A1 = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+    want = []
+    for pr in (False, True):
+        S = build_symbolic_factor(A1.pattern, BuildOptions(12.5, pr))
+        count = sum(S.nblocks(j) for j in range(S.nsuper))
+        mean = sum(S.mrows(j) for j in range(S.nsuper)) / count
+        want.append(f"count={count} mean_len={mean:.3f}")
+    calls = {"_rlb_rows": 0, "stack_minimizing_postorder": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(symbolic, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(symbolic, name, counted)
+    assert run_cli("analyze", spec) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert calls == {"_rlb_rows": 1, "stack_minimizing_postorder": 1}
+    assert f"blocks before reordering: {want[0]}" in out
+    assert f"blocks after  reordering: {want[1]}" in out
+
+
 @pytest.mark.parametrize("order,cap,pr", [("natural", "off", False), ("natural", "off", True),
                                           ("mindeg", "12.5", True)])
 def test_analyze_predicts_the_rlb_kernel_calls(fig1_mtx, capsys, order, cap, pr):

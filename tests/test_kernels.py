@@ -65,6 +65,10 @@ def test_trsm_multiply_back():
 def test_trsm_zero_diagonal():
     with pytest.raises(ValueError):
         trsm_right_lt(np.zeros((1, 1)), np.ones((2, 1)))
+    T = np.tril(random_spd(33, 0))
+    T[20, 20] = 0.0
+    with pytest.raises(ValueError, match="zero diagonal at index 20"):
+        trsm_right_lt(T, np.ones((3, 33)))
 
 
 def test_syrk_rank_one_by_hand():
@@ -134,6 +138,9 @@ def backend(request):
 
 
 PAD = 3
+# Widths on both sides of the reference backend's switch from per-column loops
+# to one numpy call per kernel (LOOP_MAX_COLS columns).
+SIZES = [1, 2, 3, 5, 33, 200]
 
 
 def embed(M, rng):
@@ -155,64 +162,65 @@ def untouched_outside(base, before, view):
 
 def test_kernels_update_strided_subviews_in_place(backend):
     rng = np.random.default_rng(10)
-    m, k, r = 6, 4, 5
-    A = random_spd(m, 1)
-    base, T = embed(A, rng)
-    before = base.copy()
-    backend.chol(T)
-    L = np.linalg.cholesky(A)
-    assert np.allclose(np.tril(T), L)
-    assert untouched_outside(base, before, T)
+    k, r = 4, 5
+    for m in SIZES:
+        A = random_spd(m, 1)
+        base, T = embed(A, rng)
+        before = base.copy()
+        backend.chol(T)
+        L = np.tril(T)
+        assert np.linalg.norm(L @ L.T - A) <= 64 * m * np.finfo(float).eps * np.linalg.norm(A)
+        assert np.array_equal(np.triu(T, 1), np.triu(A, 1))
+        assert untouched_outside(base, before, T)
 
-    Bm = rng.standard_normal((r, m))
-    base, B = embed(Bm, rng)
-    before = base.copy()
-    _, Lv = embed(L, rng)
-    backend.trsm(Lv, B)
-    assert np.allclose(B @ L.T, Bm)
-    assert untouched_outside(base, before, B)
+        Bm = rng.standard_normal((r, m))
+        base, B = embed(Bm, rng)
+        before = base.copy()
+        backend.trsm(T, B)  # T's strict upper triangle still holds A's entries
+        assert np.linalg.norm(B @ L.T - Bm) <= 1e-12 * np.linalg.norm(Bm)
+        assert untouched_outside(base, before, B)
 
-    Xm = rng.standard_normal((m, k))
-    _, X = embed(Xm, rng)
-    Cm = rng.standard_normal((m, m))
-    base, C = embed(Cm, rng)
-    before = base.copy()
-    backend.syrk(C, X)
-    assert np.allclose(np.tril(C), np.tril(Cm - Xm @ Xm.T))
-    assert np.array_equal(np.triu(C, 1), np.triu(Cm, 1))
-    assert untouched_outside(base, before, C)
+        Xm = rng.standard_normal((m, k))
+        _, X = embed(Xm, rng)
+        Cm = rng.standard_normal((m, m))
+        base, C = embed(Cm, rng)
+        before = base.copy()
+        backend.syrk(C, X)
+        assert np.allclose(np.tril(C), np.tril(Cm - Xm @ Xm.T))
+        assert np.array_equal(np.triu(C, 1), np.triu(Cm, 1))
+        assert untouched_outside(base, before, C)
 
-    Ym = rng.standard_normal((r, k))
-    _, Y = embed(Ym, rng)
-    Gm = rng.standard_normal((m, r))
-    base, G = embed(Gm, rng)
-    before = base.copy()
-    backend.gemm(G, X, Y)
-    assert np.allclose(G, Gm - Xm @ Ym.T)
-    assert untouched_outside(base, before, G)
+        Ym = rng.standard_normal((r, k))
+        _, Y = embed(Ym, rng)
+        Gm = rng.standard_normal((m, r))
+        base, G = embed(Gm, rng)
+        before = base.copy()
+        backend.gemm(G, X, Y)
+        assert np.allclose(G, Gm - Xm @ Ym.T)
+        assert untouched_outside(base, before, G)
 
 
 def test_kernels_never_touch_a_poisoned_upper_triangle(backend):
     rng = np.random.default_rng(11)
-    m = 7
-    iu = np.triu_indices(m, 1)
-    il = np.tril_indices(m)
-    A = random_spd(m, 2)
-    A[iu] = np.nan  # would propagate on any read
-    _, T = embed(A, rng)
-    backend.chol(T)
-    assert np.isfinite(T[il]).all() and np.isnan(T[iu]).all()
+    for m in SIZES:
+        iu = np.triu_indices(m, 1)
+        il = np.tril_indices(m)
+        A = random_spd(m, 2)
+        A[iu] = np.nan  # would propagate on any read
+        _, T = embed(A, rng)
+        backend.chol(T)
+        assert np.isfinite(T[il]).all() and np.isnan(T[iu]).all()
 
-    _, B = embed(rng.standard_normal((5, m)), rng)
-    backend.trsm(T, B)
-    assert np.isfinite(B).all()
+        _, B = embed(rng.standard_normal((5, m)), rng)
+        backend.trsm(T, B)
+        assert np.isfinite(B).all()
 
-    C0 = rng.standard_normal((m, m))
-    C0[iu] = np.nan
-    _, C = embed(C0, rng)
-    _, X = embed(rng.standard_normal((m, 3)), rng)
-    backend.syrk(C, X)
-    assert np.isfinite(C[il]).all() and np.isnan(C[iu]).all()
+        C0 = rng.standard_normal((m, m))
+        C0[iu] = np.nan
+        _, C = embed(C0, rng)
+        _, X = embed(rng.standard_normal((m, 3)), rng)
+        backend.syrk(C, X)
+        assert np.isfinite(C[il]).all() and np.isnan(C[iu]).all()
 
 
 def test_vendor_matches_reference_on_strided_views():
@@ -254,17 +262,18 @@ def test_vendor_matches_reference_on_strided_views():
 def test_vendor_failing_pivot_index_matches_reference():
     vendor = get_backend("vendor")
     rng = np.random.default_rng(13)
-    m = 6
-    for p in range(m):
-        A = random_spd(m, p)
-        A[p, p] = -1.0  # leading minors of order <= p stay positive definite
-        got = []
-        for chol in (chol_in_place, vendor.chol):
-            _, T = embed(A, rng)
-            with pytest.raises(NotPositiveDefiniteError) as e:
-                chol(T)
-            got.append(e.value.index)
-        assert got == [p, p]
+    for m in (3, 6, 33):
+        for p in range(m):
+            for bad in (-1.0, np.nan):
+                A = random_spd(m, p)
+                A[p, p] = bad  # leading minors of order <= p stay positive definite
+                got = []
+                for chol in (chol_in_place, vendor.chol):
+                    _, T = embed(A, rng)
+                    with pytest.raises(NotPositiveDefiniteError) as e:
+                        chol(T)
+                    got.append(e.value.index)
+                assert got == [p, p], (m, bad)
 
 
 def test_vendor_trsm_zero_diagonal():
@@ -272,6 +281,10 @@ def test_vendor_trsm_zero_diagonal():
     T = np.asfortranarray(np.array([[2.0, 0.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         vendor.trsm(T, np.ones((3, 2), order="F"))
+    T = np.asfortranarray(np.tril(random_spd(33, 0)))
+    T[20, 20] = 0.0
+    with pytest.raises(ValueError, match="zero diagonal"):
+        vendor.trsm(T, np.ones((3, 33), order="F"))
 
 
 def test_vendor_rejects_operands_that_are_not_column_major():
