@@ -1,16 +1,18 @@
 """Symbolic analysis for supernodal sparse Cholesky.
 
 Everything that can be computed from the pattern alone: the elimination tree,
-per-column factor structure, fundamental supernodes, supernode merging under a
+fundamental supernodes with their row lists, supernode merging under a
 storage-growth cap, a stack-minimizing sibling order for the multifrontal
-schedule, per-supernode row lists and dense-block lists, relative indices, and
-workspace size plans for each factorization method.
+schedule, dense-block lists, relative indices, workspace size plans for each
+factorization method and the ``rlb`` call schedule.
 
 A supernode partition travels as its first columns (sentinel n included) plus
-one row list per supernode: ``fundamental_supernodes`` returns the first
-columns, ``merge_supernodes`` returns them relabelled with the new row lists,
-and ``SymbolicFactor`` derives the column owners and the supernodal tree from
-the two.
+one row list per supernode.  ``fundamental_supernodes`` finds both on the
+postordered pattern from the leaves of the row subtrees, without per-column
+structures; ``merge_supernodes`` returns them relabelled and merged; and
+``SymbolicFactor`` derives the column owners and the supernodal tree from the
+two.  The per-column structures (``symbolic_factorization``) serve only the
+column algorithm ``ref`` and the tests.
 """
 
 from __future__ import annotations
@@ -38,24 +40,38 @@ class EliminationTree:
         return self.parent.size
 
 
+def _lower_by_row(pattern: SymmetricSparsePattern) -> tuple:
+    """Rows and columns of the pattern's strictly-lower entries, sorted by row,
+    then column."""
+    n = pattern.n
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.colptr))
+    offd = pattern.rowind != cols
+    r, c = pattern.rowind[offd], cols[offd]
+    order = np.argsort(r, kind="stable")
+    return r[order], c[order]
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending, by one sort and a neighbour
+    mask (``np.unique`` hashes, which costs more on short integer lists)."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def elimination_tree(pattern: SymmetricSparsePattern) -> EliminationTree:
     """Column elimination tree via path-compressed ancestor links, without
     forming the factor."""
     n = pattern.n
-    counts = np.diff(pattern.colptr)
-    cols = np.repeat(np.arange(n, dtype=np.int64), counts)
-    offd = pattern.rowind != cols
-    r = pattern.rowind[offd]
-    c = cols[offd]
-    order = np.argsort(r, kind="stable")
-    r, c = r[order], c[order]
-    rptr = np.searchsorted(r, np.arange(n + 1))
-
-    parent = np.full(n, -1, dtype=np.int64)
-    anc = np.full(n, -1, dtype=np.int64)
+    r, c = _lower_by_row(pattern)
+    rptr = np.searchsorted(r, np.arange(n + 1)).tolist()
+    cols = c.tolist()
+    parent = [-1] * n
+    anc = [-1] * n
     for j in range(n):
         for k in range(rptr[j], rptr[j + 1]):
-            i = int(c[k])
+            i = cols[k]
             while anc[i] != -1 and anc[i] != j:
                 t = anc[i]
                 anc[i] = j
@@ -64,7 +80,8 @@ def elimination_tree(pattern: SymmetricSparsePattern) -> EliminationTree:
                 anc[i] = j
                 parent[i] = j
     children = _children_lists(parent)
-    return EliminationTree(parent, children, _postorder_forest(parent, children))
+    return EliminationTree(np.asarray(parent, dtype=np.int64), children,
+                           _postorder_forest(parent, children))
 
 
 def postorder_relabel(tree: EliminationTree):
@@ -78,8 +95,10 @@ def postorder_relabel(tree: EliminationTree):
     return P, EliminationTree(parent, _children_lists(parent), np.arange(tree.n, dtype=np.int64))
 
 
-def _children_lists(parent: np.ndarray) -> tuple:
-    kids = [[] for _ in range(parent.size)]
+def _children_lists(parent) -> tuple:
+    """Each node's children, ascending, from a parent array or list."""
+    parent = parent.tolist() if isinstance(parent, np.ndarray) else parent
+    kids = [[] for _ in range(len(parent))]
     for j, p in enumerate(parent):
         if p >= 0:
             kids[p].append(j)
@@ -107,13 +126,16 @@ def _postorder_forest(parent, children) -> np.ndarray:
 
 def symbolic_factorization(pattern: SymmetricSparsePattern, tree: EliminationTree) -> list:
     """Per-column factor row lists: glb[j] lists the rows of column j of L,
-    ascending, diagonal first.  Quadratic-in-structure merge over children."""
+    ascending, diagonal first, merged column by column from the children's
+    lists.  The column algorithm ``ref`` and the tests use it; the supernodal
+    build forms its row lists once per supernode instead
+    (``fundamental_supernodes``)."""
     n = pattern.n
     glb = [None] * n
     for j in range(n):
         pieces = [pattern.col(j)]
         pieces.extend(glb[c][1:] for c in tree.children[j])
-        glb[j] = np.unique(np.concatenate(pieces)) if len(pieces) > 1 else pattern.col(j).copy()
+        glb[j] = _sorted_unique(np.concatenate(pieces)) if len(pieces) > 1 else pattern.col(j).copy()
     return glb
 
 
@@ -128,18 +150,65 @@ def _supernodal_tree(first_col: np.ndarray, glbind: list) -> tuple:
     return owner, np.where(first_below >= 0, owner[first_below], -1)
 
 
-def fundamental_supernodes(tree: EliminationTree, glb: list) -> np.ndarray:
-    """First column of each maximal run where each column's below-structure
-    equals the next column's structure and the next column has exactly one
-    child, followed by the sentinel n."""
+def fundamental_supernodes(pattern: SymmetricSparsePattern, tree: EliminationTree) -> tuple:
+    """Fundamental supernodes of a pattern whose elimination tree ``tree`` is
+    postordered: (first_col, rows), where first_col holds each supernode's
+    first column followed by the sentinel n, and rows[s] is the row list of
+    supernode s's first column (its own columns, then the rows below them).
+    Raises ValueError if the tree is not postordered.
+
+    Column j-1 joins j when j is its parent and only child, and j is a leaf of
+    no row subtree (Liu, Ng & Peyton): then column j-1's structure is column
+    j's plus j-1.  Entry (i, k) of A is a leaf of row i's subtree when no
+    earlier entry of row i lies in k's subtree, that is when the previous
+    column of row i is below k's first descendant (Gilbert, Ng & Peyton).
+
+    Row i is below supernode s exactly when s lies on the path from a leaf
+    (i, k) up to i, so the row lists come from one climb of the supernodal
+    tree: each leaf starts a pair (owner of k, i), and each step keeps the
+    pairs whose supernode ends before i and moves them to its parent."""
     n = tree.n
-    firsts = [0] if n else []
-    for j in range(1, n):
-        joined = (tree.parent[j - 1] == j and len(tree.children[j]) == 1
-                  and glb[j - 1].size == glb[j].size + 1)
-        if not joined:
-            firsts.append(j)
-    return np.asarray(firsts + [n], dtype=np.int64)
+    if not np.array_equal(tree.postorder, np.arange(n)):
+        raise ValueError("the elimination tree is not postordered")
+    parent = tree.parent
+    first_desc = list(range(n))
+    for j, p in enumerate(parent.tolist()):  # children precede their parents
+        if p >= 0 and first_desc[j] < first_desc[p]:
+            first_desc[p] = first_desc[j]
+    r, c = _lower_by_row(pattern)
+    prev = np.full(c.size, -1, dtype=np.int64)
+    same_row = r[1:] == r[:-1]
+    prev[1:][same_row] = c[:-1][same_row]
+    leaf = np.asarray(first_desc, dtype=np.int64)[c] > prev
+    leaf_col = np.zeros(n, dtype=bool)
+    leaf_col[c[leaf]] = True
+    nkids = np.bincount(parent[parent >= 0], minlength=n)
+    joined = (parent[:-1] == np.arange(1, n)) & (nkids[1:] == 1) & ~leaf_col[1:]
+    first_col = np.concatenate([[0], np.flatnonzero(~joined) + 1, [n]]) if n else np.zeros(1, np.int64)
+
+    ns = first_col.size - 1
+    owner = np.repeat(np.arange(ns, dtype=np.int64), np.diff(first_col))
+    last = first_col[1:] - 1
+    up = parent[last]
+    snode_parent = np.where(up >= 0, owner[up], -1)
+    keys = owner[c[leaf]] * n + r[leaf]  # pair (s, i) as s * n + i
+    found = [owner * n + np.arange(n)]   # each supernode's own columns
+    while keys.size:
+        keys = _sorted_unique(keys)
+        s = keys // n
+        below = last[s] < keys - s * n
+        found.append(keys[below])
+        keys = keys[below] + (snode_parent[s[below]] - s[below]) * n
+    return first_col, _row_lists(_sorted_unique(np.concatenate(found)), n, ns)
+
+
+def _row_lists(keys: np.ndarray, n: int, count: int) -> list:
+    """Ascending keys s * n + row (s < count) split into one row list per s,
+    views of one array."""
+    s = keys // n
+    bounds = np.searchsorted(s, np.arange(count + 1)).tolist()
+    rows = keys - s * n
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _trap_nnz(a: int, g: int) -> int:
@@ -166,14 +235,17 @@ class MergeStats:
     blocks_before_reorder: int | None = None
 
 
-def merge_supernodes(first_col: np.ndarray, glb: list, cap: float | None):
+def merge_supernodes(first_col: np.ndarray, rows: list, cap: float | None):
     """Greedily merge child-parent supernode pairs, cheapest new fill first.
 
-    The candidate cost is the true growth in factor nonzeros: the child's
-    columns adopt the parent's row structure, so merging child C into parent P
-    adds |C| * (|glbind(P)| - |below(C)|) entries.  Merging stops before the
-    merge that would push cumulative growth above ``cap`` percent of the
-    unmerged factor nonzero count; ``cap=None`` disables merging entirely.
+    ``rows[s]`` is supernode s's row list, its own columns first, as
+    ``fundamental_supernodes`` returns it.  The candidate cost is the true
+    growth in factor nonzeros: the child's columns adopt the parent's row
+    structure, so merging child C into parent P adds
+    |C| * (|glbind(P)| - |below(C)|) entries.  Merging stops before the merge
+    that would push cumulative growth above ``cap`` percent of the unmerged
+    factor nonzero count; ``cap=None`` disables merging entirely.  Ties go to
+    the child with the smaller first column.
 
     Merging a non-adjacent child into its parent is only representable after a
     relabeling, so the columns are relabelled by a postorder of the merged tree
@@ -184,61 +256,76 @@ def merge_supernodes(first_col: np.ndarray, glb: list, cap: float | None):
     fc = np.asarray(first_col, dtype=np.int64)
     n = int(fc[-1])
     ns = fc.size - 1
-    ncols = np.diff(fc).tolist()
-    cols = [np.arange(fc[s], fc[s + 1], dtype=np.int64) for s in range(ns)]
-    below = [glb[fc[s]][ncols[s]:].copy() for s in range(ns)]
-    _, parent = _supernodal_tree(fc, [glb[f] for f in fc[:-1].tolist()])
-    children = [list(kids) for kids in _children_lists(parent)]
-    alive = np.ones(ns, dtype=bool)
+    owner, parent = _supernodal_tree(fc, rows)
+    parent = parent.tolist()
+    widths = np.diff(fc).tolist()
+    ncols = list(widths)
+    nbelow = [r.size - a for r, a in zip(rows, widths)]  # unchanged in a survivor
+    lowest = fc[:-1].tolist()  # each supernode's smallest column
+    into = list(range(ns))  # what each supernode merged into; itself while alive
 
-    nnz_before = sum(_trap_nnz(ncols[s], ncols[s] + below[s].size) for s in range(ns))
-    work_before = sum(_work_flops(ncols[s], below[s].size) for s in range(ns))
+    def find(s: int) -> int:
+        top = s
+        while into[top] != top:
+            top = into[top]
+        while into[s] != top:
+            into[s], s = top, into[s]
+        return top
+
+    nnz_before = sum(_trap_nnz(a, a + m) for a, m in zip(ncols, nbelow))
+    work_before = sum(_work_flops(a, m) for a, m in zip(ncols, nbelow))
     merges = 0
     grown = 0
 
     def delta_of(c: int) -> int:
-        p = parent[c]
-        g_p = ncols[p] + below[p].size
-        return ncols[c] * (g_p - below[c].size)
+        p = find(parent[c])
+        return ncols[c] * (ncols[p] + nbelow[p] - nbelow[c])
 
     if cap is not None:
         allowed = nnz_before * cap / 100.0
-        heap = [(delta_of(s), int(cols[s][0]), s) for s in range(ns) if parent[s] >= 0]
+        heap = [(delta_of(s), lowest[s], s) for s in range(ns) if parent[s] >= 0]
         heapq.heapify(heap)
         while heap:
             d, f, c = heapq.heappop(heap)
-            if not alive[c] or parent[c] < 0:
+            if into[c] != c:
                 continue
-            cur = (delta_of(c), int(cols[c][0]))
+            cur = (delta_of(c), lowest[c])
             if cur != (d, f):
                 heapq.heappush(heap, (cur[0], cur[1], c))
                 continue
             if grown + d > allowed:
                 break
-            p = parent[c]
-            cols[p] = np.sort(np.concatenate([cols[c], cols[p]]))
+            p = find(parent[c])
             ncols[p] += ncols[c]
-            children[p].remove(c)
-            for g in children[c]:
-                parent[g] = p
-            children[p].extend(children[c])
-            children[c] = []
-            alive[c] = False
+            lowest[p] = min(lowest[p], lowest[c])
+            into[c] = p
             grown += d
             merges += 1
 
-    # a merged-away supernode is in no child list and is no root
-    post = _postorder_forest(parent, [sorted(k) for k in children]).tolist()
-    firsts = np.cumsum([0] + [ncols[s] for s in post]).tolist()
+    survivor = np.array([find(s) for s in range(ns)], dtype=np.int64)
+    alive = survivor == np.arange(ns)
+    up = np.asarray(parent, dtype=np.int64)
+    # -2 marks a merged-away supernode, neither a root nor anyone's child
+    merged_parent = np.where(alive, np.where(up >= 0, survivor[up], -1), -2)
+    post = _postorder_forest(merged_parent, _children_lists(merged_parent))
+    rank = np.empty(ns, dtype=np.int64)
+    rank[post] = np.arange(post.size)
+    # new labels: the merged supernodes in postorder, each one's columns ascending
     perm = np.empty(n, dtype=np.int64)
-    for s, f in zip(post, firsts):
-        perm[cols[s]] = np.arange(f, f + ncols[s])
-    glbind = [np.concatenate([np.arange(f, f + ncols[s]), np.sort(perm[below[s]])])
-              for s, f in zip(post, firsts)]
-    nnz_after = sum(_trap_nnz(ncols[s], ncols[s] + below[s].size) for s in post)
-    work_after = sum(_work_flops(ncols[s], below[s].size) for s in post)
-    stats = MergeStats(ns, len(post), nnz_before, nnz_after, work_before, work_after, merges)
-    return np.asarray(firsts, dtype=np.int64), Permutation(perm), glbind, stats
+    perm[np.lexsort((np.arange(n), rank[survivor[owner]]))] = np.arange(n)
+    post_s = post.tolist()
+    width = [ncols[s] for s in post_s]
+    m = [nbelow[s] for s in post_s]
+    below = perm[np.concatenate([rows[s][widths[s]:] for s in post_s] + [np.zeros(0, np.int64)])]
+    # one key t * n + row per entry of merged supernode t's row list
+    t = np.arange(post.size)
+    keys = np.concatenate([np.repeat(t, width) * n + np.arange(n), np.repeat(t, m) * n + below])
+    keys.sort()
+    glbind = _row_lists(keys, n, post.size)
+    nnz_after = sum(_trap_nnz(a, a + b) for a, b in zip(width, m))
+    work_after = sum(_work_flops(a, b) for a, b in zip(width, m))
+    stats = MergeStats(ns, int(post.size), nnz_before, nnz_after, work_before, work_after, merges)
+    return np.cumsum([0] + width, dtype=np.int64), Permutation(perm), glbind, stats
 
 
 # ---------------------------------------------------------------------------
@@ -681,17 +768,16 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
                           options: BuildOptions = BuildOptions()) -> SymbolicFactor:
     """Full symbolic pipeline on an already fill-ordered pattern.
 
-    Steps: elimination tree, postorder relabel, per-column structure,
-    fundamental supernodes, merging under the storage cap (with its relabel),
+    Steps: elimination tree, postorder relabel, fundamental supernodes with
+    their row lists, merging under the storage cap (with its relabel),
     optional within-supernode reordering, block lists, workspace plans and
     the ``rlb`` call schedule.
     ``.relabel`` holds the composed permutation this analysis applied on top of
     the input pattern; apply it to the matrix before scattering values.
     """
     p_post, t1 = postorder_relabel(elimination_tree(pattern))
-    glb1 = symbolic_factorization(_permute_pattern(pattern, p_post), t1)
-    first_col, relabel, glbind, stats = merge_supernodes(
-        fundamental_supernodes(t1, glb1), glb1, options.merge_cap)
+    first_col, rows = fundamental_supernodes(_permute_pattern(pattern, p_post), t1)
+    first_col, relabel, glbind, stats = merge_supernodes(first_col, rows, options.merge_cap)
     S = SymbolicFactor(first_col, glbind, p_post.compose(relabel), stats)
     if options.pr:
         from .reorder import reorder_within_supernodes

@@ -54,6 +54,88 @@ def boolean_fill(pattern: SymmetricSparsePattern) -> list:
     return [np.flatnonzero(B[j:, j]) + j for j in range(n)]
 
 
+def fundamental_by_definition(tree, glb: list) -> np.ndarray:
+    """First column of each fundamental supernode, followed by the sentinel n,
+    column by column from the per-column structures: column j-1 joins j when j
+    is its parent and only child and j-1's structure is j's plus j-1 itself
+    (compared by size, since j-1's rows below j all lie in j's structure)."""
+    n = tree.n
+    firsts = [0] if n else []
+    for j in range(1, n):
+        joined = (tree.parent[j - 1] == j and len(tree.children[j]) == 1
+                  and glb[j - 1].size == glb[j].size + 1)
+        if not joined:
+            firsts.append(j)
+    return np.asarray(firsts + [n], dtype=np.int64)
+
+
+def merge_by_column_sets(first_col, rows: list, cap) -> tuple:
+    """Supernode merging as ``merge_supernodes`` specifies it, with each
+    supernode's columns held as a sorted array and its children as a list that
+    every merge edits: pop the cheapest (growth, smallest column, id), re-push
+    it if stale, stop before the cap is exceeded, then relabel by the merged
+    tree's postorder (children by ascending id).  Returns (first_col, perm,
+    row lists, (nsuper_after, nnz_after, merges))."""
+    import heapq
+    fc = np.asarray(first_col, dtype=np.int64)
+    n, ns = int(fc[-1]), fc.size - 1
+    ncols = np.diff(fc).tolist()
+    cols = [np.arange(fc[s], fc[s + 1]) for s in range(ns)]
+    below = [rows[s][ncols[s]:] for s in range(ns)]
+    owner = np.repeat(np.arange(ns), ncols)
+    parent = [int(owner[b[0]]) if b.size else -1 for b in below]
+    children = [[c for c in range(ns) if parent[c] == s] for s in range(ns)]
+    alive = [True] * ns
+    nnz = sum(a * (a + b.size) - a * (a - 1) // 2 for a, b in zip(ncols, below))
+    allowed = nnz * cap / 100.0 if cap is not None else -1.0
+
+    def delta(c):
+        p = parent[c]
+        return ncols[c] * (ncols[p] + below[p].size - below[c].size)
+
+    heap = [(delta(s), int(cols[s][0]), s) for s in range(ns) if parent[s] >= 0]
+    heapq.heapify(heap)
+    grown = merges = 0
+    while heap and cap is not None:
+        d, f, c = heapq.heappop(heap)
+        if not alive[c]:
+            continue
+        if (delta(c), int(cols[c][0])) != (d, f):
+            heapq.heappush(heap, (delta(c), int(cols[c][0]), c))
+            continue
+        if grown + d > allowed:
+            break
+        p = parent[c]
+        cols[p] = np.sort(np.concatenate([cols[c], cols[p]]))
+        ncols[p] += ncols[c]
+        children[p].remove(c)
+        for g in children[c]:
+            parent[g] = p
+        children[p].extend(children[c])
+        alive[c] = False
+        grown += d
+        merges += 1
+    post = []
+
+    def visit(s):
+        for c in sorted(children[s]):
+            visit(c)
+        post.append(s)
+
+    for s in range(ns):
+        if alive[s] and parent[s] < 0:
+            visit(s)
+    firsts = np.cumsum([0] + [ncols[s] for s in post])
+    perm = np.empty(n, dtype=np.int64)
+    for s, f in zip(post, firsts):
+        perm[cols[s]] = np.arange(f, f + ncols[s])
+    glbind = [np.concatenate([np.arange(f, f + ncols[s]), np.sort(perm[below[s]])])
+              for s, f in zip(post, firsts)]
+    nnz_after = sum(ncols[s] * (ncols[s] + below[s].size) - ncols[s] * (ncols[s] - 1) // 2
+                    for s in post)
+    return firsts, perm, glbind, (len(post), nnz_after, merges)
+
+
 def etree_from_structure(glb: list) -> np.ndarray:
     parent = np.full(len(glb), -1, dtype=np.int64)
     for j, g in enumerate(glb):

@@ -7,16 +7,19 @@ kernel backends and under every merge cap / reorder setting, must match the
 column oracle, hit its workspace plan exactly, and (for rlb) use no workspace
 and no assembly and make exactly the calls its precompiled schedule lists, the
 calls the ancestor walk finds.  Examples are derandomized, so the suite is
-reproducible.
+reproducible.  The symbolic partition is also checked on its own against
+its per-column definition, the empty pattern included.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from snchol.matrix import _assemble_lower
+from snchol import symbolic
+from snchol.matrix import _assemble_lower, apply_symmetric_permutation, minimum_degree_order
 from snchol.numeric import RunOptions, deviation_from_reference, run_factorization
-from snchol.symbolic import RelativeIndexMap
+from snchol.symbolic import (RelativeIndexMap, elimination_tree, fundamental_supernodes,
+                             postorder_relabel, symbolic_factorization)
 
 import oracles
 
@@ -61,6 +64,30 @@ def spd_matrices(draw, kind: str):
     d = np.arange(n, dtype=np.int64)
     return _assemble_lower(n, np.concatenate([hi, d]), np.concatenate([lo, d]),
                            np.concatenate([w, diag]), pattern_only=False)
+
+
+@pytest.mark.parametrize("kind", ("empty",) + KINDS)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_fundamental_supernodes_match_the_per_column_definition(kind, data):
+    """The skeleton-leaf partition and the once-per-supernode row lists equal
+    the partition the per-column structures define and each supernode's
+    first-column structure, on the postordered (and possibly min-degree
+    ordered) pattern."""
+    if kind == "empty":
+        pat = oracles.pattern_from_columns(0, [])
+    else:
+        A = data.draw(spd_matrices(kind))
+        if data.draw(st.booleans()):
+            A = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+        pat = A.pattern
+    P, tree = postorder_relabel(elimination_tree(pat))
+    pat = symbolic._permute_pattern(pat, P)
+    glb = symbolic_factorization(pat, tree)
+    first_col, rows = fundamental_supernodes(pat, tree)
+    assert np.array_equal(first_col, oracles.fundamental_by_definition(tree, glb)), kind
+    assert len(rows) == first_col.size - 1
+    assert all(np.array_equal(r, glb[f]) for r, f in zip(rows, first_col.tolist())), kind
 
 
 def supernodal_tree(S) -> tuple:

@@ -101,15 +101,13 @@ def test_structure_matches_boolean_elimination():
 
 def test_fundamental_fig1():
     pat = fig1_pattern()
-    t = elimination_tree(pat)
-    first_col = fundamental_supernodes(t, symbolic_factorization(pat, t))
+    first_col, _ = fundamental_supernodes(pat, elimination_tree(pat))
     assert (first_col + 1).tolist() == [1, 3, 5, 10]
 
 
 def test_fundamental_diagonal_singletons():
     pat = oracles.pattern_from_columns(4, [[]] * 4)
-    t = elimination_tree(pat)
-    first_col = fundamental_supernodes(t, symbolic_factorization(pat, t))
+    first_col, _ = fundamental_supernodes(pat, elimination_tree(pat))
     assert first_col.tolist() == [0, 1, 2, 3, 4]
 
 
@@ -124,7 +122,7 @@ def test_fundamental_matches_definition():
             apply_symmetric_permutation(A, P), post).pattern
         t = elimination_tree(pat)
         glb = symbolic_factorization(pat, t)
-        first_col = fundamental_supernodes(t, glb)
+        first_col, _ = fundamental_supernodes(pat, t)
         col_to_snode = np.repeat(np.arange(first_col.size - 1), np.diff(first_col))
         nchild = np.zeros(pat.n, dtype=int)
         for j in range(pat.n):
@@ -137,31 +135,60 @@ def test_fundamental_matches_definition():
             assert same_def == same_got
 
 
+def test_fundamental_rejects_a_tree_that_is_not_postordered():
+    # three components with interleaved labels: the etree's postorder moves columns
+    pat = forest_patterns()[-2]
+    t = elimination_tree(pat)
+    assert not np.array_equal(t.postorder, np.arange(pat.n))
+    with pytest.raises(ValueError, match="not postordered"):
+        fundamental_supernodes(pat, t)
+
+
+@pytest.mark.parametrize("cap", [None, 0.0, 12.5])
+@pytest.mark.parametrize("pr", [False, True])
+def test_build_forms_no_per_column_row_lists(monkeypatch, cap, pr):
+    """The build finds supernodes and their row lists without the per-column
+    structures and without np.unique, and still builds the same factor."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-column structure formed during the build")
+
+    A = generate_spd(60, 0.06, 9)
+    pat = apply_symmetric_permutation(A, minimum_degree_order(A.pattern)).pattern
+    want = build_symbolic_factor(pat, BuildOptions(cap, pr))
+    monkeypatch.setattr(symbolic, "symbolic_factorization", forbidden)
+    monkeypatch.setattr(np, "unique", forbidden)
+    S = build_symbolic_factor(pat, BuildOptions(cap, pr))
+    monkeypatch.undo()
+    assert np.array_equal(S.first_col, want.first_col)
+    assert np.array_equal(S.relabel.perm, want.relabel.perm)
+    assert all(np.array_equal(S.glbind(j), want.glbind(j)) for j in range(S.nsuper))
+    assert S.merge_stats == want.merge_stats
+    assert S.rlb_schedule.calls == want.rlb_schedule.calls
+
+
 # -- merging ------------------------------------------------------------------
 
 def _fig1_merge_inputs():
     pat = fig1_pattern()
-    t = elimination_tree(pat)
-    glb = symbolic_factorization(pat, t)
-    return fundamental_supernodes(t, glb), glb
+    return fundamental_supernodes(pat, elimination_tree(pat))
 
 
 def test_merge_cap_zero_keeps_fig1():
-    first_col, glb = _fig1_merge_inputs()
-    merged_first_col, relabel, _, stats = merge_supernodes(first_col, glb, 0.0)
+    first_col, rows = _fig1_merge_inputs()
+    merged_first_col, relabel, _, stats = merge_supernodes(first_col, rows, 0.0)
     assert stats.merges == 0
     assert np.array_equal(merged_first_col, first_col)
     assert np.array_equal(relabel.perm, np.arange(9))
 
 
 def test_merge_fig1_picks_cheapest_pair():
-    first_col, glb = _fig1_merge_inputs()
+    first_col, rows = _fig1_merge_inputs()
     # exhaustive pair costs: merging a child with |C| columns and m below rows
     # into a parent with row list length g adds |C| * (g - m) entries
     cost_j1 = 2 * (5 - 3)
     cost_j2 = 2 * (5 - 3)
     assert min(cost_j1, cost_j2) == 4
-    merged_first_col, relabel, _, stats = merge_supernodes(first_col, glb, 12.5)
+    merged_first_col, relabel, _, stats = merge_supernodes(first_col, rows, 12.5)
     # tie broken by the smaller first column: {1,2} merges into {5..9}
     assert stats.merges == 1
     assert stats.nnz_after - stats.nnz_before == 4
@@ -174,22 +201,47 @@ def test_merge_fig1_picks_cheapest_pair():
 def test_merge_zero_cost_chain_collapses():
     # supernode chain 5,6,7,8 whose below rows equal the parent's whole row
     # list; each chain node also has a cheap-to-keep leaf child so the
-    # fundamental partition keeps them separate
+    # fundamental partition keeps them separate; the pattern is postordered
+    # first, as fundamental_supernodes requires
     cols = {1: [6, 9], 2: [7, 9], 3: [8, 9], 4: [9],
             5: [6, 7, 8, 9, 10], 6: [7, 8, 9, 10], 7: [8, 9, 10],
             8: [9, 10], 9: [10], 10: []}
     pat = oracles.pattern_from_columns(
         10, [sorted(r - 1 for r in cols[j + 1]) for j in range(10)])
-    t = elimination_tree(pat)
+    P, t = postorder_relabel(elimination_tree(pat))
+    pat = symbolic._permute_pattern(pat, P)
     glb = symbolic_factorization(pat, t)
     assert all(np.array_equal(g, pat.col(j)) for j, g in enumerate(glb))  # no fill
-    first_col = fundamental_supernodes(t, glb)
+    first_col, rows = fundamental_supernodes(pat, t)
     assert (first_col + 1).tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11]
-    merged_first_col, _, _, stats = merge_supernodes(first_col, glb, 0.0)
+    merged_first_col, _, _, stats = merge_supernodes(first_col, rows, 0.0)
     assert stats.nnz_after == stats.nnz_before
     widths = np.diff(merged_first_col)
     assert widths.max() == 6  # columns 5..10 collapsed into one supernode
     assert stats.nsuper_after == 5
+
+
+def test_merge_matches_the_column_set_oracle():
+    """The heap over plain lists, the union-find parents and the one-sort
+    relabel give what merging with per-supernode column arrays and edited
+    child lists gives, tie order included, under every cap."""
+    merged = 0
+    for seed, (n, d) in enumerate([(81, 0.02), (112, 0.005), (60, 0.05), (40, 0.2), (90, 0.01)]):
+        A = generate_spd(n, d, seed + 70)
+        for pat in (A.pattern,
+                    apply_symmetric_permutation(A, minimum_degree_order(A.pattern)).pattern):
+            P, t = postorder_relabel(elimination_tree(pat))
+            first_col, rows = fundamental_supernodes(symbolic._permute_pattern(pat, P), t)
+            for cap in (None, 0.0, 5.0, 12.5, 50.0):
+                fc, relabel, glbind, stats = merge_supernodes(first_col, rows, cap)
+                want = oracles.merge_by_column_sets(first_col, rows, cap)
+                where = (seed, cap)
+                assert np.array_equal(fc, want[0]), where
+                assert np.array_equal(relabel.perm, want[1]), where
+                assert [g.tolist() for g in glbind] == [g.tolist() for g in want[2]], where
+                assert (stats.nsuper_after, stats.nnz_after, stats.merges) == want[3], where
+                merged += stats.merges
+    assert merged > 100
 
 
 def test_merge_growth_respects_cap():
