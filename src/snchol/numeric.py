@@ -33,8 +33,9 @@ from .kernels import (SYRK, KernelBackend, NotPositiveDefiniteError, gemm_flops,
                       potrf_flops, syrk_flops, trsm_flops)
 from .matrix import (Permutation, SymmetricSparseMatrix, SymmetricSparsePattern,
                      apply_symmetric_permutation, minimum_degree_order)
-from .symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor, build_symbolic_factor,
-                       dense_update, elimination_tree, symbolic_factorization)
+from .symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor, _ranges,
+                       build_symbolic_factor, dense_update, elimination_tree,
+                       symbolic_factorization)
 
 
 class StructureError(ValueError):
@@ -97,19 +98,21 @@ class FactorStorage:
 
     def lower_csc(self) -> tuple:
         """The panels' lower-triangular entries as (colptr, rowind, values),
-        the layout ``factor_reference`` returns."""
+        the layout ``factor_reference`` returns.  Column c of supernode j
+        keeps the panel's rows c and below: one range of ``data`` and one of
+        the concatenated row lists per column."""
         S = self.S
-        rows, vals = [], []
-        for j in range(S.nsuper):
-            g = S.glbind(j)
-            P = self.panel(j)
-            for c in range(S.width(j)):
-                rows.append(g[c:])
-                vals.append(P[c:, c])
-        colptr = np.cumsum([0] + [r.size for r in rows], dtype=np.int64)
-        if not rows:  # n = 0
-            return colptr, np.zeros(0, np.int64), np.zeros(0)
-        return colptr, np.concatenate(rows), np.concatenate(vals)
+        owner = S.col_to_snode
+        lens = np.diff(self.offsets) // np.diff(S.first_col)  # row-list length per supernode
+        c = np.arange(S.n, dtype=np.int64) - S.first_col[owner]
+        g = lens[owner]
+        count = g - c
+        colptr = np.zeros(S.n + 1, dtype=np.int64)
+        np.cumsum(count, out=colptr[1:])
+        rows = np.concatenate([S.glbind(j) for j in range(S.nsuper)] + [np.zeros(0, np.int64)])
+        row_at = (np.cumsum(lens) - lens)[owner] + c
+        return (colptr, rows[_ranges(row_at, count)],
+                self.data[_ranges(self.offsets[owner] + c * g + c, count)])
 
 
 def scatter_slots(pattern: SymmetricSparsePattern, S: SymbolicFactor) -> np.ndarray:
@@ -495,41 +498,45 @@ def _rlb_views(F: FactorStorage, schedule, j: int, lo: int, hi: int,
 # ---------------------------------------------------------------------------
 # Triangular solves.
 
-def _solve_lower(T: np.ndarray, y: np.ndarray) -> None:
-    for j in range(T.shape[0]):
-        y[j] = (y[j] - T[j, :j] @ y[:j]) / T[j, j]
+def solve(F: FactorStorage, S: SymbolicFactor, b) -> np.ndarray:
+    """Solve L L^T x = b by supernodal forward and backward substitution.
 
+    Supernode j owns the consecutive columns f..l-1, so its part of x is the
+    slice x[f:l].  In each direction the solve makes, per supernode, one dense
+    triangular solve against the a-by-a diagonal block (scipy's BLAS-2
+    ``dtrsv``, transposed on the way back; a division when a = 1) and one
+    product with the panel B below that block, gathered from and scattered to
+    x through the row list: x[below] -= B @ x[f:l] forward, x[f:l] -= B^T @
+    x[below] backward.  It uses no kernel backend, so factors from either
+    backend are solved the same way.  ``b`` may be any array-like of length
+    n; a wrong length raises ValueError."""
+    from scipy.linalg.blas import dtrsv
 
-def _solve_lower_t(T: np.ndarray, y: np.ndarray) -> None:
-    for j in range(T.shape[0] - 1, -1, -1):
-        y[j] = (y[j] - T[j + 1:, j] @ y[j + 1:]) / T[j, j]
-
-
-def solve(F: FactorStorage, S: SymbolicFactor, b: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = b with supernodal forward and backward substitution."""
     if F.state != "L":
         raise FactorStateError("factor storage does not hold L; factor first")
-    if b.shape != (S.n,):
-        raise ValueError("right-hand side has the wrong length")
-    x = np.asarray(b, dtype=np.float64).copy()
+    x = np.array(b, dtype=np.float64)
+    if x.shape != (S.n,):
+        got = f"length {x.shape[0]}" if x.ndim == 1 else f"shape {x.shape}"
+        raise ValueError(f"right-hand side has {got}, expected length {S.n}")
+    fc = S.first_col.tolist()
+    blocks = []
     for j in range(S.nsuper):
-        a = S.width(j)
-        g = S.glbind(j)
-        panel = F.panel(j)
-        y = x[g[:a]]
-        _solve_lower(panel[:a, :a], y)
-        x[g[:a]] = y
-        if g.size > a:
-            x[g[a:]] -= panel[a:, :] @ y
-    for j in range(S.nsuper - 1, -1, -1):
-        a = S.width(j)
-        g = S.glbind(j)
-        panel = F.panel(j)
-        y = x[g[:a]]
-        if g.size > a:
-            y -= panel[a:, :].T @ x[g[a:]]
-        _solve_lower_t(panel[:a, :a], y)
-        x[g[:a]] = y
+        f, l, P = fc[j], fc[j + 1], F.panel(j)
+        blocks.append((f, l, P[:l - f], P[l - f:], S.below(j)))
+    for f, l, T, B, below in blocks:
+        if l - f == 1:
+            x[f] /= T[0, 0]
+        else:
+            x[f:l] = dtrsv(T, x[f:l], lower=1)
+        if below.size:
+            x[below] -= B @ x[f:l]
+    for f, l, T, B, below in reversed(blocks):
+        if below.size:
+            x[f:l] -= B.T @ x[below]
+        if l - f == 1:
+            x[f] /= T[0, 0]
+        else:
+            x[f:l] = dtrsv(T, x[f:l], lower=1, trans=1)
     return x
 
 
@@ -561,7 +568,7 @@ class FactorizationResult:
         """The factor's lower triangle as (colptr, rowind, values)."""
         return self.ref_factor if self.F is None else self.F.lower_csc()
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b) -> np.ndarray:
         if self.F is None:
             raise FactorStateError("solve is available for the supernodal methods")
         return solve(self.F, self.S, b)

@@ -384,3 +384,52 @@ def rlb_calls_by_walk(S, R) -> tuple:
                     q = e
         per.append(len(rows) - before)
     return np.array(rows, dtype=np.int64).reshape(-1, 9), per
+
+
+def solve_per_column(F, S, b):
+    """Solve L L^T x = b supernode by supernode with one Python statement per
+    column of each diagonal triangle, gathering each supernode's columns of x
+    through its row list (the loops the per-supernode solve replaced)."""
+
+    def lower(T, y):
+        for j in range(T.shape[0]):
+            y[j] = (y[j] - T[j, :j] @ y[:j]) / T[j, j]
+
+    def lower_t(T, y):
+        for j in range(T.shape[0] - 1, -1, -1):
+            y[j] = (y[j] - T[j + 1:, j] @ y[j + 1:]) / T[j, j]
+
+    x = np.asarray(b, dtype=np.float64).copy()
+    for j in range(S.nsuper):
+        a, g, panel = S.width(j), S.glbind(j), F.panel(j)
+        y = x[g[:a]]
+        lower(panel[:a, :a], y)
+        x[g[:a]] = y
+        if g.size > a:
+            x[g[a:]] -= panel[a:, :] @ y
+    for j in range(S.nsuper - 1, -1, -1):
+        a, g, panel = S.width(j), S.glbind(j), F.panel(j)
+        y = x[g[:a]]
+        if g.size > a:
+            y -= panel[a:, :].T @ x[g[a:]]
+        lower_t(panel[:a, :a], y)
+        x[g[:a]] = y
+    return x
+
+
+def lower_csc_per_column(F):
+    """A factor storage's lower triangle as (colptr, rowind, values), appending
+    one row slice and one value slice per column (the loop the range gather
+    replaced)."""
+    S = F.S
+    rows, vals = [], []
+    for j in range(S.nsuper):
+        g = S.glbind(j)
+        P = F.panel(j)
+        for c in range(S.width(j)):
+            rows.append(g[c:])
+            vals.append(P[c:, c])
+    colptr = np.cumsum([0] + [r.size for r in rows], dtype=np.int64)
+    if not rows:  # n = 0
+        return colptr, np.zeros(0, np.int64), np.zeros(0)
+    return colptr, np.concatenate(rows), np.concatenate(vals)

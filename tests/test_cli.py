@@ -293,6 +293,8 @@ def test_solve_flag_reports_residual(fig1_mtx, capsys):
     out = capsys.readouterr().out
     line = [ln for ln in out.splitlines() if "residual" in ln][0]
     assert float(line.rsplit("=", 1)[1]) <= 9e-12
+    wall = [ln for ln in out.splitlines() if ln.startswith("  solve: wall=")]
+    assert len(wall) == 1 and float(wall[0].rsplit("=", 1)[1].rstrip("s")) >= 0.0
 
 
 def refuse_to_densify(monkeypatch):

@@ -519,6 +519,76 @@ def test_solve_requires_factored_state():
         solve(F, S, np.ones(9))
 
 
+def solve_cases():
+    """(name, matrix, run options): generated inputs under every merge and
+    reorder setting, patterns whose supernodes are all one column wide, a
+    small dense matrix (one wide supernode) and n = 1."""
+    for n, d, seed in ((40, 0.15, 100), (80, 0.08, 21), (150, 0.04, 7)):
+        for cap, pr in ((None, False), (12.5, True)):
+            yield f"gen{n}", generate_spd(n, d, seed), dict(ordering="mindeg", merge_cap=cap,
+                                                            pr=pr)
+    diag = SymmetricSparseMatrix(oracles.pattern_from_columns(7, [[]] * 7),
+                                 np.arange(1.0, 8.0))
+    yield "diagonal", diag, {}
+    # a tridiagonal matrix with its middle row numbered last: the root has two
+    # children, so no column joins another (the natural order joins the last two)
+    tri = oracles.pattern_from_columns(8, [[1], [2], [3], [7], [5], [6], [7], []])
+    vals = np.concatenate([[4.0, -1.0]] * 7 + [[4.0]])
+    yield "tridiagonal", SymmetricSparseMatrix(tri, vals), {}
+    yield "dense", generate_spd(12, 1.0, 3), {}
+    yield "n=1", SymmetricSparseMatrix(oracles.pattern_from_columns(1, [[]]), np.array([2.5])), {}
+
+
+def test_solve_matches_the_per_column_solve():
+    rng = np.random.default_rng(17)
+    widths = {}
+    for name, A, kw in solve_cases():
+        b = rng.standard_normal(A.n)
+        for backend in ("reference", "vendor"):
+            for method in ("mf", "ll", "rl", "rlb"):
+                r = run(A, method, backend=backend, **kw)
+                x = r.solve(b)
+                want = oracles.solve_per_column(r.F, r.S, b)
+                scale = max(1.0, float(np.abs(want).max()))
+                assert float(np.abs(x - want).max()) <= 1e-12 * scale, (name, backend, method)
+        widths[name] = {r.S.width(j) for j in range(r.S.nsuper)}
+    assert widths["diagonal"] == widths["tridiagonal"] == widths["n=1"] == {1}
+    assert widths["dense"] == {12}
+    assert max(max(w) for k, w in widths.items() if k.startswith("gen")) > 1
+
+
+def test_solve_accepts_a_list_and_names_a_wrong_length():
+    A = generate_spd(5, 0.6, 2)
+    r = run(A, "rlb")
+    b = [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert np.array_equal(r.solve(b), r.solve(np.array(b)))
+    for bad in ([1.0, 2.0], np.ones(6)):
+        with pytest.raises(ValueError, match=rf"length {len(bad)}, expected length 5"):
+            r.solve(bad)
+    with pytest.raises(ValueError, match="expected length 5"):
+        r.solve(np.ones((5, 1)))
+
+
+def test_solve_leaves_the_right_hand_side_alone():
+    A = generate_spd(30, 0.2, 4)
+    r = run(A, "rl")
+    b = np.arange(1.0, 31.0)
+    r.solve(b)
+    assert np.array_equal(b, np.arange(1.0, 31.0))
+
+
+def test_lower_csc_equals_the_per_column_loop():
+    cases = list(solve_cases())
+    cases.append(("empty", SymmetricSparseMatrix(oracles.pattern_from_columns(0, []),
+                                                 np.zeros(0)), {}))
+    for name, A, kw in cases:
+        for backend in ("reference", "vendor"):
+            r = run(A, "rlb", backend=backend, **kw)
+            got, want = r.F.lower_csc(), oracles.lower_csc_per_column(r.F)
+            for u, v in zip(got, want):
+                assert u.dtype == v.dtype and np.array_equal(u, v), name
+
+
 def test_diagonal_flops_are_square_roots_only():
     pat = oracles.pattern_from_columns(5, [[]] * 5)
     A = SymmetricSparseMatrix(pat, np.full(5, 4.0))

@@ -6,7 +6,8 @@ dominant values, so every matrix is SPD.  Every supernodal method, on both
 kernel backends and under every merge cap / reorder setting, must match the
 column oracle, hit its workspace plan exactly, and (for rlb) use no workspace
 and no assembly and make exactly the calls its precompiled schedule lists, the
-calls the ancestor walk finds.  Examples are derandomized, so the suite is
+calls the ancestor walk finds.  The supernodal solve must leave a residual of
+at most n * 1e-12 and agree with the per-column solve.  Examples are derandomized, so the suite is
 reproducible.  The symbolic partition is also checked on its own against
 its per-column definition, the empty pattern included.
 """
@@ -127,3 +128,23 @@ def test_every_method_matches_ref_and_its_plans(kind, data):
     assert np.array_equal(S.rlb_schedule.rows, rows), where
     assert np.diff(S.rlb_schedule.ptr).tolist() == per, where
     assert S.plans.ll_peak == oracles.ll_peak_per_pair(S), where
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_solve_residual_and_per_column_agreement(kind, data):
+    A = data.draw(spd_matrices(kind))
+    method = data.draw(st.sampled_from(("mf", "ll", "rl", "rlb")))
+    backend = data.draw(st.sampled_from(("reference", "vendor")))
+    cap = data.draw(st.sampled_from(MERGE_CAPS))
+    pr = data.draw(st.booleans())
+    r = run_factorization(A, RunOptions(method=method, backend=backend, ordering="mindeg",
+                                        pr=pr, merge_cap=cap))
+    b = np.random.default_rng(A.n).standard_normal(A.n)
+    x = r.solve(b)
+    where = (kind, A.n, method, backend, cap, pr)
+    res = np.linalg.norm(r.A_factored.matvec(x) - b) / np.linalg.norm(b)
+    assert res <= A.n * 1e-12, where
+    want = oracles.solve_per_column(r.F, r.S, b)
+    assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), where
