@@ -17,7 +17,7 @@ from .numeric import (Analysis, FactorStorage, FactorizationResult, NonFiniteEnt
                       RunOptions, RunStats, UpdateWorkspace, analyze, deviation_from_reference,
                       factor_ll, factor_mf, factor_reference, factor_rl, factor_rlb,
                       run_factorization, scatter_into_factor, solve)
-from .reorder import refine, reorder_within_supernodes
+from .reorder import reorder_within_supernodes
 from .symbolic import (BuildOptions, EliminationTree, RelativeIndexMap,
                        SymbolicFactor, build_symbolic_factor, compose_relative,
                        elimination_tree, fundamental_supernodes, merge_supernodes,

@@ -76,15 +76,31 @@ def tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
     return np.round(1.0 + tau_step * np.arange(count + 1), 12)
 
 
+class SpecError(ValueError):
+    """A malformed ``gen:`` matrix spec."""
+
+
+INPUT_ERRORS = (OSError, MatrixMarketError, SpecError)
+GEN_KEYS = {"n": int, "density": float, "seed": int}
+
+
 def load_matrix(spec: str, default_seed: int) -> tuple:
-    """A path, or ``gen:n=...,density=...[,seed=...]`` for a synthetic SPD matrix."""
-    if spec.startswith("gen:"):
-        kv = dict(item.split("=") for item in spec[4:].split(","))
-        n = int(kv["n"])
-        density = float(kv.get("density", 0.1))
-        seed = int(kv.get("seed", default_seed))
-        return spec, generate_spd(n, density, seed)
-    return spec, read_matrix_market(spec)
+    """A path, or ``gen:n=...,density=...[,seed=...]`` for a synthetic SPD
+    matrix.  A malformed ``gen:`` spec raises SpecError."""
+    if not spec.startswith("gen:"):
+        return spec, read_matrix_market(spec)
+    args = {"density": 0.1, "seed": default_seed}
+    try:
+        for item in spec[4:].split(","):
+            key, eq, value = item.partition("=")
+            if not eq or key not in GEN_KEYS:
+                raise ValueError(f"item '{item}' is not n=, density= or seed=")
+            args[key] = GEN_KEYS[key](value)
+        if "n" not in args:
+            raise ValueError("n= is missing")
+        return spec, generate_spd(args["n"], args["density"], args["seed"])
+    except ValueError as e:
+        raise SpecError(f"{spec}: {e}") from None
 
 
 def _print_record(rec: BenchRecord, stats=None) -> None:
@@ -206,9 +222,10 @@ def cmd_analyze(args) -> int:
     rows = sum(S.mrows(j) for j in range(S.nsuper))
     after = sum(S.nblocks(j) for j in range(S.nsuper))
     before = after if ms.blocks_before_reorder is None else ms.blocks_before_reorder
-    for when, count in (("before", before), ("after ", after)):
-        print(f"blocks {when} reordering: count={count} "
-              f"mean_len={rows / count if count else 0.0:.3f}")
+    refined = after if ms.blocks_after_refinement is None else ms.blocks_after_refinement
+    for when, count in (("before reordering", before), ("after refinement", refined),
+                        ("after  reordering", after)):
+        print(f"blocks {when}: count={count} mean_len={rows / count if count else 0.0:.3f}")
     print(f"workspace plans (floats): mf={S.plans.mf_peak} ll={S.plans.ll_peak} "
           f"rl={S.plans.rl_peak} rlb=0")
     sched = S.rlb_schedule
@@ -241,7 +258,7 @@ def cmd_bench(args) -> int:
     for spec in specs:
         try:
             name, A = load_matrix(spec, args.seed)
-        except (OSError, MatrixMarketError) as e:
+        except INPUT_ERRORS as e:
             for m in methods:
                 rows.append(BenchRecord(spec, m, args.backend, args.order, args.pr,
                                         args.merge_cap, args.repeats, 0.0, 0, 0, 0, 0,
@@ -333,7 +350,7 @@ def main(argv=None) -> int:
     args = top.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, MatrixMarketError) as e:
+    except INPUT_ERRORS as e:
         print(f"error: input: {e}", file=sys.stderr)
         return 1
 

@@ -222,8 +222,9 @@ def _work_flops(a: int, m: int) -> int:
 @dataclass(frozen=True)
 class MergeStats:
     """How merging changed the factor.  ``blocks_before_reorder`` is the
-    merged factor's block count, recorded when within-supernode reordering
-    follows (None when it does not)."""
+    merged factor's block count and ``blocks_after_refinement`` its count
+    after partition refinement alone, both recorded when within-supernode
+    reordering follows (None when it does not)."""
 
     nsuper_before: int
     nsuper_after: int
@@ -233,6 +234,7 @@ class MergeStats:
     work_after: int
     merges: int
     blocks_before_reorder: int | None = None
+    blocks_after_refinement: int | None = None
 
 
 def merge_supernodes(first_col: np.ndarray, rows: list, cap: float | None):
@@ -485,7 +487,7 @@ class SymbolicFactor:
     The derived structure (``block_sizes``/``block_starts``, ``updaters``,
     ``plans`` and ``rlb_schedule``) is computed on first access and cached as
     read-only arrays, so a factor that is only reordered pays for nothing but
-    the ``updaters`` the reordering reads.
+    the below-row lists and row keys the reordering reads.
     """
 
     def __init__(self, first_col, glbind, relabel, merge_stats):

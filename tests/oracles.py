@@ -243,6 +243,72 @@ def incoming_block_count(S, p: int, col_positions=None) -> int:
     return total
 
 
+def refine(cells: list, pivot) -> list:
+    """Split every cell of an ordered partition (a list of disjoint lists; cell
+    order and the order inside each cell both count) into its pivot and
+    non-pivot parts, stable inside each part.
+
+    Split parts are placed toward the pivot's span: the leftmost split cell
+    keeps its non-pivot part first, the rightmost keeps its pivot part first,
+    so that across cells the pivot lands in one contiguous run whenever the
+    existing cells allow it.  A pivot wholly inside one cell goes in front.
+    """
+    pivot = set(pivot)
+    insides = [[x for x in cell if x in pivot] for cell in cells]
+    if sum(map(len, insides)) != len(pivot):
+        raise ValueError("pivot contains elements outside the ground set")
+    hits = [i for i, inside in enumerate(insides) if inside]
+    out = []
+    for i, (inside, cell) in enumerate(zip(insides, cells)):
+        if not inside or len(inside) == len(cell):
+            out.append(list(cell))
+            continue
+        outside = [x for x in cell if x not in pivot]
+        if len(hits) > 1 and i == hits[0]:
+            out.extend([outside, inside])
+        else:
+            out.extend([inside, outside])
+    return out
+
+
+def run_count(xs: list) -> int:
+    """Number of maximal runs of consecutive integers in an ascending list."""
+    return len(xs) - sum(b == a + 1 for a, b in zip(xs, xs[1:]))
+
+
+def reorder_by_refinement(S) -> tuple:
+    """Partition refinement of every supernode's columns, one supernode and
+    one list of cells at a time: updaters applied largest row set first (ties
+    by ascending supernode), a supernode that would gain blocks keeping its
+    order.  Returns the global permutation (perm[old] = new) and S's block
+    count."""
+    perm = np.arange(S.n, dtype=np.int64)
+    blocks = 0
+    for p in range(S.nsuper):
+        f, l = S.cols(p)
+        pivots = []
+        for k in S.updaters[p].tolist():
+            b = S.below(k)
+            s0, s1 = b.searchsorted((f, l + 1)).tolist()
+            pivots.append((s1 - s0, k, b[s0:s1].tolist()))
+        if not pivots:
+            continue
+        pivots.sort(key=lambda t: (-t[0], t[1]))
+        cells = [list(range(f, l + 1))]
+        for _, _, rows in pivots:
+            cells = refine(cells, rows)
+        new_order = [x for cell in cells for x in cell]
+        cand = dict(zip(new_order, range(len(new_order))))
+        before = after = 0
+        for _, _, rows in pivots:
+            before += run_count(rows)
+            after += run_count(sorted(cand[x] for x in rows))
+        blocks += before
+        if after <= before:
+            perm[new_order] = np.arange(f, l + 1)
+    return perm, blocks
+
+
 def min_incoming_blocks_exhaustive(S, p: int) -> int:
     """Exhaustive minimum of incoming_block_count over all column orders of
     supernode p (small widths only)."""

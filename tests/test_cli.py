@@ -13,6 +13,8 @@ from snchol.kernels import potrf_flops, trsm_flops
 from snchol.numeric import RunOptions, analyze, deviation_from_reference, run_factorization
 from snchol.symbolic import BuildOptions, build_symbolic_factor
 
+import oracles
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -71,6 +73,26 @@ def test_bad_size_line_is_an_input_error(tmp_path, capsys, size_line):
                    "--csv", str(out_csv)) == 0
     rec = BenchRecord.from_row(list(csv.reader(out_csv.open()))[1])
     assert rec.status.startswith("input error: line 2: ")
+
+
+@pytest.mark.parametrize("spec,why", [("gen:n=0", "n must be >= 1"),
+                                      ("gen:n=abc", "invalid literal for int()"),
+                                      ("gen:density=0.1", "n= is missing"),
+                                      ("gen:n=5,density=2", "density must be in (0, 1]"),
+                                      ("gen:n=5,density", "item 'density' is not n=")])
+def test_bad_gen_spec_is_an_input_error(tmp_path, capsys, spec, why):
+    for command in ("analyze", "factor", "check"):
+        assert run_cli(command, spec) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: input: {spec}: ") and why in err, command
+    lst = tmp_path / "list.txt"
+    lst.write_text(f"{spec}\ngen:n=12,density=0.3,seed=3\n")
+    out_csv = tmp_path / "bench.csv"
+    assert run_cli("bench", str(lst), "--methods", "rlb", "--repeats", "1",
+                   "--csv", str(out_csv)) == 0
+    recs = [BenchRecord.from_row(r) for r in list(csv.reader(out_csv.open()))[1:]]
+    assert recs[0].status.startswith(f"input error: {spec}: ")
+    assert recs[1].status == "ok"
 
 
 def test_check_subcommand(fig1_mtx):
@@ -159,6 +181,31 @@ def test_analyze_gen_reordered_lines_match_a_full_build(capsys):
             f"rl={S.plans.rl_peak} rlb=0") in out
     before = [ln for ln in out if ln.startswith("blocks before")][0]
     assert before != f"blocks before reordering: count={count} mean_len={mean:.3f}"
+
+
+def test_analyze_reports_blocks_after_refinement(capsys):
+    # the middle line counts partition refinement alone, as the list-based
+    # oracle does it; the 2-opt pass after it only removes blocks
+    spec = "gen:n=200,density=0.03,seed=3"
+    A = generate_spd(200, 0.03, 3)
+    A1 = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+    S = build_symbolic_factor(A1.pattern, BuildOptions(12.5, False))
+    perm, _ = oracles.reorder_by_refinement(S)
+    refined = 0
+    for p in range(S.nsuper):
+        f, l = S.cols(p)
+        refined += oracles.incoming_block_count(S, p, perm[f:l + 1] - f)
+    for pr in ("--pr", "--no-pr"):
+        assert run_cli("analyze", spec, pr) == 0
+        out = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("blocks")]
+        assert [ln.split(":")[0] for ln in out] == ["blocks before reordering",
+                                                    "blocks after refinement",
+                                                    "blocks after  reordering"]
+        counts = [int(re.search(r"count=(\d+)", ln).group(1)) for ln in out]
+        if pr == "--pr":
+            assert counts[0] > counts[1] == refined > counts[2]
+        else:
+            assert counts[0] == counts[1] == counts[2]
 
 
 def test_analyze_builds_one_schedule_and_one_plan_set(capsys, monkeypatch):

@@ -9,7 +9,9 @@ and no assembly and make exactly the calls its precompiled schedule lists, the
 calls the ancestor walk finds.  The supernodal solve must leave a residual of
 at most n * 1e-12 and agree with the per-column solve.  Examples are derandomized, so the suite is
 reproducible.  The symbolic partition is also checked on its own against
-its per-column definition, the empty pattern included.
+its per-column definition, the empty pattern included, and the
+within-supernode reorder against the list-based partition refinement it
+starts from.
 """
 
 import numpy as np
@@ -19,7 +21,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from snchol import symbolic
 from snchol.matrix import _assemble_lower, apply_symmetric_permutation, minimum_degree_order
 from snchol.numeric import RunOptions, deviation_from_reference, run_factorization
-from snchol.symbolic import (RelativeIndexMap, elimination_tree, fundamental_supernodes,
+from snchol.reorder import reorder_within_supernodes
+from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
+                             build_symbolic_factor, elimination_tree, fundamental_supernodes,
                              postorder_relabel, symbolic_factorization)
 
 import oracles
@@ -98,6 +102,48 @@ def supernodal_tree(S) -> tuple:
     parent = [int(owner[S.glbind(j)[S.width(j)]]) if S.mrows(j) else -1
               for j in range(S.nsuper)]
     return owner.tolist(), parent
+
+
+def runs_per_updater(S, p: int) -> list:
+    """Runs of each of p's updaters' rows inside p's columns, by ascending
+    updater."""
+    f, l = S.cols(p)
+    return [oracles.run_count([r for r in S.below(k).tolist() if f <= r <= l])
+            for k in S.updaters[p].tolist()]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_reorder_improves_on_partition_refinement_alone(kind, data):
+    """After the full reorder every supernode has at most the blocks the
+    list-based partition refinement leaves it and at least one per updater,
+    and every updater that refinement leaves as one run is still one.  The
+    first columns, the tree, the row-list sets and the factor size are
+    unchanged, and rlb makes no more calls than after refinement alone."""
+    A = data.draw(spd_matrices(kind))
+    if data.draw(st.booleans()):
+        A = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+    cap = data.draw(st.sampled_from(MERGE_CAPS))
+    S = build_symbolic_factor(A.pattern, BuildOptions(cap, False))
+    P, S2 = reorder_within_supernodes(S)
+    perm, _ = oracles.reorder_by_refinement(S)
+    S_pr = SymbolicFactor(S.first_col, [np.sort(perm[S.glbind(j)]) for j in range(S.nsuper)],
+                          S.relabel, S.merge_stats)
+    where = (kind, A.n, cap)
+    refined = 0
+    for p in range(S.nsuper):
+        pr, got = runs_per_updater(S_pr, p), runs_per_updater(S2, p)
+        assert len(pr) <= sum(got) <= sum(pr), where + (p,)
+        assert all(g == 1 for g, r in zip(got, pr) if r == 1), where + (p,)
+        refined += sum(pr)
+    assert S2.merge_stats.blocks_after_refinement == refined, where
+    assert np.array_equal(S2.first_col, S.first_col), where
+    assert np.array_equal(S2.snode_parent, S.snode_parent), where
+    for j in range(S.nsuper):
+        assert set(P.perm[S.glbind(j)].tolist()) == set(S2.glbind(j).tolist()), where
+    assert S2.factor_nnz == S.factor_nnz, where
+    assert S2.rlb_schedule.rows.shape[0] <= S_pr.rlb_schedule.rows.shape[0], where
 
 
 @pytest.mark.parametrize("kind", KINDS)

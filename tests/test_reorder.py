@@ -3,11 +3,13 @@ import pytest
 
 from snchol.matrix import (apply_symmetric_permutation, generate_spd,
                            minimum_degree_order)
-from snchol.reorder import refine, reorder_within_supernodes
+from snchol import reorder
+from snchol.reorder import reorder_within_supernodes
 from snchol.symbolic import BuildOptions, build_symbolic_factor
 
 import oracles
 from conftest import fig1_pattern
+from oracles import refine
 
 
 def test_refine_splits_single_cell():
@@ -37,6 +39,33 @@ def test_refine_keeps_first_pivot_contiguous():
         order = [x for cell in cells for x in cell]
         pos = sorted(order.index(x) for x in pivots[0])
         assert pos == list(range(pos[0], pos[0] + len(pos)))
+
+
+@pytest.mark.parametrize("cap", [None, 12.5])
+def test_array_refinement_matches_the_list_oracle(cap):
+    """The array pass of partition refinement gives the list-based
+    per-supernode refinement's permutation and block count, on fig1 and on
+    160 generated builds per merge cap.  The 2-opt pass after it removes
+    blocks from some of them and adds none."""
+    patterns = [fig1_pattern()]
+    for seed in range(160):
+        A = generate_spd(5 + 7 * seed % 70, (0.02, 0.05, 0.1, 0.2, 0.4)[seed % 5], seed + 300)
+        if seed % 2 == 0:
+            A = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+        patterns.append(A.pattern)
+    shortened = 0
+    for i, pat in enumerate(patterns):
+        S = build_symbolic_factor(pat, BuildOptions(cap, False))
+        where, before, after = reorder._refine(S, *reorder._groups(S))
+        perm, blocks = oracles.reorder_by_refinement(S)
+        assert np.array_equal(where, perm), (cap, i)
+        assert before.sum() == blocks, (cap, i)
+        _, S2 = reorder_within_supernodes(S)
+        final = sum(S2.nblocks(j) for j in range(S2.nsuper))
+        assert S2.merge_stats.blocks_before_reorder == blocks, (cap, i)
+        assert S2.merge_stats.blocks_after_refinement == after.sum() >= final, (cap, i)
+        shortened += final < after.sum()
+    assert shortened >= 40  # 55 and 60 of the 161 builds
 
 
 def test_reorder_fig1_single_blocks():

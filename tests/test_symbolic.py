@@ -550,12 +550,14 @@ def test_one_build_derives_blocks_and_plans_once(monkeypatch):
     A = generate_spd(80, 0.05, 3)
     S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
     assert len(builds) == 1
-    assert counts == {"_blocks": 1, "updaters": 2, "plans": 1, "rlb_schedule": 1}
+    # the reorder reads its pivot groups from the below-row lists, so only the
+    # final factor derives its updaters
+    assert counts == {"_blocks": 1, "updaters": 1, "plans": 1, "rlb_schedule": 1}
     # blocks, plans and the schedule were derived during the build; using them
     # derives nothing
     _ = ([S.nblocks(j) for j in range(S.nsuper)], S.plans, S.block_starts, S.updaters,
          S.rlb_schedule)
-    assert counts == {"_blocks": 1, "updaters": 2, "plans": 1, "rlb_schedule": 1}
+    assert counts == {"_blocks": 1, "updaters": 1, "plans": 1, "rlb_schedule": 1}
     assert not {"plans", "_blocks", "rlb_schedule"} & set(vars(builds[0]))
 
 
