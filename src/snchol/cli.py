@@ -228,6 +228,7 @@ def cmd_analyze(args) -> int:
         print(f"blocks {when}: count={count} mean_len={rows / count if count else 0.0:.3f}")
     print(f"workspace plans (floats): mf={S.plans.mf_peak} ll={S.plans.ll_peak} "
           f"rl={S.plans.rl_peak} rlb=0")
+    print(f"update table: pairs={S.update_table.k.size} positions={S.update_table.pos.size}")
     sched = S.rlb_schedule
     print(f"rlb schedule: syrk={sched.calls['syrk']} gemm={sched.calls['gemm']} "
           f"flops={sched.flops}")

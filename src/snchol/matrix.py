@@ -333,11 +333,13 @@ def generate_spd(n: int, density: float, seed: int) -> SymmetricSparseMatrix:
     if not (0.0 < density <= 1.0):
         raise ValueError("density must be in (0, 1]")
     rng = np.random.default_rng(seed)
-    ti, tj = np.tril_indices(n, -1)
-    k = int(round(density * ti.size))
+    total = n * (n - 1) // 2
+    k = int(round(density * total))
     if k > 0:
-        pick = np.sort(rng.choice(ti.size, size=k, replace=False))
-        oi, oj = ti[pick], tj[pick]
+        pick = np.sort(rng.choice(total, size=k, replace=False))
+        i = np.arange(n, dtype=np.int64)  # row by row, row i starts at index i(i-1)/2
+        oi = np.searchsorted(i * (i - 1) // 2, pick, side="right") - 1
+        oj = pick - oi * (oi - 1) // 2
         ov = rng.uniform(-1.0, 1.0, size=k)
     else:
         oi = oj = np.zeros(0, dtype=np.int64)

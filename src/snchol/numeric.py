@@ -7,19 +7,19 @@ ref   column-by-column left-looking algorithm with a length-n scatter vector;
       the oracle the supernodal methods are checked against
 mf    multifrontal: postorder, children's update matrices popped off a stack,
       the first one extended in place into the square update matrix
-ll    left-looking supernodal with an index map and one scratch update matrix
-rl    right-looking: one square update matrix per supernode, assembled up the
-      ancestor chain with one composed relative index per update row
+ll    left-looking supernodal with one scratch update matrix; an update that
+      is dense with respect to its target goes straight into factor storage
+rl    right-looking: one square update matrix per supernode, assembled into
+      each ancestor it updates
 rlb   right-looking blocked: dense blocks updated straight into ancestor
       panels by the kernel calls of ``S.rlb_schedule``, compiled once at
       analysis; no floating-point workspace, no assembly at all
 
-rl walks the ancestor chain through ``RelativeIndexMap.walk``, which composes
-the map's read-only relative indices; mf, ll and rl scatter-add update
-triangles through ``_assemble``.  rlb runs its schedule one supernode's rows at
-a time, through the backend's ``run_schedule`` where it has one (the vendor
-backend calls BLAS at addresses in ``F.data``) and through numpy views
-otherwise.
+mf, ll and rl place their updates at positions ``S.update_table`` found at
+analysis, and scatter-add update triangles through ``_assemble``.  rlb runs its
+schedule one supernode's rows at a time, through the backend's
+``run_schedule`` where it has one (the vendor backend calls BLAS at addresses
+in ``F.data``) and through numpy views otherwise.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .kernels import (SYRK, KernelBackend, NotPositiveDefiniteError, gemm_flops,
                       potrf_flops, syrk_flops, trsm_flops)
 from .matrix import (Permutation, SymmetricSparseMatrix, SymmetricSparsePattern,
                      apply_symmetric_permutation, minimum_degree_order)
-from .symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor, _ranges,
-                       build_symbolic_factor, dense_update, elimination_tree,
-                       symbolic_factorization)
+from .symbolic import (BuildOptions, SymbolicFactor, _ranges, build_symbolic_factor,
+                       elimination_tree, symbolic_factorization)
 
 
 class StructureError(ValueError):
@@ -103,14 +102,13 @@ class FactorStorage:
         the concatenated row lists per column."""
         S = self.S
         owner = S.col_to_snode
-        lens = np.diff(self.offsets) // np.diff(S.first_col)  # row-list length per supernode
         c = np.arange(S.n, dtype=np.int64) - S.first_col[owner]
-        g = lens[owner]
+        g = S._lens[owner]
         count = g - c
         colptr = np.zeros(S.n + 1, dtype=np.int64)
         np.cumsum(count, out=colptr[1:])
         rows = np.concatenate([S.glbind(j) for j in range(S.nsuper)] + [np.zeros(0, np.int64)])
-        row_at = (np.cumsum(lens) - lens)[owner] + c
+        row_at = (np.cumsum(S._lens) - S._lens)[owner] + c
         return (colptr, rows[_ranges(row_at, count)],
                 self.data[_ranges(self.offsets[owner] + c * g + c, count)])
 
@@ -129,8 +127,7 @@ def scatter_slots(pattern: SymmetricSparsePattern, S: SymbolicFactor) -> np.ndar
         k = int(bad[0])
         raise StructureError(f"entry ({pattern.rowind[k]},{cols[k]}) of A is outside the "
                              "factor structure")
-    lens = np.array([S.glbind(j).size for j in range(S.nsuper)], dtype=np.int64)
-    return S.panel_offsets[owner] + (cols - S.first_col[owner]) * lens[owner] + pos
+    return S.panel_offsets[owner] + (cols - S.first_col[owner]) * S._lens[owner] + pos
 
 
 def scatter_into_factor(A: SymmetricSparseMatrix, S: SymbolicFactor) -> FactorStorage:
@@ -145,13 +142,12 @@ def scatter_into_factor(A: SymmetricSparseMatrix, S: SymbolicFactor) -> FactorSt
 
 
 class UpdateWorkspace:
-    """Floating-point arena sized by the symbolic plan plus an integer scratch
-    vector.  The blocked right-looking method never has one."""
+    """Floating-point arena sized by the symbolic plan.  The blocked
+    right-looking method never has one."""
 
     def __init__(self, S: SymbolicFactor, method: str):
         words = {"mf": S.plans.mf_peak, "ll": S.plans.ll_peak, "rl": S.plans.rl_peak}[method]
         self.arena = np.zeros(int(words))
-        self.int_scratch = np.zeros(S.n, dtype=np.int64)
         self.peak = 0
 
     def slab(self, rows: int, cols: int) -> np.ndarray:
@@ -281,10 +277,15 @@ def _pack_descending(arena, sq_off, m, k, dst_off) -> None:
         arena[toff:toff + c - t] = tmp
 
 
-def factor_mf(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
-              W: UpdateWorkspace, backend: KernelBackend, stats: RunStats) -> None:
+def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
+              backend: KernelBackend, stats: RunStats) -> None:
+    """Multifrontal factorization, each update placed by the updater's pair
+    with its parent in ``S.update_table``.  ``R`` is not read; it stays for
+    existing callers."""
     if F.state != "A":
         raise FactorStateError("factor storage does not hold A")
+    T = S.update_table
+    up, cs, rs, at = (x.tolist() for x in (T.ptr, T.c, T.r, T.at))  # up[j]: pair with parent
     cap = W.arena.size
     top = cap
     tags = []
@@ -304,9 +305,8 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
             first = pushers[-1]
             snode, u_f = tags.pop()
             assert snode == first, "stack pop does not match postorder child"
-            rel_c = R.rel(first)
-            kc = int(np.count_nonzero(rel_c >= m))
-            qpos = m - 1 - rel_c[kc:]
+            e = up[first]
+            qpos = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a  # pushed rows, in j's update matrix
             sq_off = top + u_f - m * m
             # extension is a scatter-copy, not a scatter-add: no assembly count
             _extend_in_place(W.arena, top, qpos.size, sq_off, m, qpos)
@@ -316,9 +316,8 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
             for c in reversed(pushers[:-1]):
                 snode, u_c = tags.pop()
                 assert snode == c, "stack pop does not match postorder child"
-                rel = R.rel(c)
-                kc = int(np.count_nonzero(rel >= m))
-                qp = m - 1 - rel[kc:]
+                e = up[c]
+                qp = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a
                 nr = qp.size
                 for t in range(nr):
                     soff = top + _packed_col_offset(nr, t)
@@ -338,13 +337,11 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
         panel = F.panel(j)
         backend.syrk(sq, panel[a:, :])
         stats.add("syrk", syrk_flops(m, a))
-        p = int(S.snode_parent[j])
-        rel_j = R.rel(j)
-        g_p = S.glbind(p).size
-        m_p = S.mrows(p)
-        k = int(np.count_nonzero(rel_j >= m_p))
+        e = up[j]
+        k = cs[e]
         if k:
-            stats.assembly_ops += _assemble(F.panel(p), g_p - 1 - rel_j, sq, k)
+            stats.assembly_ops += _assemble(F.panel(int(S.snode_parent[j])),
+                                            T.pos[at[e]:at[e] + m], sq, k)
         rest = m - k
         u_j = rest * (rest + 1) // 2
         assert u_j == push[j], "runtime push size disagrees with the plan"
@@ -362,35 +359,23 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
 # ---------------------------------------------------------------------------
 # Left-looking supernodal.
 
-def build_indmap(S: SymbolicFactor, j: int, indmap: np.ndarray) -> None:
-    """Scatter supernode j's relative indices (distance from the bottom of its
-    row list) into the length-n index map."""
-    g = S.glbind(j)
-    indmap[g] = g.size - 1 - np.arange(g.size, dtype=np.int64)
-
-
 def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
               backend: KernelBackend, stats: RunStats) -> None:
+    """Left-looking factorization: supernode j first takes the updates of
+    ``S.update_table``'s pairs into j, a dense one straight into its panel."""
     if F.state != "A":
         raise FactorStateError("factor storage does not hold A")
-    indmap = W.int_scratch
+    T = S.update_table
+    ks, los, cs, rs, dense, at = (x.tolist() for x in (T.k, T.lo, T.c, T.r, T.dense, T.at))
+    into, ptr = T.by_target.tolist(), T.target_ptr.tolist()
     for j in range(S.nsuper):
-        f, l = S.cols(j)
-        gj = S.glbind(j)
-        lenj = gj.size
-        build_indmap(S, j, indmap)
         pj = F.panel(j)
-        for k in (int(x) for x in S.updaters[j]):
-            gk = S.glbind(k)
-            s0 = int(np.searchsorted(gk, f))
-            rows = gk[s0:]
-            r = rows.size
-            c = int(np.searchsorted(rows, l, side="right"))
-            d = indmap[rows]
-            pos = lenj - 1 - d
-            pk = F.panel(k)
-            X = pk[s0:, :]
-            if S.width(k) == 1:
+        for e in into[ptr[j]:ptr[j + 1]]:
+            k, c, r = ks[e], cs[e], rs[e]
+            a = S.width(k)
+            pos = T.pos[at[e]:at[e] + r]
+            X = F.panel(k)[a + los[e]:, :]
+            if a == 1:
                 v = X[:, 0]
                 for t in range(c):
                     pj[pos[t:], pos[t]] -= v[t:] * v[t]
@@ -398,21 +383,21 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                     stats.assembly_ops += r - t
                 continue
             Y = X[:c, :]
-            if dense_update(pos, c):
+            if dense[e]:
                 p0 = int(pos[0])
                 backend.syrk(pj[p0:p0 + c, p0:p0 + c], Y)
-                stats.add("syrk", syrk_flops(c, S.width(k)))
+                stats.add("syrk", syrk_flops(c, a))
                 if r > c:
                     p1 = int(pos[c])
                     backend.gemm(pj[p1:p1 + r - c, p0:p0 + c], X[c:, :], Y)
-                    stats.add("gemm", gemm_flops(r - c, c, S.width(k)))
+                    stats.add("gemm", gemm_flops(r - c, c, a))
             else:
                 U = W.slab(r, c)
                 backend.syrk(U[:c, :c], Y)
-                stats.add("syrk", syrk_flops(c, S.width(k)))
+                stats.add("syrk", syrk_flops(c, a))
                 if r > c:
                     backend.gemm(U[c:, :], X[c:, :], Y)
-                    stats.add("gemm", gemm_flops(r - c, c, S.width(k)))
+                    stats.add("gemm", gemm_flops(r - c, c, a))
                 stats.assembly_ops += _assemble(pj, pos, U, c)
         _cdiv(F, j, backend, stats)
     F.state = "L"
@@ -422,10 +407,15 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
 # ---------------------------------------------------------------------------
 # Right-looking supernodal.
 
-def factor_rl(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
-              W: UpdateWorkspace, backend: KernelBackend, stats: RunStats) -> None:
+def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
+              backend: KernelBackend, stats: RunStats) -> None:
+    """Right-looking factorization: each update matrix is scatter-added at
+    its ``S.update_table`` pairs.  ``R`` is not read; it stays for existing
+    callers."""
     if F.state != "A":
         raise FactorStateError("factor storage does not hold A")
+    T = S.update_table
+    up, ps, los, cs, rs, at = (x.tolist() for x in (T.ptr, T.p, T.lo, T.c, T.r, T.at))
     for j in range(S.nsuper):
         a = S.width(j)
         m = S.mrows(j)
@@ -435,11 +425,10 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
         U = W.slab(m, m)
         backend.syrk(U, F.panel(j)[a:, :])
         stats.add("syrk", syrk_flops(m, a))
-        rel = W.int_scratch[:m]
-        rel[:] = R.rel(j)
-        for P, lo, hi in R.walk(j, rel):
-            pos = S.glbind(P).size - 1 - rel[lo:]
-            stats.assembly_ops += _assemble(F.panel(P), pos, U[lo:, lo:], hi - lo)
+        for e in range(up[j], up[j + 1]):
+            lo = los[e]
+            stats.assembly_ops += _assemble(F.panel(ps[e]), T.pos[at[e]:at[e] + rs[e]],
+                                            U[lo:, lo:], cs[e])
     F.state = "L"
     stats.workspace_peak = W.peak
 
@@ -447,8 +436,8 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
 # ---------------------------------------------------------------------------
 # Right-looking blocked.
 
-def factor_rlb(F: FactorStorage, S: SymbolicFactor, R: RelativeIndexMap,
-               backend: KernelBackend, stats: RunStats) -> None:
+def factor_rlb(F: FactorStorage, S: SymbolicFactor, R, backend: KernelBackend,
+               stats: RunStats) -> None:
     """Blocked right-looking factorization: every update is a dense kernel call
     straight into an ancestor panel, run from ``S.rlb_schedule`` right after
     its supernode's own columns are factored.  No floating-point workspace
@@ -631,7 +620,6 @@ class Analysis:
         else:
             S, F = self.S, FactorStorage(self.S)
             F.data[self.slots] = self.A2.values
-            R = RelativeIndexMap(S) if method in ("mf", "rl") else None
             W = UpdateWorkspace(S, method) if method in ("mf", "ll", "rl") else None
             stats = RunStats(method, backend.name, S.n,
                              factor_nnz=S.factor_nnz, panel_storage=S.panel_storage)
@@ -642,13 +630,13 @@ class Analysis:
             if method == "ref":
                 result.ref_factor = factor_reference(self.A1, glb, stats)
             elif method == "mf":
-                factor_mf(F, S, R, W, backend, stats)
+                factor_mf(F, S, None, W, backend, stats)
             elif method == "ll":
                 factor_ll(F, S, W, backend, stats)
             elif method == "rl":
-                factor_rl(F, S, R, W, backend, stats)
+                factor_rl(F, S, None, W, backend, stats)
             else:
-                factor_rlb(F, S, R, backend, stats)
+                factor_rlb(F, S, None, backend, stats)
         except NotPositiveDefiniteError as e:
             raise _pivot_error(e.index, S, result.perm_total) from None
         stats.wall_seconds = time.perf_counter() - t0

@@ -3,7 +3,7 @@
 Everything that can be computed from the pattern alone: the elimination tree,
 fundamental supernodes with their row lists, supernode merging under a
 storage-growth cap, a stack-minimizing sibling order for the multifrontal
-schedule, dense-block lists, relative indices, workspace size plans for each
+schedule, dense-block lists, the update table, workspace size plans for each
 factorization method and the ``rlb`` call schedule.
 
 A supernode partition travels as its first columns (sentinel n included) plus
@@ -13,6 +13,10 @@ structures; ``merge_supernodes`` returns them relabelled and merged; and
 ``SymbolicFactor`` derives the column owners and the supernodal tree from the
 two.  The per-column structures (``symbolic_factorization``) serve only the
 column algorithm ``ref`` and the tests.
+
+Where an updater's rows sit in a target's row list is found once, for every
+(updater, target) pair, by one key search: ``SymbolicFactor.update_table``.
+The plans, the ``rlb`` schedule and the methods mf, ll and rl all read it.
 """
 
 from __future__ import annotations
@@ -402,56 +406,18 @@ def compose_relative(rel_jc: np.ndarray, rel_cp: np.ndarray) -> np.ndarray:
 
 class RelativeIndexMap:
     """Each supernode's below-diagonal rows as relative indices against its
-    parent: a row's distance from the bottom of the parent's row list.
-
-    Computed once, held as read-only arrays; ``walk`` carries them up the
-    ancestor chain for the right-looking method rl.
-    """
+    parent: a row's distance from the bottom of the parent's row list.  Read
+    out of ``S.update_table``; no factorization reads the map."""
 
     def __init__(self, S: "SymbolicFactor"):
-        rels = []
-        for j in range(S.nsuper):
-            rows = S.below(j)
-            pos = np.zeros(0, dtype=np.int64)
-            if rows.size:  # only roots have no rows below
-                pg = S.glbind(S.snode_parent[j])
-                pos = np.searchsorted(pg, rows)
-                if not np.array_equal(pg.take(pos, mode="clip"), rows):
-                    raise ValueError(f"row of supernode {j} missing from parent structure")
-                pos = pg.size - 1 - pos
-            pos.flags.writeable = False
-            rels.append(pos)
-        self._rel = tuple(rels)
-        self._parent = S.snode_parent.tolist()
-        self._mrows = [S.mrows(j) for j in range(S.nsuper)]
+        T = S.update_table
+        self._rel = np.repeat(S._lens[T.p], T.r) - 1 - T.pos
+        self._rel.flags.writeable = False
+        self._at = np.append(T.at, T.pos.size)[T.ptr[:-1]].tolist()
+        self._mrows = (S._lens - np.diff(S.first_col)).tolist()
 
     def rel(self, j: int) -> np.ndarray:
-        return self._rel[j]
-
-    def walk(self, j: int, rel: np.ndarray):
-        """Carry ``rel`` up the ancestor chain: a writable copy of some of
-        supernode j's relative indices against its parent, in their order (all
-        of them, or each block's first).  At each step up, the entries not yet
-        placed are composed in place against the next ancestor.  Yields
-        (P, lo, hi) where rel[lo:hi] land in ancestor P's own columns; the
-        segments cover 0..len(rel) in order, and on each yield rel[lo:] is
-        relative to P."""
-        parent, mrows, rels = self._parent, self._mrows, self._rel
-        n = rel.size
-        lo, C, P = 0, j, parent[j]
-        while lo < n:
-            assert P >= 0, "rows left after the root"
-            if C != j:
-                rc = rels[C]
-                rel[lo:] = rc[rc.size - 1 - rel[lo:]]
-            # rel descends, so P's own columns (indices >= mrows[P]) come first
-            hi = lo
-            while hi < n and rel[hi] >= mrows[P]:
-                hi += 1
-            if hi > lo:
-                yield P, lo, hi
-                lo = hi
-            C, P = P, parent[P]
+        return self._rel[self._at[j]:self._at[j] + self._mrows[j]]
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +441,29 @@ class Plans:
     rl_peak: int
 
 
+@dataclass(frozen=True)
+class UpdateTable:
+    """One read-only entry per (updater k, target p) pair, by k then p, so
+    k's first is with its parent (entries ``ptr[k]`` to ``ptr[k + 1]``; those
+    into p are ``by_target[target_ptr[p]:target_ptr[p + 1]]``, by k).  The
+    pair's rows start at offset ``lo`` of ``below(k)``; ``c`` of them lie in
+    p's columns, and the r = ``mrows(k)`` - lo rows to the end sit at
+    ``pos[at:at + r]`` of p's row list.  ``dense``: the first c positions
+    form one run and the rest another."""
+
+    k: np.ndarray
+    p: np.ndarray
+    lo: np.ndarray
+    c: np.ndarray
+    r: np.ndarray
+    dense: np.ndarray
+    at: np.ndarray
+    pos: np.ndarray
+    ptr: np.ndarray
+    by_target: np.ndarray
+    target_ptr: np.ndarray
+
+
 class SymbolicFactor:
     """Supernode partition, per-supernode row lists, block lists and workspace
     plans for the numeric factorizations.  Immutable once built.
@@ -484,9 +473,9 @@ class SymbolicFactor:
     over its columns, and a supernode's parent owns its first row below the
     diagonal (-1 for a root).
 
-    The derived structure (``block_sizes``/``block_starts``, ``updaters``,
-    ``plans`` and ``rlb_schedule``) is computed on first access and cached as
-    read-only arrays, so a factor that is only reordered pays for nothing but
+    The derived structure (``block_sizes``/``block_starts``, ``update_table``,
+    ``updaters``, ``plans`` and ``rlb_schedule``) is computed on first access
+    and cached as read-only arrays, so a factor that is only reordered pays for nothing but
     the below-row lists and row keys the reordering reads.
     """
 
@@ -572,26 +561,58 @@ class SymbolicFactor:
     block_starts = property(lambda self: self._blocks[1])
 
     @cached_property
+    def update_table(self) -> UpdateTable:
+        """The update table, its positions from one ``row_positions`` call.
+        Raises ValueError, naming the updater, when a target lacks a row."""
+        rows, src, owner, new = self._below_rows
+        start = np.flatnonzero(new)  # each pair's first row
+        k, p = src[start], owner[start]
+        c = np.diff(start, append=rows.size)
+        r = np.searchsorted(src, k, side="right") - start
+        want = rows[_ranges(start, r)]
+        pos = self.row_positions(np.repeat(p, r), want)
+        at = np.cumsum(r) - r
+        bad = np.flatnonzero(pos < 0)
+        if bad.size:
+            e = int(np.searchsorted(at, bad[0], side="right")) - 1
+            raise ValueError(f"update rows missing from the target: row {want[bad[0]]} of "
+                             f"supernode {k[e]} missing from parent or ancestor {p[e]}")
+        last = at + r - 1
+        head = (c <= 1) | (pos[at + c - 1] - pos[at] == c - 1)
+        tail = (r - c <= 1) | (pos[last] - pos[np.minimum(at + c, last)] == r - c - 1)
+        lo = (self._lens - np.diff(self.first_col))[k] - r
+        ns = np.arange(self.nsuper + 1)
+        T = UpdateTable(k, p, lo, c, r, head & tail, at, pos, np.searchsorted(k, ns),
+                        np.argsort(p, kind="stable"), np.searchsorted(np.sort(p), ns))
+        for a in vars(T).values():
+            a.flags.writeable = False
+        return T
+
+    @cached_property
     def updaters(self) -> tuple:
         """updaters[p]: the supernodes with rows in p's columns, ascending."""
-        _, src, owner, new = self._below_rows
-        k, p = src[new], owner[new]
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(p, minlength=self.nsuper))])
-        return _frozen_split(k[np.argsort(p, kind="stable")], bounds)
+        T = self.update_table
+        return _frozen_split(T.k[T.by_target], T.target_ptr)
 
     @cached_property
     def plans(self) -> Plans:
-        rows, src, _, _ = self._below_rows
-        parent = self.snode_parent
-        m = np.array([g.size for g in self._glbind], dtype=np.int64) - np.diff(self.first_col)
-        rest = m - np.bincount(src[rows < self.first_col[parent[src] + 1]], minlength=self.nsuper)
-        push = np.where(parent >= 0, rest * (rest + 1) // 2, 0)
+        """A supernode pushes what its parent does not take of its update
+        matrix; ``ll``'s slab fits its largest non-dense update from a
+        supernode wider than one column."""
+        T = self.update_table
+        widths = np.diff(self.first_col)
+        m = self._lens - widths
+        rest = np.zeros(self.nsuper, dtype=np.int64)
+        first = T.lo == 0  # each updater's pair with its parent
+        rest[T.k[first]] = (T.r - T.c)[first]
+        push = rest * (rest + 1) // 2
         square = m * m
-        post, mf_peak = stack_minimizing_postorder(parent, square, push)
+        post, mf_peak = stack_minimizing_postorder(self.snode_parent, square, push)
+        slab = T.r * T.c * ((widths[T.k] > 1) & ~T.dense)
         rl_peak = int(square.max()) if self.nsuper else 0
         for a in (post, push, square):
             a.flags.writeable = False
-        return Plans(post, int(mf_peak), push, square, _ll_peak(self), rl_peak)
+        return Plans(post, int(mf_peak), push, square, int(slab.max(initial=0)), rl_peak)
 
     @cached_property
     def rlb_schedule(self) -> CallSchedule:
@@ -611,7 +632,12 @@ class SymbolicFactor:
 
 
 def _rlb_rows(S: SymbolicFactor) -> tuple:
-    """``rlb_schedule``'s rows and row pointer, before they are checked."""
+    """``rlb_schedule``'s rows and row pointer, before they are checked.
+
+    The blocks of one supernode with one owner form a group, and the groups
+    are the update table's pairs, in order: a block starts one where its
+    first row starts a pair.  A pair holds the positions of its updater's
+    rows from its first block to the end, and so of every block it updates."""
     nb = [b.size for b in S.block_sizes]
     pairs = sum(k * (k + 1) // 2 for k in nb)  # bounds every index below
     it = np.int32 if max(S.panel_storage, pairs) < 2**31 else np.int64
@@ -620,10 +646,29 @@ def _rlb_rows(S: SymbolicFactor) -> tuple:
     src = np.repeat(np.arange(S.nsuper, dtype=it), nb)
     width, lens, offsets = (a.astype(it) for a in (np.diff(S.first_col), S._lens,
                                                    S.panel_offsets))
-    # each block's first row, as an offset into its supernode's row list
-    start = width[src] + np.concatenate(S.block_starts + empty).astype(it)
-    owner, b, q, pos, m = _rlb_runs(S, sizes, src, start)
-    P, j = owner[b], src[b]
+    # each block's first row, as an offset into its supernode's below rows
+    below = np.concatenate(S.block_starts + empty).astype(it)
+    T, mrows = S.update_table, lens - width
+    group = S._below_rows[3][(np.cumsum(mrows) - mrows)[src] + below]
+    g = np.cumsum(group, dtype=it) - 1
+    blk = np.arange(src.size, dtype=it)
+    end = np.cumsum(np.bincount(src, minlength=S.nsuper), dtype=it)[src]
+    first = np.flatnonzero(group).astype(it)
+    span = end[first] - first
+    found = T.pos[(T.at - below[first]).repeat(span) + below[_ranges(first, span)]].astype(it)
+    # one (block b, block q >= b of its supernode) pair per call candidate,
+    # by b then q: q == b is b's syrk, the rest its gemm rows
+    count = end - blk
+    b = blk.repeat(count)
+    q = _ranges(blk, count)
+    pos = found[_ranges(np.cumsum(span, dtype=it)[g] - span[g] + blk - first[g], count)]
+    # a gemm continues the previous row's run when q sits right below it
+    cont = np.zeros(b.size, dtype=bool)
+    cont[1:] = (q[1:] > b[1:] + 1) & (pos[1:] == pos[:-1] + sizes[q[:-1]])
+    call = np.flatnonzero(~cont)
+    m = np.add.reduceat(sizes[q], call) if call.size else sizes[:0]
+    b, q, pos = b[call], q[call], pos[call]
+    P, j, start = T.p[g[b]], src[b], width[src] + below  # start: offset in the row list
     syrk = q == b
     rows = np.empty((b.size, 9), dtype=it)
     rows[:, 0] = np.where(syrk, SYRK, GEMM)
@@ -640,49 +685,6 @@ def _rlb_rows(S: SymbolicFactor) -> tuple:
     return rows, ptr
 
 
-def _rlb_runs(S: SymbolicFactor, sizes, src, start) -> tuple:
-    """The owner of each block's rows, and per ``rlb`` call in execution order
-    the block b it is for, its first block q (q == b for b's syrk), q's
-    position in the owner's row list and the rows it updates.  Raises
-    ValueError when a block's rows are not all in the owner's row list.
-    Indices keep the dtype of the inputs."""
-    keys, list_at = S._row_keys  # a key is supernode * n + row
-    first_row = keys[list_at[src] + start] - src * np.int64(S.n)
-    owner = S.col_to_snode[first_row].astype(src.dtype)
-    # The blocks of one supernode with one owner form a group.  Each group
-    # looks up once, in its owner's row list, every block from its own first
-    # to the supernode's last.
-    blk = np.arange(src.size, dtype=src.dtype)
-    end = np.cumsum(np.bincount(src, minlength=S.nsuper), dtype=src.dtype)[src]
-    group = np.ones(src.size, dtype=bool)
-    group[1:] = (src[1:] != src[:-1]) | (owner[1:] != owner[:-1])
-    first = np.flatnonzero(group).astype(src.dtype)
-    span = end[first] - first
-    look = _ranges(first, span)
-    target = owner[first].repeat(span)
-    found = S.row_positions(target, first_row[look])
-    # a block's rows are consecutive, so they are all in the ascending list
-    # when its last row is where the first one's position says
-    last = np.minimum(found + sizes[look] - 1, S._lens[target] - 1)
-    if (found < 0).any() or (keys[list_at[target] + last] - target * np.int64(S.n)
-                             != first_row[look] + sizes[look] - 1).any():
-        raise ValueError("block rows missing from the target supernode's structure")
-    found = found.astype(src.dtype)
-    # one (block b, block q >= b of its supernode) pair per call candidate,
-    # by b then q: q == b is b's syrk, the rest its gemm rows
-    g = np.cumsum(group, dtype=src.dtype) - 1
-    count = end - blk
-    b = blk.repeat(count)
-    q = _ranges(blk, count)
-    pos = found[_ranges(np.cumsum(span, dtype=src.dtype)[g] - span[g] + blk - first[g], count)]
-    # a gemm continues the previous row's run when q sits right below it
-    cont = np.zeros(b.size, dtype=bool)
-    cont[1:] = (q[1:] > b[1:] + 1) & (pos[1:] == pos[:-1] + sizes[q[:-1]])
-    call = np.flatnonzero(~cont)
-    m = np.add.reduceat(sizes[q], call) if call.size else sizes[:0]
-    return owner, b[call], q[call], pos[call], m
-
-
 def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
     """lo[0], ..., lo[0] + count[0] - 1, lo[1], ..., concatenated, in lo's
     dtype."""
@@ -696,40 +698,6 @@ def _frozen_split(a: np.ndarray, bounds: np.ndarray) -> tuple:
     a.flags.writeable = False
     b = bounds.tolist()
     return tuple(a[lo:hi] for lo, hi in zip(b, b[1:]))
-
-
-def dense_update(pos, c: int) -> bool:
-    """Whether an update lands on contiguous target storage: ``pos`` holds the
-    strictly ascending positions of the updating rows in the target's row list,
-    its first ``c`` the target's own columns, and both the triangle part and
-    the part below it must each be one run."""
-    r = len(pos)
-    return bool((c <= 1 or pos[c - 1] - pos[0] == c - 1)
-                and (r - c <= 1 or pos[r - 1] - pos[c] == r - c - 1))
-
-
-def _ll_peak(S: SymbolicFactor) -> int:
-    """Largest slab ``factor_ll`` needs: rows times columns of the largest
-    update from a supernode wider than one column that is not dense_update.
-
-    Supernode k updates j with the r rows of its list from the first in j's
-    columns to the end, the first c of them in j's columns; dense_update's
-    test is applied to all those updates at once."""
-    rows, src, owner, new = S._below_rows
-    group = np.flatnonzero(new)  # one (k, j) update per group
-    c = np.diff(group, append=rows.size)
-    k, j = src[group], owner[group]
-    r = np.searchsorted(src, k, side="right") - group
-    keep = np.diff(S.first_col)[k] > 1
-    group, c, r, j = group[keep], c[keep], r[keep], j[keep]
-    pos = S.row_positions(np.repeat(j, r), rows[_ranges(group, r)])
-    if (pos < 0).any():
-        raise AssertionError("update rows missing from target structure")
-    at = np.cumsum(r) - r  # where each update's positions start in pos
-    last = at + r - 1
-    head = (c <= 1) | (pos[at + c - 1] - pos[at] == c - 1)
-    tail = (r - c <= 1) | (pos[last] - pos[np.minimum(at + c, last)] == r - c - 1)
-    return int((r * c)[~(head & tail)].max(initial=0))
 
 
 def check_call_extents(S: SymbolicFactor, schedule: CallSchedule) -> None:
@@ -772,8 +740,8 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
 
     Steps: elimination tree, postorder relabel, fundamental supernodes with
     their row lists, merging under the storage cap (with its relabel),
-    optional within-supernode reordering, block lists, workspace plans and
-    the ``rlb`` call schedule.
+    optional within-supernode reordering, block lists, the update table,
+    workspace plans and the ``rlb`` call schedule.
     ``.relabel`` holds the composed permutation this analysis applied on top of
     the input pattern; apply it to the matrix before scattering values.
     """
@@ -784,5 +752,5 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
     if options.pr:
         from .reorder import reorder_within_supernodes
         _, S = reorder_within_supernodes(S)
-    S.block_sizes, S.updaters, S.plans, S.rlb_schedule  # derive them here, as part of the analysis
+    S.block_sizes, S.update_table, S.updaters, S.plans, S.rlb_schedule  # derive them here
     return S

@@ -171,6 +171,103 @@ def relind_direct(child_rows, parent_rows) -> np.ndarray:
                     dtype=np.int64)
 
 
+def parent_relative_indices(S) -> list:
+    """Each supernode's below rows as distances from the bottom of its
+    parent's row list, by one binary search per supernode."""
+    rels = []
+    for j in range(S.nsuper):
+        rows = S.below(j)
+        rel = np.zeros(0, dtype=np.int64)
+        if rows.size:  # only roots have no rows below
+            pg = S.glbind(int(S.snode_parent[j]))
+            at = np.searchsorted(pg, rows)
+            assert np.array_equal(pg.take(at, mode="clip"), rows), j
+            rel = pg.size - 1 - at
+        rels.append(rel)
+    return rels
+
+
+def walk(S, rels: list, j: int, rel: np.ndarray):
+    """Carry ``rel`` up the ancestor chain: a writable copy of some of
+    supernode j's relative indices against its parent, in their order (all of
+    them, or each block's first), ``rels`` holding every supernode's.  At each
+    step up, the entries not yet placed are composed in place against the next
+    ancestor with ``compose_relative``.  Yields (P, lo, hi) where rel[lo:hi]
+    land in ancestor P's own columns; the segments cover 0..len(rel) in order,
+    and on each yield rel[lo:] is relative to P."""
+    from snchol.symbolic import compose_relative
+    n = rel.size
+    lo, C, P = 0, j, int(S.snode_parent[j])
+    while lo < n:
+        assert P >= 0, "rows left after the root"
+        if C != j:
+            rel[lo:] = compose_relative(rel[lo:], rels[C])
+        # rel descends, so P's own columns (indices >= mrows(P)) come first
+        hi = lo
+        while hi < n and rel[hi] >= S.mrows(P):
+            hi += 1
+        if hi > lo:
+            yield P, lo, hi
+            lo = hi
+        C, P = P, int(S.snode_parent[P])
+
+
+def build_indmap(S, j: int, indmap: np.ndarray) -> None:
+    """Scatter supernode j's relative indices (distance from the bottom of its
+    row list) into the length-n index map."""
+    g = S.glbind(j)
+    indmap[g] = g.size - 1 - np.arange(g.size, dtype=np.int64)
+
+
+def dense_target(pos, c: int) -> bool:
+    """Whether an update's rows, at ascending positions ``pos`` of the target's
+    row list with the first ``c`` in the target's columns, land on contiguous
+    storage: the triangle part and the part below it each one run."""
+    return all(p.size <= 1 or bool(np.all(np.diff(p) == 1)) for p in (pos[:c], pos[c:]))
+
+
+def table_entries(T) -> list:
+    """An ``UpdateTable``'s entries as (k, p, lo, c, r, positions, dense)
+    tuples of plain ints, lists and bools, in the table's order."""
+    cols = zip(T.k.tolist(), T.p.tolist(), T.lo.tolist(), T.c.tolist(), T.r.tolist(),
+               T.at.tolist(), T.dense.tolist())
+    return [(k, p, lo, c, r, T.pos[at:at + r].tolist(), d) for k, p, lo, c, r, at, d in cols]
+
+
+def update_pairs_by_walk(S) -> list:
+    """Every (updater k, target p) update as (k, p, lo, c, r, positions,
+    dense), by k then p, from walking all of k's relative indices up the
+    ancestor chain: each segment is one target, and the indices not yet placed
+    give the positions of the rows from lo to the end."""
+    rels = parent_relative_indices(S)
+    out = []
+    for k in range(S.nsuper):
+        rel = rels[k].copy()
+        for P, lo, hi in walk(S, rels, k, rel):
+            pos = S.glbind(P).size - 1 - rel[lo:]
+            out.append((k, P, lo, hi - lo, rel.size - lo, pos.tolist(),
+                        dense_target(pos, hi - lo)))
+    return out
+
+
+def update_pairs_by_indmap(S) -> list:
+    """The same updates as ``update_pairs_by_walk``, found the left-looking
+    way: for each target p, its index map and, per updater, binary searches
+    for the first row in p's columns and the last."""
+    indmap = np.full(S.n, -1, dtype=np.int64)
+    out = []
+    for p, ks in enumerate(updater_lists(S)):
+        f, l = S.cols(p)
+        build_indmap(S, p, indmap)
+        for k in ks:
+            b = S.below(k)
+            lo = int(np.searchsorted(b, f))
+            c = int(np.searchsorted(b, l, side="right")) - lo
+            pos = S.glbind(p).size - 1 - indmap[b[lo:]]
+            out.append((k, p, lo, c, b.size - lo, pos.tolist(), dense_target(pos, c)))
+    return sorted(out, key=lambda t: (t[0], t[1]))
+
+
 def simulate_stack_peak(parent, square, push, child_order) -> int:
     """Step-by-step stack simulation: pushes in postorder, the square update
     matrix laid in place over the first pop.  Independent of the library's
@@ -342,7 +439,7 @@ def ll_peak_per_pair(S) -> int:
             pos = np.searchsorted(gj, rows)
             if pos.size and not np.array_equal(gj[pos], rows):
                 raise AssertionError("update rows missing from target structure")
-            if not all(p.size <= 1 or np.all(np.diff(p) == 1) for p in (pos[:c], pos[c:])):
+            if not dense_target(pos, c):
                 peak = max(peak, rows.size * c)
     return peak
 
@@ -415,24 +512,25 @@ def scatter_per_column(A, S):
     return F
 
 
-def rlb_calls_by_walk(S, R) -> tuple:
+def rlb_calls_by_walk(S) -> tuple:
     """rlb's kernel calls as ``CallSchedule`` rows ``(kind, c, ldc, m, n, k, x,
     y, ldx)`` and the number of calls per supernode, found the way
     ``factor_rlb`` found them before its schedule was compiled: carry each
     supernode's block-first relative indices up the ancestor chain with
-    ``R.walk``; each block landing in ancestor P updates P's triangle at its
+    ``walk``; each block landing in ancestor P updates P's triangle at its
     rows (syrk), then the rectangle at each run of later blocks whose rows sit
     directly below one another in P's row list (gemm), rescanning for the
     run's end."""
     from snchol.kernels import GEMM, SYRK
+    rels = parent_relative_indices(S)
     rows, per = [], []
     for j in range(S.nsuper):
         a, g, off = S.width(j), S.glbind(j).size, int(S.panel_offsets[j])
         sizes = S.block_sizes[j].tolist()
         starts = (S.block_starts[j] + a).tolist() + [g]
-        rb = R.rel(j)[S.block_starts[j]].copy()
+        rb = rels[j][S.block_starts[j]]
         before = len(rows)
-        for P, lo, hi in R.walk(j, rb):
+        for P, lo, hi in walk(S, rels, j, rb):
             rbl = rb.tolist()
             gp = S.glbind(P).size
             for bi in range(lo, hi):
@@ -450,6 +548,28 @@ def rlb_calls_by_walk(S, R) -> tuple:
                     q = e
         per.append(len(rows) - before)
     return np.array(rows, dtype=np.int64).reshape(-1, 9), per
+
+
+def generate_spd_by_table(n: int, density: float, seed: int):
+    """``generate_spd`` as it was written first: the same draws, each linear
+    index looked up in the n x n table of ``np.tril_indices``."""
+    from snchol.matrix import _assemble_lower
+    rng = np.random.default_rng(seed)
+    ti, tj = np.tril_indices(n, -1)
+    k = int(round(density * ti.size))
+    if k > 0:
+        pick = np.sort(rng.choice(ti.size, size=k, replace=False))
+        oi, oj = ti[pick], tj[pick]
+        ov = rng.uniform(-1.0, 1.0, size=k)
+    else:
+        oi = oj = np.zeros(0, dtype=np.int64)
+        ov = np.zeros(0)
+    rowsum = np.zeros(n)
+    np.add.at(rowsum, oi, np.abs(ov))
+    np.add.at(rowsum, oj, np.abs(ov))
+    dd = np.arange(n, dtype=np.int64)
+    return _assemble_lower(n, np.concatenate([oi, dd]), np.concatenate([oj, dd]),
+                           np.concatenate([ov, 1.0 + rowsum]), pattern_only=False)
 
 
 def solve_per_column(F, S, b):

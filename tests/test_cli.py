@@ -183,6 +183,21 @@ def test_analyze_gen_reordered_lines_match_a_full_build(capsys):
     assert before != f"blocks before reordering: count={count} mean_len={mean:.3f}"
 
 
+def test_analyze_reports_the_update_table_after_the_plans(fig1_mtx, capsys):
+    # fig1: supernodes 0 and 1 each update supernode 2, with 3 rows each
+    assert run_cli("analyze", str(fig1_mtx), "--order", "natural", "--merge-cap", "off") == 0
+    out = capsys.readouterr().out.splitlines()
+    at = [i for i, ln in enumerate(out) if ln.startswith("workspace plans")][0]
+    assert out[at + 1] == "update table: pairs=2 positions=6"
+    spec = "gen:n=200,density=0.03,seed=3"
+    assert run_cli("analyze", spec) == 0
+    out = capsys.readouterr().out.splitlines()
+    A = generate_spd(200, 0.03, 3)
+    A1 = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+    pairs = oracles.update_pairs_by_walk(build_symbolic_factor(A1.pattern))
+    assert f"update table: pairs={len(pairs)} positions={sum(e[4] for e in pairs)}" in out
+
+
 def test_analyze_reports_blocks_after_refinement(capsys):
     # the middle line counts partition refinement alone, as the list-based
     # oracle does it; the 2-opt pass after it only removes blocks

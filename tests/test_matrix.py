@@ -213,6 +213,33 @@ def test_generate_spd_basics():
         generate_spd(5, 0.0, 1)
 
 
+def test_generate_spd_matches_the_triangle_table():
+    """Each drawn index maps to its row and column arithmetically; the matrix
+    is the one the n x n ``tril_indices`` lookup gives, entry for entry."""
+    for n in (1, 2, 3, 50, 300, 2000):
+        for density in (1e-4, 0.01, 0.05, 0.3, 1.0):
+            if n * n * density > 2e5:
+                continue
+            for seed in (0, 1, 7):
+                got = generate_spd(n, density, seed)
+                want = oracles.generate_spd_by_table(n, density, seed)
+                assert np.array_equal(got.pattern.colptr, want.pattern.colptr), (n, density)
+                assert np.array_equal(got.pattern.rowind, want.pattern.rowind), (n, density)
+                assert got.values.tobytes() == want.values.tobytes(), (n, density, seed)
+
+
+def test_generate_spd_memory_follows_the_entries_not_n_squared():
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        A = generate_spd(6000, 3e-5, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a table of the 18M strictly-lower positions alone would take 288 MB
+    assert A.pattern.nnz == 6000 + 540 and peak < 8_000_000
+
+
 def test_minimum_degree_diagonal_is_identity():
     pat = oracles.pattern_from_columns(4, [[], [], [], []])
     P = minimum_degree_order(pat)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snchol import numeric
+from snchol import symbolic
 from snchol.kernels import (GEMM, CallSchedule, KernelBackend, NotPositiveDefiniteError,
                             REFERENCE_BACKEND, gemm_flops, get_backend, potrf_flops, syrk_flops,
                             trsm_flops)
@@ -11,8 +11,7 @@ from snchol.matrix import (SymmetricSparseMatrix, _assemble_lower, apply_symmetr
                            generate_spd, minimum_degree_order, read_matrix_market)
 from snchol.numeric import (METHODS, FactorStateError, NonFiniteEntryError, RunOptions, RunStats,
                             StructureError, UpdateWorkspace, _extend_in_place,
-                            _pack_descending, analyze, build_indmap,
-                            deviation_from_reference, factor_mf, factor_reference, factor_rl,
+                            _pack_descending, analyze, deviation_from_reference, factor_mf, factor_reference, factor_rl,
                             factor_rlb, run_factorization, scatter_into_factor, solve)
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
                              build_symbolic_factor, check_call_extents, elimination_tree,
@@ -214,7 +213,7 @@ def test_mf_fig1_matches_reference_and_plan():
 def test_ll_indmap_and_gather_example():
     S = build_fig1()
     indmap = np.full(9, -1, dtype=np.int64)
-    build_indmap(S, 2, indmap)  # third supernode {5..9}
+    oracles.build_indmap(S, 2, indmap)  # third supernode {5..9}
     assert indmap[4:9].tolist() == [4, 3, 2, 1, 0]
     # gathering the shared rows {5,6,9} of the first supernode picks [4,3,0]
     shared = S.below(0)
@@ -262,7 +261,7 @@ def test_rlb_schedule_is_the_walk_row_for_row():
     for name, an in schedule_cases():
         S = an.S
         sched = S.rlb_schedule
-        rows, per = oracles.rlb_calls_by_walk(S, RelativeIndexMap(S))
+        rows, per = oracles.rlb_calls_by_walk(S)
         assert np.array_equal(sched.rows, rows), name
         assert np.diff(sched.ptr).tolist() == per, name
         assert sched.rows.dtype == np.int32 and not sched.rows.flags.writeable
@@ -370,11 +369,15 @@ def test_schedule_build_rejects_rows_missing_from_the_target():
         broken.rlb_schedule
 
 
-def test_rlb_factors_without_a_relative_index_map(monkeypatch):
+def test_every_method_factors_without_a_relative_index_map(monkeypatch):
     built = []
-    monkeypatch.setattr(numeric, "RelativeIndexMap", lambda S: built.append(S))
-    r = analyze(grid_laplacian(8)).factor("rlb", "vendor")
-    assert built == [] and deviation_from_reference(r) <= 1e-12
+    monkeypatch.setattr(symbolic, "RelativeIndexMap", lambda S: built.append(S))
+    analysis = analyze(grid_laplacian(8))
+    for method in METHODS:
+        for backend in ("reference", "vendor"):
+            r = analysis.factor(method, backend)
+            assert deviation_from_reference(r) <= 1e-12, (method, backend)
+    assert built == []
 
 
 def counters(r):

@@ -6,9 +6,10 @@ dominant values, so every matrix is SPD.  Every supernodal method, on both
 kernel backends and under every merge cap / reorder setting, must match the
 column oracle, hit its workspace plan exactly, and (for rlb) use no workspace
 and no assembly and make exactly the calls its precompiled schedule lists, the
-calls the ancestor walk finds.  The supernodal solve must leave a residual of
-at most n * 1e-12 and agree with the per-column solve.  Examples are derandomized, so the suite is
-reproducible.  The symbolic partition is also checked on its own against
+calls the ancestor walk finds.  On ``gen:`` matrices the update table must be
+what the ancestor walk and the left-looking index map find.  The supernodal
+solve must leave a residual of at most n * 1e-12 and agree with the
+per-column solve.  Examples are derandomized, so the suite is reproducible.  The symbolic partition is also checked on its own against
 its per-column definition, the empty pattern included, and the
 within-supernode reorder against the list-based partition refinement it
 starts from.
@@ -19,10 +20,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from snchol import symbolic
-from snchol.matrix import _assemble_lower, apply_symmetric_permutation, minimum_degree_order
+from snchol.matrix import (_assemble_lower, apply_symmetric_permutation, generate_spd,
+                           minimum_degree_order)
 from snchol.numeric import RunOptions, deviation_from_reference, run_factorization
 from snchol.reorder import reorder_within_supernodes
-from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
+from snchol.symbolic import (BuildOptions, SymbolicFactor,
                              build_symbolic_factor, elimination_tree, fundamental_supernodes,
                              postorder_relabel, symbolic_factorization)
 
@@ -170,10 +172,24 @@ def test_every_method_matches_ref_and_its_plans(kind, data):
             else:
                 plan = {"mf": S.plans.mf_peak, "ll": S.plans.ll_peak, "rl": S.plans.rl_peak}
                 assert stats.workspace_peak == plan[method], where
-    rows, per = oracles.rlb_calls_by_walk(S, RelativeIndexMap(S))
+    rows, per = oracles.rlb_calls_by_walk(S)
     assert np.array_equal(S.rlb_schedule.rows, rows), where
     assert np.diff(S.rlb_schedule.ptr).tolist() == per, where
     assert S.plans.ll_peak == oracles.ll_peak_per_pair(S), where
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 90), density=st.floats(0.005, 0.5), seed=st.integers(0, 2**16),
+       cap=st.sampled_from(MERGE_CAPS), pr=st.booleans(), mindeg=st.booleans())
+def test_update_table_is_the_walk_and_the_index_map(n, density, seed, cap, pr, mindeg):
+    """On ``gen:`` matrices, every (updater, target) entry of the update table
+    is what the ancestor walk and the left-looking index map find."""
+    A = generate_spd(n, density, seed)
+    if mindeg:
+        A = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+    S = build_symbolic_factor(A.pattern, BuildOptions(cap, pr))
+    got = oracles.table_entries(S.update_table)
+    assert got == oracles.update_pairs_by_walk(S) == oracles.update_pairs_by_indmap(S)
 
 
 @pytest.mark.parametrize("kind", KINDS)

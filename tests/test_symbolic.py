@@ -368,24 +368,24 @@ def walk_factors():
 
 
 def test_walk_segments_match_composition_and_direct_indices():
-    """Every segment the walk yields holds, for rows that land in that
+    """Every segment the oracle walk yields holds, for rows that land in that
     ancestor's own columns, the indices a chain of compose_relative calls and
     the direct search give; the segments cover the list in order."""
     segments = 0
     for S in walk_factors():
-        R = RelativeIndexMap(S)
+        rels = oracles.parent_relative_indices(S)
         for j in range(S.nsuper):
             for idx in (np.arange(S.mrows(j)), S.block_starts[j]):  # rows, block firsts
                 rows = S.below(j)[idx]
-                rel = R.rel(j)[idx]
+                rel = rels[j][idx]
                 covered = 0
-                for P, lo, hi in R.walk(j, rel):
+                for P, lo, hi in oracles.walk(S, rels, j, rel):
                     assert lo == covered < hi
                     assert (S.col_to_snode[rows[lo:hi]] == P).all()
-                    chain = R.rel(j)[idx][lo:hi]
+                    chain = rels[j][idx][lo:hi]
                     A = int(S.snode_parent[j])
                     while A != P:
-                        chain = compose_relative(chain, R.rel(A))
+                        chain = compose_relative(chain, rels[A])
                         A = int(S.snode_parent[A])
                     assert np.array_equal(rel[lo:hi], chain)
                     # everything not placed yet is relative to P as well
@@ -395,6 +395,20 @@ def test_walk_segments_match_composition_and_direct_indices():
                     segments += 1
                 assert covered == rows.size
     assert segments > 2000
+
+
+def test_update_table_is_the_walk_and_the_index_map():
+    """Every (updater, target) entry of the table, with its offset, its rows in
+    the target's columns and below, their positions and the dense flag, is
+    what the ancestor walk and the left-looking index map find."""
+    entries = dense = 0
+    for S in walk_factors():
+        got = oracles.table_entries(S.update_table)
+        assert got == oracles.update_pairs_by_walk(S) == oracles.update_pairs_by_indmap(S)
+        assert [u.tolist() for u in S.updaters] == oracles.updater_lists(S)
+        entries += len(got)
+        dense += sum(e[6] for e in got)
+    assert entries > 1000 and 0 < dense < entries
 
 
 def test_compose_relative_worked_example():
@@ -542,7 +556,8 @@ def count_derivations(monkeypatch, names) -> dict:
 
 
 def test_one_build_derives_blocks_and_plans_once(monkeypatch):
-    counts = count_derivations(monkeypatch, ("_blocks", "updaters", "plans", "rlb_schedule"))
+    names = ("_blocks", "update_table", "updaters", "plans", "rlb_schedule")
+    counts = count_derivations(monkeypatch, names)
     builds = []
     orig = reorder.reorder_within_supernodes
     monkeypatch.setattr(reorder, "reorder_within_supernodes",
@@ -551,21 +566,22 @@ def test_one_build_derives_blocks_and_plans_once(monkeypatch):
     S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
     assert len(builds) == 1
     # the reorder reads its pivot groups from the below-row lists, so only the
-    # final factor derives its updaters
-    assert counts == {"_blocks": 1, "updaters": 1, "plans": 1, "rlb_schedule": 1}
+    # final factor derives its update table and updaters
+    assert counts == dict.fromkeys(names, 1)
     # blocks, plans and the schedule were derived during the build; using them
     # derives nothing
     _ = ([S.nblocks(j) for j in range(S.nsuper)], S.plans, S.block_starts, S.updaters,
-         S.rlb_schedule)
-    assert counts == {"_blocks": 1, "updaters": 1, "plans": 1, "rlb_schedule": 1}
-    assert not {"plans", "_blocks", "rlb_schedule"} & set(vars(builds[0]))
+         S.rlb_schedule, S.update_table)
+    assert counts == dict.fromkeys(names, 1)
+    assert not {"plans", "_blocks", "update_table", "rlb_schedule"} & set(vars(builds[0]))
 
 
 def test_derived_structure_is_read_only():
     A = generate_spd(50, 0.08, 5)
     S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
     arrays = [*S.block_sizes, *S.block_starts, *S.updaters, S.plans.mf_postorder,
-              S.plans.push_size, S.plans.square_size, S.rlb_schedule.rows, S.rlb_schedule.ptr]
+              S.plans.push_size, S.plans.square_size, S.rlb_schedule.rows, S.rlb_schedule.ptr,
+              *vars(S.update_table).values()]
     assert arrays and not any(a.flags.writeable for a in arrays)
     assert all(isinstance(x, tuple) for x in (S.block_sizes, S.block_starts, S.updaters))
 
