@@ -1,6 +1,11 @@
 """Symmetric sparse matrices in lower-triangle CSC form, Matrix Market I/O,
 symmetric permutations, SPD test-matrix generation and a minimum degree ordering.
 
+The ordering is greedy minimum external degree with ties broken by the
+smallest index, computed by mass elimination: each pivot numbers, together
+with itself, the neighbours that share its closed neighbourhood, which gives
+exactly the permutation of eliminating one vertex per step.
+
 Indices are 0-based everywhere in memory; Matrix Market files and permutation
 files use the conventional 1-based indexing.
 """
@@ -8,6 +13,8 @@ files use the conventional 1-based indexing.
 from __future__ import annotations
 
 import heapq
+import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,11 +228,40 @@ def read_matrix_market(path) -> SymmetricSparseMatrix:
     if nrows != ncols:
         raise MatrixMarketSymmetryError(f"line {lineno}: matrix is {nrows}x{ncols}, not square")
     n = nrows
+    if 24 * n > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        # every column stores at least its diagonal: row index, value, column pointer
+        raise MatrixMarketHeaderError(f"line {lineno}: dimension {n} needs at least "
+                                      f"{24 * n} bytes, more than this machine's memory")
 
+    fields = [("i", np.int64), ("j", np.int64)] + ([] if pattern_only else [("v", np.float64)])
+    try:
+        with warnings.catch_warnings():
+            # numpy warns, and goes on, on an empty body and (older numpy) on an
+            # index written as a float; as errors they send the block to the scan
+            warnings.simplefilter("error")
+            e = np.loadtxt(lines[k + 1:], dtype=fields, comments=None, usecols=range(len(fields)),
+                           ndmin=1)
+    except (ValueError, Warning):
+        e = None
+    if e is not None and e.size == nent and all(np.all((e[c] >= 1) & (e[c] <= n)) for c in "ij"):
+        # mirror explicit upper entries into the lower triangle
+        ii = np.maximum(e["i"], e["j"]) - 1
+        jj = np.minimum(e["i"], e["j"]) - 1
+        vv = np.ones(nent) if pattern_only else e["v"]
+    else:
+        ii, jj, vv = _scan_entries(lines, k, n, nent, pattern_only)
+    return _assemble_lower(n, ii, jj, vv, pattern_only)
+
+
+def _scan_entries(lines, k, n, nent, pattern_only) -> tuple:
+    """Entry lines after the size line ``lines[k]`` parsed one at a time, as
+    (ii, jj, vv) mirrored into the lower triangle; raises naming the first bad
+    line.  ``read_matrix_market`` uses it when its one-call parse fails."""
     ii = np.empty(nent, dtype=np.int64)
     jj = np.empty(nent, dtype=np.int64)
     vv = np.empty(nent, dtype=np.float64)
     want = 3 if not pattern_only else 2
+    lineno = k + 1
     m = 0
     for off, line in enumerate(lines[k + 1:]):
         lineno = k + 2 + off
@@ -244,14 +280,12 @@ def read_matrix_market(path) -> SymmetricSparseMatrix:
             raise MatrixMarketError(f"line {lineno}: malformed entry")
         if not (1 <= i <= n and 1 <= j <= n):
             raise MatrixMarketIndexError(f"line {lineno}: index ({i},{j}) out of range for n={n}")
-        # mirror explicit upper entries into the lower triangle
         ii[m], jj[m] = (i - 1, j - 1) if i >= j else (j - 1, i - 1)
         vv[m] = v
         m += 1
     if m != nent:
         raise MatrixMarketError(f"line {lineno}: {m} entries read, {nent} declared")
-
-    return _assemble_lower(n, ii[:m], jj[:m], vv[:m], pattern_only)
+    return ii, jj, vv
 
 
 def _assemble_lower(n, ii, jj, vv, pattern_only) -> SymmetricSparseMatrix:
@@ -355,36 +389,66 @@ def generate_spd(n: int, density: float, seed: int) -> SymmetricSparseMatrix:
 
 
 def minimum_degree_order(pattern: SymmetricSparsePattern) -> Permutation:
-    """Greedy minimum external degree ordering, ties broken by smallest index.
+    """Greedy minimum external degree ordering, ties broken by smallest index,
+    computed by mass elimination (George & Liu, SIAM Review 31, 1989).
 
-    Uses explicit clique formation on elimination; fine at the problem sizes
-    this package targets.
+    The greedy rule numbers next the remaining vertex of least degree in the
+    elimination graph, the smallest index among ties, and joins its neighbours
+    into a clique.  This function returns exactly that permutation while
+    numbering a whole group of indistinguishable vertices per pivot:
+
+    Let v be the pivot, d = |adj(v)| and N[v] = adj(v) + {v}.  A neighbour u
+    with |adj(u)| = d and adj(u) inside N[v] has adj(u) = N[v] - {u} (it holds
+    v, lacks u and has d members), so N[u] = N[v].  Eliminating v leaves such u
+    with degree d - 1.  Any other neighbour w gets adj(w) - {v} joined to
+    adj(v) - {w}, degree d - 1 + |adj(w) - N[v]|; that is d - 1 only if adj(w)
+    lies inside N[v], and then |adj(w)| = d (at least d because v was chosen,
+    at most d by the inclusion), so w is one of the group.  Vertices outside
+    N[v] keep degree >= d.  So the group, and only it, reaches degree d - 1.
+    A member's neighbourhood is then already a clique, so eliminating it adds
+    no edge and lowers every other degree by at most one: after j members the
+    rest of the group sits at d - 1 - j and every other vertex at >= d - j.
+    The greedy rule therefore numbers the group right after v, in increasing
+    index order.
+
+    What remains is v's other neighbours R, each losing v and the group and
+    gaining R - adj(w) - {w}; one pass makes that update and pushes each
+    member of R onto the heap once.  Adding only the missing members, not all
+    of R, keeps a set from growing its hash table for members it already
+    holds.  Stale heap entries (degree changed, or vertex numbered) are
+    skipped when popped.
     """
     n = pattern.n
-    adj = [set() for _ in range(n)]
+    ptr = pattern.colptr.tolist()
+    rows = pattern.rowind.tolist()
+    adj = [set(rows[ptr[j] + 1:ptr[j + 1]]) for j in range(n)]
     for j in range(n):
-        for i in pattern.col(j)[1:]:
-            adj[int(i)].add(j)
-            adj[j].add(int(i))
-    alive = np.ones(n, dtype=bool)
+        for i in rows[ptr[j] + 1:ptr[j + 1]]:
+            adj[i].add(j)
+    del ptr, rows  # before fill grows the sets
     perm = np.empty(n, dtype=np.int64)
-    heap = [(len(adj[v]), v) for v in range(n)]
+    heap = [(len(a), v) for v, a in enumerate(adj)]
     heapq.heapify(heap)
-    for step in range(n):
-        while True:
-            d, v = heapq.heappop(heap)
-            if alive[v] and d == len(adj[v]):
-                break
-        alive[v] = False
-        perm[v] = step
+    step = 0
+    while step < n:
+        d, v = heapq.heappop(heap)
         nbrs = adj[v]
-        for u in nbrs:
-            adj[u].discard(v)
-        for u in nbrs:
-            grow = nbrs - adj[u]
-            grow.discard(u)
-            if grow:
-                adj[u] |= grow
-            heapq.heappush(heap, (len(adj[u]), u))
-        adj[v] = set()
+        if nbrs is None or d != len(nbrs):
+            continue
+        nbrs.add(v)  # N[v], for the inclusion test only
+        group = sorted(u for u in nbrs if u != v and len(adj[u]) == d and adj[u] <= nbrs)
+        nbrs.discard(v)
+        group.insert(0, v)
+        for u in group:
+            perm[u] = step
+            step += 1
+            adj[u] = None
+        rest = nbrs.difference(group)
+        for w in rest:
+            a = adj[w]
+            a.difference_update(group)
+            grow = rest - a
+            grow.discard(w)
+            a |= grow
+            heapq.heappush(heap, (len(a), w))
     return Permutation(perm)

@@ -619,3 +619,116 @@ def lower_csc_per_column(F):
     if not rows:  # n = 0
         return colptr, np.zeros(0, np.int64), np.zeros(0)
     return colptr, np.concatenate(rows), np.concatenate(vals)
+
+
+def minimum_degree_by_cliques(pattern: SymmetricSparsePattern) -> np.ndarray:
+    """Greedy minimum external degree, ties broken by smallest index, one
+    vertex per step with an explicit clique formed on each elimination (the
+    form mass elimination replaced).  Returns ``perm`` (old -> new)."""
+    import heapq
+    n = pattern.n
+    adj = [set() for _ in range(n)]
+    for j in range(n):
+        for i in pattern.col(j)[1:]:
+            adj[int(i)].add(j)
+            adj[j].add(int(i))
+    alive = np.ones(n, dtype=bool)
+    perm = np.empty(n, dtype=np.int64)
+    heap = [(len(adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    for step in range(n):
+        while True:
+            d, v = heapq.heappop(heap)
+            if alive[v] and d == len(adj[v]):
+                break
+        alive[v] = False
+        perm[v] = step
+        nbrs = adj[v]
+        for u in nbrs:
+            adj[u].discard(v)
+        for u in nbrs:
+            grow = nbrs - adj[u]
+            grow.discard(u)
+            if grow:
+                adj[u] |= grow
+            heapq.heappush(heap, (len(adj[u]), u))
+        adj[v] = set()
+    return perm
+
+
+def read_matrix_market_per_line(path):
+    """``read_matrix_market`` as it was first written: every entry line split
+    and converted on its own, three numpy scalar stores per entry, with no
+    bound on the declared dimension."""
+    from snchol.matrix import (MatrixMarketError, MatrixMarketHeaderError,
+                               MatrixMarketIndexError, MatrixMarketSymmetryError,
+                               _assemble_lower)
+    with open(path, "r") as fh:
+        lines = fh.readlines()
+    if not lines:
+        raise MatrixMarketHeaderError("line 1: empty file")
+    head = lines[0].split()
+    if len(head) != 5 or head[0] != "%%MatrixMarket" or head[1].lower() != "matrix":
+        raise MatrixMarketHeaderError("line 1: malformed MatrixMarket header")
+    fmt, fieldkind, sym = (t.lower() for t in head[2:5])
+    if fmt != "coordinate":
+        raise MatrixMarketHeaderError("line 1: only coordinate format is supported")
+    if fieldkind not in ("real", "integer", "pattern"):
+        raise MatrixMarketHeaderError(f"line 1: unsupported field type '{fieldkind}'")
+    if sym != "symmetric":
+        raise MatrixMarketSymmetryError(f"line 1: matrix declared '{sym}', expected symmetric")
+    pattern_only = fieldkind == "pattern"
+
+    lineno = 1
+    k = 1
+    while k < len(lines) and (lines[k].startswith("%") or not lines[k].strip()):
+        k += 1
+    if k >= len(lines):
+        raise MatrixMarketHeaderError(f"line {k}: missing size line")
+    lineno = k + 1
+    toks = lines[k].split()
+    if len(toks) != 3:
+        raise MatrixMarketHeaderError(f"line {lineno}: size line must have 3 integers")
+    try:
+        nrows, ncols, nent = (int(t) for t in toks)
+    except ValueError:
+        raise MatrixMarketHeaderError(f"line {lineno}: size line must have 3 integers")
+    if min(nrows, ncols, nent) < 0:
+        raise MatrixMarketHeaderError(f"line {lineno}: negative dimension or entry count")
+    if nent > len(lines) - lineno:  # checked before the entry arrays are allocated
+        raise MatrixMarketHeaderError(f"line {lineno}: declares {nent} entries but only "
+                                      f"{len(lines) - lineno} line(s) follow")
+    if nrows != ncols:
+        raise MatrixMarketSymmetryError(f"line {lineno}: matrix is {nrows}x{ncols}, not square")
+    n = nrows
+
+    ii = np.empty(nent, dtype=np.int64)
+    jj = np.empty(nent, dtype=np.int64)
+    vv = np.empty(nent, dtype=np.float64)
+    want = 3 if not pattern_only else 2
+    m = 0
+    for off, line in enumerate(lines[k + 1:]):
+        lineno = k + 2 + off
+        if line.startswith("%") or not line.strip():
+            continue
+        toks = line.split()
+        if len(toks) < want:
+            raise MatrixMarketError(f"line {lineno}: expected {want} fields, got {len(toks)}")
+        if m >= nent:
+            raise MatrixMarketError(f"line {lineno}: more entries than declared ({nent})")
+        try:
+            i = int(toks[0])
+            j = int(toks[1])
+            v = 1.0 if pattern_only else float(toks[2])
+        except ValueError:
+            raise MatrixMarketError(f"line {lineno}: malformed entry")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise MatrixMarketIndexError(f"line {lineno}: index ({i},{j}) out of range for n={n}")
+        # mirror explicit upper entries into the lower triangle
+        ii[m], jj[m] = (i - 1, j - 1) if i >= j else (j - 1, i - 1)
+        vv[m] = v
+        m += 1
+    if m != nent:
+        raise MatrixMarketError(f"line {lineno}: {m} entries read, {nent} declared")
+
+    return _assemble_lower(n, ii[:m], jj[:m], vv[:m], pattern_only)

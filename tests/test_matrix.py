@@ -76,12 +76,66 @@ def test_read_errors_name_line_numbers(tmp_path):
          MatrixMarketHeaderError, "line 2: negative dimension or entry count"),
         ("%%MatrixMarket matrix coordinate real symmetric\n3 3 100000000000000\n1 1 1\n",
          MatrixMarketHeaderError, "line 2: declares 100000000000000 entries but only 1 line"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n10000000000000 10000000000000 0\n",
+         MatrixMarketHeaderError, "line 2: dimension 10000000000000 needs at least "
+                                  "240000000000000 bytes, more than this machine's memory"),
     ]
     for text, exc, fragment in cases:
         p = tmp_path / "bad.mtx"
         p.write_text(text)
         with pytest.raises(exc, match=fragment):
             read_matrix_market(p)
+
+
+def test_read_huge_dimension_allocates_nothing_of_size_n(tmp_path):
+    import tracemalloc
+    p = tmp_path / "huge.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                 "10000000000000 10000000000000 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixMarketHeaderError, match="line 2: dimension"):
+            read_matrix_market(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_read_entry_block_matches_the_per_line_reader(tmp_path):
+    """Tokens the one-call parse could take more loosely than ``int``/``float``
+    do (float or exponent indices, trailing comments, comments and blank lines
+    between entries, extra fields) give the per-line reader's matrix or its
+    exception and message."""
+    head = "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n"
+    bodies = ["1 1 4\n2 1 -1\n3 3 4\n", "1.0 1 4\n2 1 -1\n3 3 4\n",
+              "1 1 4\n2 1e0 -1\n3 3 4\n", "1 1 4\n2 1 -1 % note\n3 3 4\n",
+              "1 1 4\n2 1 -1%\n3 3 4\n", "1 1 4\n% note\n\n2 1 -1\n3 3 4\n",
+              "1 1 4\n  % note\n2 1 -1\n3 3 4\n", "1 1 4 x\n2 1 -1 y\n3 3 4 z\n",
+              "1 1 4\n2 1 -1\n3 3\n", "1 1 4\n2 1 -1\n3 3 4\n3 3 1\n",
+              "1 1 4\n+2 01 -1\n3 3 4\n", "1 1 4\n2 1_0 -1\n3 3 4\n",
+              "1 1 4\n2 1 0x1\n3 3 4\n", "1 1 4\n2 1 1e400\n3 3 nan\n",
+              "1 1 4\n9223372036854775808 1 -1\n3 3 4\n", "1 1 4\n2 0 -1\n3 3 4\n"]
+    for body in bodies:
+        assert_same_read(tmp_path, head + body)
+        assert_same_read(tmp_path, head.replace("real", "pattern") + body)
+
+
+def assert_same_read(tmp_path, text):
+    p = tmp_path / "diff.mtx"
+    p.write_text(text)
+    try:
+        want = oracles.read_matrix_market_per_line(p)
+    except MatrixMarketError as err:
+        with pytest.raises(type(err)) as got:
+            read_matrix_market(p)
+        assert type(got.value) is type(err) and str(got.value) == str(err), text
+        return
+    A = read_matrix_market(p)
+    assert np.array_equal(A.pattern.colptr, want.pattern.colptr), text
+    assert np.array_equal(A.pattern.rowind, want.pattern.rowind), text
+    assert A.values.tobytes() == want.values.tobytes(), text
+    assert np.array_equal(A.missing_diag, want.missing_diag), text
 
 
 def rarely(draw) -> bool:
@@ -142,6 +196,13 @@ def test_reader_returns_a_matrix_or_raises_its_own_error(tmp_path, text):
     size_line = next(ln for ln in text.splitlines()[1:] if ln.strip() and not ln.startswith("%"))
     assert A.n == int(size_line.split()[0])
     assert A.values.size == A.pattern.nnz
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=matrix_market_texts())
+def test_reader_matches_the_per_line_reader(tmp_path, text):
+    assert_same_read(tmp_path, text)
 
 
 def test_write_read_round_trip(tmp_path):
@@ -263,6 +324,114 @@ def test_minimum_degree_tridiagonal_no_fill():
     P = minimum_degree_order(pat)
     base = sum(pat.col(j).size for j in range(6))
     assert oracles.fill_count(pat, P.perm) == base
+
+
+def edge_pattern(n: int, ei, ej) -> SymmetricSparsePattern:
+    """Pattern of the graph on n vertices with edges (ei, ej), loops and
+    repeats dropped."""
+    from snchol.matrix import _assemble_lower
+    ei, ej = np.asarray(ei, np.int64), np.asarray(ej, np.int64)
+    keep = ei != ej
+    hi, lo = np.maximum(ei, ej)[keep], np.minimum(ei, ej)[keep]
+    return _assemble_lower(n, hi, lo, np.ones(hi.size), pattern_only=True).pattern
+
+
+def labelled_grid(k: int, seed: int) -> SymmetricSparsePattern:
+    """5-point k-by-k grid with randomly shuffled vertex labels."""
+    ids = np.arange(k * k).reshape(k, k)
+    ei = np.concatenate([ids[:-1].ravel(), ids[:, :-1].ravel()])
+    ej = np.concatenate([ids[1:].ravel(), ids[:, 1:].ravel()])
+    label = np.random.default_rng(seed).permutation(k * k)
+    return edge_pattern(k * k, label[ei], label[ej])
+
+
+def random_components(m: int, parts: int, seed: int) -> SymmetricSparsePattern:
+    """``parts`` components of m vertices; each vertex links to two random
+    vertices in a window of m/8 and to one anywhere in its component; labels
+    shuffled (the shape of the benchmark's irregular workload)."""
+    rng = np.random.default_rng(seed)
+    ei, ej = [], []
+    for p in range(parts):
+        src = np.repeat(np.arange(m), 3)
+        tgt = np.concatenate([(np.arange(m)[:, None] + rng.integers(1, m // 8, (m, 2))) % m,
+                              rng.integers(0, m, (m, 1))], axis=1).ravel()
+        ei.append(p * m + src)
+        ej.append(p * m + tgt)
+    label = rng.permutation(parts * m)
+    return edge_pattern(parts * m, label[np.concatenate(ei)], label[np.concatenate(ej)])
+
+
+def assert_same_order(pattern):
+    got = minimum_degree_order(pattern).perm
+    assert np.array_equal(got, oracles.minimum_degree_by_cliques(pattern))
+
+
+def test_minimum_degree_matches_explicit_cliques():
+    """Mass elimination gives the one-vertex-per-step permutation exactly."""
+    assert_same_order(fig1_pattern())
+    for seed in (0, 1):
+        assert_same_order(labelled_grid(40, seed))
+        assert_same_order(random_components(250, 4, seed))
+    assert_same_order(labelled_grid(100, 2))
+    rng = np.random.default_rng(13)
+    for trial in range(300):
+        n = int(rng.integers(1, 120))
+        assert_same_order(generate_spd(n, float(rng.uniform(0.005, 0.3)), trial).pattern)
+
+
+@st.composite
+def graphs(draw) -> SymmetricSparsePattern:
+    """Graphs joined from parts: isolated vertices, stars, cliques, paths and
+    random graphs, in several components, with shuffled labels; n = 1 too."""
+    ei, ej, n = [], [], 0
+    for kind, size in draw(st.lists(st.tuples(
+            st.sampled_from(["isolated", "star", "clique", "path", "random"]),
+            st.integers(1, 9)), min_size=1, max_size=5)):
+        v = np.arange(n, n + size)
+        if kind == "star":
+            ei += [v[0]] * (size - 1)
+            ej += list(v[1:])
+        elif kind == "clique":
+            a, b = np.triu_indices(size, 1)
+            ei += list(v[a])
+            ej += list(v[b])
+        elif kind == "path":
+            ei += list(v[:-1])
+            ej += list(v[1:])
+        elif kind == "random":
+            for a, b in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                                st.integers(0, size - 1)), max_size=20)):
+                ei.append(v[a])
+                ej.append(v[b])
+        n += size
+    if draw(st.booleans()) and n > 1:  # a few edges across parts
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=4)):
+            ei.append(a)
+            ej.append(b)
+    label = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return edge_pattern(n, label[np.array(ei, np.int64)], label[np.array(ej, np.int64)])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(pattern=graphs())
+def test_minimum_degree_matches_explicit_cliques_on_joined_graphs(pattern):
+    assert_same_order(pattern)
+
+
+def test_minimum_degree_memory_follows_the_edges():
+    import tracemalloc
+    n = 50_000
+    pat = edge_pattern(n, np.arange(n - 1), np.arange(1, n))
+    tracemalloc.start()
+    try:
+        P = minimum_degree_order(pat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an n x n boolean adjacency alone would take 2.5 GB, n bitsets 312 MB
+    assert peak < 40_000_000
+    assert np.array_equal(P.perm, oracles.minimum_degree_by_cliques(pat))
 
 
 PATTERN_REJECTIONS = [
