@@ -129,15 +129,6 @@ class SymmetricSparseMatrix:
                          minlength=self.n)
         return y
 
-    def to_dense(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            rows = self.pattern.col(j)
-            vals = self.col_values(j)
-            A[rows, j] = vals
-            A[j, rows] = vals
-        return A
-
 
 @dataclass(frozen=True)
 class Permutation:

@@ -32,33 +32,22 @@ from dataclasses import replace
 import numpy as np
 
 from .matrix import Permutation
-from .symbolic import SymbolicFactor, _ranges, _row_lists
+from .symbolic import SymbolicFactor, _ranges, _row_lists, _run_starts
 
 
-def _groups(S: SymbolicFactor) -> tuple:
-    """The pivot groups, one per (updater k, target p): the rows of
-    ``S.below(k)`` inside p's columns, a slice of the concatenated below-row
-    lists.  Returns those rows and each group's start, size, k and p."""
-    rows, src, owner, new = S._below_rows
-    start = np.flatnonzero(new)
-    return rows, start, np.diff(start, append=rows.size), src[start], owner[start]
-
-
-def _runs(vals: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Per group, the maximal runs of consecutive integers in its values, the
-    groups being consecutive slices of ``vals`` of the given sizes."""
+def _runs(vals: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Per pair, the maximal runs of consecutive integers among its values,
+    the pairs being the slices ``vals[start:start + size]``."""
     gid = np.repeat(np.arange(size.size), size)
     v = vals[np.lexsort((vals, gid))]
-    brk = np.ones(v.size, dtype=bool)
-    brk[1:] = (np.diff(v) != 1) | (gid[1:] != gid[:-1])
-    return np.bincount(gid[brk], minlength=size.size)
+    return np.bincount(gid[_run_starts(v, start)], minlength=size.size)
 
 
-def _refine(S: SymbolicFactor, rows, start, size, k, p) -> tuple:
-    """Ordered partition refinement of every supernode's columns by its pivot
-    groups.  Returns where[column] = new position, and each group's runs
-    before and after (a supernode that refinement would worsen keeps its
-    order, and its groups their runs).
+def _refine(S: SymbolicFactor, rows, start, k, p, size) -> tuple:
+    """Ordered partition refinement of every supernode's columns by its
+    pairs' rows (``S._pairs()``).  Returns where[column] = new position, and
+    each pair's runs before and after (a supernode that refinement would
+    worsen keeps its order, and its pairs their runs).
 
     Each hit cell splits into its pivot and non-pivot parts, stable inside
     each part.  The first hit cell of a supernode puts its non-pivot part
@@ -68,7 +57,7 @@ def _refine(S: SymbolicFactor, rows, start, size, k, p) -> tuple:
     by_size = np.lexsort((k, -size, p))
     rank = np.arange(p.size) - np.searchsorted(p[by_size], p[by_size])
     in_round = np.argsort(rank, kind="stable")
-    g = by_size[in_round]  # groups round by round, each round's by ascending target
+    g = by_size[in_round]  # pairs round by round, each round's by ascending target
     elems = rows[_ranges(start[g], size[g])]
     bounds = np.concatenate([[0], np.cumsum(size[g])])[
         np.searchsorted(rank[in_round], np.arange(rank.max(initial=-1) + 2))]
@@ -106,7 +95,7 @@ def _refine(S: SymbolicFactor, rows, start, size, k, p) -> tuple:
         end[mid] = cells + width
         end[cells] = mid
 
-    before, after = _runs(rows, size), _runs(where[rows], size)
+    before, after = _runs(rows, start, size), _runs(where[rows], start, size)
     worse = np.bincount(p, after, S.nsuper) > np.bincount(p, before, S.nsuper)
     keep = np.flatnonzero(worse[S.col_to_snode])
     where[keep] = keep
@@ -145,7 +134,7 @@ def _shortest_path(dist: np.ndarray) -> np.ndarray:
 
 def _two_opt(S: SymbolicFactor, where, rows, start, size, p, runs) -> None:
     """Shorten by 2-opt the column path of every supernode with more blocks
-    than updaters, updating ``where`` in place.  ``runs`` holds each group's
+    than updaters, updating ``where`` in place.  ``runs`` holds each pair's
     runs under ``where``.
 
     Consecutive columns with the same updaters form one city.  The distance
@@ -184,8 +173,8 @@ def reorder_within_supernodes(S: SymbolicFactor):
     row lists, whose ``merge_stats`` record S's block count
     (``blocks_before_reorder``) and the count after refinement alone
     (``blocks_after_refinement``)."""
-    rows, start, size, k, p = _groups(S)
-    where, before, after = _refine(S, rows, start, size, k, p)
+    rows, start, k, p, size = S._pairs()
+    where, before, after = _refine(S, rows, start, k, p, size)
     _two_opt(S, where, rows, start, size, p, after)
     n = S.n
     keys, _ = S._row_keys  # supernode * n + row

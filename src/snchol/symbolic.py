@@ -17,6 +17,15 @@ column algorithm ``ref`` and the tests.
 Where an updater's rows sit in a target's row list is found once, for every
 (updater, target) pair, by one key search: ``SymbolicFactor.update_table``.
 The plans, the ``rlb`` schedule and the methods mf, ll and rl all read it.
+The pairs come from one grouping of the below-diagonal rows by updater and
+owner, which the within-supernode reorder reads too.
+
+The table also splits each pair's positions into runs: maximal stretches of
+consecutive positions, cut as well where the rows leave the target's columns.
+That one description gives the rest.  The runs inside the target's columns
+are the updater's dense blocks; a pair is dense when it has one run there and
+at most one below; and ``rlb`` makes one call per block and later run of the
+block's pair.
 """
 
 from __future__ import annotations
@@ -264,9 +273,11 @@ def merge_supernodes(first_col: np.ndarray, rows: list, cap: float | None):
     ns = fc.size - 1
     owner, parent = _supernodal_tree(fc, rows)
     parent = parent.tolist()
-    widths = np.diff(fc).tolist()
-    ncols = list(widths)
-    nbelow = [r.size - a for r, a in zip(rows, widths)]  # unchanged in a survivor
+    widths = np.diff(fc)
+    mrows = np.array([r.size for r in rows], dtype=np.int64) - widths  # unchanged in a survivor
+    nnz_before = int(_trap_nnz(widths, widths + mrows).sum())
+    work_before = int(_work_flops(widths, mrows).sum())
+    ncols, nbelow = widths.tolist(), mrows.tolist()
     lowest = fc[:-1].tolist()  # each supernode's smallest column
     into = list(range(ns))  # what each supernode merged into; itself while alive
 
@@ -278,8 +289,6 @@ def merge_supernodes(first_col: np.ndarray, rows: list, cap: float | None):
             into[s], s = top, into[s]
         return top
 
-    nnz_before = sum(_trap_nnz(a, a + m) for a, m in zip(ncols, nbelow))
-    work_before = sum(_work_flops(a, m) for a, m in zip(ncols, nbelow))
     merges = 0
     grown = 0
 
@@ -319,19 +328,18 @@ def merge_supernodes(first_col: np.ndarray, rows: list, cap: float | None):
     # new labels: the merged supernodes in postorder, each one's columns ascending
     perm = np.empty(n, dtype=np.int64)
     perm[np.lexsort((np.arange(n), rank[survivor[owner]]))] = np.arange(n)
-    post_s = post.tolist()
-    width = [ncols[s] for s in post_s]
-    m = [nbelow[s] for s in post_s]
-    below = perm[np.concatenate([rows[s][widths[s]:] for s in post_s] + [np.zeros(0, np.int64)])]
+    width, m = np.array(ncols, dtype=np.int64)[post], mrows[post]
+    below = perm[np.concatenate([rows[s][widths[s]:] for s in post.tolist()]
+                                + [np.zeros(0, np.int64)])]
     # one key t * n + row per entry of merged supernode t's row list
     t = np.arange(post.size)
     keys = np.concatenate([np.repeat(t, width) * n + np.arange(n), np.repeat(t, m) * n + below])
     keys.sort()
     glbind = _row_lists(keys, n, post.size)
-    nnz_after = sum(_trap_nnz(a, a + b) for a, b in zip(width, m))
-    work_after = sum(_work_flops(a, b) for a, b in zip(width, m))
+    nnz_after = int(_trap_nnz(width, width + m).sum())
+    work_after = int(_work_flops(width, m).sum())
     stats = MergeStats(ns, int(post.size), nnz_before, nnz_after, work_before, work_after, merges)
-    return np.cumsum([0] + width, dtype=np.int64), Permutation(perm), glbind, stats
+    return np.cumsum(np.append(0, width)), Permutation(perm), glbind, stats
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +456,13 @@ class UpdateTable:
     into p are ``by_target[target_ptr[p]:target_ptr[p + 1]]``, by k).  The
     pair's rows start at offset ``lo`` of ``below(k)``; ``c`` of them lie in
     p's columns, and the r = ``mrows(k)`` - lo rows to the end sit at
-    ``pos[at:at + r]`` of p's row list.  ``dense``: the first c positions
-    form one run and the rest another."""
+    ``pos[at:at + r]`` of p's row list.
+
+    Those positions split into runs, cut where they stop being consecutive
+    and at index at + c, where the rows leave p's columns.  ``run`` holds
+    every run's first index into ``pos``, pair e's from ``run[run_ptr[e]]``
+    on; its first ``heads`` runs lie in p's columns and are k's blocks into
+    p.  ``dense``: one run in p's columns and at most one below."""
 
     k: np.ndarray
     p: np.ndarray
@@ -462,6 +475,9 @@ class UpdateTable:
     ptr: np.ndarray
     by_target: np.ndarray
     target_ptr: np.ndarray
+    run: np.ndarray
+    run_ptr: np.ndarray
+    heads: np.ndarray
 
 
 class SymbolicFactor:
@@ -473,10 +489,12 @@ class SymbolicFactor:
     over its columns, and a supernode's parent owns its first row below the
     diagonal (-1 for a root).
 
-    The derived structure (``block_sizes``/``block_starts``, ``update_table``,
-    ``updaters``, ``plans`` and ``rlb_schedule``) is computed on first access
-    and cached as read-only arrays, so a factor that is only reordered pays for nothing but
-    the below-row lists and row keys the reordering reads.
+    The derived structure (``update_table``, the blocks ``block_sizes``/
+    ``block_starts`` read out of its runs, ``plans`` and ``rlb_schedule``) is
+    computed on first access and cached as read-only arrays, so a factor that
+    is only reordered pays for nothing but the pairs and row keys the
+    reordering reads.  A target's updaters are the table's ``k`` in
+    ``by_target`` order.
     """
 
     def __init__(self, first_col, glbind, relabel, merge_stats):
@@ -490,12 +508,12 @@ class SymbolicFactor:
         self.snode_children = _children_lists(self.snode_parent)
 
         self._lens = np.array([g.size for g in self._glbind], dtype=np.int64)
-        shape = list(zip(np.diff(self.first_col).tolist(), self._lens.tolist()))
-        self.factor_nnz = sum(_trap_nnz(a, g) for a, g in shape)
+        widths = np.diff(self.first_col)
+        self.factor_nnz = int(_trap_nnz(widths, self._lens).sum())
         # where each supernode's column-major panel starts in the factor storage
-        self.panel_offsets = np.cumsum([0] + [a * g for a, g in shape], dtype=np.int64)
+        self.panel_offsets = np.cumsum(np.append(0, widths * self._lens))
         self.panel_storage = int(self.panel_offsets[-1])
-        self.work_flops = sum(_work_flops(a, g - a) for a, g in shape)
+        self.work_flops = int(_work_flops(widths, self._lens - widths).sum())
 
     # -- geometry -----------------------------------------------------------
     def cols(self, j: int):
@@ -533,29 +551,29 @@ class SymbolicFactor:
         keys += np.repeat(np.arange(self.nsuper) * self.n, self._lens)
         return keys, np.cumsum(self._lens) - self._lens
 
-    @cached_property
-    def _below_rows(self) -> tuple:
-        """Every below-diagonal row list concatenated; per row, its list's
-        supernode, the supernode owning it, and whether it starts a new
-        (list, owner) group."""
-        below = [self.below(j) for j in range(self.nsuper)]
-        rows = np.concatenate(below) if below else np.zeros(0, dtype=np.int64)
-        src = np.repeat(np.arange(self.nsuper), [b.size for b in below])
+    def _pairs(self) -> tuple:
+        """The (updater k, target p) pairs, by k then p: every below-diagonal
+        row list concatenated, and per pair where its rows start there, k, p
+        and how many rows it holds (those of ``below(k)`` in p's columns)."""
+        below = [self.below(j) for j in range(self.nsuper)] + [np.zeros(0, np.int64)]
+        rows = np.concatenate(below)
+        src = np.repeat(np.arange(self.nsuper), [b.size for b in below[:-1]])
         owner = self.col_to_snode[rows]
         new = np.ones(rows.size, dtype=bool)
         new[1:] = (owner[1:] != owner[:-1]) | (src[1:] != src[:-1])
-        return rows, src, owner, new
+        start = np.flatnonzero(new)
+        return rows, start, src[start], owner[start], np.diff(start, append=rows.size)
 
     @cached_property
     def _blocks(self) -> tuple:
         """Per supernode, the sizes and the offsets into ``below(j)`` of its
-        dense blocks: maximal runs of consecutive rows with one owner."""
-        rows, src, _, new = self._below_rows
-        first = np.flatnonzero(new | (np.diff(rows, prepend=-2) != 1))
-        seg = np.searchsorted(src, np.arange(self.nsuper + 1))
-        bounds = np.searchsorted(first, seg)
-        return (_frozen_split(np.diff(first, append=rows.size), bounds),
-                _frozen_split(first - seg[src[first]], bounds))
+        dense blocks: the head runs of its pairs in the update table."""
+        T = self.update_table
+        head = _ranges(T.run_ptr[:-1], T.heads)
+        pair = np.repeat(np.arange(T.k.size), T.heads)
+        bounds = np.cumsum(np.append(0, T.heads))[T.ptr]
+        return (_frozen_split(np.diff(T.run, append=T.pos.size)[head], bounds),
+                _frozen_split(T.lo[pair] + T.run[head] - T.at[pair], bounds))
 
     block_sizes = property(lambda self: self._blocks[0])
     block_starts = property(lambda self: self._blocks[1])
@@ -564,11 +582,10 @@ class SymbolicFactor:
     def update_table(self) -> UpdateTable:
         """The update table, its positions from one ``row_positions`` call.
         Raises ValueError, naming the updater, when a target lacks a row."""
-        rows, src, owner, new = self._below_rows
-        start = np.flatnonzero(new)  # each pair's first row
-        k, p = src[start], owner[start]
-        c = np.diff(start, append=rows.size)
-        r = np.searchsorted(src, k, side="right") - start
+        rows, start, k, p, c = self._pairs()
+        ns = np.arange(self.nsuper + 1)
+        ptr = np.searchsorted(k, ns)
+        r = np.append(start, rows.size)[ptr[k + 1]] - start  # to the end of below(k)
         want = rows[_ranges(start, r)]
         pos = self.row_positions(np.repeat(p, r), want)
         at = np.cumsum(r) - r
@@ -577,22 +594,16 @@ class SymbolicFactor:
             e = int(np.searchsorted(at, bad[0], side="right")) - 1
             raise ValueError(f"update rows missing from the target: row {want[bad[0]]} of "
                              f"supernode {k[e]} missing from parent or ancestor {p[e]}")
-        last = at + r - 1
-        head = (c <= 1) | (pos[at + c - 1] - pos[at] == c - 1)
-        tail = (r - c <= 1) | (pos[last] - pos[np.minimum(at + c, last)] == r - c - 1)
+        run = _run_starts(pos, np.concatenate([at, (at + c)[c < r]]))
+        run_ptr = np.searchsorted(run, np.append(at, pos.size))
+        heads = np.searchsorted(run, at + c) - run_ptr[:-1]
         lo = (self._lens - np.diff(self.first_col))[k] - r
-        ns = np.arange(self.nsuper + 1)
-        T = UpdateTable(k, p, lo, c, r, head & tail, at, pos, np.searchsorted(k, ns),
-                        np.argsort(p, kind="stable"), np.searchsorted(np.sort(p), ns))
+        T = UpdateTable(k, p, lo, c, r, (heads == 1) & (np.diff(run_ptr) <= 2), at, pos, ptr,
+                        np.argsort(p, kind="stable"), np.searchsorted(np.sort(p), ns),
+                        run, run_ptr, heads)
         for a in vars(T).values():
             a.flags.writeable = False
         return T
-
-    @cached_property
-    def updaters(self) -> tuple:
-        """updaters[p]: the supernodes with rows in p's columns, ascending."""
-        T = self.update_table
-        return _frozen_split(T.k[T.by_target], T.target_ptr)
 
     @cached_property
     def plans(self) -> Plans:
@@ -634,55 +645,57 @@ class SymbolicFactor:
 def _rlb_rows(S: SymbolicFactor) -> tuple:
     """``rlb_schedule``'s rows and row pointer, before they are checked.
 
-    The blocks of one supernode with one owner form a group, and the groups
-    are the update table's pairs, in order: a block starts one where its
-    first row starts a pair.  A pair holds the positions of its updater's
-    rows from its first block to the end, and so of every block it updates."""
-    nb = [b.size for b in S.block_sizes]
-    pairs = sum(k * (k + 1) // 2 for k in nb)  # bounds every index below
+    Pair e's head runs are its updater's blocks into its target, and its runs
+    cover the updater's rows from the first block to the end.  Each head run
+    a takes one call per run t >= a of e: t == a is a's SYRK, the rest GEMMs
+    of t's rows against a's.  The cut where the rows leave the target's
+    columns is no gap, so when the positions continue across it, the GEMM of
+    an earlier head run covers the runs on both sides in one call."""
+    T = S.update_table
+    pairs = sum(b.size * (b.size + 1) // 2 for b in S.block_sizes)  # bounds every index below
     it = np.int32 if max(S.panel_storage, pairs) < 2**31 else np.int64
-    empty = (np.zeros(0, np.int64),)
-    sizes = np.concatenate(S.block_sizes + empty).astype(it)
-    src = np.repeat(np.arange(S.nsuper, dtype=it), nb)
     width, lens, offsets = (a.astype(it) for a in (np.diff(S.first_col), S._lens,
                                                    S.panel_offsets))
-    # each block's first row, as an offset into its supernode's below rows
-    below = np.concatenate(S.block_starts + empty).astype(it)
-    T, mrows = S.update_table, lens - width
-    group = S._below_rows[3][(np.cumsum(mrows) - mrows)[src] + below]
-    g = np.cumsum(group, dtype=it) - 1
-    blk = np.arange(src.size, dtype=it)
-    end = np.cumsum(np.bincount(src, minlength=S.nsuper), dtype=it)[src]
-    first = np.flatnonzero(group).astype(it)
-    span = end[first] - first
-    found = T.pos[(T.at - below[first]).repeat(span) + below[_ranges(first, span)]].astype(it)
-    # one (block b, block q >= b of its supernode) pair per call candidate,
-    # by b then q: q == b is b's syrk, the rest its gemm rows
-    count = end - blk
-    b = blk.repeat(count)
-    q = _ranges(blk, count)
-    pos = found[_ranges(np.cumsum(span, dtype=it)[g] - span[g] + blk - first[g], count)]
-    # a gemm continues the previous row's run when q sits right below it
-    cont = np.zeros(b.size, dtype=bool)
-    cont[1:] = (q[1:] > b[1:] + 1) & (pos[1:] == pos[:-1] + sizes[q[:-1]])
-    call = np.flatnonzero(~cont)
-    m = np.add.reduceat(sizes[q], call) if call.size else sizes[:0]
-    b, q, pos = b[call], q[call], pos[call]
-    P, j, start = T.p[g[b]], src[b], width[src] + below  # start: offset in the row list
-    syrk = q == b
+    run_ptr, nh = T.run_ptr.astype(it), T.heads.astype(it)
+    size = np.diff(T.run, append=T.pos.size).astype(it)
+    pair = np.repeat(np.arange(T.k.size, dtype=it), np.diff(run_ptr))  # each run's pair
+    pos = T.pos[T.run].astype(it)  # each run's first position in the target's row list
+    # each run's first row, as an offset into its updater's row list
+    first = ((S._lens[T.k] - T.r - T.at)[pair] + T.run).astype(it)
+    joins = np.zeros(size.size, dtype=bool)  # continues the previous run past the cut
+    joins[1:] = pos[1:] == T.pos[T.run[1:] - 1] + 1
+    joins[T.run_ptr[:-1]] = False
+    # one (head run a, run t >= a of its pair) per call candidate, by a then t
+    a = _ranges(run_ptr[:-1], nh)
+    count = run_ptr[1:][pair[a]] - a
+    b = a.repeat(count)
+    t = _ranges(a, count)
+    call = np.flatnonzero(~(joins[t] & (t > b + 1)))
+    m = np.add.reduceat(size[t], call) if call.size else size[:0]
+    b, t = b[call], t[call]
+    P, j = T.p[pair[b]], T.k[pair[b]]
     rows = np.empty((b.size, 9), dtype=it)
-    rows[:, 0] = np.where(syrk, SYRK, GEMM)
-    rows[:, 1] = offsets[P] + lens[P] * pos[syrk][b] + pos  # b's syrk has b's position
+    rows[:, 0] = np.where(t == b, SYRK, GEMM)
+    rows[:, 1] = offsets[P] + lens[P] * pos[b] + pos[t]
     rows[:, 2] = lens[P]
     rows[:, 3] = m
-    rows[:, 4] = sizes[b]
+    rows[:, 4] = size[b]
     rows[:, 5] = width[j]
-    rows[:, 6] = offsets[j] + start[q]
-    rows[:, 7] = offsets[j] + start[b]
+    rows[:, 6] = offsets[j] + first[t]
+    rows[:, 7] = offsets[j] + first[b]
     rows[:, 8] = lens[j]
     ptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=S.nsuper))])
     rows.flags.writeable = ptr.flags.writeable = False
     return rows, ptr
+
+
+def _run_starts(v: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Where the maximal runs of consecutive integers in ``v`` start, each
+    index in ``first`` starting one as well."""
+    cut = np.ones(v.size, dtype=bool)
+    cut[1:] = v[1:] != v[:-1] + 1
+    cut[first] = True
+    return np.flatnonzero(cut)
 
 
 def _ranges(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -752,5 +765,5 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
     if options.pr:
         from .reorder import reorder_within_supernodes
         _, S = reorder_within_supernodes(S)
-    S.block_sizes, S.update_table, S.updaters, S.plans, S.rlb_schedule  # derive them here
+    S.block_sizes, S.update_table, S.plans, S.rlb_schedule  # derive them here
     return S

@@ -34,6 +34,16 @@ def reference_to_dense(n: int, colptr, rowind, values) -> np.ndarray:
     return L
 
 
+def dense_matrix(A: SymmetricSparseMatrix) -> np.ndarray:
+    """Dense n x n image of a symmetric matrix stored as its lower triangle."""
+    D = np.zeros((A.n, A.n))
+    for j in range(A.n):
+        rows, vals = A.pattern.col(j), A.col_values(j)
+        D[rows, j] = vals
+        D[j, rows] = vals
+    return D
+
+
 def dense_factor(result) -> np.ndarray:
     """A factorization result's factor as a dense n x n lower triangle."""
     return reference_to_dense(result.stats.n, *result.factor_csc())
@@ -136,6 +146,19 @@ def merge_by_column_sets(first_col, rows: list, cap) -> tuple:
     return firsts, perm, glbind, (len(post), nnz_after, merges)
 
 
+def panel_totals(first_col, glbind: list) -> tuple:
+    """Factor nonzeros, factor work (potrf, trsm and syrk flops) and panel
+    offsets of a partition, one supernode at a time in Python ints."""
+    from snchol.kernels import potrf_flops, syrk_flops, trsm_flops
+    nnz = work = 0
+    offsets = [0]
+    for a, g in zip(np.diff(first_col).tolist(), [x.size for x in glbind]):
+        nnz += a * g - a * (a - 1) // 2
+        work += potrf_flops(a) + trsm_flops(g - a, a) + syrk_flops(g - a, a)
+        offsets.append(offsets[-1] + a * g)
+    return nnz, work, offsets
+
+
 def etree_from_structure(glb: list) -> np.ndarray:
     parent = np.full(len(glb), -1, dtype=np.int64)
     for j, g in enumerate(glb):
@@ -234,6 +257,20 @@ def table_entries(T) -> list:
     return [(k, p, lo, c, r, T.pos[at:at + r].tolist(), d) for k, p, lo, c, r, at, d in cols]
 
 
+def table_runs(T) -> tuple:
+    """An ``UpdateTable``'s runs (run, run_ptr, heads) as lists, one pair at
+    a time: a run starts at a pair's first position, at its first position
+    below the target's columns and wherever the positions skip."""
+    run, run_ptr, heads = [], [0], []
+    for at, c, r in zip(T.at.tolist(), T.c.tolist(), T.r.tolist()):
+        ps = T.pos[at:at + r].tolist()
+        starts = [i for i in range(r) if i in (0, c) or ps[i] != ps[i - 1] + 1]
+        run += [at + i for i in starts]
+        run_ptr.append(len(run))
+        heads.append(sum(i < c for i in starts))
+    return run, run_ptr, heads
+
+
 def update_pairs_by_walk(S) -> list:
     """Every (updater k, target p) update as (k, p, lo, c, r, positions,
     dense), by k then p, from walking all of k's relative indices up the
@@ -325,12 +362,13 @@ def exhaustive_stack_minimum(parent, square, push) -> int:
     return max((best[s] for s in range(ns) if parent[s] < 0), default=0)
 
 
-def incoming_block_count(S, p: int, col_positions=None) -> int:
+def incoming_block_count(S, p: int, col_positions=None, updaters=None) -> int:
     """Blocks delivered into supernode p's columns, optionally under a
-    relabeling of p's columns given by col_positions[col - first]."""
+    relabeling of p's columns given by col_positions[col - first].
+    ``updaters`` is ``updater_lists(S)``, found here when not given."""
     f, l = S.cols(p)
     total = 0
-    for k in S.updaters[p]:
+    for k in (updater_lists(S) if updaters is None else updaters)[p]:
         b = S.below(int(k))
         rows = b[(b >= f) & (b <= l)]
         if rows.size == 0:
@@ -381,10 +419,11 @@ def reorder_by_refinement(S) -> tuple:
     count."""
     perm = np.arange(S.n, dtype=np.int64)
     blocks = 0
+    ups = updater_lists(S)
     for p in range(S.nsuper):
         f, l = S.cols(p)
         pivots = []
-        for k in S.updaters[p].tolist():
+        for k in ups[p]:
             b = S.below(k)
             s0, s1 = b.searchsorted((f, l + 1)).tolist()
             pivots.append((s1 - s0, k, b[s0:s1].tolist()))
@@ -411,12 +450,13 @@ def min_incoming_blocks_exhaustive(S, p: int) -> int:
     supernode p (small widths only)."""
     f, l = S.cols(p)
     w = l + 1 - f
+    ups = updater_lists(S)
     best = None
     for order in itertools.permutations(range(w)):
         pos = np.empty(w, dtype=np.int64)
         for t, o in enumerate(order):
             pos[o] = t
-        c = incoming_block_count(S, p, pos)
+        c = incoming_block_count(S, p, pos, ups)
         best = c if best is None else min(best, c)
     return best
 
@@ -427,10 +467,11 @@ def ll_peak_per_pair(S) -> int:
     update's rows are located in j's row list, and a non-contiguous placement
     of either the triangle part or the part below needs rows x columns."""
     peak = 0
+    ups = updater_lists(S)
     for j in range(S.nsuper):
         f, l = S.cols(j)
         gj = S.glbind(j)
-        for k in S.updaters[j]:
+        for k in ups[j]:
             if S.width(int(k)) == 1:
                 continue
             gk = S.glbind(int(k))
@@ -516,19 +557,20 @@ def rlb_calls_by_walk(S) -> tuple:
     """rlb's kernel calls as ``CallSchedule`` rows ``(kind, c, ldc, m, n, k, x,
     y, ldx)`` and the number of calls per supernode, found the way
     ``factor_rlb`` found them before its schedule was compiled: carry each
-    supernode's block-first relative indices up the ancestor chain with
-    ``walk``; each block landing in ancestor P updates P's triangle at its
-    rows (syrk), then the rectangle at each run of later blocks whose rows sit
-    directly below one another in P's row list (gemm), rescanning for the
-    run's end."""
+    supernode's block-first relative indices (blocks from ``block_lists``)
+    up the ancestor chain with ``walk``; each block landing in ancestor P
+    updates P's triangle at its rows (syrk), then the rectangle at each run
+    of later blocks whose rows sit directly below one another in P's row list
+    (gemm), rescanning for the run's end."""
     from snchol.kernels import GEMM, SYRK
     rels = parent_relative_indices(S)
+    block_sizes, block_starts = block_lists(S)
     rows, per = [], []
     for j in range(S.nsuper):
         a, g, off = S.width(j), S.glbind(j).size, int(S.panel_offsets[j])
-        sizes = S.block_sizes[j].tolist()
-        starts = (S.block_starts[j] + a).tolist() + [g]
-        rb = rels[j][S.block_starts[j]]
+        sizes = block_sizes[j].tolist()
+        starts = (block_starts[j] + a).tolist() + [g]
+        rb = rels[j][block_starts[j]]
         before = len(rows)
         for P, lo, hi in walk(S, rels, j, rb):
             rbl = rb.tolist()

@@ -98,13 +98,13 @@ def oracle_suite():
             r = run_factorization(A, RunOptions(method=method, ordering="mindeg",
                                                 merge_cap=cap, pr=pr))
             L = oracles.dense_factor(r)
-            Ld = np.linalg.cholesky(r.A_factored.to_dense())
+            Ld = np.linalg.cholesky(oracles.dense_matrix(r.A_factored))
             dev = float(np.abs(L - Ld).max() / max(1.0, np.abs(Ld).max()))
             if method == "ref":
                 x = np.linalg.solve(L.T, np.linalg.solve(L, b))
             else:
                 x = r.solve(b)
-            res = float(np.linalg.norm(r.A_factored.to_dense() @ x - b) /
+            res = float(np.linalg.norm(oracles.dense_matrix(r.A_factored) @ x - b) /
                         max(np.linalg.norm(b), 1e-300))
             instance["runs"][method] = {
                 "dev": dev, "res": res,

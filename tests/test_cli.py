@@ -359,29 +359,29 @@ def test_solve_flag_reports_residual(fig1_mtx, capsys):
     assert len(wall) == 1 and float(wall[0].rsplit("=", 1)[1].rstrip("s")) >= 0.0
 
 
-def refuse_to_densify(monkeypatch):
-    def to_dense(self):
-        raise AssertionError("an n x n dense copy of A was built")
-    monkeypatch.setattr(SymmetricSparseMatrix, "to_dense", to_dense)
+def refuse_to_densify():
+    """The matrix class offers no dense copy; the tests build theirs with
+    ``oracles.dense_matrix``."""
+    assert not hasattr(SymmetricSparseMatrix, "to_dense")
 
 
-def test_residual_matches_dense_without_densifying(monkeypatch):
+def test_residual_matches_dense_without_densifying():
     rng = np.random.default_rng(3)
     cases = []
     for n, density in [(1, 1.0), (9, 0.5), (40, 0.1)]:
         A = generate_spd(n, density, n)
         x = rng.standard_normal(n)
         b = rng.standard_normal(n)
-        want = np.linalg.norm(A.to_dense() @ x - b) / np.linalg.norm(b)
-        cases.append((A, x, b, want, np.linalg.norm(A.to_dense() @ x)))
-    refuse_to_densify(monkeypatch)
+        want = np.linalg.norm(oracles.dense_matrix(A) @ x - b) / np.linalg.norm(b)
+        cases.append((A, x, b, want, np.linalg.norm(oracles.dense_matrix(A) @ x)))
+    refuse_to_densify()
     for A, x, b, want, ax in cases:
         assert abs(residual(A, x, b) - want) <= 1e-12 * max(1.0, want)
         assert abs(residual(A, x, np.zeros_like(b)) - ax) <= 1e-12 * max(1.0, ax)
 
 
-def test_factor_vendor_check_solve(monkeypatch, capsys):
-    refuse_to_densify(monkeypatch)
+def test_factor_vendor_check_solve(capsys):
+    refuse_to_densify()
     assert run_cli("factor", "gen:n=120,density=0.05,seed=4", "--method", "rlb",
                    "--backend", "vendor", "--check", "--solve") == 0
     out = capsys.readouterr().out
@@ -392,16 +392,16 @@ def test_factor_vendor_check_solve(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("method", ["ref", "mf", "rlb"])
-def test_factor_check_compares_factors_sparsely(monkeypatch, capsys, method):
-    refuse_to_densify(monkeypatch)
+def test_factor_check_compares_factors_sparsely(capsys, method):
+    refuse_to_densify()
     assert run_cli("factor", "gen:n=120,density=0.05,seed=4", "--method", method,
                    "--check") == 0
     line = [ln for ln in capsys.readouterr().out.splitlines() if "deviation" in ln][0]
     assert float(line.rsplit("=", 1)[1]) <= 1e-10
 
 
-def test_check_subcommand_compares_factors_sparsely(monkeypatch, capsys):
-    refuse_to_densify(monkeypatch)
+def test_check_subcommand_compares_factors_sparsely(capsys):
+    refuse_to_densify()
     assert run_cli("check", "gen:n=120,density=0.05,seed=4") == 0
     assert capsys.readouterr().out.count(" ok") == 4
 

@@ -57,7 +57,7 @@ def test_read_pattern_file_synthesizes_values(tmp_path):
     A = read_matrix_market(p)
     assert A.col_values(0).tolist() == [2.0, -1.0]   # degree 1 + 1
     assert A.col_values(1).tolist() == [3.0, -1.0]   # degree 2 + 1
-    assert np.linalg.eigvalsh(A.to_dense()).min() > 0
+    assert np.linalg.eigvalsh(oracles.dense_matrix(A)).min() > 0
 
 
 def test_read_errors_name_line_numbers(tmp_path):
@@ -239,7 +239,8 @@ def test_fig2_permutation_of_third_supernode():
     # new column 5 holds old node 6's adjacency: neighbors {1,5,7,9} relabel to
     # {1,7,8,6}, so the lower profile of the new column is rows {6,7,8}
     assert B.pattern.col(4).tolist() == [4, 5, 6, 7]
-    assert np.array_equal(B.to_dense(), oracles.dense_permute(A.to_dense(), perm))
+    assert np.array_equal(oracles.dense_matrix(B),
+                          oracles.dense_permute(oracles.dense_matrix(A), perm))
 
 
 def test_permutation_matches_dense_oracle():
@@ -248,7 +249,8 @@ def test_permutation_matches_dense_oracle():
     P = Permutation(rng.permutation(8))
     B = apply_symmetric_permutation(A, P)
     assert B.pattern.nnz == A.pattern.nnz
-    assert np.array_equal(B.to_dense(), oracles.dense_permute(A.to_dense(), P.perm))
+    assert np.array_equal(oracles.dense_matrix(B),
+                          oracles.dense_permute(oracles.dense_matrix(A), P.perm))
 
 
 def test_permutation_file_round_trip(tmp_path):
@@ -266,7 +268,7 @@ def test_generate_spd_basics():
     A2 = generate_spd(50, 0.1, 7)
     assert np.array_equal(A1.values, A2.values)
     assert np.array_equal(A1.pattern.rowind, A2.pattern.rowind)
-    L = np.linalg.cholesky(A1.to_dense())
+    L = np.linalg.cholesky(oracles.dense_matrix(A1))
     assert np.all(np.diag(L) > 0)
     with pytest.raises(ValueError):
         generate_spd(0, 0.5, 1)

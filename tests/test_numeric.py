@@ -60,7 +60,7 @@ def test_scatter_gather_round_trip():
     F = scatter_into_factor(A2, S)
     assert F.data.size == S.panel_storage  # one slot per panel entry
     L = oracles.reference_to_dense(S.n, *F.lower_csc())
-    assert np.array_equal(L, np.tril(A2.to_dense()))
+    assert np.array_equal(L, np.tril(oracles.dense_matrix(A2)))
 
 
 def test_scatter_rejects_foreign_entry():
@@ -141,7 +141,7 @@ def test_reference_matches_dense_cholesky_on_fig1():
     A = fig1_matrix()
     glb = symbolic_factorization(A.pattern, elimination_tree(A.pattern))
     L = oracles.reference_to_dense(9, *factor_reference(A, glb))
-    assert np.abs(L - np.linalg.cholesky(A.to_dense())).max() <= 1e-12
+    assert np.abs(L - np.linalg.cholesky(oracles.dense_matrix(A))).max() <= 1e-12
 
 
 def test_reference_raises_on_indefinite():
@@ -453,7 +453,7 @@ def test_cross_method_equivalence_and_structure():
             base = None
             for method in ("mf", "ll", "rl", "rlb"):
                 r = run(A, method, ordering="mindeg", merge_cap=cap, pr=pr)
-                Ld = np.linalg.cholesky(r.A_factored.to_dense())
+                Ld = np.linalg.cholesky(oracles.dense_matrix(r.A_factored))
                 scale = max(1.0, np.abs(Ld).max())
                 assert np.abs(oracles.dense_factor(r) - Ld).max() / scale <= 1e-10
                 if base is None:
@@ -499,7 +499,7 @@ def test_solve_identity_and_2x2():
     A = SymmetricSparseMatrix(pat, np.array([4.0, 2.0, 5.0]))
     r = run(A, "rlb")
     b = np.array([8.0, 9.0])
-    assert np.allclose(r.solve(b), np.linalg.solve(A.to_dense(), b))
+    assert np.allclose(r.solve(b), np.linalg.solve(oracles.dense_matrix(A), b))
 
 
 def test_solve_residuals_random():
@@ -510,7 +510,7 @@ def test_solve_residuals_random():
                 merge_cap=12.5, pr=True)
         b = rng.standard_normal(A.n)
         x = r.solve(b)
-        res = np.linalg.norm(r.A_factored.to_dense() @ x - b) / np.linalg.norm(b)
+        res = np.linalg.norm(oracles.dense_matrix(r.A_factored) @ x - b) / np.linalg.norm(b)
         assert res <= A.n * 1e-12
 
 
@@ -681,7 +681,7 @@ def indefinite_pair_matrix(seed: int):
     """An SPD gen: matrix plus a disconnected 2x2 component [[1, 3], [3, 1]]
     (positive diagonal, not positive definite), labels shuffled.  Returns the
     matrix and the pair's two columns."""
-    base = generate_spd(24, 0.15, seed).to_dense()
+    base = oracles.dense_matrix(generate_spd(24, 0.15, seed))
     n = base.shape[0] + 2
     D = np.zeros((n, n))
     D[:n - 2, :n - 2] = base

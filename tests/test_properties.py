@@ -7,12 +7,13 @@ kernel backends and under every merge cap / reorder setting, must match the
 column oracle, hit its workspace plan exactly, and (for rlb) use no workspace
 and no assembly and make exactly the calls its precompiled schedule lists, the
 calls the ancestor walk finds.  On ``gen:`` matrices the update table must be
-what the ancestor walk and the left-looking index map find.  The supernodal
-solve must leave a residual of at most n * 1e-12 and agree with the
-per-column solve.  Examples are derandomized, so the suite is reproducible.  The symbolic partition is also checked on its own against
-its per-column definition, the empty pattern included, and the
-within-supernode reorder against the list-based partition refinement it
-starts from.
+what the ancestor walk and the left-looking index map find, its runs what a
+loop over each pair's positions finds, and its blocks the per-supernode block
+lists.  The supernodal solve must leave a residual of at most n * 1e-12 and
+agree with the per-column solve.  Examples are derandomized, so the suite is
+reproducible.  The symbolic partition is also checked on its own against its
+per-column definition, the empty pattern included, and the within-supernode
+reorder against the list-based partition refinement it starts from.
 """
 
 import numpy as np
@@ -106,12 +107,15 @@ def supernodal_tree(S) -> tuple:
     return owner.tolist(), parent
 
 
-def runs_per_updater(S, p: int) -> list:
-    """Runs of each of p's updaters' rows inside p's columns, by ascending
-    updater."""
-    f, l = S.cols(p)
-    return [oracles.run_count([r for r in S.below(k).tolist() if f <= r <= l])
-            for k in S.updaters[p].tolist()]
+def runs_per_updater(S) -> list:
+    """Per supernode p, the runs of each of p's updaters' rows inside p's
+    columns, by ascending updater."""
+    out = []
+    for p, ks in enumerate(oracles.updater_lists(S)):
+        f, l = S.cols(p)
+        out.append([oracles.run_count([r for r in S.below(k).tolist() if f <= r <= l])
+                    for k in ks])
+    return out
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -134,8 +138,7 @@ def test_reorder_improves_on_partition_refinement_alone(kind, data):
                           S.relabel, S.merge_stats)
     where = (kind, A.n, cap)
     refined = 0
-    for p in range(S.nsuper):
-        pr, got = runs_per_updater(S_pr, p), runs_per_updater(S2, p)
+    for p, (pr, got) in enumerate(zip(runs_per_updater(S_pr), runs_per_updater(S2))):
         assert len(pr) <= sum(got) <= sum(pr), where + (p,)
         assert all(g == 1 for g, r in zip(got, pr) if r == 1), where + (p,)
         refined += sum(pr)
@@ -183,13 +186,20 @@ def test_every_method_matches_ref_and_its_plans(kind, data):
        cap=st.sampled_from(MERGE_CAPS), pr=st.booleans(), mindeg=st.booleans())
 def test_update_table_is_the_walk_and_the_index_map(n, density, seed, cap, pr, mindeg):
     """On ``gen:`` matrices, every (updater, target) entry of the update table
-    is what the ancestor walk and the left-looking index map find."""
+    is what the ancestor walk and the left-looking index map find, its runs
+    are what a loop over each pair's positions finds, and the blocks are the
+    per-supernode block lists."""
     A = generate_spd(n, density, seed)
     if mindeg:
         A = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
     S = build_symbolic_factor(A.pattern, BuildOptions(cap, pr))
-    got = oracles.table_entries(S.update_table)
+    T = S.update_table
+    got = oracles.table_entries(T)
     assert got == oracles.update_pairs_by_walk(S) == oracles.update_pairs_by_indmap(S)
+    assert (T.run.tolist(), T.run_ptr.tolist(), T.heads.tolist()) == oracles.table_runs(T)
+    sizes, starts = oracles.block_lists(S)
+    assert [b.tolist() for b in S.block_sizes] == [b.tolist() for b in sizes]
+    assert [b.tolist() for b in S.block_starts] == [b.tolist() for b in starts]
 
 
 @pytest.mark.parametrize("kind", KINDS)

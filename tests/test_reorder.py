@@ -56,7 +56,7 @@ def test_array_refinement_matches_the_list_oracle(cap):
     shortened = 0
     for i, pat in enumerate(patterns):
         S = build_symbolic_factor(pat, BuildOptions(cap, False))
-        where, before, after = reorder._refine(S, *reorder._groups(S))
+        where, before, after = reorder._refine(S, *S._pairs())
         perm, blocks = oracles.reorder_by_refinement(S)
         assert np.array_equal(where, perm), (cap, i)
         assert before.sum() == blocks, (cap, i)
@@ -86,9 +86,9 @@ def test_reorder_single_descendant_single_block():
         8, [sorted(r - 1 for r in cols[j + 1]) for j in range(8)])
     S = build_symbolic_factor(pat, BuildOptions(None, False))
     _, S2 = reorder_within_supernodes(S)
-    for p in range(S2.nsuper):
-        if S2.updaters[p].size == 1:
-            k = int(S2.updaters[p][0])
+    for p, ks in enumerate(oracles.updater_lists(S2)):
+        if len(ks) == 1:
+            k = ks[0]
             f, l = S2.cols(p)
             b = S2.below(k)
             rows = b[(b >= f) & (b <= l)]

@@ -224,7 +224,9 @@ def test_merge_zero_cost_chain_collapses():
 def test_merge_matches_the_column_set_oracle():
     """The heap over plain lists, the union-find parents and the one-sort
     relabel give what merging with per-supernode column arrays and edited
-    child lists gives, tie order included, under every cap."""
+    child lists gives, tie order included, under every cap.  The storage and
+    work totals, before and after, and the factor's own are the Python-int
+    sums of a per-supernode loop."""
     merged = 0
     for seed, (n, d) in enumerate([(81, 0.02), (112, 0.005), (60, 0.05), (40, 0.2), (90, 0.01)]):
         A = generate_spd(n, d, seed + 70)
@@ -240,6 +242,14 @@ def test_merge_matches_the_column_set_oracle():
                 assert np.array_equal(relabel.perm, want[1]), where
                 assert [g.tolist() for g in glbind] == [g.tolist() for g in want[2]], where
                 assert (stats.nsuper_after, stats.nnz_after, stats.merges) == want[3], where
+                nnz, work, _ = oracles.panel_totals(first_col, rows)
+                after = oracles.panel_totals(fc, glbind)
+                assert (stats.nnz_before, stats.work_before) == (nnz, work), where
+                assert (stats.nnz_after, stats.work_after) == after[:2], where
+                S = SymbolicFactor(fc, glbind, relabel, stats)
+                assert (S.factor_nnz, S.work_flops, S.panel_offsets.tolist()) == after, where
+                totals = (S.factor_nnz, S.work_flops, *vars(stats).values())
+                assert all(type(x) is int for x in totals if x is not None), where
                 merged += stats.merges
     assert merged > 100
 
@@ -405,7 +415,7 @@ def test_update_table_is_the_walk_and_the_index_map():
     for S in walk_factors():
         got = oracles.table_entries(S.update_table)
         assert got == oracles.update_pairs_by_walk(S) == oracles.update_pairs_by_indmap(S)
-        assert [u.tolist() for u in S.updaters] == oracles.updater_lists(S)
+        assert table_updaters(S) == oracles.updater_lists(S)
         entries += len(got)
         dense += sum(e[6] for e in got)
     assert entries > 1000 and 0 < dense < entries
@@ -530,13 +540,20 @@ def test_ll_peak_matches_per_pair_reference():
     assert len(peaks) > 3  # the cases exercise the plan, not just zeros
 
 
+def table_updaters(S) -> list:
+    """Each target's updaters as the update table lists them (``by_target``)."""
+    T = S.update_table
+    b = T.target_ptr.tolist()
+    return [T.k[T.by_target[lo:hi]].tolist() for lo, hi in zip(b, b[1:])]
+
+
 def test_blocks_and_updaters_match_per_supernode_loops():
     for name, opts, pat in ll_peak_cases():
         S = build_symbolic_factor(pat, opts)
         sizes, starts = oracles.block_lists(S)
         assert [b.tolist() for b in S.block_sizes] == [b.tolist() for b in sizes], name
         assert [b.tolist() for b in S.block_starts] == [b.tolist() for b in starts], name
-        assert [u.tolist() for u in S.updaters] == oracles.updater_lists(S), name
+        assert table_updaters(S) == oracles.updater_lists(S), name
 
 
 def count_derivations(monkeypatch, names) -> dict:
@@ -556,34 +573,38 @@ def count_derivations(monkeypatch, names) -> dict:
 
 
 def test_one_build_derives_blocks_and_plans_once(monkeypatch):
-    names = ("_blocks", "update_table", "updaters", "plans", "rlb_schedule")
+    names = ("_blocks", "update_table", "plans", "rlb_schedule")
     counts = count_derivations(monkeypatch, names)
-    builds = []
+    builds, grouped = [], []
     orig = reorder.reorder_within_supernodes
     monkeypatch.setattr(reorder, "reorder_within_supernodes",
                         lambda S: builds.append(S) or orig(S))
+    pairs = SymbolicFactor._pairs
+    monkeypatch.setattr(SymbolicFactor, "_pairs", lambda S: grouped.append(S) or pairs(S))
     A = generate_spd(80, 0.05, 3)
     S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
     assert len(builds) == 1
-    # the reorder reads its pivot groups from the below-row lists, so only the
-    # final factor derives its update table and updaters
+    # the reorder reads the unreordered factor's pairs, so only the final
+    # factor derives its update table, from its own pairs
     assert counts == dict.fromkeys(names, 1)
+    assert len(grouped) == 2 and grouped[0] is builds[0] and grouped[1] is S
     # blocks, plans and the schedule were derived during the build; using them
     # derives nothing
-    _ = ([S.nblocks(j) for j in range(S.nsuper)], S.plans, S.block_starts, S.updaters,
-         S.rlb_schedule, S.update_table)
-    assert counts == dict.fromkeys(names, 1)
+    _ = ([S.nblocks(j) for j in range(S.nsuper)], S.plans, S.block_starts, S.rlb_schedule,
+         S.update_table)
+    assert counts == dict.fromkeys(names, 1) and len(grouped) == 2
     assert not {"plans", "_blocks", "update_table", "rlb_schedule"} & set(vars(builds[0]))
 
 
 def test_derived_structure_is_read_only():
     A = generate_spd(50, 0.08, 5)
     S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
-    arrays = [*S.block_sizes, *S.block_starts, *S.updaters, S.plans.mf_postorder,
+    assert {"run", "run_ptr", "heads"} <= set(vars(S.update_table))
+    arrays = [*S.block_sizes, *S.block_starts, S.plans.mf_postorder,
               S.plans.push_size, S.plans.square_size, S.rlb_schedule.rows, S.rlb_schedule.ptr,
               *vars(S.update_table).values()]
     assert arrays and not any(a.flags.writeable for a in arrays)
-    assert all(isinstance(x, tuple) for x in (S.block_sizes, S.block_starts, S.updaters))
+    assert all(isinstance(x, tuple) for x in (S.block_sizes, S.block_starts))
 
 
 def test_row_positions_keys_do_not_overflow_narrow_supernode_ids():
