@@ -21,9 +21,13 @@ must therefore be column-major float64 views (adjacent rows, columns at least
 max(1, rows) elements apart, which every panel slice is); any other operand
 raises ValueError.
 
-A ``CallSchedule`` is a precompiled list of syrk/gemm updates given as offsets
-into one flat float64 array.  A backend may run one by address
-(``run_schedule``; the vendor backend calls BLAS at ``base + 8*offset``).
+A ``CallSchedule`` is a whole supernodal factorization precompiled as offsets
+into one flat float64 array: per supernode, a diagonal step (Cholesky of the
+diagonal triangle, triangular solve of the rows below) and its syrk/gemm
+updates.  A backend may run one by address (``run_schedule``): the vendor
+backend checks the array once and then calls LAPACK/BLAS at
+``base + 8*offset`` for every step, checking ``info`` after each dpotrf and the
+factored pivots for NaN once, at the end or at the first failed dpotrf.
 """
 
 from __future__ import annotations
@@ -144,9 +148,9 @@ def gemm_nt(C, X, Y) -> None:
 class KernelBackend:
     """Function table for the four kernels plus a name tag for reporting.
 
-    ``run_schedule(data, schedule, lo, hi)``, when given, runs rows lo..hi of a
-    ``CallSchedule`` on ``data`` itself; without it the caller runs them
-    through ``syrk`` and ``gemm`` on numpy views.
+    ``run_schedule(data, schedule)``, when given, runs a whole ``CallSchedule``
+    on ``data`` itself; without it the caller runs the schedule through the
+    four kernels on numpy views.
     """
 
     name: str
@@ -163,20 +167,31 @@ _F8 = np.dtype(np.float64)
 
 @dataclass(frozen=True)
 class CallSchedule:
-    """Updates of one flat float64 array ``storage`` elements long, one int row
-    per kernel call, in execution order: ``(kind, c, ldc, m, n, k, x, y, ldx)``.
+    """A supernodal factorization of one flat float64 array ``storage``
+    elements long, as kernel calls at offsets into it, one group per
+    supernode in execution order.
 
-    A GEMM row subtracts X Y^T from the m-by-n rectangle C; a SYRK row
-    subtracts X X^T from the lower triangle of the n-by-n C (m = n, y = x).
-    C starts at offset ``c`` with leading dimension ``ldc``; X (m-by-k) and Y
-    (n-by-k) start at ``x`` and ``y`` with leading dimension ``ldx``.  Rows
-    ``ptr[j]:ptr[j + 1]`` form group j.  Whoever builds one checks every
-    rectangle against the storage it indexes: the runners trust the rows.
+    Group j starts with its diagonal step ``diag[j] = (p, ld, a, m, f)``:
+    Cholesky of the a-by-a lower triangle at offset ``p`` (leading dimension
+    ``ld``), which holds columns f..f+a-1 of the matrix, then a right
+    triangular solve of the m rows below it (at ``p + a``, same ``ld``).  Then
+    come its update rows ``rows[ptr[j]:ptr[j + 1]]``, one int row per kernel
+    call: ``(kind, c, ldc, m, n, k, x, y, ldx)``.  A GEMM row subtracts X Y^T
+    from the m-by-n rectangle C; a SYRK row subtracts X X^T from the lower
+    triangle of the n-by-n C (m = n, y = x).  C starts at offset ``c`` with
+    leading dimension ``ldc``; X (m-by-k) and Y (n-by-k) start at ``x`` and
+    ``y`` with leading dimension ``ldx``.  Whoever builds one checks every
+    step and rectangle against the storage it indexes: the runners trust
+    them.
+
+    ``calls`` and ``flops`` count the update rows, ``diag_calls`` and
+    ``diag_flops`` the diagonal steps (a trsm only where m > 0).
     """
 
     rows: np.ndarray
     ptr: np.ndarray
     storage: int
+    diag: np.ndarray
 
     @cached_property
     def calls(self) -> dict:
@@ -190,6 +205,28 @@ class CallSchedule:
         per_kn = np.where(kind == SYRK, np.add(n, 1, dtype=np.int64),
                           np.multiply(m, 2, dtype=np.int64))
         return int(np.multiply(k, n, dtype=np.int64) @ per_kn)
+
+    @cached_property
+    def diag_calls(self) -> dict:
+        return {"potrf": self.diag.shape[0], "trsm": int(np.count_nonzero(self.diag[:, 3]))}
+
+    @cached_property
+    def diag_flops(self) -> int:
+        a, m = (self.diag[:, i].astype(np.int64) for i in (2, 3))
+        return int((potrf_flops(a) + trsm_flops(m, a)).sum())
+
+
+def _first_bad_pivot(data: np.ndarray, diag: np.ndarray, failed: int | None = None) -> int | None:
+    """The pivot to report once ``diag``'s steps have factored the columns
+    before ``failed``, the column whose dpotrf failed (None: every column is
+    factored): the first of those columns with a NaN pivot, else ``failed``.
+    dpotrf raises no error at a NaN pivot, so this is the first failure in
+    column order, as a check after every call would find it."""
+    at, ld, width, _, first = (diag[:, i].astype(np.int64) for i in range(5))
+    col = np.arange(width.sum() if failed is None else failed)
+    j = np.searchsorted(first, col, side="right") - 1
+    nan = np.flatnonzero(np.isnan(data[at[j] + (col - first[j]) * (ld[j] + 1)]))
+    return int(nan[0]) if nan.size else failed
 
 
 REFERENCE_BACKEND = KernelBackend("reference", chol_in_place, trsm_right_lt, syrk_lower, gemm_nt)
@@ -275,9 +312,12 @@ def vendor_backend() -> KernelBackend:
 
     Each call passes the views' data pointers and leading dimensions straight
     to dpotrf, dtrsm, dsyrk or dgemm: no copies and no float scratch.
-    ``run_schedule`` calls dsyrk/dgemm at ``base + 8*offset`` from one checked
-    base address per group of rows.  The instance owns its argument cells, so
-    one instance serves one thread.
+    ``run_schedule`` runs a whole ``CallSchedule`` from one checked base
+    address: per group dpotrf, dtrsm, then its dsyrk/dgemm rows, each at
+    ``base + 8*offset``.  A dpotrf that fails, or a NaN pivot found at the
+    end, raises NotPositiveDefiniteError with the matrix column (see
+    ``_first_bad_pivot``).  The instance owns its argument cells, so one
+    instance serves one thread.
     """
     dpotrf, dtrsm, dsyrk, dgemm = _vendor_functions()
     byref = ctypes.byref
@@ -345,23 +385,40 @@ def vendor_backend() -> KernelBackend:
         ldc.value, c = _operand(C, True)
         dgemm(notrans, trans, pm, pn, pk, minus_one, x, plda, y, pldb, one, c, pldc)
 
-    pc, px, py = (ctypes.c_void_p() for _ in range(3))
+    pa, pb, pc, px, py = (ctypes.c_void_p() for _ in range(5))
 
-    def run_schedule(data, schedule, lo, hi):
+    def run_schedule(data, schedule):
         base = _storage_address(data, schedule.storage)
-        for kind, c, ld_c, rows, cols, depth, x, y, ld_x in schedule.rows[lo:hi].tolist():
-            pc.value = base + 8 * c
-            px.value = base + 8 * x
-            n.value = cols
-            k.value = depth
-            lda.value = ld_x
-            ldc.value = ld_c
-            if kind == SYRK:
-                dsyrk(lower, notrans, pn, pk, minus_one, px, plda, one, pc, pldc)
-            else:
-                py.value = base + 8 * y
-                m.value = rows
-                dgemm(notrans, trans, pm, pn, pk, minus_one, px, plda, py, plda, one, pc, pldc)
+        table, ptr = schedule.rows, schedule.ptr.tolist()
+        for j, (at, ld, width, below, first) in enumerate(schedule.diag.tolist()):
+            pa.value = base + 8 * at
+            n.value = width
+            lda.value = ld
+            dpotrf(lower, pn, pa, plda, pinfo)
+            if info.value:
+                failed = first + info.value - 1
+                raise NotPositiveDefiniteError(_first_bad_pivot(data, schedule.diag, failed))
+            if below:
+                pb.value = base + 8 * (at + width)
+                m.value = below
+                dtrsm(right, lower, trans, notrans, pm, pn, one, pa, plda, pb, plda)
+            for kind, c, ld_c, rows, cols, depth, x, y, ld_x in table[ptr[j]:ptr[j + 1]].tolist():
+                pc.value = base + 8 * c
+                px.value = base + 8 * x
+                n.value = cols
+                k.value = depth
+                lda.value = ld_x
+                ldc.value = ld_c
+                if kind == SYRK:
+                    dsyrk(lower, notrans, pn, pk, minus_one, px, plda, one, pc, pldc)
+                else:
+                    py.value = base + 8 * y
+                    m.value = rows
+                    dgemm(notrans, trans, pm, pn, pk, minus_one, px, plda, py, plda, one, pc,
+                          pldc)
+        bad = _first_bad_pivot(data, schedule.diag)
+        if bad is not None:
+            raise NotPositiveDefiniteError(bad)
 
     return KernelBackend("vendor", chol, trsm, syrk, gemm, run_schedule)
 

@@ -16,10 +16,13 @@ rlb   right-looking blocked: dense blocks updated straight into ancestor
       analysis; no floating-point workspace, no assembly at all
 
 mf, ll and rl place their updates at positions ``S.update_table`` found at
-analysis, and scatter-add update triangles through ``_assemble``.  rlb runs its
-schedule one supernode's rows at a time, through the backend's
-``run_schedule`` where it has one (the vendor backend calls BLAS at addresses
-in ``F.data``) and through numpy views otherwise.
+analysis, and scatter-add update triangles through ``_assemble``.  rlb's
+schedule holds the whole factorization: per supernode, the Cholesky of its
+diagonal triangle, the triangular solve below it and its updates.  Where the
+backend has ``run_schedule``, rlb is that one call: the vendor backend checks
+``F.data`` once, calls LAPACK/BLAS at addresses in it, and checks the pivots
+for NaN once, at the end or at the first failed dpotrf.  Otherwise rlb runs the schedule through the
+backend's four kernels on numpy views, checking every pivot as it goes.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import (SYRK, KernelBackend, NotPositiveDefiniteError, gemm_flops, get_backend,
-                      potrf_flops, syrk_flops, trsm_flops)
+from .kernels import (SYRK, CallSchedule, KernelBackend, NotPositiveDefiniteError, gemm_flops,
+                      get_backend, potrf_flops, syrk_flops, trsm_flops)
 from .matrix import (Permutation, SymmetricSparseMatrix, SymmetricSparsePattern,
                      apply_symmetric_permutation, minimum_degree_order)
 from .symbolic import (BuildOptions, SymbolicFactor, _ranges, build_symbolic_factor,
@@ -438,50 +441,59 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
 
 def factor_rlb(F: FactorStorage, S: SymbolicFactor, R, backend: KernelBackend,
                stats: RunStats) -> None:
-    """Blocked right-looking factorization: every update is a dense kernel call
-    straight into an ancestor panel, run from ``S.rlb_schedule`` right after
-    its supernode's own columns are factored.  No floating-point workspace
-    exists and the assembly counter stays at zero by construction.  ``R`` is
-    not used; the parameter stays so that existing callers keep working."""
+    """Blocked right-looking factorization: ``S.rlb_schedule`` factors each
+    supernode's columns in its panel, then makes every update as a dense
+    kernel call straight into an ancestor panel.  It runs as one
+    ``backend.run_schedule`` call where the backend has one, else through
+    ``_rlb_views``; the counters come from the schedule either way.  No
+    floating-point workspace exists and the assembly counter stays at zero by
+    construction.  ``R`` is not used; the parameter stays so that existing
+    callers keep working."""
     if F.state != "A":
         raise FactorStateError("factor storage does not hold A")
     schedule = S.rlb_schedule
-    ptr = schedule.ptr.tolist()
-    for j in range(S.nsuper):
-        _cdiv(F, j, backend, stats)
-        lo, hi = ptr[j], ptr[j + 1]
-        if hi == lo:
-            continue
+    try:
         if backend.run_schedule:
-            backend.run_schedule(F.data, schedule, lo, hi)
+            backend.run_schedule(F.data, schedule)
         else:
-            _rlb_views(F, schedule, j, lo, hi, backend)
-    for kind, count in schedule.calls.items():
+            _rlb_views(F.data, schedule, backend)
+    except NotPositiveDefiniteError as e:
+        raise _pivot_error(e.index, S) from None
+    for kind, count in (schedule.calls | schedule.diag_calls).items():
         stats.calls[kind] += count
-    stats.flops += schedule.flops
+    stats.flops += schedule.flops + schedule.diag_flops
     stats.update_calls_per_snode = np.diff(schedule.ptr)
     F.state = "L"
     stats.workspace_peak = 0
 
 
-def _rlb_views(F: FactorStorage, schedule, j: int, lo: int, hi: int,
-               backend: KernelBackend) -> None:
-    """Run rows lo..hi of ``schedule``, supernode j's updates, through
-    ``backend.syrk``/``gemm`` on numpy views.  Their operands are row ranges of
-    j's panel over all its columns (the schedule's extent check holds them
-    to that); C is a view of ``F.data`` that numpy checks against its bounds."""
-    syrk, gemm, view, f8 = backend.syrk, backend.gemm, np.ndarray, F.data.dtype
-    pj, at = F.panel(j), int(F.offsets[j])
-    y_at = Y = None
-    for kind, c, ldc, m, n, _, x, y, _ in schedule.rows[lo:hi].tolist():
-        X = pj[x - at:x - at + m]
-        if kind == SYRK:
-            syrk(view((n, n), f8, F.data, 8 * c, (8, 8 * ldc)), X)
-            y_at, Y = x, X  # the gemm rows that follow a syrk row share its X
-            continue
-        if y != y_at:
-            y_at, Y = y, pj[y - at:y - at + n]
-        gemm(view((m, n), f8, F.data, 8 * c, (8, 8 * ldc)), X, Y)
+def _rlb_views(data: np.ndarray, schedule: CallSchedule, backend: KernelBackend) -> None:
+    """Run ``schedule`` through ``backend``'s four kernels on numpy views of
+    ``data``: per group, chol and trsm on its supernode's panel, then its
+    update rows.  Their operands are row ranges of that panel over all its
+    columns (the schedule's extent check holds them to that); C is a view of
+    ``data`` that numpy checks against its bounds.  A failed pivot raises
+    NotPositiveDefiniteError with its column."""
+    syrk, gemm, view, f8 = backend.syrk, backend.gemm, np.ndarray, data.dtype
+    ptr = schedule.ptr.tolist()
+    for j, (at, ld, a, below, first) in enumerate(schedule.diag.tolist()):
+        pj = data[at:at + ld * a].reshape((ld, a), order="F")
+        try:
+            backend.chol(pj[:a])
+        except NotPositiveDefiniteError as e:
+            raise NotPositiveDefiniteError(first + e.index) from None
+        if below:
+            backend.trsm(pj[:a], pj[a:])
+        y_at = Y = None
+        for kind, c, ldc, m, n, _, x, y, _ in schedule.rows[ptr[j]:ptr[j + 1]].tolist():
+            X = pj[x - at:x - at + m]
+            if kind == SYRK:
+                syrk(view((n, n), f8, data, 8 * c, (8, 8 * ldc)), X)
+                y_at, Y = x, X  # the gemm rows that follow a syrk row share its X
+                continue
+            if y != y_at:
+                y_at, Y = y, pj[y - at:y - at + n]
+            gemm(view((m, n), f8, data, 8 * c, (8, 8 * ldc)), X, Y)
 
 
 # ---------------------------------------------------------------------------

@@ -627,23 +627,27 @@ class SymbolicFactor:
 
     @cached_property
     def rlb_schedule(self) -> CallSchedule:
-        """``factor_rlb``'s updates as a ``CallSchedule`` over the panel
-        storage, group j holding supernode j's calls in execution order.
+        """``factor_rlb`` as a ``CallSchedule`` over the panel storage, group j
+        factoring supernode j's columns in its panel (the diagonal step), then
+        making its updates in execution order.
 
         Block b of supernode j lands in the columns of the supernode P owning
         its rows.  It updates P's diagonal triangle at its own rows (SYRK),
         then, for each maximal run of later blocks of j whose rows sit directly
         below one another in P's row list, the rectangle at those rows (GEMM).
-        Every rectangle is checked against its panel (``check_call_extents``).
+        Every step and rectangle is checked against its panel
+        (``check_call_extents``).
         """
-        schedule = CallSchedule(*_rlb_rows(self), self.panel_storage)
+        schedule = CallSchedule(*_rlb_rows(self))
         check_call_extents(self, schedule)
-        schedule.calls, schedule.flops  # derive the prediction here, as part of the analysis
+        # derive the prediction here, as part of the analysis
+        schedule.calls, schedule.flops, schedule.diag_calls, schedule.diag_flops
         return schedule
 
 
 def _rlb_rows(S: SymbolicFactor) -> tuple:
-    """``rlb_schedule``'s rows and row pointer, before they are checked.
+    """``rlb_schedule``'s rows, row pointer, storage and diagonal steps,
+    before they are checked.
 
     Pair e's head runs are its updater's blocks into its target, and its runs
     cover the updater's rows from the first block to the end.  Each head run
@@ -685,8 +689,10 @@ def _rlb_rows(S: SymbolicFactor) -> tuple:
     rows[:, 7] = offsets[j] + first[b]
     rows[:, 8] = lens[j]
     ptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=S.nsuper))])
-    rows.flags.writeable = ptr.flags.writeable = False
-    return rows, ptr
+    diag = np.column_stack([offsets[:-1], lens, width, lens - width,
+                            S.first_col[:-1].astype(it)])
+    rows.flags.writeable = ptr.flags.writeable = diag.flags.writeable = False
+    return rows, ptr, S.panel_storage, diag
 
 
 def _run_starts(v: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -714,15 +720,23 @@ def _frozen_split(a: np.ndarray, bounds: np.ndarray) -> tuple:
 
 
 def check_call_extents(S: SymbolicFactor, schedule: CallSchedule) -> None:
-    """Raise ValueError unless ``schedule`` indexes S's panel storage and
-    every call of its group j reads two row ranges of supernode j's panel, over
-    all its columns, and writes a rectangle of a later panel, each with its
-    panel's leading dimension and inside its rows and columns."""
-    rows, ptr = schedule.rows, schedule.ptr
+    """Raise ValueError unless ``schedule`` indexes S's panel storage, the
+    diagonal step of its group j is supernode j's panel (offset, leading
+    dimension, width, rows below and first column), and every call of group
+    j reads two row ranges of supernode j's panel, over all its columns, and
+    writes a rectangle of a later panel, each with its panel's leading
+    dimension and inside its rows and columns."""
+    rows, ptr, diag = schedule.rows, schedule.ptr, schedule.diag
     if (schedule.storage != S.panel_storage or ptr.shape != (S.nsuper + 1,) or ptr[0] != 0
-            or ptr[-1] != rows.shape[0] or (np.diff(ptr) < 0).any()):
+            or ptr[-1] != rows.shape[0] or (np.diff(ptr) < 0).any()
+            or diag.shape != (S.nsuper, 5)):
         raise ValueError("schedule does not match the symbolic factor's panels")
     offsets, widths, lens = S.panel_offsets, np.diff(S.first_col), S._lens
+    bad = np.flatnonzero((diag != np.column_stack([offsets[:-1], lens, widths, lens - widths,
+                                                   S.first_col[:-1]])).any(axis=1))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"diagonal step {j} {diag[j].tolist()} is not its supernode's panel")
     group = np.repeat(np.arange(S.nsuper), np.diff(ptr))
     chunk = 2048  # rows checked at a time, which bounds the temporaries
     for lo in range(0, rows.shape[0], chunk):

@@ -3,14 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snchol import symbolic
+from snchol import kernels, numeric, symbolic
 from snchol.kernels import (GEMM, CallSchedule, KernelBackend, NotPositiveDefiniteError,
                             REFERENCE_BACKEND, gemm_flops, get_backend, potrf_flops, syrk_flops,
                             trsm_flops)
 from snchol.matrix import (SymmetricSparseMatrix, _assemble_lower, apply_symmetric_permutation,
                            generate_spd, minimum_degree_order, read_matrix_market)
-from snchol.numeric import (METHODS, FactorStateError, NonFiniteEntryError, RunOptions, RunStats,
-                            StructureError, UpdateWorkspace, _extend_in_place,
+from snchol.numeric import (METHODS, FactorizationResult, FactorStateError, NonFiniteEntryError,
+                            RunOptions, RunStats, StructureError, UpdateWorkspace, _extend_in_place,
                             _pack_descending, analyze, deviation_from_reference, factor_mf, factor_reference, factor_rl,
                             factor_rlb, run_factorization, scatter_into_factor, solve)
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
@@ -272,14 +272,23 @@ def test_rlb_schedule_is_the_walk_row_for_row():
 def counting_backend(base, log):
     """``base``'s kernels with every syrk/gemm call logged as (kind, flops
     from the operand shapes); a plain backend, so rlb runs it on views."""
-    def syrk(C, X):
-        log.append(("syrk", syrk_flops(*X.shape)))
-        base.syrk(C, X)
+    logged = logging_backend(base, log)
+    return KernelBackend(base.name, base.chol, base.trsm, logged.syrk, logged.gemm)
 
-    def gemm(C, X, Y):
-        log.append(("gemm", gemm_flops(X.shape[0], Y.shape[0], X.shape[1])))
-        base.gemm(C, X, Y)
-    return KernelBackend(base.name, base.chol, base.trsm, syrk, gemm)
+
+def logging_backend(base, log):
+    """``base``'s four kernels with every call logged as (kind, flops from the
+    operand shapes); a plain backend, so rlb runs it on views."""
+    def logged(kind, fn, flops):
+        def call(*args):
+            log.append((kind, flops(*args)))
+            fn(*args)
+        return call
+    return KernelBackend(
+        base.name, logged("potrf", base.chol, lambda T: potrf_flops(T.shape[0])),
+        logged("trsm", base.trsm, lambda T, B: trsm_flops(B.shape[0], T.shape[0])),
+        logged("syrk", base.syrk, lambda C, X: syrk_flops(*X.shape)),
+        logged("gemm", base.gemm, lambda C, X, Y: gemm_flops(X.shape[0], *Y.shape)))
 
 
 @pytest.mark.parametrize("backend", ["reference", "vendor"])
@@ -325,7 +334,7 @@ def test_vendor_schedule_runner_rejects_storage_before_any_call(bad):
         storage.flags.writeable = False
     before = storage.copy()
     with pytest.raises(ValueError, match="schedule storage"):
-        get_backend("vendor").run_schedule(storage, sched, 0, sched.rows.shape[0])
+        get_backend("vendor").run_schedule(storage, sched)
     assert storage.tobytes() == before.tobytes()
 
 
@@ -357,7 +366,89 @@ def test_extent_check_rejects_a_call_that_leaves_its_panel(how):
            "empty": lambda: corrupt(rows, i, 5, 0),
            "part of the columns": lambda: corrupt(rows, i, 5, k - 1)}[how]()
     with pytest.raises(ValueError, match="leaves its panels"):
-        check_call_extents(S, CallSchedule(bad, ptr, sched.storage))
+        check_call_extents(S, CallSchedule(bad, ptr, sched.storage, sched.diag))
+
+
+@pytest.mark.parametrize("field", ["offset", "leading dimension", "width", "rows below",
+                                   "first column"])
+def test_extent_check_rejects_a_diagonal_step_off_its_panel(field):
+    S, _ = vendor_case()
+    sched = S.rlb_schedule
+    j = int(np.flatnonzero(sched.diag[:, 3])[1])  # a supernode with rows below
+    col = ["offset", "leading dimension", "width", "rows below", "first column"].index(field)
+    diag = sched.diag.copy()
+    diag[j, col] += 1
+    with pytest.raises(ValueError, match=f"diagonal step {j} .* is not its supernode's panel"):
+        check_call_extents(S, CallSchedule(sched.rows, sched.ptr, sched.storage, diag))
+    with pytest.raises(ValueError, match="does not match the symbolic factor's panels"):
+        check_call_extents(S, CallSchedule(sched.rows, sched.ptr, sched.storage, diag[:-1]))
+
+
+def test_vendor_rlb_is_one_schedule_run(monkeypatch):
+    """On vendor, rlb checks its storage once and never takes the
+    per-supernode step of the other methods; the view path of a logging
+    backend makes the calls the counters report and gives the same panels."""
+    checks = []
+    check = kernels._storage_address
+    monkeypatch.setattr(kernels, "_storage_address", lambda *a: checks.append(a) or check(*a))
+
+    def no_cdiv(*args):
+        raise AssertionError("rlb took the per-supernode step")
+    monkeypatch.setattr(numeric, "_cdiv", no_cdiv)
+    for name, an in schedule_cases():
+        checks.clear()
+        r = an.factor("rlb", "vendor")
+        assert len(checks) == 1, name
+        log = []
+        F = scatter_into_factor(an.A2, an.S)
+        stats = RunStats("rlb", "vendor", an.S.n, factor_nnz=an.S.factor_nnz,
+                         panel_storage=an.S.panel_storage)
+        factor_rlb(F, an.S, None, logging_backend(get_backend("vendor"), log), stats)
+        assert F.data.tobytes() == r.F.data.tobytes(), name
+        assert counters(r) == counters(FactorizationResult(stats, None, None)), name
+        assert {k: [c for c, _ in log].count(k) for k in stats.calls} == stats.calls, name
+        assert sum(f for _, f in log) == stats.flops, name
+        assert len(checks) == 1, name
+
+
+def pivot_case():
+    """The analysis of a grid, with two supernodes at least three columns wide
+    and neither an ancestor of the other, the earlier one first."""
+    an = analyze(grid_laplacian(9), "mindeg", 12.5, True)
+    S = an.S
+    wide = [j for j in range(S.nsuper - 1) if S.width(j) >= 3]
+    for j1 in wide:
+        up, p = set(), j1
+        while p >= 0:
+            up.add(p)
+            p = int(S.snode_parent[p])
+        later = [j for j in wide if j > j1 and j not in up]
+        if later:
+            return an, j1, later[0]
+    raise AssertionError("no two unrelated wide supernodes")
+
+
+@pytest.mark.parametrize("case", ["non-positive", "nan", "nan then non-positive"])
+def test_rlb_pivot_errors_agree_on_both_backends(case):
+    """A bad pivot, a NaN pivot, or a NaN pivot followed by a bad pivot in a
+    supernode it does not update: the vendor runner, which checks NaN pivots
+    once, reports the first failure in column order, as the reference view
+    path does with a check after every chol."""
+    an, j1, j2 = pivot_case()
+    S = an.S
+    bad = {"non-positive": {j1: -1.0}, "nan": {j1: np.nan},
+           "nan then non-positive": {j1: np.nan, j2: -1.0}}[case]
+    errors = []
+    for backend in ("reference", "vendor"):
+        F = scatter_into_factor(an.A2, S)
+        for j, value in bad.items():
+            F.data[S.panel_offsets[j] + S._lens[j] + 1] = value  # local column 1's pivot
+        with pytest.raises(NotPositiveDefiniteError) as e:
+            factor_rlb(F, S, None, get_backend(backend), RunStats("rlb", backend, S.n))
+        errors.append((e.value.index, str(e.value)))
+    col = int(S.first_col[j1]) + 1
+    assert errors[0] == errors[1] == (col, f"non-positive pivot at column {col} "
+                                           f"(supernode {j1}, local 1)")
 
 
 def test_schedule_build_rejects_rows_missing_from_the_target():
@@ -751,12 +842,14 @@ def test_pivot_error_names_a_column_of_the_input():
         A, pair = indefinite_pair_matrix(seed)
         for method in METHODS:
             for ordering in ("natural", "mindeg"):
-                with pytest.raises(NotPositiveDefiniteError) as e:
-                    run(A, method, ordering=ordering, merge_cap=12.5, pr=True)
-                assert e.value.index in pair, (seed, method, ordering)
-                assert f"column {e.value.index}" in str(e.value)
-                assert f"column {e.value.index + 1}" in e.value.numbered(1)
-                assert ("supernode" in str(e.value)) == (method != "ref")
+                for backend in ("reference", "vendor"):
+                    with pytest.raises(NotPositiveDefiniteError) as e:
+                        run(A, method, ordering=ordering, merge_cap=12.5, pr=True,
+                            backend=backend)
+                    assert e.value.index in pair, (seed, method, ordering)
+                    assert f"column {e.value.index}" in str(e.value)
+                    assert f"column {e.value.index + 1}" in e.value.numbered(1)
+                    assert ("supernode" in str(e.value)) == (method != "ref")
 
 
 # -- sparse deviation check ------------------------------------------------------
