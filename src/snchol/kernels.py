@@ -184,8 +184,8 @@ class CallSchedule:
     step and rectangle against the storage it indexes: the runners trust
     them.
 
-    ``calls`` and ``flops`` count the update rows, ``diag_calls`` and
-    ``diag_flops`` the diagonal steps (a trsm only where m > 0).
+    ``calls`` and ``flops`` count the update rows, ``diag_calls`` the
+    diagonal steps (a trsm only where m > 0).
     """
 
     rows: np.ndarray
@@ -209,11 +209,6 @@ class CallSchedule:
     @cached_property
     def diag_calls(self) -> dict:
         return {"potrf": self.diag.shape[0], "trsm": int(np.count_nonzero(self.diag[:, 3]))}
-
-    @cached_property
-    def diag_flops(self) -> int:
-        a, m = (self.diag[:, i].astype(np.int64) for i in (2, 3))
-        return int((potrf_flops(a) + trsm_flops(m, a)).sum())
 
 
 def _first_bad_pivot(data: np.ndarray, diag: np.ndarray, failed: int | None = None) -> int | None:

@@ -15,25 +15,30 @@ rlb   right-looking blocked: dense blocks updated straight into ancestor
       panels by the kernel calls of ``S.rlb_schedule``, compiled once at
       analysis; no floating-point workspace, no assembly at all
 
-mf, ll and rl place their updates at positions ``S.update_table`` found at
+All four supernodal methods share one supernode step, ``_diag_step``: the
+Cholesky of the diagonal triangle and the triangular solve below it, on the
+panel and with the sizes ``S.rlb_schedule.diag`` gives.  They count nothing
+call by call: each run adds the calls and flops the analysis predicts.  mf,
+ll and rl place their updates at positions ``S.update_table`` found at
 analysis, and scatter-add update triangles through ``_assemble``.  rlb's
-schedule holds the whole factorization: per supernode, the Cholesky of its
-diagonal triangle, the triangular solve below it and its updates.  Where the
-backend has ``run_schedule``, rlb is that one call: the vendor backend checks
-``F.data`` once, calls LAPACK/BLAS at addresses in it, and checks the pivots
-for NaN once, at the end or at the first failed dpotrf.  Otherwise rlb runs the schedule through the
-backend's four kernels on numpy views, checking every pivot as it goes.
+schedule holds the whole factorization: per supernode, its diagonal step and
+its updates.  Where the backend has ``run_schedule``, rlb is that one call:
+the vendor backend checks ``F.data`` once, calls LAPACK/BLAS at addresses in
+it, and checks the pivots for NaN once, at the end or at the first failed
+dpotrf.  Otherwise rlb runs the schedule through the backend's four kernels on
+numpy views, checking every pivot as it goes.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .kernels import (SYRK, CallSchedule, KernelBackend, NotPositiveDefiniteError, gemm_flops,
-                      get_backend, potrf_flops, syrk_flops, trsm_flops)
+from .kernels import SYRK, CallSchedule, KernelBackend, NotPositiveDefiniteError, get_backend
 from .matrix import (Permutation, SymmetricSparseMatrix, SymmetricSparsePattern,
                      apply_symmetric_permutation, minimum_degree_order)
 from .symbolic import (BuildOptions, SymbolicFactor, _ranges, build_symbolic_factor,
@@ -62,7 +67,10 @@ class FactorStateError(RuntimeError):
 
 @dataclass
 class RunStats:
-    """Counters for one factorization run."""
+    """Counters for one factorization run.  A supernodal method's ``calls``
+    and ``flops`` are the analysis's prediction, added once per run (tests
+    check them against the calls a logging backend sees); ``assembly_ops``
+    and ``workspace_peak`` are measured as it runs."""
 
     method: str
     backend: str
@@ -76,10 +84,6 @@ class RunStats:
     assembly_ops: int = 0
     update_calls_per_snode: np.ndarray = None
 
-    def add(self, kind: str, flops: int) -> None:
-        self.calls[kind] += 1
-        self.flops += flops
-
 
 class FactorStorage:
     """One dense column-major panel per supernode, concatenated in a single
@@ -88,15 +92,17 @@ class FactorStorage:
 
     def __init__(self, S: SymbolicFactor):
         self.S = S
-        self.offsets = S.panel_offsets
         self.data = np.zeros(S.panel_storage)
         self.state = "A"
 
-    def panel(self, j: int) -> np.ndarray:
-        S = self.S
-        g = S.glbind(j).size
-        a = S.width(j)
-        return self.data[self.offsets[j]:self.offsets[j + 1]].reshape((g, a), order="F")
+    @cached_property
+    def panels(self) -> list:
+        """Supernode j's panel: the g-by-a column-major view of ``data`` at
+        the offset and leading dimension of its diagonal step
+        ``S.rlb_schedule.diag[j]``."""
+        data = self.data
+        return [data[p:p + ld * a].reshape((ld, a), order="F")
+                for p, ld, a, _, _ in self.S.rlb_schedule.diag.tolist()]
 
     def lower_csc(self) -> tuple:
         """The panels' lower-triangular entries as (colptr, rowind, values),
@@ -113,7 +119,7 @@ class FactorStorage:
         rows = np.concatenate([S.glbind(j) for j in range(S.nsuper)] + [np.zeros(0, np.int64)])
         row_at = (np.cumsum(S._lens) - S._lens)[owner] + c
         return (colptr, rows[_ranges(row_at, count)],
-                self.data[_ranges(self.offsets[owner] + c * g + c, count)])
+                self.data[_ranges(S.panel_offsets[owner] + c * g + c, count)])
 
 
 def scatter_slots(pattern: SymmetricSparsePattern, S: SymbolicFactor) -> np.ndarray:
@@ -173,20 +179,38 @@ def _pivot_error(col: int, S: SymbolicFactor = None,
     return NotPositiveDefiniteError(shown, f"non-positive pivot at column {{}}{where}")
 
 
-def _cdiv(F: FactorStorage, j: int, backend: KernelBackend, stats: RunStats) -> None:
-    S = F.S
-    a = S.width(j)
-    m = S.mrows(j)
-    panel = F.panel(j)
-    T = panel[:a, :a]
+def _diag_step(P: np.ndarray, a: int, m: int, first: int, backend: KernelBackend) -> None:
+    """Factor a supernode's columns in its panel P: Cholesky of the a-by-a
+    diagonal triangle, then the triangular solve of the m rows below it.  A
+    failed pivot raises NotPositiveDefiniteError with its column, counted from
+    the supernode's first column ``first``."""
     try:
-        backend.chol(T)
+        backend.chol(P[:a])
     except NotPositiveDefiniteError as e:
-        raise _pivot_error(int(S.first_col[j]) + e.index, S)
-    stats.add("potrf", potrf_flops(a))
+        raise NotPositiveDefiniteError(first + e.index) from None
     if m:
-        backend.trsm(T, panel[a:, :])
-        stats.add("trsm", trsm_flops(m, a))
+        backend.trsm(P[:a], P[a:])
+
+
+@contextmanager
+def _supernodal_run(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace | None,
+                    stats: RunStats, updates: dict):
+    """The frame of one supernodal factorization of F, which must hold A.  A
+    failed pivot is named with its supernode.  On success F holds L, and
+    ``stats`` gains the analysis's prediction: the diagonal steps' calls,
+    ``updates`` (the method's update calls per kind) and ``S.work_flops``,
+    which every method does; the workspace peak is W's, 0 without one."""
+    if F.state != "A":
+        raise FactorStateError("factor storage does not hold A")
+    try:
+        yield
+    except NotPositiveDefiniteError as e:
+        raise _pivot_error(e.index, S) from None
+    for kind, count in (S.rlb_schedule.diag_calls | updates).items():
+        stats.calls[kind] += count
+    stats.flops += S.work_flops
+    stats.workspace_peak = W.peak if W else 0
+    F.state = "L"
 
 
 def _assemble(T: np.ndarray, pos: np.ndarray, U: np.ndarray, k: int) -> int:
@@ -283,12 +307,11 @@ def _pack_descending(arena, sq_off, m, k, dst_off) -> None:
 def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
               backend: KernelBackend, stats: RunStats) -> None:
     """Multifrontal factorization, each update placed by the updater's pair
-    with its parent in ``S.update_table``.  ``R`` is not read; it stays for
-    existing callers."""
-    if F.state != "A":
-        raise FactorStateError("factor storage does not hold A")
+    with its parent in ``S.update_table``: one syrk per supernode with rows
+    below.  ``R`` is not read; it stays for existing callers."""
     T = S.update_table
     up, cs, rs, at = (x.tolist() for x in (T.ptr, T.c, T.r, T.at))  # up[j]: pair with parent
+    diag, panels, parent = S.rlb_schedule.diag.tolist(), F.panels, S.snode_parent.tolist()
     cap = W.arena.size
     top = cap
     tags = []
@@ -297,66 +320,62 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     position[order] = np.arange(S.nsuper)
     push = S.plans.push_size
     peak = 0
-    for j in (int(x) for x in order):
-        a = S.width(j)
-        m = S.mrows(j)
-        pushers = sorted((c for c in S.snode_children[j] if push[c] > 0),
-                         key=lambda c: position[c])
-        sq = None
-        sq_off = None
-        if pushers:
-            first = pushers[-1]
-            snode, u_f = tags.pop()
-            assert snode == first, "stack pop does not match postorder child"
-            e = up[first]
-            qpos = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a  # pushed rows, in j's update matrix
-            sq_off = top + u_f - m * m
-            # extension is a scatter-copy, not a scatter-add: no assembly count
-            _extend_in_place(W.arena, top, qpos.size, sq_off, m, qpos)
-            top += u_f
-            peak = max(peak, cap - top + m * m)
-            sq = W.arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
-            for c in reversed(pushers[:-1]):
-                snode, u_c = tags.pop()
-                assert snode == c, "stack pop does not match postorder child"
-                e = up[c]
-                qp = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a
-                nr = qp.size
-                for t in range(nr):
-                    soff = top + _packed_col_offset(nr, t)
-                    sq[qp[t:], qp[t]] += W.arena[soff:soff + nr - t]
-                stats.assembly_ops += u_c
-                top += u_c
-        elif m > 0:
-            sq_off = top - m * m
-            sq = W.arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
-            sq[:] = 0.0
-            peak = max(peak, cap - top + m * m)
-        _cdiv(F, j, backend, stats)
-        if m == 0:
-            # only roots have no rows below, and the stack must drain per root
-            assert S.snode_parent[j] < 0 and not tags
-            continue
-        panel = F.panel(j)
-        backend.syrk(sq, panel[a:, :])
-        stats.add("syrk", syrk_flops(m, a))
-        e = up[j]
-        k = cs[e]
-        if k:
-            stats.assembly_ops += _assemble(F.panel(int(S.snode_parent[j])),
-                                            T.pos[at[e]:at[e] + m], sq, k)
-        rest = m - k
-        u_j = rest * (rest + 1) // 2
-        assert u_j == push[j], "runtime push size disagrees with the plan"
-        if u_j:
-            newtop = top - u_j
-            _pack_descending(W.arena, sq_off, m, k, newtop)
-            top = newtop
-            tags.append((j, u_j))
-    assert not tags and top == cap, "update-matrix stack not empty at exit"
-    W.peak = max(W.peak, peak)
-    F.state = "L"
-    stats.workspace_peak = W.peak
+    # one syrk per supernode with rows below, as many as there are trsm steps
+    with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]}):
+        for j in order.tolist():
+            _, _, a, m, first = diag[j]
+            pushers = sorted((c for c in S.snode_children[j] if push[c] > 0),
+                             key=lambda c: position[c])
+            sq = None
+            sq_off = None
+            if pushers:
+                first_child = pushers[-1]
+                snode, u_f = tags.pop()
+                assert snode == first_child, "stack pop does not match postorder child"
+                e = up[first_child]
+                qpos = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a  # pushed rows, in j's update matrix
+                sq_off = top + u_f - m * m
+                # extension is a scatter-copy, not a scatter-add: no assembly count
+                _extend_in_place(W.arena, top, qpos.size, sq_off, m, qpos)
+                top += u_f
+                peak = max(peak, cap - top + m * m)
+                sq = W.arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
+                for c in reversed(pushers[:-1]):
+                    snode, u_c = tags.pop()
+                    assert snode == c, "stack pop does not match postorder child"
+                    e = up[c]
+                    qp = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a
+                    nr = qp.size
+                    for t in range(nr):
+                        soff = top + _packed_col_offset(nr, t)
+                        sq[qp[t:], qp[t]] += W.arena[soff:soff + nr - t]
+                    stats.assembly_ops += u_c
+                    top += u_c
+            elif m > 0:
+                sq_off = top - m * m
+                sq = W.arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
+                sq[:] = 0.0
+                peak = max(peak, cap - top + m * m)
+            _diag_step(panels[j], a, m, first, backend)
+            if m == 0:
+                # only roots have no rows below, and the stack must drain per root
+                assert parent[j] < 0 and not tags
+                continue
+            backend.syrk(sq, panels[j][a:])
+            e = up[j]
+            k = cs[e]
+            if k:
+                stats.assembly_ops += _assemble(panels[parent[j]], T.pos[at[e]:at[e] + m], sq, k)
+            rest = m - k
+            u_j = rest * (rest + 1) // 2
+            assert u_j == push[j], "runtime push size disagrees with the plan"
+            if u_j:
+                newtop = top - u_j
+                _pack_descending(W.arena, sq_off, m, k, newtop)
+                top = newtop
+                tags.append((j, u_j))
+        assert not tags and top == cap, "update-matrix stack not empty at exit"
+        W.peak = max(W.peak, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -365,46 +384,46 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
 def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
               backend: KernelBackend, stats: RunStats) -> None:
     """Left-looking factorization: supernode j first takes the updates of
-    ``S.update_table``'s pairs into j, a dense one straight into its panel."""
-    if F.state != "A":
-        raise FactorStateError("factor storage does not hold A")
+    ``S.update_table``'s pairs into j, a dense one straight into its panel.
+    A pair whose updater is one column wide is applied column by column;
+    every other pair is one syrk, and one gemm where it has rows below its
+    target's columns."""
     T = S.update_table
     ks, los, cs, rs, dense, at = (x.tolist() for x in (T.k, T.lo, T.c, T.r, T.dense, T.at))
     into, ptr = T.by_target.tolist(), T.target_ptr.tolist()
-    for j in range(S.nsuper):
-        pj = F.panel(j)
-        for e in into[ptr[j]:ptr[j + 1]]:
-            k, c, r = ks[e], cs[e], rs[e]
-            a = S.width(k)
-            pos = T.pos[at[e]:at[e] + r]
-            X = F.panel(k)[a + los[e]:, :]
-            if a == 1:
-                v = X[:, 0]
-                for t in range(c):
-                    pj[pos[t:], pos[t]] -= v[t:] * v[t]
-                    stats.flops += 2 * (r - t)
-                    stats.assembly_ops += r - t
-                continue
-            Y = X[:c, :]
-            if dense[e]:
-                p0 = int(pos[0])
-                backend.syrk(pj[p0:p0 + c, p0:p0 + c], Y)
-                stats.add("syrk", syrk_flops(c, a))
-                if r > c:
-                    p1 = int(pos[c])
-                    backend.gemm(pj[p1:p1 + r - c, p0:p0 + c], X[c:, :], Y)
-                    stats.add("gemm", gemm_flops(r - c, c, a))
-            else:
-                U = W.slab(r, c)
-                backend.syrk(U[:c, :c], Y)
-                stats.add("syrk", syrk_flops(c, a))
-                if r > c:
-                    backend.gemm(U[c:, :], X[c:, :], Y)
-                    stats.add("gemm", gemm_flops(r - c, c, a))
-                stats.assembly_ops += _assemble(pj, pos, U, c)
-        _cdiv(F, j, backend, stats)
-    F.state = "L"
-    stats.workspace_peak = W.peak
+    diag, panels = S.rlb_schedule.diag, F.panels
+    wide = diag[T.k, 2] > 1
+    updates = {"syrk": int(np.count_nonzero(wide)),
+               "gemm": int(np.count_nonzero(wide & (T.r > T.c)))}
+    widths = diag[:, 2].tolist()
+    with _supernodal_run(F, S, W, stats, updates):
+        for j, (_, _, aj, m, first) in enumerate(diag.tolist()):
+            pj = panels[j]
+            for e in into[ptr[j]:ptr[j + 1]]:
+                k, c, r = ks[e], cs[e], rs[e]
+                a = widths[k]
+                pos = T.pos[at[e]:at[e] + r]
+                X = panels[k][a + los[e]:]
+                if a == 1:
+                    v = X[:, 0]
+                    for t in range(c):
+                        pj[pos[t:], pos[t]] -= v[t:] * v[t]
+                    stats.assembly_ops += c * r - c * (c - 1) // 2
+                    continue
+                Y = X[:c]
+                if dense[e]:
+                    p0 = int(pos[0])
+                    backend.syrk(pj[p0:p0 + c, p0:p0 + c], Y)
+                    if r > c:
+                        p1 = int(pos[c])
+                        backend.gemm(pj[p1:p1 + r - c, p0:p0 + c], X[c:], Y)
+                else:
+                    U = W.slab(r, c)
+                    backend.syrk(U[:c, :c], Y)
+                    if r > c:
+                        backend.gemm(U[c:, :], X[c:], Y)
+                    stats.assembly_ops += _assemble(pj, pos, U, c)
+            _diag_step(pj, aj, m, first, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -412,28 +431,23 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
 
 def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
               backend: KernelBackend, stats: RunStats) -> None:
-    """Right-looking factorization: each update matrix is scatter-added at
-    its ``S.update_table`` pairs.  ``R`` is not read; it stays for existing
-    callers."""
-    if F.state != "A":
-        raise FactorStateError("factor storage does not hold A")
+    """Right-looking factorization: each update matrix, one syrk per
+    supernode with rows below, is scatter-added at its ``S.update_table``
+    pairs.  ``R`` is not read; it stays for existing callers."""
     T = S.update_table
     up, ps, los, cs, rs, at = (x.tolist() for x in (T.ptr, T.p, T.lo, T.c, T.r, T.at))
-    for j in range(S.nsuper):
-        a = S.width(j)
-        m = S.mrows(j)
-        _cdiv(F, j, backend, stats)
-        if m == 0:
-            continue
-        U = W.slab(m, m)
-        backend.syrk(U, F.panel(j)[a:, :])
-        stats.add("syrk", syrk_flops(m, a))
-        for e in range(up[j], up[j + 1]):
-            lo = los[e]
-            stats.assembly_ops += _assemble(F.panel(ps[e]), T.pos[at[e]:at[e] + rs[e]],
-                                            U[lo:, lo:], cs[e])
-    F.state = "L"
-    stats.workspace_peak = W.peak
+    panels = F.panels
+    with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]}):
+        for j, (_, _, a, m, first) in enumerate(S.rlb_schedule.diag.tolist()):
+            _diag_step(panels[j], a, m, first, backend)
+            if m == 0:
+                continue
+            U = W.slab(m, m)
+            backend.syrk(U, panels[j][a:])
+            for e in range(up[j], up[j + 1]):
+                lo = los[e]
+                stats.assembly_ops += _assemble(panels[ps[e]], T.pos[at[e]:at[e] + rs[e]],
+                                                U[lo:, lo:], cs[e])
 
 
 # ---------------------------------------------------------------------------
@@ -445,45 +459,33 @@ def factor_rlb(F: FactorStorage, S: SymbolicFactor, R, backend: KernelBackend,
     supernode's columns in its panel, then makes every update as a dense
     kernel call straight into an ancestor panel.  It runs as one
     ``backend.run_schedule`` call where the backend has one, else through
-    ``_rlb_views``; the counters come from the schedule either way.  No
+    ``_rlb_views``; the update calls counted are the schedule's rows.  No
     floating-point workspace exists and the assembly counter stays at zero by
     construction.  ``R`` is not used; the parameter stays so that existing
     callers keep working."""
-    if F.state != "A":
-        raise FactorStateError("factor storage does not hold A")
     schedule = S.rlb_schedule
-    try:
+    with _supernodal_run(F, S, None, stats, schedule.calls):
         if backend.run_schedule:
             backend.run_schedule(F.data, schedule)
         else:
-            _rlb_views(F.data, schedule, backend)
-    except NotPositiveDefiniteError as e:
-        raise _pivot_error(e.index, S) from None
-    for kind, count in (schedule.calls | schedule.diag_calls).items():
-        stats.calls[kind] += count
-    stats.flops += schedule.flops + schedule.diag_flops
+            _rlb_views(F, schedule, backend)
     stats.update_calls_per_snode = np.diff(schedule.ptr)
-    F.state = "L"
-    stats.workspace_peak = 0
 
 
-def _rlb_views(data: np.ndarray, schedule: CallSchedule, backend: KernelBackend) -> None:
-    """Run ``schedule`` through ``backend``'s four kernels on numpy views of
-    ``data``: per group, chol and trsm on its supernode's panel, then its
-    update rows.  Their operands are row ranges of that panel over all its
-    columns (the schedule's extent check holds them to that); C is a view of
-    ``data`` that numpy checks against its bounds.  A failed pivot raises
-    NotPositiveDefiniteError with its column."""
-    syrk, gemm, view, f8 = backend.syrk, backend.gemm, np.ndarray, data.dtype
+def _rlb_views(F: FactorStorage, schedule: CallSchedule, backend: KernelBackend) -> None:
+    """Run ``schedule``, which is ``F.S.rlb_schedule``, through ``backend``'s
+    four kernels on numpy views of ``F.data``: per group, the diagonal step
+    on its supernode's panel, then its update rows.  Their operands are row
+    ranges of that panel over all its columns (the schedule's extent check
+    holds them to that); C is a view of ``F.data`` that numpy checks against
+    its bounds.  A failed pivot raises NotPositiveDefiniteError with its
+    column."""
+    syrk, gemm, view, data, panels = backend.syrk, backend.gemm, np.ndarray, F.data, F.panels
+    f8 = data.dtype
     ptr = schedule.ptr.tolist()
-    for j, (at, ld, a, below, first) in enumerate(schedule.diag.tolist()):
-        pj = data[at:at + ld * a].reshape((ld, a), order="F")
-        try:
-            backend.chol(pj[:a])
-        except NotPositiveDefiniteError as e:
-            raise NotPositiveDefiniteError(first + e.index) from None
-        if below:
-            backend.trsm(pj[:a], pj[a:])
+    for j, (at, _, a, below, first) in enumerate(schedule.diag.tolist()):
+        pj = panels[j]
+        _diag_step(pj, a, below, first, backend)
         y_at = Y = None
         for kind, c, ldc, m, n, _, x, y, _ in schedule.rows[ptr[j]:ptr[j + 1]].tolist():
             X = pj[x - at:x - at + m]
@@ -520,10 +522,8 @@ def solve(F: FactorStorage, S: SymbolicFactor, b) -> np.ndarray:
         got = f"length {x.shape[0]}" if x.ndim == 1 else f"shape {x.shape}"
         raise ValueError(f"right-hand side has {got}, expected length {S.n}")
     fc = S.first_col.tolist()
-    blocks = []
-    for j in range(S.nsuper):
-        f, l, P = fc[j], fc[j + 1], F.panel(j)
-        blocks.append((f, l, P[:l - f], P[l - f:], S.below(j)))
+    blocks = [(f, l, P[:l - f], P[l - f:], S.below(j))
+              for j, (f, l, P) in enumerate(zip(fc, fc[1:], F.panels))]
     for f, l, T, B, below in blocks:
         if l - f == 1:
             x[f] /= T[0, 0]

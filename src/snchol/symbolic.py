@@ -641,7 +641,7 @@ class SymbolicFactor:
         schedule = CallSchedule(*_rlb_rows(self))
         check_call_extents(self, schedule)
         # derive the prediction here, as part of the analysis
-        schedule.calls, schedule.flops, schedule.diag_calls, schedule.diag_flops
+        schedule.calls, schedule.flops, schedule.diag_calls
         return schedule
 
 

@@ -549,7 +549,7 @@ def scatter_per_column(A, S):
         if not ok.all():
             bad = int(rows[~ok][0])
             raise StructureError(f"entry ({bad},{j}) of A is outside the factor structure")
-        F.panel(sj)[pos, c] = A.col_values(j)
+        F.panels[sj][pos, c] = A.col_values(j)
     return F
 
 
@@ -629,14 +629,14 @@ def solve_per_column(F, S, b):
 
     x = np.asarray(b, dtype=np.float64).copy()
     for j in range(S.nsuper):
-        a, g, panel = S.width(j), S.glbind(j), F.panel(j)
+        a, g, panel = S.width(j), S.glbind(j), F.panels[j]
         y = x[g[:a]]
         lower(panel[:a, :a], y)
         x[g[:a]] = y
         if g.size > a:
             x[g[a:]] -= panel[a:, :] @ y
     for j in range(S.nsuper - 1, -1, -1):
-        a, g, panel = S.width(j), S.glbind(j), F.panel(j)
+        a, g, panel = S.width(j), S.glbind(j), F.panels[j]
         y = x[g[:a]]
         if g.size > a:
             y -= panel[a:, :].T @ x[g[a:]]
@@ -653,7 +653,7 @@ def lower_csc_per_column(F):
     rows, vals = [], []
     for j in range(S.nsuper):
         g = S.glbind(j)
-        P = F.panel(j)
+        P = F.panels[j]
         for c in range(S.width(j)):
             rows.append(g[c:])
             vals.append(P[c:, c])

@@ -11,8 +11,9 @@ from snchol.matrix import (SymmetricSparseMatrix, _assemble_lower, apply_symmetr
                            generate_spd, minimum_degree_order, read_matrix_market)
 from snchol.numeric import (METHODS, FactorizationResult, FactorStateError, NonFiniteEntryError,
                             RunOptions, RunStats, StructureError, UpdateWorkspace, _extend_in_place,
-                            _pack_descending, analyze, deviation_from_reference, factor_mf, factor_reference, factor_rl,
-                            factor_rlb, run_factorization, scatter_into_factor, solve)
+                            _pack_descending, analyze, deviation_from_reference, factor_ll,
+                            factor_mf, factor_reference, factor_rl, factor_rlb, run_factorization,
+                            scatter_into_factor, solve)
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
                              build_symbolic_factor, check_call_extents, elimination_tree,
                              symbolic_factorization)
@@ -39,17 +40,28 @@ def test_scatter_diagonal():
     S = build_symbolic_factor(pat, BuildOptions(None, False))
     F = scatter_into_factor(A, S)
     assert F.state == "A"
-    assert [float(F.panel(j)[0, 0]) for j in range(3)] == [2.0, 3.0, 4.0]
+    assert [float(F.panels[j][0, 0]) for j in range(3)] == [2.0, 3.0, 4.0]
 
 
 def test_scatter_fig1_values_and_fill_zeros():
     A = fig1_matrix()
     S = build_fig1()
     F = scatter_into_factor(A, S)
-    p0 = F.panel(0)  # supernode {1,2}: rows 1,2,5,6,9
+    p0 = F.panels[0]  # supernode {1,2}: rows 1,2,5,6,9
     assert p0[:, 0].tolist() == [10.0, 1.0, 1.0, 1.0, 1.0]
     # column 2 has no entry at row 6: that fill slot must hold zero
     assert p0[:, 1].tolist() == [0.0, 10.0, 1.0, 0.0, 1.0]
+
+
+def test_panels_are_column_major_views_of_the_factor_storage():
+    for name, an in schedule_cases():
+        S = an.S
+        F = scatter_into_factor(an.A2, S)
+        assert len(F.panels) == S.nsuper, name
+        for j, P in enumerate(F.panels):
+            assert np.shares_memory(P, F.data), (name, j)
+            assert P.shape == (len(S.glbind(j)), S.width(j)), (name, j)
+            assert P.flags.f_contiguous, (name, j)
 
 
 def test_scatter_gather_round_trip():
@@ -90,8 +102,8 @@ def test_slot_map_scatters_what_the_column_loop_scatters():
     for A2, S in scatter_cases():
         F = scatter_into_factor(A2, S)
         want = oracles.scatter_per_column(A2, S)
-        assert np.diff(F.offsets).tolist() == [S.glbind(j).size * S.width(j)
-                                               for j in range(S.nsuper)]
+        assert np.diff(S.panel_offsets).tolist() == [S.glbind(j).size * S.width(j)
+                                                     for j in range(S.nsuper)]
         assert F.data.tobytes() == want.data.tobytes()
 
 
@@ -291,6 +303,38 @@ def logging_backend(base, log):
         logged("gemm", base.gemm, lambda C, X, Y: gemm_flops(X.shape[0], *Y.shape)))
 
 
+# each supernodal method called directly, with a fresh workspace
+DIRECT = {
+    "mf": lambda F, S, be, st: factor_mf(F, S, None, UpdateWorkspace(S, "mf"), be, st),
+    "ll": lambda F, S, be, st: factor_ll(F, S, UpdateWorkspace(S, "ll"), be, st),
+    "rl": lambda F, S, be, st: factor_rl(F, S, None, UpdateWorkspace(S, "rl"), be, st),
+    "rlb": lambda F, S, be, st: factor_rlb(F, S, None, be, st)}
+
+
+@pytest.mark.parametrize("backend", ["reference", "vendor"])
+def test_mf_ll_rl_run_what_the_analysis_predicts(backend):
+    """mf, ll and rl count no call as they run: the calls a logging backend
+    sees are their counters per kind, and the flops of those calls their flop
+    count, once ll's width-1 pairs (applied column by column, without a
+    kernel: 2rc - c(c-1) flops each) are added.  The panels are the
+    driver's."""
+    for name, an in schedule_cases():
+        S = an.S
+        T = S.update_table
+        fused = int((2 * T.r * T.c - T.c * (T.c - 1))[np.diff(S.first_col)[T.k] == 1].sum())
+        for method in ("mf", "ll", "rl"):
+            r = an.factor(method, backend)
+            log = []
+            F = scatter_into_factor(an.A2, S)
+            stats = RunStats(method, backend, S.n)
+            DIRECT[method](F, S, logging_backend(get_backend(backend), log), stats)
+            where = (name, method)
+            assert {k: [c for c, _ in log].count(k) for k in stats.calls} == stats.calls, where
+            assert sum(f for _, f in log) + (fused if method == "ll" else 0) == stats.flops, where
+            assert all(P.tobytes() == Q.tobytes() for P, Q in zip(F.panels, r.F.panels)), where
+            assert counters(FactorizationResult(stats, None, None)) == counters(r), where
+
+
 @pytest.mark.parametrize("backend", ["reference", "vendor"])
 def test_rlb_runs_what_its_schedule_predicts(backend):
     """The driver's counters, and the calls a counting backend sees on the view
@@ -386,18 +430,19 @@ def test_extent_check_rejects_a_diagonal_step_off_its_panel(field):
 
 def test_vendor_rlb_is_one_schedule_run(monkeypatch):
     """On vendor, rlb checks its storage once and never takes the
-    per-supernode step of the other methods; the view path of a logging
-    backend makes the calls the counters report and gives the same panels."""
+    per-supernode step of the view path; the view path of a logging backend
+    makes the calls the counters report and gives the same panels."""
     checks = []
     check = kernels._storage_address
     monkeypatch.setattr(kernels, "_storage_address", lambda *a: checks.append(a) or check(*a))
 
-    def no_cdiv(*args):
+    def no_diag_step(*args):
         raise AssertionError("rlb took the per-supernode step")
-    monkeypatch.setattr(numeric, "_cdiv", no_cdiv)
     for name, an in schedule_cases():
         checks.clear()
-        r = an.factor("rlb", "vendor")
+        with monkeypatch.context() as m:
+            m.setattr(numeric, "_diag_step", no_diag_step)
+            r = an.factor("rlb", "vendor")
         assert len(checks) == 1, name
         log = []
         F = scatter_into_factor(an.A2, an.S)
@@ -428,12 +473,19 @@ def pivot_case():
     raise AssertionError("no two unrelated wide supernodes")
 
 
-@pytest.mark.parametrize("case", ["non-positive", "nan", "nan then non-positive"])
-def test_rlb_pivot_errors_agree_on_both_backends(case):
+# mf's postorder may reach the later supernode first, so it skips that case;
+# an id is the case alone for rlb, method-case for the others
+@pytest.mark.parametrize("method, case", [
+    pytest.param(method, case, id=case if method == "rlb" else f"{method}-{case}")
+    for method in DIRECT for case in ("non-positive", "nan", "nan then non-positive")
+    if (method, case) != ("mf", "nan then non-positive")])
+def test_rlb_pivot_errors_agree_on_both_backends(method, case):
     """A bad pivot, a NaN pivot, or a NaN pivot followed by a bad pivot in a
     supernode it does not update: the vendor runner, which checks NaN pivots
     once, reports the first failure in column order, as the reference view
-    path does with a check after every chol."""
+    path does with a check after every chol; a direct call of every other
+    method names the same column and supernode."""
+    factor = DIRECT[method]
     an, j1, j2 = pivot_case()
     S = an.S
     bad = {"non-positive": {j1: -1.0}, "nan": {j1: np.nan},
@@ -444,7 +496,7 @@ def test_rlb_pivot_errors_agree_on_both_backends(case):
         for j, value in bad.items():
             F.data[S.panel_offsets[j] + S._lens[j] + 1] = value  # local column 1's pivot
         with pytest.raises(NotPositiveDefiniteError) as e:
-            factor_rlb(F, S, None, get_backend(backend), RunStats("rlb", backend, S.n))
+            factor(F, S, get_backend(backend), RunStats(method, backend, S.n))
         errors.append((e.value.index, str(e.value)))
     col = int(S.first_col[j1]) + 1
     assert errors[0] == errors[1] == (col, f"non-positive pivot at column {col} "
@@ -879,5 +931,5 @@ def fill_slot(r):
         for c in range(S.width(j)):
             missing = np.flatnonzero(~np.isin(g[c:], glb[int(S.first_col[j]) + c]))
             if missing.size:
-                return int(F.offsets[j]) + c * g.size + c + int(missing[0])
+                return int(S.panel_offsets[j]) + c * g.size + c + int(missing[0])
     return None
