@@ -10,9 +10,10 @@ The reference backend is numpy only (matmul and ``numpy.linalg``) and is the
 oracle for the other.  Each call is one ``numpy.linalg.cholesky``, one
 ``numpy.linalg.solve`` or one product written back through a lower-triangle
 mask; operands of at most ``LOOP_MAX_COLS`` columns keep a per-column loop,
-which is faster at that size.  Its temporaries are per call and no larger than
-the call's operands, so ``rlb``'s zero-workspace claim is asserted on the
-vendor backend.
+which is faster at that size.  The masks are leading blocks of one cached
+read-only mask; its other temporaries are per call and no larger than the
+call's operands, so ``rlb``'s zero-workspace claim is asserted on the vendor
+backend.
 
 The vendor backend calls LAPACK's dpotrf and BLAS's dtrsm/dsyrk/dgemm through
 the function pointers scipy exports for Cython, passing each view's data
@@ -61,10 +62,20 @@ class NotPositiveDefiniteError(ArithmeticError):
 LOOP_MAX_COLS = 2
 
 
+_LOWER = np.ones((0, 0), dtype=bool)
+
+
 def _lower_mask(m: int) -> np.ndarray:
-    """m-by-m boolean mask of the lower triangle, diagonal included."""
-    i = np.arange(m)
-    return i[:, None] >= i
+    """m-by-m boolean mask of the lower triangle, diagonal included: the
+    leading block of one read-only mask, rebuilt only for a larger m."""
+    global _LOWER
+    mask = _LOWER  # one read, so a concurrent rebuild cannot shrink what is sliced
+    if mask.shape[0] < m:
+        i = np.arange(m)
+        mask = i[:, None] >= i
+        mask.flags.writeable = False
+        _LOWER = mask
+    return mask[:m, :m]
 
 
 def chol_in_place(T) -> None:
@@ -185,13 +196,16 @@ class CallSchedule:
     them.
 
     ``calls`` and ``flops`` count the update rows, ``diag_calls`` the
-    diagonal steps (a trsm only where m > 0).
+    diagonal steps (a trsm only where m > 0).  A builder may also say where
+    the rows of each of its own updates start (``pair_ptr``); runners do not
+    read it.
     """
 
     rows: np.ndarray
     ptr: np.ndarray
     storage: int
     diag: np.ndarray
+    pair_ptr: np.ndarray = None
 
     @cached_property
     def calls(self) -> dict:

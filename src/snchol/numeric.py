@@ -18,15 +18,18 @@ rlb   right-looking blocked: dense blocks updated straight into ancestor
 All four supernodal methods share one supernode step, ``_diag_step``: the
 Cholesky of the diagonal triangle and the triangular solve below it, on the
 panel and with the sizes ``S.rlb_schedule.diag`` gives.  They count nothing
-call by call: each run adds the calls and flops the analysis predicts.  mf,
-ll and rl place their updates at positions ``S.update_table`` found at
-analysis, and scatter-add update triangles through ``_assemble``.  rlb's
-schedule holds the whole factorization: per supernode, its diagonal step and
-its updates.  Where the backend has ``run_schedule``, rlb is that one call:
-the vendor backend checks ``F.data`` once, calls LAPACK/BLAS at addresses in
-it, and checks the pivots for NaN once, at the end or at the first failed
-dpotrf.  Otherwise rlb runs the schedule through the backend's four kernels on
-numpy views, checking every pivot as it goes.
+call by call: each run adds the calls and flops the analysis predicts, and
+the lower-triangle entries its updates add (``assembly_ops``).  mf, ll and rl
+add each update into its target through ``_assembler``, per
+``S.update_table`` pair: one slice-add per rectangle of the pair's
+``S.rlb_schedule`` rows where it has no more rows than columns, else one
+scatter-add per column.  rlb's schedule holds the whole factorization: per
+supernode, its diagonal step and its updates.  Where the backend has
+``run_schedule``, rlb is that one call: the vendor backend checks ``F.data``
+once, calls LAPACK/BLAS at addresses in it, and checks the pivots for NaN
+once, at the end or at the first failed dpotrf.  Otherwise rlb runs the
+schedule through the backend's four kernels on numpy views, checking every
+pivot as it goes.
 """
 
 from __future__ import annotations
@@ -194,12 +197,14 @@ def _diag_step(P: np.ndarray, a: int, m: int, first: int, backend: KernelBackend
 
 @contextmanager
 def _supernodal_run(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace | None,
-                    stats: RunStats, updates: dict):
+                    stats: RunStats, updates: dict, assembled=slice(0)):
     """The frame of one supernodal factorization of F, which must hold A.  A
     failed pivot is named with its supernode.  On success F holds L, and
     ``stats`` gains the analysis's prediction: the diagonal steps' calls,
-    ``updates`` (the method's update calls per kind) and ``S.work_flops``,
-    which every method does; the workspace peak is W's, 0 without one."""
+    ``updates`` (the method's update calls per kind), ``S.work_flops``,
+    which every method does, and the lower triangles, c r - c (c - 1) / 2
+    entries each, of the ``S.update_table`` pairs ``assembled`` selects; the
+    workspace peak is W's, 0 without one."""
     if F.state != "A":
         raise FactorStateError("factor storage does not hold A")
     try:
@@ -209,16 +214,37 @@ def _supernodal_run(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace | No
     for kind, count in (S.rlb_schedule.diag_calls | updates).items():
         stats.calls[kind] += count
     stats.flops += S.work_flops
+    c, r = S.update_table.c[assembled], S.update_table.r[assembled]
+    stats.assembly_ops += int((c * r - c * (c - 1) // 2).sum())
     stats.workspace_peak = W.peak if W else 0
     F.state = "L"
 
 
-def _assemble(T: np.ndarray, pos: np.ndarray, U: np.ndarray, k: int) -> int:
-    """Scatter-add the first k columns of U's lower triangle into T at rows and
-    columns ``pos`` (one per row of U).  Returns the number of entries added."""
-    for t in range(k):
-        T[pos[t:], pos[t]] += U[t:, t]
-    return k * len(pos) - k * (k - 1) // 2
+def _assembler(F: FactorStorage, S: SymbolicFactor):
+    """``assemble(e, U)``: add U, the update of ``S.update_table`` pair e at
+    its r rows by the first c, into its target's panel, each entry of U's
+    lower triangle once.  A pair with no more ``S.rlb_schedule`` rows than
+    columns adds each row's rectangle as one slice (a SYRK row the whole
+    square: the strict upper triangle of U[:c, :c] must be zero), any other
+    each column as one scatter-add."""
+    T, sched = S.update_table, S.rlb_schedule
+    data, panels, view, f8 = F.data, F.panels, np.ndarray, F.data.dtype
+    pp = sched.pair_ptr
+    by_rows = np.diff(pp) <= T.c
+    base = S.panel_offsets[T.k] + S._lens[T.k] - T.r  # pair's first row in F.data
+
+    def assemble(e: int, U: np.ndarray) -> None:
+        if by_rows.item(e):
+            b = base.item(e)
+            for _, c, ldc, m, n, _, x, y, _ in sched.rows[pp.item(e):pp.item(e + 1)].tolist():
+                C = view((m, n), f8, data, 8 * c, (8, 8 * ldc))
+                C += U[x - b:x - b + m, y - b:y - b + n]
+            return
+        at = T.at.item(e)
+        P, pos = panels[T.p.item(e)], T.pos[at:at + T.r.item(e)]
+        for t in range(T.c.item(e)):
+            P[pos[t:], pos[t]] += U[t:, t]
+    return assemble
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +332,16 @@ def _pack_descending(arena, sq_off, m, k, dst_off) -> None:
 
 def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
               backend: KernelBackend, stats: RunStats) -> None:
-    """Multifrontal factorization, each update placed by the updater's pair
-    with its parent in ``S.update_table``: one syrk per supernode with rows
-    below.  ``R`` is not read; it stays for existing callers."""
+    """Multifrontal factorization: one syrk per supernode with rows below
+    into its square update matrix, whose columns in the parent are added
+    there by ``_assembler`` at the updater's pair with its parent in
+    ``S.update_table``; the rest is pushed.  ``R`` is not read; it stays for
+    existing callers."""
     T = S.update_table
     up, cs, rs, at = (x.tolist() for x in (T.ptr, T.c, T.r, T.at))  # up[j]: pair with parent
     diag, panels, parent = S.rlb_schedule.diag.tolist(), F.panels, S.snode_parent.tolist()
-    cap = W.arena.size
-    top = cap
+    assemble = _assembler(F, S)
+    top = cap = W.arena.size
     tags = []
     order = S.plans.mf_postorder
     position = np.empty(S.nsuper, dtype=np.int64)
@@ -321,13 +349,13 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     push = S.plans.push_size
     peak = 0
     # one syrk per supernode with rows below, as many as there are trsm steps
-    with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]}):
+    with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
+                         T.lo == 0):
         for j in order.tolist():
             _, _, a, m, first = diag[j]
             pushers = sorted((c for c in S.snode_children[j] if push[c] > 0),
                              key=lambda c: position[c])
-            sq = None
-            sq_off = None
+            sq = sq_off = None
             if pushers:
                 first_child = pushers[-1]
                 snode, u_f = tags.pop()
@@ -362,10 +390,8 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
                 assert parent[j] < 0 and not tags
                 continue
             backend.syrk(sq, panels[j][a:])
-            e = up[j]
-            k = cs[e]
-            if k:
-                stats.assembly_ops += _assemble(panels[parent[j]], T.pos[at[e]:at[e] + m], sq, k)
+            assemble(up[j], sq)
+            k = cs[up[j]]
             rest = m - k
             u_j = rest * (rest + 1) // 2
             assert u_j == push[j], "runtime push size disagrees with the plan"
@@ -384,19 +410,20 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
 def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
               backend: KernelBackend, stats: RunStats) -> None:
     """Left-looking factorization: supernode j first takes the updates of
-    ``S.update_table``'s pairs into j, a dense one straight into its panel.
-    A pair whose updater is one column wide is applied column by column;
-    every other pair is one syrk, and one gemm where it has rows below its
-    target's columns."""
+    ``S.update_table``'s pairs into j.  A pair whose updater is one column
+    wide is applied column by column; every other pair is one syrk, and one
+    gemm where it has rows below its target's columns, straight into j's
+    panel where the pair is dense, else into the slab, which ``_assembler``
+    adds into the panel."""
     T = S.update_table
     ks, los, cs, rs, dense, at = (x.tolist() for x in (T.k, T.lo, T.c, T.r, T.dense, T.at))
     into, ptr = T.by_target.tolist(), T.target_ptr.tolist()
-    diag, panels = S.rlb_schedule.diag, F.panels
+    diag, panels, assemble = S.rlb_schedule.diag, F.panels, _assembler(F, S)
     wide = diag[T.k, 2] > 1
     updates = {"syrk": int(np.count_nonzero(wide)),
                "gemm": int(np.count_nonzero(wide & (T.r > T.c)))}
     widths = diag[:, 2].tolist()
-    with _supernodal_run(F, S, W, stats, updates):
+    with _supernodal_run(F, S, W, stats, updates, ~(wide & T.dense)):
         for j, (_, _, aj, m, first) in enumerate(diag.tolist()):
             pj = panels[j]
             for e in into[ptr[j]:ptr[j + 1]]:
@@ -408,7 +435,6 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                     v = X[:, 0]
                     for t in range(c):
                         pj[pos[t:], pos[t]] -= v[t:] * v[t]
-                    stats.assembly_ops += c * r - c * (c - 1) // 2
                     continue
                 Y = X[:c]
                 if dense[e]:
@@ -422,7 +448,7 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                     backend.syrk(U[:c, :c], Y)
                     if r > c:
                         backend.gemm(U[c:, :], X[c:], Y)
-                    stats.assembly_ops += _assemble(pj, pos, U, c)
+                    assemble(e, U)
             _diag_step(pj, aj, m, first, backend)
 
 
@@ -432,12 +458,14 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
 def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
               backend: KernelBackend, stats: RunStats) -> None:
     """Right-looking factorization: each update matrix, one syrk per
-    supernode with rows below, is scatter-added at its ``S.update_table``
-    pairs.  ``R`` is not read; it stays for existing callers."""
+    supernode with rows below, is added into every target of its
+    ``S.update_table`` pairs by ``_assembler``.  ``R`` is not read; it stays
+    for existing callers."""
     T = S.update_table
-    up, ps, los, cs, rs, at = (x.tolist() for x in (T.ptr, T.p, T.lo, T.c, T.r, T.at))
-    panels = F.panels
-    with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]}):
+    up, los = T.ptr.tolist(), T.lo.tolist()
+    panels, assemble = F.panels, _assembler(F, S)
+    with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
+                         slice(None)):
         for j, (_, _, a, m, first) in enumerate(S.rlb_schedule.diag.tolist()):
             _diag_step(panels[j], a, m, first, backend)
             if m == 0:
@@ -445,9 +473,7 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
             U = W.slab(m, m)
             backend.syrk(U, panels[j][a:])
             for e in range(up[j], up[j + 1]):
-                lo = los[e]
-                stats.assembly_ops += _assemble(panels[ps[e]], T.pos[at[e]:at[e] + rs[e]],
-                                                U[lo:, lo:], cs[e])
+                assemble(e, U[los[e]:, los[e]:])
 
 
 # ---------------------------------------------------------------------------

@@ -646,8 +646,9 @@ class SymbolicFactor:
 
 
 def _rlb_rows(S: SymbolicFactor) -> tuple:
-    """``rlb_schedule``'s rows, row pointer, storage and diagonal steps,
-    before they are checked.
+    """``rlb_schedule``'s rows, row pointer, storage, diagonal steps and
+    pair pointer, before they are checked.  The rows run by update-table
+    pair, those of pair e from ``pair_ptr[e]``.
 
     Pair e's head runs are its updater's blocks into its target, and its runs
     cover the updater's rows from the first block to the end.  Each head run
@@ -677,7 +678,8 @@ def _rlb_rows(S: SymbolicFactor) -> tuple:
     call = np.flatnonzero(~(joins[t] & (t > b + 1)))
     m = np.add.reduceat(size[t], call) if call.size else size[:0]
     b, t = b[call], t[call]
-    P, j = T.p[pair[b]], T.k[pair[b]]
+    e = pair[b]
+    P, j = T.p[e], T.k[e]
     rows = np.empty((b.size, 9), dtype=it)
     rows[:, 0] = np.where(t == b, SYRK, GEMM)
     rows[:, 1] = offsets[P] + lens[P] * pos[b] + pos[t]
@@ -688,11 +690,13 @@ def _rlb_rows(S: SymbolicFactor) -> tuple:
     rows[:, 6] = offsets[j] + first[t]
     rows[:, 7] = offsets[j] + first[b]
     rows[:, 8] = lens[j]
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(j, minlength=S.nsuper))])
+    pair_ptr = np.searchsorted(e, np.arange(T.k.size + 1))  # pairs run by updater
+    ptr = pair_ptr[T.ptr]
     diag = np.column_stack([offsets[:-1], lens, width, lens - width,
                             S.first_col[:-1].astype(it)])
-    rows.flags.writeable = ptr.flags.writeable = diag.flags.writeable = False
-    return rows, ptr, S.panel_storage, diag
+    for x in (rows, ptr, diag, pair_ptr):
+        x.flags.writeable = False
+    return rows, ptr, S.panel_storage, diag, pair_ptr
 
 
 def _run_starts(v: np.ndarray, first: np.ndarray) -> np.ndarray:

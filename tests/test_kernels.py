@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from snchol import kernels
 from snchol.kernels import (NotPositiveDefiniteError, chol_in_place, gemm_nt,
                             get_backend, syrk_lower, trsm_right_lt, vendor_backend)
 
@@ -106,6 +107,17 @@ def test_syrk_never_reads_upper_triangle():
     X = rng.standard_normal((5, 3))
     syrk_lower(C, X)
     assert np.isfinite(C[np.tril_indices(5)]).all()
+
+
+def test_lower_masks_are_leading_blocks_of_one_read_only_mask():
+    """A smaller mask is a view of the largest one built; a larger size
+    replaces it."""
+    big, small = kernels._lower_mask(7), kernels._lower_mask(4)
+    assert np.array_equal(small, np.tril(np.ones((4, 4), dtype=bool)))
+    assert np.shares_memory(small, big) and not small.flags.writeable
+    grown = kernels._lower_mask(kernels._LOWER.shape[0] + 3)
+    assert np.array_equal(grown, np.tril(np.ones(grown.shape, dtype=bool)))
+    assert kernels._LOWER.shape == grown.shape
 
 
 def test_gemm_trivial_and_zero():

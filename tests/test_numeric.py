@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snchol import kernels, numeric, symbolic
-from snchol.kernels import (GEMM, CallSchedule, KernelBackend, NotPositiveDefiniteError,
+from snchol.kernels import (GEMM, SYRK, CallSchedule, KernelBackend, NotPositiveDefiniteError,
                             REFERENCE_BACKEND, gemm_flops, get_backend, potrf_flops, syrk_flops,
                             trsm_flops)
 from snchol.matrix import (SymmetricSparseMatrix, _assemble_lower, apply_symmetric_permutation,
@@ -279,6 +279,87 @@ def test_rlb_schedule_is_the_walk_row_for_row():
         assert sched.rows.dtype == np.int32 and not sched.rows.flags.writeable
         calls += rows.shape[0]
     assert calls > 1000
+
+
+def test_schedule_rows_cut_each_update_pair_into_its_rectangles():
+    """``pair_ptr`` cuts rlb_schedule's rows by update-table pair: supernode
+    j's rows are those of its pairs, and pair e's rectangles lie in its
+    target's panel and cover its lower triangle, c r - c (c - 1) / 2 entries
+    (n (n + 1) / 2 per SYRK row, m n per GEMM row)."""
+    for name, an in schedule_cases():
+        S = an.S
+        T, sched = S.update_table, S.rlb_schedule
+        assert np.array_equal(sched.ptr, sched.pair_ptr[T.ptr]), name
+        assert not sched.pair_ptr.flags.writeable
+        kind, c, _, m, n = (sched.rows[:, i].astype(np.int64) for i in range(5))
+        area = np.where(kind == SYRK, n * (n + 1) // 2, m * n)
+        covered = np.diff(np.append(0, np.cumsum(area))[sched.pair_ptr])
+        assert covered.tolist() == (T.c * T.r - T.c * (T.c - 1) // 2).tolist(), name
+        pair = np.repeat(np.arange(T.k.size), np.diff(sched.pair_ptr))
+        target = np.searchsorted(S.panel_offsets, c, side="right") - 1
+        assert np.array_equal(target, T.p[pair]), name
+
+
+class ReadLog(np.ndarray):
+    """An update matrix that logs how it is indexed."""
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return np.asarray(self)[key]
+
+
+def test_mf_ll_rl_assemble_pairs_by_rectangles_and_by_columns(monkeypatch):
+    """mf assembles each supernode's pair with its parent, ll its non-dense
+    pairs from updaters wider than one column, rl every pair, each once.  A
+    pair with no more schedule rows than columns reads its update matrix in
+    rectangles (two slices), any other in columns (a slice and a column), and
+    each method takes both ways on these inputs.  ``assembly_ops`` is those
+    pairs' lower triangles, plus ll's width-1 pairs (added without a slab)
+    and the packed triangles mf merges from all but the first child it pops."""
+    seen, real = [], numeric._assembler
+
+    def spy(F, S):
+        assemble = real(F, S)
+
+        def logged(e, U):
+            U = U.view(ReadLog)
+            U.log = []
+            assemble(e, U)
+            seen.append((e, all(isinstance(key[1], slice) for key in U.log)))
+        return logged
+    monkeypatch.setattr(numeric, "_assembler", spy)
+    taken = {"mf": set(), "ll": set(), "rl": set()}
+    for name, an in schedule_cases():
+        T, sched = an.S.update_table, an.S.rlb_schedule
+        by_rows = np.diff(sched.pair_ptr) <= T.c
+        wide = np.diff(an.S.first_col)[T.k] > 1
+        pairs = {"mf": T.lo == 0, "ll": wide & ~T.dense, "rl": np.ones(T.k.size, dtype=bool)}
+        entries = T.c * T.r - T.c * (T.c - 1) // 2
+        push, order = an.S.plans.push_size, an.S.plans.mf_postorder.tolist()
+        pushers = [[c for c in kids if push[c]] for kids in an.S.snode_children]
+        besides = {"mf": int(push.sum()) - sum(int(push[max(cs, key=order.index)])
+                                               for cs in pushers if cs),
+                   "ll": int(entries[~wide].sum()), "rl": 0}
+        for method in taken:
+            seen.clear()
+            r = an.factor(method)
+            assert sorted(e for e, _ in seen) == np.flatnonzero(pairs[method]).tolist(), name
+            assert all(way == by_rows[e] for e, way in seen), (name, method)
+            assert r.stats.assembly_ops == entries[pairs[method]].sum() + besides[method], name
+            taken[method] |= {way for _, way in seen}
+    assert all(ways == {False, True} for ways in taken.values()), taken
+
+
+@pytest.mark.parametrize("backend", ["reference", "vendor"])
+def test_diagonal_blocks_keep_an_exactly_zero_upper_triangle(backend):
+    """A SYRK rectangle adds the whole square of an update, whose strict
+    upper triangle is zero: after every supernodal method the strict upper
+    triangle of each diagonal block holds +0.0 only, as after rlb."""
+    for name, an in schedule_cases():
+        for method in ("mf", "ll", "rl", "rlb"):
+            for j, P in enumerate(an.factor(method, backend).F.panels):
+                upper = P[np.triu_indices(P.shape[1], 1)]
+                assert upper.tobytes() == bytes(upper.nbytes), (name, method, j)
 
 
 def counting_backend(base, log):
