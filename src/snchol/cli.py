@@ -244,9 +244,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repeats < 1 or args.repeats % 2 == 0:
-        print("error: --repeats must be odd", file=sys.stderr)
-        return 1
+    for bad, why in ((args.repeats < 1 or args.repeats % 2 == 0, "--repeats must be odd"),
+                     (not args.tau_max >= 1.0, "--tau-max must be at least 1"),
+                     (not args.tau_step > 0.0, "--tau-step must be positive")):
+        if bad:
+            print(f"error: {why}", file=sys.stderr)
+            return 1
     with open(args.list) as fh:
         specs = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     methods = args.methods.split(",") if args.methods else list(METHODS)

@@ -294,40 +294,49 @@ def factor_reference(A: SymmetricSparseMatrix, glb: list, stats: RunStats = None
 # ---------------------------------------------------------------------------
 # Multifrontal.
 
-def _packed_col_offset(nrows: int, k: int) -> int:
-    return k * nrows - k * (k - 1) // 2
+_PACKED = np.zeros((2, 0), dtype=np.int32)
+_PACKED.flags.writeable = False
+
+
+def _packed(n: int, cols: int = None) -> np.ndarray:
+    """(rows, columns), one read-only 2-by-k array, of the first ``cols``
+    columns (default all; c of them make the n-by-c trapezoid) of an n-by-n
+    lower triangle in packed column-major order, the update-matrix stack's
+    layout, counted from the end: entry (i, t) is (i - n, t - n), an index
+    into arrays of length n.  A slice of one cached list, the largest
+    triangle's, rebuilt only for a larger n: any smaller triangle's entries
+    are its last n(n+1)/2, so no call does arithmetic on the index."""
+    global _PACKED
+    u = n * (n + 1) // 2
+    index = _PACKED  # one read, so a concurrent rebuild cannot shrink what is sliced
+    if index.shape[1] < u:
+        t, i = np.triu_indices(n)
+        index = np.array((i - n, t - n), dtype=np.int32)
+        index.flags.writeable = False
+        _PACKED = index
+    k = u if cols is None else cols * n - cols * (cols - 1) // 2
+    start = index.shape[1] - u
+    return index[:, start:start + k]
 
 
 def _extend_in_place(arena, src_off, nrows, dst_off, m, qpos) -> None:
-    """Scatter a packed lower triangle over ``nrows`` rows into an m-by-m
-    square at ``dst_off`` whose storage overlaps the packed source from its
-    high end (dst_off + m*m == src_off + packed size).  All writes proceed in
-    ascending address order; each packed column is staged through a copy, which
-    together with the square/packed offset monotonicity makes the overlap safe.
-    """
-    prev = 0
-    for k in range(qpos.size):
-        q = int(qpos[k])
-        if q > prev:
-            arena[dst_off + prev * m:dst_off + q * m] = 0.0
-        soff = src_off + _packed_col_offset(nrows, k)
-        tmp = arena[soff:soff + nrows - k].copy()
-        arena[dst_off + q * m:dst_off + (q + 1) * m] = 0.0
-        arena[dst_off + q * m + qpos[k:]] = tmp
-        prev = q + 1
-    arena[dst_off + prev * m:dst_off + m * m] = 0.0
+    """Scatter a packed lower triangle over ``nrows`` rows at ``src_off`` into
+    the m-by-m square at ``dst_off``: entry (i, t) goes to (qpos[i], qpos[t]),
+    every other entry is zero.  The square may overlap the source: the source
+    is copied out before the square is zeroed."""
+    rows, cols = qpos[_packed(nrows)]
+    packed = arena[src_off:src_off + rows.size].copy()
+    arena[dst_off:dst_off + m * m] = 0.0
+    arena[dst_off + rows + m * cols] = packed
 
 
 def _pack_descending(arena, sq_off, m, k, dst_off) -> None:
-    """Pack the trailing (m-k) square lower triangle into a packed triangle at
-    ``dst_off``; traversed in descending column order so an overlapping
-    destination (push target inside the square) is safe."""
-    c = m - k
-    for t in range(c - 1, -1, -1):
-        col = k + t
-        tmp = arena[sq_off + col * m + col:sq_off + col * m + m].copy()
-        toff = dst_off + _packed_col_offset(c, t)
-        arena[toff:toff + c - t] = tmp
+    """Pack the trailing (m-k) lower triangle of the m-by-m square at
+    ``sq_off`` into a packed triangle at ``dst_off``.  One gather, which
+    copies: the destination may overlap the square."""
+    square = arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
+    trailing = _packed(m - k)  # counted from the end of the square's rows and columns
+    arena[dst_off:dst_off + trailing.shape[1]] = square[tuple(trailing)]
 
 
 def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
@@ -335,73 +344,58 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     """Multifrontal factorization: one syrk per supernode with rows below
     into its square update matrix, whose columns in the parent are added
     there by ``_assembler`` at the updater's pair with its parent in
-    ``S.update_table``; the rest is pushed.  ``R`` is not read; it stays for
-    existing callers."""
+    ``S.update_table``; the rest is pushed as one packed triangle.  The
+    square starts as the top child's triangle, extended in place; the other
+    children's triangles are added into it.  Each extension, merge and push
+    moves a whole triangle through the ``_packed`` index.  ``R`` is not
+    read; it stays for existing callers."""
     T = S.update_table
     up, cs, rs, at = (x.tolist() for x in (T.ptr, T.c, T.r, T.at))  # up[j]: pair with parent
     diag, panels, parent = S.rlb_schedule.diag.tolist(), F.panels, S.snode_parent.tolist()
     assemble = _assembler(F, S)
     top = cap = W.arena.size
     tags = []
-    order = S.plans.mf_postorder
-    position = np.empty(S.nsuper, dtype=np.int64)
-    position[order] = np.arange(S.nsuper)
     push = S.plans.push_size
-    peak = 0
     # one syrk per supernode with rows below, as many as there are trsm steps
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
                          T.lo == 0):
-        for j in order.tolist():
+        for j in S.plans.mf_postorder.tolist():
             _, _, a, m, first = diag[j]
-            pushers = sorted((c for c in S.snode_children[j] if push[c] > 0),
-                             key=lambda c: position[c])
-            sq = sq_off = None
-            if pushers:
-                first_child = pushers[-1]
-                snode, u_f = tags.pop()
-                assert snode == first_child, "stack pop does not match postorder child"
-                e = up[first_child]
+            sq = None
+            # in postorder, the children that pushed are the stack's top entries
+            while tags and parent[tags[-1][0]] == j:
+                c, u_c = tags.pop()
+                e = up[c]
                 qpos = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a  # pushed rows, in j's update matrix
-                sq_off = top + u_f - m * m
-                # extension is a scatter-copy, not a scatter-add: no assembly count
-                _extend_in_place(W.arena, top, qpos.size, sq_off, m, qpos)
-                top += u_f
-                peak = max(peak, cap - top + m * m)
-                sq = W.arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
-                for c in reversed(pushers[:-1]):
-                    snode, u_c = tags.pop()
-                    assert snode == c, "stack pop does not match postorder child"
-                    e = up[c]
-                    qp = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a
-                    nr = qp.size
-                    for t in range(nr):
-                        soff = top + _packed_col_offset(nr, t)
-                        sq[qp[t:], qp[t]] += W.arena[soff:soff + nr - t]
+                if sq is None:
+                    # extension is a scatter-copy, not a scatter-add: no assembly count
+                    sq_off = top + u_c - m * m
+                    _extend_in_place(W.arena, top, qpos.size, sq_off, m, qpos)
+                    sq = W.arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
+                else:
+                    sq[tuple(qpos[_packed(qpos.size)])] += W.arena[top:top + u_c]
                     stats.assembly_ops += u_c
-                    top += u_c
-            elif m > 0:
-                sq_off = top - m * m
-                sq = W.arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
-                sq[:] = 0.0
-                peak = max(peak, cap - top + m * m)
+                top += u_c
             _diag_step(panels[j], a, m, first, backend)
             if m == 0:
                 # only roots have no rows below, and the stack must drain per root
                 assert parent[j] < 0 and not tags
                 continue
+            if sq is None:
+                sq_off = top - m * m
+                sq = W.arena[sq_off:top].reshape((m, m), order="F")
+                sq[:] = 0.0
+            W.peak = max(W.peak, cap - sq_off)
             backend.syrk(sq, panels[j][a:])
             assemble(up[j], sq)
             k = cs[up[j]]
-            rest = m - k
-            u_j = rest * (rest + 1) // 2
+            u_j = (m - k) * (m - k + 1) // 2
             assert u_j == push[j], "runtime push size disagrees with the plan"
             if u_j:
-                newtop = top - u_j
-                _pack_descending(W.arena, sq_off, m, k, newtop)
-                top = newtop
+                top -= u_j
+                _pack_descending(W.arena, sq_off, m, k, top)
                 tags.append((j, u_j))
         assert not tags and top == cap, "update-matrix stack not empty at exit"
-        W.peak = max(W.peak, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +405,8 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
               backend: KernelBackend, stats: RunStats) -> None:
     """Left-looking factorization: supernode j first takes the updates of
     ``S.update_table``'s pairs into j.  A pair whose updater is one column
-    wide is applied column by column; every other pair is one syrk, and one
+    v wide subtracts v v^T over its r-by-c trapezoid, ``_packed(r, c)``, in
+    one indexed operation; every other pair is one syrk, and one
     gemm where it has rows below its target's columns, straight into j's
     panel where the pair is dense, else into the slab, which ``_assembler``
     adds into the panel."""
@@ -433,8 +428,8 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                 X = panels[k][a + los[e]:]
                 if a == 1:
                     v = X[:, 0]
-                    for t in range(c):
-                        pj[pos[t:], pos[t]] -= v[t:] * v[t]
+                    i = _packed(r, c)
+                    pj[tuple(pos[i])] -= np.multiply(*v[i])
                     continue
                 Y = X[:c]
                 if dense[e]:

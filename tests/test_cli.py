@@ -304,6 +304,21 @@ def test_bench_rejects_even_repeats(tmp_path, capsys):
     assert run_cli("bench", str(lst), "--repeats", "2") == 1
 
 
+@pytest.mark.parametrize("flag,value,why", [("--tau-max", "0.5", "--tau-max must be at least 1"),
+                                            ("--tau-step", "0", "--tau-step must be positive"),
+                                            ("--tau-step", "-0.1", "--tau-step must be positive")])
+def test_bench_rejects_bad_tau_grid_before_any_work(tmp_path, capsys, monkeypatch, flag, value,
+                                                    why):
+    def no_work(*args, **kw):
+        raise AssertionError("bench read a matrix with a tau grid it rejects")
+
+    monkeypatch.setattr("snchol.cli.load_matrix", no_work)
+    lst = tmp_path / "mats.txt"
+    lst.write_text("gen:n=10,density=0.3,seed=1\n")
+    assert run_cli("bench", str(lst), "--repeats", "1", flag, value) == 1
+    assert capsys.readouterr().err == f"error: {why}\n"
+
+
 def test_bench_records_failures_and_continues(tmp_path):
     lst = tmp_path / "mats.txt"
     lst.write_text(f"{tmp_path}/missing.mtx\ngen:n=12,density=0.3,seed=3\n")

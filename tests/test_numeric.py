@@ -207,6 +207,58 @@ def test_pack_descending_matches_out_of_place():
         assert np.allclose(arena[dst:dst + len(want)], want)
 
 
+def test_packed_index_is_the_column_by_column_list(monkeypatch):
+    """``_packed(n, cols)`` lists the first cols columns of an n-by-n lower
+    triangle column by column, counted from the end (n is added back here),
+    read-only, whether its cached list was built for this n or a larger one."""
+    monkeypatch.setattr(numeric, "_PACKED", numeric._PACKED[:, :0])
+    first = {}
+    for n in range(41):  # each n rebuilds the cached list
+        for cols in (None, *range(n + 1)):
+            want = [(i, t) for t in range(n if cols is None else cols) for i in range(t, n)]
+            index = numeric._packed(n, cols)
+            assert index.shape == (2, len(want)) and not index.flags.writeable, (n, cols)
+            assert list(zip(*(n + index).tolist())) == want, (n, cols)
+            first[n, cols] = index.tobytes()
+    numeric._packed(75)
+    for (n, cols), got in reversed(first.items()):  # now all cut from the list of 75
+        assert numeric._packed(n, cols).tobytes() == got, (n, cols)
+    assert numeric._PACKED.shape == (2, 75 * 76 // 2) and not numeric._PACKED.flags.writeable
+
+
+def test_packed_moves_match_out_of_place_loops_above_size_8():
+    """Extension, a child merge and a push of triangles over 9 to 40 rows,
+    all cut from the cached list of a larger triangle, against column loops."""
+    rng = np.random.default_rng(4)
+    numeric._packed(80)
+    for _ in range(40):
+        m = int(rng.integers(9, 41))
+        nr = int(rng.integers(1, m + 1))
+        qpos = np.sort(rng.choice(m, size=nr, replace=False))
+        packed = rng.standard_normal(nr * (nr + 1) // 2)
+        tri = np.zeros((m, m))  # the packed triangle at rows and columns qpos
+        at = 0
+        for t in range(nr):
+            tri[qpos[t:], qpos[t]] = packed[at:at + nr - t]
+            at += nr - t
+        cap = packed.size + m * m + 3
+        arena = np.full(cap, np.nan)
+        arena[cap - packed.size:] = packed
+        _extend_in_place(arena, cap - packed.size, nr, cap - m * m, m, qpos)
+        assert np.array_equal(arena[cap - m * m:].reshape((m, m), order="F"), tri)
+        sq = rng.standard_normal((m, m))
+        merged = sq.copy()
+        merged[tuple(qpos[numeric._packed(nr)])] += packed  # factor_mf's child merge
+        assert np.array_equal(merged, sq + tri)
+        k = int(rng.integers(0, m))
+        want = np.concatenate([sq[t:, t] for t in range(k, m)])
+        arena = np.zeros(m * m + want.size)
+        arena[:m * m] = sq.reshape(-1, order="F")
+        dst = int(rng.integers(0, m * m + 1))  # anywhere over the square
+        _pack_descending(arena, 0, m, k, dst)
+        assert np.array_equal(arena[dst:dst + want.size], want)
+
+
 def test_mf_diagonal_no_stack_traffic():
     pat = oracles.pattern_from_columns(4, [[]] * 4)
     A = SymmetricSparseMatrix(pat, np.full(4, 9.0))
@@ -667,6 +719,31 @@ def test_ll_single_column_updaters_path():
     assert r.stats.calls["syrk"] == 0 and r.stats.calls["gemm"] == 0
     assert r.stats.workspace_peak == 0
     assert deviation_from_reference(r) <= 1e-14
+
+
+@pytest.mark.parametrize("backend", ["reference", "vendor"])
+def test_ll_single_column_updaters_with_rows_below_their_targets(backend):
+    """Width-1 updaters with c >= 2 rows in their target's columns and rows
+    below them: the width-1 branch adds an r-by-c trapezoid, not a column.
+    The factor is the column algorithm's, and the counters are the calls and
+    flops a logging backend sees plus the width-1 pairs' 2rc - c(c-1) flops."""
+    an = analyze(generate_spd(16, 0.15, 2), "natural", None, False)
+    S, T = an.S, an.S.update_table
+    one = np.diff(S.first_col)[T.k] == 1
+    assert np.count_nonzero(one & (T.c >= 2) & (T.r > T.c)) >= 2
+    r = an.factor("ll", backend)
+    assert deviation_from_reference(r) <= 1e-14
+    log = []
+    stats = RunStats("ll", backend, S.n)
+    DIRECT["ll"](scatter_into_factor(an.A2, S), S, logging_backend(get_backend(backend), log),
+                 stats)
+    fused = int((2 * T.r * T.c - T.c * (T.c - 1))[one].sum())
+    assert r.stats.calls == {k: [c for c, _ in log].count(k) for k in r.stats.calls}
+    assert r.stats.calls["syrk"] == np.count_nonzero(~one)
+    assert r.stats.flops == sum(f for _, f in log) + fused == S.work_flops
+    entries = T.c * T.r - T.c * (T.c - 1) // 2
+    assert r.stats.assembly_ops == entries[one | ~T.dense].sum()
+    assert r.stats.workspace_peak == S.plans.ll_peak
 
 
 def test_cross_method_equivalence_and_structure():
