@@ -244,19 +244,22 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    methods = args.methods.split(",") if args.methods else list(METHODS)
+    unknown = [m for m in methods if m not in METHODS] + [None]
+    twice = [m for i, m in enumerate(methods) if m in methods[:i]] + [None]
     for bad, why in ((args.repeats < 1 or args.repeats % 2 == 0, "--repeats must be odd"),
                      (not args.tau_max >= 1.0, "--tau-max must be at least 1"),
-                     (not args.tau_step > 0.0, "--tau-step must be positive")):
+                     (not args.tau_step > 0.0, "--tau-step must be positive"),
+                     (unknown[0], f"unknown method '{unknown[0]}'"),
+                     (twice[0], f"method '{twice[0]}' is listed twice")):
         if bad:
             print(f"error: {why}", file=sys.stderr)
             return 1
     with open(args.list) as fh:
         specs = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    methods = args.methods.split(",") if args.methods else list(METHODS)
-    for m in methods:
-        if m not in METHODS:
-            print(f"error: unknown method '{m}'", file=sys.stderr)
-            return 1
+    if not specs:
+        print(f"error: {args.list} lists no matrices", file=sys.stderr)
+        return 1
     rows = []
     times = {m: [] for m in methods}
     for spec in specs:
@@ -305,7 +308,10 @@ def cmd_bench(args) -> int:
 
 
 def _cap(text: str) -> float | None:
-    return None if text.lower() in ("off", "none") else float(text)
+    cap = None if text.lower() in ("off", "none") else float(text)
+    if cap is not None and not cap >= 0:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"merge cap must be a percentage >= 0 or 'off', not {text}")
+    return cap
 
 
 def main(argv=None) -> int:
@@ -319,7 +325,7 @@ def main(argv=None) -> int:
     common.add_argument("--pr", action=argparse.BooleanOptionalAction, default=True,
                         help="reorder columns within supernodes (default on)")
     common.add_argument("--merge-cap", type=_cap, default=12.5, metavar="PCT",
-                        help="supernode merging growth cap in percent, or 'off'")
+                        help="supernode merging growth cap in percent ('inf': no limit) or 'off'")
     common.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("factor", parents=[common], help="factor one matrix")

@@ -102,36 +102,6 @@ def _refine(S: SymbolicFactor, rows, start, k, p, size) -> tuple:
     return where, before, np.where(worse[p], before, after)
 
 
-def _shortest_path(dist: np.ndarray) -> np.ndarray:
-    """A path from the last city through all the others back to it, shortened
-    from the identity by 2-opt segment reversals until none improves it.
-
-    Reversing path[i + 1 : j + 1] trades edges i and j for the pairs (i, j)
-    and (i + 1, j + 1).  Each round takes, for every i, the j that gains most,
-    then applies the improving reversals best first, skipping any that shares
-    an edge with one already applied, so the gains add up."""
-    m = dist.shape[0] - 1
-    path = np.concatenate([[m], np.arange(m), [m]])
-    upper = np.triu(np.ones((m + 1, m + 1), dtype=bool), 1)  # j > i
-    while True:
-        d = dist[np.ix_(path, path)]
-        edge = d.diagonal(1)
-        gain = (edge[:, None] + edge[None, :] - d[:-1, :-1] - d[1:, 1:]) * upper
-        best = gain.argmax(axis=1)
-        won = gain[np.arange(best.size), best]
-        moves = np.flatnonzero(won > 0)
-        if moves.size == 0:
-            return path
-        moves = moves[np.argsort(-won[moves], kind="stable")]
-        lo, hi = [], []  # the edge spans of this round's reversals, ascending
-        for i, j in zip(moves.tolist(), best[moves].tolist()):
-            at = bisect.bisect_left(hi, i)
-            if at == len(lo) or lo[at] > j:
-                lo.insert(at, i)
-                hi.insert(at, j)
-                path[i + 1:j + 1] = path[j:i:-1].copy()
-
-
 def _two_opt(S: SymbolicFactor, where, rows, start, size, p, runs) -> None:
     """Shorten by 2-opt the column path of every supernode with more blocks
     than updaters, updating ``where`` in place.  ``runs`` holds each pair's
@@ -142,27 +112,89 @@ def _two_opt(S: SymbolicFactor, where, rows, start, size, p, runs) -> None:
     supernode's updaters) on each updater that is one run, 1 on the others.
     A reversal changes by at most 2 the path edges that cross one updater's
     set, so splitting a one-run updater costs more than the other updaters
-    can gain together, and every improving reversal removes blocks."""
-    excess = np.bincount(p, runs, S.nsuper) > np.bincount(p, minlength=S.nsuper)
-    for t in np.flatnonzero(excess).tolist():
-        g = np.flatnonzero(p == t)
-        f, w, u = int(S.first_col[t]), S.width(t), g.size
-        member = np.zeros((w, u), dtype=bool)
-        member[where[rows[_ranges(start[g], size[g])]] - f, np.repeat(np.arange(u), size[g])] = True
-        first = np.flatnonzero(np.concatenate([[True], (member[1:] != member[:-1]).any(axis=1)]))
-        cities = np.concatenate([member[first], np.zeros((1, u), dtype=bool)])
-        weight = np.where(runs[g] == 1, 4 * u + 1, 1).astype(float)
-        c = cities.astype(float)
-        load = c @ weight
-        it = np.int32 if 4 * u * (4 * u + 1) < 2**31 else np.int64  # holds two edges' sum
-        dist = np.rint(load[:, None] + load[None, :] - 2 * (c * weight) @ c.T).astype(it)
-        path = _shortest_path(dist)
-        assert np.count_nonzero(cities[path[1:]] != cities[path[:-1]]) <= 2 * runs[g].sum(), \
+    can gain together, and every improving reversal removes blocks.  The
+    supernodes are shortened together, a stack per size class (``_shorten``)."""
+    count = np.bincount(p, minlength=S.nsuper)
+    excess = np.bincount(p, runs, S.nsuper) > count
+    t, e = np.flatnonzero(excess), np.flatnonzero(excess[p])
+    u = count[t]
+    e = e[np.argsort(p[e], kind="stable")]  # the pairs into t, by target
+    item = np.repeat(np.arange(t.size), u)  # each pair's supernode, by its place in t
+    col = np.arange(e.size) - (np.cumsum(u) - u)[item]  # the pair's updater there
+    f, w = S.first_col[t], S.first_col[t + 1] - S.first_col[t]
+    off = np.cumsum(w) - w  # where each supernode's positions start
+    # member[x, k]: updater k of the supernode at position x holds that column
+    member = np.zeros((w.sum(), u.max(initial=0)), dtype=bool)
+    member[(where[rows[_ranges(start[e], size[e])]] - (f - off)[item].repeat(size[e])),
+           col.repeat(size[e])] = True
+    new = np.ones(member.shape[0], dtype=bool)
+    new[1:] = (member[1:] != member[:-1]).any(axis=1)
+    new[off] = True
+    first = np.flatnonzero(new)  # each city's first position
+    m = np.add.reduceat(new, off)  # cities per supernode
+    city = np.cumsum(m) - m
+    weight = np.zeros((t.size, member.shape[1]))
+    weight[item, col] = np.where(runs[e] == 1, 4 * u[item] + 1, 1)
+    tour = np.empty(first.size, dtype=np.int64)  # the cities in their new order
+    size_class = np.frexp(m + 1)[1]
+    for k in sorted(set(size_class.tolist())):
+        b = np.flatnonzero(size_class == k)
+        seq, mb = _ranges(city[b], m[b]), m[b]
+        stack = np.arange(b.size)[:, None]
+        cities = np.zeros((b.size, mb.max() + 1, member.shape[1]), dtype=bool)
+        cities[stack.repeat(mb), seq - city[b].repeat(mb)] = member[first[seq]]
+        path = _shorten(cities, weight[b], mb)
+        flips = cities[stack, path[:, 1:]] != cities[stack, path[:, :-1]]
+        assert (flips.sum(axis=(1, 2)) <= 2 * np.bincount(item, runs[e])[b]).all(), \
             "2-opt added blocks"
-        cols = np.empty(w, dtype=np.int64)
-        cols[where[f:f + w] - f] = np.arange(f, f + w)
-        seq = path[1:-1]
-        where[cols[_ranges(first[seq], np.diff(np.append(first, w))[seq])]] = np.arange(f, f + w)
+        tour[seq] = path[:, 1:-1][np.arange(path.shape[1] - 2) < mb[:, None]] + city[b].repeat(mb)
+    cols = np.empty(member.shape[0], dtype=np.int64)  # the column at each position
+    at = _ranges(f, w)
+    cols[where[at] - (f - off).repeat(w)] = at
+    where[cols[_ranges(first[tour], np.diff(first, append=at.size)[tour])]] = at
+
+
+def _shorten(cities: np.ndarray, weight: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Stacked paths shortened by 2-opt segment reversals until none improves
+    them.  Entry b's path runs from the empty city m[b] through the cities
+    ``cities[b, :m[b]]`` in order, back to it, and comes out padded with m[b];
+    distances are Hamming distances weighted by ``weight[b]``.
+
+    Reversing path[i + 1 : j + 1] trades edges i and j for the pairs (i, j)
+    and (i + 1, j + 1).  Each round takes, for every i, the j that gains most,
+    then applies the improving reversals best first, skipping any that shares
+    an edge with one already applied, so the gains add up.  Gains past edge
+    m[b] count as zero; an entry leaves the stack after a round without moves."""
+    c, u = cities.astype(float), cities.shape[2]
+    load = c @ weight[:, :, None]
+    it = np.int32 if 4 * u * (4 * u + 1) < 2**31 else np.int64  # holds two edges' sum
+    dist = np.rint(load + load.transpose(0, 2, 1)
+                   - 2 * (c * weight[:, None, :]) @ c.transpose(0, 2, 1)).astype(it)
+    n = cities.shape[1]  # edges per padded path
+    path = np.minimum(np.arange(-1, n), m[:, None])
+    path[:, 0] = m
+    final, live = path.copy(), np.arange(m.size)
+    ok = np.triu(np.ones((n, n), dtype=bool), 1) & (np.arange(n) <= m[:, None, None])  # j > i
+    while live.size:
+        row = (np.arange(live.size)[:, None] * n + path) * n  # where path[:, x]'s row starts
+        d = dist.take(row[:, :, None] + path[:, None, :])
+        edge = d.diagonal(1, 1, 2)
+        gain = (edge[:, :, None] + edge[:, None, :] - d[:, :-1, :-1] - d[:, 1:, 1:]) * ok
+        best, won = gain.argmax(axis=2), gain.max(axis=2)
+        b, i = np.nonzero(won > 0)
+        order = np.lexsort((i, -won[b, i], b))
+        spans = {}  # per entry, the edge spans of this round's reversals, ascending
+        for bb, ii, jj in zip(b[order].tolist(), i[order].tolist(), best[b, i][order].tolist()):
+            lo, hi = spans.setdefault(bb, ([], []))
+            at = bisect.bisect_left(hi, ii)
+            if at == len(lo) or lo[at] > jj:
+                lo.insert(at, ii)
+                hi.insert(at, jj)
+                path[bb, ii + 1:jj + 1] = path[bb, jj:ii:-1].copy()
+        done = np.bincount(b, minlength=live.size) == 0
+        final[live[done]] = path[done]
+        live, path, dist, ok = live[~done], path[~done], dist[~done], ok[~done]
+    return final
 
 
 def reorder_within_supernodes(S: SymbolicFactor):
@@ -176,13 +208,10 @@ def reorder_within_supernodes(S: SymbolicFactor):
     rows, start, k, p, size = S._pairs()
     where, before, after = _refine(S, rows, start, k, p, size)
     _two_opt(S, where, rows, start, size, p, after)
-    n = S.n
-    keys, _ = S._row_keys  # supernode * n + row
-    s = keys // n
-    keys = s * n + where[keys - s * n]
+    keys = np.repeat(np.arange(S.nsuper) * S.n, S._lens) + where[S._glbind.rows]
     keys.sort()
     stats = replace(S.merge_stats, blocks_before_reorder=int(before.sum()),
                     blocks_after_refinement=int(after.sum()))
     P = Permutation(where)
-    return P, SymbolicFactor(S.first_col, _row_lists(keys, n, S.nsuper), S.relabel.compose(P),
+    return P, SymbolicFactor(S.first_col, _row_lists(keys, S._lens, S.n), S.relabel.compose(P),
                              stats)

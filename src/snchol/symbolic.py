@@ -31,13 +31,14 @@ block's pair.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .kernels import GEMM, SYRK, CallSchedule, potrf_flops, syrk_flops, trsm_flops
-from .matrix import Permutation, SymmetricSparseMatrix, SymmetricSparsePattern, apply_symmetric_permutation
+from .matrix import Permutation, SymmetricSparsePattern
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class EliminationTree:
     """Column elimination forest: parent[j] = -1 marks a root."""
 
     parent: np.ndarray
-    children: tuple
     postorder: np.ndarray
 
     @property
@@ -53,48 +53,35 @@ class EliminationTree:
         return self.parent.size
 
 
-def _lower_by_row(pattern: SymmetricSparsePattern) -> tuple:
-    """Rows and columns of the pattern's strictly-lower entries, sorted by row,
-    then column."""
-    n = pattern.n
-    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.colptr))
+def _lower_by_row(pattern: SymmetricSparsePattern, perm: np.ndarray) -> tuple:
+    """Rows and columns of the pattern's strictly-lower entries, relabelled by
+    ``perm`` (old label to new, keeping every entry below the diagonal, as a
+    postorder of the elimination tree does), sorted by row, then column."""
+    cols = np.repeat(np.arange(pattern.n, dtype=np.int64), np.diff(pattern.colptr))
     offd = pattern.rowind != cols
-    r, c = pattern.rowind[offd], cols[offd]
-    order = np.argsort(r, kind="stable")
+    r, c = perm[pattern.rowind[offd]], perm[cols[offd]]
+    order = np.argsort(r * pattern.n + c)
     return r[order], c[order]
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """The distinct values of ``a``, ascending, by one sort and a neighbour
-    mask (``np.unique`` hashes, which costs more on short integer lists)."""
-    a = np.sort(a)
-    keep = np.ones(a.size, dtype=bool)
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
 
 
 def elimination_tree(pattern: SymmetricSparsePattern) -> EliminationTree:
     """Column elimination tree via path-compressed ancestor links, without
     forming the factor."""
     n = pattern.n
-    r, c = _lower_by_row(pattern)
-    rptr = np.searchsorted(r, np.arange(n + 1)).tolist()
-    cols = c.tolist()
+    r, c = _lower_by_row(pattern, np.arange(n, dtype=np.int64))
     parent = [-1] * n
     anc = [-1] * n
-    for j in range(n):
-        for k in range(rptr[j], rptr[j + 1]):
-            i = cols[k]
-            while anc[i] != -1 and anc[i] != j:
-                t = anc[i]
-                anc[i] = j
-                i = t
-            if anc[i] == -1:
-                anc[i] = j
-                parent[i] = j
-    children = _children_lists(parent)
-    return EliminationTree(np.asarray(parent, dtype=np.int64), children,
-                           _postorder_forest(parent, children))
+    for j, i in zip(r.tolist(), c.tolist()):
+        a = anc[i]
+        while a != -1 and a != j:
+            anc[i] = j
+            i = a
+            a = anc[i]
+        if a == -1:
+            anc[i] = j
+            parent[i] = j
+    parent = np.asarray(parent, dtype=np.int64)
+    return EliminationTree(parent, _postorder(parent, np.argsort(parent, kind="stable")))
 
 
 def postorder_relabel(tree: EliminationTree):
@@ -105,36 +92,37 @@ def postorder_relabel(tree: EliminationTree):
     P = Permutation(np.argsort(tree.postorder, kind="stable"))
     old_parent = tree.parent[P.inv]
     parent = np.where(old_parent >= 0, P.perm[old_parent], -1)
-    return P, EliminationTree(parent, _children_lists(parent), np.arange(tree.n, dtype=np.int64))
+    return P, EliminationTree(parent, np.arange(tree.n, dtype=np.int64))
 
 
-def _children_lists(parent) -> tuple:
-    """Each node's children, ascending, from a parent array or list."""
-    parent = parent.tolist() if isinstance(parent, np.ndarray) else parent
-    kids = [[] for _ in range(len(parent))]
-    for j, p in enumerate(parent):
+def _child_index(parent: np.ndarray) -> tuple:
+    """Each node's children, ascending, as ``kids[ptr[j]:ptr[j + 1]]`` (the
+    nodes with a negative parent first), by one stable argsort of ``parent``."""
+    kids = np.argsort(parent, kind="stable")
+    return kids, np.searchsorted(parent[kids], np.arange(parent.size + 1))
+
+
+def _postorder(parent: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Postorder of a forest whose parents have larger ids than their
+    children, -1 marking a root and -2 a node left out.  ``order`` lists the
+    nodes grouped by parent, the roots first, each group in visiting order.
+    A node's place is its parent's subtree start, plus the sizes of its
+    earlier siblings, plus its own size, less one."""
+    order = order[parent[order] >= -1]
+    up, size = parent.tolist(), [1] * parent.size
+    for j, p in enumerate(up):  # children precede their parents
         if p >= 0:
-            kids[p].append(j)
-    return tuple(tuple(k) for k in kids)
-
-
-def _postorder_forest(parent, children) -> np.ndarray:
-    """Postorder of the forest, visiting roots by ascending id and each node's
-    children in the order ``children`` lists them; nodes no root reaches are
-    left out."""
-    out = []
-    for root in (j for j in range(len(parent)) if parent[j] == -1):
-        stack = [(root, 0)]
-        while stack:
-            v, ci = stack[-1]
-            kids = children[v]
-            if ci < len(kids):
-                stack[-1] = (v, ci + 1)
-                stack.append((kids[ci], 0))
-            else:
-                stack.pop()
-                out.append(v)
-    return np.asarray(out, dtype=np.int64)
+            size[p] += size[j]
+    sz = np.asarray(size, dtype=np.int64)[order]
+    before = np.cumsum(sz) - sz
+    lead = np.flatnonzero(np.diff(parent[order], prepend=-3))  # where each group starts
+    start = np.zeros(parent.size, dtype=np.int64)
+    start[order] = before - np.repeat(before[lead], np.diff(lead, append=order.size))
+    start = start.tolist()
+    for j in range(parent.size - 1, -1, -1):  # parents precede their children
+        if up[j] >= 0:
+            start[j] += start[up[j]]
+    return order[np.argsort(np.asarray(start, dtype=np.int64)[order] + sz)]
 
 
 def symbolic_factorization(pattern: SymmetricSparsePattern, tree: EliminationTree) -> list:
@@ -145,30 +133,47 @@ def symbolic_factorization(pattern: SymmetricSparsePattern, tree: EliminationTre
     (``fundamental_supernodes``)."""
     n = pattern.n
     glb = [None] * n
+    kids, ptr = (a.tolist() for a in _child_index(tree.parent))
     for j in range(n):
         pieces = [pattern.col(j)]
-        pieces.extend(glb[c][1:] for c in tree.children[j])
-        glb[j] = _sorted_unique(np.concatenate(pieces)) if len(pieces) > 1 else pattern.col(j).copy()
+        pieces.extend(glb[c][1:] for c in kids[ptr[j]:ptr[j + 1]])
+        glb[j] = np.unique(np.concatenate(pieces)) if len(pieces) > 1 else pattern.col(j).copy()
     return glb
 
 
-def _supernodal_tree(first_col: np.ndarray, glbind: list) -> tuple:
+class RowLists(Sequence):
+    """Row lists as views of one flat array: list s is ``rows[ptr[s]:ptr[s + 1]]``."""
+
+    def __init__(self, rows: np.ndarray, ptr: np.ndarray):
+        self.rows, self.ptr, self._at = rows, ptr, ptr.tolist()
+
+    def __len__(self) -> int:
+        return len(self._at) - 1
+
+    def __getitem__(self, s: int) -> np.ndarray:
+        s = range(len(self))[s]
+        return self.rows[self._at[s]:self._at[s + 1]]
+
+
+def _supernodal_tree(first_col: np.ndarray, rows: RowLists) -> tuple:
     """Column owners and supernode parents of a partition (first columns,
     sentinel n included) with each supernode's row list: a supernode's parent
     owns its first row below the diagonal, and a root has none (-1)."""
     widths = np.diff(first_col)
     owner = np.repeat(np.arange(widths.size, dtype=np.int64), widths)
-    first_below = np.array([g[a] if g.size > a else -1 for g, a in zip(glbind, widths.tolist())],
-                           dtype=np.int64)
-    return owner, np.where(first_below >= 0, owner[first_below], -1)
+    at = rows.ptr[:-1] + widths  # where each list's first row below would be
+    below = at < rows.ptr[1:]
+    return owner, np.where(below, owner[rows.rows[np.where(below, at, 0)]], -1)
 
 
-def fundamental_supernodes(pattern: SymmetricSparsePattern, tree: EliminationTree) -> tuple:
+def fundamental_supernodes(lower: tuple, tree: EliminationTree) -> tuple:
     """Fundamental supernodes of a pattern whose elimination tree ``tree`` is
-    postordered: (first_col, rows), where first_col holds each supernode's
-    first column followed by the sentinel n, and rows[s] is the row list of
-    supernode s's first column (its own columns, then the rows below them).
-    Raises ValueError if the tree is not postordered.
+    postordered, from the rows and columns of its strictly-lower entries
+    sorted by row, then column (``_lower_by_row``): (first_col, rows), where
+    first_col holds each supernode's first column followed by the sentinel n,
+    and rows[s] is the row list of supernode s's first column (its own
+    columns, then the rows below them).  Raises ValueError if the tree is not
+    postordered.
 
     Column j-1 joins j when j is its parent and only child, and j is a leaf of
     no row subtree (Liu, Ng & Peyton): then column j-1's structure is column
@@ -176,25 +181,22 @@ def fundamental_supernodes(pattern: SymmetricSparsePattern, tree: EliminationTre
     earlier entry of row i lies in k's subtree, that is when the previous
     column of row i is below k's first descendant (Gilbert, Ng & Peyton).
 
-    Row i is below supernode s exactly when s lies on the path from a leaf
-    (i, k) up to i, so the row lists come from one climb of the supernodal
-    tree: each leaf starts a pair (owner of k, i), and each step keeps the
-    pairs whose supernode ends before i and moves them to its parent."""
+    Row i is below supernode s exactly when s lies on the path from an entry
+    (i, k) up to i.  Taken by column, each entry's path need only climb until
+    a supernode's subtree holds the previous entry of row i, whose path goes
+    on from there, so one climb of the supernodal tree finds each (s, i) once."""
     n = tree.n
     if not np.array_equal(tree.postorder, np.arange(n)):
         raise ValueError("the elimination tree is not postordered")
     parent = tree.parent
-    first_desc = list(range(n))
-    for j, p in enumerate(parent.tolist()):  # children precede their parents
-        if p >= 0 and first_desc[j] < first_desc[p]:
-            first_desc[p] = first_desc[j]
-    r, c = _lower_by_row(pattern)
-    prev = np.full(c.size, -1, dtype=np.int64)
-    same_row = r[1:] == r[:-1]
-    prev[1:][same_row] = c[:-1][same_row]
-    leaf = np.asarray(first_desc, dtype=np.int64)[c] > prev
+    first_desc = np.arange(n)  # each column's first child, then its first descendant
+    np.minimum.at(first_desc, parent[parent >= 0], np.flatnonzero(parent >= 0))
+    while (first_desc[first_desc] != first_desc).any():
+        first_desc = first_desc[first_desc]
+    i, k = lower
+    prev = np.where(np.diff(i, prepend=-1) == 0, np.roll(k, 1), -1)  # in the same row, or -1
     leaf_col = np.zeros(n, dtype=bool)
-    leaf_col[c[leaf]] = True
+    leaf_col[k[first_desc[k] > prev]] = True
     nkids = np.bincount(parent[parent >= 0], minlength=n)
     joined = (parent[:-1] == np.arange(1, n)) & (nkids[1:] == 1) & ~leaf_col[1:]
     first_col = np.concatenate([[0], np.flatnonzero(~joined) + 1, [n]]) if n else np.zeros(1, np.int64)
@@ -204,24 +206,24 @@ def fundamental_supernodes(pattern: SymmetricSparsePattern, tree: EliminationTre
     last = first_col[1:] - 1
     up = parent[last]
     snode_parent = np.where(up >= 0, owner[up], -1)
-    keys = owner[c[leaf]] * n + r[leaf]  # pair (s, i) as s * n + i
-    found = [owner * n + np.arange(n)]   # each supernode's own columns
-    while keys.size:
-        keys = _sorted_unique(keys)
-        s = keys // n
-        below = last[s] < keys - s * n
-        found.append(keys[below])
-        keys = keys[below] + (snode_parent[s[below]] - s[below]) * n
-    return first_col, _row_lists(_sorted_unique(np.concatenate(found)), n, ns)
+    reach = first_desc[last]  # each supernode's subtree holds the columns reach..last
+    s = owner[k]
+    found, at = [owner * n + np.arange(n)], [owner]  # each supernode's own columns
+    while s.size:
+        climbs = (last[s] < i) & (reach[s] > prev)
+        s, i, prev = s[climbs], i[climbs], prev[climbs]
+        found.append(s * n + i)
+        at.append(s)
+        s = snode_parent[s]
+    keys = np.concatenate(found)
+    keys.sort()
+    return first_col, _row_lists(keys, np.bincount(np.concatenate(at), minlength=ns), n)
 
 
-def _row_lists(keys: np.ndarray, n: int, count: int) -> list:
-    """Ascending keys s * n + row (s < count) split into one row list per s,
-    views of one array."""
-    s = keys // n
-    bounds = np.searchsorted(s, np.arange(count + 1)).tolist()
-    rows = keys - s * n
-    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
+def _row_lists(keys: np.ndarray, counts: np.ndarray, n: int) -> RowLists:
+    """Ascending keys s * n + row split into row lists, ``counts[s]`` for s."""
+    ptr = np.cumsum(np.append(0, counts))
+    return RowLists(keys - np.repeat(np.arange(counts.size, dtype=np.int64) * n, counts), ptr)
 
 
 def _trap_nnz(a: int, g: int) -> int:
@@ -250,7 +252,7 @@ class MergeStats:
     blocks_after_refinement: int | None = None
 
 
-def merge_supernodes(first_col: np.ndarray, rows: list, cap: float | None):
+def merge_supernodes(first_col: np.ndarray, rows: RowLists, cap: float | None):
     """Greedily merge child-parent supernode pairs, cheapest new fill first.
 
     ``rows[s]`` is supernode s's row list, its own columns first, as
@@ -259,8 +261,10 @@ def merge_supernodes(first_col: np.ndarray, rows: list, cap: float | None):
     structure, so merging child C into parent P adds
     |C| * (|glbind(P)| - |below(C)|) entries.  Merging stops before the merge
     that would push cumulative growth above ``cap`` percent of the unmerged
-    factor nonzero count; ``cap=None`` disables merging entirely.  Ties go to
-    the child with the smaller first column.
+    factor nonzero count; ``cap=inf`` sets no limit and ``cap=None`` disables
+    merging entirely; a NaN or negative cap raises ValueError.  Ties go to the
+    child with the smaller first column.  A heap key (growth * n + smallest
+    column) * ns + child sorts as that triple; a stale one is pushed again.
 
     Merging a non-adjacent child into its parent is only representable after a
     relabeling, so the columns are relabelled by a postorder of the merged tree
@@ -268,16 +272,17 @@ def merge_supernodes(first_col: np.ndarray, rows: list, cap: float | None):
     column order).  Returns the relabelled first columns (sentinel included),
     the old-to-new column permutation, the relabelled row lists and the stats.
     """
+    if cap is not None and not cap >= 0:
+        raise ValueError(f"merge cap must be a percentage >= 0 or None, not {cap}")
     fc = np.asarray(first_col, dtype=np.int64)
     n = int(fc[-1])
     ns = fc.size - 1
     owner, parent = _supernodal_tree(fc, rows)
-    parent = parent.tolist()
     widths = np.diff(fc)
-    mrows = np.array([r.size for r in rows], dtype=np.int64) - widths  # unchanged in a survivor
+    mrows = np.diff(rows.ptr) - widths  # unchanged in a survivor
     nnz_before = int(_trap_nnz(widths, widths + mrows).sum())
     work_before = int(_work_flops(widths, mrows).sum())
-    ncols, nbelow = widths.tolist(), mrows.tolist()
+    up, ncols, nbelow = parent.tolist(), widths.tolist(), mrows.tolist()
     lowest = fc[:-1].tolist()  # each supernode's smallest column
     into = list(range(ns))  # what each supernode merged into; itself while alive
 
@@ -289,57 +294,57 @@ def merge_supernodes(first_col: np.ndarray, rows: list, cap: float | None):
             into[s], s = top, into[s]
         return top
 
-    merges = 0
-    grown = 0
-
-    def delta_of(c: int) -> int:
-        p = find(parent[c])
-        return ncols[c] * (ncols[p] + nbelow[p] - nbelow[c])
-
+    merges = grown = 0
     if cap is not None:
         allowed = nnz_before * cap / 100.0
-        heap = [(delta_of(s), lowest[s], s) for s in range(ns) if parent[s] >= 0]
+        child = np.flatnonzero(parent >= 0)
+        p = parent[child]
+        growth = (widths[child] * (widths[p] + mrows[p] - mrows[child])).tolist()
+        heap = [(d * n + f) * ns + c for d, f, c in zip(growth, fc[child].tolist(), child.tolist())]
         heapq.heapify(heap)
         while heap:
-            d, f, c = heapq.heappop(heap)
+            key = heapq.heappop(heap)
+            c = key % ns
             if into[c] != c:
                 continue
-            cur = (delta_of(c), lowest[c])
-            if cur != (d, f):
-                heapq.heappush(heap, (cur[0], cur[1], c))
+            p = up[c]
+            if into[p] != p:
+                p = find(p)
+            d = ncols[c] * (ncols[p] + nbelow[p] - nbelow[c])
+            now = (d * n + lowest[c]) * ns + c
+            if now != key:
+                heapq.heappush(heap, now)
                 continue
             if grown + d > allowed:
                 break
-            p = find(parent[c])
             ncols[p] += ncols[c]
             lowest[p] = min(lowest[p], lowest[c])
             into[c] = p
             grown += d
             merges += 1
 
-    survivor = np.array([find(s) for s in range(ns)], dtype=np.int64)
+    survivor = np.asarray(into, dtype=np.int64)
+    while (survivor[survivor] != survivor).any():  # follow the merges to their ends
+        survivor = survivor[survivor]
     alive = survivor == np.arange(ns)
-    up = np.asarray(parent, dtype=np.int64)
     # -2 marks a merged-away supernode, neither a root nor anyone's child
-    merged_parent = np.where(alive, np.where(up >= 0, survivor[up], -1), -2)
-    post = _postorder_forest(merged_parent, _children_lists(merged_parent))
+    merged_parent = np.where(alive, np.where(parent >= 0, survivor[parent], -1), -2)
+    post = _postorder(merged_parent, np.argsort(merged_parent, kind="stable"))
     rank = np.empty(ns, dtype=np.int64)
     rank[post] = np.arange(post.size)
     # new labels: the merged supernodes in postorder, each one's columns ascending
     perm = np.empty(n, dtype=np.int64)
-    perm[np.lexsort((np.arange(n), rank[survivor[owner]]))] = np.arange(n)
-    width, m = np.array(ncols, dtype=np.int64)[post], mrows[post]
-    below = perm[np.concatenate([rows[s][widths[s]:] for s in post.tolist()]
-                                + [np.zeros(0, np.int64)])]
+    perm[np.argsort(rank[survivor[owner]], kind="stable")] = np.arange(n)
+    width, m = np.asarray(ncols, dtype=np.int64)[post], mrows[post]
+    below = perm[rows.rows[_ranges(rows.ptr[post] + widths[post], m)]]
     # one key t * n + row per entry of merged supernode t's row list
-    t = np.arange(post.size)
-    keys = np.concatenate([np.repeat(t, width) * n + np.arange(n), np.repeat(t, m) * n + below])
+    t = np.arange(post.size) * n
+    keys = np.concatenate([np.repeat(t, width) + np.arange(n), np.repeat(t, m) + below])
     keys.sort()
-    glbind = _row_lists(keys, n, post.size)
     nnz_after = int(_trap_nnz(width, width + m).sum())
     work_after = int(_work_flops(width, m).sum())
     stats = MergeStats(ns, int(post.size), nnz_before, nnz_after, work_before, work_after, merges)
-    return np.cumsum(np.append(0, width)), Permutation(perm), glbind, stats
+    return np.cumsum(np.append(0, width)), Permutation(perm), _row_lists(keys, width + m, n), stats
 
 
 # ---------------------------------------------------------------------------
@@ -371,33 +376,22 @@ def stack_minimizing_postorder(snode_parent: np.ndarray, square_size: np.ndarray
     of last-pushed child also matters, so every candidate last child is
     evaluated exactly.  Returns (postorder, predicted peak).
     """
-    ns = snode_parent.size
-    children = _children_lists(snode_parent)
-    speak = np.zeros(ns, dtype=np.int64)
-    chosen = [None] * ns
-    for j in range(ns):  # ids ascend toward the roots, so children come first
-        kids = children[j]
-        sq = int(square_size[j])
-        if not kids:
-            speak[j] = sq
-            chosen[j] = ()
-            continue
-        base = sorted(kids, key=lambda c: (-(int(speak[c]) - int(push_size[c])), c))
-        best = tuple(base)
-        best_peak = _eval_stack(base, speak, push_size, sq)
-        for lp in (c for c in base if push_size[c] > 0):
+    kids, ptr = _child_index(snode_parent)
+    order, push, square = kids.tolist(), push_size.tolist(), square_size.tolist()
+    speak = list(square)  # a leaf's subtree peak is its square
+    inner = np.flatnonzero(np.diff(ptr))  # ascending toward the roots: children come first
+    for j, a, b in zip(inner.tolist(), ptr[inner].tolist(), ptr[inner + 1].tolist()):
+        base = sorted(order[a:b], key=lambda c: speak[c] - push[c], reverse=True)
+        best, best_peak = base, _eval_stack(base, speak, push, square[j])
+        for lp in (c for c in base if push[c] > 0):
             cand = [c for c in base if c != lp] + [lp]
-            p = _eval_stack(cand, speak, push_size, sq)
+            p = _eval_stack(cand, speak, push, square[j])
             if p < best_peak:
-                best, best_peak = tuple(cand), p
+                best, best_peak = cand, p
         speak[j] = best_peak
-        chosen[j] = best
-    peak = 0
-    for s in range(ns):
-        if snode_parent[s] < 0:
-            peak = max(peak, int(speak[s]))
-    post = _postorder_forest(snode_parent, chosen)
-    return post, peak
+        order[a:b] = best
+    peak = max((s for s, p in zip(speak, snode_parent.tolist()) if p < 0), default=0)
+    return _postorder(snode_parent, np.asarray(order, dtype=np.int64)), peak
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +479,9 @@ class SymbolicFactor:
     plans for the numeric factorizations.  Immutable once built.
 
     The partition's first columns (sentinel n included) and the row lists
-    determine the supernodal tree: ``col_to_snode`` repeats each supernode id
-    over its columns, and a supernode's parent owns its first row below the
-    diagonal (-1 for a root).
+    (``RowLists`` over one int64 array) determine the supernodal tree:
+    ``col_to_snode`` repeats each supernode id over its columns, and a
+    supernode's parent owns its first row below the diagonal (-1 for a root).
 
     The derived structure (``update_table``, the blocks ``block_sizes``/
     ``block_starts`` read out of its runs, ``plans`` and ``rlb_schedule``) is
@@ -501,14 +495,16 @@ class SymbolicFactor:
         self.first_col = np.asarray(first_col, dtype=np.int64)
         self.n = int(self.first_col[-1])
         self.nsuper = self.first_col.size - 1
-        self._glbind = [np.asarray(g, dtype=np.int64) for g in glbind]
+        self._glbind = glbind
         self.relabel = relabel
         self.merge_stats = merge_stats
         self.col_to_snode, self.snode_parent = _supernodal_tree(self.first_col, self._glbind)
-        self.snode_children = _children_lists(self.snode_parent)
 
-        self._lens = np.array([g.size for g in self._glbind], dtype=np.int64)
+        self._lens = np.diff(self._glbind.ptr)
         widths = np.diff(self.first_col)
+        # where each row list's rows below the diagonal start, and where it ends
+        self._below_at = (self._glbind.ptr[:-1] + widths).tolist()
+        self._end = self._glbind.ptr[1:].tolist()
         self.factor_nnz = int(_trap_nnz(widths, self._lens).sum())
         # where each supernode's column-major panel starts in the factor storage
         self.panel_offsets = np.cumsum(np.append(0, widths * self._lens))
@@ -526,10 +522,10 @@ class SymbolicFactor:
         return self._glbind[j]
 
     def below(self, j: int) -> np.ndarray:
-        return self._glbind[j][self.width(j):]
+        return self._glbind.rows[self._below_at[j]:self._end[j]]
 
     def mrows(self, j: int) -> int:
-        return self._glbind[j].size - self.width(j)
+        return self._end[j] - self._below_at[j]
 
     def nblocks(self, j: int) -> int:
         return self.block_sizes[j].size
@@ -547,17 +543,17 @@ class SymbolicFactor:
     def _row_keys(self) -> tuple:
         """One ascending key per (supernode, row) of the row lists, and where
         each supernode's keys start."""
-        keys = np.concatenate(self._glbind + [np.zeros(0, np.int64)])
-        keys += np.repeat(np.arange(self.nsuper) * self.n, self._lens)
-        return keys, np.cumsum(self._lens) - self._lens
+        keys = self._glbind.rows + np.repeat(np.arange(self.nsuper) * self.n, self._lens)
+        return keys, self._glbind.ptr[:-1]
 
     def _pairs(self) -> tuple:
         """The (updater k, target p) pairs, by k then p: every below-diagonal
         row list concatenated, and per pair where its rows start there, k, p
         and how many rows it holds (those of ``below(k)`` in p's columns)."""
-        below = [self.below(j) for j in range(self.nsuper)] + [np.zeros(0, np.int64)]
-        rows = np.concatenate(below)
-        src = np.repeat(np.arange(self.nsuper), [b.size for b in below[:-1]])
+        widths = np.diff(self.first_col)
+        m = np.maximum(self._lens - widths, 0)  # the sizes of the below(j)
+        rows = self._glbind.rows[_ranges(self._glbind.ptr[:-1] + widths, m)]
+        src = np.repeat(np.arange(self.nsuper), m)
         owner = self.col_to_snode[rows]
         new = np.ones(rows.size, dtype=bool)
         new[1:] = (owner[1:] != owner[:-1]) | (src[1:] != src[:-1])
@@ -760,11 +756,6 @@ def check_call_extents(S: SymbolicFactor, schedule: CallSchedule) -> None:
             raise ValueError(f"kernel call {i} {rows[i].tolist()} leaves its panels")
 
 
-def _permute_pattern(pattern: SymmetricSparsePattern, P: Permutation) -> SymmetricSparsePattern:
-    dummy = SymmetricSparseMatrix(pattern, np.zeros(pattern.nnz))
-    return apply_symmetric_permutation(dummy, P).pattern
-
-
 def build_symbolic_factor(pattern: SymmetricSparsePattern,
                           options: BuildOptions = BuildOptions()) -> SymbolicFactor:
     """Full symbolic pipeline on an already fill-ordered pattern.
@@ -777,7 +768,7 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
     the input pattern; apply it to the matrix before scattering values.
     """
     p_post, t1 = postorder_relabel(elimination_tree(pattern))
-    first_col, rows = fundamental_supernodes(_permute_pattern(pattern, p_post), t1)
+    first_col, rows = fundamental_supernodes(_lower_by_row(pattern, p_post.perm), t1)
     first_col, relabel, glbind, stats = merge_supernodes(first_col, rows, options.merge_cap)
     S = SymbolicFactor(first_col, glbind, p_post.compose(relabel), stats)
     if options.pr:

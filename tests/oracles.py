@@ -5,11 +5,13 @@ elimination for structure, numpy's Cholesky for values, brute-force
 enumeration for orderings and stack schedules.
 """
 
+import bisect
 import itertools
 
 import numpy as np
 
-from snchol.matrix import SymmetricSparsePattern, SymmetricSparseMatrix
+from snchol.matrix import SymmetricSparsePattern, SymmetricSparseMatrix, apply_symmetric_permutation
+from snchol.symbolic import RowLists
 
 
 def pattern_from_columns(n: int, cols: list) -> SymmetricSparsePattern:
@@ -64,6 +66,27 @@ def boolean_fill(pattern: SymmetricSparsePattern) -> list:
     return [np.flatnonzero(B[j:, j]) + j for j in range(n)]
 
 
+def row_lists(lists) -> RowLists:
+    """Per-supernode row lists as the one flat array ``SymbolicFactor`` reads."""
+    lists = [np.asarray(g, dtype=np.int64) for g in lists]
+    return RowLists(np.concatenate(lists + [np.zeros(0, np.int64)]),
+                    np.cumsum([0] + [g.size for g in lists]))
+
+
+def permute_pattern(pattern: SymmetricSparsePattern, P) -> SymmetricSparsePattern:
+    """The pattern of P A P^T, by permuting a matrix of zeros on it."""
+    dummy = SymmetricSparseMatrix(pattern, np.zeros(pattern.nnz))
+    return apply_symmetric_permutation(dummy, P).pattern
+
+
+def lower_by_row(pattern: SymmetricSparsePattern) -> tuple:
+    """Rows and columns of the pattern's strictly-lower entries, sorted by
+    row, then column, gathered column by column."""
+    pairs = sorted((int(i), j) for j in range(pattern.n) for i in pattern.col(j)[1:])
+    return (np.array([i for i, _ in pairs], dtype=np.int64),
+            np.array([j for _, j in pairs], dtype=np.int64))
+
+
 def fundamental_by_definition(tree, glb: list) -> np.ndarray:
     """First column of each fundamental supernode, followed by the sentinel n,
     column by column from the per-column structures: column j-1 joins j when j
@@ -72,7 +95,7 @@ def fundamental_by_definition(tree, glb: list) -> np.ndarray:
     n = tree.n
     firsts = [0] if n else []
     for j in range(1, n):
-        joined = (tree.parent[j - 1] == j and len(tree.children[j]) == 1
+        joined = (tree.parent[j - 1] == j and np.count_nonzero(tree.parent == j) == 1
                   and glb[j - 1].size == glb[j].size + 1)
         if not joined:
             firsts.append(j)
@@ -333,6 +356,37 @@ def simulate_stack_peak(parent, square, push, child_order) -> int:
     return peak
 
 
+def stack_child_orders(parent, square, push) -> list:
+    """Each node's children in the order the stack-minimizing postorder visits
+    them: by decreasing (subtree peak - pushed size), ties by id, then the
+    best choice of last-pushed child, tried one candidate at a time.  Per-node
+    lists, with the subtree peaks kept as plain ints."""
+    ns = len(parent)
+    children = [[c for c in range(ns) if parent[c] == j] for j in range(ns)]
+    peak = [0] * ns
+    chosen = [[] for _ in range(ns)]
+
+    def stack(order, sq):
+        run = top = last = 0
+        for c in order:
+            top = max(top, run + peak[c])
+            run += int(push[c])
+            if push[c] > 0:
+                last = int(push[c])
+        return max(top, run - last + sq)
+
+    for j in range(ns):
+        base = sorted(children[j], key=lambda c: (int(push[c]) - peak[c], c))
+        best, best_peak = base, stack(base, int(square[j]))
+        for lp in [c for c in base if push[c] > 0]:
+            cand = [c for c in base if c != lp] + [lp]
+            if stack(cand, int(square[j])) < best_peak:
+                best, best_peak = cand, stack(cand, int(square[j]))
+        peak[j] = best_peak if children[j] else int(square[j])
+        chosen[j] = best
+    return chosen
+
+
 def exhaustive_stack_minimum(parent, square, push) -> int:
     """Minimum stack peak over all sibling orders, by full enumeration."""
     ns = len(parent)
@@ -443,6 +497,88 @@ def reorder_by_refinement(S) -> tuple:
         if after <= before:
             perm[new_order] = np.arange(f, l + 1)
     return perm, blocks
+
+
+def shortest_path(dist: np.ndarray) -> np.ndarray:
+    """A path from the last city through all the others back to it, shortened
+    from the identity by 2-opt segment reversals until none improves it.
+
+    Reversing path[i + 1 : j + 1] trades edges i and j for the pairs (i, j)
+    and (i + 1, j + 1).  Each round takes, for every i, the j that gains most,
+    then applies the improving reversals best first, skipping any that shares
+    an edge with one already applied, so the gains add up.  This is the
+    per-supernode loop the lockstep rounds of ``reorder._shorten`` replaced."""
+    m = dist.shape[0] - 1
+    path = np.concatenate([[m], np.arange(m), [m]])
+    upper = np.triu(np.ones((m + 1, m + 1), dtype=bool), 1)  # j > i
+    while True:
+        d = dist[np.ix_(path, path)]
+        edge = d.diagonal(1)
+        gain = (edge[:, None] + edge[None, :] - d[:-1, :-1] - d[1:, 1:]) * upper
+        best = gain.argmax(axis=1)
+        won = gain[np.arange(best.size), best]
+        moves = np.flatnonzero(won > 0)
+        if moves.size == 0:
+            return path
+        moves = moves[np.argsort(-won[moves], kind="stable")]
+        lo, hi = [], []  # the edge spans of this round's reversals, ascending
+        for i, j in zip(moves.tolist(), best[moves].tolist()):
+            at = bisect.bisect_left(hi, i)
+            if at == len(lo) or lo[at] > j:
+                lo.insert(at, i)
+                hi.insert(at, j)
+                path[i + 1:j + 1] = path[j:i:-1].copy()
+
+
+def two_opt_by_supernode(S, where, rows, start, size, p, runs) -> np.ndarray:
+    """``reorder._two_opt`` one supernode at a time, each path shortened by
+    ``shortest_path`` on its own distance matrix; returns the new ``where``
+    and leaves the argument as it was."""
+    where = where.copy()
+    excess = np.bincount(p, runs, S.nsuper) > np.bincount(p, minlength=S.nsuper)
+    for t in np.flatnonzero(excess).tolist():
+        g = np.flatnonzero(p == t)
+        f, w, u = int(S.first_col[t]), S.width(t), g.size
+        member = np.zeros((w, u), dtype=bool)
+        for k, e in enumerate(g.tolist()):
+            member[where[rows[start[e]:start[e] + size[e]]] - f, k] = True
+        first = np.flatnonzero(np.concatenate([[True], (member[1:] != member[:-1]).any(axis=1)]))
+        path = shortest_path(city_distances(np.concatenate([member[first],
+                                                            np.zeros((1, u), dtype=bool)]),
+                                            np.where(runs[g] == 1, 4 * u + 1, 1)))
+        cols = np.empty(w, dtype=np.int64)
+        cols[where[f:f + w] - f] = np.arange(f, f + w)
+        ends = np.append(first, w)
+        order = [x for c in path[1:-1].tolist() for x in cols[ends[c]:ends[c + 1]].tolist()]
+        where[order] = np.arange(f, f + w)
+    return where
+
+
+def city_distances(cities: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Weighted Hamming distances between the rows of ``cities``, in the
+    integer type that holds the sum of two of them."""
+    c, weight = cities.astype(float), np.asarray(weight, dtype=float)
+    load = c @ weight
+    u = cities.shape[1]
+    it = np.int32 if 4 * u * (4 * u + 1) < 2**31 else np.int64
+    return np.rint(load[:, None] + load[None, :] - 2 * (c * weight) @ c.T).astype(it)
+
+
+def postorder_by_recursion(parent, children) -> list:
+    """Postorder of a forest: roots (parent -1) by ascending id, each node's
+    children in the order ``children[v]`` lists them, nodes marked -2 left
+    out."""
+    out = []
+
+    def visit(v):
+        for c in children[v]:
+            visit(c)
+        out.append(v)
+
+    for v in range(len(parent)):
+        if parent[v] == -1:
+            visit(v)
+    return out
 
 
 def min_incoming_blocks_exhaustive(S, p: int) -> int:

@@ -38,7 +38,7 @@ def test_criterion_1_figure1_structural_suite():
     assert (glb[0] + 1).tolist() == [1, 2, 5, 6, 9]
     assert (glb[2] + 1).tolist() == [3, 4, 5, 7, 8]
     assert (glb[4] + 1).tolist() == [5, 6, 7, 8, 9]
-    first_col, rows = fundamental_supernodes(pat, tree)
+    first_col, rows = fundamental_supernodes(oracles.lower_by_row(pat), tree)
     assert (first_col + 1).tolist() == [1, 3, 5, 10]
     assert [r.tolist() for r in rows] == [glb[f].tolist() for f in first_col[:-1]]
     S = build_symbolic_factor(pat, BuildOptions(None, False))

@@ -319,6 +319,46 @@ def test_bench_rejects_bad_tau_grid_before_any_work(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == f"error: {why}\n"
 
 
+@pytest.mark.parametrize("lines,methods,why", [
+    ("", "rlb", "lists no matrices"),
+    ("# only a comment\n\n", "rlb", "lists no matrices"),
+    ("gen:n=10,density=0.3,seed=1\n", "rlb,rlb", "method 'rlb' is listed twice"),
+    ("gen:n=10,density=0.3,seed=1\n", "mf,rl,mf", "method 'mf' is listed twice")])
+def test_bench_rejects_an_empty_list_or_a_repeated_method_before_any_work(
+        tmp_path, capsys, monkeypatch, lines, methods, why):
+    def no_work(*args, **kw):
+        raise AssertionError("bench analyzed a matrix for a run it rejects")
+
+    monkeypatch.setattr("snchol.cli.analyze", no_work)
+    lst = tmp_path / "mats.txt"
+    lst.write_text(lines)
+    assert run_cli("bench", str(lst), "--repeats", "1", "--methods", methods) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and why in out.err
+
+
+@pytest.mark.parametrize("cap", ["nan", "NaN", "-1", "-0.5", "-inf"])
+def test_merge_cap_rejects_nan_and_negative_values(capsys, cap):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("analyze", "gen:n=300,density=0.02,seed=1", f"--merge-cap={cap}")
+    assert exit_.value.code == 2
+    assert "merge cap must be a percentage >= 0" in capsys.readouterr().err
+
+
+def test_merge_cap_inf_merges_without_limit_and_off_not_at_all(capsys):
+    spec = "gen:n=60,density=0.05,seed=1"
+    lines = {}
+    for cap in ("inf", "off", "0"):
+        assert run_cli("analyze", spec, "--merge-cap", cap) == 0
+        lines[cap] = capsys.readouterr().out
+    A = generate_spd(60, 0.05, 1)
+    pat = apply_symmetric_permutation(A, minimum_degree_order(A.pattern)).pattern
+    roots = int((build_symbolic_factor(pat, BuildOptions(None)).snode_parent < 0).sum())
+    assert f"merged={roots}\n" in lines["inf"]  # one supernode per tree
+    fundamental = re.search(r"fundamental=(\d+)", lines["off"]).group(1)
+    assert f"merged={fundamental}\n" in lines["off"]
+
+
 def test_bench_records_failures_and_continues(tmp_path):
     lst = tmp_path / "mats.txt"
     lst.write_text(f"{tmp_path}/missing.mtx\ngen:n=12,density=0.3,seed=3\n")

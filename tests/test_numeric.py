@@ -388,7 +388,10 @@ def test_mf_ll_rl_assemble_pairs_by_rectangles_and_by_columns(monkeypatch):
         pairs = {"mf": T.lo == 0, "ll": wide & ~T.dense, "rl": np.ones(T.k.size, dtype=bool)}
         entries = T.c * T.r - T.c * (T.c - 1) // 2
         push, order = an.S.plans.push_size, an.S.plans.mf_postorder.tolist()
-        pushers = [[c for c in kids if push[c]] for kids in an.S.snode_children]
+        pushers = [[] for _ in range(an.S.nsuper)]
+        for c, p in enumerate(an.S.snode_parent.tolist()):
+            if p >= 0 and push[c]:
+                pushers[p].append(c)
         besides = {"mf": int(push.sum()) - sum(int(push[max(cs, key=order.index)])
                                                for cs in pushers if cs),
                    "ll": int(entries[~wide].sum()), "rl": 0}
@@ -640,7 +643,7 @@ def test_schedule_build_rejects_rows_missing_from_the_target():
     S = build_fig1()
     glb = [S.glbind(j) for j in range(S.nsuper)]
     glb[2] = glb[2][glb[2] != 5]  # drop row 6 (0-based 5), which supernode 0 updates
-    broken = SymbolicFactor(S.first_col, glb, S.relabel, S.merge_stats)
+    broken = SymbolicFactor(S.first_col, oracles.row_lists(glb), S.relabel, S.merge_stats)
     with pytest.raises(ValueError, match="missing from the target"):
         broken.rlb_schedule
 

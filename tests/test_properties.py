@@ -27,7 +27,8 @@ from snchol.numeric import RunOptions, deviation_from_reference, run_factorizati
 from snchol.reorder import reorder_within_supernodes
 from snchol.symbolic import (BuildOptions, SymbolicFactor,
                              build_symbolic_factor, elimination_tree, fundamental_supernodes,
-                             postorder_relabel, symbolic_factorization)
+                             postorder_relabel, stack_minimizing_postorder,
+                             symbolic_factorization)
 
 import oracles
 
@@ -90,9 +91,9 @@ def test_fundamental_supernodes_match_the_per_column_definition(kind, data):
             A = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
         pat = A.pattern
     P, tree = postorder_relabel(elimination_tree(pat))
-    pat = symbolic._permute_pattern(pat, P)
+    pat = oracles.permute_pattern(pat, P)
     glb = symbolic_factorization(pat, tree)
-    first_col, rows = fundamental_supernodes(pat, tree)
+    first_col, rows = fundamental_supernodes(oracles.lower_by_row(pat), tree)
     assert np.array_equal(first_col, oracles.fundamental_by_definition(tree, glb)), kind
     assert len(rows) == first_col.size - 1
     assert all(np.array_equal(r, glb[f]) for r, f in zip(rows, first_col.tolist())), kind
@@ -134,7 +135,8 @@ def test_reorder_improves_on_partition_refinement_alone(kind, data):
     S = build_symbolic_factor(A.pattern, BuildOptions(cap, False))
     P, S2 = reorder_within_supernodes(S)
     perm, _ = oracles.reorder_by_refinement(S)
-    S_pr = SymbolicFactor(S.first_col, [np.sort(perm[S.glbind(j)]) for j in range(S.nsuper)],
+    S_pr = SymbolicFactor(S.first_col,
+                          oracles.row_lists([np.sort(perm[S.glbind(j)]) for j in range(S.nsuper)]),
                           S.relabel, S.merge_stats)
     where = (kind, A.n, cap)
     refined = 0
@@ -220,3 +222,56 @@ def test_solve_residual_and_per_column_agreement(kind, data):
     assert res <= A.n * 1e-12, where
     want = oracles.solve_per_column(r.F, r.S, b)
     assert np.abs(x - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), where
+
+
+@st.composite
+def forests(draw, max_nodes=40):
+    """A parent array in which parents carry larger ids than their children:
+    -1 marks a root and -2 a node outside the forest, which no node has for
+    its parent (as merged-away supernodes are marked)."""
+    ns = draw(st.integers(0, max_nodes))
+    parent = [-1] * ns
+    for s in range(ns - 1, -1, -1):
+        above = [p for p in range(s + 1, ns) if parent[p] != -2]
+        parent[s] = draw(st.sampled_from([-1, -2] + above))
+    return np.array(parent, dtype=np.int64)
+
+
+@PROPERTY_SETTINGS
+@given(parent=forests(), data=st.data())
+def test_child_index_and_postorder_match_a_recursive_walk(parent, data):
+    """The child index lists each node's children ascending, after the nodes
+    with a negative parent, and ``_postorder`` visits the forest as a
+    recursive walk does, with children ascending or in any drawn order."""
+    ns = parent.size
+    kids, ptr = symbolic._child_index(parent)
+    want = [[c for c in range(ns) if parent[c] == j] for j in range(ns)]
+    assert [kids[ptr[j]:ptr[j + 1]].tolist() for j in range(ns)] == want
+    assert kids[:ptr[0]].tolist() == (np.flatnonzero(parent == -2).tolist()
+                                      + np.flatnonzero(parent == -1).tolist())
+    post = symbolic._postorder(parent, kids)
+    assert post.tolist() == oracles.postorder_by_recursion(parent.tolist(), want)
+    assert post.dtype == np.int64
+    drawn = [data.draw(st.permutations(c)) for c in want]
+    order = np.array(np.flatnonzero(parent == -1).tolist() + [c for cs in drawn for c in cs],
+                     dtype=np.int64)
+    assert symbolic._postorder(parent, order).tolist() == \
+        oracles.postorder_by_recursion(parent.tolist(), drawn)
+
+
+@PROPERTY_SETTINGS
+@given(parent=forests(), data=st.data())
+def test_stack_minimizing_postorder_visits_the_chosen_child_orders(parent, data):
+    """The stack-minimizing postorder is the recursive walk over the sibling
+    orders Liu's rule and the last-child choice pick, with the peak its stack
+    simulation reaches."""
+    parent = np.where(parent == -2, -1, parent)  # a supernodal tree has no merged marks
+    ns = parent.size
+    square = np.array(data.draw(st.lists(st.integers(0, 60), min_size=ns, max_size=ns)),
+                      dtype=np.int64)
+    push = np.minimum(square, data.draw(st.lists(st.integers(0, 30), min_size=ns,
+                                                 max_size=ns))).astype(np.int64)
+    post, peak = stack_minimizing_postorder(parent, square, push)
+    chosen = oracles.stack_child_orders(parent, square, push)
+    assert post.tolist() == oracles.postorder_by_recursion(parent.tolist(), chosen)
+    assert peak == oracles.simulate_stack_peak(parent, square, push, chosen)

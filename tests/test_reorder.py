@@ -1,8 +1,12 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from snchol.matrix import (apply_symmetric_permutation, generate_spd,
-                           minimum_degree_order)
+from snchol.matrix import (Permutation, _assemble_lower, apply_symmetric_permutation,
+                           generate_spd, minimum_degree_order)
 from snchol import reorder
 from snchol.reorder import reorder_within_supernodes
 from snchol.symbolic import BuildOptions, build_symbolic_factor
@@ -10,6 +14,7 @@ from snchol.symbolic import BuildOptions, build_symbolic_factor
 import oracles
 from conftest import fig1_pattern
 from oracles import refine
+from test_numeric import schedule_cases
 
 
 def test_refine_splits_single_cell():
@@ -129,3 +134,74 @@ def test_reorder_keeps_structure_sets():
             mapped = set(int(P.perm[r]) for r in S.glbind(j).tolist())
             assert mapped == set(S2.glbind(j).tolist())
         assert S2.factor_nnz == S.factor_nnz
+
+
+# -- 2-opt in lockstep ----------------------------------------------------------
+
+def two_opt_against_the_oracle(S) -> int:
+    """Run the lockstep 2-opt after refinement on S and check that it leaves
+    every column where shortening each visited supernode's path on its own
+    (``oracles.shortest_path``) leaves it.  Returns how many supernodes it
+    visited."""
+    rows, start, k, p, size = S._pairs()
+    where, _, after = reorder._refine(S, rows, start, k, p, size)
+    want = oracles.two_opt_by_supernode(S, where, rows, start, size, p, after)
+    reorder._two_opt(S, where, rows, start, size, p, after)
+    assert np.array_equal(where, want)
+    return int((np.bincount(p, after, S.nsuper) > np.bincount(p, minlength=S.nsuper)).sum())
+
+
+def bench_workload_patterns():
+    """The benchmark's three workloads at seed 0, ordered as it orders them."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    for w in (workloads.grid2d(40, 0), workloads.grid3d_nd(14, 0),
+              workloads.random_pattern(1000, 2, 1, 4, 0)):
+        A = _assemble_lower(w.n, w.rows, w.cols, w.vals, False)
+        P = minimum_degree_order(A.pattern) if w.perm is None else Permutation(w.perm)
+        yield w.name, apply_symmetric_permutation(A, P).pattern
+
+
+def test_lockstep_two_opt_gives_every_supernode_its_own_path():
+    visited = 0
+    for name, an in schedule_cases():
+        visited += two_opt_against_the_oracle(an.S)
+    for name, pat in bench_workload_patterns():
+        visited += two_opt_against_the_oracle(build_symbolic_factor(pat, BuildOptions(12.5, False)))
+    assert visited >= 40  # 32 of them on grid2d
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(5, 90), density=st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.4]),
+       seed=st.integers(0, 10**6), cap=st.sampled_from([None, 12.5, 50.0]),
+       ordered=st.booleans())
+def test_lockstep_two_opt_matches_the_oracle_on_generated_matrices(n, density, seed, cap,
+                                                                    ordered):
+    A = generate_spd(n, density, seed)
+    if ordered:
+        A = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
+    two_opt_against_the_oracle(build_symbolic_factor(A.pattern, BuildOptions(cap, False)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_padded_paths_never_gain(data):
+    """Stacked paths of different lengths, padded to the longest, come out as
+    each one does alone."""
+    count = data.draw(st.integers(1, 5))
+    m = [data.draw(st.integers(1, 12)) for _ in range(count)]
+    u = [data.draw(st.integers(1, 6)) for _ in range(count)]
+    cities = np.zeros((count, max(m) + 1, max(u)), dtype=bool)
+    weight = np.zeros((count, max(u)))
+    for b in range(count):
+        bits = data.draw(st.lists(st.booleans(), min_size=m[b] * u[b], max_size=m[b] * u[b]))
+        cities[b, :m[b], :u[b]] = np.reshape(bits, (m[b], u[b]))
+        weight[b, :u[b]] = data.draw(st.lists(st.sampled_from([1, 4 * u[b] + 1]),
+                                              min_size=u[b], max_size=u[b]))
+    path = reorder._shorten(cities, weight, np.array(m))
+    for b in range(count):
+        want = oracles.shortest_path(oracles.city_distances(cities[b, :m[b] + 1, :u[b]],
+                                                            weight[b, :u[b]]))
+        assert path[b, :m[b] + 2].tolist() == want.tolist()
+        assert (path[b, m[b] + 2:] == m[b]).all()

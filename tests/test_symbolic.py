@@ -1,3 +1,4 @@
+import heapq
 from functools import cached_property
 
 import numpy as np
@@ -58,9 +59,10 @@ def forest_patterns():
 def test_postorder_relabel_is_the_etree_of_the_permuted_pattern():
     for pat in forest_patterns():
         P, t1 = postorder_relabel(elimination_tree(pat))
-        want = elimination_tree(symbolic._permute_pattern(pat, P))
+        want = elimination_tree(oracles.permute_pattern(pat, P))
         assert np.array_equal(t1.parent, want.parent)
-        assert t1.children == want.children
+        assert all(np.array_equal(a, b) for a, b in zip(symbolic._child_index(t1.parent),
+                                                        symbolic._child_index(want.parent)))
         assert np.array_equal(t1.postorder, want.postorder)
         assert np.array_equal(t1.postorder, np.arange(pat.n))
 
@@ -101,13 +103,13 @@ def test_structure_matches_boolean_elimination():
 
 def test_fundamental_fig1():
     pat = fig1_pattern()
-    first_col, _ = fundamental_supernodes(pat, elimination_tree(pat))
+    first_col, _ = fundamental_supernodes(oracles.lower_by_row(pat), elimination_tree(pat))
     assert (first_col + 1).tolist() == [1, 3, 5, 10]
 
 
 def test_fundamental_diagonal_singletons():
     pat = oracles.pattern_from_columns(4, [[]] * 4)
-    first_col, _ = fundamental_supernodes(pat, elimination_tree(pat))
+    first_col, _ = fundamental_supernodes(oracles.lower_by_row(pat), elimination_tree(pat))
     assert first_col.tolist() == [0, 1, 2, 3, 4]
 
 
@@ -122,7 +124,7 @@ def test_fundamental_matches_definition():
             apply_symmetric_permutation(A, P), post).pattern
         t = elimination_tree(pat)
         glb = symbolic_factorization(pat, t)
-        first_col, _ = fundamental_supernodes(pat, t)
+        first_col, _ = fundamental_supernodes(oracles.lower_by_row(pat), t)
         col_to_snode = np.repeat(np.arange(first_col.size - 1), np.diff(first_col))
         nchild = np.zeros(pat.n, dtype=int)
         for j in range(pat.n):
@@ -141,7 +143,7 @@ def test_fundamental_rejects_a_tree_that_is_not_postordered():
     t = elimination_tree(pat)
     assert not np.array_equal(t.postorder, np.arange(pat.n))
     with pytest.raises(ValueError, match="not postordered"):
-        fundamental_supernodes(pat, t)
+        fundamental_supernodes(oracles.lower_by_row(pat), t)
 
 
 @pytest.mark.parametrize("cap", [None, 0.0, 12.5])
@@ -170,7 +172,7 @@ def test_build_forms_no_per_column_row_lists(monkeypatch, cap, pr):
 
 def _fig1_merge_inputs():
     pat = fig1_pattern()
-    return fundamental_supernodes(pat, elimination_tree(pat))
+    return fundamental_supernodes(oracles.lower_by_row(pat), elimination_tree(pat))
 
 
 def test_merge_cap_zero_keeps_fig1():
@@ -209,16 +211,60 @@ def test_merge_zero_cost_chain_collapses():
     pat = oracles.pattern_from_columns(
         10, [sorted(r - 1 for r in cols[j + 1]) for j in range(10)])
     P, t = postorder_relabel(elimination_tree(pat))
-    pat = symbolic._permute_pattern(pat, P)
+    pat = oracles.permute_pattern(pat, P)
     glb = symbolic_factorization(pat, t)
     assert all(np.array_equal(g, pat.col(j)) for j, g in enumerate(glb))  # no fill
-    first_col, rows = fundamental_supernodes(pat, t)
+    first_col, rows = fundamental_supernodes(oracles.lower_by_row(pat), t)
     assert (first_col + 1).tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 11]
     merged_first_col, _, _, stats = merge_supernodes(first_col, rows, 0.0)
     assert stats.nnz_after == stats.nnz_before
     widths = np.diff(merged_first_col)
     assert widths.max() == 6  # columns 5..10 collapsed into one supernode
     assert stats.nsuper_after == 5
+
+
+def test_merge_pops_equal_growth_by_lowest_column_and_repushes_stale_entries(monkeypatch):
+    """On this 8-column matrix in its own order, merging pops candidates of
+    equal growth whose lowest columns and ids disagree, and re-pushes entries
+    that earlier merges made stale; every cap gives the column-set oracle's
+    merges."""
+    A = generate_spd(8, 0.3, 50)
+    P, t = postorder_relabel(elimination_tree(A.pattern))
+    first_col, rows = fundamental_supernodes(symbolic._lower_by_row(A.pattern, P.perm), t)
+    n, ns = A.n, first_col.size - 1
+    popped, pushed = [], []
+    pop, push = heapq.heappop, heapq.heappush
+    monkeypatch.setattr(heapq, "heappop", lambda h: popped.append(pop(h)) or popped[-1])
+    monkeypatch.setattr(heapq, "heappush", lambda h, x: pushed.append(x) or push(h, x))
+    for cap in (0.0, 12.5, 50.0, float("inf")):
+        popped.clear()
+        pushed.clear()
+        fc, relabel, glbind, stats = merge_supernodes(first_col, rows, cap)
+        keys, stale = list(popped), len(pushed)
+        want = oracles.merge_by_column_sets(first_col, rows, cap)
+        assert np.array_equal(fc, want[0]) and np.array_equal(relabel.perm, want[1]), cap
+        assert [g.tolist() for g in glbind] == [g.tolist() for g in want[2]], cap
+        assert (stats.nsuper_after, stats.nnz_after, stats.merges) == want[3], cap
+    assert stats.nsuper_after == 1 and stale
+    # (growth, lowest column, child) of each pop without a limit
+    keys = [(k // ns // n, k // ns % n, k % ns) for k in keys]
+    assert any(d1 == d2 and c1 > c2 for i, (d1, _, c1) in enumerate(keys)
+               for d2, _, c2 in keys[i + 1:])
+
+
+@pytest.mark.parametrize("cap", [float("nan"), -1.0, -float("inf")])
+def test_merge_rejects_a_nan_or_negative_cap(cap):
+    first_col, rows = _fig1_merge_inputs()
+    with pytest.raises(ValueError, match="merge cap"):
+        merge_supernodes(first_col, rows, cap)
+    with pytest.raises(ValueError, match="merge cap"):
+        build_symbolic_factor(fig1_pattern(), BuildOptions(cap, False))
+
+
+def test_merge_cap_inf_sets_no_limit():
+    first_col, rows = _fig1_merge_inputs()
+    _, _, _, stats = merge_supernodes(first_col, rows, float("inf"))
+    assert stats.nsuper_after == 1 and stats.merges == first_col.size - 2
 
 
 def test_merge_matches_the_column_set_oracle():
@@ -233,7 +279,7 @@ def test_merge_matches_the_column_set_oracle():
         for pat in (A.pattern,
                     apply_symmetric_permutation(A, minimum_degree_order(A.pattern)).pattern):
             P, t = postorder_relabel(elimination_tree(pat))
-            first_col, rows = fundamental_supernodes(symbolic._permute_pattern(pat, P), t)
+            first_col, rows = fundamental_supernodes(symbolic._lower_by_row(pat, P.perm), t)
             for cap in (None, 0.0, 5.0, 12.5, 50.0):
                 fc, relabel, glbind, stats = merge_supernodes(first_col, rows, cap)
                 want = oracles.merge_by_column_sets(first_col, rows, cap)
@@ -359,7 +405,7 @@ def test_relind_rejects_row_missing_from_parent():
     S = build_fig1()
     glb = [S.glbind(j) for j in range(S.nsuper)]
     glb[2] = glb[2][glb[2] != 5]  # drop row 6 (0-based 5), which supernode 0 needs
-    broken = SymbolicFactor(S.first_col, glb, S.relabel, S.merge_stats)
+    broken = SymbolicFactor(S.first_col, oracles.row_lists(glb), S.relabel, S.merge_stats)
     with pytest.raises(ValueError, match="supernode 0 missing from parent"):
         RelativeIndexMap(broken)
 
