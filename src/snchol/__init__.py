@@ -9,10 +9,10 @@ benchmark harness.
 from .kernels import (KernelBackend, NotPositiveDefiniteError, REFERENCE_BACKEND,
                       chol_in_place, gemm_nt, get_backend, syrk_lower, trsm_right_lt,
                       vendor_backend)
-from .matrix import (MatrixMarketError, Permutation, SymmetricSparseMatrix,
-                     SymmetricSparsePattern, apply_symmetric_permutation,
-                     generate_spd, minimum_degree_order, read_matrix_market,
-                     write_matrix_market)
+from .matrix import (MatrixMarketError, Permutation, PermutationFileError,
+                     SymmetricSparseMatrix, SymmetricSparsePattern,
+                     apply_symmetric_permutation, generate_spd, minimum_degree_order,
+                     read_matrix_market, write_matrix_market)
 from .numeric import (Analysis, FactorStorage, FactorizationResult, NonFiniteEntryError,
                       RunOptions, RunStats, UpdateWorkspace, analyze, deviation_from_reference,
                       factor_ll, factor_mf, factor_reference, factor_rl, factor_rlb,

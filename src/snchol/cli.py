@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import NotPositiveDefiniteError
-from .matrix import MatrixMarketError, SymmetricSparseMatrix, generate_spd, read_matrix_market
+from .matrix import (MatrixMarketError, PermutationFileError, SymmetricSparseMatrix, generate_spd,
+                     read_matrix_market)
 from .numeric import (METHODS, FactorizationResult, NonFiniteEntryError, analyze, column_factor,
                       deviation_from_reference)
 
@@ -49,13 +50,6 @@ class BenchRecord:
                 str(self.flops), str(self.factor_nnz), str(self.workspace_peak),
                 str(self.assembly_ops), self.status]
 
-    @classmethod
-    def from_row(cls, row: list) -> "BenchRecord":
-        return cls(row[0], row[1], row[2], row[3], bool(int(row[4])),
-                   None if row[5] == "off" else float(row[5]), int(row[6]),
-                   float(row[7]), int(row[8]), int(row[9]), int(row[10]),
-                   int(row[11]), row[12])
-
 
 def performance_profile(times: dict, taus: np.ndarray) -> dict:
     """times maps method -> array of per-matrix seconds (inf marks a failed
@@ -80,7 +74,8 @@ class SpecError(ValueError):
     """A malformed ``gen:`` matrix spec."""
 
 
-INPUT_ERRORS = (OSError, MatrixMarketError, SpecError)
+# main reports these; ``analyze`` reads an ``--order file:``, so commands pass them on
+INPUT_ERRORS = (OSError, MatrixMarketError, SpecError, PermutationFileError)
 GEN_KEYS = {"n": int, "density": float, "seed": int}
 
 
@@ -135,6 +130,8 @@ def cmd_factor(args) -> int:
     name, A = load_matrix(args.matrix, args.seed)
     try:
         result = analyze(A, args.order, args.merge_cap, args.pr).factor(args.method, args.backend)
+    except INPUT_ERRORS:
+        raise
     except (NotPositiveDefiniteError, ValueError) as e:
         print(f"error: factorization ({args.method}): {_message(e)}", file=sys.stderr)
         return 1
@@ -181,6 +178,8 @@ def cmd_check(args) -> int:
     name, A = load_matrix(args.matrix, args.seed)
     try:
         analysis, failure = analyze(A, args.order, args.merge_cap, args.pr), None
+    except INPUT_ERRORS:
+        raise
     except (NotPositiveDefiniteError, ValueError) as e:
         failure = e
     failed = False
@@ -205,6 +204,8 @@ def cmd_analyze(args) -> int:
     name, A = load_matrix(args.matrix, args.seed)
     try:
         S = analyze(A, args.order, args.merge_cap, args.pr).S
+    except INPUT_ERRORS:
+        raise
     except (NotPositiveDefiniteError, ValueError) as e:
         print(f"error: analysis: {_message(e)}", file=sys.stderr)
         return 1
@@ -264,32 +265,25 @@ def cmd_bench(args) -> int:
     times = {m: [] for m in methods}
     for spec in specs:
         try:
-            name, A = load_matrix(spec, args.seed)
-        except INPUT_ERRORS as e:
-            for m in methods:
-                rows.append(BenchRecord(spec, m, args.backend, args.order, args.pr,
-                                        args.merge_cap, args.repeats, 0.0, 0, 0, 0, 0,
-                                        f"input error: {e}"))
-                times[m].append(np.inf)
-            continue
-        try:
+            A = load_matrix(spec, args.seed)[1]
             analysis, failure = analyze(A, args.order, args.merge_cap, args.pr), None
-        except (NotPositiveDefiniteError, ValueError) as e:
+        except (NotPositiveDefiniteError, ValueError, OSError) as e:
             failure = e
         for m in methods:
             try:
                 if failure:
                     raise failure
                 runs = [analysis.factor(m, args.backend).stats for _ in range(args.repeats)]
-            except (NotPositiveDefiniteError, ValueError) as e:
-                rows.append(BenchRecord(name, m, args.backend, args.order, args.pr,
+            except (NotPositiveDefiniteError, ValueError, OSError) as e:
+                what = "input" if isinstance(e, INPUT_ERRORS) else "factorization"
+                rows.append(BenchRecord(spec, m, args.backend, args.order, args.pr,
                                         args.merge_cap, args.repeats, 0.0, 0, 0, 0, 0,
-                                        f"factorization error: {_message(e)}"))
+                                        f"{what} error: {_message(e)}"))
                 times[m].append(np.inf)
             else:
                 s = runs[-1]
                 med = float(np.median([r.wall_seconds for r in runs]))
-                rows.append(BenchRecord(name, m, s.backend, args.order, args.pr, args.merge_cap,
+                rows.append(BenchRecord(spec, m, s.backend, args.order, args.pr, args.merge_cap,
                                         args.repeats, med, s.flops, s.factor_nnz,
                                         s.workspace_peak, s.assembly_ops))
                 times[m].append(med)

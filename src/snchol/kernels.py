@@ -25,10 +25,12 @@ raises ValueError.
 A ``CallSchedule`` is a whole supernodal factorization precompiled as offsets
 into one flat float64 array: per supernode, a diagonal step (Cholesky of the
 diagonal triangle, triangular solve of the rows below) and its syrk/gemm
-updates.  A backend may run one by address (``run_schedule``): the vendor
-backend checks the array once and then calls LAPACK/BLAS at
-``base + 8*offset`` for every step, checking ``info`` after each dpotrf and the
-factored pivots for NaN once, at the end or at the first failed dpotrf.
+updates, one row ``(kind, c, ldc, m, n, x, y)`` each; the operands' depth and
+leading dimension are the supernode's panel's.  A backend may run one by
+address (``run_schedule``): the vendor backend checks the array once and then
+calls LAPACK/BLAS at ``base + 8*offset`` for every step, checking ``info``
+after each dpotrf and the factored pivots for NaN once, at the end or at the
+first failed dpotrf.
 """
 
 from __future__ import annotations
@@ -187,25 +189,24 @@ class CallSchedule:
     ``ld``), which holds columns f..f+a-1 of the matrix, then a right
     triangular solve of the m rows below it (at ``p + a``, same ``ld``).  Then
     come its update rows ``rows[ptr[j]:ptr[j + 1]]``, one int row per kernel
-    call: ``(kind, c, ldc, m, n, k, x, y, ldx)``.  A GEMM row subtracts X Y^T
-    from the m-by-n rectangle C; a SYRK row subtracts X X^T from the lower
+    call: ``(kind, c, ldc, m, n, x, y)``.  A GEMM row subtracts X Y^T from
+    the m-by-n rectangle C; a SYRK row subtracts X X^T from the lower
     triangle of the n-by-n C (m = n, y = x).  C starts at offset ``c`` with
-    leading dimension ``ldc``; X (m-by-k) and Y (n-by-k) start at ``x`` and
-    ``y`` with leading dimension ``ldx``.  Whoever builds one checks every
-    step and rectangle against the storage it indexes: the runners trust
-    them.
+    leading dimension ``ldc``; X (m-by-a) and Y (n-by-a) are rows of the
+    group's panel, starting at ``x`` and ``y`` with its leading dimension
+    ``ld``.  Whoever builds one checks every step and rectangle against the
+    storage it indexes: the runners trust them.
 
     ``calls`` and ``flops`` count the update rows, ``diag_calls`` the
-    diagonal steps (a trsm only where m > 0).  A builder may also say where
-    the rows of each of its own updates start (``pair_ptr``); runners do not
-    read it.
+    diagonal steps (a trsm only where m > 0).  ``pair_ptr[e]`` is where the
+    rows of the builder's update e start; the runners do not read it.
     """
 
     rows: np.ndarray
     ptr: np.ndarray
     storage: int
     diag: np.ndarray
-    pair_ptr: np.ndarray = None
+    pair_ptr: np.ndarray
 
     @cached_property
     def calls(self) -> dict:
@@ -214,7 +215,8 @@ class CallSchedule:
 
     @cached_property
     def flops(self) -> int:
-        kind, m, n, k = (self.rows[:, i] for i in (0, 3, 4, 5))
+        kind, m, n = (self.rows[:, i] for i in (0, 3, 4))
+        k = np.repeat(self.diag[:, 2], np.diff(self.ptr))  # each row's group's width a
         # syrk_flops(n, k) = k n (n + 1) and gemm_flops(m, n, k) = 2 m n k
         per_kn = np.where(kind == SYRK, np.add(n, 1, dtype=np.int64),
                           np.multiply(m, 2, dtype=np.int64))
@@ -323,8 +325,9 @@ def vendor_backend() -> KernelBackend:
     to dpotrf, dtrsm, dsyrk or dgemm: no copies and no float scratch.
     ``run_schedule`` runs a whole ``CallSchedule`` from one checked base
     address: per group dpotrf, dtrsm, then its dsyrk/dgemm rows, each at
-    ``base + 8*offset``.  A dpotrf that fails, or a NaN pivot found at the
-    end, raises NotPositiveDefiniteError with the matrix column (see
+    ``base + 8*offset``, the group's depth and leading dimension set once.
+    A dpotrf that fails, or a NaN pivot found at the end, raises
+    NotPositiveDefiniteError with the matrix column (see
     ``_first_bad_pivot``).  The instance owns its argument cells, so one
     instance serves one thread.
     """
@@ -401,7 +404,7 @@ def vendor_backend() -> KernelBackend:
         table, ptr = schedule.rows, schedule.ptr.tolist()
         for j, (at, ld, width, below, first) in enumerate(schedule.diag.tolist()):
             pa.value = base + 8 * at
-            n.value = width
+            n.value = k.value = width
             lda.value = ld
             dpotrf(lower, pn, pa, plda, pinfo)
             if info.value:
@@ -411,12 +414,10 @@ def vendor_backend() -> KernelBackend:
                 pb.value = base + 8 * (at + width)
                 m.value = below
                 dtrsm(right, lower, trans, notrans, pm, pn, one, pa, plda, pb, plda)
-            for kind, c, ld_c, rows, cols, depth, x, y, ld_x in table[ptr[j]:ptr[j + 1]].tolist():
+            for kind, c, ld_c, rows, cols, x, y in table[ptr[j]:ptr[j + 1]].tolist():
                 pc.value = base + 8 * c
                 px.value = base + 8 * x
                 n.value = cols
-                k.value = depth
-                lda.value = ld_x
                 ldc.value = ld_c
                 if kind == SYRK:
                     dsyrk(lower, notrans, pn, pk, minus_one, px, plda, one, pc, pldc)

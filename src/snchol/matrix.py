@@ -36,6 +36,10 @@ class MatrixMarketIndexError(MatrixMarketError):
     pass
 
 
+class PermutationFileError(ValueError):
+    """A permutation file that holds no permutation of the matrix's columns."""
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -166,8 +170,15 @@ class Permutation:
 
     @classmethod
     def from_file(cls, path) -> "Permutation":
-        new_pos = np.loadtxt(path, dtype=np.int64, ndmin=1)
-        return cls(new_pos - 1)
+        """Read new positions, counted from 1 as ``to_file`` writes them; a file
+        holding anything else, or nothing, raises PermutationFileError naming it."""
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy warns, and goes on, on an empty file
+                return cls(np.loadtxt(path, dtype=np.int64).ravel() - 1)
+        except (ValueError, Warning):
+            raise PermutationFileError(f"{path}: not a permutation file (the numbers 1..n, "
+                                       "each once)") from None
 
     def to_file(self, path) -> None:
         np.savetxt(path, self.perm + 1, fmt="%d")

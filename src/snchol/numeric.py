@@ -42,8 +42,8 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import SYRK, CallSchedule, KernelBackend, NotPositiveDefiniteError, get_backend
-from .matrix import (Permutation, SymmetricSparseMatrix, SymmetricSparsePattern,
-                     apply_symmetric_permutation, minimum_degree_order)
+from .matrix import (Permutation, PermutationFileError, SymmetricSparseMatrix,
+                     SymmetricSparsePattern, apply_symmetric_permutation, minimum_degree_order)
 from .symbolic import (BuildOptions, SymbolicFactor, _ranges, build_symbolic_factor,
                        elimination_tree, symbolic_factorization)
 
@@ -90,8 +90,8 @@ class RunStats:
 
 class FactorStorage:
     """One dense column-major panel per supernode, concatenated in a single
-    array.  Holds the scattered entries of A before factorization and the
-    nonzeros of L afterwards."""
+    array.  Holds A's scattered entries (``state`` "A"), then L's nonzeros
+    ("L"); a factorization that fails leaves it "partial", which nothing accepts."""
 
     def __init__(self, S: SymbolicFactor):
         self.S = S
@@ -199,14 +199,15 @@ def _diag_step(P: np.ndarray, a: int, m: int, first: int, backend: KernelBackend
 def _supernodal_run(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace | None,
                     stats: RunStats, updates: dict, assembled=slice(0)):
     """The frame of one supernodal factorization of F, which must hold A.  A
-    failed pivot is named with its supernode.  On success F holds L, and
-    ``stats`` gains the analysis's prediction: the diagonal steps' calls,
-    ``updates`` (the method's update calls per kind), ``S.work_flops``,
-    which every method does, and the lower triangles, c r - c (c - 1) / 2
-    entries each, of the ``S.update_table`` pairs ``assembled`` selects; the
-    workspace peak is W's, 0 without one."""
+    failed pivot is named with its supernode; a run that fails leaves F
+    partial.  On success F holds L, and ``stats`` gains the analysis's
+    prediction: the diagonal steps' calls, ``updates`` (the method's update
+    calls per kind), ``S.work_flops``, which every method does, and the lower
+    triangles, c r - c (c - 1) / 2 entries each, of the ``S.update_table``
+    pairs ``assembled`` selects; the workspace peak is W's, 0 without one."""
     if F.state != "A":
         raise FactorStateError("factor storage does not hold A")
+    F.state = "partial"
     try:
         yield
     except NotPositiveDefiniteError as e:
@@ -236,7 +237,7 @@ def _assembler(F: FactorStorage, S: SymbolicFactor):
     def assemble(e: int, U: np.ndarray) -> None:
         if by_rows.item(e):
             b = base.item(e)
-            for _, c, ldc, m, n, _, x, y, _ in sched.rows[pp.item(e):pp.item(e + 1)].tolist():
+            for _, c, ldc, m, n, x, y in sched.rows[pp.item(e):pp.item(e + 1)].tolist():
                 C = view((m, n), f8, data, 8 * c, (8, 8 * ldc))
                 C += U[x - b:x - b + m, y - b:y - b + n]
             return
@@ -508,7 +509,7 @@ def _rlb_views(F: FactorStorage, schedule: CallSchedule, backend: KernelBackend)
         pj = panels[j]
         _diag_step(pj, a, below, first, backend)
         y_at = Y = None
-        for kind, c, ldc, m, n, _, x, y, _ in schedule.rows[ptr[j]:ptr[j + 1]].tolist():
+        for kind, c, ldc, m, n, x, y in schedule.rows[ptr[j]:ptr[j + 1]].tolist():
             X = pj[x - at:x - at + m]
             if kind == SYRK:
                 syrk(view((n, n), f8, data, 8 * c, (8, 8 * ldc)), X)
@@ -604,7 +605,8 @@ def ordering_permutation(A: SymmetricSparseMatrix, spec: str) -> Permutation:
     if spec.startswith("file:"):
         P = Permutation.from_file(spec[5:])
         if P.n != A.n:
-            raise ValueError(f"permutation file is for n={P.n}, matrix has n={A.n}")
+            raise PermutationFileError(f"{spec[5:]}: permutation is for n={P.n}, "
+                                       f"matrix has n={A.n}")
         return P
     raise ValueError(f"unknown ordering '{spec}'")
 

@@ -676,16 +676,9 @@ def _rlb_rows(S: SymbolicFactor) -> tuple:
     b, t = b[call], t[call]
     e = pair[b]
     P, j = T.p[e], T.k[e]
-    rows = np.empty((b.size, 9), dtype=it)
-    rows[:, 0] = np.where(t == b, SYRK, GEMM)
-    rows[:, 1] = offsets[P] + lens[P] * pos[b] + pos[t]
-    rows[:, 2] = lens[P]
-    rows[:, 3] = m
-    rows[:, 4] = size[b]
-    rows[:, 5] = width[j]
-    rows[:, 6] = offsets[j] + first[t]
-    rows[:, 7] = offsets[j] + first[b]
-    rows[:, 8] = lens[j]
+    rows = np.column_stack([np.where(t == b, SYRK, GEMM), offsets[P] + lens[P] * pos[b] + pos[t],
+                            lens[P], m, size[b], offsets[j] + first[t],
+                            offsets[j] + first[b]]).astype(it)
     pair_ptr = np.searchsorted(e, np.arange(T.k.size + 1))  # pairs run by updater
     ptr = pair_ptr[T.ptr]
     diag = np.column_stack([offsets[:-1], lens, width, lens - width,
@@ -723,9 +716,9 @@ def check_call_extents(S: SymbolicFactor, schedule: CallSchedule) -> None:
     """Raise ValueError unless ``schedule`` indexes S's panel storage, the
     diagonal step of its group j is supernode j's panel (offset, leading
     dimension, width, rows below and first column), and every call of group
-    j reads two row ranges of supernode j's panel, over all its columns, and
-    writes a rectangle of a later panel, each with its panel's leading
-    dimension and inside its rows and columns."""
+    j reads two row ranges of supernode j's panel and writes a rectangle of
+    a later panel, with that panel's leading dimension and inside its rows
+    and columns."""
     rows, ptr, diag = schedule.rows, schedule.ptr, schedule.diag
     if (schedule.storage != S.panel_storage or ptr.shape != (S.nsuper + 1,) or ptr[0] != 0
             or ptr[-1] != rows.shape[0] or (np.diff(ptr) < 0).any()
@@ -740,17 +733,15 @@ def check_call_extents(S: SymbolicFactor, schedule: CallSchedule) -> None:
     group = np.repeat(np.arange(S.nsuper), np.diff(ptr))
     chunk = 2048  # rows checked at a time, which bounds the temporaries
     for lo in range(0, rows.shape[0], chunk):
-        _, c, ldc, m, n, k, x, y, ldx = np.ascontiguousarray(rows[lo:lo + chunk].T, np.int64)
+        _, c, ldc, m, n, x, y = np.ascontiguousarray(rows[lo:lo + chunk].T, np.int64)
         j = group[lo:lo + chunk]
         # C: an m-by-n rectangle of panel P
         P = np.clip(np.searchsorted(offsets, c, side="right") - 1, 0, S.nsuper - 1)
         col, row = np.divmod(c - offsets[P], np.maximum(ldc, 1))
         ok = ((c >= 0) & (P > j) & (ldc == lens[P]) & (np.minimum(m, n) >= 1)
               & (row + m <= ldc) & (col + n <= widths[P]))
-        # X and Y: m and n rows of panel j, all its columns
-        x, y = x - offsets[j], y - offsets[j]
-        ok &= ((k == widths[j]) & (ldx == lens[j]) & (np.minimum(x, y) >= 0)
-               & (x + m <= ldx) & (y + n <= ldx))
+        # X and Y: m and n rows of panel j
+        ok &= (np.minimum(x, y) >= offsets[j]) & (np.maximum(x + m, y + n) <= offsets[j] + lens[j])
         if not ok.all():
             i = lo + int(np.flatnonzero(~ok)[0])
             raise ValueError(f"kernel call {i} {rows[i].tolist()} leaves its panels")

@@ -690,8 +690,8 @@ def scatter_per_column(A, S):
 
 
 def rlb_calls_by_walk(S) -> tuple:
-    """rlb's kernel calls as ``CallSchedule`` rows ``(kind, c, ldc, m, n, k, x,
-    y, ldx)`` and the number of calls per supernode, found the way
+    """rlb's kernel calls as ``CallSchedule`` rows ``(kind, c, ldc, m, n, x,
+    y)`` and the number of calls per supernode, found the way
     ``factor_rlb`` found them before its schedule was compiled: carry each
     supernode's block-first relative indices (blocks from ``block_lists``)
     up the ancestor chain with ``walk``; each block landing in ancestor P
@@ -715,17 +715,17 @@ def rlb_calls_by_walk(S) -> tuple:
                 p0 = gp - 1 - rbl[bi]
                 col = int(S.panel_offsets[P]) + p0 * gp
                 y = off + starts[bi]
-                rows.append([SYRK, col + p0, gp, sizes[bi], sizes[bi], a, y, y, g])
+                rows.append([SYRK, col + p0, gp, sizes[bi], sizes[bi], y, y])
                 q = bi + 1
                 while q < len(sizes):
                     e = q + 1
                     while e < len(sizes) and rbl[e] == rbl[e - 1] - sizes[e - 1]:
                         e += 1
                     rows.append([GEMM, col + gp - 1 - rbl[q], gp, starts[e] - starts[q],
-                                 sizes[bi], a, off + starts[q], y, g])
+                                 sizes[bi], off + starts[q], y])
                     q = e
         per.append(len(rows) - before)
-    return np.array(rows, dtype=np.int64).reshape(-1, 9), per
+    return np.array(rows, dtype=np.int64).reshape(-1, 7), per
 
 
 def generate_spd_by_table(n: int, density: float, seed: int):

@@ -20,6 +20,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def from_row(row: list) -> BenchRecord:
+    """A ``BenchRecord.to_row`` CSV row read back."""
+    return BenchRecord(row[0], row[1], row[2], row[3], bool(int(row[4])),
+                       None if row[5] == "off" else float(row[5]), int(row[6]),
+                       float(row[7]), int(row[8]), int(row[9]), int(row[10]),
+                       int(row[11]), row[12])
+
+
 def test_factor_rlb_check_reports_tiny_deviation(fig1_mtx, capsys):
     assert run_cli("factor", str(fig1_mtx), "--method", "rlb",
                    "--order", "natural", "--check") == 0
@@ -71,7 +79,7 @@ def test_bad_size_line_is_an_input_error(tmp_path, capsys, size_line):
     out_csv = tmp_path / "bench.csv"
     assert run_cli("bench", str(lst), "--methods", "rlb", "--repeats", "1",
                    "--csv", str(out_csv)) == 0
-    rec = BenchRecord.from_row(list(csv.reader(out_csv.open()))[1])
+    rec = from_row(list(csv.reader(out_csv.open()))[1])
     assert rec.status.startswith("input error: line 2: ")
 
 
@@ -90,9 +98,30 @@ def test_bad_gen_spec_is_an_input_error(tmp_path, capsys, spec, why):
     out_csv = tmp_path / "bench.csv"
     assert run_cli("bench", str(lst), "--methods", "rlb", "--repeats", "1",
                    "--csv", str(out_csv)) == 0
-    recs = [BenchRecord.from_row(r) for r in list(csv.reader(out_csv.open()))[1:]]
+    recs = [from_row(r) for r in list(csv.reader(out_csv.open()))[1:]]
     assert recs[0].status.startswith(f"input error: {spec}: ")
     assert recs[1].status == "ok"
+
+
+@pytest.mark.parametrize("text,why", [("", "not a permutation file"),
+                                      ("1\n1\n3\n", "not a permutation file"),
+                                      ("1\n2.5\n3\n", "not a permutation file"),
+                                      ("2\n1\n", "permutation is for n=2, matrix has n=3")])
+def test_bad_order_file_is_an_input_error(tmp_path, capsys, recwarn, text, why):
+    path = tmp_path / "perm.txt"
+    path.write_text(text)
+    for command in ("analyze", "factor", "check"):
+        assert run_cli(command, "gen:n=3,density=0.5", "--order", f"file:{path}") == 1, command
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: input: {path}: {why}"), command
+        assert err.count("\n") == 1 and not out, command
+    assert not recwarn.list
+    lst, out_csv = tmp_path / "list.txt", tmp_path / "bench.csv"
+    lst.write_text("gen:n=3,density=0.5\n")
+    assert run_cli("bench", str(lst), "--methods", "rlb", "--repeats", "1", "--order",
+                   f"file:{path}", "--csv", str(out_csv)) == 0
+    assert from_row(list(csv.reader(out_csv.open()))[1]).status.startswith(
+        f"input error: {path}: {why}")
 
 
 def test_check_subcommand(fig1_mtx):
@@ -289,10 +318,10 @@ def test_bench_creates_csv_and_profile(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 3
     # every row round-trips through the parser
     for row in rows[1:]:
-        rec = BenchRecord.from_row(row)
+        rec = from_row(row)
         assert rec.to_row() == row
         assert rec.repeats == 3 and rec.status == "ok"
-    rlb_rows = [BenchRecord.from_row(r) for r in rows[1:] if r[1] == "rlb"]
+    rlb_rows = [from_row(r) for r in rows[1:] if r[1] == "rlb"]
     assert all(r.workspace_peak == 0 for r in rlb_rows)
     prows = list(csv.reader(prof_csv.open()))
     assert prows[0] == ["method", "tau", "fraction"]
@@ -365,7 +394,7 @@ def test_bench_records_failures_and_continues(tmp_path):
     out_csv = tmp_path / "bench.csv"
     assert run_cli("bench", str(lst), "--repeats", "1", "--methods", "rlb",
                    "--csv", str(out_csv)) == 0
-    recs = [BenchRecord.from_row(r) for r in list(csv.reader(out_csv.open()))[1:]]
+    recs = [from_row(r) for r in list(csv.reader(out_csv.open()))[1:]]
     assert recs[0].status.startswith("input error")
     assert recs[1].status == "ok"
 
@@ -399,8 +428,8 @@ def test_bench_single_repeat_matches_factor_counters(tmp_path):
                    "--csv", str(bench_csv)) == 0
     assert run_cli("factor", "gen:n=20,density=0.25,seed=9", "--method", "rl",
                    "--csv", str(factor_csv)) == 0
-    b = BenchRecord.from_row(list(csv.reader(bench_csv.open()))[1])
-    f = BenchRecord.from_row(list(csv.reader(factor_csv.open()))[1])
+    b = from_row(list(csv.reader(bench_csv.open()))[1])
+    f = from_row(list(csv.reader(factor_csv.open()))[1])
     assert (b.flops, b.factor_nnz, b.workspace_peak, b.assembly_ops) == \
            (f.flops, f.factor_nnz, f.workspace_peak, f.assembly_ops)
 

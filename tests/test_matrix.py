@@ -1,13 +1,15 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from snchol.matrix import (MatrixMarketError, MatrixMarketHeaderError,
                            MatrixMarketIndexError, MatrixMarketSymmetryError,
-                           Permutation, SymmetricSparseMatrix, SymmetricSparsePattern,
-                           apply_symmetric_permutation, generate_spd,
-                           minimum_degree_order, read_matrix_market,
-                           write_matrix_market)
+                           Permutation, PermutationFileError, SymmetricSparseMatrix,
+                           SymmetricSparsePattern, apply_symmetric_permutation, generate_spd,
+                           minimum_degree_order, read_matrix_market, write_matrix_market)
 
 import oracles
 from conftest import FIG1_LOWER_COLS, fig1_matrix, fig1_pattern
@@ -259,6 +261,18 @@ def test_permutation_file_round_trip(tmp_path):
     P.to_file(path)
     assert path.read_text().split() == ["3", "1", "2", "4"]
     assert np.array_equal(Permutation.from_file(path).perm, P.perm)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "1\n1\n3\n", "1\n2.5\n3\n", "1\nx\n", "0\n1\n",
+                                  "1 2\n3\n", "99999999999999999999\n"])
+def test_permutation_file_that_holds_no_permutation_is_named(tmp_path, text):
+    path = tmp_path / "perm.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PermutationFileError, match=f"^{re.escape(str(path))}: "):
+            Permutation.from_file(path)
+    assert issubclass(PermutationFileError, ValueError)
 
 
 def test_generate_spd_basics():

@@ -526,8 +526,7 @@ def corrupt(rows, i, col, value):
 
 @pytest.mark.parametrize("how", ["rows past the column end", "columns past the panel",
                                  "leading dimension", "writes its own panel", "negative offset",
-                                 "Y in another panel", "offset past the storage", "empty",
-                                 "part of the columns"])
+                                 "Y in another panel", "offset past the storage", "empty"])
 def test_extent_check_rejects_a_call_that_leaves_its_panel(how):
     S, _ = vendor_case()
     sched = S.rlb_schedule
@@ -535,18 +534,17 @@ def test_extent_check_rejects_a_call_that_leaves_its_panel(how):
     check_call_extents(S, sched)
     i = int(np.flatnonzero(rows[:, 0] == GEMM)[0])
     j = int(np.searchsorted(ptr, i, side="right")) - 1
-    kind, c, ldc, m, n, k, x, y, ldx = rows[i].tolist()
+    kind, c, ldc, m, n, x, y = rows[i].tolist()
     bad = {"rows past the column end": lambda: corrupt(rows, i, 3, ldc),
            "columns past the panel": lambda: corrupt(rows, i, 4, n + S.width(j + 1) + ldc),
            "leading dimension": lambda: corrupt(rows, i, 2, ldc + 1),
            "writes its own panel": lambda: corrupt(rows, i, 1, int(S.panel_offsets[j])),
-           "negative offset": lambda: corrupt(rows, i, 6, -1),
-           "Y in another panel": lambda: corrupt(rows, i, 7, int(S.panel_offsets[j + 1])),
+           "negative offset": lambda: corrupt(rows, i, 5, -1),
+           "Y in another panel": lambda: corrupt(rows, i, 6, int(S.panel_offsets[j + 1])),
            "offset past the storage": lambda: corrupt(rows, i, 1, S.panel_storage),
-           "empty": lambda: corrupt(rows, i, 5, 0),
-           "part of the columns": lambda: corrupt(rows, i, 5, k - 1)}[how]()
+           "empty": lambda: corrupt(rows, i, 3, 0)}[how]()
     with pytest.raises(ValueError, match="leaves its panels"):
-        check_call_extents(S, CallSchedule(bad, ptr, sched.storage, sched.diag))
+        check_call_extents(S, CallSchedule(bad, ptr, sched.storage, sched.diag, sched.pair_ptr))
 
 
 @pytest.mark.parametrize("field", ["offset", "leading dimension", "width", "rows below",
@@ -559,9 +557,11 @@ def test_extent_check_rejects_a_diagonal_step_off_its_panel(field):
     diag = sched.diag.copy()
     diag[j, col] += 1
     with pytest.raises(ValueError, match=f"diagonal step {j} .* is not its supernode's panel"):
-        check_call_extents(S, CallSchedule(sched.rows, sched.ptr, sched.storage, diag))
+        check_call_extents(S, CallSchedule(sched.rows, sched.ptr, sched.storage, diag,
+                                           sched.pair_ptr))
     with pytest.raises(ValueError, match="does not match the symbolic factor's panels"):
-        check_call_extents(S, CallSchedule(sched.rows, sched.ptr, sched.storage, diag[:-1]))
+        check_call_extents(S, CallSchedule(sched.rows, sched.ptr, sched.storage, diag[:-1],
+                                           sched.pair_ptr))
 
 
 def test_vendor_rlb_is_one_schedule_run(monkeypatch):
@@ -824,6 +824,27 @@ def test_solve_requires_factored_state():
     F = scatter_into_factor(A, S)
     with pytest.raises(FactorStateError):
         solve(F, S, np.ones(9))
+
+
+@pytest.mark.parametrize("backend", ["reference", "vendor"])
+@pytest.mark.parametrize("method", ["mf", "ll", "rl", "rlb"])
+def test_storage_a_failed_factorization_touched_is_refused(method, backend):
+    """A pivot lost at the last column fails the run after it has overwritten
+    the panels: a second factorization and a solve both refuse them."""
+    an = analyze(generate_spd(60, 0.1, 21))
+    S = an.S
+    F = scatter_into_factor(an.A2, S)
+    j = S.nsuper - 1
+    c = S.n - 1 - int(S.first_col[j])
+    F.data[S.panel_offsets[j] + c * (S._lens[j] + 1)] *= 0.02
+    before = F.data.copy()
+    with pytest.raises(NotPositiveDefiniteError, match=f"column {S.n - 1} "):
+        DIRECT[method](F, S, get_backend(backend), RunStats(method, backend, S.n))
+    assert F.data.tobytes() != before.tobytes()
+    with pytest.raises(FactorStateError, match="does not hold A"):
+        DIRECT[method](F, S, get_backend(backend), RunStats(method, backend, S.n))
+    with pytest.raises(FactorStateError, match="does not hold L"):
+        solve(F, S, np.ones(S.n))
 
 
 def solve_cases():
