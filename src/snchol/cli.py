@@ -79,11 +79,11 @@ INPUT_ERRORS = (OSError, MatrixMarketError, SpecError, PermutationFileError)
 GEN_KEYS = {"n": int, "density": float, "seed": int}
 
 
-def load_matrix(spec: str, default_seed: int) -> tuple:
+def load_matrix(spec: str, default_seed: int) -> SymmetricSparseMatrix:
     """A path, or ``gen:n=...,density=...[,seed=...]`` for a synthetic SPD
     matrix.  A malformed ``gen:`` spec raises SpecError."""
     if not spec.startswith("gen:"):
-        return spec, read_matrix_market(spec)
+        return read_matrix_market(spec)
     args = {"density": 0.1, "seed": default_seed}
     try:
         for item in spec[4:].split(","):
@@ -93,7 +93,7 @@ def load_matrix(spec: str, default_seed: int) -> tuple:
             args[key] = GEN_KEYS[key](value)
         if "n" not in args:
             raise ValueError("n= is missing")
-        return spec, generate_spd(args["n"], args["density"], args["seed"])
+        return generate_spd(args["n"], args["density"], args["seed"])
     except ValueError as e:
         raise SpecError(f"{spec}: {e}") from None
 
@@ -127,7 +127,7 @@ def _write_csv(path: str, rows: list, header: list) -> None:
 
 
 def cmd_factor(args) -> int:
-    name, A = load_matrix(args.matrix, args.seed)
+    A = load_matrix(args.matrix, args.seed)
     try:
         result = analyze(A, args.order, args.merge_cap, args.pr).factor(args.method, args.backend)
     except INPUT_ERRORS:
@@ -136,7 +136,7 @@ def cmd_factor(args) -> int:
         print(f"error: factorization ({args.method}): {_message(e)}", file=sys.stderr)
         return 1
     stats = result.stats
-    rec = BenchRecord(name, args.method, stats.backend, args.order, args.pr,
+    rec = BenchRecord(args.matrix, args.method, stats.backend, args.order, args.pr,
                       args.merge_cap, 1, stats.wall_seconds, stats.flops,
                       stats.factor_nnz, stats.workspace_peak, stats.assembly_ops)
     _print_record(rec, stats)
@@ -175,7 +175,7 @@ def residual(A: SymmetricSparseMatrix, x: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_check(args) -> int:
-    name, A = load_matrix(args.matrix, args.seed)
+    A = load_matrix(args.matrix, args.seed)
     try:
         analysis, failure = analyze(A, args.order, args.merge_cap, args.pr), None
     except INPUT_ERRORS:
@@ -193,15 +193,15 @@ def cmd_check(args) -> int:
             dev = deviation_from_reference(result, oracle)
             ok = dev <= 1e-10
             failed |= not ok
-            print(f"{name} {method}: deviation={dev:.3e} {'ok' if ok else 'FAIL'}")
+            print(f"{args.matrix} {method}: deviation={dev:.3e} {'ok' if ok else 'FAIL'}")
         except (NotPositiveDefiniteError, ValueError) as e:
-            print(f"{name} {method}: error: {_message(e)}")
+            print(f"{args.matrix} {method}: error: {_message(e)}")
             failed = True
     return 1 if failed else 0
 
 
 def cmd_analyze(args) -> int:
-    name, A = load_matrix(args.matrix, args.seed)
+    A = load_matrix(args.matrix, args.seed)
     try:
         S = analyze(A, args.order, args.merge_cap, args.pr).S
     except INPUT_ERRORS:
@@ -211,7 +211,7 @@ def cmd_analyze(args) -> int:
         return 1
     ms = S.merge_stats
     nnz_a = A.pattern.nnz
-    print(f"matrix={name} n={A.n} nnz(A)={nnz_a}")
+    print(f"matrix={args.matrix} n={A.n} nnz(A)={nnz_a}")
     print(f"factor nnz={S.factor_nnz} fill={S.factor_nnz - nnz_a} panel_storage={S.panel_storage}")
     print(f"supernodes: fundamental={ms.nsuper_before} merged={ms.nsuper_after}")
     growth = 100.0 * (ms.nnz_after - ms.nnz_before) / max(1, ms.nnz_before)
@@ -265,7 +265,7 @@ def cmd_bench(args) -> int:
     times = {m: [] for m in methods}
     for spec in specs:
         try:
-            A = load_matrix(spec, args.seed)[1]
+            A = load_matrix(spec, args.seed)
             analysis, failure = analyze(A, args.order, args.merge_cap, args.pr), None
         except (NotPositiveDefiniteError, ValueError, OSError) as e:
             failure = e

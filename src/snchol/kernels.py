@@ -7,13 +7,12 @@ lower triangle of a triangular operand, and only ever subtract products (every
 update in the factorizations has that sign).
 
 The reference backend is numpy only (matmul and ``numpy.linalg``) and is the
-oracle for the other.  Each call is one ``numpy.linalg.cholesky``, one
-``numpy.linalg.solve`` or one product written back through a lower-triangle
-mask; operands of at most ``LOOP_MAX_COLS`` columns keep a per-column loop,
-which is faster at that size.  The masks are leading blocks of one cached
-read-only mask; its other temporaries are per call and no larger than the
-call's operands, so ``rlb``'s zero-workspace claim is asserted on the vendor
-backend.
+oracle for the other.  A syrk or gemm is one product, syrk's subtracted
+through a lower-triangle mask.  One column of chol or trsm is a square root
+or a division, up to ``LOOP_MAX_COLS`` a per-column loop, beyond it one
+``numpy.linalg`` call.  The masks are leading blocks of one cached read-only
+mask; the other temporaries are per call and no larger than the operands, so
+``rlb``'s zero-workspace claim is asserted on the vendor backend.
 
 The vendor backend calls LAPACK's dpotrf and BLAS's dtrsm/dsyrk/dgemm through
 the function pointers scipy exports for Cython, passing each view's data
@@ -26,10 +25,11 @@ A ``CallSchedule`` is a whole supernodal factorization precompiled as offsets
 into one flat float64 array: per supernode, a diagonal step (Cholesky of the
 diagonal triangle, triangular solve of the rows below) and its syrk/gemm
 updates, one row ``(kind, c, ldc, m, n, x, y)`` each; the operands' depth and
-leading dimension are the supernode's panel's.  A backend may run one by
-address (``run_schedule``): the vendor backend checks the array once and then
-calls LAPACK/BLAS at ``base + 8*offset`` for every step, checking ``info``
-after each dpotrf and the factored pivots for NaN once, at the end or at the
+leading dimension are the supernode's panel's.  Both backends run one whole
+(``run_schedule``), checking the array once: the reference backend through
+``run_views``, which any backend's kernels can run, with unchecked
+syrk/gemm; the vendor one calls LAPACK/BLAS at ``base + 8*offset``, checking
+``info`` after each dpotrf and the pivots for NaN once, at the end or at the
 first failed dpotrf.
 """
 
@@ -59,8 +59,8 @@ class NotPositiveDefiniteError(ArithmeticError):
         return self.template.format(self.index + base)
 
 
-# Operands with at most this many columns keep the per-column loops: below it
-# one numpy.linalg call costs more than the loop it replaces.
+# chol and trsm operands with at most this many columns keep the per-column
+# loops: below it one numpy.linalg call costs more than the loop it replaces.
 LOOP_MAX_COLS = 2
 
 
@@ -94,6 +94,11 @@ def chol_in_place(T) -> None:
     m = T.shape[0]
     if T.shape[1] != m:
         raise ValueError("chol_in_place needs a square view")
+    if m == 1:  # the loop's one step: d - 0.0 is d, -0.0 included
+        if not T[0, 0] > 0.0:
+            raise NotPositiveDefiniteError(0)
+        T[0, 0] = np.sqrt(T[0, 0])
+        return
     if m > LOOP_MAX_COLS:
         try:
             L = np.linalg.cholesky(T)
@@ -121,9 +126,12 @@ def trsm_right_lt(T, B) -> None:
     m = T.shape[0]
     if T.shape[1] != m or B.shape[1] != m:
         raise ValueError("shape mismatch in trsm_right_lt")
-    zero = np.flatnonzero(T.diagonal() == 0.0)
-    if zero.size:
+    if not T.diagonal().all():
+        zero = np.flatnonzero(T.diagonal() == 0.0)
         raise ValueError(f"zero diagonal at index {zero[0]} in triangular solve")
+    if m == 1:  # the loop's one step: b - 0.0 is b, -0.0 included
+        B /= T[0, 0]
+        return
     if m > LOOP_MAX_COLS:
         if B.shape[0]:
             B[...] = np.linalg.solve(np.where(_lower_mask(m), T, 0.0), B.T).T
@@ -132,29 +140,27 @@ def trsm_right_lt(T, B) -> None:
         B[:, j] = (B[:, j] - B[:, :j] @ T[j, :j]) / T[j, j]
 
 
+def _syrk(C, X) -> None:
+    np.subtract(C, X @ X.T, out=C, where=_lower_mask(C.shape[0]))
+
+
+def _gemm(C, X, Y) -> None:
+    C -= X @ Y.T
+
+
 def syrk_lower(C, X) -> None:
     """Lower triangle of C <- C - X X^T; the strict upper triangle is neither
-    read nor written.  Beyond ``LOOP_MAX_COLS`` columns this is one product
-    subtracted through a lower-triangle mask."""
-    m = C.shape[0]
-    if C.shape[1] != m or X.shape[0] != m:
+    read nor written: one product subtracted through a lower-triangle mask."""
+    if C.shape != (X.shape[0], X.shape[0]):
         raise ValueError("shape mismatch in syrk_lower")
-    if X.shape[1] == 0:
-        return
-    if m > LOOP_MAX_COLS:
-        np.subtract(C, X @ X.T, out=C, where=_lower_mask(m))
-        return
-    for j in range(m):
-        C[j:, j] -= X[j:, :] @ X[j, :]
+    _syrk(C, X)
 
 
 def gemm_nt(C, X, Y) -> None:
     """C <- C - X Y^T over the full rectangle."""
     if X.shape[1] != Y.shape[1] or C.shape[0] != X.shape[0] or C.shape[1] != Y.shape[0]:
         raise ValueError("shape mismatch in gemm_nt")
-    if X.shape[1] == 0:
-        return
-    C -= X @ Y.T
+    _gemm(C, X, Y)
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ class KernelBackend:
 
     ``run_schedule(data, schedule)``, when given, runs a whole ``CallSchedule``
     on ``data`` itself; without it the caller runs the schedule through the
-    four kernels on numpy views.
+    four kernels with ``run_views``.
     """
 
     name: str
@@ -240,7 +246,49 @@ def _first_bad_pivot(data: np.ndarray, diag: np.ndarray, failed: int | None = No
     return int(nan[0]) if nan.size else failed
 
 
-REFERENCE_BACKEND = KernelBackend("reference", chol_in_place, trsm_right_lt, syrk_lower, gemm_nt)
+def diag_step(P: np.ndarray, a: int, below: int, first: int, chol, trsm) -> None:
+    """Factor a supernode's columns in its panel P: ``chol`` of the a-by-a
+    diagonal triangle, then ``trsm`` of the ``below`` rows under it.  A failed
+    pivot raises NotPositiveDefiniteError with its column, counted from the
+    supernode's first column ``first``."""
+    try:
+        chol(P[:a])
+    except NotPositiveDefiniteError as e:
+        raise NotPositiveDefiniteError(first + e.index) from None
+    if below:
+        trsm(P[:a], P[a:])
+
+
+def run_views(data: np.ndarray, schedule: CallSchedule, chol, trsm, syrk, gemm) -> None:
+    """Run ``schedule`` through the four kernels given on numpy views of
+    ``data``: per group, ``diag_step`` on its supernode's panel, then its
+    update rows, whose X and Y are row ranges of that panel (the schedule's
+    extent check holds them to that).  numpy checks every view's bounds."""
+    view, f8 = np.ndarray, data.dtype
+    ptr = schedule.ptr.tolist()
+    for j, (at, ld, a, below, first) in enumerate(schedule.diag.tolist()):
+        P = view((ld, a), f8, data, 8 * at, (8, 8 * ld))
+        diag_step(P, a, below, first, chol, trsm)
+        y_at = Y = None
+        for kind, c, ldc, m, n, x, y in schedule.rows[ptr[j]:ptr[j + 1]].tolist():
+            X = P[x - at:x - at + m]
+            if kind == SYRK:
+                syrk(view((n, n), f8, data, 8 * c, (8, 8 * ldc)), X)
+                y_at, Y = x, X  # the gemm rows that follow a syrk row share its X
+                continue
+            if y != y_at:
+                y_at, Y = y, P[y - at:y - at + n]
+            gemm(view((m, n), f8, data, 8 * c, (8, 8 * ldc)), X, Y)
+
+
+def _run_reference(data, schedule: CallSchedule) -> None:
+    """``data`` checked once, then ``run_views`` with unchecked syrk/gemm."""
+    _storage_address(data, schedule.storage)
+    run_views(data, schedule, chol_in_place, trsm_right_lt, _syrk, _gemm)
+
+
+REFERENCE_BACKEND = KernelBackend("reference", chol_in_place, trsm_right_lt, syrk_lower, gemm_nt,
+                                  _run_reference)
 
 # Byte offset of ``char *data`` in numpy's C array struct (PyArrayObject_fields):
 # it follows the object header.  ``_vendor_functions`` checks it once.

@@ -15,21 +15,19 @@ rlb   right-looking blocked: dense blocks updated straight into ancestor
       panels by the kernel calls of ``S.rlb_schedule``, compiled once at
       analysis; no floating-point workspace, no assembly at all
 
-All four supernodal methods share one supernode step, ``_diag_step``: the
+mf, ll, rl and rlb's view loop share one supernode step, ``diag_step``: the
 Cholesky of the diagonal triangle and the triangular solve below it, on the
-panel and with the sizes ``S.rlb_schedule.diag`` gives.  They count nothing
+panel and with the sizes ``S.rlb_schedule.diag`` gives.  No method counts
 call by call: each run adds the calls and flops the analysis predicts, and
 the lower-triangle entries its updates add (``assembly_ops``).  mf, ll and rl
 add each update into its target through ``_assembler``, per
 ``S.update_table`` pair: one slice-add per rectangle of the pair's
 ``S.rlb_schedule`` rows where it has no more rows than columns, else one
 scatter-add per column.  rlb's schedule holds the whole factorization: per
-supernode, its diagonal step and its updates.  Where the backend has
-``run_schedule``, rlb is that one call: the vendor backend checks ``F.data``
-once, calls LAPACK/BLAS at addresses in it, and checks the pivots for NaN
-once, at the end or at the first failed dpotrf.  Otherwise rlb runs the
-schedule through the backend's four kernels on numpy views, checking every
-pivot as it goes.
+supernode, its diagonal step and its updates.  On both backends rlb is one
+``run_schedule`` call that checks ``F.data`` once (see ``kernels``); with
+a backend that has none, it runs ``kernels.run_views`` on that backend's
+four kernels, the loop the reference runner runs with unchecked syrk/gemm.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import SYRK, CallSchedule, KernelBackend, NotPositiveDefiniteError, get_backend
+from .kernels import KernelBackend, NotPositiveDefiniteError, diag_step, get_backend, run_views
 from .matrix import (Permutation, PermutationFileError, SymmetricSparseMatrix,
                      SymmetricSparsePattern, apply_symmetric_permutation, minimum_degree_order)
 from .symbolic import (BuildOptions, SymbolicFactor, _ranges, build_symbolic_factor,
@@ -85,7 +83,6 @@ class RunStats:
     panel_storage: int = 0
     workspace_peak: int = 0
     assembly_ops: int = 0
-    update_calls_per_snode: np.ndarray = None
 
 
 class FactorStorage:
@@ -180,19 +177,6 @@ def _pivot_error(col: int, S: SymbolicFactor = None,
         j = int(S.col_to_snode[col])
         where = f" (supernode {j}, local {col - int(S.first_col[j])})"
     return NotPositiveDefiniteError(shown, f"non-positive pivot at column {{}}{where}")
-
-
-def _diag_step(P: np.ndarray, a: int, m: int, first: int, backend: KernelBackend) -> None:
-    """Factor a supernode's columns in its panel P: Cholesky of the a-by-a
-    diagonal triangle, then the triangular solve of the m rows below it.  A
-    failed pivot raises NotPositiveDefiniteError with its column, counted from
-    the supernode's first column ``first``."""
-    try:
-        backend.chol(P[:a])
-    except NotPositiveDefiniteError as e:
-        raise NotPositiveDefiniteError(first + e.index) from None
-    if m:
-        backend.trsm(P[:a], P[a:])
 
 
 @contextmanager
@@ -377,7 +361,7 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
                     sq[tuple(qpos[_packed(qpos.size)])] += W.arena[top:top + u_c]
                     stats.assembly_ops += u_c
                 top += u_c
-            _diag_step(panels[j], a, m, first, backend)
+            diag_step(panels[j], a, m, first, backend.chol, backend.trsm)
             if m == 0:
                 # only roots have no rows below, and the stack must drain per root
                 assert parent[j] < 0 and not tags
@@ -445,7 +429,7 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                     if r > c:
                         backend.gemm(U[c:, :], X[c:], Y)
                     assemble(e, U)
-            _diag_step(pj, aj, m, first, backend)
+            diag_step(pj, aj, m, first, backend.chol, backend.trsm)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +447,7 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
                          slice(None)):
         for j, (_, _, a, m, first) in enumerate(S.rlb_schedule.diag.tolist()):
-            _diag_step(panels[j], a, m, first, backend)
+            diag_step(panels[j], a, m, first, backend.chol, backend.trsm)
             if m == 0:
                 continue
             U = W.slab(m, m)
@@ -481,43 +465,16 @@ def factor_rlb(F: FactorStorage, S: SymbolicFactor, R, backend: KernelBackend,
     supernode's columns in its panel, then makes every update as a dense
     kernel call straight into an ancestor panel.  It runs as one
     ``backend.run_schedule`` call where the backend has one, else through
-    ``_rlb_views``; the update calls counted are the schedule's rows.  No
-    floating-point workspace exists and the assembly counter stays at zero by
-    construction.  ``R`` is not used; the parameter stays so that existing
-    callers keep working."""
+    ``run_views`` with the backend's four kernels; the update calls counted
+    are the schedule's rows.  No floating-point workspace exists and the
+    assembly counter stays at zero by construction.  ``R`` is not used; the
+    parameter stays so that existing callers keep working."""
     schedule = S.rlb_schedule
     with _supernodal_run(F, S, None, stats, schedule.calls):
         if backend.run_schedule:
             backend.run_schedule(F.data, schedule)
         else:
-            _rlb_views(F, schedule, backend)
-    stats.update_calls_per_snode = np.diff(schedule.ptr)
-
-
-def _rlb_views(F: FactorStorage, schedule: CallSchedule, backend: KernelBackend) -> None:
-    """Run ``schedule``, which is ``F.S.rlb_schedule``, through ``backend``'s
-    four kernels on numpy views of ``F.data``: per group, the diagonal step
-    on its supernode's panel, then its update rows.  Their operands are row
-    ranges of that panel over all its columns (the schedule's extent check
-    holds them to that); C is a view of ``F.data`` that numpy checks against
-    its bounds.  A failed pivot raises NotPositiveDefiniteError with its
-    column."""
-    syrk, gemm, view, data, panels = backend.syrk, backend.gemm, np.ndarray, F.data, F.panels
-    f8 = data.dtype
-    ptr = schedule.ptr.tolist()
-    for j, (at, _, a, below, first) in enumerate(schedule.diag.tolist()):
-        pj = panels[j]
-        _diag_step(pj, a, below, first, backend)
-        y_at = Y = None
-        for kind, c, ldc, m, n, x, y in schedule.rows[ptr[j]:ptr[j + 1]].tolist():
-            X = pj[x - at:x - at + m]
-            if kind == SYRK:
-                syrk(view((n, n), f8, data, 8 * c, (8, 8 * ldc)), X)
-                y_at, Y = x, X  # the gemm rows that follow a syrk row share its X
-                continue
-            if y != y_at:
-                y_at, Y = y, pj[y - at:y - at + n]
-            gemm(view((m, n), f8, data, 8 * c, (8, 8 * ldc)), X, Y)
+            run_views(F.data, schedule, backend.chol, backend.trsm, backend.syrk, backend.gemm)
 
 
 # ---------------------------------------------------------------------------

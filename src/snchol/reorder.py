@@ -113,7 +113,8 @@ def _two_opt(S: SymbolicFactor, where, rows, start, size, p, runs) -> None:
     A reversal changes by at most 2 the path edges that cross one updater's
     set, so splitting a one-run updater costs more than the other updaters
     can gain together, and every improving reversal removes blocks.  The
-    supernodes are shortened together, a stack per size class (``_shorten``)."""
+    supernodes are shortened together, a stack per size class (``_shorten``)
+    as wide as the class's most updaters."""
     count = np.bincount(p, minlength=S.nsuper)
     excess = np.bincount(p, runs, S.nsuper) > count
     t, e = np.flatnonzero(excess), np.flatnonzero(excess[p])
@@ -139,11 +140,11 @@ def _two_opt(S: SymbolicFactor, where, rows, start, size, p, runs) -> None:
     size_class = np.frexp(m + 1)[1]
     for k in sorted(set(size_class.tolist())):
         b = np.flatnonzero(size_class == k)
-        seq, mb = _ranges(city[b], m[b]), m[b]
+        seq, mb, ub = _ranges(city[b], m[b]), m[b], u[b].max()
         stack = np.arange(b.size)[:, None]
-        cities = np.zeros((b.size, mb.max() + 1, member.shape[1]), dtype=bool)
-        cities[stack.repeat(mb), seq - city[b].repeat(mb)] = member[first[seq]]
-        path = _shorten(cities, weight[b], mb)
+        cities = np.zeros((b.size, mb.max() + 1, ub), dtype=bool)
+        cities[stack.repeat(mb), seq - city[b].repeat(mb)] = member[first[seq], :ub]
+        path = _shorten(cities, weight[b, :ub], mb)
         flips = cities[stack, path[:, 1:]] != cities[stack, path[:, :-1]]
         assert (flips.sum(axis=(1, 2)) <= 2 * np.bincount(item, runs[e])[b]).all(), \
             "2-opt added blocks"

@@ -69,8 +69,8 @@ def test_criterion_2_figure2_reordering_suite():
                                           merge_cap=None, pr=False))
     post = run_factorization(A, RunOptions(method="rlb", ordering="natural",
                                            merge_cap=None, pr=True))
-    assert pre.stats.update_calls_per_snode.tolist() == [3, 3, 0]
-    assert post.stats.update_calls_per_snode.tolist() == [1, 1, 0]
+    assert np.diff(pre.S.rlb_schedule.ptr).tolist() == [3, 3, 0]
+    assert np.diff(post.S.rlb_schedule.ptr).tolist() == [1, 1, 0]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _passline(2, f"single block per child after reordering; kernel calls per child "

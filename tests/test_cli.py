@@ -149,7 +149,7 @@ def test_check_runs_ordering_analysis_and_oracle_once(monkeypatch):
 def fresh_inputs(fig1_mtx) -> dict:
     """Spec -> matrix for the fig1 file and two ``gen:`` inputs."""
     specs = [str(fig1_mtx), "gen:n=150,density=0.03,seed=5", "gen:n=90,density=0.08,seed=11"]
-    return {spec: load_matrix(spec, 0)[1] for spec in specs}
+    return {spec: load_matrix(spec, 0) for spec in specs}
 
 
 def test_check_prints_what_a_fresh_pipeline_per_method_gives(fig1_mtx, capsys):
@@ -290,7 +290,7 @@ def test_analyze_predicts_the_rlb_kernel_calls(fig1_mtx, capsys, order, cap, pr)
         assert run_cli("factor", matrix, "--method", "rlb", "--backend", "vendor", *opts) == 0
         out = capsys.readouterr().out
         assert f"syrk={syrk} gemm={gemm}" in out
-        S = analyze(load_matrix(matrix, 0)[1], order, None if cap == "off" else 12.5, pr).S
+        S = analyze(load_matrix(matrix, 0), order, None if cap == "off" else 12.5, pr).S
         diagonal = sum(potrf_flops(S.width(j)) + trsm_flops(S.mrows(j), S.width(j))
                        for j in range(S.nsuper))
         assert int(re.search(r" flops=(\d+)", out).group(1)) == int(flops) + diagonal

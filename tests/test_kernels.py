@@ -72,6 +72,38 @@ def test_trsm_zero_diagonal():
         trsm_right_lt(T, np.ones((3, 33)))
 
 
+def outcome(kernel, *args):
+    """None, or the type and message of the error ``kernel(*args)`` raised."""
+    try:
+        kernel(*args)
+    except (NotPositiveDefiniteError, ValueError) as e:
+        return type(e), str(e)
+    return None
+
+
+def test_one_column_chol_and_trsm_are_the_column_loop_byte_for_byte():
+    """One column of chol_in_place (a square root) and of trsm_right_lt (a
+    division) writes the bytes, and raises the errors, of the column loop's
+    first column, which a two-column operand whose second column cannot fail
+    runs."""
+    assert kernels.LOOP_MAX_COLS >= 2  # two columns take the loop
+    B = np.array([[1.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.inf, 1.0], [-np.inf, 1.0],
+                  [np.nan, 1.0], [1e-310, 1.0], [7.0, 1.0]])
+    with np.errstate(all="ignore"):  # inf and NaN operands
+        for d in (4.0, 2.0, 1e-300, 5e-324, np.inf, -7.0, 0.0, -0.0, -1.0, -np.inf, np.nan):
+            one, two = np.array([[d]]), np.array([[d, 0.0], [0.0, 1.0]])
+            assert outcome(chol_in_place, one) == outcome(chol_in_place, two), d
+            assert one.tobytes() == two[:1, :1].tobytes(), d
+            one, two = np.array([[d]]), np.array([[d, 0.0], [0.0, 1.0]])
+            B1, B2 = B[:, :1].copy(), B.copy()
+            assert outcome(trsm_right_lt, one, B1) == outcome(trsm_right_lt, two, B2), d
+            assert B1.tobytes() == B2[:, :1].tobytes(), d
+    assert outcome(trsm_right_lt, np.array([[-0.0]]), B[:, :1].copy()) == \
+        (ValueError, "zero diagonal at index 0 in triangular solve")
+    assert outcome(chol_in_place, np.array([[np.nan]])) == \
+        (NotPositiveDefiniteError, "non-positive pivot at index 0")
+
+
 def test_syrk_rank_one_by_hand():
     C = np.zeros((2, 2))
     X = np.array([[1.0], [2.0]])
@@ -150,8 +182,9 @@ def backend(request):
 
 
 PAD = 3
-# Widths on both sides of the reference backend's switch from per-column loops
-# to one numpy call per kernel (LOOP_MAX_COLS columns).
+# Widths on both sides of the reference backend's switches from a closed form
+# (one column) to per-column loops to one numpy.linalg call (beyond
+# LOOP_MAX_COLS columns) in chol and trsm.
 SIZES = [1, 2, 3, 5, 33, 200]
 
 

@@ -9,11 +9,11 @@ from snchol.kernels import (GEMM, SYRK, CallSchedule, KernelBackend, NotPositive
                             trsm_flops)
 from snchol.matrix import (SymmetricSparseMatrix, _assemble_lower, apply_symmetric_permutation,
                            generate_spd, minimum_degree_order, read_matrix_market)
-from snchol.numeric import (METHODS, FactorizationResult, FactorStateError, NonFiniteEntryError,
-                            RunOptions, RunStats, StructureError, UpdateWorkspace, _extend_in_place,
-                            _pack_descending, analyze, deviation_from_reference, factor_ll,
-                            factor_mf, factor_reference, factor_rl, factor_rlb, run_factorization,
-                            scatter_into_factor, solve)
+from snchol.numeric import (METHODS, FactorizationResult, FactorStateError, FactorStorage,
+                            NonFiniteEntryError, RunOptions, RunStats, StructureError,
+                            UpdateWorkspace, _extend_in_place, _pack_descending, analyze,
+                            deviation_from_reference, factor_ll, factor_mf, factor_reference,
+                            factor_rl, factor_rlb, run_factorization, scatter_into_factor, solve)
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
                              build_symbolic_factor, check_call_extents, elimination_tree,
                              symbolic_factorization)
@@ -297,8 +297,8 @@ def test_rlb_fig1_kernel_counts_drop_after_reordering():
     A = fig1_matrix()
     pre = run(A, "rlb")
     post = run(A, "rlb", pr=True)
-    assert pre.stats.update_calls_per_snode.tolist() == [3, 3, 0]
-    assert post.stats.update_calls_per_snode.tolist() == [1, 1, 0]
+    assert np.diff(pre.S.rlb_schedule.ptr).tolist() == [3, 3, 0]
+    assert np.diff(post.S.rlb_schedule.ptr).tolist() == [1, 1, 0]
     for r in (pre, post):
         assert r.stats.assembly_ops == 0
         assert r.stats.workspace_peak == 0
@@ -417,13 +417,6 @@ def test_diagonal_blocks_keep_an_exactly_zero_upper_triangle(backend):
                 assert upper.tobytes() == bytes(upper.nbytes), (name, method, j)
 
 
-def counting_backend(base, log):
-    """``base``'s kernels with every syrk/gemm call logged as (kind, flops
-    from the operand shapes); a plain backend, so rlb runs it on views."""
-    logged = logging_backend(base, log)
-    return KernelBackend(base.name, base.chol, base.trsm, logged.syrk, logged.gemm)
-
-
 def logging_backend(base, log):
     """``base``'s four kernels with every call logged as (kind, flops from the
     operand shapes); a plain backend, so rlb runs it on views."""
@@ -437,6 +430,17 @@ def logging_backend(base, log):
         logged("trsm", base.trsm, lambda T, B: trsm_flops(B.shape[0], T.shape[0])),
         logged("syrk", base.syrk, lambda C, X: syrk_flops(*X.shape)),
         logged("gemm", base.gemm, lambda C, X, Y: gemm_flops(X.shape[0], *Y.shape)))
+
+
+def updates_per_group(log) -> list:
+    """The syrk/gemm calls a logging backend saw after each potrf."""
+    per = []
+    for kind, _ in log:
+        if kind == "potrf":
+            per.append(0)
+        elif kind in ("syrk", "gemm"):
+            per[-1] += 1
+    return per
 
 
 # each supernodal method called directly, with a fresh workspace
@@ -473,8 +477,9 @@ def test_mf_ll_rl_run_what_the_analysis_predicts(backend):
 
 @pytest.mark.parametrize("backend", ["reference", "vendor"])
 def test_rlb_runs_what_its_schedule_predicts(backend):
-    """The driver's counters, and the calls a counting backend sees on the view
-    path, are the schedule's rows; both paths give the driver's panels."""
+    """The driver's counters, and the calls a logging backend sees on the view
+    path, are the schedule's rows, group by group; the schedule runner and the
+    view path give the driver's panels."""
     for name, an in schedule_cases():
         S = an.S
         sched = S.rlb_schedule
@@ -482,18 +487,19 @@ def test_rlb_runs_what_its_schedule_predicts(backend):
                        for j in range(S.nsuper))
         r = an.factor("rlb", backend)
         log = []
-        for be in (get_backend(backend), counting_backend(get_backend(backend), log)):
+        for be in (get_backend(backend), logging_backend(get_backend(backend), log)):
             F = scatter_into_factor(an.A2, S)
             stats = RunStats("rlb", backend, S.n)
             factor_rlb(F, S, None, be, stats)
             for got in (stats, r.stats):
                 assert {k: got.calls[k] for k in ("syrk", "gemm")} == sched.calls, name
                 assert got.flops - diagonal == sched.flops, name
-                assert got.update_calls_per_snode.tolist() == np.diff(sched.ptr).tolist(), name
             assert np.array_equal(F.data, r.F.data), name
-        assert [k for k, _ in log].count("syrk") == sched.calls["syrk"], name
-        assert [k for k, _ in log].count("gemm") == sched.calls["gemm"], name
-        assert sum(f for _, f in log) == sched.flops, name
+        assert updates_per_group(log) == np.diff(sched.ptr).tolist(), name
+        updates = [(k, f) for k, f in log if k in sched.calls]
+        assert [k for k, _ in updates].count("syrk") == sched.calls["syrk"], name
+        assert [k for k, _ in updates].count("gemm") == sched.calls["gemm"], name
+        assert sum(f for _, f in updates) == sched.flops, name
 
 
 def vendor_case():
@@ -501,21 +507,33 @@ def vendor_case():
     return an.S, scatter_into_factor(an.A2, an.S).data
 
 
-@pytest.mark.parametrize("bad", ["float32", "strided", "read-only", "short", "long"])
+@pytest.mark.parametrize("bad", ["float32", "strided", "read-only", "short", "long",
+                                 "partial"])
 def test_vendor_schedule_runner_rejects_storage_before_any_call(bad):
+    """The schedule runners of both backends, vendor and reference, refuse
+    storage they cannot run on before they write anything, and rlb refuses
+    storage a failed factorization left partial."""
     S, data = vendor_case()
     sched = S.rlb_schedule
-    storage = {"float32": data.astype(np.float32),
-               "strided": np.repeat(data, 2)[::2],
-               "read-only": data,
-               "short": data[:-1].copy(),
-               "long": np.append(data, 0.0)}[bad]
-    if bad == "read-only":
-        storage.flags.writeable = False
-    before = storage.copy()
-    with pytest.raises(ValueError, match="schedule storage"):
-        get_backend("vendor").run_schedule(storage, sched)
-    assert storage.tobytes() == before.tobytes()
+    for backend in ("vendor", "reference"):
+        storage = {"float32": data.astype(np.float32),
+                   "strided": np.repeat(data, 2)[::2],
+                   "read-only": data.copy(),
+                   "short": data[:-1].copy(),
+                   "long": np.append(data, 0.0),
+                   "partial": data.copy()}[bad]
+        if bad == "read-only":
+            storage.flags.writeable = False
+        before = storage.copy()
+        if bad == "partial":
+            F = FactorStorage(S)
+            F.data, F.state = storage, "partial"
+            with pytest.raises(FactorStateError, match="does not hold A"):
+                factor_rlb(F, S, None, get_backend(backend), RunStats("rlb", backend, S.n))
+        else:
+            with pytest.raises(ValueError, match="schedule storage"):
+                get_backend(backend).run_schedule(storage, sched)
+        assert storage.tobytes() == before.tobytes(), backend
 
 
 def corrupt(rows, i, col, value):
@@ -564,40 +582,47 @@ def test_extent_check_rejects_a_diagonal_step_off_its_panel(field):
                                            sched.pair_ptr))
 
 
-def test_vendor_rlb_is_one_schedule_run(monkeypatch):
-    """On vendor, rlb checks its storage once and never takes the
-    per-supernode step of the view path; the view path of a logging backend
-    makes the calls the counters report and gives the same panels."""
+@pytest.mark.parametrize("backend", ["reference", "vendor"])
+def test_rlb_is_one_schedule_run(monkeypatch, backend):
+    """On either backend, rlb checks its storage once and never takes the
+    view loop for backends without a runner (the vendor runner no view loop
+    at all); that loop, on a logging backend, makes the calls the counters
+    report, group by group, and gives the same panels."""
     checks = []
     check = kernels._storage_address
     monkeypatch.setattr(kernels, "_storage_address", lambda *a: checks.append(a) or check(*a))
 
-    def no_diag_step(*args):
-        raise AssertionError("rlb took the per-supernode step")
+    def no_view_loop(*args):
+        raise AssertionError("rlb took the view loop")
     for name, an in schedule_cases():
         checks.clear()
         with monkeypatch.context() as m:
-            m.setattr(numeric, "_diag_step", no_diag_step)
-            r = an.factor("rlb", "vendor")
+            m.setattr(numeric, "run_views", no_view_loop)
+            if backend == "vendor":
+                m.setattr(kernels, "run_views", no_view_loop)
+            r = an.factor("rlb", backend)
         assert len(checks) == 1, name
         log = []
         F = scatter_into_factor(an.A2, an.S)
-        stats = RunStats("rlb", "vendor", an.S.n, factor_nnz=an.S.factor_nnz,
+        stats = RunStats("rlb", backend, an.S.n, factor_nnz=an.S.factor_nnz,
                          panel_storage=an.S.panel_storage)
-        factor_rlb(F, an.S, None, logging_backend(get_backend("vendor"), log), stats)
+        factor_rlb(F, an.S, None, logging_backend(get_backend(backend), log), stats)
         assert F.data.tobytes() == r.F.data.tobytes(), name
-        assert counters(r) == counters(FactorizationResult(stats, None, None)), name
+        assert counters(r) == counters(FactorizationResult(stats, None, None, an.S)), name
         assert {k: [c for c, _ in log].count(k) for k in stats.calls} == stats.calls, name
         assert sum(f for _, f in log) == stats.flops, name
+        assert updates_per_group(log) == np.diff(an.S.rlb_schedule.ptr).tolist(), name
         assert len(checks) == 1, name
 
 
 def pivot_case():
     """The analysis of a grid, with two supernodes at least three columns wide
-    and neither an ancestor of the other, the earlier one first."""
+    and neither an ancestor of the other, the earlier one first, and the last
+    one-column supernode with rows below."""
     an = analyze(grid_laplacian(9), "mindeg", 12.5, True)
     S = an.S
     wide = [j for j in range(S.nsuper - 1) if S.width(j) >= 3]
+    narrow = [j for j in range(S.nsuper) if S.width(j) == 1 and S.mrows(j)][-1]
     for j1 in wide:
         up, p = set(), j1
         while p >= 0:
@@ -605,7 +630,7 @@ def pivot_case():
             p = int(S.snode_parent[p])
         later = [j for j in wide if j > j1 and j not in up]
         if later:
-            return an, j1, later[0]
+            return an, j1, later[0], narrow
     raise AssertionError("no two unrelated wide supernodes")
 
 
@@ -613,30 +638,35 @@ def pivot_case():
 # an id is the case alone for rlb, method-case for the others
 @pytest.mark.parametrize("method, case", [
     pytest.param(method, case, id=case if method == "rlb" else f"{method}-{case}")
-    for method in DIRECT for case in ("non-positive", "nan", "nan then non-positive")
+    for method in DIRECT
+    for case in ("non-positive", "nan", "nan then non-positive", "one column")
     if (method, case) != ("mf", "nan then non-positive")])
 def test_rlb_pivot_errors_agree_on_both_backends(method, case):
-    """A bad pivot, a NaN pivot, or a NaN pivot followed by a bad pivot in a
-    supernode it does not update: the vendor runner, which checks NaN pivots
-    once, reports the first failure in column order, as the reference view
-    path does with a check after every chol; a direct call of every other
-    method names the same column and supernode."""
+    """A bad pivot, a NaN pivot, a NaN pivot followed by a bad pivot in a
+    supernode it does not update, or a bad pivot of a one-column supernode:
+    the vendor runner, which checks NaN pivots once, reports the first failure
+    in column order, as the reference runner does with a check after every
+    chol; a direct call of every other method names the same column and
+    supernode."""
     factor = DIRECT[method]
-    an, j1, j2 = pivot_case()
+    an, j1, j2, narrow = pivot_case()
     S = an.S
-    bad = {"non-positive": {j1: -1.0}, "nan": {j1: np.nan},
-           "nan then non-positive": {j1: np.nan, j2: -1.0}}[case]
+    # supernode -> (local column, pivot value)
+    bad = {"non-positive": {j1: (1, -1.0)}, "nan": {j1: (1, np.nan)},
+           "nan then non-positive": {j1: (1, np.nan), j2: (1, -1.0)},
+           "one column": {narrow: (0, -1.0)}}[case]
     errors = []
     for backend in ("reference", "vendor"):
         F = scatter_into_factor(an.A2, S)
-        for j, value in bad.items():
-            F.data[S.panel_offsets[j] + S._lens[j] + 1] = value  # local column 1's pivot
+        for j, (local, value) in bad.items():
+            F.data[S.panel_offsets[j] + local * (S._lens[j] + 1)] = value
         with pytest.raises(NotPositiveDefiniteError) as e:
             factor(F, S, get_backend(backend), RunStats(method, backend, S.n))
         errors.append((e.value.index, str(e.value)))
-    col = int(S.first_col[j1]) + 1
+    j, (local, _) = next(iter(bad.items()))
+    col = int(S.first_col[j]) + local
     assert errors[0] == errors[1] == (col, f"non-positive pivot at column {col} "
-                                           f"(supernode {j1}, local 1)")
+                                           f"(supernode {j}, local {local})")
 
 
 def test_schedule_build_rejects_rows_missing_from_the_target():
@@ -660,10 +690,10 @@ def test_every_method_factors_without_a_relative_index_map(monkeypatch):
 
 
 def counters(r):
+    """A run's counters and, for rlb, its schedule's update calls per supernode."""
     s = r.stats
-    per = s.update_calls_per_snode
-    return (dict(s.calls), s.flops, s.assembly_ops, s.workspace_peak,
-            None if per is None else per.tolist())
+    per = np.diff(r.S.rlb_schedule.ptr).tolist() if s.method == "rlb" else None
+    return (dict(s.calls), s.flops, s.assembly_ops, s.workspace_peak, per)
 
 
 VENDOR_CASES = {"fig1": fig1_matrix, "grid": lambda: grid_laplacian(9),

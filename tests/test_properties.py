@@ -21,11 +21,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from snchol import symbolic
-from snchol.kernels import get_backend
+from snchol.kernels import get_backend, run_views
 from snchol.matrix import (_assemble_lower, apply_symmetric_permutation, generate_spd,
                            minimum_degree_order)
-from snchol.numeric import (RunOptions, _rlb_views, analyze, deviation_from_reference,
-                            run_factorization, scatter_into_factor)
+from snchol.numeric import (RunOptions, analyze, deviation_from_reference, run_factorization,
+                            scatter_into_factor)
 from snchol.reorder import reorder_within_supernodes
 from snchol.symbolic import (BuildOptions, SymbolicFactor,
                              build_symbolic_factor, elimination_tree, fundamental_supernodes,
@@ -33,7 +33,7 @@ from snchol.symbolic import (BuildOptions, SymbolicFactor,
                              symbolic_factorization)
 
 import oracles
-from test_numeric import logging_backend
+from test_numeric import logging_backend, updates_per_group
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -176,7 +176,6 @@ def test_every_method_matches_ref_and_its_plans(kind, data):
                 assert stats.assembly_ops == stats.workspace_peak == 0, where
                 sched = S.rlb_schedule
                 assert {k: stats.calls[k] for k in ("syrk", "gemm")} == sched.calls, where
-                assert stats.update_calls_per_snode.tolist() == np.diff(sched.ptr).tolist()
             else:
                 plan = {"mf": S.plans.mf_peak, "ll": S.plans.ll_peak, "rl": S.plans.rl_peak}
                 assert stats.workspace_peak == plan[method], where
@@ -207,23 +206,28 @@ def test_update_table_is_the_walk_and_the_index_map(n, density, seed, cap, pr, m
     assert [b.tolist() for b in S.block_starts] == [b.tolist() for b in starts]
 
 
+@pytest.mark.parametrize("backend", ["reference", "vendor"])
 @PROPERTY_SETTINGS
 @given(n=st.integers(1, 90), density=st.floats(0.005, 0.5), seed=st.integers(0, 2**16),
        cap=st.sampled_from((None, 12.5)), pr=st.booleans())
-def test_vendor_schedule_runner_is_the_view_path(n, density, seed, cap, pr):
-    """On ``gen:`` matrices the vendor runner, which sets each group's depth
-    and leading dimension once, writes the bytes the view path writes
-    through the vendor kernels.  The rows have 7 columns, and the schedule's
-    calls and flops are those of the update calls the view path makes, by
-    the flop model of their operand shapes."""
+def test_schedule_runner_is_the_view_path(backend, n, density, seed, cap, pr):
+    """On ``gen:`` matrices each backend's schedule runner writes the bytes
+    that ``run_views`` writes through that backend's public kernels: the
+    vendor runner, which sets each group's depth and leading dimension once,
+    and the reference one, which skips the syrk/gemm shape checks.  The rows
+    have 7 columns, and the schedule's calls and flops are those of the
+    update calls the view path makes, by the flop model of their operand
+    shapes."""
     an = analyze(generate_spd(n, density, seed), "mindeg", cap, pr)
     S, sched = an.S, an.S.rlb_schedule
     assert sched.rows.shape == (sched.ptr[-1], 7)
-    vendor, log = get_backend("vendor"), []
+    be, log = get_backend(backend), []
     F, G = scatter_into_factor(an.A2, S), scatter_into_factor(an.A2, S)
-    vendor.run_schedule(F.data, sched)
-    _rlb_views(G, sched, logging_backend(vendor, log))
+    be.run_schedule(F.data, sched)
+    logged = logging_backend(be, log)
+    run_views(G.data, sched, logged.chol, logged.trsm, logged.syrk, logged.gemm)
     assert F.data.tobytes() == G.data.tobytes()
+    assert updates_per_group(log) == np.diff(sched.ptr).tolist()
     updates = [(kind, f) for kind, f in log if kind in sched.calls]
     assert {k: [kind for kind, _ in updates].count(k) for k in sched.calls} == sched.calls
     assert sum(f for _, f in updates) == sched.flops
