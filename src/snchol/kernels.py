@@ -6,13 +6,13 @@ All four work in place on numpy views into supernode panels, read only the
 lower triangle of a triangular operand, and only ever subtract products (every
 update in the factorizations has that sign).
 
-The reference backend is numpy only (matmul and ``numpy.linalg``) and is the
-oracle for the other.  A syrk or gemm is one product, syrk's subtracted
-through a lower-triangle mask.  One column of chol or trsm is a square root
-or a division, up to ``LOOP_MAX_COLS`` a per-column loop, beyond it one
-``numpy.linalg`` call.  The masks are leading blocks of one cached read-only
-mask; the other temporaries are per call and no larger than the operands, so
-``rlb``'s zero-workspace claim is asserted on the vendor backend.
+The reference backend is numpy plus scipy's copying f2py wrappers of LAPACK
+and BLAS (``scipy_routine``).  A syrk or gemm is one numpy product, syrk's
+subtracted through a lower-triangle mask.  One column of chol or trsm is a
+square root or a division; more are dpotrf or dtrsm on a copy, written back
+(dpotrf's through the mask).  The masks are leading blocks of one cached
+read-only mask; the other temporaries are per call and no larger than the
+operands, so ``rlb``'s zero-workspace claim is asserted on the vendor backend.
 
 The vendor backend calls LAPACK's dpotrf and BLAS's dtrsm/dsyrk/dgemm through
 the function pointers scipy exports for Cython, passing each view's data
@@ -59,11 +59,6 @@ class NotPositiveDefiniteError(ArithmeticError):
         return self.template.format(self.index + base)
 
 
-# chol and trsm operands with at most this many columns keep the per-column
-# loops: below it one numpy.linalg call costs more than the loop it replaces.
-LOOP_MAX_COLS = 2
-
-
 _LOWER = np.ones((0, 0), dtype=bool)
 
 
@@ -80,16 +75,35 @@ def _lower_mask(m: int) -> np.ndarray:
     return mask[:m, :m]
 
 
+@functools.cache
+def scipy_routine(name: str) -> Callable:
+    """scipy's f2py wrapper of BLAS or LAPACK routine ``name``, imported on
+    first use so that importing snchol loads no scipy.  It returns copies."""
+    from scipy.linalg import blas, lapack
+
+    return getattr(blas, name, None) or getattr(lapack, name)
+
+
+def _chol_columns(T) -> None:
+    """``chol_in_place`` column by column, raising NotPositiveDefiniteError
+    at the first pivot that is not positive: its error path."""
+    for j in range(T.shape[0]):
+        d = T[j, j] - T[j, :j] @ T[j, :j]
+        if not d > 0.0:
+            raise NotPositiveDefiniteError(j)
+        d = T[j, j] = np.sqrt(d)
+        T[j + 1:, j] = (T[j + 1:, j] - T[j + 1:, :j] @ T[j, :j]) / d
+
+
 def chol_in_place(T) -> None:
     """Overwrite the lower triangle of square T with its Cholesky factor.
 
     The strict upper triangle is neither read nor written.  Raises
-    NotPositiveDefiniteError carrying the failing pivot index.  Beyond
-    ``LOOP_MAX_COLS`` columns this is ``numpy.linalg.cholesky`` (which reads
-    only the lower triangle) written back through a lower-triangle mask; when
-    that fails, or leaves a pivot that is not positive (a NaN pivot comes back
-    as NaN rather than an error), the column loop reruns on the untouched T to
-    find the failing index.
+    NotPositiveDefiniteError carrying the failing pivot index.  One column is
+    a square root; more are LAPACK's dpotrf on a copy (scipy's wrapper),
+    written back through a lower-triangle mask.  When dpotrf fails, or leaves
+    a pivot that is not positive (it takes a NaN pivot's square root), the
+    column loop reruns on the untouched T to find the failing index.
     """
     m = T.shape[0]
     if T.shape[1] != m:
@@ -99,45 +113,29 @@ def chol_in_place(T) -> None:
             raise NotPositiveDefiniteError(0)
         T[0, 0] = np.sqrt(T[0, 0])
         return
-    if m > LOOP_MAX_COLS:
-        try:
-            L = np.linalg.cholesky(T)
-            if (L.diagonal() > 0.0).all():
-                np.copyto(T, L, where=_lower_mask(m))
-                return
-        except np.linalg.LinAlgError:
-            pass  # the loop below finds the failing pivot
-    for j in range(m):
-        d = T[j, j] - T[j, :j] @ T[j, :j]
-        if not d > 0.0:
-            raise NotPositiveDefiniteError(j)
-        d = np.sqrt(d)
-        T[j, j] = d
-        if j + 1 < m:
-            T[j + 1:, j] = (T[j + 1:, j] - T[j + 1:, :j] @ T[j, :j]) / d
+    L, info = scipy_routine("dpotrf")(T, lower=1, clean=0)
+    if info == 0 and np.count_nonzero(L.diagonal() > 0.0) == m:
+        np.copyto(T, L, where=_lower_mask(m))
+    else:
+        _chol_columns(T)
 
 
 def trsm_right_lt(T, B) -> None:
     """B <- B * T^{-T} for a lower-triangular factor T (completes panel columns).
 
-    T's strict upper triangle is not read.  Beyond ``LOOP_MAX_COLS`` columns
-    this is one ``numpy.linalg.solve`` of T's lower triangle against B^T.
+    T's strict upper triangle is not read.  One column is a division; more
+    are BLAS's dtrsm on a copy of B (scipy's wrapper), written back.
     """
     m = T.shape[0]
     if T.shape[1] != m or B.shape[1] != m:
         raise ValueError("shape mismatch in trsm_right_lt")
-    if not T.diagonal().all():
+    if np.count_nonzero(T.diagonal()) < m:  # NaN is nonzero: only 0.0 and -0.0 fail
         zero = np.flatnonzero(T.diagonal() == 0.0)
         raise ValueError(f"zero diagonal at index {zero[0]} in triangular solve")
     if m == 1:  # the loop's one step: b - 0.0 is b, -0.0 included
         B /= T[0, 0]
-        return
-    if m > LOOP_MAX_COLS:
-        if B.shape[0]:
-            B[...] = np.linalg.solve(np.where(_lower_mask(m), T, 0.0), B.T).T
-        return
-    for j in range(m):
-        B[:, j] = (B[:, j] - B[:, :j] @ T[j, :j]) / T[j, j]
+    else:
+        B[...] = scipy_routine("dtrsm")(1.0, T, B, side=1, lower=1, trans_a=1)
 
 
 def _syrk(C, X) -> None:
@@ -483,6 +481,7 @@ def vendor_backend() -> KernelBackend:
 
 def get_backend(name: str) -> KernelBackend:
     if name == "reference":
+        scipy_routine("dpotrf"), scipy_routine("dtrsm")  # imported before any timed call
         return REFERENCE_BACKEND
     if name == "vendor":
         return vendor_backend()

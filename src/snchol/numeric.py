@@ -39,7 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import KernelBackend, NotPositiveDefiniteError, diag_step, get_backend, run_views
+from .kernels import (KernelBackend, NotPositiveDefiniteError, diag_step, get_backend, run_views,
+                      scipy_routine)
 from .matrix import (Permutation, PermutationFileError, SymmetricSparseMatrix,
                      SymmetricSparsePattern, apply_symmetric_permutation, minimum_degree_order)
 from .symbolic import (BuildOptions, SymbolicFactor, _ranges, build_symbolic_factor,
@@ -492,8 +493,7 @@ def solve(F: FactorStorage, S: SymbolicFactor, b) -> np.ndarray:
     x[below] backward.  It uses no kernel backend, so factors from either
     backend are solved the same way.  ``b`` may be any array-like of length
     n; a wrong length raises ValueError."""
-    from scipy.linalg.blas import dtrsv
-
+    dtrsv = scipy_routine("dtrsv")
     if F.state != "L":
         raise FactorStateError("factor storage does not hold L; factor first")
     x = np.array(b, dtype=np.float64)

@@ -910,3 +910,20 @@ def read_matrix_market_per_line(path):
         raise MatrixMarketError(f"line {lineno}: {m} entries read, {nent} declared")
 
     return _assemble_lower(n, ii[:m], jj[:m], vv[:m], pattern_only)
+
+
+def chol_numpy(T) -> None:
+    """``numpy.linalg.cholesky`` of square T's lower triangle, written back
+    through a lower-triangle mask: T's strict upper triangle is not written."""
+    np.copyto(T, np.linalg.cholesky(T), where=np.tri(T.shape[0], dtype=bool))
+
+
+def trsm_numpy(T, B) -> None:
+    """B <- B T^{-T}: ``numpy.linalg.solve`` of T's lower triangle against B^T."""
+    B[...] = np.linalg.solve(np.tril(T), B.T).T
+
+
+def trsm_columns(T, B) -> None:
+    """B <- B T^{-T}, one column of B at a time against T's lower triangle."""
+    for j in range(T.shape[0]):
+        B[:, j] = (B[:, j] - B[:, :j] @ T[j, :j]) / T[j, j]

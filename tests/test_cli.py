@@ -1,5 +1,9 @@
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from snchol.cli import (BenchRecord, CSV_HEADER, load_matrix, main, performance_
                         residual, tau_grid)
 from snchol.matrix import (SymmetricSparseMatrix, apply_symmetric_permutation, generate_spd,
                            minimum_degree_order)
+import snchol
 from snchol import numeric
 from snchol.kernels import potrf_flops, trsm_flops
 from snchol.numeric import RunOptions, analyze, deviation_from_reference, run_factorization
@@ -526,3 +531,15 @@ def test_errors_name_rows_and_columns_as_the_file_does(tmp_path, capsys, case):
     lst.write_text(f"{p}\n")
     assert run_cli("bench", str(lst), "--methods", "mf", "--repeats", "1") == 0
     assert message in capsys.readouterr().out
+
+
+# The same one-liner is a CI step.
+NO_SCIPY_ON_IMPORT = ("import sys, snchol, snchol.cli; "
+                      "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    """scipy is loaded by the kernels that need it, on first use."""
+    src = str(Path(snchol.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", NO_SCIPY_ON_IMPORT], env=env, check=True)

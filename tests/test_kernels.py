@@ -5,6 +5,8 @@ from snchol import kernels
 from snchol.kernels import (NotPositiveDefiniteError, chol_in_place, gemm_nt,
                             get_backend, syrk_lower, trsm_right_lt, vendor_backend)
 
+import oracles
+
 
 def random_spd(n, seed):
     rng = np.random.default_rng(seed)
@@ -85,18 +87,22 @@ def test_one_column_chol_and_trsm_are_the_column_loop_byte_for_byte():
     """One column of chol_in_place (a square root) and of trsm_right_lt (a
     division) writes the bytes, and raises the errors, of the column loop's
     first column, which a two-column operand whose second column cannot fail
-    runs."""
-    assert kernels.LOOP_MAX_COLS >= 2  # two columns take the loop
+    runs (chol's loop is ``kernels._chol_columns``, its error path; trsm's is
+    ``oracles.trsm_columns``)."""
     B = np.array([[1.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.inf, 1.0], [-np.inf, 1.0],
                   [np.nan, 1.0], [1e-310, 1.0], [7.0, 1.0]])
     with np.errstate(all="ignore"):  # inf and NaN operands
         for d in (4.0, 2.0, 1e-300, 5e-324, np.inf, -7.0, 0.0, -0.0, -1.0, -np.inf, np.nan):
             one, two = np.array([[d]]), np.array([[d, 0.0], [0.0, 1.0]])
-            assert outcome(chol_in_place, one) == outcome(chol_in_place, two), d
+            wide = outcome(chol_in_place, two.copy())
+            assert outcome(chol_in_place, one) == outcome(kernels._chol_columns, two) == wide, d
             assert one.tobytes() == two[:1, :1].tobytes(), d
             one, two = np.array([[d]]), np.array([[d, 0.0], [0.0, 1.0]])
             B1, B2 = B[:, :1].copy(), B.copy()
-            assert outcome(trsm_right_lt, one, B1) == outcome(trsm_right_lt, two, B2), d
+            got = outcome(trsm_right_lt, one, B1)
+            assert got == outcome(trsm_right_lt, two, B.copy()), d
+            if got is None:
+                oracles.trsm_columns(two, B2)
             assert B1.tobytes() == B2[:, :1].tobytes(), d
     assert outcome(trsm_right_lt, np.array([[-0.0]]), B[:, :1].copy()) == \
         (ValueError, "zero diagonal at index 0 in triangular solve")
@@ -182,9 +188,8 @@ def backend(request):
 
 
 PAD = 3
-# Widths on both sides of the reference backend's switches from a closed form
-# (one column) to per-column loops to one numpy.linalg call (beyond
-# LOOP_MAX_COLS columns) in chol and trsm.
+# Widths on both sides of the reference backend's switch in chol and trsm from
+# a closed form (one column) to LAPACK dpotrf and BLAS dtrsm (two or more).
 SIZES = [1, 2, 3, 5, 33, 200]
 
 
@@ -304,10 +309,34 @@ def test_vendor_matches_reference_on_strided_views():
         assert np.abs(G1 - G2).max() / np.abs(G1).max() <= 1e-10
 
 
+def test_chol_and_trsm_match_numpy_oracles_on_strided_views(backend):
+    """Both backends' chol and trsm against numpy.linalg (the oracles), on
+    strided windows whose T has NaN above its diagonal: those bytes stay as
+    they were and every result is finite."""
+    rng = np.random.default_rng(14)
+    for m in SIZES:
+        il, iu = np.tril_indices(m), np.triu_indices(m, 1)
+        A = random_spd(m, m)
+        A[iu] = np.nan
+        _, T = embed(A, rng)
+        L = A.copy()
+        oracles.chol_numpy(L)
+        backend.chol(T)
+        assert T[iu].tobytes() == A[iu].tobytes() and np.isfinite(T[il]).all(), m
+        assert np.abs(T[il] - L[il]).max() / np.abs(L[il]).max() <= 1e-10, m
+
+        Bm = rng.standard_normal((7, m))
+        _, B = embed(Bm, rng)
+        oracles.trsm_numpy(L, Bm)
+        backend.trsm(T, B)
+        assert T[iu].tobytes() == A[iu].tobytes() and np.isfinite(B).all(), m
+        assert np.abs(B - Bm).max() / max(1.0, np.abs(Bm).max()) <= 1e-10, m
+
+
 def test_vendor_failing_pivot_index_matches_reference():
     vendor = get_backend("vendor")
     rng = np.random.default_rng(13)
-    for m in (3, 6, 33):
+    for m in (2, 3, 6, 33):  # below 2 columns, see the one-column test
         for p in range(m):
             for bad in (-1.0, np.nan):
                 A = random_spd(m, p)
