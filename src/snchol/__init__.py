@@ -19,8 +19,8 @@ from .numeric import (Analysis, FactorStorage, FactorizationResult, NonFiniteEnt
                       run_factorization, scatter_into_factor, solve)
 from .reorder import reorder_within_supernodes
 from .symbolic import (BuildOptions, EliminationTree, RelativeIndexMap,
-                       SymbolicFactor, build_symbolic_factor, compose_relative,
-                       elimination_tree, fundamental_supernodes, merge_supernodes,
-                       stack_minimizing_postorder, symbolic_factorization)
+                       SymbolicFactor, build_symbolic_factor, elimination_tree,
+                       fundamental_supernodes, merge_supernodes, stack_minimizing_postorder,
+                       symbolic_factorization)
 
 __version__ = "0.1.0"

@@ -31,6 +31,9 @@ leading dimension are the supernode's panel's.  Both backends run one whole
 syrk/gemm; the vendor one calls LAPACK/BLAS at ``base + 8*offset``, checking
 ``info`` after each dpotrf and the pivots for NaN once, at the end or at the
 first failed dpotrf.
+
+Every chol and both runners decide a failed pivot by one rule,
+``_check_pivots``: dpotrf's ``info``, or the first NaN pivot before it.
 """
 
 from __future__ import annotations
@@ -84,40 +87,42 @@ def scipy_routine(name: str) -> Callable:
     return getattr(blas, name, None) or getattr(lapack, name)
 
 
-def _chol_columns(T) -> None:
-    """``chol_in_place`` column by column, raising NotPositiveDefiniteError
-    at the first pivot that is not positive: its error path."""
-    for j in range(T.shape[0]):
-        d = T[j, j] - T[j, :j] @ T[j, :j]
-        if not d > 0.0:
-            raise NotPositiveDefiniteError(j)
-        d = T[j, j] = np.sqrt(d)
-        T[j + 1:, j] = (T[j + 1:, j] - T[j + 1:, :j] @ T[j, :j]) / d
+def _check_pivots(pivots: np.ndarray, info: int) -> None:
+    """The pivot rule of every backend and runner, once LAPACK's dpotrf has
+    returned ``info`` on a matrix whose pivots, in column order, are now
+    ``pivots``: raise NotPositiveDefiniteError at the first NaN among the
+    columns dpotrf factored, else at column info - 1 when info > 0.  dpotrf
+    takes a NaN pivot's square root instead of stopping there, so this is the
+    first failure in column order."""
+    if info == 0 and not math.isnan(pivots.sum()):  # every pivot is then positive or NaN
+        return
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal argument {-info}")
+    done = info - 1 if info else pivots.size
+    nan = np.flatnonzero(np.isnan(pivots[:done]))
+    raise NotPositiveDefiniteError(int(nan[0]) if nan.size else done)
 
 
 def chol_in_place(T) -> None:
     """Overwrite the lower triangle of square T with its Cholesky factor.
 
     The strict upper triangle is neither read nor written.  Raises
-    NotPositiveDefiniteError carrying the failing pivot index.  One column is
-    a square root; more are LAPACK's dpotrf on a copy (scipy's wrapper),
-    written back through a lower-triangle mask.  When dpotrf fails, or leaves
-    a pivot that is not positive (it takes a NaN pivot's square root), the
-    column loop reruns on the untouched T to find the failing index.
+    NotPositiveDefiniteError carrying the failing pivot index, by
+    ``_check_pivots``, and leaves T untouched.  One column is a square root;
+    more are LAPACK's dpotrf on a copy (scipy's wrapper), written back through
+    a lower-triangle mask.
     """
     m = T.shape[0]
     if T.shape[1] != m:
         raise ValueError("chol_in_place needs a square view")
-    if m == 1:  # the loop's one step: d - 0.0 is d, -0.0 included
+    if m == 1:  # dpotrf's one step: a pivot that is not positive, NaN included, fails
         if not T[0, 0] > 0.0:
             raise NotPositiveDefiniteError(0)
         T[0, 0] = np.sqrt(T[0, 0])
         return
     L, info = scipy_routine("dpotrf")(T, lower=1, clean=0)
-    if info == 0 and np.count_nonzero(L.diagonal() > 0.0) == m:
-        np.copyto(T, L, where=_lower_mask(m))
-    else:
-        _chol_columns(T)
+    _check_pivots(L.diagonal(), info)
+    np.copyto(T, L, where=_lower_mask(m))
 
 
 def trsm_right_lt(T, B) -> None:
@@ -188,10 +193,10 @@ class CallSchedule:
     elements long, as kernel calls at offsets into it, one group per
     supernode in execution order.
 
-    Group j starts with its diagonal step ``diag[j] = (p, ld, a, m, f)``:
+    Group j starts with its diagonal step ``diag[j] = (p, ld, a, f)``:
     Cholesky of the a-by-a lower triangle at offset ``p`` (leading dimension
     ``ld``), which holds columns f..f+a-1 of the matrix, then a right
-    triangular solve of the m rows below it (at ``p + a``, same ``ld``).  Then
+    triangular solve of the ld - a rows below it (at ``p + a``, same ``ld``).  Then
     come its update rows ``rows[ptr[j]:ptr[j + 1]]``, one int row per kernel
     call: ``(kind, c, ldc, m, n, x, y)``.  A GEMM row subtracts X Y^T from
     the m-by-n rectangle C; a SYRK row subtracts X X^T from the lower
@@ -202,7 +207,7 @@ class CallSchedule:
     storage it indexes: the runners trust them.
 
     ``calls`` and ``flops`` count the update rows, ``diag_calls`` the
-    diagonal steps (a trsm only where m > 0).  ``pair_ptr[e]`` is where the
+    diagonal steps (a trsm only where ld > a).  ``pair_ptr[e]`` is where the
     rows of the builder's update e start; the runners do not read it.
     """
 
@@ -228,32 +233,30 @@ class CallSchedule:
 
     @cached_property
     def diag_calls(self) -> dict:
-        return {"potrf": self.diag.shape[0], "trsm": int(np.count_nonzero(self.diag[:, 3]))}
+        return {"potrf": self.diag.shape[0],
+                "trsm": int(np.count_nonzero(self.diag[:, 1] != self.diag[:, 2]))}
 
 
-def _first_bad_pivot(data: np.ndarray, diag: np.ndarray, failed: int | None = None) -> int | None:
-    """The pivot to report once ``diag``'s steps have factored the columns
-    before ``failed``, the column whose dpotrf failed (None: every column is
-    factored): the first of those columns with a NaN pivot, else ``failed``.
-    dpotrf raises no error at a NaN pivot, so this is the first failure in
-    column order, as a check after every call would find it."""
-    at, ld, width, _, first = (diag[:, i].astype(np.int64) for i in range(5))
-    col = np.arange(width.sum() if failed is None else failed)
+def _pivots(data: np.ndarray, diag: np.ndarray, stop: int | None = None) -> np.ndarray:
+    """The pivots of the matrix's columns before ``stop`` (default all), in
+    ``data`` where ``diag``'s steps factor them."""
+    at, ld, width, first = (diag[:, i].astype(np.int64) for i in range(4))
+    col = np.arange(width.sum() if stop is None else stop)
     j = np.searchsorted(first, col, side="right") - 1
-    nan = np.flatnonzero(np.isnan(data[at[j] + (col - first[j]) * (ld[j] + 1)]))
-    return int(nan[0]) if nan.size else failed
+    return data[at[j] + (col - first[j]) * (ld[j] + 1)]
 
 
-def diag_step(P: np.ndarray, a: int, below: int, first: int, chol, trsm) -> None:
-    """Factor a supernode's columns in its panel P: ``chol`` of the a-by-a
-    diagonal triangle, then ``trsm`` of the ``below`` rows under it.  A failed
-    pivot raises NotPositiveDefiniteError with its column, counted from the
-    supernode's first column ``first``."""
+def diag_step(P: np.ndarray, first: int, chol, trsm) -> None:
+    """Factor a supernode's a columns in its ld-by-a panel P: ``chol`` of the
+    a-by-a diagonal triangle, then ``trsm`` of the ld - a rows under it.  A
+    failed pivot raises NotPositiveDefiniteError with its column, counted
+    from the supernode's first column ``first``."""
+    ld, a = P.shape
     try:
         chol(P[:a])
     except NotPositiveDefiniteError as e:
         raise NotPositiveDefiniteError(first + e.index) from None
-    if below:
+    if ld > a:
         trsm(P[:a], P[a:])
 
 
@@ -264,9 +267,9 @@ def run_views(data: np.ndarray, schedule: CallSchedule, chol, trsm, syrk, gemm) 
     extent check holds them to that).  numpy checks every view's bounds."""
     view, f8 = np.ndarray, data.dtype
     ptr = schedule.ptr.tolist()
-    for j, (at, ld, a, below, first) in enumerate(schedule.diag.tolist()):
+    for j, (at, ld, a, first) in enumerate(schedule.diag.tolist()):
         P = view((ld, a), f8, data, 8 * at, (8, 8 * ld))
-        diag_step(P, a, below, first, chol, trsm)
+        diag_step(P, first, chol, trsm)
         y_at = Y = None
         for kind, c, ldc, m, n, x, y in schedule.rows[ptr[j]:ptr[j + 1]].tolist():
             X = P[x - at:x - at + m]
@@ -373,8 +376,8 @@ def vendor_backend() -> KernelBackend:
     address: per group dpotrf, dtrsm, then its dsyrk/dgemm rows, each at
     ``base + 8*offset``, the group's depth and leading dimension set once.
     A dpotrf that fails, or a NaN pivot found at the end, raises
-    NotPositiveDefiniteError with the matrix column (see
-    ``_first_bad_pivot``).  The instance owns its argument cells, so one
+    NotPositiveDefiniteError with the matrix column (``_check_pivots`` on
+    the pivots so far).  The instance owns its argument cells, so one
     instance serves one thread.
     """
     dpotrf, dtrsm, dsyrk, dgemm = _vendor_functions()
@@ -393,14 +396,7 @@ def vendor_backend() -> KernelBackend:
         n.value = size
         lda.value, t = _operand(T, True)
         dpotrf(lower, pn, t, plda, pinfo)
-        if info.value == 0 and not math.isnan(T.diagonal().sum()):
-            return
-        if info.value < 0:
-            raise ValueError(f"dpotrf: illegal argument {-info.value}")
-        # dpotrf takes a NaN pivot's square root instead of stopping there
-        done = info.value - 1 if info.value else size
-        nan = np.flatnonzero(np.isnan(T.diagonal()[:done]))
-        raise NotPositiveDefiniteError(int(nan[0]) if nan.size else done)
+        _check_pivots(T.diagonal(), info.value)
 
     def trsm(T, B):
         size = T.shape[0]
@@ -448,17 +444,17 @@ def vendor_backend() -> KernelBackend:
     def run_schedule(data, schedule):
         base = _storage_address(data, schedule.storage)
         table, ptr = schedule.rows, schedule.ptr.tolist()
-        for j, (at, ld, width, below, first) in enumerate(schedule.diag.tolist()):
+        for j, (at, ld, width, first) in enumerate(schedule.diag.tolist()):
             pa.value = base + 8 * at
             n.value = k.value = width
             lda.value = ld
             dpotrf(lower, pn, pa, plda, pinfo)
             if info.value:
-                failed = first + info.value - 1
-                raise NotPositiveDefiniteError(_first_bad_pivot(data, schedule.diag, failed))
-            if below:
+                failed = first + info.value  # dpotrf's info over the whole matrix
+                _check_pivots(_pivots(data, schedule.diag, failed), failed)
+            if ld > width:
                 pb.value = base + 8 * (at + width)
-                m.value = below
+                m.value = ld - width
                 dtrsm(right, lower, trans, notrans, pm, pn, one, pa, plda, pb, plda)
             for kind, c, ld_c, rows, cols, x, y in table[ptr[j]:ptr[j + 1]].tolist():
                 pc.value = base + 8 * c
@@ -472,9 +468,7 @@ def vendor_backend() -> KernelBackend:
                     m.value = rows
                     dgemm(notrans, trans, pm, pn, pk, minus_one, px, plda, py, plda, one, pc,
                           pldc)
-        bad = _first_bad_pivot(data, schedule.diag)
-        if bad is not None:
-            raise NotPositiveDefiniteError(bad)
+        _check_pivots(_pivots(data, schedule.diag), 0)
 
     return KernelBackend("vendor", chol, trsm, syrk, gemm, run_schedule)
 

@@ -103,7 +103,7 @@ class FactorStorage:
         ``S.rlb_schedule.diag[j]``."""
         data = self.data
         return [data[p:p + ld * a].reshape((ld, a), order="F")
-                for p, ld, a, _, _ in self.S.rlb_schedule.diag.tolist()]
+                for p, ld, a, _ in self.S.rlb_schedule.diag.tolist()]
 
     def lower_csc(self) -> tuple:
         """The panels' lower-triangular entries as (colptr, rowind, values),
@@ -117,9 +117,7 @@ class FactorStorage:
         count = g - c
         colptr = np.zeros(S.n + 1, dtype=np.int64)
         np.cumsum(count, out=colptr[1:])
-        rows = np.concatenate([S.glbind(j) for j in range(S.nsuper)] + [np.zeros(0, np.int64)])
-        row_at = (np.cumsum(S._lens) - S._lens)[owner] + c
-        return (colptr, rows[_ranges(row_at, count)],
+        return (colptr, S._glbind.rows[_ranges(S._glbind.ptr[owner] + c, count)],
                 self.data[_ranges(S.panel_offsets[owner] + c * g + c, count)])
 
 
@@ -167,17 +165,14 @@ class UpdateWorkspace:
         return v
 
 
-def _pivot_error(col: int, S: SymbolicFactor = None,
-                 perm: Permutation = None) -> NotPositiveDefiniteError:
-    """The error for a failed pivot at column ``col`` of the factored matrix:
-    named in the input's numbering when ``perm`` (input to factored) is given,
-    with the supernode holding it when ``S`` is."""
-    shown = col if perm is None else int(perm.inv[col])
+def _pivot_error(col: int, S: SymbolicFactor = None) -> NotPositiveDefiniteError:
+    """The error for a failed pivot at column ``col`` of the factored matrix,
+    with the supernode holding it when ``S`` is given."""
     where = ""
     if S is not None:
         j = int(S.col_to_snode[col])
         where = f" (supernode {j}, local {col - int(S.first_col[j])})"
-    return NotPositiveDefiniteError(shown, f"non-positive pivot at column {{}}{where}")
+    return NotPositiveDefiniteError(col, f"non-positive pivot at column {{}}{where}")
 
 
 @contextmanager
@@ -346,7 +341,8 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
                          T.lo == 0):
         for j in S.plans.mf_postorder.tolist():
-            _, _, a, m, first = diag[j]
+            _, ld, a, first = diag[j]
+            m = ld - a
             sq = None
             # in postorder, the children that pushed are the stack's top entries
             while tags and parent[tags[-1][0]] == j:
@@ -362,7 +358,7 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
                     sq[tuple(qpos[_packed(qpos.size)])] += W.arena[top:top + u_c]
                     stats.assembly_ops += u_c
                 top += u_c
-            diag_step(panels[j], a, m, first, backend.chol, backend.trsm)
+            diag_step(panels[j], first, backend.chol, backend.trsm)
             if m == 0:
                 # only roots have no rows below, and the stack must drain per root
                 assert parent[j] < 0 and not tags
@@ -405,7 +401,7 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                "gemm": int(np.count_nonzero(wide & (T.r > T.c)))}
     widths = diag[:, 2].tolist()
     with _supernodal_run(F, S, W, stats, updates, ~(wide & T.dense)):
-        for j, (_, _, aj, m, first) in enumerate(diag.tolist()):
+        for j, (_, _, _, first) in enumerate(diag.tolist()):
             pj = panels[j]
             for e in into[ptr[j]:ptr[j + 1]]:
                 k, c, r = ks[e], cs[e], rs[e]
@@ -430,7 +426,7 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                     if r > c:
                         backend.gemm(U[c:, :], X[c:], Y)
                     assemble(e, U)
-            diag_step(pj, aj, m, first, backend.chol, backend.trsm)
+            diag_step(pj, first, backend.chol, backend.trsm)
 
 
 # ---------------------------------------------------------------------------
@@ -447,11 +443,11 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     panels, assemble = F.panels, _assembler(F, S)
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
                          slice(None)):
-        for j, (_, _, a, m, first) in enumerate(S.rlb_schedule.diag.tolist()):
-            diag_step(panels[j], a, m, first, backend.chol, backend.trsm)
-            if m == 0:
+        for j, (_, ld, a, first) in enumerate(S.rlb_schedule.diag.tolist()):
+            diag_step(panels[j], first, backend.chol, backend.trsm)
+            if ld == a:
                 continue
-            U = W.slab(m, m)
+            U = W.slab(ld - a, ld - a)
             backend.syrk(U, panels[j][a:])
             for e in range(up[j], up[j + 1]):
                 assemble(e, U[los[e]:, los[e]:])
@@ -629,8 +625,9 @@ class Analysis:
                 factor_rl(F, S, None, W, backend, stats)
             else:
                 factor_rlb(F, S, None, backend, stats)
-        except NotPositiveDefiniteError as e:
-            raise _pivot_error(e.index, S, result.perm_total) from None
+        except NotPositiveDefiniteError as e:  # the column in the input's numbering
+            raise NotPositiveDefiniteError(int(result.perm_total.inv[e.index]),
+                                           e.template) from None
         stats.wall_seconds = time.perf_counter() - t0
         return result
 

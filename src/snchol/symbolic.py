@@ -397,15 +397,6 @@ def stack_minimizing_postorder(snode_parent: np.ndarray, square_size: np.ndarray
 # ---------------------------------------------------------------------------
 # Relative indices.
 
-def compose_relative(rel_jc: np.ndarray, rel_cp: np.ndarray) -> np.ndarray:
-    """Relative indices against a grandparent: gather each distance through the
-    intermediate list.  Entry d becomes rel_cp[len(rel_cp) - 1 - d]."""
-    rel_jc = np.asarray(rel_jc)
-    if rel_jc.size and (rel_jc.min() < 0 or rel_jc.max() >= rel_cp.size):
-        raise ValueError("relative index out of range for the intermediate list")
-    return rel_cp[rel_cp.size - 1 - rel_jc]
-
-
 class RelativeIndexMap:
     """Each supernode's below-diagonal rows as relative indices against its
     parent: a row's distance from the bottom of the parent's row list.  Read
@@ -681,8 +672,7 @@ def _rlb_rows(S: SymbolicFactor) -> tuple:
                             offsets[j] + first[b]]).astype(it)
     pair_ptr = np.searchsorted(e, np.arange(T.k.size + 1))  # pairs run by updater
     ptr = pair_ptr[T.ptr]
-    diag = np.column_stack([offsets[:-1], lens, width, lens - width,
-                            S.first_col[:-1].astype(it)])
+    diag = np.column_stack([offsets[:-1], lens, width, S.first_col[:-1].astype(it)])
     for x in (rows, ptr, diag, pair_ptr):
         x.flags.writeable = False
     return rows, ptr, S.panel_storage, diag, pair_ptr
@@ -715,17 +705,17 @@ def _frozen_split(a: np.ndarray, bounds: np.ndarray) -> tuple:
 def check_call_extents(S: SymbolicFactor, schedule: CallSchedule) -> None:
     """Raise ValueError unless ``schedule`` indexes S's panel storage, the
     diagonal step of its group j is supernode j's panel (offset, leading
-    dimension, width, rows below and first column), and every call of group
+    dimension, width and first column), and every call of group
     j reads two row ranges of supernode j's panel and writes a rectangle of
     a later panel, with that panel's leading dimension and inside its rows
     and columns."""
     rows, ptr, diag = schedule.rows, schedule.ptr, schedule.diag
     if (schedule.storage != S.panel_storage or ptr.shape != (S.nsuper + 1,) or ptr[0] != 0
             or ptr[-1] != rows.shape[0] or (np.diff(ptr) < 0).any()
-            or diag.shape != (S.nsuper, 5)):
+            or diag.shape != (S.nsuper, 4)):
         raise ValueError("schedule does not match the symbolic factor's panels")
     offsets, widths, lens = S.panel_offsets, np.diff(S.first_col), S._lens
-    bad = np.flatnonzero((diag != np.column_stack([offsets[:-1], lens, widths, lens - widths,
+    bad = np.flatnonzero((diag != np.column_stack([offsets[:-1], lens, widths,
                                                    S.first_col[:-1]])).any(axis=1))
     if bad.size:
         j = int(bad[0])

@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from snchol.kernels import NotPositiveDefiniteError
 from snchol.matrix import SymmetricSparsePattern, SymmetricSparseMatrix, apply_symmetric_permutation
 from snchol.symbolic import RowLists
 
@@ -217,6 +218,15 @@ def relind_direct(child_rows, parent_rows) -> np.ndarray:
                     dtype=np.int64)
 
 
+def compose_relative(rel_jc: np.ndarray, rel_cp: np.ndarray) -> np.ndarray:
+    """Relative indices against a grandparent: gather each distance through the
+    intermediate list.  Entry d becomes rel_cp[len(rel_cp) - 1 - d]."""
+    rel_jc = np.asarray(rel_jc)
+    if rel_jc.size and (rel_jc.min() < 0 or rel_jc.max() >= rel_cp.size):
+        raise ValueError("relative index out of range for the intermediate list")
+    return rel_cp[rel_cp.size - 1 - rel_jc]
+
+
 def parent_relative_indices(S) -> list:
     """Each supernode's below rows as distances from the bottom of its
     parent's row list, by one binary search per supernode."""
@@ -241,7 +251,6 @@ def walk(S, rels: list, j: int, rel: np.ndarray):
     ancestor with ``compose_relative``.  Yields (P, lo, hi) where rel[lo:hi]
     land in ancestor P's own columns; the segments cover 0..len(rel) in order,
     and on each yield rel[lo:] is relative to P."""
-    from snchol.symbolic import compose_relative
     n = rel.size
     lo, C, P = 0, j, int(S.snode_parent[j])
     while lo < n:
@@ -910,6 +919,18 @@ def read_matrix_market_per_line(path):
         raise MatrixMarketError(f"line {lineno}: {m} entries read, {nent} declared")
 
     return _assemble_lower(n, ii[:m], jj[:m], vv[:m], pattern_only)
+
+
+def chol_columns(T) -> None:
+    """Cholesky of square T's lower triangle in place, column by column,
+    raising NotPositiveDefiniteError at the first pivot that is not positive.
+    It decides pivots by its own arithmetic, not by LAPACK's."""
+    for j in range(T.shape[0]):
+        d = T[j, j] - T[j, :j] @ T[j, :j]
+        if not d > 0.0:
+            raise NotPositiveDefiniteError(j)
+        d = T[j, j] = np.sqrt(d)
+        T[j + 1:, j] = (T[j + 1:, j] - T[j + 1:, :j] @ T[j, :j]) / d
 
 
 def chol_numpy(T) -> None:

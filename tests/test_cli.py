@@ -533,6 +533,25 @@ def test_errors_name_rows_and_columns_as_the_file_does(tmp_path, capsys, case):
     assert message in capsys.readouterr().out
 
 
+# [[10, 4, -10], [4, 2, -4], [-10, -4, 10]]: column 3 is minus column 1, so the
+# last pivot is roundoff.  The same file is a CI step.
+SINGULAR_3X3 = ("%%MatrixMarket matrix coordinate real symmetric\n"
+                "3 3 6\n1 1 10\n2 1 4\n3 1 -10\n2 2 2\n3 2 -4\n3 3 10\n")
+
+
+def test_singular_matrix_fails_alike_on_both_backends(tmp_path, capsys):
+    p = tmp_path / "singular.mtx"
+    p.write_text(SINGULAR_3X3)
+    message = "non-positive pivot at column 3 (supernode 0, local 2)"
+    for command in ("factor", "check"):
+        seen = []
+        for backend in ("reference", "vendor"):
+            assert run_cli(command, str(p), "--backend", backend) == 1, (command, backend)
+            seen.append(capsys.readouterr())
+        assert seen[0] == seen[1], command
+        assert message in seen[0].err + seen[0].out, command
+
+
 # The same one-liner is a CI step.
 NO_SCIPY_ON_IMPORT = ("import sys, snchol, snchol.cli; "
                       "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")

@@ -87,15 +87,14 @@ def test_one_column_chol_and_trsm_are_the_column_loop_byte_for_byte():
     """One column of chol_in_place (a square root) and of trsm_right_lt (a
     division) writes the bytes, and raises the errors, of the column loop's
     first column, which a two-column operand whose second column cannot fail
-    runs (chol's loop is ``kernels._chol_columns``, its error path; trsm's is
-    ``oracles.trsm_columns``)."""
+    runs (``oracles.chol_columns`` and ``oracles.trsm_columns``)."""
     B = np.array([[1.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.inf, 1.0], [-np.inf, 1.0],
                   [np.nan, 1.0], [1e-310, 1.0], [7.0, 1.0]])
     with np.errstate(all="ignore"):  # inf and NaN operands
         for d in (4.0, 2.0, 1e-300, 5e-324, np.inf, -7.0, 0.0, -0.0, -1.0, -np.inf, np.nan):
             one, two = np.array([[d]]), np.array([[d, 0.0], [0.0, 1.0]])
             wide = outcome(chol_in_place, two.copy())
-            assert outcome(chol_in_place, one) == outcome(kernels._chol_columns, two) == wide, d
+            assert outcome(chol_in_place, one) == outcome(oracles.chol_columns, two) == wide, d
             assert one.tobytes() == two[:1, :1].tobytes(), d
             one, two = np.array([[d]]), np.array([[d, 0.0], [0.0, 1.0]])
             B1, B2 = B[:, :1].copy(), B.copy()
@@ -334,6 +333,8 @@ def test_chol_and_trsm_match_numpy_oracles_on_strided_views(backend):
 
 
 def test_vendor_failing_pivot_index_matches_reference():
+    """Both backends name the same pivot, and the reference chol, whose
+    dpotrf works on a copy, leaves T's bytes as they were."""
     vendor = get_backend("vendor")
     rng = np.random.default_rng(13)
     for m in (2, 3, 6, 33):  # below 2 columns, see the one-column test
@@ -343,11 +344,32 @@ def test_vendor_failing_pivot_index_matches_reference():
                 A[p, p] = bad  # leading minors of order <= p stay positive definite
                 got = []
                 for chol in (chol_in_place, vendor.chol):
-                    _, T = embed(A, rng)
+                    base, T = embed(A, rng)
+                    before = base.tobytes()
                     with pytest.raises(NotPositiveDefiniteError) as e:
                         chol(T)
                     got.append(e.value.index)
+                    # the reference dpotrf works on a copy, the vendor one in place
+                    assert chol is vendor.chol or base.tobytes() == before, (m, p, bad)
                 assert got == [p, p], (m, bad)
+
+
+def test_rank_deficient_chol_agrees_on_both_backends():
+    """B B^T with B n-by-(n-1) is singular, so its last pivot is roundoff:
+    positive, zero or negative.  Both backends decide it by dpotrf's info
+    (and the first NaN pivot before it), so they give the same outcome and
+    index on every such matrix."""
+    vendor = get_backend("vendor")
+    rng = np.random.default_rng(16)
+    failed = 0
+    for _ in range(2000):
+        n = int(rng.integers(2, 13))
+        B = rng.standard_normal((n, n - 1))
+        A = np.asfortranarray(B @ B.T)
+        got = outcome(chol_in_place, A.copy(order="F"))
+        assert got == outcome(vendor.chol, A.copy(order="F")), n
+        failed += got is not None
+    assert 0 < failed < 2000  # both outcomes occur
 
 
 def test_vendor_trsm_zero_diagonal():

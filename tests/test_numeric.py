@@ -565,13 +565,12 @@ def test_extent_check_rejects_a_call_that_leaves_its_panel(how):
         check_call_extents(S, CallSchedule(bad, ptr, sched.storage, sched.diag, sched.pair_ptr))
 
 
-@pytest.mark.parametrize("field", ["offset", "leading dimension", "width", "rows below",
-                                   "first column"])
+@pytest.mark.parametrize("field", ["offset", "leading dimension", "width", "first column"])
 def test_extent_check_rejects_a_diagonal_step_off_its_panel(field):
     S, _ = vendor_case()
     sched = S.rlb_schedule
-    j = int(np.flatnonzero(sched.diag[:, 3])[1])  # a supernode with rows below
-    col = ["offset", "leading dimension", "width", "rows below", "first column"].index(field)
+    j = int(np.flatnonzero(sched.diag[:, 1] != sched.diag[:, 2])[1])  # one with rows below
+    col = ["offset", "leading dimension", "width", "first column"].index(field)
     diag = sched.diag.copy()
     diag[j, col] += 1
     with pytest.raises(ValueError, match=f"diagonal step {j} .* is not its supernode's panel"):
@@ -1032,22 +1031,28 @@ def test_one_analysis_serves_every_method_on_both_backends():
                     assert got.F.data.tobytes() == fresh.F.data.tobytes(), (method, backend)
 
 
-def indefinite_pair_matrix(seed: int):
-    """An SPD gen: matrix plus a disconnected 2x2 component [[1, 3], [3, 1]]
-    (positive diagonal, not positive definite), labels shuffled.  Returns the
-    matrix and the pair's two columns."""
+def with_component(seed: int, block: np.ndarray):
+    """An SPD gen: matrix plus a disconnected dense component ``block``,
+    labels shuffled.  Returns the matrix and the component's columns."""
     base = oracles.dense_matrix(generate_spd(24, 0.15, seed))
-    n = base.shape[0] + 2
+    k = block.shape[0]
+    n = base.shape[0] + k
     D = np.zeros((n, n))
-    D[:n - 2, :n - 2] = base
-    D[n - 2:, n - 2:] = [[1.0, 3.0], [3.0, 1.0]]
+    D[:n - k, :n - k] = base
+    D[n - k:, n - k:] = block
     new = np.random.default_rng(seed).permutation(n)  # new[old]
     M = np.zeros_like(D)
     M[np.ix_(new, new)] = D
     cols = [np.flatnonzero(M[j + 1:, j]) + j + 1 for j in range(n)]
     pat = oracles.pattern_from_columns(n, [c.tolist() for c in cols])
     vals = np.concatenate([M[pat.col(j), j] for j in range(n)])
-    return SymmetricSparseMatrix(pat, vals), {int(new[n - 2]), int(new[n - 1])}
+    return SymmetricSparseMatrix(pat, vals), set(new[n - k:].tolist())
+
+
+def indefinite_pair_matrix(seed: int):
+    """``with_component`` of the 2x2 [[1, 3], [3, 1]] (positive diagonal, not
+    positive definite)."""
+    return with_component(seed, np.array([[1.0, 3.0], [3.0, 1.0]]))
 
 
 def test_failed_factorization_leaves_the_map_as_built():
@@ -1114,6 +1119,54 @@ def test_pivot_error_names_a_column_of_the_input():
                     assert f"column {e.value.index}" in str(e.value)
                     assert f"column {e.value.index + 1}" in e.value.numbered(1)
                     assert ("supernode" in str(e.value)) == (method != "ref")
+
+
+def test_every_chol_and_runner_decides_pivots_by_one_rule(monkeypatch):
+    """Reference chol, vendor chol and the vendor runner all hand dpotrf's
+    result to ``kernels._check_pivots``, the one place the rule lives."""
+    seen = []
+    rule = kernels._check_pivots
+    monkeypatch.setattr(kernels, "_check_pivots", lambda *a: seen.append(a) or rule(*a))
+    vendor = get_backend("vendor")
+    T = np.asfortranarray(np.array([[4.0, 0.0], [2.0, 5.0]]))
+    for chol in (kernels.chol_in_place, vendor.chol):
+        seen.clear()
+        chol(T.copy(order="F"))
+        assert len(seen) == 1
+    an = analyze(grid_laplacian(5))
+    seen.clear()
+    an.factor("rlb", "vendor")
+    assert len(seen) == 1 and seen[0][0].size == an.S.n and seen[0][1] == 0
+
+
+def test_rank_deficient_component_fails_alike_on_both_backends():
+    """A gen: matrix with a disconnected component B B^T, B k-by-(k-1), whose
+    last pivot is roundoff.  The component is one supernode with no rows
+    below, so both backends factor it with dpotrf on the same bytes, and one
+    pivot rule decides: every supernodal method gives the same outcome and
+    message on both, and a failure names a column of the component.  (Below
+    a one-column supernode the backends' panels can differ in the last bit,
+    since the reference trsm divides and OpenBLAS's multiplies by the
+    reciprocal, so a roundoff pivot there may still fall either way.)"""
+    outcomes = []
+    for seed in range(200):
+        rng = np.random.default_rng(1000 + seed)
+        k = int(rng.integers(2, 9))
+        B = rng.standard_normal((k, k - 1))
+        A, component = with_component(seed, B @ B.T)
+        analysis = analyze(A)
+        for method in METHODS[1:]:
+            got = []
+            for backend in ("reference", "vendor"):
+                try:
+                    analysis.factor(method, backend)
+                    got.append(None)
+                except NotPositiveDefiniteError as e:
+                    assert e.index in component, (seed, method, backend)
+                    got.append(str(e))
+            assert got[0] == got[1], (seed, method)
+            outcomes.append(got[0] is None)
+    assert 0 < sum(outcomes) < len(outcomes)  # both outcomes occur
 
 
 # -- sparse deviation check ------------------------------------------------------

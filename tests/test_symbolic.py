@@ -8,12 +8,12 @@ from snchol import reorder, symbolic
 from snchol.matrix import (Permutation, SymmetricSparsePattern, apply_symmetric_permutation,
                            generate_spd, minimum_degree_order)
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
-                             build_symbolic_factor, compose_relative, elimination_tree,
-                             fundamental_supernodes,
+                             build_symbolic_factor, elimination_tree, fundamental_supernodes,
                              merge_supernodes, postorder_relabel,
                              stack_minimizing_postorder, symbolic_factorization)
 
 import oracles
+from oracles import compose_relative
 from conftest import fig1_matrix, fig1_pattern, grid_laplacian
 
 
