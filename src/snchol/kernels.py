@@ -7,19 +7,20 @@ lower triangle of a triangular operand, and only ever subtract products (every
 update in the factorizations has that sign).
 
 The reference backend is numpy plus scipy's copying f2py wrappers of LAPACK
-and BLAS (``scipy_routine``).  A syrk or gemm is one numpy product, syrk's
-subtracted through a lower-triangle mask.  One column of chol or trsm is a
-square root or a division; more are dpotrf or dtrsm on a copy, written back
-(dpotrf's through the mask).  The masks are leading blocks of one cached
-read-only mask; the other temporaries are per call and no larger than the
-operands, so ``rlb``'s zero-workspace claim is asserted on the vendor backend.
+and BLAS (``scipy_routine``, from scipy.linalg's ``_flapack`` and ``_fblas``).
+A syrk or gemm is one numpy product, syrk's subtracted through a
+lower-triangle mask.  One column of chol or trsm is a square root or a
+division; more are dpotrf or dtrsm on a copy, written back (dpotrf's through
+the mask).  The masks are leading blocks of one cached read-only mask; the
+other temporaries are per call and no larger than the operands, so ``rlb``'s
+zero-workspace claim is asserted on the vendor backend.
 
 The vendor backend calls LAPACK's dpotrf and BLAS's dtrsm/dsyrk/dgemm through
-the function pointers scipy exports for Cython, passing each view's data
-pointer and leading dimension: no copies and no float scratch.  Its operands
-must therefore be column-major float64 views (adjacent rows, columns at least
-max(1, rows) elements apart, which every panel slice is); any other operand
-raises ValueError.
+the function pointers scipy exports for Cython (``cython_lapack`` and
+``cython_blas``), passing each view's data pointer and leading dimension: no
+copies and no float scratch.  Its operands must therefore be column-major
+float64 views (adjacent rows, columns at least max(1, rows) elements apart,
+which every panel slice is); any other operand raises ValueError.
 
 A ``CallSchedule`` is a whole supernodal factorization precompiled as offsets
 into one flat float64 array: per supernode, a diagonal step (Cholesky of the
@@ -34,13 +35,22 @@ first failed dpotrf.
 
 Every chol and both runners decide a failed pivot by one rule,
 ``_check_pivots``: dpotrf's ``info``, or the first NaN pivot before it.
+
+The package reaches scipy only through ``_scipy_linalg_module``, which loads
+those four extension modules on first use, by file, without running
+scipy/linalg/__init__.py: importing snchol loads no scipy, and factoring or
+solving loads no ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -78,13 +88,47 @@ def _lower_mask(m: int) -> np.ndarray:
     return mask[:m, :m]
 
 
+def _extension_path(name: str) -> str:
+    """The file of scipy.linalg's extension module ``name``, found without
+    importing scipy."""
+    folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                          "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, name + suffix)
+        if os.path.isfile(path):
+            return path
+    raise ImportError(f"no extension module {name} in {folder}")
+
+
+@functools.cache
+def _scipy_linalg_module(name: str):
+    """scipy.linalg's extension module ``name`` (``_fblas``, ``_flapack``,
+    ``cython_blas`` or ``cython_lapack``), once per process.
+
+    Once scipy.linalg is imported, this is its own submodule.  Before, the
+    module is loaded from its file under a private name ending in ``name``
+    (the name its init function is found by), so scipy/linalg/__init__.py,
+    about 28 MB and 0.2 s of imports, never runs; scipy.linalg imported later
+    loads its own copy of an f2py module and shares a Cython one."""
+    if "scipy.linalg" not in sys.modules:
+        try:
+            spec = importlib.util.spec_from_file_location(f"_snchol_scipy_linalg.{name}",
+                                                          _extension_path(name))
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except Exception:  # whatever the cause, the normal import below decides
+            pass
+    return importlib.import_module(f"scipy.linalg.{name}")
+
+
 @functools.cache
 def scipy_routine(name: str) -> Callable:
-    """scipy's f2py wrapper of BLAS or LAPACK routine ``name``, imported on
-    first use so that importing snchol loads no scipy.  It returns copies."""
-    from scipy.linalg import blas, lapack
-
-    return getattr(blas, name, None) or getattr(lapack, name)
+    """scipy's f2py wrapper of BLAS or LAPACK routine ``name`` (the object
+    ``scipy.linalg.blas``/``lapack`` export), loaded on first use so that
+    importing snchol loads no scipy.  It returns copies."""
+    return (getattr(_scipy_linalg_module("_fblas"), name, None)
+            or getattr(_scipy_linalg_module("_flapack"), name))
 
 
 def _check_pivots(pivots: np.ndarray, info: int) -> None:
@@ -300,15 +344,14 @@ _at = ctypes.c_void_p.from_address
 @functools.cache
 def _vendor_functions() -> tuple:
     """dpotrf (LAPACK) and dtrsm, dsyrk, dgemm (BLAS) as ctypes functions of
-    the C function pointers scipy exports for Cython, resolved once per
-    process.  Every argument is a pointer, Fortran style.
+    the C function pointers scipy exports for Cython (``_scipy_linalg_module``),
+    resolved once per process.  Every argument is a pointer, Fortran style.
 
     The prototypes declare no argument types: every caller passes ctypes
     pointer objects, which ctypes hands on as they are, while declaring 5-13
     ``c_void_p`` arguments costs about 1 us per call in conversions, more than
     a small update."""
-    from scipy.linalg import cython_blas, cython_lapack
-
+    cython_blas, cython_lapack = map(_scipy_linalg_module, ("cython_blas", "cython_lapack"))
     probe = np.zeros((3, 3), order="F")[1:, 1:]
     if _at(id(probe) + _DATA_FIELD).value != probe.ctypes.data:
         raise RuntimeError("unsupported numpy array layout: data pointer not found")

@@ -482,13 +482,15 @@ def solve(F: FactorStorage, S: SymbolicFactor, b) -> np.ndarray:
 
     Supernode j owns the consecutive columns f..l-1, so its part of x is the
     slice x[f:l].  In each direction the solve makes, per supernode, one dense
-    triangular solve against the a-by-a diagonal block (scipy's BLAS-2
-    ``dtrsv``, transposed on the way back; a division when a = 1) and one
-    product with the panel B below that block, gathered from and scattered to
-    x through the row list: x[below] -= B @ x[f:l] forward, x[f:l] -= B^T @
-    x[below] backward.  It uses no kernel backend, so factors from either
-    backend are solved the same way.  ``b`` may be any array-like of length
-    n; a wrong length raises ValueError."""
+    triangular solve against the a-by-a diagonal block (BLAS-2 ``dtrsv``,
+    transposed on the way back; a division when a = 1) and one product with
+    the panel B below that block, gathered from and scattered to x through
+    the row list: x[below] -= B @ x[f:l] forward, x[f:l] -= B^T @ x[below]
+    backward.  It uses no kernel backend, so factors from either backend are
+    solved the same way; ``dtrsv`` is scipy's f2py wrapper from
+    ``kernels.scipy_routine``, which loads scipy.linalg's ``_fblas`` alone,
+    not scipy.linalg.  ``b`` may be any array-like of length n; a wrong
+    length raises ValueError."""
     dtrsv = scipy_routine("dtrsv")
     if F.state != "L":
         raise FactorStateError("factor storage does not hold L; factor first")

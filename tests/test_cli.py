@@ -557,8 +557,104 @@ NO_SCIPY_ON_IMPORT = ("import sys, snchol, snchol.cli; "
                       "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
 
 
-def test_importing_the_package_and_cli_loads_no_scipy():
-    """scipy is loaded by the kernels that need it, on first use."""
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this snchol; its stdout."""
     src = str(Path(snchol.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", NO_SCIPY_ON_IMPORT], env=env, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    """Importing loads no scipy at all: the kernels load scipy.linalg's four
+    extension modules on first use (``kernels._scipy_linalg_module``)."""
+    run_python(NO_SCIPY_ON_IMPORT)
+
+
+# Every supernodal method on both backends, each factor solved and checked
+# against the column oracle; the digest covers every factor and solution.
+FACTOR_EVERY_WAY = """
+import hashlib, sys
+import numpy as np
+import snchol
+from snchol.cli import load_matrix, solve_original
+from snchol.numeric import RunOptions, deviation_from_reference, run_factorization
+
+def factor_every_way():
+    A = load_matrix("gen:n=300,density=0.02,seed=1", 0)
+    b = np.random.default_rng(0).standard_normal(A.n)
+    digest = hashlib.sha256()
+    for backend in ("reference", "vendor"):
+        for method in ("mf", "ll", "rl", "rlb"):
+            result = run_factorization(A, RunOptions(method=method, backend=backend))
+            x = solve_original(result, b)
+            assert deviation_from_reference(result) < 1e-10, (method, backend)
+            digest.update(result.F.data.tobytes())
+            digest.update(x.tobytes())
+    return digest.hexdigest()
+"""
+
+
+@pytest.fixture(scope="module")
+def every_way_digest() -> str:
+    namespace = {}
+    exec(FACTOR_EVERY_WAY, namespace)
+    return namespace["factor_every_way"]()
+
+
+def test_factoring_and_solving_load_no_scipy_linalg(every_way_digest):
+    """The kernels and the solve load scipy.linalg's extension modules by
+    file, so scipy/linalg/__init__.py never runs, and the bytes are the same."""
+    out = run_python(FACTOR_EVERY_WAY + """
+print(factor_every_way())
+assert "scipy.linalg" not in sys.modules, "factoring imported scipy.linalg"
+""")
+    assert out.split() == [every_way_digest]
+
+
+def test_scipy_linalg_imported_after_the_package_works(every_way_digest):
+    out = run_python(FACTOR_EVERY_WAY + """
+print(factor_every_way())
+import scipy.linalg
+from scipy.linalg import blas, cholesky, lapack, qr, qr_update
+rng = np.random.default_rng(1)
+X = rng.standard_normal((6, 6))
+A = X @ X.T + 6 * np.eye(6)
+L = cholesky(A, lower=True)
+assert np.allclose(L @ L.T, A)
+assert np.allclose(blas.dgemm(1.0, X, X, trans_b=1), A - 6 * np.eye(6))
+Lp, info = lapack.dpotrf(A, lower=1)
+assert info == 0 and np.allclose(np.tril(Lp), L)
+Q, R = qr(X)
+u, v = rng.standard_normal(6), rng.standard_normal(6)
+Q1, R1 = qr_update(Q, R, u, v)  # through scipy.linalg.cython_blas
+assert np.allclose(Q1 @ R1, X + np.outer(u, v))
+print(factor_every_way())
+""")
+    assert out.split() == [every_way_digest] * 2
+
+
+def test_scipy_linalg_imported_first_is_the_one_used():
+    run_python("""
+import sys
+import scipy.linalg
+from snchol import kernels
+assert kernels.scipy_routine("dtrsm") is scipy.linalg.blas.dtrsm
+assert kernels.scipy_routine("dpotrf") is scipy.linalg.lapack.dpotrf
+for name in ("_fblas", "_flapack", "cython_blas", "cython_lapack"):
+    assert kernels._scipy_linalg_module(name) is sys.modules["scipy.linalg." + name], name
+""")
+
+
+def test_loader_falls_back_to_importing_scipy_linalg(every_way_digest, tmp_path):
+    """Where an extension module cannot be loaded from its file, the loader
+    imports it through scipy.linalg, with the same results."""
+    out = run_python(FACTOR_EVERY_WAY + f"""
+import os
+from snchol import kernels
+kernels._extension_path = lambda name: os.path.join({str(tmp_path)!r}, name + ".so")
+print(factor_every_way())
+assert "scipy.linalg" in sys.modules
+assert kernels.scipy_routine("dtrsv") is sys.modules["scipy.linalg.blas"].dtrsv
+""")
+    assert out.split() == [every_way_digest]
