@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import NotPositiveDefiniteError, scipy_routine
+from .kernels import NotPositiveDefiniteError
 from .matrix import (MatrixMarketError, PermutationFileError, SymmetricSparseMatrix, generate_spd,
                      read_matrix_market)
 from .numeric import (METHODS, FactorizationResult, NonFiniteEntryError, analyze, column_factor,
@@ -149,7 +149,6 @@ def cmd_factor(args) -> int:
         if result.F is None:
             print("  solve: unavailable for the column method", file=sys.stderr)
         else:
-            scipy_routine("dtrsv")  # the solve's BLAS, loaded before the clock
             t0 = time.perf_counter()
             x = solve_original(result, b)
             wall = time.perf_counter() - t0

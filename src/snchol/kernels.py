@@ -6,8 +6,9 @@ All four work in place on numpy views into supernode panels, read only the
 lower triangle of a triangular operand, and only ever subtract products (every
 update in the factorizations has that sign).
 
-The reference backend is numpy plus scipy's copying f2py wrappers of LAPACK
-and BLAS (``scipy_routine``, from scipy.linalg's ``_flapack`` and ``_fblas``).
+The reference backend's kernels are numpy plus scipy's copying f2py wrappers
+of LAPACK and BLAS (``scipy_routine``, from scipy.linalg's ``_flapack`` and
+``_fblas``).
 A syrk or gemm is one numpy product, syrk's subtracted through a
 lower-triangle mask.  One column of chol or trsm is a square root or a
 division; more are dpotrf or dtrsm on a copy, written back (dpotrf's through
@@ -26,20 +27,23 @@ A ``CallSchedule`` is a whole supernodal factorization precompiled as offsets
 into one flat float64 array: per supernode, a diagonal step (Cholesky of the
 diagonal triangle, triangular solve of the rows below) and its syrk/gemm
 updates, one row ``(kind, c, ldc, m, n, x, y)`` each; the operands' depth and
-leading dimension are the supernode's panel's.  Both backends run one whole
-(``run_schedule``), checking the array once: the reference backend through
-``run_views``, which any backend's kernels can run, with unchecked
-syrk/gemm; the vendor one calls LAPACK/BLAS at ``base + 8*offset``, checking
-``info`` after each dpotrf and the pivots for NaN once, at the end or at the
-first failed dpotrf.
+leading dimension are the supernode's panel's.  Both backends take the
+diagonal steps by address (``_diagonal_steps``): the array is checked once,
+then each step calls dpotrf and dtrsm at ``base + 8*offset``, keeping the
+reference one-column square root and division.  Both run a whole schedule
+(``run_schedule``) from those steps: the reference backend through
+``run_views`` with unchecked syrk/gemm, the vendor one calling dsyrk/dgemm
+at ``base + 8*offset``.  ``supernodal_solve`` goes by address too.
 
-Every chol and both runners decide a failed pivot by one rule,
-``_check_pivots``: dpotrf's ``info``, or the first NaN pivot before it.
+Every chol and every diagonal step decide a failed pivot by one rule,
+``_check_pivots``: dpotrf's ``info``, or the first NaN pivot before it; a
+run ends with one NaN scan of all pivots (``final_pivot_scan``).
 
 The package reaches scipy only through ``_scipy_linalg_module``, which loads
-those four extension modules on first use, by file, without running
-scipy/linalg/__init__.py: importing snchol loads no scipy, and factoring or
-solving loads no ``scipy.linalg``.
+the extension modules on first use, by file, without running
+scipy/linalg/__init__.py: importing snchol loads no scipy, factoring or
+solving loads no ``scipy.linalg``, and only the reference ``chol`` and
+``trsm`` themselves load the f2py modules.
 """
 
 from __future__ import annotations
@@ -106,16 +110,22 @@ def _scipy_linalg_module(name: str):
     ``cython_blas`` or ``cython_lapack``), once per process.
 
     Once scipy.linalg is imported, this is its own submodule.  Before, the
-    module is loaded from its file under a private name ending in ``name``
-    (the name its init function is found by), so scipy/linalg/__init__.py,
-    about 28 MB and 0.2 s of imports, never runs; scipy.linalg imported later
-    loads its own copy of an f2py module and shares a Cython one."""
+    module is loaded from its file, so scipy/linalg/__init__.py, about 28 MB
+    and 0.2 s of imports, never runs.  An f2py module gets a private name
+    ending in ``name`` (the name its init function is found by), and
+    scipy.linalg imported later loads its own copy.  A Cython module gets its
+    real name, and the entry its init makes in ``sys.modules`` is taken out
+    again: scipy.linalg imported later imports it as its own submodule,
+    which Cython makes this same module object."""
     if "scipy.linalg" not in sys.modules:
+        cython = name.startswith("cython_")
+        full = f"scipy.linalg.{name}" if cython else f"_snchol_scipy_linalg.{name}"
         try:
-            spec = importlib.util.spec_from_file_location(f"_snchol_scipy_linalg.{name}",
-                                                          _extension_path(name))
+            spec = importlib.util.spec_from_file_location(full, _extension_path(name))
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
+            if cython:
+                sys.modules.pop(full, None)
             return module
         except Exception:  # whatever the cause, the normal import below decides
             pass
@@ -126,7 +136,8 @@ def _scipy_linalg_module(name: str):
 def scipy_routine(name: str) -> Callable:
     """scipy's f2py wrapper of BLAS or LAPACK routine ``name`` (the object
     ``scipy.linalg.blas``/``lapack`` export), loaded on first use so that
-    importing snchol loads no scipy.  It returns copies."""
+    importing snchol loads no scipy.  It returns copies.  Only the reference
+    ``chol_in_place`` and ``trsm_right_lt`` call one."""
     return (getattr(_scipy_linalg_module("_fblas"), name, None)
             or getattr(_scipy_linalg_module("_flapack"), name))
 
@@ -216,7 +227,10 @@ class KernelBackend:
 
     ``run_schedule(data, schedule)``, when given, runs a whole ``CallSchedule``
     on ``data`` itself; without it the caller runs the schedule through the
-    four kernels with ``run_views``.
+    four kernels with ``run_views``.  ``diag_steps(data, schedule)``, when
+    given, checks ``data`` and returns ``step(j)``, the schedule's diagonal
+    step j by address; without it ``diagonal_steps`` takes the steps on views
+    through ``chol`` and ``trsm``.
     """
 
     name: str
@@ -225,6 +239,7 @@ class KernelBackend:
     syrk: Callable
     gemm: Callable
     run_schedule: Callable | None = None
+    diag_steps: Callable | None = None
 
 
 SYRK, GEMM = 0, 1
@@ -290,30 +305,87 @@ def _pivots(data: np.ndarray, diag: np.ndarray, stop: int | None = None) -> np.n
     return data[at[j] + (col - first[j]) * (ld[j] + 1)]
 
 
-def diag_step(P: np.ndarray, first: int, chol, trsm) -> None:
-    """Factor a supernode's a columns in its ld-by-a panel P: ``chol`` of the
-    a-by-a diagonal triangle, then ``trsm`` of the ld - a rows under it.  A
-    failed pivot raises NotPositiveDefiniteError with its column, counted
-    from the supernode's first column ``first``."""
-    ld, a = P.shape
-    try:
-        chol(P[:a])
-    except NotPositiveDefiniteError as e:
-        raise NotPositiveDefiniteError(first + e.index) from None
-    if ld > a:
-        trsm(P[:a], P[a:])
+def final_pivot_scan(data: np.ndarray, schedule: CallSchedule) -> None:
+    """The end of a run's pivot rule: NotPositiveDefiniteError at the first
+    NaN among all pivots ``schedule`` factors in ``data``, if there is one."""
+    _check_pivots(_pivots(data, schedule.diag), 0)
 
 
-def run_views(data: np.ndarray, schedule: CallSchedule, chol, trsm, syrk, gemm) -> None:
-    """Run ``schedule`` through the four kernels given on numpy views of
-    ``data``: per group, ``diag_step`` on its supernode's panel, then its
-    update rows, whose X and Y are row ranges of that panel (the schedule's
-    extent check holds them to that).  numpy checks every view's bounds."""
+def _diagonal_steps(data: np.ndarray, schedule: CallSchedule, divides: bool,
+                    width: ctypes.c_int | None = None, ld: ctypes.c_int | None = None) -> Callable:
+    """``step(j)``: ``schedule``'s diagonal step j on ``data``, checked once,
+    here: dpotrf of the a-by-a triangle at ``base + 8*p``, then dtrsm of the
+    ld - a rows below.  Where ``divides``, a one-column step is a square root
+    and a division, the bytes of ``chol_in_place`` and ``trsm_right_lt``.  A
+    pivot failing dpotrf's test (a NaN passes) raises by ``_check_pivots``
+    over the pivots before it.  A dpotrf step leaves a and ld in the cells
+    ``width`` and ``ld``, when given, for the caller's own calls."""
+    dpotrf, dtrsm = _vendor_functions()[:2]
+    base = _storage_address(data, schedule.storage)
+    steps = schedule.diag.tolist()
+    n = ctypes.c_int() if width is None else width
+    ld = ctypes.c_int() if ld is None else ld
+    m, info = ctypes.c_int(), ctypes.c_int()
+    pm, pn, pld, pinfo = (ctypes.byref(c) for c in (m, n, ld, info))
+    pa, pb = ctypes.c_void_p(), ctypes.c_void_p()
+
+    def fail(failed: int) -> None:  # dpotrf's info, counted over the whole matrix
+        _check_pivots(_pivots(data, schedule.diag, failed), failed)
+
+    def step(j: int) -> None:
+        at, rows, a, first = steps[j]
+        if a == 1 and divides:
+            pivot = data.item(at)
+            if pivot <= 0.0:
+                fail(first + 1)
+            data[at] = root = math.sqrt(pivot)
+            data[at + 1:at + rows] /= root
+            return
+        pa.value = base + 8 * at
+        n.value, ld.value = a, rows
+        dpotrf(_LO, pn, pa, pld, pinfo)
+        if info.value:
+            fail(first + info.value)
+        if rows > a:
+            pb.value = pa.value + 8 * a
+            m.value = rows - a
+            dtrsm(_RIGHT, _LO, _TRANS, _NOTRANS, pm, pn, _ONE, pa, pld, pb, pld)
+    return step
+
+
+def diagonal_steps(backend: KernelBackend, data: np.ndarray, schedule: CallSchedule) -> Callable:
+    """``step(j)``: ``schedule``'s diagonal step j on ``data``, by the
+    backend's ``diag_steps`` where it has them.  Otherwise ``backend.chol``
+    factors the a-by-a triangle of a numpy view of the group's panel, then
+    ``backend.trsm`` solves the rows below; a failed pivot's index is
+    counted from the group's first column."""
+    if backend.diag_steps:
+        return backend.diag_steps(data, schedule)
+    view, f8, steps = np.ndarray, data.dtype, schedule.diag.tolist()
+
+    def step(j: int) -> None:
+        at, ld, a, first = steps[j]
+        P = view((ld, a), f8, data, 8 * at, (8, 8 * ld))
+        try:
+            backend.chol(P[:a])
+        except NotPositiveDefiniteError as e:
+            raise NotPositiveDefiniteError(first + e.index) from None
+        if ld > a:
+            backend.trsm(P[:a], P[a:])
+    return step
+
+
+def run_views(data: np.ndarray, schedule: CallSchedule, step, syrk, gemm) -> None:
+    """Run ``schedule`` on ``data``: per group j, ``step(j)`` (see
+    ``diagonal_steps``), then its update rows through ``syrk`` and ``gemm`` on
+    numpy views, whose X and Y are row ranges of the group's panel (the
+    schedule's extent check holds them to that).  numpy checks every view's
+    bounds."""
     view, f8 = np.ndarray, data.dtype
     ptr = schedule.ptr.tolist()
-    for j, (at, ld, a, first) in enumerate(schedule.diag.tolist()):
+    for j, (at, ld, a, _) in enumerate(schedule.diag.tolist()):
+        step(j)
         P = view((ld, a), f8, data, 8 * at, (8, 8 * ld))
-        diag_step(P, first, chol, trsm)
         y_at = Y = None
         for kind, c, ldc, m, n, x, y in schedule.rows[ptr[j]:ptr[j + 1]].tolist():
             X = P[x - at:x - at + m]
@@ -327,30 +399,33 @@ def run_views(data: np.ndarray, schedule: CallSchedule, chol, trsm, syrk, gemm) 
 
 
 def _run_reference(data, schedule: CallSchedule) -> None:
-    """``data`` checked once, then ``run_views`` with unchecked syrk/gemm."""
-    _storage_address(data, schedule.storage)
-    run_views(data, schedule, chol_in_place, trsm_right_lt, _syrk, _gemm)
+    """``run_views`` with the by-address diagonal steps, which check ``data``
+    once, and unchecked syrk/gemm."""
+    run_views(data, schedule, _diagonal_steps(data, schedule, True), _syrk, _gemm)
 
 
 REFERENCE_BACKEND = KernelBackend("reference", chol_in_place, trsm_right_lt, syrk_lower, gemm_nt,
-                                  _run_reference)
+                                  _run_reference, functools.partial(_diagonal_steps, divides=True))
 
 # Byte offset of ``char *data`` in numpy's C array struct (PyArrayObject_fields):
 # it follows the object header.  ``_vendor_functions`` checks it once.
 _DATA_FIELD = object.__basicsize__
 _at = ctypes.c_void_p.from_address
+# The constant arguments of the LAPACK/BLAS calls, shared: no call writes them.
+_LO, _NOTRANS, _RIGHT, _TRANS = (ctypes.byref(ctypes.c_char(f)) for f in (b"L", b"N", b"R", b"T"))
+_ONE, _MINUS_ONE = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(-1.0))
 
 
 @functools.cache
 def _vendor_functions() -> tuple:
-    """dpotrf (LAPACK) and dtrsm, dsyrk, dgemm (BLAS) as ctypes functions of
+    """dpotrf (LAPACK) and dtrsm, dsyrk, dgemm, dtrsv, dgemv (BLAS) as ctypes functions of
     the C function pointers scipy exports for Cython (``_scipy_linalg_module``),
     resolved once per process.  Every argument is a pointer, Fortran style.
 
     The prototypes declare no argument types: every caller passes ctypes
     pointer objects, which ctypes hands on as they are, while declaring 5-13
     ``c_void_p`` arguments costs about 1 us per call in conversions, more than
-    a small update."""
+    a small update.  ``get_backend`` loads them before any timed call."""
     cython_blas, cython_lapack = map(_scipy_linalg_module, ("cython_blas", "cython_lapack"))
     probe = np.zeros((3, 3), order="F")[1:, 1:]
     if _at(id(probe) + _DATA_FIELD).value != probe.ctypes.data:
@@ -368,7 +443,8 @@ def _vendor_functions() -> tuple:
         return ctypes.CFUNCTYPE(None)(pointer_of(capsule, signature))
 
     return (load(cython_lapack, "dpotrf", 5), load(cython_blas, "dtrsm", 11),
-            load(cython_blas, "dsyrk", 10), load(cython_blas, "dgemm", 13))
+            load(cython_blas, "dsyrk", 10), load(cython_blas, "dgemm", 13),
+            load(cython_blas, "dtrsv", 8), load(cython_blas, "dgemv", 11))
 
 
 def _operand(a: np.ndarray, written: bool = False) -> tuple:
@@ -416,17 +492,13 @@ def vendor_backend() -> KernelBackend:
     Each call passes the views' data pointers and leading dimensions straight
     to dpotrf, dtrsm, dsyrk or dgemm: no copies and no float scratch.
     ``run_schedule`` runs a whole ``CallSchedule`` from one checked base
-    address: per group dpotrf, dtrsm, then its dsyrk/dgemm rows, each at
-    ``base + 8*offset``, the group's depth and leading dimension set once.
-    A dpotrf that fails, or a NaN pivot found at the end, raises
-    NotPositiveDefiniteError with the matrix column (``_check_pivots`` on
-    the pivots so far).  The instance owns its argument cells, so one
+    address: per group its diagonal step (``_diagonal_steps``), then its
+    dsyrk/dgemm rows, each at ``base + 8*offset``, the group's depth and
+    leading dimension set once.  The instance owns its argument cells, so one
     instance serves one thread.
     """
-    dpotrf, dtrsm, dsyrk, dgemm = _vendor_functions()
+    dpotrf, dtrsm, dsyrk, dgemm = _vendor_functions()[:4]
     byref = ctypes.byref
-    lower, notrans, right, trans = (byref(ctypes.c_char(f)) for f in (b"L", b"N", b"R", b"T"))
-    one, minus_one = byref(ctypes.c_double(1.0)), byref(ctypes.c_double(-1.0))
     m, n, k, lda, ldb, ldc, info = cells = [ctypes.c_int() for _ in range(7)]
     pm, pn, pk, plda, pldb, pldc, pinfo = (byref(c) for c in cells)
 
@@ -438,7 +510,7 @@ def vendor_backend() -> KernelBackend:
             return
         n.value = size
         lda.value, t = _operand(T, True)
-        dpotrf(lower, pn, t, plda, pinfo)
+        dpotrf(_LO, pn, t, plda, pinfo)
         _check_pivots(T.diagonal(), info.value)
 
     def trsm(T, B):
@@ -453,7 +525,7 @@ def vendor_backend() -> KernelBackend:
             raise ValueError("zero diagonal in triangular solve")
         m.value = B.shape[0]
         n.value = size
-        dtrsm(right, lower, trans, notrans, pm, pn, one, t, plda, b, pldb)
+        dtrsm(_RIGHT, _LO, _TRANS, _NOTRANS, pm, pn, _ONE, t, plda, b, pldb)
 
     def syrk(C, X):
         size, depth = X.shape
@@ -465,7 +537,7 @@ def vendor_backend() -> KernelBackend:
         k.value = depth
         lda.value, x = _operand(X)
         ldc.value, c = _operand(C, True)
-        dsyrk(lower, notrans, pn, pk, minus_one, x, plda, one, c, pldc)
+        dsyrk(_LO, _NOTRANS, pn, pk, _MINUS_ONE, x, plda, _ONE, c, pldc)
 
     def gemm(C, X, Y):
         rows, depth = X.shape
@@ -480,45 +552,77 @@ def vendor_backend() -> KernelBackend:
         lda.value, x = _operand(X)
         ldb.value, y = _operand(Y)
         ldc.value, c = _operand(C, True)
-        dgemm(notrans, trans, pm, pn, pk, minus_one, x, plda, y, pldb, one, c, pldc)
+        dgemm(_NOTRANS, _TRANS, pm, pn, pk, _MINUS_ONE, x, plda, y, pldb, _ONE, c, pldc)
 
-    pa, pb, pc, px, py = (ctypes.c_void_p() for _ in range(5))
+    pc, px, py = (ctypes.c_void_p() for _ in range(3))
 
     def run_schedule(data, schedule):
-        base = _storage_address(data, schedule.storage)
-        table, ptr = schedule.rows, schedule.ptr.tolist()
-        for j, (at, ld, width, first) in enumerate(schedule.diag.tolist()):
-            pa.value = base + 8 * at
-            n.value = k.value = width
-            lda.value = ld
-            dpotrf(lower, pn, pa, plda, pinfo)
-            if info.value:
-                failed = first + info.value  # dpotrf's info over the whole matrix
-                _check_pivots(_pivots(data, schedule.diag, failed), failed)
-            if ld > width:
-                pb.value = base + 8 * (at + width)
-                m.value = ld - width
-                dtrsm(right, lower, trans, notrans, pm, pn, one, pa, plda, pb, plda)
+        step = _diagonal_steps(data, schedule, False, k, lda)  # sets the group's depth and ld
+        base, table, ptr = data.ctypes.data, schedule.rows, schedule.ptr.tolist()
+        for j in range(len(ptr) - 1):
+            step(j)
             for kind, c, ld_c, rows, cols, x, y in table[ptr[j]:ptr[j + 1]].tolist():
                 pc.value = base + 8 * c
                 px.value = base + 8 * x
                 n.value = cols
                 ldc.value = ld_c
                 if kind == SYRK:
-                    dsyrk(lower, notrans, pn, pk, minus_one, px, plda, one, pc, pldc)
+                    dsyrk(_LO, _NOTRANS, pn, pk, _MINUS_ONE, px, plda, _ONE, pc, pldc)
                 else:
                     py.value = base + 8 * y
                     m.value = rows
-                    dgemm(notrans, trans, pm, pn, pk, minus_one, px, plda, py, plda, one, pc,
+                    dgemm(_NOTRANS, _TRANS, pm, pn, pk, _MINUS_ONE, px, plda, py, plda, _ONE, pc,
                           pldc)
-        _check_pivots(_pivots(data, schedule.diag), 0)
 
-    return KernelBackend("vendor", chol, trsm, syrk, gemm, run_schedule)
+    return KernelBackend("vendor", chol, trsm, syrk, gemm, run_schedule,
+                         functools.partial(_diagonal_steps, divides=False))
+
+
+def supernodal_solve(data: np.ndarray, schedule: CallSchedule, below: Callable,
+                     x: np.ndarray) -> None:
+    """Overwrite x, holding b, with the solution of L L^T x = b for the
+    factor L in ``data`` (checked once), whose supernode j has the rows
+    ``below(j)`` under its diagonal block: per supernode and direction, one
+    dtrsv and one dgemv by address, the latter with x gathered at those rows."""
+    dtrsv, dgemv = _vendor_functions()[4:]
+    base = _storage_address(data, schedule.storage)
+    steps = schedule.diag.tolist()
+    if not (isinstance(x, np.ndarray) and x.dtype == _F8 and x.ndim == 1 and
+            x.flags.c_contiguous and x.flags.writeable and x.size == sum(s[2] for s in steps)):
+        raise ValueError("x must be a writeable contiguous float64 vector, one entry per column")
+    at_x = x.ctypes.data
+    m, n, ld, inc = cells = [ctypes.c_int() for _ in range(4)]
+    pm, pn, pld, pinc = (ctypes.byref(c) for c in cells)
+    pa, pb, px = ctypes.c_void_p(), ctypes.c_void_p(), ctypes.c_void_p()
+    inc.value = 1
+
+    def aim(j: int) -> np.ndarray:  # the arguments at supernode j; its rows below
+        at, g, a, first = steps[j]
+        n.value, m.value, ld.value = a, g - a, g
+        pa.value, pb.value, px.value = base + 8 * at, base + 8 * (at + a), at_x + 8 * first
+        return below(j)
+
+    # dtrsv's third argument is b"N": the diagonal is not a unit one
+    for j in range(len(steps)):
+        rows = aim(j)
+        dtrsv(_LO, _NOTRANS, _NOTRANS, pn, pa, pld, px, pinc)
+        if rows.size:
+            t = x[rows]
+            dgemv(_NOTRANS, pm, pn, _MINUS_ONE, pb, pld, px, pinc, _ONE,
+                  _at(id(t) + _DATA_FIELD), pinc)
+            x[rows] = t
+    for j in reversed(range(len(steps))):
+        rows = aim(j)
+        if rows.size:
+            t = x[rows]
+            dgemv(_TRANS, pm, pn, _MINUS_ONE, pb, pld, _at(id(t) + _DATA_FIELD), pinc, _ONE,
+                  px, pinc)
+        dtrsv(_LO, _TRANS, _NOTRANS, pn, pa, pld, px, pinc)
 
 
 def get_backend(name: str) -> KernelBackend:
     if name == "reference":
-        scipy_routine("dpotrf"), scipy_routine("dtrsm")  # imported before any timed call
+        _vendor_functions()  # its diagonal steps and the solve's BLAS, loaded before any timed call
         return REFERENCE_BACKEND
     if name == "vendor":
         return vendor_backend()

@@ -15,9 +15,12 @@ rlb   right-looking blocked: dense blocks updated straight into ancestor
       panels by the kernel calls of ``S.rlb_schedule``, compiled once at
       analysis; no floating-point workspace, no assembly at all
 
-mf, ll, rl and rlb's view loop share one supernode step, ``diag_step``: the
-Cholesky of the diagonal triangle and the triangular solve below it, on the
-panel and with the sizes ``S.rlb_schedule.diag`` gives.  No method counts
+Every method takes the same supernode steps, ``kernels.diagonal_steps``: the
+Cholesky of the diagonal triangle and the triangular solve below it, as
+``S.rlb_schedule.diag`` gives them, by address on ``F.data`` (checked once
+per run) on both backends.  Whatever order a method factors in, a failure
+names the first bad pivot in column order: each run ends with one NaN scan
+of all pivots.  No method counts
 call by call: each run adds the calls and flops the analysis predicts, and
 the lower-triangle entries its updates add (``assembly_ops``).  mf, ll and rl
 add each update into its target through ``_assembler``, per
@@ -27,7 +30,8 @@ scatter-add per column.  rlb's schedule holds the whole factorization: per
 supernode, its diagonal step and its updates.  On both backends rlb is one
 ``run_schedule`` call that checks ``F.data`` once (see ``kernels``); with
 a backend that has none, it runs ``kernels.run_views`` on that backend's
-four kernels, the loop the reference runner runs with unchecked syrk/gemm.
+steps and syrk/gemm, the loop the reference runner runs with unchecked
+syrk/gemm.  The solve goes by address too (``kernels.supernodal_solve``).
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import (KernelBackend, NotPositiveDefiniteError, diag_step, get_backend, run_views,
-                      scipy_routine)
+from .kernels import (KernelBackend, NotPositiveDefiniteError, diagonal_steps, final_pivot_scan,
+                      get_backend, run_views, supernodal_solve)
 from .matrix import (Permutation, PermutationFileError, SymmetricSparseMatrix,
                      SymmetricSparsePattern, apply_symmetric_permutation, minimum_degree_order)
 from .symbolic import (BuildOptions, SymbolicFactor, _ranges, build_symbolic_factor,
@@ -178,9 +182,9 @@ def _pivot_error(col: int, S: SymbolicFactor = None) -> NotPositiveDefiniteError
 @contextmanager
 def _supernodal_run(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace | None,
                     stats: RunStats, updates: dict, assembled=slice(0)):
-    """The frame of one supernodal factorization of F, which must hold A.  A
-    failed pivot is named with its supernode; a run that fails leaves F
-    partial.  On success F holds L, and ``stats`` gains the analysis's
+    """The frame of one supernodal factorization of F, which must hold A.  The
+    run ends with one scan of all pivots for NaN; a failed pivot is named
+    with its supernode; a run that fails leaves F partial.  On success F holds L, and ``stats`` gains the analysis's
     prediction: the diagonal steps' calls, ``updates`` (the method's update
     calls per kind), ``S.work_flops``, which every method does, and the lower
     triangles, c r - c (c - 1) / 2 entries each, of the ``S.update_table``
@@ -190,6 +194,7 @@ def _supernodal_run(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace | No
     F.state = "partial"
     try:
         yield
+        final_pivot_scan(F.data, S.rlb_schedule)
     except NotPositiveDefiniteError as e:
         raise _pivot_error(e.index, S) from None
     for kind, count in (S.rlb_schedule.diag_calls | updates).items():
@@ -340,8 +345,9 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     # one syrk per supernode with rows below, as many as there are trsm steps
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
                          T.lo == 0):
+        step = diagonal_steps(backend, F.data, S.rlb_schedule)
         for j in S.plans.mf_postorder.tolist():
-            _, ld, a, first = diag[j]
+            _, ld, a, _ = diag[j]
             m = ld - a
             sq = None
             # in postorder, the children that pushed are the stack's top entries
@@ -358,7 +364,7 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
                     sq[tuple(qpos[_packed(qpos.size)])] += W.arena[top:top + u_c]
                     stats.assembly_ops += u_c
                 top += u_c
-            diag_step(panels[j], first, backend.chol, backend.trsm)
+            step(j)
             if m == 0:
                 # only roots have no rows below, and the stack must drain per root
                 assert parent[j] < 0 and not tags
@@ -401,8 +407,8 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                "gemm": int(np.count_nonzero(wide & (T.r > T.c)))}
     widths = diag[:, 2].tolist()
     with _supernodal_run(F, S, W, stats, updates, ~(wide & T.dense)):
-        for j, (_, _, _, first) in enumerate(diag.tolist()):
-            pj = panels[j]
+        step = diagonal_steps(backend, F.data, S.rlb_schedule)
+        for j, pj in enumerate(panels):
             for e in into[ptr[j]:ptr[j + 1]]:
                 k, c, r = ks[e], cs[e], rs[e]
                 a = widths[k]
@@ -426,7 +432,7 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                     if r > c:
                         backend.gemm(U[c:, :], X[c:], Y)
                     assemble(e, U)
-            diag_step(pj, first, backend.chol, backend.trsm)
+            step(j)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +449,9 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     panels, assemble = F.panels, _assembler(F, S)
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
                          slice(None)):
-        for j, (_, ld, a, first) in enumerate(S.rlb_schedule.diag.tolist()):
-            diag_step(panels[j], first, backend.chol, backend.trsm)
+        step = diagonal_steps(backend, F.data, S.rlb_schedule)
+        for j, (_, ld, a, _) in enumerate(S.rlb_schedule.diag.tolist()):
+            step(j)
             if ld == a:
                 continue
             U = W.slab(ld - a, ld - a)
@@ -471,7 +478,8 @@ def factor_rlb(F: FactorStorage, S: SymbolicFactor, R, backend: KernelBackend,
         if backend.run_schedule:
             backend.run_schedule(F.data, schedule)
         else:
-            run_views(F.data, schedule, backend.chol, backend.trsm, backend.syrk, backend.gemm)
+            run_views(F.data, schedule, diagonal_steps(backend, F.data, schedule), backend.syrk,
+                      backend.gemm)
 
 
 # ---------------------------------------------------------------------------
@@ -483,38 +491,20 @@ def solve(F: FactorStorage, S: SymbolicFactor, b) -> np.ndarray:
     Supernode j owns the consecutive columns f..l-1, so its part of x is the
     slice x[f:l].  In each direction the solve makes, per supernode, one dense
     triangular solve against the a-by-a diagonal block (BLAS-2 ``dtrsv``,
-    transposed on the way back; a division when a = 1) and one product with
-    the panel B below that block, gathered from and scattered to x through
-    the row list: x[below] -= B @ x[f:l] forward, x[f:l] -= B^T @ x[below]
-    backward.  It uses no kernel backend, so factors from either backend are
-    solved the same way; ``dtrsv`` is scipy's f2py wrapper from
-    ``kernels.scipy_routine``, which loads scipy.linalg's ``_fblas`` alone,
-    not scipy.linalg.  ``b`` may be any array-like of length n; a wrong
-    length raises ValueError."""
-    dtrsv = scipy_routine("dtrsv")
+    transposed on the way back) and one product with the panel B below that
+    block (``dgemv``), x gathered at and scattered to the row list:
+    x[below] -= B @ x[f:l] forward, x[f:l] -= B^T @ x[below] backward, by
+    address on ``F.data`` and on x, a copy of b (``kernels.supernodal_solve``).
+    It uses no kernel backend, so factors from either backend are solved the
+    same way.  ``b`` may be any array-like of length n; a wrong length raises
+    ValueError."""
     if F.state != "L":
         raise FactorStateError("factor storage does not hold L; factor first")
     x = np.array(b, dtype=np.float64)
     if x.shape != (S.n,):
         got = f"length {x.shape[0]}" if x.ndim == 1 else f"shape {x.shape}"
         raise ValueError(f"right-hand side has {got}, expected length {S.n}")
-    fc = S.first_col.tolist()
-    blocks = [(f, l, P[:l - f], P[l - f:], S.below(j))
-              for j, (f, l, P) in enumerate(zip(fc, fc[1:], F.panels))]
-    for f, l, T, B, below in blocks:
-        if l - f == 1:
-            x[f] /= T[0, 0]
-        else:
-            x[f:l] = dtrsv(T, x[f:l], lower=1)
-        if below.size:
-            x[below] -= B @ x[f:l]
-    for f, l, T, B, below in reversed(blocks):
-        if below.size:
-            x[f:l] -= B.T @ x[below]
-        if l - f == 1:
-            x[f] /= T[0, 0]
-        else:
-            x[f:l] = dtrsv(T, x[f:l], lower=1, trans=1)
+    supernodal_solve(F.data, S.rlb_schedule, S.below, x)
     return x
 
 

@@ -634,6 +634,40 @@ print(factor_every_way())
     assert out.split() == [every_way_digest] * 2
 
 
+def test_reference_runs_load_no_f2py_module_and_scipy_linalg_names_its_own():
+    """Factoring and solving on the reference backend loads the Cython BLAS
+    and LAPACK modules under their real names and no f2py module; a later
+    ``import scipy.linalg`` then finds them as its own submodules, named as
+    such, and its routines work."""
+    run_python("""
+import sys
+import numpy as np
+from snchol.cli import main
+for method in ("mf", "ll", "rl", "rlb"):
+    assert main(["factor", "gen:n=300,density=0.02,seed=1", "--method", method,
+                 "--backend", "reference", "--solve"]) == 0
+f2py = [m for m in sys.modules if m.endswith(("._fblas", "._flapack"))]
+assert not f2py, f2py
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+from scipy.linalg import blas, lapack, qr, qr_update
+for name in ("cython_blas", "cython_lapack"):
+    module = sys.modules["scipy.linalg." + name]
+    assert module.__name__ == "scipy.linalg." + name, module.__name__
+    assert getattr(scipy.linalg, name) is module, name
+rng = np.random.default_rng(1)
+X = rng.standard_normal((6, 6))
+A = X @ X.T + 6 * np.eye(6)
+assert np.allclose(blas.dgemm(1.0, X, X, trans_b=1), A - 6 * np.eye(6))
+L, info = lapack.dpotrf(A, lower=1)
+assert info == 0 and np.allclose(np.tril(L) @ np.tril(L).T, A)
+Q, R = qr(X)
+u, v = rng.standard_normal(6), rng.standard_normal(6)
+Q1, R1 = qr_update(Q, R, u, v)  # through scipy.linalg.cython_blas
+assert np.allclose(Q1 @ R1, X + np.outer(u, v))
+""")
+
+
 def test_scipy_linalg_imported_first_is_the_one_used():
     run_python("""
 import sys

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -614,58 +615,77 @@ def test_rlb_is_one_schedule_run(monkeypatch, backend):
         assert len(checks) == 1, name
 
 
-def pivot_case():
+def pivot_case(postorder: bool = False):
     """The analysis of a grid, with two supernodes at least three columns wide
-    and neither an ancestor of the other, the earlier one first, and the last
-    one-column supernode with rows below."""
+    and neither an ancestor of the other, the earlier one j1 first, and a
+    one-column supernode with rows below: the last one, or with
+    ``postorder`` the last one after j1 that is not its ancestor, where j1
+    also comes first in mf's postorder."""
     an = analyze(grid_laplacian(9), "mindeg", 12.5, True)
     S = an.S
+    rank = np.argsort(S.plans.mf_postorder).tolist()  # supernode -> place in mf's order
     wide = [j for j in range(S.nsuper - 1) if S.width(j) >= 3]
-    narrow = [j for j in range(S.nsuper) if S.width(j) == 1 and S.mrows(j)][-1]
+    narrow = [j for j in range(S.nsuper) if S.width(j) == 1 and S.mrows(j)]
     for j1 in wide:
         up, p = set(), j1
         while p >= 0:
             up.add(p)
             p = int(S.snode_parent[p])
-        later = [j for j in wide if j > j1 and j not in up]
-        if later:
-            return an, j1, later[0], narrow
+        after = [j for j in range(j1 + 1, S.nsuper)
+                 if j not in up and (rank[j] > rank[j1] or not postorder)]
+        later = [j for j in wide if j in after]
+        last = [j for j in narrow if j in after][-1:] if postorder else narrow[-1:]
+        if later and last:
+            return an, j1, later[0], last[0]
     raise AssertionError("no two unrelated wide supernodes")
 
 
-# mf's postorder may reach the later supernode first, so it skips that case;
-# an id is the case alone for rlb, method-case for the others
-@pytest.mark.parametrize("method, case", [
-    pytest.param(method, case, id=case if method == "rlb" else f"{method}-{case}")
-    for method in DIRECT
-    for case in ("non-positive", "nan", "nan then non-positive", "one column")
-    if (method, case) != ("mf", "nan then non-positive")])
-def test_rlb_pivot_errors_agree_on_both_backends(method, case):
-    """A bad pivot, a NaN pivot, a NaN pivot followed by a bad pivot in a
-    supernode it does not update, or a bad pivot of a one-column supernode:
-    the vendor runner, which checks NaN pivots once, reports the first failure
-    in column order, as the reference runner does with a check after every
-    chol; a direct call of every other method names the same column and
-    supernode."""
-    factor = DIRECT[method]
-    an, j1, j2, narrow = pivot_case()
+BAD_PIVOTS = {"non-positive": lambda j1, j2, narrow: {j1: (1, -1.0)},
+              "nan": lambda j1, j2, narrow: {j1: (1, np.nan)},
+              "nan then non-positive": lambda j1, j2, narrow: {j1: (1, np.nan), j2: (1, -1.0)},
+              "one column": lambda j1, j2, narrow: {narrow: (0, -1.0)},
+              "nan then one column": lambda j1, j2, narrow: {j1: (1, np.nan),
+                                                             narrow: (0, -1.0)}}
+
+
+def pivot_errors(method: str, case: str, postorder: bool = False) -> tuple:
+    """The (index, message) a direct call of ``method`` raises on each
+    backend after ``pivot_case(postorder)``'s panels get ``BAD_PIVOTS[case]``,
+    and the (index, message) naming the first of those bad pivots."""
+    an, j1, j2, narrow = pivot_case(postorder)
     S = an.S
-    # supernode -> (local column, pivot value)
-    bad = {"non-positive": {j1: (1, -1.0)}, "nan": {j1: (1, np.nan)},
-           "nan then non-positive": {j1: (1, np.nan), j2: (1, -1.0)},
-           "one column": {narrow: (0, -1.0)}}[case]
+    bad = BAD_PIVOTS[case](j1, j2, narrow)  # supernode -> (local column, pivot value)
     errors = []
     for backend in ("reference", "vendor"):
         F = scatter_into_factor(an.A2, S)
         for j, (local, value) in bad.items():
             F.data[S.panel_offsets[j] + local * (S._lens[j] + 1)] = value
         with pytest.raises(NotPositiveDefiniteError) as e:
-            factor(F, S, get_backend(backend), RunStats(method, backend, S.n))
+            DIRECT[method](F, S, get_backend(backend), RunStats(method, backend, S.n))
         errors.append((e.value.index, str(e.value)))
     j, (local, _) = next(iter(bad.items()))
     col = int(S.first_col[j]) + local
-    assert errors[0] == errors[1] == (col, f"non-positive pivot at column {col} "
-                                           f"(supernode {j}, local {local})")
+    return errors, (col, f"non-positive pivot at column {col} (supernode {j}, local {local})")
+
+
+# an id is the case alone for rlb, method-case for the others, then "-postorder"
+# where the later bad pivot also comes after the NaN in mf's postorder
+@pytest.mark.parametrize("method, case, postorder", [
+    pytest.param(method, case, postorder,
+                 id=("" if method == "rlb" else f"{method}-") + case + "-postorder" * postorder)
+    for method in DIRECT for case in BAD_PIVOTS for postorder in (False, True)
+    if case.startswith("nan then") or not postorder])
+def test_rlb_pivot_errors_agree_on_both_backends(method, case, postorder):
+    """A bad pivot, a NaN pivot, a NaN pivot followed by a bad pivot, wide or
+    one column wide, in a supernode it does not update, or a bad pivot of a
+    one-column supernode: every method's diagonal steps go on past a NaN
+    pivot, and the first failure in column order is named, with its
+    supernode, alike on both backends.  Without ``postorder``, mf meets the
+    later bad pivot first and names the NaN all the same; with it, every
+    method meets the NaN first and names it, as when the views' chol stopped
+    there."""
+    errors, first = pivot_errors(method, case, postorder)
+    assert errors == [first, first]
 
 
 def test_schedule_build_rejects_rows_missing_from_the_target():
@@ -1122,8 +1142,9 @@ def test_pivot_error_names_a_column_of_the_input():
 
 
 def test_every_chol_and_runner_decides_pivots_by_one_rule(monkeypatch):
-    """Reference chol, vendor chol and the vendor runner all hand dpotrf's
-    result to ``kernels._check_pivots``, the one place the rule lives."""
+    """Reference chol, vendor chol and every method's run hand dpotrf's
+    result to ``kernels._check_pivots``, the one place the rule lives: a run
+    that succeeds scans all its pivots once, at the end."""
     seen = []
     rule = kernels._check_pivots
     monkeypatch.setattr(kernels, "_check_pivots", lambda *a: seen.append(a) or rule(*a))
@@ -1134,9 +1155,50 @@ def test_every_chol_and_runner_decides_pivots_by_one_rule(monkeypatch):
         chol(T.copy(order="F"))
         assert len(seen) == 1
     an = analyze(grid_laplacian(5))
-    seen.clear()
-    an.factor("rlb", "vendor")
-    assert len(seen) == 1 and seen[0][0].size == an.S.n and seen[0][1] == 0
+    for method in DIRECT:
+        for backend in ("reference", "vendor"):
+            seen.clear()
+            an.factor(method, backend)
+            assert len(seen) == 1, (method, backend)
+            assert seen[0][0].size == an.S.n and seen[0][1] == 0, (method, backend)
+
+
+def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch):
+    """Every supernodal method on both backends checks its storage once and
+    takes its diagonal steps by address: it calls none of the views' chol and
+    trsm, the reference ones or a vendor instance's.  The solve calls no f2py
+    wrapper, and after rlb, whose runners cut no panel views, it leaves
+    ``F.panels`` unbuilt.  Factors and solutions are the same bytes."""
+    b = np.random.default_rng(3).standard_normal(81)
+    an = analyze(grid_laplacian(9))
+    want = {}
+    for method in DIRECT:
+        for backend in ("reference", "vendor"):
+            r = an.factor(method, backend)
+            want[method, backend] = r.F.data.tobytes(), r.solve(b).tobytes()
+    checks = []
+    check = kernels._storage_address
+    monkeypatch.setattr(kernels, "_storage_address", lambda *a: checks.append(a) or check(*a))
+
+    def no_view_kernel(*args):
+        raise AssertionError("a view kernel was called")
+    for name in ("chol_in_place", "trsm_right_lt", "scipy_routine"):
+        monkeypatch.setattr(kernels, name, no_view_kernel)
+    monkeypatch.setattr(kernels, "REFERENCE_BACKEND", dataclasses.replace(
+        kernels.REFERENCE_BACKEND, chol=no_view_kernel, trsm=no_view_kernel))
+    vendor = kernels.vendor_backend
+    monkeypatch.setattr(kernels, "vendor_backend", lambda: dataclasses.replace(
+        vendor(), chol=no_view_kernel, trsm=no_view_kernel))
+    for (method, backend), (data, x) in want.items():
+        checks.clear()
+        got = an.factor(method, backend)
+        assert len(checks) == 1, (method, backend)
+        assert got.F.data.tobytes() == data, (method, backend)
+        assert ("panels" in vars(got.F)) == (method != "rlb"), (method, backend)
+        checks.clear()
+        assert got.solve(b).tobytes() == x, (method, backend)
+        assert len(checks) == 1, (method, backend)
+        assert ("panels" in vars(got.F)) == (method != "rlb"), (method, backend)
 
 
 def test_rank_deficient_component_fails_alike_on_both_backends():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from snchol import symbolic
-from snchol.kernels import get_backend, run_views
+from snchol.kernels import diagonal_steps, get_backend, run_views
 from snchol.matrix import (_assemble_lower, apply_symmetric_permutation, generate_spd,
                            minimum_degree_order)
 from snchol.numeric import (RunOptions, analyze, deviation_from_reference, run_factorization,
@@ -214,7 +214,8 @@ def test_schedule_runner_is_the_view_path(backend, n, density, seed, cap, pr):
     """On ``gen:`` matrices each backend's schedule runner writes the bytes
     that ``run_views`` writes through that backend's public kernels: the
     vendor runner, which sets each group's depth and leading dimension once,
-    and the reference one, which skips the syrk/gemm shape checks.  The rows
+    and the reference one, which skips the syrk/gemm shape checks; both take
+    their diagonal steps by address, the view path through chol and trsm.  The rows
     have 7 columns, and the schedule's calls and flops are those of the
     update calls the view path makes, by the flop model of their operand
     shapes."""
@@ -225,7 +226,7 @@ def test_schedule_runner_is_the_view_path(backend, n, density, seed, cap, pr):
     F, G = scatter_into_factor(an.A2, S), scatter_into_factor(an.A2, S)
     be.run_schedule(F.data, sched)
     logged = logging_backend(be, log)
-    run_views(G.data, sched, logged.chol, logged.trsm, logged.syrk, logged.gemm)
+    run_views(G.data, sched, diagonal_steps(logged, G.data, sched), logged.syrk, logged.gemm)
     assert F.data.tobytes() == G.data.tobytes()
     assert updates_per_group(log) == np.diff(sched.ptr).tolist()
     updates = [(kind, f) for kind, f in log if kind in sched.calls]
