@@ -6,9 +6,7 @@ numeric methods sharing the same panel storage, plus supernodal solves and a
 benchmark harness.
 """
 
-from .kernels import (KernelBackend, NotPositiveDefiniteError, REFERENCE_BACKEND,
-                      chol_in_place, gemm_nt, get_backend, syrk_lower, trsm_right_lt,
-                      vendor_backend)
+from .kernels import KernelBackend, NotPositiveDefiniteError, get_backend, vendor_backend
 from .matrix import (MatrixMarketError, Permutation, PermutationFileError,
                      SymmetricSparseMatrix, SymmetricSparsePattern,
                      apply_symmetric_permutation, generate_spd, minimum_degree_order,

@@ -314,7 +314,9 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", default="mindeg",
                         help="natural | mindeg | file:<path> (default mindeg)")
-    common.add_argument("--backend", default="reference", choices=["reference", "vendor"])
+    common.add_argument("--backend", default="reference", choices=["reference", "vendor"],
+                        help="name the runs report; both call LAPACK/BLAS in place "
+                             "(default reference)")
     common.add_argument("--pr", action=argparse.BooleanOptionalAction, default=True,
                         help="reorder columns within supernodes (default on)")
     common.add_argument("--merge-cap", type=_cap, default=12.5, metavar="PCT",

@@ -6,44 +6,34 @@ All four work in place on numpy views into supernode panels, read only the
 lower triangle of a triangular operand, and only ever subtract products (every
 update in the factorizations has that sign).
 
-The reference backend's kernels are numpy plus scipy's copying f2py wrappers
-of LAPACK and BLAS (``scipy_routine``, from scipy.linalg's ``_flapack`` and
-``_fblas``).
-A syrk or gemm is one numpy product, syrk's subtracted through a
-lower-triangle mask.  One column of chol or trsm is a square root or a
-division; more are dpotrf or dtrsm on a copy, written back (dpotrf's through
-the mask).  The masks are leading blocks of one cached read-only mask; the
-other temporaries are per call and no larger than the operands, so ``rlb``'s
-zero-workspace claim is asserted on the vendor backend.
-
-The vendor backend calls LAPACK's dpotrf and BLAS's dtrsm/dsyrk/dgemm through
-the function pointers scipy exports for Cython (``cython_lapack`` and
+There is one kernel set: LAPACK's dpotrf and BLAS's dtrsm/dsyrk/dgemm, called
+through the function pointers scipy exports for Cython (``cython_lapack`` and
 ``cython_blas``), passing each view's data pointer and leading dimension: no
 copies and no float scratch.  Its operands must therefore be column-major
 float64 views (adjacent rows, columns at least max(1, rows) elements apart,
-which every panel slice is); any other operand raises ValueError.
+which every panel slice is); any other operand raises ValueError.  Both
+backend names, ``reference`` (the default) and ``vendor``, give these kernels.
 
 A ``CallSchedule`` is a whole supernodal factorization precompiled as offsets
 into one flat float64 array: per supernode, a diagonal step (Cholesky of the
 diagonal triangle, triangular solve of the rows below) and its syrk/gemm
 updates, one row ``(kind, c, ldc, m, n, x, y)`` each; the operands' depth and
-leading dimension are the supernode's panel's.  Both backends take the
-diagonal steps by address (``_diagonal_steps``): the array is checked once,
-then each step calls dpotrf and dtrsm at ``base + 8*offset``, keeping the
-reference one-column square root and division.  Both run a whole schedule
-(``run_schedule``) from those steps: the reference backend through
-``run_views`` with unchecked syrk/gemm, the vendor one calling dsyrk/dgemm
-at ``base + 8*offset``.  ``supernodal_solve`` goes by address too.
+leading dimension are the supernode's panel's.  The diagonal steps go by
+address (``_diagonal_steps``): the array is checked once, then each step
+calls dpotrf and dtrsm at ``base + 8*offset``, whatever its width.  A whole
+schedule (``run_schedule``) runs those steps and calls dsyrk/dgemm at
+``base + 8*offset``.  ``supernodal_solve`` goes by address too.  A backend
+without those fields (a logging or timing wrapper of the four kernels) runs
+the steps and updates on views: ``diagonal_steps`` and ``run_views``.
 
 Every chol and every diagonal step decide a failed pivot by one rule,
 ``_check_pivots``: dpotrf's ``info``, or the first NaN pivot before it; a
 run ends with one NaN scan of all pivots (``final_pivot_scan``).
 
 The package reaches scipy only through ``_scipy_linalg_module``, which loads
-the extension modules on first use, by file, without running
-scipy/linalg/__init__.py: importing snchol loads no scipy, factoring or
-solving loads no ``scipy.linalg``, and only the reference ``chol`` and
-``trsm`` themselves load the f2py modules.
+the two Cython modules on first use, by file, without running
+scipy/linalg/__init__.py: importing snchol loads no scipy, and factoring or
+solving loads no ``scipy.linalg`` and none of its f2py modules.
 """
 
 from __future__ import annotations
@@ -55,7 +45,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -76,22 +66,6 @@ class NotPositiveDefiniteError(ArithmeticError):
         return self.template.format(self.index + base)
 
 
-_LOWER = np.ones((0, 0), dtype=bool)
-
-
-def _lower_mask(m: int) -> np.ndarray:
-    """m-by-m boolean mask of the lower triangle, diagonal included: the
-    leading block of one read-only mask, rebuilt only for a larger m."""
-    global _LOWER
-    mask = _LOWER  # one read, so a concurrent rebuild cannot shrink what is sliced
-    if mask.shape[0] < m:
-        i = np.arange(m)
-        mask = i[:, None] >= i
-        mask.flags.writeable = False
-        _LOWER = mask
-    return mask[:m, :m]
-
-
 def _extension_path(name: str) -> str:
     """The file of scipy.linalg's extension module ``name``, found without
     importing scipy."""
@@ -106,40 +80,26 @@ def _extension_path(name: str) -> str:
 
 @functools.cache
 def _scipy_linalg_module(name: str):
-    """scipy.linalg's extension module ``name`` (``_fblas``, ``_flapack``,
-    ``cython_blas`` or ``cython_lapack``), once per process.
+    """scipy.linalg's Cython module ``name`` (``cython_blas`` or
+    ``cython_lapack``), once per process.
 
     Once scipy.linalg is imported, this is its own submodule.  Before, the
-    module is loaded from its file, so scipy/linalg/__init__.py, about 28 MB
-    and 0.2 s of imports, never runs.  An f2py module gets a private name
-    ending in ``name`` (the name its init function is found by), and
-    scipy.linalg imported later loads its own copy.  A Cython module gets its
-    real name, and the entry its init makes in ``sys.modules`` is taken out
-    again: scipy.linalg imported later imports it as its own submodule,
-    which Cython makes this same module object."""
+    module is loaded from its file under its real name, so
+    scipy/linalg/__init__.py, about 28 MB and 0.2 s of imports, never runs.
+    The entry its init makes in ``sys.modules`` is taken out again:
+    scipy.linalg imported later imports it as its own submodule, which Cython
+    makes this same module object."""
+    full = f"scipy.linalg.{name}"
     if "scipy.linalg" not in sys.modules:
-        cython = name.startswith("cython_")
-        full = f"scipy.linalg.{name}" if cython else f"_snchol_scipy_linalg.{name}"
         try:
             spec = importlib.util.spec_from_file_location(full, _extension_path(name))
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
-            if cython:
-                sys.modules.pop(full, None)
+            sys.modules.pop(full, None)
             return module
         except Exception:  # whatever the cause, the normal import below decides
             pass
-    return importlib.import_module(f"scipy.linalg.{name}")
-
-
-@functools.cache
-def scipy_routine(name: str) -> Callable:
-    """scipy's f2py wrapper of BLAS or LAPACK routine ``name`` (the object
-    ``scipy.linalg.blas``/``lapack`` export), loaded on first use so that
-    importing snchol loads no scipy.  It returns copies.  Only the reference
-    ``chol_in_place`` and ``trsm_right_lt`` call one."""
-    return (getattr(_scipy_linalg_module("_fblas"), name, None)
-            or getattr(_scipy_linalg_module("_flapack"), name))
+    return importlib.import_module(full)
 
 
 def _check_pivots(pivots: np.ndarray, info: int) -> None:
@@ -156,69 +116,6 @@ def _check_pivots(pivots: np.ndarray, info: int) -> None:
     done = info - 1 if info else pivots.size
     nan = np.flatnonzero(np.isnan(pivots[:done]))
     raise NotPositiveDefiniteError(int(nan[0]) if nan.size else done)
-
-
-def chol_in_place(T) -> None:
-    """Overwrite the lower triangle of square T with its Cholesky factor.
-
-    The strict upper triangle is neither read nor written.  Raises
-    NotPositiveDefiniteError carrying the failing pivot index, by
-    ``_check_pivots``, and leaves T untouched.  One column is a square root;
-    more are LAPACK's dpotrf on a copy (scipy's wrapper), written back through
-    a lower-triangle mask.
-    """
-    m = T.shape[0]
-    if T.shape[1] != m:
-        raise ValueError("chol_in_place needs a square view")
-    if m == 1:  # dpotrf's one step: a pivot that is not positive, NaN included, fails
-        if not T[0, 0] > 0.0:
-            raise NotPositiveDefiniteError(0)
-        T[0, 0] = np.sqrt(T[0, 0])
-        return
-    L, info = scipy_routine("dpotrf")(T, lower=1, clean=0)
-    _check_pivots(L.diagonal(), info)
-    np.copyto(T, L, where=_lower_mask(m))
-
-
-def trsm_right_lt(T, B) -> None:
-    """B <- B * T^{-T} for a lower-triangular factor T (completes panel columns).
-
-    T's strict upper triangle is not read.  One column is a division; more
-    are BLAS's dtrsm on a copy of B (scipy's wrapper), written back.
-    """
-    m = T.shape[0]
-    if T.shape[1] != m or B.shape[1] != m:
-        raise ValueError("shape mismatch in trsm_right_lt")
-    if np.count_nonzero(T.diagonal()) < m:  # NaN is nonzero: only 0.0 and -0.0 fail
-        zero = np.flatnonzero(T.diagonal() == 0.0)
-        raise ValueError(f"zero diagonal at index {zero[0]} in triangular solve")
-    if m == 1:  # the loop's one step: b - 0.0 is b, -0.0 included
-        B /= T[0, 0]
-    else:
-        B[...] = scipy_routine("dtrsm")(1.0, T, B, side=1, lower=1, trans_a=1)
-
-
-def _syrk(C, X) -> None:
-    np.subtract(C, X @ X.T, out=C, where=_lower_mask(C.shape[0]))
-
-
-def _gemm(C, X, Y) -> None:
-    C -= X @ Y.T
-
-
-def syrk_lower(C, X) -> None:
-    """Lower triangle of C <- C - X X^T; the strict upper triangle is neither
-    read nor written: one product subtracted through a lower-triangle mask."""
-    if C.shape != (X.shape[0], X.shape[0]):
-        raise ValueError("shape mismatch in syrk_lower")
-    _syrk(C, X)
-
-
-def gemm_nt(C, X, Y) -> None:
-    """C <- C - X Y^T over the full rectangle."""
-    if X.shape[1] != Y.shape[1] or C.shape[0] != X.shape[0] or C.shape[1] != Y.shape[0]:
-        raise ValueError("shape mismatch in gemm_nt")
-    _gemm(C, X, Y)
 
 
 @dataclass(frozen=True)
@@ -311,15 +208,14 @@ def final_pivot_scan(data: np.ndarray, schedule: CallSchedule) -> None:
     _check_pivots(_pivots(data, schedule.diag), 0)
 
 
-def _diagonal_steps(data: np.ndarray, schedule: CallSchedule, divides: bool,
-                    width: ctypes.c_int | None = None, ld: ctypes.c_int | None = None) -> Callable:
+def _diagonal_steps(data: np.ndarray, schedule: CallSchedule, width: ctypes.c_int | None = None,
+                    ld: ctypes.c_int | None = None) -> Callable:
     """``step(j)``: ``schedule``'s diagonal step j on ``data``, checked once,
     here: dpotrf of the a-by-a triangle at ``base + 8*p``, then dtrsm of the
-    ld - a rows below.  Where ``divides``, a one-column step is a square root
-    and a division, the bytes of ``chol_in_place`` and ``trsm_right_lt``.  A
-    pivot failing dpotrf's test (a NaN passes) raises by ``_check_pivots``
-    over the pivots before it.  A dpotrf step leaves a and ld in the cells
-    ``width`` and ``ld``, when given, for the caller's own calls."""
+    ld - a rows below, whatever a is.  A pivot failing dpotrf's test (a NaN
+    passes) raises by ``_check_pivots`` over the pivots before it.  A step
+    leaves a and ld in the cells ``width`` and ``ld``, when given, for the
+    caller's own calls."""
     dpotrf, dtrsm = _vendor_functions()[:2]
     base = _storage_address(data, schedule.storage)
     steps = schedule.diag.tolist()
@@ -334,13 +230,6 @@ def _diagonal_steps(data: np.ndarray, schedule: CallSchedule, divides: bool,
 
     def step(j: int) -> None:
         at, rows, a, first = steps[j]
-        if a == 1 and divides:
-            pivot = data.item(at)
-            if pivot <= 0.0:
-                fail(first + 1)
-            data[at] = root = math.sqrt(pivot)
-            data[at + 1:at + rows] /= root
-            return
         pa.value = base + 8 * at
         n.value, ld.value = a, rows
         dpotrf(_LO, pn, pa, pld, pinfo)
@@ -397,15 +286,6 @@ def run_views(data: np.ndarray, schedule: CallSchedule, step, syrk, gemm) -> Non
                 y_at, Y = y, P[y - at:y - at + n]
             gemm(view((m, n), f8, data, 8 * c, (8, 8 * ldc)), X, Y)
 
-
-def _run_reference(data, schedule: CallSchedule) -> None:
-    """``run_views`` with the by-address diagonal steps, which check ``data``
-    once, and unchecked syrk/gemm."""
-    run_views(data, schedule, _diagonal_steps(data, schedule, True), _syrk, _gemm)
-
-
-REFERENCE_BACKEND = KernelBackend("reference", chol_in_place, trsm_right_lt, syrk_lower, gemm_nt,
-                                  _run_reference, functools.partial(_diagonal_steps, divides=True))
 
 # Byte offset of ``char *data`` in numpy's C array struct (PyArrayObject_fields):
 # it follows the object header.  ``_vendor_functions`` checks it once.
@@ -505,7 +385,7 @@ def vendor_backend() -> KernelBackend:
     def chol(T):
         size = T.shape[0]
         if T.shape[1] != size:
-            raise ValueError("chol_in_place needs a square view")
+            raise ValueError("chol needs a square view")
         if size == 0:
             return
         n.value = size
@@ -516,13 +396,14 @@ def vendor_backend() -> KernelBackend:
     def trsm(T, B):
         size = T.shape[0]
         if T.shape[1] != size or B.shape[1] != size:
-            raise ValueError("shape mismatch in trsm_right_lt")
+            raise ValueError("shape mismatch in trsm")
         if size == 0 or B.shape[0] == 0:
             return
         lda.value, t = _operand(T)
         ldb.value, b = _operand(B, True)
-        if (T.diagonal() == 0.0).any():
-            raise ValueError("zero diagonal in triangular solve")
+        zero = T.diagonal() == 0.0
+        if zero.any():
+            raise ValueError(f"zero diagonal at index {zero.argmax()} in triangular solve")
         m.value = B.shape[0]
         n.value = size
         dtrsm(_RIGHT, _LO, _TRANS, _NOTRANS, pm, pn, _ONE, t, plda, b, pldb)
@@ -530,7 +411,7 @@ def vendor_backend() -> KernelBackend:
     def syrk(C, X):
         size, depth = X.shape
         if C.shape != (size, size):
-            raise ValueError("shape mismatch in syrk_lower")
+            raise ValueError("shape mismatch in syrk")
         if size == 0 or depth == 0:
             return
         n.value = size
@@ -543,7 +424,7 @@ def vendor_backend() -> KernelBackend:
         rows, depth = X.shape
         cols = Y.shape[0]
         if Y.shape[1] != depth or C.shape != (rows, cols):
-            raise ValueError("shape mismatch in gemm_nt")
+            raise ValueError("shape mismatch in gemm")
         if rows == 0 or cols == 0 or depth == 0:
             return
         m.value = rows
@@ -557,7 +438,7 @@ def vendor_backend() -> KernelBackend:
     pc, px, py = (ctypes.c_void_p() for _ in range(3))
 
     def run_schedule(data, schedule):
-        step = _diagonal_steps(data, schedule, False, k, lda)  # sets the group's depth and ld
+        step = _diagonal_steps(data, schedule, k, lda)  # sets the group's depth and ld
         base, table, ptr = data.ctypes.data, schedule.rows, schedule.ptr.tolist()
         for j in range(len(ptr) - 1):
             step(j)
@@ -574,8 +455,7 @@ def vendor_backend() -> KernelBackend:
                     dgemm(_NOTRANS, _TRANS, pm, pn, pk, _MINUS_ONE, px, plda, py, plda, _ONE, pc,
                           pldc)
 
-    return KernelBackend("vendor", chol, trsm, syrk, gemm, run_schedule,
-                         functools.partial(_diagonal_steps, divides=False))
+    return KernelBackend("vendor", chol, trsm, syrk, gemm, run_schedule, _diagonal_steps)
 
 
 def supernodal_solve(data: np.ndarray, schedule: CallSchedule, below: Callable,
@@ -621,12 +501,12 @@ def supernodal_solve(data: np.ndarray, schedule: CallSchedule, below: Callable,
 
 
 def get_backend(name: str) -> KernelBackend:
-    if name == "reference":
-        _vendor_functions()  # its diagonal steps and the solve's BLAS, loaded before any timed call
-        return REFERENCE_BACKEND
-    if name == "vendor":
-        return vendor_backend()
-    raise ValueError(f"unknown kernel backend '{name}' (choose reference or vendor)")
+    """A fresh ``vendor_backend()`` under ``name``: ``reference`` (the
+    default) and ``vendor`` give the same kernels and differ only in the
+    name runs report."""
+    if name not in ("reference", "vendor"):
+        raise ValueError(f"unknown kernel backend '{name}' (choose reference or vendor)")
+    return replace(vendor_backend(), name=name)
 
 
 # Flop model shared by runtime counters and symbolic work predictions:

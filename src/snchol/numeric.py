@@ -18,7 +18,7 @@ rlb   right-looking blocked: dense blocks updated straight into ancestor
 Every method takes the same supernode steps, ``kernels.diagonal_steps``: the
 Cholesky of the diagonal triangle and the triangular solve below it, as
 ``S.rlb_schedule.diag`` gives them, by address on ``F.data`` (checked once
-per run) on both backends.  Whatever order a method factors in, a failure
+per run).  Whatever order a method factors in, a failure
 names the first bad pivot in column order: each run ends with one NaN scan
 of all pivots.  No method counts
 call by call: each run adds the calls and flops the analysis predicts, and
@@ -27,11 +27,11 @@ add each update into its target through ``_assembler``, per
 ``S.update_table`` pair: one slice-add per rectangle of the pair's
 ``S.rlb_schedule`` rows where it has no more rows than columns, else one
 scatter-add per column.  rlb's schedule holds the whole factorization: per
-supernode, its diagonal step and its updates.  On both backends rlb is one
-``run_schedule`` call that checks ``F.data`` once (see ``kernels``); with
-a backend that has none, it runs ``kernels.run_views`` on that backend's
-steps and syrk/gemm, the loop the reference runner runs with unchecked
-syrk/gemm.  The solve goes by address too (``kernels.supernodal_solve``).
+supernode, its diagonal step and its updates.  rlb is one ``run_schedule``
+call that checks ``F.data`` once (see ``kernels``); with a backend that has
+none (a logging or timing wrapper), it runs ``kernels.run_views`` on that
+backend's steps and syrk/gemm.  The solve goes by address too
+(``kernels.supernodal_solve``).
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Independent oracles the tests check the library against.
 
 These deliberately avoid the library's own code paths: dense boolean
-elimination for structure, numpy's Cholesky for values, brute-force
-enumeration for orderings and stack schedules.
+elimination for structure, numpy's Cholesky for values, numpy products and
+scipy's f2py wrappers for the dense kernels, brute-force enumeration for
+orderings and stack schedules.
 """
 
 import bisect
@@ -10,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from snchol.kernels import NotPositiveDefiniteError
+from snchol.kernels import KernelBackend, NotPositiveDefiniteError
 from snchol.matrix import SymmetricSparsePattern, SymmetricSparseMatrix, apply_symmetric_permutation
 from snchol.symbolic import RowLists
 
@@ -945,6 +946,51 @@ def trsm_numpy(T, B) -> None:
 
 
 def trsm_columns(T, B) -> None:
-    """B <- B T^{-T}, one column of B at a time against T's lower triangle."""
+    """B <- B T^{-T}, one column of B at a time against T's lower triangle,
+    each column scaled by the reciprocal of its pivot, as the reference BLAS
+    dtrsm does for a right, lower, transposed solve."""
     for j in range(T.shape[0]):
-        B[:, j] = (B[:, j] - B[:, :j] @ T[j, :j]) / T[j, j]
+        B[:, j] = (B[:, j] - B[:, :j] @ T[j, :j]) * (1.0 / T[j, j])
+
+
+def numpy_backend() -> KernelBackend:
+    """A second kernel set to check the library's by-address LAPACK/BLAS
+    calls against: syrk and gemm as numpy products (syrk's subtracted through
+    a lower-triangle mask), chol and trsm as scipy's copying f2py wrappers of
+    dpotrf and dtrsm, written back.  chol leaves T untouched when it fails,
+    naming the first NaN pivot before dpotrf's failed column, or that column.
+    It has no schedule runner, so the factorizations run it on panel views."""
+    from scipy.linalg.blas import dtrsm
+    from scipy.linalg.lapack import dpotrf
+
+    def chol(T):
+        m = T.shape[0]
+        if T.shape[1] != m:
+            raise ValueError("chol needs a square view")
+        L, info = dpotrf(T, lower=1, clean=0)
+        done = info - 1 if info else m
+        nan = np.flatnonzero(np.isnan(L.diagonal()[:done]))
+        if nan.size or info:
+            raise NotPositiveDefiniteError(int(nan[0]) if nan.size else done)
+        np.copyto(T, L, where=np.tri(m, dtype=bool))
+
+    def trsm(T, B):
+        m = T.shape[0]
+        if T.shape[1] != m or B.shape[1] != m:
+            raise ValueError("shape mismatch in trsm")
+        zero = np.flatnonzero(T.diagonal() == 0.0)
+        if zero.size:
+            raise ValueError(f"zero diagonal at index {zero[0]} in triangular solve")
+        B[...] = dtrsm(1.0, T, B, side=1, lower=1, trans_a=1)
+
+    def syrk(C, X):
+        if C.shape != (X.shape[0], X.shape[0]):
+            raise ValueError("shape mismatch in syrk")
+        np.subtract(C, X @ X.T, out=C, where=np.tri(C.shape[0], dtype=bool))
+
+    def gemm(C, X, Y):
+        if X.shape[1] != Y.shape[1] or C.shape != (X.shape[0], Y.shape[0]):
+            raise ValueError("shape mismatch in gemm")
+        C -= X @ Y.T
+
+    return KernelBackend("numpy", chol, trsm, syrk, gemm)

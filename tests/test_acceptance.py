@@ -238,5 +238,5 @@ def test_criterion_9_directional_performance_advisory():
     if meds["rlb"] <= bound:
         _passline(9, detail)
     else:
-        print(f"\nACCEPTANCE 9: WARN - {detail}; advisory only: reference kernels "
-              f"pay per-call overhead that a tuned BLAS does not")
+        print(f"\nACCEPTANCE 9: WARN - {detail}; advisory only: rlb makes more, smaller "
+              f"kernel calls than the others, and each pays Python and ctypes overhead")

@@ -566,8 +566,8 @@ def run_python(code: str) -> str:
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():
-    """Importing loads no scipy at all: the kernels load scipy.linalg's four
-    extension modules on first use (``kernels._scipy_linalg_module``)."""
+    """Importing loads no scipy at all: the kernels load scipy.linalg's two
+    Cython modules on first use (``kernels._scipy_linalg_module``)."""
     run_python(NO_SCIPY_ON_IMPORT)
 
 
@@ -635,19 +635,21 @@ print(factor_every_way())
 
 
 def test_reference_runs_load_no_f2py_module_and_scipy_linalg_names_its_own():
-    """Factoring and solving on the reference backend loads the Cython BLAS
-    and LAPACK modules under their real names and no f2py module; a later
-    ``import scipy.linalg`` then finds them as its own submodules, named as
-    such, and its routines work."""
+    """Factoring and solving on either backend, and ``check`` (the column
+    oracle), load the Cython BLAS and LAPACK modules under their real names
+    and no f2py module; a later ``import scipy.linalg`` then finds them as its
+    own submodules, named as such, and its routines work."""
     run_python("""
 import sys
 import numpy as np
 from snchol.cli import main
-for method in ("mf", "ll", "rl", "rlb"):
-    assert main(["factor", "gen:n=300,density=0.02,seed=1", "--method", method,
-                 "--backend", "reference", "--solve"]) == 0
-f2py = [m for m in sys.modules if m.endswith(("._fblas", "._flapack"))]
-assert not f2py, f2py
+for backend in ("reference", "vendor"):
+    for method in ("mf", "ll", "rl", "rlb"):
+        assert main(["factor", "gen:n=300,density=0.02,seed=1", "--method", method,
+                     "--backend", backend, "--solve"]) == 0
+    assert main(["check", "gen:n=300,density=0.02,seed=1", "--backend", backend]) == 0
+    f2py = [m for m in sys.modules if m.endswith(("._fblas", "._flapack"))]
+    assert not f2py, (backend, f2py)
 assert "scipy.linalg" not in sys.modules
 import scipy.linalg
 from scipy.linalg import blas, lapack, qr, qr_update
@@ -673,9 +675,7 @@ def test_scipy_linalg_imported_first_is_the_one_used():
 import sys
 import scipy.linalg
 from snchol import kernels
-assert kernels.scipy_routine("dtrsm") is scipy.linalg.blas.dtrsm
-assert kernels.scipy_routine("dpotrf") is scipy.linalg.lapack.dpotrf
-for name in ("_fblas", "_flapack", "cython_blas", "cython_lapack"):
+for name in ("cython_blas", "cython_lapack"):
     assert kernels._scipy_linalg_module(name) is sys.modules["scipy.linalg." + name], name
 """)
 
@@ -689,6 +689,5 @@ from snchol import kernels
 kernels._extension_path = lambda name: os.path.join({str(tmp_path)!r}, name + ".so")
 print(factor_every_way())
 assert "scipy.linalg" in sys.modules
-assert kernels.scipy_routine("dtrsv") is sys.modules["scipy.linalg.blas"].dtrsv
 """)
     assert out.split() == [every_way_digest]

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from snchol import kernels
-from snchol.kernels import (NotPositiveDefiniteError, chol_in_place, gemm_nt,
-                            get_backend, syrk_lower, trsm_right_lt, vendor_backend)
+from snchol.kernels import NotPositiveDefiniteError, get_backend
 
 import oracles
+
+# The library's one kernel set (LAPACK/BLAS by address), under the default name;
+# its operands are column-major views.
+LIB = get_backend("reference")
+fortran = np.asfortranarray
 
 
 def random_spd(n, seed):
@@ -16,62 +19,62 @@ def random_spd(n, seed):
 
 def test_chol_one_by_one():
     T = np.array([[4.0]])
-    chol_in_place(T)
+    LIB.chol(T)
     assert T[0, 0] == 2.0
 
 
 def test_chol_two_by_two_by_hand():
-    T = np.array([[4.0, 7.7], [2.0, 5.0]])  # upper entry must survive untouched
-    chol_in_place(T)
+    T = fortran([[4.0, 7.7], [2.0, 5.0]])  # upper entry must survive untouched
+    LIB.chol(T)
     assert T[0, 0] == 2.0 and T[1, 0] == 1.0 and T[1, 1] == 2.0
     assert T[0, 1] == 7.7
 
 
 def test_chol_reconstructs_random_spd():
     A = random_spd(8, 0)
-    T = A.copy()
-    chol_in_place(T)
+    T = fortran(A)
+    LIB.chol(T)
     L = np.tril(T)
     assert np.linalg.norm(A - L @ L.T) / np.linalg.norm(A) <= 64 * np.finfo(float).eps
 
 
 def test_chol_reports_failing_pivot():
-    T = np.array([[1.0, 0.0], [0.0, -1.0]])
+    T = fortran([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(NotPositiveDefiniteError) as e:
-        chol_in_place(T)
+        LIB.chol(T)
     assert e.value.index == 1
 
 
 def test_trsm_scalar_and_identity():
     T = np.array([[2.0]])
     B = np.array([[6.0]])
-    trsm_right_lt(T, B)
+    LIB.trsm(T, B)
     assert B[0, 0] == 3.0
-    B = np.arange(6.0).reshape(3, 2)
+    B = fortran(np.arange(6.0).reshape(3, 2))
     old = B.copy()
-    trsm_right_lt(np.eye(2), B)
+    LIB.trsm(fortran(np.eye(2)), B)
     assert np.array_equal(B, old)
 
 
 def test_trsm_multiply_back():
     rng = np.random.default_rng(1)
     A = random_spd(3, 2)
-    T = A.copy()
-    chol_in_place(T)
-    T = np.tril(T)
+    T = fortran(A)
+    LIB.chol(T)
+    T = fortran(np.tril(T))
     B = rng.standard_normal((6, 3))
-    X = B.copy()
-    trsm_right_lt(T, X)
+    X = fortran(B)
+    LIB.trsm(T, X)
     assert np.allclose(X @ T.T, B)
 
 
 def test_trsm_zero_diagonal():
     with pytest.raises(ValueError):
-        trsm_right_lt(np.zeros((1, 1)), np.ones((2, 1)))
-    T = np.tril(random_spd(33, 0))
+        LIB.trsm(np.zeros((1, 1)), np.ones((2, 1)))
+    T = fortran(np.tril(random_spd(33, 0)))
     T[20, 20] = 0.0
     with pytest.raises(ValueError, match="zero diagonal at index 20"):
-        trsm_right_lt(T, np.ones((3, 33)))
+        LIB.trsm(T, np.ones((3, 33), order="F"))
 
 
 def outcome(kernel, *args):
@@ -84,53 +87,54 @@ def outcome(kernel, *args):
 
 
 def test_one_column_chol_and_trsm_are_the_column_loop_byte_for_byte():
-    """One column of chol_in_place (a square root) and of trsm_right_lt (a
-    division) writes the bytes, and raises the errors, of the column loop's
-    first column, which a two-column operand whose second column cannot fail
-    runs (``oracles.chol_columns`` and ``oracles.trsm_columns``)."""
+    """One column of chol (dpotrf's square root) and of trsm (dtrsm's product
+    with the pivot's reciprocal) writes the bytes, and raises the errors, of
+    the column loop's first column, which a two-column operand whose second
+    column cannot fail runs (``oracles.chol_columns`` and
+    ``oracles.trsm_columns``): one column takes no path of its own."""
     B = np.array([[1.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.inf, 1.0], [-np.inf, 1.0],
-                  [np.nan, 1.0], [1e-310, 1.0], [7.0, 1.0]])
+                  [np.nan, 1.0], [1e-310, 1.0], [7.0, 1.0]], order="F")
     with np.errstate(all="ignore"):  # inf and NaN operands
         for d in (4.0, 2.0, 1e-300, 5e-324, np.inf, -7.0, 0.0, -0.0, -1.0, -np.inf, np.nan):
-            one, two = np.array([[d]]), np.array([[d, 0.0], [0.0, 1.0]])
-            wide = outcome(chol_in_place, two.copy())
-            assert outcome(chol_in_place, one) == outcome(oracles.chol_columns, two) == wide, d
+            one, two = np.array([[d]]), fortran([[d, 0.0], [0.0, 1.0]])
+            wide = outcome(LIB.chol, two.copy(order="F"))
+            assert outcome(LIB.chol, one) == outcome(oracles.chol_columns, two) == wide, d
             assert one.tobytes() == two[:1, :1].tobytes(), d
-            one, two = np.array([[d]]), np.array([[d, 0.0], [0.0, 1.0]])
-            B1, B2 = B[:, :1].copy(), B.copy()
-            got = outcome(trsm_right_lt, one, B1)
-            assert got == outcome(trsm_right_lt, two, B.copy()), d
+            one, two = np.array([[d]]), fortran([[d, 0.0], [0.0, 1.0]])
+            B1, B2 = B[:, :1].copy(), B.copy(order="F")
+            got = outcome(LIB.trsm, one, B1)
+            assert got == outcome(LIB.trsm, two, B.copy(order="F")), d
             if got is None:
                 oracles.trsm_columns(two, B2)
             assert B1.tobytes() == B2[:, :1].tobytes(), d
-    assert outcome(trsm_right_lt, np.array([[-0.0]]), B[:, :1].copy()) == \
+    assert outcome(LIB.trsm, np.array([[-0.0]]), B[:, :1].copy()) == \
         (ValueError, "zero diagonal at index 0 in triangular solve")
-    assert outcome(chol_in_place, np.array([[np.nan]])) == \
+    assert outcome(LIB.chol, np.array([[np.nan]])) == \
         (NotPositiveDefiniteError, "non-positive pivot at index 0")
 
 
 def test_syrk_rank_one_by_hand():
-    C = np.zeros((2, 2))
+    C = np.zeros((2, 2), order="F")
     X = np.array([[1.0], [2.0]])
-    syrk_lower(C, X)
+    LIB.syrk(C, X)
     assert C[0, 0] == -1.0 and C[1, 0] == -2.0 and C[1, 1] == -4.0
     assert C[0, 1] == 0.0
 
 
 def test_syrk_empty_no_change():
-    C = np.ones((3, 3))
-    syrk_lower(C, np.zeros((3, 0)))
+    C = np.ones((3, 3), order="F")
+    LIB.syrk(C, np.zeros((3, 0), order="F"))
     assert np.array_equal(C, np.ones((3, 3)))
 
 
 def test_syrk_matches_naive_and_leaves_upper_poisoned():
     rng = np.random.default_rng(3)
     for m, k in [(1, 1), (4, 2), (7, 5)]:
-        X = rng.standard_normal((m, k))
-        C = rng.standard_normal((m, m))
+        X = fortran(rng.standard_normal((m, k)))
+        C = fortran(rng.standard_normal((m, m)))
         poison = C.copy()
         naive = C - X @ X.T
-        syrk_lower(C, X)
+        LIB.syrk(C, X)
         iu = np.triu_indices(m, 1)
         il = np.tril_indices(m)
         assert np.allclose(C[il], naive[il], atol=2 * k * np.finfo(float).eps * 10)
@@ -139,46 +143,35 @@ def test_syrk_matches_naive_and_leaves_upper_poisoned():
 
 def test_syrk_never_reads_upper_triangle():
     rng = np.random.default_rng(8)
-    C = rng.standard_normal((5, 5))
+    C = fortran(rng.standard_normal((5, 5)))
     C[np.triu_indices(5, 1)] = np.nan  # would propagate on any read
-    X = rng.standard_normal((5, 3))
-    syrk_lower(C, X)
+    X = fortran(rng.standard_normal((5, 3)))
+    LIB.syrk(C, X)
     assert np.isfinite(C[np.tril_indices(5)]).all()
-
-
-def test_lower_masks_are_leading_blocks_of_one_read_only_mask():
-    """A smaller mask is a view of the largest one built; a larger size
-    replaces it."""
-    big, small = kernels._lower_mask(7), kernels._lower_mask(4)
-    assert np.array_equal(small, np.tril(np.ones((4, 4), dtype=bool)))
-    assert np.shares_memory(small, big) and not small.flags.writeable
-    grown = kernels._lower_mask(kernels._LOWER.shape[0] + 3)
-    assert np.array_equal(grown, np.tril(np.ones(grown.shape, dtype=bool)))
-    assert kernels._LOWER.shape == grown.shape
 
 
 def test_gemm_trivial_and_zero():
     C = np.array([[0.0]])
-    gemm_nt(C, np.array([[1.0]]), np.array([[2.0]]))
+    LIB.gemm(C, np.array([[1.0]]), np.array([[2.0]]))
     assert C[0, 0] == -2.0
-    C = np.ones((2, 3))
-    gemm_nt(C, np.zeros((2, 4)), np.zeros((3, 4)))
+    C = np.ones((2, 3), order="F")
+    LIB.gemm(C, np.zeros((2, 4), order="F"), np.zeros((3, 4), order="F"))
     assert np.array_equal(C, np.ones((2, 3)))
 
 
 def test_gemm_matches_naive():
     rng = np.random.default_rng(4)
-    X = rng.standard_normal((5, 3))
-    Y = rng.standard_normal((4, 3))
-    C = rng.standard_normal((5, 4))
+    X = fortran(rng.standard_normal((5, 3)))
+    Y = fortran(rng.standard_normal((4, 3)))
+    C = fortran(rng.standard_normal((5, 4)))
     naive = C - X @ Y.T
-    gemm_nt(C, X, Y)
+    LIB.gemm(C, X, Y)
     assert np.allclose(C, naive)
 
 
 def test_gemm_shape_mismatch():
     with pytest.raises(ValueError):
-        gemm_nt(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 4)))
+        LIB.gemm(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 @pytest.fixture(params=["reference", "vendor"])
@@ -187,8 +180,7 @@ def backend(request):
 
 
 PAD = 3
-# Widths on both sides of the reference backend's switch in chol and trsm from
-# a closed form (one column) to LAPACK dpotrf and BLAS dtrsm (two or more).
+# One column, a few, and widths past the blocking of LAPACK dpotrf and BLAS dtrsm.
 SIZES = [1, 2, 3, 5, 33, 200]
 
 
@@ -273,21 +265,22 @@ def test_kernels_never_touch_a_poisoned_upper_triangle(backend):
 
 
 def test_vendor_matches_reference_on_strided_views():
-    vendor = get_backend("vendor")
+    """The by-address kernels against the numpy/f2py oracle kernels."""
+    vendor, oracle = get_backend("vendor"), oracles.numpy_backend()
     rng = np.random.default_rng(12)
     for m, k, r in [(1, 1, 1), (5, 3, 4), (33, 9, 17)]:
         il = np.tril_indices(m)
         A = random_spd(m, m)
         _, T1 = embed(A, rng)
         _, T2 = embed(A, rng)
-        chol_in_place(T1)
+        oracle.chol(T1)
         vendor.chol(T2)
         assert np.abs(T1[il] - T2[il]).max() / np.abs(T1[il]).max() <= 1e-10
 
         Bm = rng.standard_normal((r, m))
         _, B1 = embed(Bm, rng)
         _, B2 = embed(Bm, rng)
-        trsm_right_lt(T1, B1)
+        oracle.trsm(T1, B1)
         vendor.trsm(T2, B2)
         assert np.abs(B1 - B2).max() / max(1.0, np.abs(B1).max()) <= 1e-10
 
@@ -295,7 +288,7 @@ def test_vendor_matches_reference_on_strided_views():
         Cm = rng.standard_normal((m, m))
         _, C1 = embed(Cm, rng)
         _, C2 = embed(Cm, rng)
-        syrk_lower(C1, X)
+        oracle.syrk(C1, X)
         vendor.syrk(C2, X)
         assert np.abs(C1[il] - C2[il]).max() / np.abs(C1[il]).max() <= 1e-10
 
@@ -303,7 +296,7 @@ def test_vendor_matches_reference_on_strided_views():
         Gm = rng.standard_normal((m, r))
         _, G1 = embed(Gm, rng)
         _, G2 = embed(Gm, rng)
-        gemm_nt(G1, X, Y)
+        oracle.gemm(G1, X, Y)
         vendor.gemm(G2, X, Y)
         assert np.abs(G1 - G2).max() / np.abs(G1).max() <= 1e-10
 
@@ -333,8 +326,8 @@ def test_chol_and_trsm_match_numpy_oracles_on_strided_views(backend):
 
 
 def test_vendor_failing_pivot_index_matches_reference():
-    """Both backends name the same pivot, and the reference chol, whose
-    dpotrf works on a copy, leaves T's bytes as they were."""
+    """The by-address chol and the oracle's name the same pivot, and the
+    oracle chol, whose dpotrf works on a copy, leaves T's bytes as they were."""
     vendor = get_backend("vendor")
     rng = np.random.default_rng(13)
     for m in (2, 3, 6, 33):  # below 2 columns, see the one-column test
@@ -343,30 +336,30 @@ def test_vendor_failing_pivot_index_matches_reference():
                 A = random_spd(m, p)
                 A[p, p] = bad  # leading minors of order <= p stay positive definite
                 got = []
-                for chol in (chol_in_place, vendor.chol):
+                for chol in (oracles.numpy_backend().chol, vendor.chol):
                     base, T = embed(A, rng)
                     before = base.tobytes()
                     with pytest.raises(NotPositiveDefiniteError) as e:
                         chol(T)
                     got.append(e.value.index)
-                    # the reference dpotrf works on a copy, the vendor one in place
+                    # the oracle's dpotrf works on a copy, the by-address one in place
                     assert chol is vendor.chol or base.tobytes() == before, (m, p, bad)
                 assert got == [p, p], (m, bad)
 
 
 def test_rank_deficient_chol_agrees_on_both_backends():
     """B B^T with B n-by-(n-1) is singular, so its last pivot is roundoff:
-    positive, zero or negative.  Both backends decide it by dpotrf's info
-    (and the first NaN pivot before it), so they give the same outcome and
-    index on every such matrix."""
-    vendor = get_backend("vendor")
+    positive, zero or negative.  The by-address chol and the oracle's decide
+    it by dpotrf's info (and the first NaN pivot before it), so they give the
+    same outcome and index on every such matrix."""
+    vendor, oracle = get_backend("vendor"), oracles.numpy_backend()
     rng = np.random.default_rng(16)
     failed = 0
     for _ in range(2000):
         n = int(rng.integers(2, 13))
         B = rng.standard_normal((n, n - 1))
         A = np.asfortranarray(B @ B.T)
-        got = outcome(chol_in_place, A.copy(order="F"))
+        got = outcome(oracle.chol, A.copy(order="F"))
         assert got == outcome(vendor.chol, A.copy(order="F")), n
         failed += got is not None
     assert 0 < failed < 2000  # both outcomes occur
@@ -422,20 +415,21 @@ def test_cdiv_composition_matches_dense_columns():
     A = random_spd(7, 5)
     L = np.linalg.cholesky(A)
     a = 3
-    panel = A[:, :a].copy()
-    chol_in_place(panel[:a, :a])
-    trsm_right_lt(np.tril(panel[:a, :a]), panel[a:, :])
+    panel = A[:, :a].copy(order="F")
+    LIB.chol(panel[:a, :a])
+    LIB.trsm(fortran(np.tril(panel[:a, :a])), panel[a:, :])
     assert np.allclose(np.tril(panel[:a, :a]), L[:a, :a])
     assert np.allclose(panel[a:, :], L[a:, :a])
 
 
 def test_backend_equivalence_reference_vs_vendor():
-    vendor = get_backend("vendor")
+    """The by-address kernels against the numpy/f2py oracle kernels."""
+    vendor, oracle = get_backend("vendor"), oracles.numpy_backend()
     rng = np.random.default_rng(6)
     for m, k in [(5, 3), (40, 17), (200, 64)]:
         A = np.asfortranarray(random_spd(m, m))
         T1, T2 = A.copy(order="F"), A.copy(order="F")
-        chol_in_place(T1)
+        oracle.chol(T1)
         vendor.chol(T2)
         il = np.tril_indices(m)
         assert np.abs(T1[il] - T2[il]).max() / np.abs(T1[il]).max() <= 1e-10
@@ -443,14 +437,14 @@ def test_backend_equivalence_reference_vs_vendor():
         B = np.asfortranarray(rng.standard_normal((k, m)))
         B1, B2 = B.copy(order="F"), B.copy(order="F")
         Tl = np.asfortranarray(np.tril(T1))
-        trsm_right_lt(Tl, B1)
+        oracle.trsm(Tl, B1)
         vendor.trsm(Tl, B2)
         assert np.abs(B1 - B2).max() / max(1.0, np.abs(B1).max()) <= 1e-10
 
         X = np.asfortranarray(rng.standard_normal((m, k)))
         C1 = np.asfortranarray(rng.standard_normal((m, m)))
         C2 = C1.copy(order="F")
-        syrk_lower(C1, X)
+        oracle.syrk(C1, X)
         vendor.syrk(C2, X)
         assert np.abs(C1[il] - C2[il]).max() / np.abs(C1[il]).max() <= 1e-10
 
@@ -458,7 +452,7 @@ def test_backend_equivalence_reference_vs_vendor():
         Y = np.asfortranarray(Y)
         G1 = np.asfortranarray(rng.standard_normal((m, Y.shape[0])))
         G2 = G1.copy(order="F")
-        gemm_nt(G1, X, Y)
+        oracle.gemm(G1, X, Y)
         vendor.gemm(G2, X, Y)
         assert np.abs(G1 - G2).max() / np.abs(G1).max() <= 1e-10
 

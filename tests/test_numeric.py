@@ -6,8 +6,7 @@ import pytest
 
 from snchol import kernels, numeric, symbolic
 from snchol.kernels import (GEMM, SYRK, CallSchedule, KernelBackend, NotPositiveDefiniteError,
-                            REFERENCE_BACKEND, gemm_flops, get_backend, potrf_flops, syrk_flops,
-                            trsm_flops)
+                            gemm_flops, get_backend, potrf_flops, syrk_flops, trsm_flops)
 from snchol.matrix import (SymmetricSparseMatrix, _assemble_lower, apply_symmetric_permutation,
                            generate_spd, minimum_degree_order, read_matrix_market)
 from snchol.numeric import (METHODS, FactorizationResult, FactorStateError, FactorStorage,
@@ -511,9 +510,9 @@ def vendor_case():
 @pytest.mark.parametrize("bad", ["float32", "strided", "read-only", "short", "long",
                                  "partial"])
 def test_vendor_schedule_runner_rejects_storage_before_any_call(bad):
-    """The schedule runners of both backends, vendor and reference, refuse
-    storage they cannot run on before they write anything, and rlb refuses
-    storage a failed factorization left partial."""
+    """The schedule runner, under either backend name, refuses storage it
+    cannot run on before it writes anything, and rlb refuses storage a
+    failed factorization left partial."""
     S, data = vendor_case()
     sched = S.rlb_schedule
     for backend in ("vendor", "reference"):
@@ -584,10 +583,9 @@ def test_extent_check_rejects_a_diagonal_step_off_its_panel(field):
 
 @pytest.mark.parametrize("backend", ["reference", "vendor"])
 def test_rlb_is_one_schedule_run(monkeypatch, backend):
-    """On either backend, rlb checks its storage once and never takes the
-    view loop for backends without a runner (the vendor runner no view loop
-    at all); that loop, on a logging backend, makes the calls the counters
-    report, group by group, and gives the same panels."""
+    """On either backend name, rlb checks its storage once and takes no view
+    loop at all; that loop, on a logging backend without a runner, makes the
+    calls the counters report, group by group, and gives the same panels."""
     checks = []
     check = kernels._storage_address
     monkeypatch.setattr(kernels, "_storage_address", lambda *a: checks.append(a) or check(*a))
@@ -598,8 +596,7 @@ def test_rlb_is_one_schedule_run(monkeypatch, backend):
         checks.clear()
         with monkeypatch.context() as m:
             m.setattr(numeric, "run_views", no_view_loop)
-            if backend == "vendor":
-                m.setattr(kernels, "run_views", no_view_loop)
+            m.setattr(kernels, "run_views", no_view_loop)
             r = an.factor("rlb", backend)
         assert len(checks) == 1, name
         log = []
@@ -719,12 +716,22 @@ VENDOR_CASES = {"fig1": fig1_matrix, "grid": lambda: grid_laplacian(9),
                 "gen": lambda: generate_spd(80, 0.08, 21)}
 
 
+def run_on_oracle_kernels(A, method, **kw):
+    """``run`` with ``oracles.numpy_backend()`` in place of the named kernels."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "get_backend", lambda name: oracles.numpy_backend())
+        return run(A, method, **kw)
+
+
 @pytest.mark.parametrize("case", list(VENDOR_CASES))
 def test_vendor_backend_matches_reference_backend(case):
+    """The by-address kernels against the numpy/f2py oracle kernels, which the
+    methods run on panel views."""
     A = VENDOR_CASES[case]()
     kw = dict(ordering="mindeg", merge_cap=12.5, pr=True)
     for method in ("mf", "ll", "rl", "rlb"):
-        ref = run(A, method, **kw)
+        ref = run_on_oracle_kernels(A, method, **kw)
+        assert ref.stats.backend == "numpy"
         ven = run(A, method, backend="vendor", **kw)
         assert ven.stats.backend == "vendor"
         assert deviation_from_reference(ven) <= 1e-10
@@ -732,22 +739,24 @@ def test_vendor_backend_matches_reference_backend(case):
 
 
 def test_rlb_on_vendor_allocates_no_float_scratch():
+    """On either backend name, the default included."""
     A = generate_spd(150, 0.3, 5)
     A1 = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
     S = build_symbolic_factor(A1.pattern, BuildOptions(12.5, True))
-    F = scatter_into_factor(apply_symmetric_permutation(A1, S.relabel), S)
     R = RelativeIndexMap(S)
-    backend = get_backend("vendor")
-    stats = RunStats("rlb", backend.name, S.n)
     widest = max(S.width(j) for j in range(S.nsuper))
-    tracemalloc.start()
-    try:
-        factor_rlb(F, S, R, backend, stats)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # less than one float copy of the widest diagonal block
-    assert widest >= 40 and peak < 8 * widest * widest
+    for name in ("reference", "vendor"):
+        F = scatter_into_factor(apply_symmetric_permutation(A1, S.relabel), S)
+        backend = get_backend(name)
+        stats = RunStats("rlb", backend.name, S.n)
+        tracemalloc.start()
+        try:
+            factor_rlb(F, S, R, backend, stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # less than one float copy of the widest diagonal block
+        assert widest >= 40 and peak < 8 * widest * widest, name
 
 
 def test_single_supernode_dense_case():
@@ -1028,7 +1037,7 @@ def test_one_relative_map_serves_repeated_factorizations():
         panels = []
         for _ in range(2):
             F = scatter_into_factor(A2, S)
-            factor(F, S, R, REFERENCE_BACKEND, RunStats(method, "reference", S.n))
+            factor(F, S, R, get_backend("reference"), RunStats(method, "reference", S.n))
             panels.append(F.data)
         assert np.array_equal(panels[0], panels[1]), method
 
@@ -1083,7 +1092,7 @@ def test_failed_factorization_leaves_the_map_as_built():
     for method, factor in RIGHT_LOOKING.items():
         F = scatter_into_factor(A2, S)
         with pytest.raises(NotPositiveDefiniteError):
-            factor(F, S, R, REFERENCE_BACKEND, RunStats(method, "reference", S.n))
+            factor(F, S, R, get_backend("reference"), RunStats(method, "reference", S.n))
         for j in range(S.nsuper):
             assert np.array_equal(R.rel(j), fresh.rel(j))
 
@@ -1142,15 +1151,14 @@ def test_pivot_error_names_a_column_of_the_input():
 
 
 def test_every_chol_and_runner_decides_pivots_by_one_rule(monkeypatch):
-    """Reference chol, vendor chol and every method's run hand dpotrf's
+    """chol under either backend name and every method's run hand dpotrf's
     result to ``kernels._check_pivots``, the one place the rule lives: a run
     that succeeds scans all its pivots once, at the end."""
     seen = []
     rule = kernels._check_pivots
     monkeypatch.setattr(kernels, "_check_pivots", lambda *a: seen.append(a) or rule(*a))
-    vendor = get_backend("vendor")
     T = np.asfortranarray(np.array([[4.0, 0.0], [2.0, 5.0]]))
-    for chol in (kernels.chol_in_place, vendor.chol):
+    for chol in (get_backend("reference").chol, get_backend("vendor").chol):
         seen.clear()
         chol(T.copy(order="F"))
         assert len(seen) == 1
@@ -1166,8 +1174,7 @@ def test_every_chol_and_runner_decides_pivots_by_one_rule(monkeypatch):
 def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch):
     """Every supernodal method on both backends checks its storage once and
     takes its diagonal steps by address: it calls none of the views' chol and
-    trsm, the reference ones or a vendor instance's.  The solve calls no f2py
-    wrapper, and after rlb, whose runners cut no panel views, it leaves
+    trsm.  After rlb, whose runner cuts no panel views, the solve leaves
     ``F.panels`` unbuilt.  Factors and solutions are the same bytes."""
     b = np.random.default_rng(3).standard_normal(81)
     an = analyze(grid_laplacian(9))
@@ -1182,10 +1189,6 @@ def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch)
 
     def no_view_kernel(*args):
         raise AssertionError("a view kernel was called")
-    for name in ("chol_in_place", "trsm_right_lt", "scipy_routine"):
-        monkeypatch.setattr(kernels, name, no_view_kernel)
-    monkeypatch.setattr(kernels, "REFERENCE_BACKEND", dataclasses.replace(
-        kernels.REFERENCE_BACKEND, chol=no_view_kernel, trsm=no_view_kernel))
     vendor = kernels.vendor_backend
     monkeypatch.setattr(kernels, "vendor_backend", lambda: dataclasses.replace(
         vendor(), chol=no_view_kernel, trsm=no_view_kernel))
@@ -1201,33 +1204,67 @@ def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch)
         assert ("panels" in vars(got.F)) == (method != "rlb"), (method, backend)
 
 
-def test_rank_deficient_component_fails_alike_on_both_backends():
-    """A gen: matrix with a disconnected component B B^T, B k-by-(k-1), whose
-    last pivot is roundoff.  The component is one supernode with no rows
-    below, so both backends factor it with dpotrf on the same bytes, and one
-    pivot rule decides: every supernodal method gives the same outcome and
-    message on both, and a failure names a column of the component.  (Below
-    a one-column supernode the backends' panels can differ in the last bit,
-    since the reference trsm divides and OpenBLAS's multiplies by the
-    reciprocal, so a roundoff pivot there may still fall either way.)"""
-    outcomes = []
+def graph_laplacian(seed: int) -> SymmetricSparseMatrix:
+    """The Laplacian of a seeded dense, chain or random connected graph on
+    2-39 vertices with positive edge weights, labels shuffled: singular, so
+    its last pivot is roundoff."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    if seed % 3 == 0:  # dense
+        i, j = np.tril_indices(n, -1)
+    elif seed % 3 == 1:  # chain
+        i = np.arange(1, n)
+        j = i - 1
+    else:  # a random tree plus random edges
+        i, j = np.tril_indices(n, -1)
+        keep = rng.random(i.size) < rng.uniform(0.0, 0.3)
+        v = np.arange(1, n)
+        i = np.concatenate([v, i[keep]])
+        j = np.concatenate([(rng.random(n - 1) * v).astype(np.int64), j[keep]])
+    label = rng.permutation(n)
+    i, j = label[i], label[j]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    w = rng.uniform(0.5, 2.0, lo.size)
+    diag = np.zeros(n)
+    np.add.at(diag, lo, w)
+    np.add.at(diag, hi, w)
+    d = np.arange(n, dtype=np.int64)
+    return _assemble_lower(n, np.concatenate([hi, d]), np.concatenate([lo, d]),
+                           np.concatenate([-w, diag]), pattern_only=False)
+
+
+def rank_deficient_cases():
+    """(matrix, the columns a failure may name): 200 gen: matrices with a
+    disconnected component B B^T, B k-by-(k-1), whose last pivot is roundoff,
+    then 300 graph Laplacians."""
     for seed in range(200):
         rng = np.random.default_rng(1000 + seed)
         k = int(rng.integers(2, 9))
         B = rng.standard_normal((k, k - 1))
-        A, component = with_component(seed, B @ B.T)
+        yield with_component(seed, B @ B.T)
+    for seed in range(300):
+        A = graph_laplacian(seed)
+        yield A, set(range(A.n))
+
+
+def test_rank_deficient_component_fails_alike_on_both_backends():
+    """Matrices singular to roundoff (``rank_deficient_cases``): both backend
+    names run the same kernels, so every supernodal method gives the same
+    panel bytes, or the same pivot error naming one of the matrix's singular
+    columns, under both."""
+    outcomes = []
+    for case, (A, component) in enumerate(rank_deficient_cases()):
         analysis = analyze(A)
         for method in METHODS[1:]:
             got = []
             for backend in ("reference", "vendor"):
                 try:
-                    analysis.factor(method, backend)
-                    got.append(None)
+                    got.append(analysis.factor(method, backend).F.data.tobytes())
                 except NotPositiveDefiniteError as e:
-                    assert e.index in component, (seed, method, backend)
-                    got.append(str(e))
-            assert got[0] == got[1], (seed, method)
-            outcomes.append(got[0] is None)
+                    assert e.index in component, (case, method, backend)
+                    got.append((e.index, str(e)))
+            assert got[0] == got[1], (case, method)
+            outcomes.append(isinstance(got[0], bytes))
     assert 0 < sum(outcomes) < len(outcomes)  # both outcomes occur
 
 

@@ -211,11 +211,11 @@ def test_update_table_is_the_walk_and_the_index_map(n, density, seed, cap, pr, m
 @given(n=st.integers(1, 90), density=st.floats(0.005, 0.5), seed=st.integers(0, 2**16),
        cap=st.sampled_from((None, 12.5)), pr=st.booleans())
 def test_schedule_runner_is_the_view_path(backend, n, density, seed, cap, pr):
-    """On ``gen:`` matrices each backend's schedule runner writes the bytes
-    that ``run_views`` writes through that backend's public kernels: the
-    vendor runner, which sets each group's depth and leading dimension once,
-    and the reference one, which skips the syrk/gemm shape checks; both take
-    their diagonal steps by address, the view path through chol and trsm.  The rows
+    """On ``gen:`` matrices the schedule runner, which sets each group's
+    depth and leading dimension once and takes its diagonal steps by
+    address, writes the bytes that ``run_views`` writes through the public
+    kernels, under either backend name; the view path takes its steps
+    through chol and trsm.  The rows
     have 7 columns, and the schedule's calls and flops are those of the
     update calls the view path makes, by the flop model of their operand
     shapes."""
