@@ -6,7 +6,7 @@ numeric methods sharing the same panel storage, plus supernodal solves and a
 benchmark harness.
 """
 
-from .kernels import KernelBackend, NotPositiveDefiniteError, get_backend, vendor_backend
+from .kernels import KernelBackend, NotPositiveDefiniteError, get_backend
 from .matrix import (MatrixMarketError, Permutation, PermutationFileError,
                      SymmetricSparseMatrix, SymmetricSparsePattern,
                      apply_symmetric_permutation, generate_spd, minimum_degree_order,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .matrix import (MatrixMarketError, PermutationFileError, SymmetricSparseMat
 from .numeric import (METHODS, FactorizationResult, NonFiniteEntryError, analyze, column_factor,
                       deviation_from_reference)
 
-CSV_HEADER = ["matrix", "method", "backend", "ordering", "pr", "merge_cap", "repeats",
+CSV_HEADER = ["matrix", "method", "ordering", "pr", "merge_cap", "repeats",
               "wall_seconds", "flops", "factor_nnz", "workspace_peak", "assembly_ops",
               "status"]
 
@@ -31,7 +32,6 @@ CSV_HEADER = ["matrix", "method", "backend", "ordering", "pr", "merge_cap", "rep
 class BenchRecord:
     matrix: str
     method: str
-    backend: str
     ordering: str
     pr: bool
     merge_cap: float | None
@@ -45,7 +45,7 @@ class BenchRecord:
 
     def to_row(self) -> list:
         cap = "off" if self.merge_cap is None else repr(float(self.merge_cap))
-        return [self.matrix, self.method, self.backend, self.ordering,
+        return [self.matrix, self.method, self.ordering,
                 str(int(self.pr)), cap, str(self.repeats), repr(self.wall_seconds),
                 str(self.flops), str(self.factor_nnz), str(self.workspace_peak),
                 str(self.assembly_ops), self.status]
@@ -65,6 +65,9 @@ def performance_profile(times: dict, taus: np.ndarray) -> dict:
     return out
 
 
+MAX_TAUS = 100_000
+
+
 def tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
     count = int(round((tau_max - 1.0) / tau_step))
     return np.round(1.0 + tau_step * np.arange(count + 1), 12)
@@ -72,6 +75,10 @@ def tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
 
 class SpecError(ValueError):
     """A malformed ``gen:`` matrix spec."""
+
+
+class OutputError(Exception):
+    """A result file that cannot be written."""
 
 
 # main reports these; ``analyze`` reads an ``--order file:``, so commands pass them on
@@ -100,8 +107,8 @@ def load_matrix(spec: str, default_seed: int) -> SymmetricSparseMatrix:
 
 def _print_record(rec: BenchRecord, stats=None) -> None:
     cap = "off" if rec.merge_cap is None else f"{rec.merge_cap:g}"
-    print(f"matrix={rec.matrix} method={rec.method} backend={rec.backend} "
-          f"order={rec.ordering} pr={int(rec.pr)} merge_cap={cap}")
+    print(f"matrix={rec.matrix} method={rec.method} order={rec.ordering} pr={int(rec.pr)} "
+          f"merge_cap={cap}")
     print(f"  wall={rec.wall_seconds:.6f}s flops={rec.flops} factor_nnz={rec.factor_nnz} "
           f"workspace_peak={rec.workspace_peak} assembly_ops={rec.assembly_ops} "
           f"repeats={rec.repeats} status={rec.status}")
@@ -120,25 +127,28 @@ def _message(e: Exception) -> str:
 
 
 def _write_csv(path: str, rows: list, header: list) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+    except OSError as e:
+        raise OutputError(e) from None
 
 
 def cmd_factor(args) -> int:
     A = load_matrix(args.matrix, args.seed)
     try:
-        result = analyze(A, args.order, args.merge_cap, args.pr).factor(args.method, args.backend)
+        result = analyze(A, args.order, args.merge_cap, args.pr).factor(args.method)
     except INPUT_ERRORS:
         raise
     except (NotPositiveDefiniteError, ValueError) as e:
         print(f"error: factorization ({args.method}): {_message(e)}", file=sys.stderr)
         return 1
     stats = result.stats
-    rec = BenchRecord(args.matrix, args.method, stats.backend, args.order, args.pr,
-                      args.merge_cap, 1, stats.wall_seconds, stats.flops,
-                      stats.factor_nnz, stats.workspace_peak, stats.assembly_ops)
+    rec = BenchRecord(args.matrix, args.method, args.order, args.pr, args.merge_cap, 1,
+                      stats.wall_seconds, stats.flops, stats.factor_nnz, stats.workspace_peak,
+                      stats.assembly_ops)
     _print_record(rec, stats)
     if args.check:
         dev = deviation_from_reference(result)
@@ -187,7 +197,7 @@ def cmd_check(args) -> int:
         try:
             if failure:
                 raise failure
-            result = analysis.factor(method, args.backend)
+            result = analysis.factor(method)
             oracle = oracle or column_factor(analysis.A2)
             dev = deviation_from_reference(result, oracle)
             ok = dev <= 1e-10
@@ -247,9 +257,15 @@ def cmd_bench(args) -> int:
     methods = args.methods.split(",") if args.methods else list(METHODS)
     unknown = [m for m in methods if m not in METHODS] + [None]
     twice = [m for i, m in enumerate(methods) if m in methods[:i]] + [None]
+    # tau_grid makes round(span) + 1 taus
+    span = (args.tau_max - 1.0) / args.tau_step if args.tau_step > 0.0 else 0.0
     for bad, why in ((args.repeats < 1 or args.repeats % 2 == 0, "--repeats must be odd"),
                      (not args.tau_max >= 1.0, "--tau-max must be at least 1"),
                      (not args.tau_step > 0.0, "--tau-step must be positive"),
+                     (not (math.isfinite(args.tau_max) and math.isfinite(args.tau_step)),
+                      "--tau-max and --tau-step must be finite"),
+                     (not span < MAX_TAUS - 0.5,
+                      f"--tau-max and --tau-step give more than {MAX_TAUS} taus"),
                      (unknown[0], f"unknown method '{unknown[0]}'"),
                      (twice[0], f"method '{twice[0]}' is listed twice")):
         if bad:
@@ -272,17 +288,17 @@ def cmd_bench(args) -> int:
             try:
                 if failure:
                     raise failure
-                runs = [analysis.factor(m, args.backend).stats for _ in range(args.repeats)]
+                runs = [analysis.factor(m).stats for _ in range(args.repeats)]
             except (NotPositiveDefiniteError, ValueError, OSError) as e:
                 what = "input" if isinstance(e, INPUT_ERRORS) else "factorization"
-                rows.append(BenchRecord(spec, m, args.backend, args.order, args.pr,
-                                        args.merge_cap, args.repeats, 0.0, 0, 0, 0, 0,
+                rows.append(BenchRecord(spec, m, args.order, args.pr, args.merge_cap,
+                                        args.repeats, 0.0, 0, 0, 0, 0,
                                         f"{what} error: {_message(e)}"))
                 times[m].append(np.inf)
             else:
                 s = runs[-1]
                 med = float(np.median([r.wall_seconds for r in runs]))
-                rows.append(BenchRecord(spec, m, s.backend, args.order, args.pr, args.merge_cap,
+                rows.append(BenchRecord(spec, m, args.order, args.pr, args.merge_cap,
                                         args.repeats, med, s.flops, s.factor_nnz,
                                         s.workspace_peak, s.assembly_ops))
                 times[m].append(med)
@@ -314,9 +330,6 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", default="mindeg",
                         help="natural | mindeg | file:<path> (default mindeg)")
-    common.add_argument("--backend", default="reference", choices=["reference", "vendor"],
-                        help="name the runs report; both call LAPACK/BLAS in place "
-                             "(default reference)")
     common.add_argument("--pr", action=argparse.BooleanOptionalAction, default=True,
                         help="reorder columns within supernodes (default on)")
     common.add_argument("--merge-cap", type=_cap, default=12.5, metavar="PCT",
@@ -355,6 +368,9 @@ def main(argv=None) -> int:
     args = top.parse_args(argv)
     try:
         return args.func(args)
+    except OutputError as e:
+        print(f"error: output: {e}", file=sys.stderr)
+        return 1
     except INPUT_ERRORS as e:
         print(f"error: input: {e}", file=sys.stderr)
         return 1

@@ -11,8 +11,9 @@ through the function pointers scipy exports for Cython (``cython_lapack`` and
 ``cython_blas``), passing each view's data pointer and leading dimension: no
 copies and no float scratch.  Its operands must therefore be column-major
 float64 views (adjacent rows, columns at least max(1, rows) elements apart,
-which every panel slice is); any other operand raises ValueError.  Both
-backend names, ``reference`` (the default) and ``vendor``, give these kernels.
+which every panel slice is); any other operand raises ValueError.
+``get_backend`` gives them under either of two names, ``reference`` (the
+default) and ``vendor``, which label runs and select nothing.
 
 A ``CallSchedule`` is a whole supernodal factorization precompiled as offsets
 into one flat float64 array: per supernode, a diagonal step (Cholesky of the
@@ -23,8 +24,8 @@ address (``_diagonal_steps``): the array is checked once, then each step
 calls dpotrf and dtrsm at ``base + 8*offset``, whatever its width.  A whole
 schedule (``run_schedule``) runs those steps and calls dsyrk/dgemm at
 ``base + 8*offset``.  ``supernodal_solve`` goes by address too.  A backend
-without those fields (a logging or timing wrapper of the four kernels) runs
-the steps and updates on views: ``diagonal_steps`` and ``run_views``.
+without ``run_schedule`` (a logging or timing wrapper of the four kernels)
+runs the steps and updates on views: ``diagonal_steps`` and ``run_views``.
 
 Every chol and every diagonal step decide a failed pivot by one rule,
 ``_check_pivots``: dpotrf's ``info``, or the first NaN pivot before it; a
@@ -45,7 +46,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -123,10 +124,9 @@ class KernelBackend:
     """Function table for the four kernels plus a name tag for reporting.
 
     ``run_schedule(data, schedule)``, when given, runs a whole ``CallSchedule``
-    on ``data`` itself; without it the caller runs the schedule through the
-    four kernels with ``run_views``.  ``diag_steps(data, schedule)``, when
-    given, checks ``data`` and returns ``step(j)``, the schedule's diagonal
-    step j by address; without it ``diagonal_steps`` takes the steps on views
+    on ``data`` itself, and marks the library's kernels: ``diagonal_steps``
+    then takes the steps by address.  Without it the caller runs the schedule
+    through the four kernels with ``run_views``, and the steps go on views
     through ``chol`` and ``trsm``.
     """
 
@@ -136,7 +136,6 @@ class KernelBackend:
     syrk: Callable
     gemm: Callable
     run_schedule: Callable | None = None
-    diag_steps: Callable | None = None
 
 
 SYRK, GEMM = 0, 1
@@ -243,13 +242,13 @@ def _diagonal_steps(data: np.ndarray, schedule: CallSchedule, width: ctypes.c_in
 
 
 def diagonal_steps(backend: KernelBackend, data: np.ndarray, schedule: CallSchedule) -> Callable:
-    """``step(j)``: ``schedule``'s diagonal step j on ``data``, by the
-    backend's ``diag_steps`` where it has them.  Otherwise ``backend.chol``
-    factors the a-by-a triangle of a numpy view of the group's panel, then
-    ``backend.trsm`` solves the rows below; a failed pivot's index is
-    counted from the group's first column."""
-    if backend.diag_steps:
-        return backend.diag_steps(data, schedule)
+    """``step(j)``: ``schedule``'s diagonal step j on ``data``, by address
+    (``_diagonal_steps``) where the backend has a ``run_schedule``.
+    Otherwise ``backend.chol`` factors the a-by-a triangle of a numpy view of
+    the group's panel, then ``backend.trsm`` solves the rows below; a failed
+    pivot's index is counted from the group's first column."""
+    if backend.run_schedule:
+        return _diagonal_steps(data, schedule)
     view, f8, steps = np.ndarray, data.dtype, schedule.diag.tolist()
 
     def step(j: int) -> None:
@@ -366,8 +365,10 @@ def _storage_address(data, size: int) -> int:
     return data.ctypes.data
 
 
-def vendor_backend() -> KernelBackend:
-    """LAPACK/BLAS kernels (scipy's), called in place on the panel views.
+def get_backend(name: str) -> KernelBackend:
+    """LAPACK/BLAS kernels (scipy's), called in place on the panel views,
+    under ``name``: ``reference`` (the default) or ``vendor``, which differ
+    only in the name runs report.
 
     Each call passes the views' data pointers and leading dimensions straight
     to dpotrf, dtrsm, dsyrk or dgemm: no copies and no float scratch.
@@ -377,6 +378,8 @@ def vendor_backend() -> KernelBackend:
     leading dimension set once.  The instance owns its argument cells, so one
     instance serves one thread.
     """
+    if name not in ("reference", "vendor"):
+        raise ValueError(f"unknown kernel backend '{name}' (choose reference or vendor)")
     dpotrf, dtrsm, dsyrk, dgemm = _vendor_functions()[:4]
     byref = ctypes.byref
     m, n, k, lda, ldb, ldc, info = cells = [ctypes.c_int() for _ in range(7)]
@@ -455,7 +458,7 @@ def vendor_backend() -> KernelBackend:
                     dgemm(_NOTRANS, _TRANS, pm, pn, pk, _MINUS_ONE, px, plda, py, plda, _ONE, pc,
                           pldc)
 
-    return KernelBackend("vendor", chol, trsm, syrk, gemm, run_schedule, _diagonal_steps)
+    return KernelBackend(name, chol, trsm, syrk, gemm, run_schedule)
 
 
 def supernodal_solve(data: np.ndarray, schedule: CallSchedule, below: Callable,
@@ -498,15 +501,6 @@ def supernodal_solve(data: np.ndarray, schedule: CallSchedule, below: Callable,
             dgemv(_TRANS, pm, pn, _MINUS_ONE, pb, pld, _at(id(t) + _DATA_FIELD), pinc, _ONE,
                   px, pinc)
         dtrsv(_LO, _TRANS, _NOTRANS, pn, pa, pld, px, pinc)
-
-
-def get_backend(name: str) -> KernelBackend:
-    """A fresh ``vendor_backend()`` under ``name``: ``reference`` (the
-    default) and ``vendor`` give the same kernels and differ only in the
-    name runs report."""
-    if name not in ("reference", "vendor"):
-        raise ValueError(f"unknown kernel backend '{name}' (choose reference or vendor)")
-    return replace(vendor_backend(), name=name)
 
 
 # Flop model shared by runtime counters and symbolic work predictions:

@@ -40,6 +40,16 @@ class PermutationFileError(ValueError):
     """A permutation file that holds no permutation of the matrix's columns."""
 
 
+def _check_fits_in_memory(columns: int, entries: int, what: str, error=ValueError) -> None:
+    """Raise ``error`` naming ``what`` when a lower-triangle CSC matrix of
+    ``columns`` columns and ``entries`` stored entries (a row index and a value
+    each, plus a column pointer per column) needs more bytes than this
+    machine's physical memory: checked before anything that size is allocated."""
+    need = 8 * columns + 16 * entries
+    if need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise error(f"{what} needs at least {need} bytes, more than this machine's memory")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -230,10 +240,8 @@ def read_matrix_market(path) -> SymmetricSparseMatrix:
     if nrows != ncols:
         raise MatrixMarketSymmetryError(f"line {lineno}: matrix is {nrows}x{ncols}, not square")
     n = nrows
-    if 24 * n > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        # every column stores at least its diagonal: row index, value, column pointer
-        raise MatrixMarketHeaderError(f"line {lineno}: dimension {n} needs at least "
-                                      f"{24 * n} bytes, more than this machine's memory")
+    # every column stores at least its diagonal
+    _check_fits_in_memory(n, n, f"line {lineno}: dimension {n}", MatrixMarketHeaderError)
 
     fields = [("i", np.int64), ("j", np.int64)] + ([] if pattern_only else [("v", np.float64)])
     try:
@@ -368,9 +376,11 @@ def generate_spd(n: int, density: float, seed: int) -> SymmetricSparseMatrix:
         raise ValueError("n must be >= 1")
     if not (0.0 < density <= 1.0):
         raise ValueError("density must be in (0, 1]")
-    rng = np.random.default_rng(seed)
     total = n * (n - 1) // 2
+    _check_fits_in_memory(n, n, f"n={n}")  # first: past n ~ 1e154, density * total overflows
     k = int(round(density * total))
+    _check_fits_in_memory(n, n + k, f"n={n} with {k} off-diagonal entries")
+    rng = np.random.default_rng(seed)
     if k > 0:
         pick = np.sort(rng.choice(total, size=k, replace=False))
         i = np.arange(n, dtype=np.int64)  # row by row, row i starts at index i(i-1)/2

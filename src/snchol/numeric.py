@@ -586,6 +586,11 @@ class Analysis:
     A2: SymmetricSparseMatrix
     slots: np.ndarray
 
+    @cached_property
+    def _ref_rows(self) -> list:
+        """``ref``'s per-column row lists of ``A1``, derived on its first run."""
+        return symbolic_factorization(self.A1.pattern, elimination_tree(self.A1.pattern))
+
     def factor(self, method: str = "rlb", backend: str = "reference") -> FactorizationResult:
         """Factor fresh panels with one method, timing only the numeric
         factorization.  A failed pivot raises NotPositiveDefiniteError naming
@@ -595,7 +600,7 @@ class Analysis:
         backend = get_backend(backend)
         if method == "ref":
             S = F = None
-            glb = symbolic_factorization(self.A1.pattern, elimination_tree(self.A1.pattern))
+            glb = self._ref_rows
             result = FactorizationResult(RunStats("ref", "none", self.A1.n), self.A1, self.p_order)
         else:
             S, F = self.S, FactorStorage(self.S)

@@ -27,10 +27,10 @@ def run_cli(*argv):
 
 def from_row(row: list) -> BenchRecord:
     """A ``BenchRecord.to_row`` CSV row read back."""
-    return BenchRecord(row[0], row[1], row[2], row[3], bool(int(row[4])),
-                       None if row[5] == "off" else float(row[5]), int(row[6]),
-                       float(row[7]), int(row[8]), int(row[9]), int(row[10]),
-                       int(row[11]), row[12])
+    return BenchRecord(row[0], row[1], row[2], bool(int(row[3])),
+                       None if row[4] == "off" else float(row[4]), int(row[5]),
+                       float(row[6]), int(row[7]), int(row[8]), int(row[9]),
+                       int(row[10]), row[11])
 
 
 def test_factor_rlb_check_reports_tiny_deviation(fig1_mtx, capsys):
@@ -86,6 +86,29 @@ def test_bad_size_line_is_an_input_error(tmp_path, capsys, size_line):
                    "--csv", str(out_csv)) == 0
     rec = from_row(list(csv.reader(out_csv.open()))[1])
     assert rec.status.startswith("input error: line 2: ")
+
+
+@pytest.mark.parametrize("spec", ["gen:n=10000000000000,density=1",
+                                  "gen:n=100000000,density=1",
+                                  "gen:n=1" + "0" * 200], ids=["columns", "entries", "n=1e200"])
+def test_a_gen_spec_beyond_memory_is_an_input_error(tmp_path, capsys, monkeypatch, spec):
+    """A spec that cannot fit, by its columns or by its entries, fails before
+    the generator draws a number."""
+    def no_draw(*args):
+        raise AssertionError("the generator started on a matrix that cannot fit")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for command in ("analyze", "factor", "check"):
+        assert run_cli(command, spec) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: input: {spec}: ") and "machine's memory" in err, command
+    lst = tmp_path / "list.txt"
+    lst.write_text(f"{spec}\n")
+    out_csv = tmp_path / "bench.csv"
+    assert run_cli("bench", str(lst), "--methods", "rlb", "--repeats", "1",
+                   "--csv", str(out_csv)) == 0
+    assert from_row(list(csv.reader(out_csv.open()))[1]).status.startswith(
+        f"input error: {spec}: ")
 
 
 @pytest.mark.parametrize("spec,why", [("gen:n=0", "n must be >= 1"),
@@ -178,9 +201,8 @@ def test_bench_rows_match_a_fresh_pipeline_per_repeat(fig1_mtx, tmp_path):
     for spec, A in inputs.items():
         for method in ("ref", "mf", "ll", "rl", "rlb"):
             s = run_factorization(A, RunOptions(method=method)).stats
-            want.append(BenchRecord(spec, method, s.backend, "mindeg", True, 12.5, 3, 0.0,
-                                    s.flops, s.factor_nnz, s.workspace_peak,
-                                    s.assembly_ops).to_row())
+            want.append(BenchRecord(spec, method, "mindeg", True, 12.5, 3, 0.0, s.flops,
+                                    s.factor_nnz, s.workspace_peak, s.assembly_ops).to_row())
     wall = CSV_HEADER.index("wall_seconds")
     for row in rows + want:
         row[wall] = "-"
@@ -292,7 +314,7 @@ def test_analyze_predicts_the_rlb_kernel_calls(fig1_mtx, capsys, order, cap, pr)
         line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("rlb schedule")]
         syrk, gemm, flops = re.fullmatch(r"rlb schedule: syrk=(\d+) gemm=(\d+) flops=(\d+)",
                                          line[0]).groups()
-        assert run_cli("factor", matrix, "--method", "rlb", "--backend", "vendor", *opts) == 0
+        assert run_cli("factor", matrix, "--method", "rlb", *opts) == 0
         out = capsys.readouterr().out
         assert f"syrk={syrk} gemm={gemm}" in out
         S = analyze(load_matrix(matrix, 0), order, None if cap == "off" else 12.5, pr).S
@@ -338,19 +360,68 @@ def test_bench_rejects_even_repeats(tmp_path, capsys):
     assert run_cli("bench", str(lst), "--repeats", "2") == 1
 
 
-@pytest.mark.parametrize("flag,value,why", [("--tau-max", "0.5", "--tau-max must be at least 1"),
-                                            ("--tau-step", "0", "--tau-step must be positive"),
-                                            ("--tau-step", "-0.1", "--tau-step must be positive")])
+@pytest.mark.parametrize("flag,value,why", [
+    ("--tau-max", "0.5", "--tau-max must be at least 1"),
+    ("--tau-step", "0", "--tau-step must be positive"),
+    ("--tau-step", "-0.1", "--tau-step must be positive"),
+    ("--tau-max", "inf", "--tau-max and --tau-step must be finite"),
+    ("--tau-step", "inf", "--tau-max and --tau-step must be finite"),
+    ("--tau-step", "1e-9", "--tau-max and --tau-step give more than 100000 taus"),
+    ("--tau-step", "1e-5", "--tau-max and --tau-step give more than 100000 taus")])
 def test_bench_rejects_bad_tau_grid_before_any_work(tmp_path, capsys, monkeypatch, flag, value,
                                                     why):
     def no_work(*args, **kw):
-        raise AssertionError("bench read a matrix with a tau grid it rejects")
+        raise AssertionError("bench read a matrix or built a tau grid it rejects")
 
     monkeypatch.setattr("snchol.cli.load_matrix", no_work)
+    monkeypatch.setattr("snchol.cli.tau_grid", no_work)
     lst = tmp_path / "mats.txt"
     lst.write_text("gen:n=10,density=0.3,seed=1\n")
     assert run_cli("bench", str(lst), "--repeats", "1", flag, value) == 1
-    assert capsys.readouterr().err == f"error: {why}\n"
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {why}\n"
+
+
+def test_bench_takes_a_grid_of_exactly_the_most_taus(tmp_path, capsys):
+    lst, prof_csv = tmp_path / "mats.txt", tmp_path / "profile.csv"
+    lst.write_text("gen:n=10,density=0.3,seed=1\n")
+    assert run_cli("bench", str(lst), "--repeats", "1", "--methods", "rlb", "--tau-max",
+                   "1.99999", "--tau-step", "1e-5", "--profile-csv", str(prof_csv)) == 0
+    rows = list(csv.reader(prof_csv.open()))[1:]
+    assert len(rows) == 100_000 and float(rows[-1][1]) == 1.99999
+
+
+@pytest.mark.parametrize("command,flag", [("factor", "--csv"), ("analyze", "--csv"),
+                                          ("bench", "--csv"), ("bench", "--profile-csv")])
+def test_an_unwritable_result_file_is_an_output_error(tmp_path, capsys, command, flag):
+    lst = tmp_path / "mats.txt"
+    lst.write_text("gen:n=10,density=0.3,seed=1\n")
+    matrix = str(lst) if command == "bench" else "gen:n=10,density=0.3,seed=1"
+    path = tmp_path / "missing" / "out.csv"
+    assert run_cli(command, matrix, flag, str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output: [Errno 2] ") and str(path) in err, err
+
+
+@pytest.mark.parametrize("command", ["analyze", "factor", "check", "bench"])
+def test_no_subcommand_takes_a_backend(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(command, "gen:n=10,density=0.3", "--backend", "vendor")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --backend vendor" in capsys.readouterr().err
+    assert "backend" not in CSV_HEADER and "backend" not in BenchRecord.__dataclass_fields__
+
+
+def test_bench_derives_the_column_structure_once_per_matrix(tmp_path, monkeypatch):
+    """``ref``'s row lists come from the analysis, once, whatever the repeats."""
+    calls = []
+    build = numeric.symbolic_factorization
+    monkeypatch.setattr(numeric, "symbolic_factorization",
+                        lambda *a: calls.append(a) or build(*a))
+    lst = tmp_path / "mats.txt"
+    lst.write_text("gen:n=30,density=0.2,seed=1\ngen:n=20,density=0.3,seed=2\n")
+    assert run_cli("bench", str(lst), "--repeats", "3", "--methods", "ref,rlb") == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("lines,methods,why", [
@@ -470,11 +541,12 @@ def test_residual_matches_dense_without_densifying():
 
 
 def test_factor_vendor_check_solve(capsys):
+    """The one kernel set, with no backend option and no backend in the record."""
     refuse_to_densify()
     assert run_cli("factor", "gen:n=120,density=0.05,seed=4", "--method", "rlb",
-                   "--backend", "vendor", "--check", "--solve") == 0
+                   "--check", "--solve") == 0
     out = capsys.readouterr().out
-    assert "backend=vendor" in out
+    assert "backend" not in out
     for key in ("deviation", "residual"):
         line = [ln for ln in out.splitlines() if key in ln][0]
         assert float(line.rsplit("=", 1)[1]) <= 1e-10
@@ -540,16 +612,15 @@ SINGULAR_3X3 = ("%%MatrixMarket matrix coordinate real symmetric\n"
 
 
 def test_singular_matrix_fails_alike_on_both_backends(tmp_path, capsys):
+    """The roundoff pivot fails every command; both backend names giving the
+    same error is ``test_numeric``'s rank-deficient test."""
     p = tmp_path / "singular.mtx"
     p.write_text(SINGULAR_3X3)
     message = "non-positive pivot at column 3 (supernode 0, local 2)"
     for command in ("factor", "check"):
-        seen = []
-        for backend in ("reference", "vendor"):
-            assert run_cli(command, str(p), "--backend", backend) == 1, (command, backend)
-            seen.append(capsys.readouterr())
-        assert seen[0] == seen[1], command
-        assert message in seen[0].err + seen[0].out, command
+        assert run_cli(command, str(p)) == 1, command
+        seen = capsys.readouterr()
+        assert message in seen.err + seen.out, command
 
 
 # The same one-liner is a CI step.
@@ -571,8 +642,8 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     run_python(NO_SCIPY_ON_IMPORT)
 
 
-# Every supernodal method on both backends, each factor solved and checked
-# against the column oracle; the digest covers every factor and solution.
+# Every supernodal method, each factor solved and checked against the column
+# oracle; the digest covers every factor and solution.
 FACTOR_EVERY_WAY = """
 import hashlib, sys
 import numpy as np
@@ -584,13 +655,12 @@ def factor_every_way():
     A = load_matrix("gen:n=300,density=0.02,seed=1", 0)
     b = np.random.default_rng(0).standard_normal(A.n)
     digest = hashlib.sha256()
-    for backend in ("reference", "vendor"):
-        for method in ("mf", "ll", "rl", "rlb"):
-            result = run_factorization(A, RunOptions(method=method, backend=backend))
-            x = solve_original(result, b)
-            assert deviation_from_reference(result) < 1e-10, (method, backend)
-            digest.update(result.F.data.tobytes())
-            digest.update(x.tobytes())
+    for method in ("mf", "ll", "rl", "rlb"):
+        result = run_factorization(A, RunOptions(method=method))
+        x = solve_original(result, b)
+        assert deviation_from_reference(result) < 1e-10, method
+        digest.update(result.F.data.tobytes())
+        digest.update(x.tobytes())
     return digest.hexdigest()
 """
 
@@ -635,7 +705,7 @@ print(factor_every_way())
 
 
 def test_reference_runs_load_no_f2py_module_and_scipy_linalg_names_its_own():
-    """Factoring and solving on either backend, and ``check`` (the column
+    """Factoring and solving by every method, and ``check`` (the column
     oracle), load the Cython BLAS and LAPACK modules under their real names
     and no f2py module; a later ``import scipy.linalg`` then finds them as its
     own submodules, named as such, and its routines work."""
@@ -643,13 +713,12 @@ def test_reference_runs_load_no_f2py_module_and_scipy_linalg_names_its_own():
 import sys
 import numpy as np
 from snchol.cli import main
-for backend in ("reference", "vendor"):
-    for method in ("mf", "ll", "rl", "rlb"):
-        assert main(["factor", "gen:n=300,density=0.02,seed=1", "--method", method,
-                     "--backend", backend, "--solve"]) == 0
-    assert main(["check", "gen:n=300,density=0.02,seed=1", "--backend", backend]) == 0
-    f2py = [m for m in sys.modules if m.endswith(("._fblas", "._flapack"))]
-    assert not f2py, (backend, f2py)
+for method in ("mf", "ll", "rl", "rlb"):
+    assert main(["factor", "gen:n=300,density=0.02,seed=1", "--method", method,
+                 "--solve"]) == 0
+assert main(["check", "gen:n=300,density=0.02,seed=1"]) == 0
+f2py = [m for m in sys.modules if m.endswith(("._fblas", "._flapack"))]
+assert not f2py, f2py
 assert "scipy.linalg" not in sys.modules
 import scipy.linalg
 from scipy.linalg import blas, lapack, qr, qr_update

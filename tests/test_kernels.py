@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from snchol.kernels import NotPositiveDefiniteError, get_backend
+from snchol.kernels import KernelBackend, NotPositiveDefiniteError, get_backend
 
 import oracles
 
@@ -460,3 +462,15 @@ def test_backend_equivalence_reference_vs_vendor():
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         get_backend("turbo")
+
+
+def test_both_names_give_the_library_kernels():
+    """``reference`` and ``vendor`` differ only in the name runs report; the
+    schedule runner, which marks the library's kernels, is the one optional
+    field of a backend."""
+    for name in ("reference", "vendor"):
+        backend = get_backend(name)
+        assert backend.name == name and backend.run_schedule is not None, name
+    optional = [f.name for f in dataclasses.fields(KernelBackend)
+                if f.default is not dataclasses.MISSING]
+    assert optional == ["run_schedule"]

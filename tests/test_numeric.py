@@ -510,30 +510,28 @@ def vendor_case():
 @pytest.mark.parametrize("bad", ["float32", "strided", "read-only", "short", "long",
                                  "partial"])
 def test_vendor_schedule_runner_rejects_storage_before_any_call(bad):
-    """The schedule runner, under either backend name, refuses storage it
-    cannot run on before it writes anything, and rlb refuses storage a
-    failed factorization left partial."""
+    """The schedule runner refuses storage it cannot run on before it writes
+    anything, and rlb refuses storage a failed factorization left partial."""
     S, data = vendor_case()
     sched = S.rlb_schedule
-    for backend in ("vendor", "reference"):
-        storage = {"float32": data.astype(np.float32),
-                   "strided": np.repeat(data, 2)[::2],
-                   "read-only": data.copy(),
-                   "short": data[:-1].copy(),
-                   "long": np.append(data, 0.0),
-                   "partial": data.copy()}[bad]
-        if bad == "read-only":
-            storage.flags.writeable = False
-        before = storage.copy()
-        if bad == "partial":
-            F = FactorStorage(S)
-            F.data, F.state = storage, "partial"
-            with pytest.raises(FactorStateError, match="does not hold A"):
-                factor_rlb(F, S, None, get_backend(backend), RunStats("rlb", backend, S.n))
-        else:
-            with pytest.raises(ValueError, match="schedule storage"):
-                get_backend(backend).run_schedule(storage, sched)
-        assert storage.tobytes() == before.tobytes(), backend
+    storage = {"float32": data.astype(np.float32),
+               "strided": np.repeat(data, 2)[::2],
+               "read-only": data.copy(),
+               "short": data[:-1].copy(),
+               "long": np.append(data, 0.0),
+               "partial": data.copy()}[bad]
+    if bad == "read-only":
+        storage.flags.writeable = False
+    before = storage.copy()
+    if bad == "partial":
+        F = FactorStorage(S)
+        F.data, F.state = storage, "partial"
+        with pytest.raises(FactorStateError, match="does not hold A"):
+            factor_rlb(F, S, None, get_backend("reference"), RunStats("rlb", "reference", S.n))
+    else:
+        with pytest.raises(ValueError, match="schedule storage"):
+            get_backend("reference").run_schedule(storage, sched)
+    assert storage.tobytes() == before.tobytes()
 
 
 def corrupt(rows, i, col, value):
@@ -646,23 +644,21 @@ BAD_PIVOTS = {"non-positive": lambda j1, j2, narrow: {j1: (1, -1.0)},
 
 
 def pivot_errors(method: str, case: str, postorder: bool = False) -> tuple:
-    """The (index, message) a direct call of ``method`` raises on each
-    backend after ``pivot_case(postorder)``'s panels get ``BAD_PIVOTS[case]``,
-    and the (index, message) naming the first of those bad pivots."""
+    """The (index, message) a direct call of ``method`` raises after
+    ``pivot_case(postorder)``'s panels get ``BAD_PIVOTS[case]``, and the
+    (index, message) naming the first of those bad pivots."""
     an, j1, j2, narrow = pivot_case(postorder)
     S = an.S
     bad = BAD_PIVOTS[case](j1, j2, narrow)  # supernode -> (local column, pivot value)
-    errors = []
-    for backend in ("reference", "vendor"):
-        F = scatter_into_factor(an.A2, S)
-        for j, (local, value) in bad.items():
-            F.data[S.panel_offsets[j] + local * (S._lens[j] + 1)] = value
-        with pytest.raises(NotPositiveDefiniteError) as e:
-            DIRECT[method](F, S, get_backend(backend), RunStats(method, backend, S.n))
-        errors.append((e.value.index, str(e.value)))
+    F = scatter_into_factor(an.A2, S)
+    for j, (local, value) in bad.items():
+        F.data[S.panel_offsets[j] + local * (S._lens[j] + 1)] = value
+    with pytest.raises(NotPositiveDefiniteError) as e:
+        DIRECT[method](F, S, get_backend("reference"), RunStats(method, "reference", S.n))
     j, (local, _) = next(iter(bad.items()))
     col = int(S.first_col[j]) + local
-    return errors, (col, f"non-positive pivot at column {col} (supernode {j}, local {local})")
+    first = (col, f"non-positive pivot at column {col} (supernode {j}, local {local})")
+    return (e.value.index, str(e.value)), first
 
 
 # an id is the case alone for rlb, method-case for the others, then "-postorder"
@@ -677,12 +673,11 @@ def test_rlb_pivot_errors_agree_on_both_backends(method, case, postorder):
     one column wide, in a supernode it does not update, or a bad pivot of a
     one-column supernode: every method's diagonal steps go on past a NaN
     pivot, and the first failure in column order is named, with its
-    supernode, alike on both backends.  Without ``postorder``, mf meets the
-    later bad pivot first and names the NaN all the same; with it, every
-    method meets the NaN first and names it, as when the views' chol stopped
-    there."""
-    errors, first = pivot_errors(method, case, postorder)
-    assert errors == [first, first]
+    supernode.  Without ``postorder``, mf meets the later bad pivot first and
+    names the NaN all the same; with it, every method meets the NaN first and
+    names it, as when the views' chol stopped there."""
+    error, first = pivot_errors(method, case, postorder)
+    assert error == first
 
 
 def test_schedule_build_rejects_rows_missing_from_the_target():
@@ -699,9 +694,7 @@ def test_every_method_factors_without_a_relative_index_map(monkeypatch):
     monkeypatch.setattr(symbolic, "RelativeIndexMap", lambda S: built.append(S))
     analysis = analyze(grid_laplacian(8))
     for method in METHODS:
-        for backend in ("reference", "vendor"):
-            r = analysis.factor(method, backend)
-            assert deviation_from_reference(r) <= 1e-12, (method, backend)
+        assert deviation_from_reference(analysis.factor(method)) <= 1e-12, method
     assert built == []
 
 
@@ -739,24 +732,22 @@ def test_vendor_backend_matches_reference_backend(case):
 
 
 def test_rlb_on_vendor_allocates_no_float_scratch():
-    """On either backend name, the default included."""
     A = generate_spd(150, 0.3, 5)
     A1 = apply_symmetric_permutation(A, minimum_degree_order(A.pattern))
     S = build_symbolic_factor(A1.pattern, BuildOptions(12.5, True))
     R = RelativeIndexMap(S)
     widest = max(S.width(j) for j in range(S.nsuper))
-    for name in ("reference", "vendor"):
-        F = scatter_into_factor(apply_symmetric_permutation(A1, S.relabel), S)
-        backend = get_backend(name)
-        stats = RunStats("rlb", backend.name, S.n)
-        tracemalloc.start()
-        try:
-            factor_rlb(F, S, R, backend, stats)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # less than one float copy of the widest diagonal block
-        assert widest >= 40 and peak < 8 * widest * widest, name
+    F = scatter_into_factor(apply_symmetric_permutation(A1, S.relabel), S)
+    backend = get_backend("reference")
+    stats = RunStats("rlb", backend.name, S.n)
+    tracemalloc.start()
+    try:
+        factor_rlb(F, S, R, backend, stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # less than one float copy of the widest diagonal block
+    assert widest >= 40 and peak < 8 * widest * widest
 
 
 def test_single_supernode_dense_case():
@@ -930,13 +921,12 @@ def test_solve_matches_the_per_column_solve():
     widths = {}
     for name, A, kw in solve_cases():
         b = rng.standard_normal(A.n)
-        for backend in ("reference", "vendor"):
-            for method in ("mf", "ll", "rl", "rlb"):
-                r = run(A, method, backend=backend, **kw)
-                x = r.solve(b)
-                want = oracles.solve_per_column(r.F, r.S, b)
-                scale = max(1.0, float(np.abs(want).max()))
-                assert float(np.abs(x - want).max()) <= 1e-12 * scale, (name, backend, method)
+        for method in ("mf", "ll", "rl", "rlb"):
+            r = run(A, method, **kw)
+            x = r.solve(b)
+            want = oracles.solve_per_column(r.F, r.S, b)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert float(np.abs(x - want).max()) <= 1e-12 * scale, (name, method)
         widths[name] = {r.S.width(j) for j in range(r.S.nsuper)}
     assert widths["diagonal"] == widths["tridiagonal"] == widths["n=1"] == {1}
     assert widths["dense"] == {12}
@@ -968,11 +958,10 @@ def test_lower_csc_equals_the_per_column_loop():
     cases.append(("empty", SymmetricSparseMatrix(oracles.pattern_from_columns(0, []),
                                                  np.zeros(0)), {}))
     for name, A, kw in cases:
-        for backend in ("reference", "vendor"):
-            r = run(A, "rlb", backend=backend, **kw)
-            got, want = r.F.lower_csc(), oracles.lower_csc_per_column(r.F)
-            for u, v in zip(got, want):
-                assert u.dtype == v.dtype and np.array_equal(u, v), name
+        r = run(A, "rlb", **kw)
+        got, want = r.F.lower_csc(), oracles.lower_csc_per_column(r.F)
+        for u, v in zip(got, want):
+            assert u.dtype == v.dtype and np.array_equal(u, v), name
 
 
 def test_diagonal_flops_are_square_roots_only():
@@ -1046,18 +1035,17 @@ def test_one_analysis_serves_every_method_on_both_backends():
     for A in (grid_laplacian(8), generate_spd(90, 0.04, 21)):
         analysis = analyze(A)
         for method in METHODS:
-            for backend in ("reference", "vendor"):
-                got = analysis.factor(method, backend)
-                fresh = run_factorization(A, RunOptions(method=method, backend=backend))
-                assert counters(got) == counters(fresh), (method, backend)
-                assert got.stats.factor_nnz == fresh.stats.factor_nnz
-                assert np.array_equal(got.perm_total.perm, fresh.perm_total.perm)
-                if method == "ref":  # the ordered matrix, not the relabelled one
-                    assert got.A_factored is analysis.A1
-                    assert all(x.tobytes() == y.tobytes()
-                               for x, y in zip(got.ref_factor, fresh.ref_factor))
-                else:
-                    assert got.F.data.tobytes() == fresh.F.data.tobytes(), (method, backend)
+            got = analysis.factor(method)
+            fresh = run_factorization(A, RunOptions(method=method))
+            assert counters(got) == counters(fresh), method
+            assert got.stats.factor_nnz == fresh.stats.factor_nnz
+            assert np.array_equal(got.perm_total.perm, fresh.perm_total.perm)
+            if method == "ref":  # the ordered matrix, not the relabelled one
+                assert got.A_factored is analysis.A1
+                assert all(x.tobytes() == y.tobytes()
+                           for x, y in zip(got.ref_factor, fresh.ref_factor))
+            else:
+                assert got.F.data.tobytes() == fresh.F.data.tobytes(), method
 
 
 def with_component(seed: int, block: np.ndarray):
@@ -1140,68 +1128,60 @@ def test_pivot_error_names_a_column_of_the_input():
         A, pair = indefinite_pair_matrix(seed)
         for method in METHODS:
             for ordering in ("natural", "mindeg"):
-                for backend in ("reference", "vendor"):
-                    with pytest.raises(NotPositiveDefiniteError) as e:
-                        run(A, method, ordering=ordering, merge_cap=12.5, pr=True,
-                            backend=backend)
-                    assert e.value.index in pair, (seed, method, ordering)
-                    assert f"column {e.value.index}" in str(e.value)
-                    assert f"column {e.value.index + 1}" in e.value.numbered(1)
-                    assert ("supernode" in str(e.value)) == (method != "ref")
+                with pytest.raises(NotPositiveDefiniteError) as e:
+                    run(A, method, ordering=ordering, merge_cap=12.5, pr=True)
+                assert e.value.index in pair, (seed, method, ordering)
+                assert f"column {e.value.index}" in str(e.value)
+                assert f"column {e.value.index + 1}" in e.value.numbered(1)
+                assert ("supernode" in str(e.value)) == (method != "ref")
 
 
 def test_every_chol_and_runner_decides_pivots_by_one_rule(monkeypatch):
-    """chol under either backend name and every method's run hand dpotrf's
-    result to ``kernels._check_pivots``, the one place the rule lives: a run
-    that succeeds scans all its pivots once, at the end."""
+    """chol and every method's run hand dpotrf's result to
+    ``kernels._check_pivots``, the one place the rule lives: a run that
+    succeeds scans all its pivots once, at the end."""
     seen = []
     rule = kernels._check_pivots
     monkeypatch.setattr(kernels, "_check_pivots", lambda *a: seen.append(a) or rule(*a))
-    T = np.asfortranarray(np.array([[4.0, 0.0], [2.0, 5.0]]))
-    for chol in (get_backend("reference").chol, get_backend("vendor").chol):
-        seen.clear()
-        chol(T.copy(order="F"))
-        assert len(seen) == 1
+    get_backend("reference").chol(np.asfortranarray(np.array([[4.0, 0.0], [2.0, 5.0]])))
+    assert len(seen) == 1
     an = analyze(grid_laplacian(5))
     for method in DIRECT:
-        for backend in ("reference", "vendor"):
-            seen.clear()
-            an.factor(method, backend)
-            assert len(seen) == 1, (method, backend)
-            assert seen[0][0].size == an.S.n and seen[0][1] == 0, (method, backend)
+        seen.clear()
+        an.factor(method)
+        assert len(seen) == 1, method
+        assert seen[0][0].size == an.S.n and seen[0][1] == 0, method
 
 
 def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch):
-    """Every supernodal method on both backends checks its storage once and
-    takes its diagonal steps by address: it calls none of the views' chol and
-    trsm.  After rlb, whose runner cuts no panel views, the solve leaves
+    """Every supernodal method checks its storage once and takes its
+    diagonal steps by address: it calls none of the views' chol and trsm.
+    After rlb, whose runner cuts no panel views, the solve leaves
     ``F.panels`` unbuilt.  Factors and solutions are the same bytes."""
     b = np.random.default_rng(3).standard_normal(81)
     an = analyze(grid_laplacian(9))
     want = {}
     for method in DIRECT:
-        for backend in ("reference", "vendor"):
-            r = an.factor(method, backend)
-            want[method, backend] = r.F.data.tobytes(), r.solve(b).tobytes()
+        r = an.factor(method)
+        want[method] = r.F.data.tobytes(), r.solve(b).tobytes()
     checks = []
     check = kernels._storage_address
     monkeypatch.setattr(kernels, "_storage_address", lambda *a: checks.append(a) or check(*a))
 
     def no_view_kernel(*args):
         raise AssertionError("a view kernel was called")
-    vendor = kernels.vendor_backend
-    monkeypatch.setattr(kernels, "vendor_backend", lambda: dataclasses.replace(
-        vendor(), chol=no_view_kernel, trsm=no_view_kernel))
-    for (method, backend), (data, x) in want.items():
+    monkeypatch.setattr(numeric, "get_backend", lambda name: dataclasses.replace(
+        get_backend(name), chol=no_view_kernel, trsm=no_view_kernel))
+    for method, (data, x) in want.items():
         checks.clear()
-        got = an.factor(method, backend)
-        assert len(checks) == 1, (method, backend)
-        assert got.F.data.tobytes() == data, (method, backend)
-        assert ("panels" in vars(got.F)) == (method != "rlb"), (method, backend)
+        got = an.factor(method)
+        assert len(checks) == 1, method
+        assert got.F.data.tobytes() == data, method
+        assert ("panels" in vars(got.F)) == (method != "rlb"), method
         checks.clear()
-        assert got.solve(b).tobytes() == x, (method, backend)
-        assert len(checks) == 1, (method, backend)
-        assert ("panels" in vars(got.F)) == (method != "rlb"), (method, backend)
+        assert got.solve(b).tobytes() == x, method
+        assert len(checks) == 1, method
+        assert ("panels" in vars(got.F)) == (method != "rlb"), method
 
 
 def graph_laplacian(seed: int) -> SymmetricSparseMatrix:
@@ -1248,23 +1228,32 @@ def rank_deficient_cases():
 
 
 def test_rank_deficient_component_fails_alike_on_both_backends():
-    """Matrices singular to roundoff (``rank_deficient_cases``): both backend
-    names run the same kernels, so every supernodal method gives the same
-    panel bytes, or the same pivot error naming one of the matrix's singular
-    columns, under both."""
+    """Both backend names run the same kernels: on ``schedule_cases()`` and on
+    matrices singular to roundoff (``rank_deficient_cases``), every
+    supernodal method gives the same panel bytes and counters under both,
+    or the same pivot error, naming one of the matrix's singular columns.
+    The name is all that differs, in ``stats.backend``."""
+    def cases():
+        for name, an in schedule_cases():
+            yield name, an, None
+        for case, (A, component) in enumerate(rank_deficient_cases()):
+            yield case, analyze(A), component
+
     outcomes = []
-    for case, (A, component) in enumerate(rank_deficient_cases()):
-        analysis = analyze(A)
+    for case, analysis, component in cases():
         for method in METHODS[1:]:
             got = []
             for backend in ("reference", "vendor"):
                 try:
-                    got.append(analysis.factor(method, backend).F.data.tobytes())
+                    r = analysis.factor(method, backend)
+                    assert r.stats.backend == backend, (case, method)
+                    got.append((r.F.data.tobytes(), counters(r)))
                 except NotPositiveDefiniteError as e:
-                    assert e.index in component, (case, method, backend)
+                    assert component is not None and e.index in component, (case, method, backend)
                     got.append((e.index, str(e)))
             assert got[0] == got[1], (case, method)
-            outcomes.append(isinstance(got[0], bytes))
+            if component is not None:
+                outcomes.append(isinstance(got[0][0], bytes))
     assert 0 < sum(outcomes) < len(outcomes)  # both outcomes occur
 
 

@@ -164,21 +164,20 @@ def test_every_method_matches_ref_and_its_plans(kind, data):
     cap = data.draw(st.sampled_from(MERGE_CAPS))
     pr = data.draw(st.booleans())
     ordering = data.draw(st.sampled_from(("natural", "mindeg")))
-    for backend in ("reference", "vendor"):
-        for method in ("mf", "ll", "rl", "rlb"):
-            r = run_factorization(A, RunOptions(method=method, backend=backend, ordering=ordering,
-                                                pr=pr, merge_cap=cap))
-            where = (kind, A.n, cap, pr, ordering, backend, method)
-            assert deviation_from_reference(r) <= 1e-10, where
-            S, stats = r.S, r.stats
-            assert supernodal_tree(S) == (S.col_to_snode.tolist(), S.snode_parent.tolist()), where
-            if method == "rlb":
-                assert stats.assembly_ops == stats.workspace_peak == 0, where
-                sched = S.rlb_schedule
-                assert {k: stats.calls[k] for k in ("syrk", "gemm")} == sched.calls, where
-            else:
-                plan = {"mf": S.plans.mf_peak, "ll": S.plans.ll_peak, "rl": S.plans.rl_peak}
-                assert stats.workspace_peak == plan[method], where
+    for method in ("mf", "ll", "rl", "rlb"):
+        r = run_factorization(A, RunOptions(method=method, ordering=ordering, pr=pr,
+                                            merge_cap=cap))
+        where = (kind, A.n, cap, pr, ordering, method)
+        assert deviation_from_reference(r) <= 1e-10, where
+        S, stats = r.S, r.stats
+        assert supernodal_tree(S) == (S.col_to_snode.tolist(), S.snode_parent.tolist()), where
+        if method == "rlb":
+            assert stats.assembly_ops == stats.workspace_peak == 0, where
+            sched = S.rlb_schedule
+            assert {k: stats.calls[k] for k in ("syrk", "gemm")} == sched.calls, where
+        else:
+            plan = {"mf": S.plans.mf_peak, "ll": S.plans.ll_peak, "rl": S.plans.rl_peak}
+            assert stats.workspace_peak == plan[method], where
     rows, per = oracles.rlb_calls_by_walk(S)
     assert np.array_equal(S.rlb_schedule.rows, rows), where
     assert np.diff(S.rlb_schedule.ptr).tolist() == per, where
@@ -240,14 +239,12 @@ def test_schedule_runner_is_the_view_path(backend, n, density, seed, cap, pr):
 def test_solve_residual_and_per_column_agreement(kind, data):
     A = data.draw(spd_matrices(kind))
     method = data.draw(st.sampled_from(("mf", "ll", "rl", "rlb")))
-    backend = data.draw(st.sampled_from(("reference", "vendor")))
     cap = data.draw(st.sampled_from(MERGE_CAPS))
     pr = data.draw(st.booleans())
-    r = run_factorization(A, RunOptions(method=method, backend=backend, ordering="mindeg",
-                                        pr=pr, merge_cap=cap))
+    r = run_factorization(A, RunOptions(method=method, ordering="mindeg", pr=pr, merge_cap=cap))
     b = np.random.default_rng(A.n).standard_normal(A.n)
     x = r.solve(b)
-    where = (kind, A.n, method, backend, cap, pr)
+    where = (kind, A.n, method, cap, pr)
     res = np.linalg.norm(r.A_factored.matvec(x) - b) / np.linalg.norm(b)
     assert res <= A.n * 1e-12, where
     want = oracles.solve_per_column(r.F, r.S, b)
