@@ -3,17 +3,17 @@ over one ``numeric.analyze`` per matrix (``check`` runs the column oracle once).
 
 ``bench`` emits one CSV row per (matrix, method) with median-of-N timings plus
 a companion performance-profile CSV: for each method, the fraction of matrices
-factored within a factor tau of the per-matrix best, over a grid of tau.
+factored within a factor tau of the per-matrix best, at every tau where that
+fraction changes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,11 +22,6 @@ from .matrix import (MatrixMarketError, PermutationFileError, SymmetricSparseMat
                      read_matrix_market)
 from .numeric import (METHODS, FactorizationResult, NonFiniteEntryError, analyze, column_factor,
                       deviation_from_reference)
-
-CSV_HEADER = ["matrix", "method", "ordering", "pr", "merge_cap", "repeats",
-              "wall_seconds", "flops", "factor_nnz", "workspace_peak", "assembly_ops",
-              "status"]
-
 
 @dataclass
 class BenchRecord:
@@ -51,26 +46,22 @@ class BenchRecord:
                 str(self.assembly_ops), self.status]
 
 
-def performance_profile(times: dict, taus: np.ndarray) -> dict:
-    """times maps method -> array of per-matrix seconds (inf marks a failed
-    run).  Returns method -> fraction of matrices within tau of the best."""
-    methods = list(times)
-    mat = np.vstack([np.asarray(times[m], dtype=float) for m in methods])
-    best = mat.min(axis=0)
+CSV_HEADER = [f.name for f in fields(BenchRecord)]
+
+
+def performance_profile(times: dict) -> dict:
+    """times maps method -> per-matrix seconds (inf marks a failed run).
+    Returns method -> (taus, fractions): the method's distinct finite ratios
+    to the per-matrix best, ascending, and the fraction of matrices within
+    each.  The profile is a step function that changes only at those taus."""
+    mat = np.vstack([np.asarray(t, dtype=float) for t in times.values()])
+    with np.errstate(invalid="ignore"):  # inf / inf where every method failed
+        ratio = mat / mat.min(axis=0)
     out = {}
-    for i, m in enumerate(methods):
-        with np.errstate(invalid="ignore"):
-            ratio = np.where(np.isfinite(mat[i]) & np.isfinite(best), mat[i] / best, np.inf)
-        out[m] = np.array([(ratio <= t).mean() for t in taus])
+    for m, r in zip(times, ratio):
+        taus, counts = np.unique(r[np.isfinite(r)], return_counts=True)
+        out[m] = (taus, np.cumsum(counts) / mat.shape[1])
     return out
-
-
-MAX_TAUS = 100_000
-
-
-def tau_grid(tau_max: float, tau_step: float) -> np.ndarray:
-    count = int(round((tau_max - 1.0) / tau_step))
-    return np.round(1.0 + tau_step * np.arange(count + 1), 12)
 
 
 class SpecError(ValueError):
@@ -126,6 +117,15 @@ def _message(e: Exception) -> str:
     return str(e)
 
 
+def _check_writable(*paths) -> None:
+    """Appending creates a missing file and leaves an existing one as it is."""
+    try:
+        for path in filter(None, paths):
+            open(path, "a").close()
+    except OSError as e:
+        raise OutputError(e) from None
+
+
 def _write_csv(path: str, rows: list, header: list) -> None:
     try:
         with open(path, "w", newline="") as fh:
@@ -137,6 +137,7 @@ def _write_csv(path: str, rows: list, header: list) -> None:
 
 
 def cmd_factor(args) -> int:
+    _check_writable(args.csv)
     A = load_matrix(args.matrix, args.seed)
     try:
         result = analyze(A, args.order, args.merge_cap, args.pr).factor(args.method)
@@ -210,6 +211,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_writable(args.csv)
     A = load_matrix(args.matrix, args.seed)
     try:
         S = analyze(A, args.order, args.merge_cap, args.pr).S
@@ -243,11 +245,8 @@ def cmd_analyze(args) -> int:
     print(f"rlb schedule: syrk={sched.calls['syrk']} gemm={sched.calls['gemm']} "
           f"flops={sched.flops}")
     if args.csv:
-        rows = []
-        for j in range(S.nsuper):
-            f, l = S.cols(j)
-            rows.append([str(j), str(f + 1), str(l + 1), str(S.width(j)),
-                         str(S.mrows(j)), str(S.nblocks(j))])
+        rows = [[j, S.cols(j)[0] + 1, S.cols(j)[1] + 1, S.width(j), S.mrows(j), S.nblocks(j)]
+                for j in range(S.nsuper)]
         _write_csv(args.csv, rows,
                    ["snode", "first_col", "last_col", "width", "rows_below", "blocks"])
     return 0
@@ -257,15 +256,7 @@ def cmd_bench(args) -> int:
     methods = args.methods.split(",") if args.methods else list(METHODS)
     unknown = [m for m in methods if m not in METHODS] + [None]
     twice = [m for i, m in enumerate(methods) if m in methods[:i]] + [None]
-    # tau_grid makes round(span) + 1 taus
-    span = (args.tau_max - 1.0) / args.tau_step if args.tau_step > 0.0 else 0.0
     for bad, why in ((args.repeats < 1 or args.repeats % 2 == 0, "--repeats must be odd"),
-                     (not args.tau_max >= 1.0, "--tau-max must be at least 1"),
-                     (not args.tau_step > 0.0, "--tau-step must be positive"),
-                     (not (math.isfinite(args.tau_max) and math.isfinite(args.tau_step)),
-                      "--tau-max and --tau-step must be finite"),
-                     (not span < MAX_TAUS - 0.5,
-                      f"--tau-max and --tau-step give more than {MAX_TAUS} taus"),
                      (unknown[0], f"unknown method '{unknown[0]}'"),
                      (twice[0], f"method '{twice[0]}' is listed twice")):
         if bad:
@@ -276,6 +267,7 @@ def cmd_bench(args) -> int:
     if not specs:
         print(f"error: {args.list} lists no matrices", file=sys.stderr)
         return 1
+    _check_writable(args.csv, args.profile_csv)
     rows = []
     times = {m: [] for m in methods}
     for spec in specs:
@@ -305,14 +297,15 @@ def cmd_bench(args) -> int:
             _print_record(rows[-1])
     if args.csv:
         _write_csv(args.csv, [r.to_row() for r in rows], CSV_HEADER)
-    taus = tau_grid(args.tau_max, args.tau_step)
-    profile = performance_profile(times, taus)
+    profile = performance_profile(times)
     if args.profile_csv:
         prows = [[m, repr(float(t)), repr(float(v))]
-                 for m in methods for t, v in zip(taus, profile[m])]
+                 for m, (taus, fracs) in profile.items() for t, v in zip(taus, fracs)]
         _write_csv(args.profile_csv, prows, ["method", "tau", "fraction"])
-    for m in methods:
-        print(f"profile {m}: tau=1 -> {profile[m][0]:.3f}, tau={taus[-1]:g} -> {profile[m][-1]:.3f}")
+    for m, (taus, fracs) in profile.items():
+        at_one = fracs[0] if taus.size and taus[0] == 1.0 else 0.0
+        last = f"tau={taus[-1]:g} -> {fracs[-1]:.3f}" if taus.size else "no run succeeded"
+        print(f"profile {m}: tau=1 -> {at_one:.3f}, {last}")
     return 0
 
 
@@ -321,6 +314,12 @@ def _cap(text: str) -> float | None:
     if cap is not None and not cap >= 0:  # NaN fails this too
         raise argparse.ArgumentTypeError(f"merge cap must be a percentage >= 0 or 'off', not {text}")
     return cap
+
+
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, not {text}")
+    return int(text)
 
 
 def main(argv=None) -> int:
@@ -334,7 +333,7 @@ def main(argv=None) -> int:
                         help="reorder columns within supernodes (default on)")
     common.add_argument("--merge-cap", type=_cap, default=12.5, metavar="PCT",
                         help="supernode merging growth cap in percent ('inf': no limit) or 'off'")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("factor", parents=[common], help="factor one matrix")
     p.add_argument("matrix")
@@ -361,8 +360,6 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=7, help="odd repeat count (median taken)")
     p.add_argument("--csv")
     p.add_argument("--profile-csv")
-    p.add_argument("--tau-max", type=float, default=2.0)
-    p.add_argument("--tau-step", type=float, default=0.01)
     p.set_defaults(func=cmd_bench)
 
     args = top.parse_args(argv)

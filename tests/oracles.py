@@ -8,6 +8,7 @@ orderings and stack schedules.
 
 import bisect
 import itertools
+import math
 
 import numpy as np
 
@@ -994,3 +995,21 @@ def numpy_backend() -> KernelBackend:
         C -= X @ Y.T
 
     return KernelBackend("numpy", chol, trsm, syrk, gemm)
+
+
+def profile_at(times: dict, tau: float) -> dict:
+    """method -> fraction of matrices whose time is within tau times the
+    per-matrix best, counted one matrix at a time; a failed run (inf) never
+    counts.  The ratio is time / best, as Dolan and More define it, so a tau
+    that is itself a rounded ratio counts the run it came from."""
+    methods = list(times)
+    nmat = len(times[methods[0]])
+    out = {}
+    for m in methods:
+        count = 0
+        for j in range(nmat):
+            best = min(times[k][j] for k in methods)
+            if math.isfinite(times[m][j]) and times[m][j] / best <= tau:
+                count += 1
+        out[m] = count / nmat
+    return out

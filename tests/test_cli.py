@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snchol.cli import (BenchRecord, CSV_HEADER, load_matrix, main, performance_profile,
-                        residual, tau_grid)
+                        residual)
 from snchol.matrix import (SymmetricSparseMatrix, apply_symmetric_permutation, generate_spd,
                            minimum_degree_order)
 import snchol
@@ -115,7 +116,8 @@ def test_a_gen_spec_beyond_memory_is_an_input_error(tmp_path, capsys, monkeypatc
                                       ("gen:n=abc", "invalid literal for int()"),
                                       ("gen:density=0.1", "n= is missing"),
                                       ("gen:n=5,density=2", "density must be in (0, 1]"),
-                                      ("gen:n=5,density", "item 'density' is not n=")])
+                                      ("gen:n=5,density", "item 'density' is not n="),
+                                      ("gen:n=5,seed=-1", "expected non-negative integer")])
 def test_bad_gen_spec_is_an_input_error(tmp_path, capsys, spec, why):
     for command in ("analyze", "factor", "check"):
         assert run_cli(command, spec) == 1
@@ -360,35 +362,12 @@ def test_bench_rejects_even_repeats(tmp_path, capsys):
     assert run_cli("bench", str(lst), "--repeats", "2") == 1
 
 
-@pytest.mark.parametrize("flag,value,why", [
-    ("--tau-max", "0.5", "--tau-max must be at least 1"),
-    ("--tau-step", "0", "--tau-step must be positive"),
-    ("--tau-step", "-0.1", "--tau-step must be positive"),
-    ("--tau-max", "inf", "--tau-max and --tau-step must be finite"),
-    ("--tau-step", "inf", "--tau-max and --tau-step must be finite"),
-    ("--tau-step", "1e-9", "--tau-max and --tau-step give more than 100000 taus"),
-    ("--tau-step", "1e-5", "--tau-max and --tau-step give more than 100000 taus")])
-def test_bench_rejects_bad_tau_grid_before_any_work(tmp_path, capsys, monkeypatch, flag, value,
-                                                    why):
-    def no_work(*args, **kw):
-        raise AssertionError("bench read a matrix or built a tau grid it rejects")
-
-    monkeypatch.setattr("snchol.cli.load_matrix", no_work)
-    monkeypatch.setattr("snchol.cli.tau_grid", no_work)
-    lst = tmp_path / "mats.txt"
-    lst.write_text("gen:n=10,density=0.3,seed=1\n")
-    assert run_cli("bench", str(lst), "--repeats", "1", flag, value) == 1
-    out = capsys.readouterr()
-    assert out.out == "" and out.err == f"error: {why}\n"
-
-
-def test_bench_takes_a_grid_of_exactly_the_most_taus(tmp_path, capsys):
-    lst, prof_csv = tmp_path / "mats.txt", tmp_path / "profile.csv"
-    lst.write_text("gen:n=10,density=0.3,seed=1\n")
-    assert run_cli("bench", str(lst), "--repeats", "1", "--methods", "rlb", "--tau-max",
-                   "1.99999", "--tau-step", "1e-5", "--profile-csv", str(prof_csv)) == 0
-    rows = list(csv.reader(prof_csv.open()))[1:]
-    assert len(rows) == 100_000 and float(rows[-1][1]) == 1.99999
+@pytest.mark.parametrize("flag", ["--tau-max", "--tau-step"])
+def test_bench_takes_no_tau_options(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("bench", str(tmp_path / "mats.txt"), flag, "2")
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,flag", [("factor", "--csv"), ("analyze", "--csv"),
@@ -399,8 +378,22 @@ def test_an_unwritable_result_file_is_an_output_error(tmp_path, capsys, command,
     matrix = str(lst) if command == "bench" else "gen:n=10,density=0.3,seed=1"
     path = tmp_path / "missing" / "out.csv"
     assert run_cli(command, matrix, flag, str(path)) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: output: [Errno 2] ") and str(path) in err, err
+    assert out == ""  # the path is checked before any matrix is read
+
+
+@pytest.mark.parametrize("command", ["analyze", "factor", "check", "bench"])
+def test_a_negative_seed_is_rejected_when_parsing(tmp_path, capsys, command):
+    lst = tmp_path / "mats.txt"
+    lst.write_text("gen:n=10,density=0.3\n")
+    matrix = str(lst) if command == "bench" else "gen:n=10,density=0.3"
+    extra = ["--solve"] if command == "factor" else []
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(command, matrix, *extra, "--seed", "-1")
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "seed must be an integer >= 0, not -1" in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "factor", "check", "bench"])
@@ -475,24 +468,90 @@ def test_bench_records_failures_and_continues(tmp_path):
     assert recs[1].status == "ok"
 
 
+def step(curve: tuple, tau: float) -> float:
+    """A profile curve (breakpoints, fractions) read as a step function at tau."""
+    taus, fracs = curve
+    return float(np.r_[0.0, fracs][np.searchsorted(taus, tau, side="right")])
+
+
 def test_performance_profile_properties():
-    taus = tau_grid(2.0, 0.01)
-    assert taus[0] == 1.0 and taus[-1] == 2.0
-    prof = performance_profile({"a": [2.0], "b": [1.0]}, taus)
+    prof = performance_profile({"a": [2.0], "b": [1.0]})
     # the slower method reaches 1 exactly at tau = 2
-    assert prof["b"][0] == 1.0
-    assert prof["a"][0] == 0.0
-    assert prof["a"][np.searchsorted(taus, 2.0)] == 1.0
-    assert prof["a"][np.searchsorted(taus, 2.0) - 1] == 0.0
+    assert step(prof["b"], 1.0) == 1.0
+    assert step(prof["a"], 1.0) == 0.0
+    assert step(prof["a"], 2.0) == 1.0
+    assert step(prof["a"], np.nextafter(2.0, 0.0)) == 0.0
+    assert prof["a"][0].tolist() == [2.0] and prof["b"][0].tolist() == [1.0]
     # tau = 1 values sum to at least one (ties allowed), curves are monotone
-    prof2 = performance_profile({"a": [1.0, 3.0], "b": [1.0, 1.0]}, taus)
-    assert prof2["a"][0] + prof2["b"][0] >= 1.0
-    for m in prof2:
-        assert np.all(np.diff(prof2[m]) >= 0)
-        assert prof2[m][-1] <= 1.0
+    prof2 = performance_profile({"a": [1.0, 3.0], "b": [1.0, 1.0]})
+    assert step(prof2["a"], 1.0) + step(prof2["b"], 1.0) >= 1.0
+    for taus, fracs in prof2.values():
+        assert np.all(np.diff(taus) > 0) and np.all(np.diff(fracs) >= 0)
+        assert fracs[-1] <= 1.0
     # failures never enter within any tau
-    prof3 = performance_profile({"a": [np.inf], "b": [1.0]}, taus)
-    assert prof3["a"][-1] == 0.0
+    prof3 = performance_profile({"a": [np.inf], "b": [1.0]})
+    assert prof3["a"][0].size == 0 and step(prof3["a"], np.inf) == 0.0
+
+
+TIMES = st.one_of(st.sampled_from([0.1, 0.25, 0.3, 1.0, 3.0, np.inf]),
+                  st.floats(min_value=1e-6, max_value=1e6))
+
+
+@st.composite
+def time_tables(draw) -> dict:
+    """method -> per-matrix seconds, with ties, failed runs and matrices on
+    which every method failed."""
+    k = draw(st.integers(1, 4))
+    row = st.one_of(st.lists(TIMES, min_size=k, max_size=k), st.just([np.inf] * k))
+    table = draw(st.lists(row, min_size=1, max_size=8))
+    return {f"m{i}": [r[i] for r in table] for i in range(k)}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(time_tables())
+def test_performance_profile_is_the_step_function_of_a_plain_count(times):
+    prof = performance_profile(times)
+    assert list(prof) == list(times)
+    nmat = len(times["m0"])
+    for m, (taus, fracs) in prof.items():
+        finite = sum(np.isfinite(t) for t in times[m])
+        assert taus.size == fracs.size <= finite
+        assert np.all(np.diff(taus) > 0) and np.all(taus >= 1.0) and np.all(np.isfinite(taus))
+        assert np.all(np.diff(fracs) > 0) and np.all(fracs <= 1.0)
+        # failures never count: past the last breakpoint only the finite runs do
+        assert step((taus, fracs), np.inf) == finite / nmat
+        between = (taus[:-1] + taus[1:]) / 2
+        below = np.nextafter(taus, 0.0)
+        for tau in [1.0, *taus, *between, *below, 2.0 * taus.max(initial=1.0), np.inf]:
+            assert step((taus, fracs), tau) == oracles.profile_at(times, tau)[m], (m, tau)
+
+
+@pytest.mark.parametrize("lines", [
+    "gen:n=25,density=0.2,seed=1\n{missing}\ngen:n=30,density=0.15,seed=2\n"
+    "gen:n=12,density=0.3,seed=3\n",
+    "{missing}\ngen:n=0\n"], ids=["mixed", "all failed"])
+def test_bench_profile_csv_is_the_exact_profile_of_its_bench_csv(tmp_path, capsys, lines):
+    lst, out_csv, prof_csv = (tmp_path / n for n in ("mats.txt", "bench.csv", "profile.csv"))
+    lst.write_text(lines.format(missing=tmp_path / "missing.mtx"))
+    methods = ["mf", "rl", "rlb"]
+    assert run_cli("bench", str(lst), "--repeats", "1", "--methods", ",".join(methods),
+                   "--csv", str(out_csv), "--profile-csv", str(prof_csv)) == 0
+    recs = [from_row(r) for r in list(csv.reader(out_csv.open()))[1:]]
+    times = {m: [r.wall_seconds if r.status == "ok" else np.inf for r in recs if r.method == m]
+             for m in methods}
+    prows = list(csv.reader(prof_csv.open()))
+    assert prows[0] == ["method", "tau", "fraction"] and len(prows) <= 1 + len(recs)
+    best = [min(col) for col in zip(*times.values())]
+    for m in methods:
+        points = [(float(t), float(v)) for name, t, v in prows[1:] if name == m]
+        # one row per distinct finite ratio, ascending
+        ratios = {t / b for t, b in zip(times[m], best) if np.isfinite(t)}
+        assert [t for t, _ in points] == sorted(ratios)
+        for tau, fraction in points:
+            assert fraction == oracles.profile_at(times, tau)[m]
+    if not any(np.isfinite(t) for t in sum(times.values(), [])):
+        assert prows == [["method", "tau", "fraction"]]
+        assert capsys.readouterr().out.count("no run succeeded") == len(methods)
 
 
 def test_bench_single_repeat_matches_factor_counters(tmp_path):
