@@ -23,9 +23,11 @@ leading dimension are the supernode's panel's.  The diagonal steps go by
 address (``_diagonal_steps``): the array is checked once, then each step
 calls dpotrf and dtrsm at ``base + 8*offset``, whatever its width.  A whole
 schedule (``run_schedule``) runs those steps and calls dsyrk/dgemm at
-``base + 8*offset``.  ``supernodal_solve`` goes by address too.  A backend
+``base + 8*offset``.  ``supernode_calls`` gives the steps and dsyrk/dgemm
+calls at offsets, into the array or an update workspace, to the methods
+that run no schedule.  ``supernodal_solve`` goes by address too.  A backend
 without ``run_schedule`` (a logging or timing wrapper of the four kernels)
-runs the steps and updates on views: ``diagonal_steps`` and ``run_views``.
+makes the same calls on views: ``supernode_calls`` and ``run_views``.
 
 Every chol and every diagonal step decide a failed pivot by one rule,
 ``_check_pivots``: dpotrf's ``info``, or the first NaN pivot before it; a
@@ -124,10 +126,9 @@ class KernelBackend:
     """Function table for the four kernels plus a name tag for reporting.
 
     ``run_schedule(data, schedule)``, when given, runs a whole ``CallSchedule``
-    on ``data`` itself, and marks the library's kernels: ``diagonal_steps``
-    then takes the steps by address.  Without it the caller runs the schedule
-    through the four kernels with ``run_views``, and the steps go on views
-    through ``chol`` and ``trsm``.
+    on ``data`` itself, and marks the library's kernels: ``supernode_calls``
+    then goes by address.  Without it the caller runs the schedule with
+    ``run_views``, and ``supernode_calls`` calls the four kernels on views.
     """
 
     name: str
@@ -241,49 +242,96 @@ def _diagonal_steps(data: np.ndarray, schedule: CallSchedule, width: ctypes.c_in
     return step
 
 
-def diagonal_steps(backend: KernelBackend, data: np.ndarray, schedule: CallSchedule) -> Callable:
-    """``step(j)``: ``schedule``'s diagonal step j on ``data``, by address
-    (``_diagonal_steps``) where the backend has a ``run_schedule``.
-    Otherwise ``backend.chol`` factors the a-by-a triangle of a numpy view of
-    the group's panel, then ``backend.trsm`` solves the rows below; a failed
-    pivot's index is counted from the group's first column."""
+def supernode_calls(backend: KernelBackend, data: np.ndarray, schedule: CallSchedule,
+                    arena: np.ndarray | None = None, words: int = 0) -> tuple:
+    """``(step, syrk, gemm)``, the calls a supernodal method makes on
+    ``data``.  ``step(j)`` is ``schedule``'s diagonal step j.
+    ``syrk(C, c, ldc, n, x, ld, k)`` subtracts X X^T from the lower triangle
+    of the n-by-n matrix at offset ``c`` of ``C`` (leading dimension
+    ``ldc``); X is the n-by-k matrix at offset ``x`` of ``data`` (leading
+    dimension ``ld``).  ``gemm(C, c, ldc, m, n, x, y, ld, k)`` subtracts
+    X Y^T from the m-by-n rectangle at ``c``, with X (m-by-k) at ``x`` and
+    Y (n-by-k) at ``y`` of ``data``.  ``C`` is ``data`` or ``arena``, a
+    workspace of at least ``words`` elements.
+
+    Where the backend has a ``run_schedule``, all three go by address
+    (``_supernode_calls``).  Otherwise ``backend``'s four kernels run on
+    numpy views, which numpy bounds-checks; a failed pivot's index is
+    counted from the group's first column."""
     if backend.run_schedule:
-        return _diagonal_steps(data, schedule)
-    view, f8, steps = np.ndarray, data.dtype, schedule.diag.tolist()
+        return _supernode_calls(data, schedule, arena, words)
+    f8, steps = data.dtype, schedule.diag.tolist()
+
+    def at(A, c, ld, m, n):  # the m-by-n column-major view at offset c of A
+        return np.ndarray((m, n), f8, A, 8 * c, (8, 8 * ld))
 
     def step(j: int) -> None:
-        at, ld, a, first = steps[j]
-        P = view((ld, a), f8, data, 8 * at, (8, 8 * ld))
+        p, ld, a, first = steps[j]
         try:
-            backend.chol(P[:a])
+            backend.chol(at(data, p, ld, a, a))
         except NotPositiveDefiniteError as e:
             raise NotPositiveDefiniteError(first + e.index) from None
         if ld > a:
-            backend.trsm(P[:a], P[a:])
-    return step
+            backend.trsm(at(data, p, ld, a, a), at(data, p + a, ld, ld - a, a))
+
+    def syrk(C, c, ldc, n, x, ld, k):
+        backend.syrk(at(C, c, ldc, n, n), at(data, x, ld, n, k))
+
+    def gemm(C, c, ldc, m, n, x, y, ld, k):
+        backend.gemm(at(C, c, ldc, m, n), at(data, x, ld, m, k), at(data, y, ld, n, k))
+    return step, syrk, gemm
 
 
-def run_views(data: np.ndarray, schedule: CallSchedule, step, syrk, gemm) -> None:
-    """Run ``schedule`` on ``data``: per group j, ``step(j)`` (see
-    ``diagonal_steps``), then its update rows through ``syrk`` and ``gemm`` on
-    numpy views, whose X and Y are row ranges of the group's panel (the
-    schedule's extent check holds them to that).  numpy checks every view's
-    bounds."""
-    view, f8 = np.ndarray, data.dtype
+def _supernode_calls(data: np.ndarray, schedule: CallSchedule, arena: np.ndarray | None,
+                     words: int) -> tuple:
+    """``supernode_calls`` by address: ``data`` is checked once
+    (``_diagonal_steps``) and ``arena``, when given, once here, to be a
+    writeable contiguous float64 vector of at least ``words`` elements; then
+    each syrk or gemm passes ``base + 8*offset`` to dsyrk or dgemm.  The
+    offsets are trusted, as a schedule's rows are.  ``run_schedule`` keeps
+    its own loop: it sets each group's depth and leading dimension once,
+    not per call."""
+    dsyrk, dgemm = _vendor_functions()[2:4]
+    step = _diagonal_steps(data, schedule)
+    bases = {id(data): data.ctypes.data}
+    if arena is not None:
+        if not (isinstance(arena, np.ndarray) and arena.dtype == _F8 and arena.ndim == 1 and
+                arena.flags.c_contiguous and arena.flags.writeable and arena.size >= words):
+            raise ValueError("the update arena must be a writeable contiguous float64 vector "
+                             f"of at least {words} elements")
+        bases[id(arena)] = arena.ctypes.data
+    base = bases[id(data)]
+    m, n, k, ld, ldc = cells = [ctypes.c_int() for _ in range(5)]
+    pm, pn, pk, pld, pldc = (ctypes.byref(c) for c in cells)
+    pc, px, py = (ctypes.c_void_p() for _ in range(3))
+
+    def syrk(C, c, ld_c, rows, x, ld_x, depth):
+        pc.value = bases[id(C)] + 8 * c
+        px.value = base + 8 * x
+        n.value, k.value, ld.value, ldc.value = rows, depth, ld_x, ld_c
+        dsyrk(_LO, _NOTRANS, pn, pk, _MINUS_ONE, px, pld, _ONE, pc, pldc)
+
+    def gemm(C, c, ld_c, rows, cols, x, y, ld_x, depth):
+        pc.value = bases[id(C)] + 8 * c
+        px.value, py.value = base + 8 * x, base + 8 * y
+        m.value, n.value, k.value, ld.value, ldc.value = rows, cols, depth, ld_x, ld_c
+        dgemm(_NOTRANS, _TRANS, pm, pn, pk, _MINUS_ONE, px, pld, py, pld, _ONE, pc, pldc)
+    return step, syrk, gemm
+
+
+def run_views(backend: KernelBackend, data: np.ndarray, schedule: CallSchedule) -> None:
+    """Run ``schedule`` on ``data`` through ``supernode_calls``: per group j
+    its step, then its update rows, whose X and Y are rows of the group's
+    panel.  The view path of a backend without ``run_schedule``."""
+    step, syrk, gemm = supernode_calls(backend, data, schedule)
     ptr = schedule.ptr.tolist()
-    for j, (at, ld, a, _) in enumerate(schedule.diag.tolist()):
+    for j, (_, ld, a, _) in enumerate(schedule.diag.tolist()):
         step(j)
-        P = view((ld, a), f8, data, 8 * at, (8, 8 * ld))
-        y_at = Y = None
         for kind, c, ldc, m, n, x, y in schedule.rows[ptr[j]:ptr[j + 1]].tolist():
-            X = P[x - at:x - at + m]
             if kind == SYRK:
-                syrk(view((n, n), f8, data, 8 * c, (8, 8 * ldc)), X)
-                y_at, Y = x, X  # the gemm rows that follow a syrk row share its X
-                continue
-            if y != y_at:
-                y_at, Y = y, P[y - at:y - at + n]
-            gemm(view((m, n), f8, data, 8 * c, (8, 8 * ldc)), X, Y)
+                syrk(data, c, ldc, n, x, ld, a)
+            else:
+                gemm(data, c, ldc, m, n, x, y, ld, a)
 
 
 # Byte offset of ``char *data`` in numpy's C array struct (PyArrayObject_fields):

@@ -15,10 +15,13 @@ rlb   right-looking blocked: dense blocks updated straight into ancestor
       panels by the kernel calls of ``S.rlb_schedule``, compiled once at
       analysis; no floating-point workspace, no assembly at all
 
-Every method takes the same supernode steps, ``kernels.diagonal_steps``: the
-Cholesky of the diagonal triangle and the triangular solve below it, as
+Every method takes the same supernode steps, from ``kernels.supernode_calls``:
+the Cholesky of the diagonal triangle and the triangular solve below it, as
 ``S.rlb_schedule.diag`` gives them, by address on ``F.data`` (checked once
-per run).  Whatever order a method factors in, a failure
+per run).  mf, ll and rl make their syrk/gemm updates through the same
+helper, by address on ``F.data`` and on the workspace arena (checked once
+per run), at offsets from that table and ``S.update_table``.  Whatever
+order a method factors in, a failure
 names the first bad pivot in column order: each run ends with one NaN scan
 of all pivots.  No method counts
 call by call: each run adds the calls and flops the analysis predicts, and
@@ -28,10 +31,10 @@ add each update into its target through ``_assembler``, per
 ``S.rlb_schedule`` rows where it has no more rows than columns, else one
 scatter-add per column.  rlb's schedule holds the whole factorization: per
 supernode, its diagonal step and its updates.  rlb is one ``run_schedule``
-call that checks ``F.data`` once (see ``kernels``); with a backend that has
-none (a logging or timing wrapper), it runs ``kernels.run_views`` on that
-backend's steps and syrk/gemm.  The solve goes by address too
-(``kernels.supernodal_solve``).
+call that checks ``F.data`` once (see ``kernels``).  With a backend that has
+none (a logging or timing wrapper), every method makes the same calls
+through that backend's four kernels on views, rlb by ``kernels.run_views``.
+The solve goes by address too (``kernels.supernodal_solve``).
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import (KernelBackend, NotPositiveDefiniteError, diagonal_steps, final_pivot_scan,
-                      get_backend, run_views, supernodal_solve)
+from .kernels import (KernelBackend, NotPositiveDefiniteError, final_pivot_scan, get_backend,
+                      run_views, supernodal_solve, supernode_calls)
 from .matrix import (Permutation, PermutationFileError, SymmetricSparseMatrix,
                      SymmetricSparsePattern, apply_symmetric_permutation, minimum_degree_order)
 from .symbolic import (BuildOptions, SymbolicFactor, _ranges, build_symbolic_factor,
@@ -158,8 +161,10 @@ class UpdateWorkspace:
     right-looking method never has one."""
 
     def __init__(self, S: SymbolicFactor, method: str):
-        words = {"mf": S.plans.mf_peak, "ll": S.plans.ll_peak, "rl": S.plans.rl_peak}[method]
-        self.arena = np.zeros(int(words))
+        if method not in ("mf", "ll", "rl"):
+            raise ValueError(f"method '{method}' takes no update workspace: "
+                             "only mf, ll and rl take one")
+        self.arena = np.zeros(int(getattr(S.plans, f"{method}_peak")))
         self.peak = 0
 
     def slab(self, rows: int, cols: int) -> np.ndarray:
@@ -337,17 +342,18 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     read; it stays for existing callers."""
     T = S.update_table
     up, cs, rs, at = (x.tolist() for x in (T.ptr, T.c, T.r, T.at))  # up[j]: pair with parent
-    diag, panels, parent = S.rlb_schedule.diag.tolist(), F.panels, S.snode_parent.tolist()
-    assemble = _assembler(F, S)
+    diag, parent = S.rlb_schedule.diag.tolist(), S.snode_parent.tolist()
     top = cap = W.arena.size
     tags = []
     push = S.plans.push_size
     # one syrk per supernode with rows below, as many as there are trsm steps
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
                          T.lo == 0):
-        step = diagonal_steps(backend, F.data, S.rlb_schedule)
+        step, syrk, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
+                                        S.plans.mf_peak)
+        assemble = _assembler(F, S)
         for j in S.plans.mf_postorder.tolist():
-            _, ld, a, _ = diag[j]
+            p, ld, a, _ = diag[j]
             m = ld - a
             sq = None
             # in postorder, the children that pushed are the stack's top entries
@@ -373,8 +379,10 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
                 sq_off = top - m * m
                 sq = W.arena[sq_off:top].reshape((m, m), order="F")
                 sq[:] = 0.0
+            if sq_off < 0:
+                raise RuntimeError("update-matrix stack overflows its arena")
             W.peak = max(W.peak, cap - sq_off)
-            backend.syrk(sq, panels[j][a:])
+            syrk(W.arena, sq_off, m, m, p + a, ld, a)
             assemble(up[j], sq)
             k = cs[up[j]]
             u_j = (m - k) * (m - k + 1) // 2
@@ -401,36 +409,35 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
     T = S.update_table
     ks, los, cs, rs, dense, at = (x.tolist() for x in (T.k, T.lo, T.c, T.r, T.dense, T.at))
     into, ptr = T.by_target.tolist(), T.target_ptr.tolist()
-    diag, panels, assemble = S.rlb_schedule.diag, F.panels, _assembler(F, S)
+    diag = S.rlb_schedule.diag
     wide = diag[T.k, 2] > 1
     updates = {"syrk": int(np.count_nonzero(wide)),
                "gemm": int(np.count_nonzero(wide & (T.r > T.c)))}
-    widths = diag[:, 2].tolist()
+    steps = diag.tolist()
     with _supernodal_run(F, S, W, stats, updates, ~(wide & T.dense)):
-        step = diagonal_steps(backend, F.data, S.rlb_schedule)
-        for j, pj in enumerate(panels):
+        step, syrk, gemm = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
+                                           S.plans.ll_peak)
+        panels, assemble = F.panels, _assembler(F, S)
+        for j, (pj_at, ld_j, _, _) in enumerate(steps):
             for e in into[ptr[j]:ptr[j + 1]]:
                 k, c, r = ks[e], cs[e], rs[e]
-                a = widths[k]
-                pos = T.pos[at[e]:at[e] + r]
-                X = panels[k][a + los[e]:]
+                pk_at, ld, a, _ = steps[k]
                 if a == 1:
-                    v = X[:, 0]
-                    i = _packed(r, c)
-                    pj[tuple(pos[i])] -= np.multiply(*v[i])
+                    v, i = panels[k][1 + los[e]:, 0], _packed(r, c)
+                    panels[j][tuple(T.pos[at[e]:at[e] + r][i])] -= np.multiply(*v[i])
                     continue
-                Y = X[:c]
+                x = pk_at + a + los[e]  # the pair's r rows of k's panel, Y its first c
                 if dense[e]:
-                    p0 = int(pos[0])
-                    backend.syrk(pj[p0:p0 + c, p0:p0 + c], Y)
+                    p0 = T.pos.item(at[e])
+                    col = pj_at + p0 * ld_j  # the target's first column
+                    syrk(F.data, col + p0, ld_j, c, x, ld, a)
                     if r > c:
-                        p1 = int(pos[c])
-                        backend.gemm(pj[p1:p1 + r - c, p0:p0 + c], X[c:], Y)
+                        gemm(F.data, col + T.pos.item(at[e] + c), ld_j, r - c, c, x + c, x, ld, a)
                 else:
                     U = W.slab(r, c)
-                    backend.syrk(U[:c, :c], Y)
+                    syrk(W.arena, 0, r, c, x, ld, a)
                     if r > c:
-                        backend.gemm(U[c:, :], X[c:], Y)
+                        gemm(W.arena, c, r, r - c, c, x + c, x, ld, a)
                     assemble(e, U)
             step(j)
 
@@ -446,16 +453,18 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     for existing callers."""
     T = S.update_table
     up, los = T.ptr.tolist(), T.lo.tolist()
-    panels, assemble = F.panels, _assembler(F, S)
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
                          slice(None)):
-        step = diagonal_steps(backend, F.data, S.rlb_schedule)
-        for j, (_, ld, a, _) in enumerate(S.rlb_schedule.diag.tolist()):
+        step, syrk, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
+                                        S.plans.rl_peak)
+        assemble = _assembler(F, S)
+        for j, (p, ld, a, _) in enumerate(S.rlb_schedule.diag.tolist()):
             step(j)
             if ld == a:
                 continue
-            U = W.slab(ld - a, ld - a)
-            backend.syrk(U, panels[j][a:])
+            m = ld - a
+            U = W.slab(m, m)
+            syrk(W.arena, 0, m, m, p + a, ld, a)
             for e in range(up[j], up[j + 1]):
                 assemble(e, U[los[e]:, los[e]:])
 
@@ -469,7 +478,7 @@ def factor_rlb(F: FactorStorage, S: SymbolicFactor, R, backend: KernelBackend,
     supernode's columns in its panel, then makes every update as a dense
     kernel call straight into an ancestor panel.  It runs as one
     ``backend.run_schedule`` call where the backend has one, else through
-    ``run_views`` with the backend's four kernels; the update calls counted
+    ``run_views`` on the backend's four kernels; the update calls counted
     are the schedule's rows.  No floating-point workspace exists and the
     assembly counter stays at zero by construction.  ``R`` is not used; the
     parameter stays so that existing callers keep working."""
@@ -478,8 +487,7 @@ def factor_rlb(F: FactorStorage, S: SymbolicFactor, R, backend: KernelBackend,
         if backend.run_schedule:
             backend.run_schedule(F.data, schedule)
         else:
-            run_views(F.data, schedule, diagonal_steps(backend, F.data, schedule), backend.syrk,
-                      backend.gemm)
+            run_views(backend, F.data, schedule)
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,19 @@ def vendor_case():
     return an.S, scatter_into_factor(an.A2, an.S).data
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# a float64 vector made unfit for running on by address, as each key says
+UNFIT = {"float32": lambda a: a.astype(np.float32),
+         "strided": lambda a: np.repeat(a, 2)[::2],
+         "read-only": lambda a: read_only(a.copy()),
+         "short": lambda a: a[:-1].copy(),
+         "long": lambda a: np.append(a, 0.0)}
+
+
 @pytest.mark.parametrize("bad", ["float32", "strided", "read-only", "short", "long",
                                  "partial"])
 def test_vendor_schedule_runner_rejects_storage_before_any_call(bad):
@@ -514,14 +527,7 @@ def test_vendor_schedule_runner_rejects_storage_before_any_call(bad):
     anything, and rlb refuses storage a failed factorization left partial."""
     S, data = vendor_case()
     sched = S.rlb_schedule
-    storage = {"float32": data.astype(np.float32),
-               "strided": np.repeat(data, 2)[::2],
-               "read-only": data.copy(),
-               "short": data[:-1].copy(),
-               "long": np.append(data, 0.0),
-               "partial": data.copy()}[bad]
-    if bad == "read-only":
-        storage.flags.writeable = False
+    storage = data.copy() if bad == "partial" else UNFIT[bad](data)
     before = storage.copy()
     if bad == "partial":
         F = FactorStorage(S)
@@ -532,6 +538,51 @@ def test_vendor_schedule_runner_rejects_storage_before_any_call(bad):
         with pytest.raises(ValueError, match="schedule storage"):
             get_backend("reference").run_schedule(storage, sched)
     assert storage.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("method", ["rlb", "ref", "lu"])
+def test_only_mf_ll_rl_take_an_update_workspace(method):
+    """Any other method name is a ValueError that names it, not a KeyError."""
+    S, _ = vendor_case()
+    with pytest.raises(ValueError, match=f"method '{method}' takes no update workspace: "
+                                         "only mf, ll and rl take one"):
+        UpdateWorkspace(S, method)
+
+
+@pytest.mark.parametrize("method", ["mf", "ll", "rl"])
+@pytest.mark.parametrize("bad", ["float32", "strided", "read-only", "short", "long", "partial",
+                                 "arena float32", "arena strided", "arena read-only",
+                                 "arena short"])
+def test_mf_ll_rl_reject_storage_and_arena_before_any_call(method, bad):
+    """By address, mf, ll and rl refuse storage and an update arena they
+    cannot run on before they write anything: storage as the schedule
+    runner refuses it, storage a failed factorization left partial, and an
+    arena that is not a writeable contiguous float64 vector of at least the
+    method's plan words."""
+    S, data = vendor_case()
+    words = getattr(S.plans, f"{method}_peak")
+    assert words > 0
+    storage, arena = data.copy(), np.zeros(words)
+    if bad.startswith("arena "):
+        arena = UNFIT[bad[len("arena "):]](arena)
+    elif bad != "partial":
+        storage = UNFIT[bad](data)
+    before = storage.tobytes(), arena.tobytes()
+    F = FactorStorage(S)
+    F.data = storage
+    if bad == "partial":
+        F.state = "partial"
+    W = UpdateWorkspace(S, method)
+    W.arena = arena
+    be = get_backend("reference")
+    run = {"mf": lambda stats: factor_mf(F, S, None, W, be, stats),
+           "ll": lambda stats: factor_ll(F, S, W, be, stats),
+           "rl": lambda stats: factor_rl(F, S, None, W, be, stats)}[method]
+    error, match = (FactorStateError, "does not hold A") if bad == "partial" else \
+        (ValueError, "update arena" if bad.startswith("arena") else "schedule storage")
+    with pytest.raises(error, match=match):
+        run(RunStats(method, "reference", S.n))
+    assert (storage.tobytes(), arena.tobytes()) == before
 
 
 def corrupt(rows, i, col, value):
@@ -1155,7 +1206,8 @@ def test_every_chol_and_runner_decides_pivots_by_one_rule(monkeypatch):
 
 def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch):
     """Every supernodal method checks its storage once and takes its
-    diagonal steps by address: it calls none of the views' chol and trsm.
+    diagonal steps and its updates by address: it calls none of the view
+    kernels.
     After rlb, whose runner cuts no panel views, the solve leaves
     ``F.panels`` unbuilt.  Factors and solutions are the same bytes."""
     b = np.random.default_rng(3).standard_normal(81)
@@ -1171,7 +1223,8 @@ def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch)
     def no_view_kernel(*args):
         raise AssertionError("a view kernel was called")
     monkeypatch.setattr(numeric, "get_backend", lambda name: dataclasses.replace(
-        get_backend(name), chol=no_view_kernel, trsm=no_view_kernel))
+        get_backend(name), chol=no_view_kernel, trsm=no_view_kernel, syrk=no_view_kernel,
+        gemm=no_view_kernel))
     for method, (data, x) in want.items():
         checks.clear()
         got = an.factor(method)

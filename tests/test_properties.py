@@ -21,11 +21,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from snchol import symbolic
-from snchol.kernels import diagonal_steps, get_backend, run_views
+from snchol.kernels import get_backend, run_views
 from snchol.matrix import (_assemble_lower, apply_symmetric_permutation, generate_spd,
                            minimum_degree_order)
-from snchol.numeric import (RunOptions, analyze, deviation_from_reference, run_factorization,
-                            scatter_into_factor)
+from snchol.numeric import (RunOptions, RunStats, analyze, deviation_from_reference,
+                            run_factorization, scatter_into_factor)
 from snchol.reorder import reorder_within_supernodes
 from snchol.symbolic import (BuildOptions, SymbolicFactor,
                              build_symbolic_factor, elimination_tree, fundamental_supernodes,
@@ -33,7 +33,7 @@ from snchol.symbolic import (BuildOptions, SymbolicFactor,
                              symbolic_factorization)
 
 import oracles
-from test_numeric import logging_backend, updates_per_group
+from test_numeric import DIRECT, logging_backend, updates_per_group
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -225,12 +225,37 @@ def test_schedule_runner_is_the_view_path(backend, n, density, seed, cap, pr):
     F, G = scatter_into_factor(an.A2, S), scatter_into_factor(an.A2, S)
     be.run_schedule(F.data, sched)
     logged = logging_backend(be, log)
-    run_views(G.data, sched, diagonal_steps(logged, G.data, sched), logged.syrk, logged.gemm)
+    run_views(logged, G.data, sched)
     assert F.data.tobytes() == G.data.tobytes()
     assert updates_per_group(log) == np.diff(sched.ptr).tolist()
     updates = [(kind, f) for kind, f in log if kind in sched.calls]
     assert {k: [kind for kind, _ in updates].count(k) for k in sched.calls} == sched.calls
     assert sum(f for _, f in updates) == sched.flops
+
+
+@pytest.mark.parametrize("backend", ["reference", "vendor"])
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 90), density=st.floats(0.005, 0.5), seed=st.integers(0, 2**16),
+       cap=st.sampled_from((None, 12.5)), pr=st.booleans())
+def test_mf_ll_rl_by_address_are_the_view_path(backend, n, density, seed, cap, pr):
+    """On ``gen:`` matrices mf, ll and rl, which make their updates by
+    address on the backend, write the bytes and count the counters they do
+    on a logging wrapper of it, which takes the view path.  The logged calls
+    and their flops are the counters, once ll's width-1 pairs (no kernel
+    call: 2rc - c(c-1) flops each) are added."""
+    an = analyze(generate_spd(n, density, seed), "mindeg", cap, pr)
+    S, T = an.S, an.S.update_table
+    fused = int((2 * T.r * T.c - T.c * (T.c - 1))[np.diff(S.first_col)[T.k] == 1].sum())
+    for method in ("mf", "ll", "rl"):
+        log, runs = [], []
+        for be in (get_backend(backend), logging_backend(get_backend(backend), log)):
+            F = scatter_into_factor(an.A2, S)
+            stats = RunStats(method, backend, S.n)
+            DIRECT[method](F, S, be, stats)
+            runs.append((F.data.tobytes(), stats))
+        assert runs[0] == runs[1], method
+        assert {k: [c for c, _ in log].count(k) for k in stats.calls} == stats.calls, method
+        assert sum(f for _, f in log) + (fused if method == "ll" else 0) == stats.flops, method
 
 
 @pytest.mark.parametrize("kind", KINDS)
