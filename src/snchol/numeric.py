@@ -26,10 +26,12 @@ names the first bad pivot in column order: each run ends with one NaN scan
 of all pivots.  No method counts
 call by call: each run adds the calls and flops the analysis predicts, and
 the lower-triangle entries its updates add (``assembly_ops``).  mf, ll and rl
-add each update into its target through ``_assembler``, per
-``S.update_table`` pair: one slice-add per rectangle of the pair's
-``S.rlb_schedule`` rows where it has no more rows than columns, else one
-scatter-add per column.  rlb's schedule holds the whole factorization: per
+add each update into its targets through ``_assembler``: an
+``S.update_table`` pair with no more ``S.rlb_schedule`` rows than columns by
+one slice-add per rectangle of its rows, the other pairs of one call (mf's
+pair with the parent, one ll slab, all of one rl updater's pairs) by one
+scatter-add, through a flat index of their lower trapezoids that each run
+builds once.  rlb's schedule holds the whole factorization: per
 supernode, its diagonal step and its updates.  rlb is one ``run_schedule``
 call that checks ``F.data`` once (see ``kernels``).  With a backend that has
 none (a logging or timing wrapper), every method makes the same calls
@@ -211,31 +213,61 @@ def _supernodal_run(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace | No
     F.state = "L"
 
 
-def _assembler(F: FactorStorage, S: SymbolicFactor):
-    """``assemble(e, U)``: add U, the update of ``S.update_table`` pair e at
-    its r rows by the first c, into its target's panel, each entry of U's
-    lower triangle once.  A pair with no more ``S.rlb_schedule`` rows than
-    columns adds each row's rectangle as one slice (a SYRK row the whole
-    square: the strict upper triangle of U[:c, :c] must be zero), any other
-    each column as one scatter-add."""
+def _assembler(F: FactorStorage, S: SymbolicFactor, assembled: np.ndarray, ld: np.ndarray):
+    """``assemble(e0, e1, U)``: add U, the update matrix of the
+    ``S.update_table`` pairs e0 to e1 - 1 of one updater, into their targets'
+    panels, each entry of each pair's lower trapezoid once.  U has ``ld[e]``
+    rows, column-major; pair e's r rows are its last, and its columns start
+    at the same offset.  The method adds the pairs ``assembled`` selects.  A
+    pair with no more ``S.rlb_schedule`` rows than columns adds each row's
+    rectangle as one slice (a SYRK row the whole square: the strict upper
+    triangle of U's square must be zero); the others' entries go in one
+    scatter-add per call, through ``_flat_index``: one updater's pairs have
+    distinct targets, so no offset repeats within a call."""
     T, sched = S.update_table, S.rlb_schedule
-    data, panels, view, f8 = F.data, F.panels, np.ndarray, F.data.dtype
-    pp = sched.pair_ptr
-    by_rows = np.diff(pp) <= T.c
-    base = S.panel_offsets[T.k] + S._lens[T.k] - T.r  # pair's first row in F.data
+    count = np.diff(sched.pair_ptr)
+    by_rows = assembled & (count <= T.c)
+    # the rectangles' rows, by pair, their operands as offsets into U
+    first = np.repeat((S.panel_offsets[T.k] + S._lens[T.k] - ld)[by_rows], count[by_rows])
+    rows = sched.rows[np.repeat(by_rows, count)]
+    rects = np.column_stack([rows[:, 1:5], rows[:, 5] - first, rows[:, 6] - first]).tolist()
+    rp = np.append(0, np.cumsum(count * by_rows)).tolist()
+    dst, src, fp = _flat_index(S, assembled & ~by_rows, ld)
+    fp = fp.tolist()
+    data, view, f8 = F.data, np.ndarray, F.data.dtype
 
-    def assemble(e: int, U: np.ndarray) -> None:
-        if by_rows.item(e):
-            b = base.item(e)
-            for _, c, ldc, m, n, x, y in sched.rows[pp.item(e):pp.item(e + 1)].tolist():
-                C = view((m, n), f8, data, 8 * c, (8, 8 * ldc))
-                C += U[x - b:x - b + m, y - b:y - b + n]
-            return
-        at = T.at.item(e)
-        P, pos = panels[T.p.item(e)], T.pos[at:at + T.r.item(e)]
-        for t in range(T.c.item(e)):
-            P[pos[t:], pos[t]] += U[t:, t]
+    def assemble(e0: int, e1: int, U: np.ndarray) -> None:
+        for c, ldc, m, n, x, y in rects[rp[e0]:rp[e1]]:
+            C = view((m, n), f8, data, 8 * c, (8, 8 * ldc))
+            C += U[x:x + m, y:y + n]
+        a, b = fp[e0], fp[e1]
+        if a < b:
+            data[dst[a:b]] += U.ravel("F")[src[a:b]]
     return assemble
+
+
+def _flat_index(S: SymbolicFactor, pairs: np.ndarray, ld: np.ndarray) -> tuple:
+    """``(dst, src, ptr)``: the lower trapezoids of the ``S.update_table``
+    pairs ``pairs`` selects, entry by entry, pair e's from ``ptr[e]`` to
+    ``ptr[e + 1]``: ``dst`` the offset in ``F.data``, ``src`` the offset in
+    its column-major update matrix of ``ld[e]`` rows, whose last r rows are
+    the pair's.  Entry (i, t) of pair e's r-by-c trapezoid is read from
+    ``_packed``, counted from the end, for all pairs at once."""
+    T = S.update_table
+    c = np.where(pairs, T.c, 0)
+    size = c * T.r - c * (c - 1) // 2
+    ptr = np.zeros(size.size + 1, dtype=np.int64)
+    np.cumsum(size, out=ptr[1:])
+    e = np.flatnonzero(pairs)
+    n, r = size[e], T.r[e]
+    top = int(r.max(initial=0))
+    packed = _packed(top)
+    at = _ranges(top * (top + 1) // 2 - r * (r + 1) // 2, n)  # pair e's triangle in the largest
+    i, t = packed[0].take(at), packed[1].take(at)
+    end = (T.at[e] + r).repeat(n)  # one past the pair's positions in T.pos
+    p, w = T.p[e], ld[e].repeat(n)
+    dst = S.panel_offsets[p].repeat(n) + T.pos[end + t] * S._lens[p].repeat(n) + T.pos[end + i]
+    return dst, (w + i) + (w + t) * w, ptr
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +379,12 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     tags = []
     push = S.plans.push_size
     # one syrk per supernode with rows below, as many as there are trsm steps
+    with_parent = T.lo == 0
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
-                         T.lo == 0):
+                         with_parent):
         step, syrk, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
                                         S.plans.mf_peak)
-        assemble = _assembler(F, S)
+        assemble = _assembler(F, S, with_parent, T.lo + T.r)
         for j in S.plans.mf_postorder.tolist():
             p, ld, a, _ = diag[j]
             m = ld - a
@@ -383,7 +416,7 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
                 raise RuntimeError("update-matrix stack overflows its arena")
             W.peak = max(W.peak, cap - sq_off)
             syrk(W.arena, sq_off, m, m, p + a, ld, a)
-            assemble(up[j], sq)
+            assemble(up[j], up[j] + 1, sq)
             k = cs[up[j]]
             u_j = (m - k) * (m - k + 1) // 2
             assert u_j == push[j], "runtime push size disagrees with the plan"
@@ -417,7 +450,7 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
     with _supernodal_run(F, S, W, stats, updates, ~(wide & T.dense)):
         step, syrk, gemm = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
                                            S.plans.ll_peak)
-        panels, assemble = F.panels, _assembler(F, S)
+        panels, assemble = F.panels, _assembler(F, S, wide & ~T.dense, T.r)
         for j, (pj_at, ld_j, _, _) in enumerate(steps):
             for e in into[ptr[j]:ptr[j + 1]]:
                 k, c, r = ks[e], cs[e], rs[e]
@@ -438,7 +471,7 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                     syrk(W.arena, 0, r, c, x, ld, a)
                     if r > c:
                         gemm(W.arena, c, r, r - c, c, x + c, x, ld, a)
-                    assemble(e, U)
+                    assemble(e, e + 1, U)
             step(j)
 
 
@@ -452,12 +485,11 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     ``S.update_table`` pairs by ``_assembler``.  ``R`` is not read; it stays
     for existing callers."""
     T = S.update_table
-    up, los = T.ptr.tolist(), T.lo.tolist()
-    with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
-                         slice(None)):
+    up, every = T.ptr.tolist(), np.ones(T.k.size, dtype=bool)
+    with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]}, every):
         step, syrk, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
                                         S.plans.rl_peak)
-        assemble = _assembler(F, S)
+        assemble = _assembler(F, S, every, T.lo + T.r)
         for j, (p, ld, a, _) in enumerate(S.rlb_schedule.diag.tolist()):
             step(j)
             if ld == a:
@@ -465,8 +497,7 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
             m = ld - a
             U = W.slab(m, m)
             syrk(W.arena, 0, m, m, p + a, ld, a)
-            for e in range(up[j], up[j + 1]):
-                assemble(e, U[los[e]:, los[e]:])
+            assemble(up[j], up[j + 1], U)
 
 
 # ---------------------------------------------------------------------------

@@ -739,6 +739,39 @@ def rlb_calls_by_walk(S) -> tuple:
     return np.array(rows, dtype=np.int64).reshape(-1, 7), per
 
 
+def assembler_by_columns(F, S, assembled, ld):
+    """``numeric._assembler`` as it was before its flat scatter-add, pair by
+    pair: a pair with no more ``S.rlb_schedule`` rows than columns adds each
+    row's rectangle as one slice, any other each column as one scatter-add
+    into its target's panel view.  The same contract: ``assemble(e0, e1, U)``
+    adds pairs e0 to e1 - 1, all ``assembled``, whose update matrix U has
+    ``ld[e]`` rows, pair e's r rows and its columns from row ld[e] - r on."""
+    T, sched = S.update_table, S.rlb_schedule
+    data, panels, view, f8 = F.data, F.panels, np.ndarray, F.data.dtype
+    pp = sched.pair_ptr
+    by_rows = np.diff(pp) <= T.c
+    base = S.panel_offsets[T.k] + S._lens[T.k] - T.r  # pair's first row in F.data
+
+    def add(e: int, U: np.ndarray) -> None:
+        if by_rows.item(e):
+            b = base.item(e)
+            for _, c, ldc, m, n, x, y in sched.rows[pp.item(e):pp.item(e + 1)].tolist():
+                C = view((m, n), f8, data, 8 * c, (8, 8 * ldc))
+                C += U[x - b:x - b + m, y - b:y - b + n]
+            return
+        at = T.at.item(e)
+        P, pos = panels[T.p.item(e)], T.pos[at:at + T.r.item(e)]
+        for t in range(T.c.item(e)):
+            P[pos[t:], pos[t]] += U[t:, t]
+
+    def assemble(e0: int, e1: int, U: np.ndarray) -> None:
+        assert assembled[e0:e1].all(), (e0, e1)
+        for e in range(e0, e1):
+            lo = int(ld[e] - T.r[e])
+            add(e, U[lo:, lo:])
+    return assemble
+
+
 def generate_spd_by_table(n: int, density: float, seed: int):
     """``generate_spd`` as it was written first: the same draws, each linear
     index looked up in the n x n table of ``np.tril_indices``."""

@@ -353,56 +353,156 @@ def test_schedule_rows_cut_each_update_pair_into_its_rectangles():
 
 
 class ReadLog(np.ndarray):
-    """An update matrix that logs how it is indexed."""
+    """An update matrix that logs how it, or a view of it, is indexed."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
 
     def __getitem__(self, key):
         self.log.append(key)
         return np.asarray(self)[key]
 
 
-def test_mf_ll_rl_assemble_pairs_by_rectangles_and_by_columns(monkeypatch):
+def assembled_pairs(S) -> dict:
+    """The update-table pairs each of mf, ll and rl assembles, and the rows
+    of the update matrix it adds them from, the pair's r rows its last: mf
+    and rl the updater's whole update matrix, ll its slab of the pair."""
+    T = S.update_table
+    wide = np.diff(S.first_col)[T.k] > 1
+    return {"mf": (T.lo == 0, T.lo + T.r), "ll": (wide & ~T.dense, T.r),
+            "rl": (np.ones(T.k.size, dtype=bool), T.lo + T.r)}
+
+
+def test_mf_ll_rl_assemble_pairs_by_rectangles_and_one_flat_scatter(monkeypatch):
     """mf assembles each supernode's pair with its parent, ll its non-dense
-    pairs from updaters wider than one column, rl every pair, each once.  A
-    pair with no more schedule rows than columns reads its update matrix in
-    rectangles (two slices), any other in columns (a slice and a column), and
-    each method takes both ways on these inputs.  ``assembly_ops`` is those
+    pairs from updaters wider than one column, each in a call of its own,
+    and rl every pair, one call per updater; each pair once.  A pair with no
+    more schedule rows than columns reads its update matrix in rectangles,
+    one two-slice read per schedule row; the other pairs of a call are read
+    together in one flat gather of all their lower-trapezoid entries.  Each
+    method takes both ways on these inputs.  ``assembly_ops`` is those
     pairs' lower triangles, plus ll's width-1 pairs (added without a slab)
     and the packed triangles mf merges from all but the first child it pops."""
     seen, real = [], numeric._assembler
 
-    def spy(F, S):
-        assemble = real(F, S)
+    def spy(F, S, assembled, ld):
+        assemble = real(F, S, assembled, ld)
 
-        def logged(e, U):
+        def logged(e0, e1, U):
             U = U.view(ReadLog)
             U.log = []
-            assemble(e, U)
-            seen.append((e, all(isinstance(key[1], slice) for key in U.log)))
+            assemble(e0, e1, U)
+            seen.append((e0, e1, U.log))
         return logged
     monkeypatch.setattr(numeric, "_assembler", spy)
     taken = {"mf": set(), "ll": set(), "rl": set()}
     for name, an in schedule_cases():
         T, sched = an.S.update_table, an.S.rlb_schedule
-        by_rows = np.diff(sched.pair_ptr) <= T.c
-        wide = np.diff(an.S.first_col)[T.k] > 1
-        pairs = {"mf": T.lo == 0, "ll": wide & ~T.dense, "rl": np.ones(T.k.size, dtype=bool)}
+        count = np.diff(sched.pair_ptr)
+        by_rows = count <= T.c
+        pairs = assembled_pairs(an.S)
         entries = T.c * T.r - T.c * (T.c - 1) // 2
         push, order = an.S.plans.push_size, an.S.plans.mf_postorder.tolist()
         pushers = [[] for _ in range(an.S.nsuper)]
         for c, p in enumerate(an.S.snode_parent.tolist()):
             if p >= 0 and push[c]:
                 pushers[p].append(c)
+        wide = np.diff(an.S.first_col)[T.k] > 1
         besides = {"mf": int(push.sum()) - sum(int(push[max(cs, key=order.index)])
                                                for cs in pushers if cs),
                    "ll": int(entries[~wide].sum()), "rl": 0}
+        up = T.ptr.tolist()
+        per_updater = [(a, b) for a, b in zip(up, up[1:]) if a < b]
         for method in taken:
             seen.clear()
             r = an.factor(method)
-            assert sorted(e for e, _ in seen) == np.flatnonzero(pairs[method]).tolist(), name
-            assert all(way == by_rows[e] for e, way in seen), (name, method)
-            assert r.stats.assembly_ops == entries[pairs[method]].sum() + besides[method], name
-            taken[method] |= {way for _, way in seen}
-    assert all(ways == {False, True} for ways in taken.values()), taken
+            assembled = pairs[method][0]
+            calls = [(e0, e1) for e0, e1, _ in seen]
+            added = [e for e0, e1 in calls for e in range(e0, e1)]
+            assert sorted(added) == np.flatnonzero(assembled).tolist(), (name, method)
+            if method == "rl":
+                assert calls == per_updater, name
+            else:
+                assert all(e1 == e0 + 1 for e0, e1 in calls), (name, method)
+            for e0, e1, log in seen:
+                e = np.arange(e0, e1)
+                slices = [key for key in log if isinstance(key, tuple)]
+                flat = [key for key in log if not isinstance(key, tuple)]
+                assert all(isinstance(k, slice) for key in slices for k in key), (name, method)
+                assert len(slices) == count[e][by_rows[e]].sum(), (name, method)
+                gathered = int(entries[e][~by_rows[e]].sum())
+                assert [key.size for key in flat] == ([gathered] if gathered else []), name
+                taken[method] |= {"rectangles"} if slices else set()
+                taken[method] |= {"flat"} if flat else set()
+            assert r.stats.assembly_ops == entries[assembled].sum() + besides[method], name
+    assert all(ways == {"rectangles", "flat"} for ways in taken.values()), taken
+
+
+def test_a_runs_flat_index_holds_its_column_pairs_trapezoids_only(monkeypatch):
+    """Each mf, ll and rl run builds one flat index.  It holds the lower
+    trapezoids of the pairs the method assembles that have more schedule
+    rows than columns, by pair and column by column: entry (i, t) of pair
+    e's r-by-c trapezoid at its target's panel offset of rows pos[i] and
+    pos[t], and at (d + i, d + t) of the column-major update matrix of ld
+    rows, d = ld - r.  A rectangle pair, or one the method does not
+    assemble, has no entry, so the index is no larger than those trapezoids.
+    One updater's entries land on distinct offsets, so one scatter-add adds
+    each once."""
+    built, real = [], numeric._flat_index
+
+    def spy(S, pairs, ld):
+        built.append((pairs, ld, real(S, pairs, ld)))
+        return built[-1][2]
+    monkeypatch.setattr(numeric, "_flat_index", spy)
+    total = 0
+    for name, an in schedule_cases():
+        S, T = an.S, an.S.update_table
+        by_columns = np.diff(S.rlb_schedule.pair_ptr) > T.c
+        offsets, lens, up = S.panel_offsets.tolist(), S._lens.tolist(), T.ptr.tolist()
+        for method, (assembled, rows) in assembled_pairs(S).items():
+            built.clear()
+            an.factor(method)
+            assert len(built) == 1, (name, method)
+            pairs, ld, (dst, src, ptr) = built[0]
+            assert np.array_equal(pairs, assembled & by_columns), (name, method)
+            assert np.array_equal(ld[assembled], rows[assembled]), (name, method)
+            want_dst, want_src, sizes = [], [], []
+            for e in range(T.k.size):
+                at, r, c, p = (int(x[e]) for x in (T.at, T.r, T.c, T.p))
+                d, w = int(rows[e]) - r, int(rows[e])
+                pos = T.pos[at:at + r].tolist()
+                keep = assembled[e] and by_columns[e]
+                sizes.append(c * r - c * (c - 1) // 2 if keep else 0)
+                for t in range(c if keep else 0):
+                    for i in range(t, r):
+                        want_dst.append(offsets[p] + pos[t] * lens[p] + pos[i])
+                        want_src.append(d + i + (d + t) * w)
+            assert dst.tolist() == want_dst, (name, method)
+            assert src.tolist() == want_src, (name, method)
+            assert np.diff(ptr).tolist() == sizes, (name, method)
+            for a, b in zip(up, up[1:]):
+                one = dst[ptr[a]:ptr[b]]
+                assert np.unique(one).size == one.size, (name, method)
+            total += dst.size
+    assert total > 1000
+
+
+def assembles_like_the_column_loop(an, where) -> None:
+    """mf, ll and rl write the panel bytes, and count the counters, of a run
+    whose ``_assembler`` is the per-column loop they replaced
+    (``oracles.assembler_by_columns``)."""
+    for method in ("mf", "ll", "rl"):
+        got = an.factor(method)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numeric, "_assembler", oracles.assembler_by_columns)
+            want = an.factor(method)
+        assert got.F.data.tobytes() == want.F.data.tobytes(), (where, method)
+        assert counters(got) == counters(want), (where, method)
+
+
+def test_mf_ll_rl_assemble_what_the_column_loop_assembles():
+    for name, an in schedule_cases():
+        assembles_like_the_column_loop(an, name)
 
 
 @pytest.mark.parametrize("backend", ["reference", "vendor"])
@@ -1208,8 +1308,9 @@ def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch)
     """Every supernodal method checks its storage once and takes its
     diagonal steps and its updates by address: it calls none of the view
     kernels.
-    After rlb, whose runner cuts no panel views, the solve leaves
-    ``F.panels`` unbuilt.  Factors and solutions are the same bytes."""
+    Only ll, whose one-column pairs index them, builds ``F.panels``; mf, rl
+    and rlb cut no panel views, and the solve leaves them unbuilt.  Factors
+    and solutions are the same bytes."""
     b = np.random.default_rng(3).standard_normal(81)
     an = analyze(grid_laplacian(9))
     want = {}
@@ -1230,11 +1331,11 @@ def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch)
         got = an.factor(method)
         assert len(checks) == 1, method
         assert got.F.data.tobytes() == data, method
-        assert ("panels" in vars(got.F)) == (method != "rlb"), method
+        assert ("panels" in vars(got.F)) == (method == "ll"), method
         checks.clear()
         assert got.solve(b).tobytes() == x, method
         assert len(checks) == 1, method
-        assert ("panels" in vars(got.F)) == (method != "rlb"), method
+        assert ("panels" in vars(got.F)) == (method == "ll"), method
 
 
 def graph_laplacian(seed: int) -> SymmetricSparseMatrix:

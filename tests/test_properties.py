@@ -6,10 +6,11 @@ dominant values, so every matrix is SPD.  Every supernodal method, on both
 kernel backends and under every merge cap / reorder setting, must match the
 column oracle, hit its workspace plan exactly, and (for rlb) use no workspace
 and no assembly and make exactly the calls its precompiled schedule lists, the
-calls the ancestor walk finds.  On ``gen:`` matrices the update table must be
-what the ancestor walk and the left-looking index map find, its runs what a
-loop over each pair's positions finds, and its blocks the per-supernode block
-lists.  The supernodal solve must leave a residual of at most n * 1e-12 and
+calls the ancestor walk finds.  On ``gen:`` matrices mf, ll and rl must
+write the panels the per-column assembly loop writes, and the update table
+must be what the ancestor walk and the left-looking index map find, its runs
+what a loop over each pair's positions finds, and its blocks the
+per-supernode block lists.  The supernodal solve must leave a residual of at most n * 1e-12 and
 agree with the per-column solve.  Examples are derandomized, so the suite is
 reproducible.  The symbolic partition is also checked on its own against its
 per-column definition, the empty pattern included, and the within-supernode
@@ -33,7 +34,7 @@ from snchol.symbolic import (BuildOptions, SymbolicFactor,
                              symbolic_factorization)
 
 import oracles
-from test_numeric import DIRECT, logging_backend, updates_per_group
+from test_numeric import DIRECT, assembles_like_the_column_loop, logging_backend, updates_per_group
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -256,6 +257,17 @@ def test_mf_ll_rl_by_address_are_the_view_path(backend, n, density, seed, cap, p
         assert runs[0] == runs[1], method
         assert {k: [c for c, _ in log].count(k) for k in stats.calls} == stats.calls, method
         assert sum(f for _, f in log) + (fused if method == "ll" else 0) == stats.flops, method
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 90), density=st.floats(0.005, 0.5), seed=st.integers(0, 2**16),
+       cap=st.sampled_from((None, 12.5)), pr=st.booleans())
+def test_mf_ll_rl_assemble_what_the_column_loop_assembles(n, density, seed, cap, pr):
+    """On ``gen:`` matrices mf, ll and rl, which add their column pairs by
+    one flat scatter-add, write the panel bytes and count the counters of the
+    per-column loop they replaced."""
+    an = analyze(generate_spd(n, density, seed), "mindeg", cap, pr)
+    assembles_like_the_column_loop(an, (n, density, seed, cap, pr))
 
 
 @pytest.mark.parametrize("kind", KINDS)
