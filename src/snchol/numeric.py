@@ -31,8 +31,10 @@ add each update into its targets through ``_assembler``: an
 one slice-add per rectangle of its rows, the other pairs of one call (mf's
 pair with the parent, one ll slab, all of one rl updater's pairs) by one
 scatter-add, through a flat index of their lower trapezoids that each run
-builds once.  rlb's schedule holds the whole factorization: per
-supernode, its diagonal step and its updates.  rlb is one ``run_schedule``
+builds once.  ll's pairs whose updater is one column wide take no kernel
+call: each subtracts its outer product by one gather-multiply-subtract on
+``F.data``, through a second flat index.  rlb's schedule holds the whole
+factorization: per supernode, its diagonal step and its updates.  rlb is one ``run_schedule``
 call that checks ``F.data`` once (see ``kernels``).  With a backend that has
 none (a logging or timing wrapper), every method makes the same calls
 through that backend's four kernels on views, rlb by ``kernels.run_views``.
@@ -104,15 +106,6 @@ class FactorStorage:
         self.S = S
         self.data = np.zeros(S.panel_storage)
         self.state = "A"
-
-    @cached_property
-    def panels(self) -> list:
-        """Supernode j's panel: the g-by-a column-major view of ``data`` at
-        the offset and leading dimension of its diagonal step
-        ``S.rlb_schedule.diag[j]``."""
-        data = self.data
-        return [data[p:p + ld * a].reshape((ld, a), order="F")
-                for p, ld, a, _ in self.S.rlb_schedule.diag.tolist()]
 
     def lower_csc(self) -> tuple:
         """The panels' lower-triangular entries as (colptr, rowind, values),
@@ -268,6 +261,24 @@ def _flat_index(S: SymbolicFactor, pairs: np.ndarray, ld: np.ndarray) -> tuple:
     p, w = T.p[e], ld[e].repeat(n)
     dst = S.panel_offsets[p].repeat(n) + T.pos[end + t] * S._lens[p].repeat(n) + T.pos[end + i]
     return dst, (w + i) + (w + t) * w, ptr
+
+
+def _outer_updater(F: FactorStorage, S: SymbolicFactor, pairs: np.ndarray):
+    """``outer(e)``: subtract v v^T, v the one column of pair e's updater
+    at the pair's r rows (from ``v0`` in ``F.data``), from the pair's lower
+    trapezoid, for the ``S.update_table`` pairs ``pairs`` selects: one
+    gather-multiply-subtract through ``_flat_index`` with ld = r, entry
+    (i, t) at ``src`` v[src % r] * v[src // r], row times column factor."""
+    T = S.update_table
+    dst, src, fp = _flat_index(S, pairs, T.r)
+    n = np.diff(fp)
+    r, v0 = T.r.repeat(n), (S.panel_offsets[T.k] + 1 + T.lo).repeat(n)
+    vi, vt, fp, data = v0 + src % r, v0 + src // r, fp.tolist(), F.data
+
+    def outer(e: int) -> None:
+        a, b = fp[e], fp[e + 1]
+        data[dst[a:b]] -= data[vi[a:b]] * data[vt[a:b]]
+    return outer
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +445,12 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
               backend: KernelBackend, stats: RunStats) -> None:
     """Left-looking factorization: supernode j first takes the updates of
     ``S.update_table``'s pairs into j.  A pair whose updater is one column
-    v wide subtracts v v^T over its r-by-c trapezoid, ``_packed(r, c)``, in
-    one indexed operation; every other pair is one syrk, and one
-    gemm where it has rows below its target's columns, straight into j's
-    panel where the pair is dense, else into the slab, which ``_assembler``
-    adds into the panel."""
+    v wide subtracts v v^T over its r-by-c trapezoid by one
+    gather-multiply-subtract on ``F.data`` (``_outer_updater``); every other
+    pair is one syrk, and one gemm where it has rows below its target's
+    columns, straight into j's panel where the pair is dense, else into the
+    slab, which ``_assembler`` adds into the panel.  Both index their
+    pairs' trapezoids through ``_flat_index``, once per run each."""
     T = S.update_table
     ks, los, cs, rs, dense, at = (x.tolist() for x in (T.k, T.lo, T.c, T.r, T.dense, T.at))
     into, ptr = T.by_target.tolist(), T.target_ptr.tolist()
@@ -450,14 +462,13 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
     with _supernodal_run(F, S, W, stats, updates, ~(wide & T.dense)):
         step, syrk, gemm = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
                                            S.plans.ll_peak)
-        panels, assemble = F.panels, _assembler(F, S, wide & ~T.dense, T.r)
+        assemble, outer = _assembler(F, S, wide & ~T.dense, T.r), _outer_updater(F, S, ~wide)
         for j, (pj_at, ld_j, _, _) in enumerate(steps):
             for e in into[ptr[j]:ptr[j + 1]]:
                 k, c, r = ks[e], cs[e], rs[e]
                 pk_at, ld, a, _ = steps[k]
                 if a == 1:
-                    v, i = panels[k][1 + los[e]:, 0], _packed(r, c)
-                    panels[j][tuple(T.pos[at[e]:at[e] + r][i])] -= np.multiply(*v[i])
+                    outer(e)
                     continue
                 x = pk_at + a + los[e]  # the pair's r rows of k's panel, Y its first c
                 if dense[e]:

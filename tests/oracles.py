@@ -678,6 +678,14 @@ def dense_deviation(result) -> float:
     return float(np.abs(Lgot - Lref).max(initial=0.0)) / scale
 
 
+def panels(F) -> list:
+    """Supernode j's panel: the g-by-a column-major view of ``F.data`` at
+    the offset and leading dimension of its diagonal step
+    ``S.rlb_schedule.diag[j]``."""
+    return [F.data[p:p + ld * a].reshape((ld, a), order="F")
+            for p, ld, a, _ in F.S.rlb_schedule.diag.tolist()]
+
+
 def scatter_per_column(A, S):
     """Scatter A's lower triangle into fresh panels one column at a time,
     locating each column's rows in its supernode's row list by binary search
@@ -686,6 +694,7 @@ def scatter_per_column(A, S):
     if A.n != S.n:
         raise ValueError("matrix and symbolic factor dimensions differ")
     F = FactorStorage(S)
+    P = panels(F)
     for j in range(S.n):
         sj = int(S.col_to_snode[j])
         c = j - int(S.first_col[sj])
@@ -696,7 +705,7 @@ def scatter_per_column(A, S):
         if not ok.all():
             bad = int(rows[~ok][0])
             raise StructureError(f"entry ({bad},{j}) of A is outside the factor structure")
-        F.panels[sj][pos, c] = A.col_values(j)
+        P[sj][pos, c] = A.col_values(j)
     return F
 
 
@@ -747,7 +756,7 @@ def assembler_by_columns(F, S, assembled, ld):
     adds pairs e0 to e1 - 1, all ``assembled``, whose update matrix U has
     ``ld[e]`` rows, pair e's r rows and its columns from row ld[e] - r on."""
     T, sched = S.update_table, S.rlb_schedule
-    data, panels, view, f8 = F.data, F.panels, np.ndarray, F.data.dtype
+    data, P, view, f8 = F.data, panels(F), np.ndarray, F.data.dtype
     pp = sched.pair_ptr
     by_rows = np.diff(pp) <= T.c
     base = S.panel_offsets[T.k] + S._lens[T.k] - T.r  # pair's first row in F.data
@@ -760,9 +769,9 @@ def assembler_by_columns(F, S, assembled, ld):
                 C += U[x - b:x - b + m, y - b:y - b + n]
             return
         at = T.at.item(e)
-        P, pos = panels[T.p.item(e)], T.pos[at:at + T.r.item(e)]
+        Pe, pos = P[T.p.item(e)], T.pos[at:at + T.r.item(e)]
         for t in range(T.c.item(e)):
-            P[pos[t:], pos[t]] += U[t:, t]
+            Pe[pos[t:], pos[t]] += U[t:, t]
 
     def assemble(e0: int, e1: int, U: np.ndarray) -> None:
         assert assembled[e0:e1].all(), (e0, e1)
@@ -770,6 +779,24 @@ def assembler_by_columns(F, S, assembled, ld):
             lo = int(ld[e] - T.r[e])
             add(e, U[lo:, lo:])
     return assemble
+
+
+def outer_updater_by_panels(F, S, pairs):
+    """``numeric._outer_updater`` as ``factor_ll`` made its width-1 updates
+    before their flat index: pair e's r-by-c trapezoid ``_packed(r, c)`` of
+    v v^T, v the updater's one column at the pair's r rows in its panel
+    view, subtracted from the target's panel view by one 2-D tuple index,
+    row factor times column factor.  The same contract: ``outer(e)`` for a
+    pair e that ``pairs`` selects."""
+    from snchol.numeric import _packed
+    T, P = S.update_table, panels(F)
+
+    def outer(e: int) -> None:
+        assert pairs[e], e
+        at, r, c = T.at.item(e), T.r.item(e), T.c.item(e)
+        v, i = P[T.k.item(e)][1 + T.lo.item(e):, 0], _packed(r, c)
+        P[T.p.item(e)][tuple(T.pos[at:at + r][i])] -= np.multiply(*v[i])
+    return outer
 
 
 def generate_spd_by_table(n: int, density: float, seed: int):
@@ -808,15 +835,16 @@ def solve_per_column(F, S, b):
             y[j] = (y[j] - T[j + 1:, j] @ y[j + 1:]) / T[j, j]
 
     x = np.asarray(b, dtype=np.float64).copy()
+    P = panels(F)
     for j in range(S.nsuper):
-        a, g, panel = S.width(j), S.glbind(j), F.panels[j]
+        a, g, panel = S.width(j), S.glbind(j), P[j]
         y = x[g[:a]]
         lower(panel[:a, :a], y)
         x[g[:a]] = y
         if g.size > a:
             x[g[a:]] -= panel[a:, :] @ y
     for j in range(S.nsuper - 1, -1, -1):
-        a, g, panel = S.width(j), S.glbind(j), F.panels[j]
+        a, g, panel = S.width(j), S.glbind(j), P[j]
         y = x[g[:a]]
         if g.size > a:
             y -= panel[a:, :].T @ x[g[a:]]
@@ -831,9 +859,8 @@ def lower_csc_per_column(F):
     replaced)."""
     S = F.S
     rows, vals = [], []
-    for j in range(S.nsuper):
+    for j, P in enumerate(panels(F)):
         g = S.glbind(j)
-        P = F.panels[j]
         for c in range(S.width(j)):
             rows.append(g[c:])
             vals.append(P[c:, c])

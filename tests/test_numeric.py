@@ -40,14 +40,14 @@ def test_scatter_diagonal():
     S = build_symbolic_factor(pat, BuildOptions(None, False))
     F = scatter_into_factor(A, S)
     assert F.state == "A"
-    assert [float(F.panels[j][0, 0]) for j in range(3)] == [2.0, 3.0, 4.0]
+    assert [float(oracles.panels(F)[j][0, 0]) for j in range(3)] == [2.0, 3.0, 4.0]
 
 
 def test_scatter_fig1_values_and_fill_zeros():
     A = fig1_matrix()
     S = build_fig1()
     F = scatter_into_factor(A, S)
-    p0 = F.panels[0]  # supernode {1,2}: rows 1,2,5,6,9
+    p0 = oracles.panels(F)[0]  # supernode {1,2}: rows 1,2,5,6,9
     assert p0[:, 0].tolist() == [10.0, 1.0, 1.0, 1.0, 1.0]
     # column 2 has no entry at row 6: that fill slot must hold zero
     assert p0[:, 1].tolist() == [0.0, 10.0, 1.0, 0.0, 1.0]
@@ -57,8 +57,9 @@ def test_panels_are_column_major_views_of_the_factor_storage():
     for name, an in schedule_cases():
         S = an.S
         F = scatter_into_factor(an.A2, S)
-        assert len(F.panels) == S.nsuper, name
-        for j, P in enumerate(F.panels):
+        panels = oracles.panels(F)
+        assert len(panels) == S.nsuper, name
+        for j, P in enumerate(panels):
             assert np.shares_memory(P, F.data), (name, j)
             assert P.shape == (len(S.glbind(j)), S.width(j)), (name, j)
             assert P.flags.f_contiguous, (name, j)
@@ -439,14 +440,17 @@ def test_mf_ll_rl_assemble_pairs_by_rectangles_and_one_flat_scatter(monkeypatch)
 
 
 def test_a_runs_flat_index_holds_its_column_pairs_trapezoids_only(monkeypatch):
-    """Each mf, ll and rl run builds one flat index.  It holds the lower
-    trapezoids of the pairs the method assembles that have more schedule
-    rows than columns, by pair and column by column: entry (i, t) of pair
-    e's r-by-c trapezoid at its target's panel offset of rows pos[i] and
-    pos[t], and at (d + i, d + t) of the column-major update matrix of ld
-    rows, d = ld - r.  A rectangle pair, or one the method does not
-    assemble, has no entry, so the index is no larger than those trapezoids.
-    One updater's entries land on distinct offsets, so one scatter-add adds
+    """Each mf, ll and rl run builds one flat index for ``_assembler``.  It
+    holds the lower trapezoids of the pairs the method assembles that have
+    more schedule rows than columns, by pair and column by column: entry
+    (i, t) of pair e's r-by-c trapezoid at its target's panel offset of rows
+    pos[i] and pos[t], and at (d + i, d + t) of the column-major update
+    matrix of ld rows, d = ld - r.  A rectangle pair, or one the method does
+    not assemble, has no entry, so the index is no larger than those
+    trapezoids.  An ll run then builds a second one, for
+    ``_outer_updater``: the trapezoids of its pairs whose updater is one
+    column wide, whatever their schedule rows, with ld = r.  One updater's
+    entries in an index land on distinct offsets, so one scatter-add adds
     each once."""
     built, real = [], numeric._flat_index
 
@@ -454,37 +458,41 @@ def test_a_runs_flat_index_holds_its_column_pairs_trapezoids_only(monkeypatch):
         built.append((pairs, ld, real(S, pairs, ld)))
         return built[-1][2]
     monkeypatch.setattr(numeric, "_flat_index", spy)
-    total = 0
+    total = {"assembled": 0, "outer": 0}
     for name, an in schedule_cases():
         S, T = an.S, an.S.update_table
         by_columns = np.diff(S.rlb_schedule.pair_ptr) > T.c
+        narrow = np.diff(S.first_col)[T.k] == 1
         offsets, lens, up = S.panel_offsets.tolist(), S._lens.tolist(), T.ptr.tolist()
         for method, (assembled, rows) in assembled_pairs(S).items():
             built.clear()
             an.factor(method)
-            assert len(built) == 1, (name, method)
-            pairs, ld, (dst, src, ptr) = built[0]
-            assert np.array_equal(pairs, assembled & by_columns), (name, method)
-            assert np.array_equal(ld[assembled], rows[assembled]), (name, method)
-            want_dst, want_src, sizes = [], [], []
-            for e in range(T.k.size):
-                at, r, c, p = (int(x[e]) for x in (T.at, T.r, T.c, T.p))
-                d, w = int(rows[e]) - r, int(rows[e])
-                pos = T.pos[at:at + r].tolist()
-                keep = assembled[e] and by_columns[e]
-                sizes.append(c * r - c * (c - 1) // 2 if keep else 0)
-                for t in range(c if keep else 0):
-                    for i in range(t, r):
-                        want_dst.append(offsets[p] + pos[t] * lens[p] + pos[i])
-                        want_src.append(d + i + (d + t) * w)
-            assert dst.tolist() == want_dst, (name, method)
-            assert src.tolist() == want_src, (name, method)
-            assert np.diff(ptr).tolist() == sizes, (name, method)
-            for a, b in zip(up, up[1:]):
-                one = dst[ptr[a]:ptr[b]]
-                assert np.unique(one).size == one.size, (name, method)
-            total += dst.size
-    assert total > 1000
+            want = {"assembled": (assembled & by_columns, rows)}
+            if method == "ll":
+                want["outer"] = (narrow, T.r)
+            assert len(built) == len(want), (name, method)
+            for (pairs, ld, (dst, src, ptr)), (which, (keep, rows)) in zip(built, want.items()):
+                where = (name, method, which)
+                assert np.array_equal(pairs, keep), where
+                assert np.array_equal(ld[keep], rows[keep]), where
+                want_dst, want_src, sizes = [], [], []
+                for e in range(T.k.size):
+                    at, r, c, p = (int(x[e]) for x in (T.at, T.r, T.c, T.p))
+                    d, w = int(rows[e]) - r, int(rows[e])
+                    pos = T.pos[at:at + r].tolist()
+                    sizes.append(c * r - c * (c - 1) // 2 if keep[e] else 0)
+                    for t in range(c if keep[e] else 0):
+                        for i in range(t, r):
+                            want_dst.append(offsets[p] + pos[t] * lens[p] + pos[i])
+                            want_src.append(d + i + (d + t) * w)
+                assert dst.tolist() == want_dst, where
+                assert src.tolist() == want_src, where
+                assert np.diff(ptr).tolist() == sizes, where
+                for a, b in zip(up, up[1:]):
+                    one = dst[ptr[a]:ptr[b]]
+                    assert np.unique(one).size == one.size, where
+                total[which] += dst.size
+    assert total["assembled"] > 1000 and total["outer"] > 1000, total
 
 
 def assembles_like_the_column_loop(an, where) -> None:
@@ -505,6 +513,25 @@ def test_mf_ll_rl_assemble_what_the_column_loop_assembles():
         assembles_like_the_column_loop(an, name)
 
 
+def updates_outer_like_the_panel_index(an, where) -> int:
+    """ll writes the panel bytes, and counts the counters, of a run whose
+    width-1 pairs subtract v v^T from their targets' panel views by one 2-D
+    tuple index (``oracles.outer_updater_by_panels``), the update its flat
+    gather-multiply-subtract replaced.  Returns the number of such pairs."""
+    got = an.factor("ll")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "_outer_updater", oracles.outer_updater_by_panels)
+        want = an.factor("ll")
+    assert got.F.data.tobytes() == want.F.data.tobytes(), where
+    assert counters(got) == counters(want), where
+    return int(np.count_nonzero(np.diff(an.S.first_col)[an.S.update_table.k] == 1))
+
+
+def test_ll_updates_its_width_1_pairs_as_the_panel_index_does():
+    pairs = sum(updates_outer_like_the_panel_index(an, name) for name, an in schedule_cases())
+    assert pairs > 100, pairs
+
+
 @pytest.mark.parametrize("backend", ["reference", "vendor"])
 def test_diagonal_blocks_keep_an_exactly_zero_upper_triangle(backend):
     """A SYRK rectangle adds the whole square of an update, whose strict
@@ -512,7 +539,7 @@ def test_diagonal_blocks_keep_an_exactly_zero_upper_triangle(backend):
     triangle of each diagonal block holds +0.0 only, as after rlb."""
     for name, an in schedule_cases():
         for method in ("mf", "ll", "rl", "rlb"):
-            for j, P in enumerate(an.factor(method, backend).F.panels):
+            for j, P in enumerate(oracles.panels(an.factor(method, backend).F)):
                 upper = P[np.triu_indices(P.shape[1], 1)]
                 assert upper.tobytes() == bytes(upper.nbytes), (name, method, j)
 
@@ -555,8 +582,8 @@ DIRECT = {
 def test_mf_ll_rl_run_what_the_analysis_predicts(backend):
     """mf, ll and rl count no call as they run: the calls a logging backend
     sees are their counters per kind, and the flops of those calls their flop
-    count, once ll's width-1 pairs (applied column by column, without a
-    kernel: 2rc - c(c-1) flops each) are added.  The panels are the
+    count, once ll's width-1 pairs (applied without a kernel: 2rc - c(c-1)
+    flops each) are added.  The panels are the
     driver's."""
     for name, an in schedule_cases():
         S = an.S
@@ -571,7 +598,8 @@ def test_mf_ll_rl_run_what_the_analysis_predicts(backend):
             where = (name, method)
             assert {k: [c for c, _ in log].count(k) for k in stats.calls} == stats.calls, where
             assert sum(f for _, f in log) + (fused if method == "ll" else 0) == stats.flops, where
-            assert all(P.tobytes() == Q.tobytes() for P, Q in zip(F.panels, r.F.panels)), where
+            assert all(P.tobytes() == Q.tobytes()
+                       for P, Q in zip(oracles.panels(F), oracles.panels(r.F))), where
             assert counters(FactorizationResult(stats, None, None)) == counters(r), where
 
 
@@ -1308,9 +1336,9 @@ def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch)
     """Every supernodal method checks its storage once and takes its
     diagonal steps and its updates by address: it calls none of the view
     kernels.
-    Only ll, whose one-column pairs index them, builds ``F.panels``; mf, rl
-    and rlb cut no panel views, and the solve leaves them unbuilt.  Factors
-    and solutions are the same bytes."""
+    No method leaves anything on the storage beyond its symbolic factor, its
+    data and its state, nor does the solve: there are no cached panel
+    views.  Factors and solutions are the same bytes."""
     b = np.random.default_rng(3).standard_normal(81)
     an = analyze(grid_laplacian(9))
     want = {}
@@ -1331,11 +1359,11 @@ def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch)
         got = an.factor(method)
         assert len(checks) == 1, method
         assert got.F.data.tobytes() == data, method
-        assert ("panels" in vars(got.F)) == (method == "ll"), method
+        assert vars(got.F).keys() == {"S", "data", "state"}, method
         checks.clear()
         assert got.solve(b).tobytes() == x, method
         assert len(checks) == 1, method
-        assert ("panels" in vars(got.F)) == (method == "ll"), method
+        assert vars(got.F).keys() == {"S", "data", "state"}, method
 
 
 def graph_laplacian(seed: int) -> SymmetricSparseMatrix:
