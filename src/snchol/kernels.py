@@ -19,15 +19,14 @@ A ``CallSchedule`` is a whole supernodal factorization precompiled as offsets
 into one flat float64 array: per supernode, a diagonal step (Cholesky of the
 diagonal triangle, triangular solve of the rows below) and its syrk/gemm
 updates, one row ``(kind, c, ldc, m, n, x, y)`` each; the operands' depth and
-leading dimension are the supernode's panel's.  The diagonal steps go by
-address (``_diagonal_steps``): the array is checked once, then each step
-calls dpotrf and dtrsm at ``base + 8*offset``, whatever its width.  A whole
-schedule (``run_schedule``) runs those steps and calls dsyrk/dgemm at
-``base + 8*offset``.  ``supernode_calls`` gives the steps and dsyrk/dgemm
-calls at offsets, into the array or an update workspace, to the methods
-that run no schedule.  ``supernodal_solve`` goes by address too.  A backend
+leading dimension are the supernode's panel's.  ``supernode_calls`` is
+the one place a run's calls are built: a method's diagonal steps, its
+syrk/gemm updates into the array or an update workspace, and ``run()``, the
+whole schedule.  They go by address: the array is checked once, then each
+call passes ``base + 8*offset`` to dpotrf, dtrsm, dsyrk or dgemm.  A backend
 without ``run_schedule`` (a logging or timing wrapper of the four kernels)
-makes the same calls on views: ``supernode_calls`` and ``run_views``.
+gets the same four calls on views.  ``supernodal_solve`` goes by address
+too.
 
 Every chol and every diagonal step decide a failed pivot by one rule,
 ``_check_pivots``: dpotrf's ``info``, or the first NaN pivot before it; a
@@ -126,9 +125,9 @@ class KernelBackend:
     """Function table for the four kernels plus a name tag for reporting.
 
     ``run_schedule(data, schedule)``, when given, runs a whole ``CallSchedule``
-    on ``data`` itself, and marks the library's kernels: ``supernode_calls``
-    then goes by address.  Without it the caller runs the schedule with
-    ``run_views``, and ``supernode_calls`` calls the four kernels on views.
+    on ``data`` by address, and marks the library's kernels:
+    ``supernode_calls`` then goes by address.  Without it,
+    ``supernode_calls`` calls the four kernels on views.
     """
 
     name: str
@@ -208,43 +207,9 @@ def final_pivot_scan(data: np.ndarray, schedule: CallSchedule) -> None:
     _check_pivots(_pivots(data, schedule.diag), 0)
 
 
-def _diagonal_steps(data: np.ndarray, schedule: CallSchedule, width: ctypes.c_int | None = None,
-                    ld: ctypes.c_int | None = None) -> Callable:
-    """``step(j)``: ``schedule``'s diagonal step j on ``data``, checked once,
-    here: dpotrf of the a-by-a triangle at ``base + 8*p``, then dtrsm of the
-    ld - a rows below, whatever a is.  A pivot failing dpotrf's test (a NaN
-    passes) raises by ``_check_pivots`` over the pivots before it.  A step
-    leaves a and ld in the cells ``width`` and ``ld``, when given, for the
-    caller's own calls."""
-    dpotrf, dtrsm = _vendor_functions()[:2]
-    base = _storage_address(data, schedule.storage)
-    steps = schedule.diag.tolist()
-    n = ctypes.c_int() if width is None else width
-    ld = ctypes.c_int() if ld is None else ld
-    m, info = ctypes.c_int(), ctypes.c_int()
-    pm, pn, pld, pinfo = (ctypes.byref(c) for c in (m, n, ld, info))
-    pa, pb = ctypes.c_void_p(), ctypes.c_void_p()
-
-    def fail(failed: int) -> None:  # dpotrf's info, counted over the whole matrix
-        _check_pivots(_pivots(data, schedule.diag, failed), failed)
-
-    def step(j: int) -> None:
-        at, rows, a, first = steps[j]
-        pa.value = base + 8 * at
-        n.value, ld.value = a, rows
-        dpotrf(_LO, pn, pa, pld, pinfo)
-        if info.value:
-            fail(first + info.value)
-        if rows > a:
-            pb.value = pa.value + 8 * a
-            m.value = rows - a
-            dtrsm(_RIGHT, _LO, _TRANS, _NOTRANS, pm, pn, _ONE, pa, pld, pb, pld)
-    return step
-
-
 def supernode_calls(backend: KernelBackend, data: np.ndarray, schedule: CallSchedule,
                     arena: np.ndarray | None = None, words: int = 0) -> tuple:
-    """``(step, syrk, gemm)``, the calls a supernodal method makes on
+    """``(step, syrk, gemm, run)``, the calls a supernodal method makes on
     ``data``.  ``step(j)`` is ``schedule``'s diagonal step j.
     ``syrk(C, c, ldc, n, x, ld, k)`` subtracts X X^T from the lower triangle
     of the n-by-n matrix at offset ``c`` of ``C`` (leading dimension
@@ -252,14 +217,16 @@ def supernode_calls(backend: KernelBackend, data: np.ndarray, schedule: CallSche
     dimension ``ld``).  ``gemm(C, c, ldc, m, n, x, y, ld, k)`` subtracts
     X Y^T from the m-by-n rectangle at ``c``, with X (m-by-k) at ``x`` and
     Y (n-by-k) at ``y`` of ``data``.  ``C`` is ``data`` or ``arena``, a
-    workspace of at least ``words`` elements.
+    workspace of at least ``words`` elements.  ``run()`` runs the whole
+    schedule: per group j its step, then its update rows, whose X and Y are
+    rows of the group's panel.
 
-    Where the backend has a ``run_schedule``, all three go by address
-    (``_supernode_calls``).  Otherwise ``backend``'s four kernels run on
+    Where the backend has a ``run_schedule``, all four go by address
+    (``_calls_by_address``).  Otherwise ``backend``'s four kernels run on
     numpy views, which numpy bounds-checks; a failed pivot's index is
     counted from the group's first column."""
     if backend.run_schedule:
-        return _supernode_calls(data, schedule, arena, words)
+        return _calls_by_address(data, schedule, arena, words)
     f8, steps = data.dtype, schedule.diag.tolist()
 
     def at(A, c, ld, m, n):  # the m-by-n column-major view at offset c of A
@@ -279,31 +246,62 @@ def supernode_calls(backend: KernelBackend, data: np.ndarray, schedule: CallSche
 
     def gemm(C, c, ldc, m, n, x, y, ld, k):
         backend.gemm(at(C, c, ldc, m, n), at(data, x, ld, m, k), at(data, y, ld, n, k))
-    return step, syrk, gemm
+
+    def run() -> None:
+        ptr = schedule.ptr.tolist()
+        for j, (_, ld, a, _) in enumerate(steps):
+            step(j)
+            for kind, c, ldc, m, n, x, y in schedule.rows[ptr[j]:ptr[j + 1]].tolist():
+                if kind == SYRK:
+                    syrk(data, c, ldc, n, x, ld, a)
+                else:
+                    gemm(data, c, ldc, m, n, x, y, ld, a)
+    return step, syrk, gemm, run
 
 
-def _supernode_calls(data: np.ndarray, schedule: CallSchedule, arena: np.ndarray | None,
-                     words: int) -> tuple:
-    """``supernode_calls`` by address: ``data`` is checked once
-    (``_diagonal_steps``) and ``arena``, when given, once here, to be a
-    writeable contiguous float64 vector of at least ``words`` elements; then
-    each syrk or gemm passes ``base + 8*offset`` to dsyrk or dgemm.  The
-    offsets are trusted, as a schedule's rows are.  ``run_schedule`` keeps
-    its own loop: it sets each group's depth and leading dimension once,
-    not per call."""
-    dsyrk, dgemm = _vendor_functions()[2:4]
-    step = _diagonal_steps(data, schedule)
-    bases = {id(data): data.ctypes.data}
+def _calls_by_address(data: np.ndarray, schedule: CallSchedule, arena: np.ndarray | None,
+                      words: int) -> tuple:
+    """``supernode_calls`` by address, over one set of argument cells.
+    ``data`` is checked once to be the schedule's storage, and ``arena``,
+    when given, to be a writeable contiguous float64 vector of at least
+    ``words`` elements; then every call passes ``base + 8*offset`` to
+    dpotrf, dtrsm, dsyrk or dgemm.  The offsets are trusted, as a
+    schedule's rows are.
+
+    ``step(j)`` calls dpotrf on the a-by-a triangle, then dtrsm on the
+    ld - a rows below, whatever a is; a pivot failing dpotrf's test (a NaN
+    passes) raises by ``_check_pivots`` over the pivots before it.  It
+    leaves a and ld in the depth and leading-dimension cells, which
+    ``run()`` then reads for every update row of the group: a row sets only
+    its own sizes and addresses."""
+    dpotrf, dtrsm, dsyrk, dgemm = _vendor_functions()[:4]
+    base = _storage_address(data, schedule.storage)
+    bases = {id(data): base}
     if arena is not None:
         if not (isinstance(arena, np.ndarray) and arena.dtype == _F8 and arena.ndim == 1 and
                 arena.flags.c_contiguous and arena.flags.writeable and arena.size >= words):
             raise ValueError("the update arena must be a writeable contiguous float64 vector "
                              f"of at least {words} elements")
         bases[id(arena)] = arena.ctypes.data
-    base = bases[id(data)]
-    m, n, k, ld, ldc = cells = [ctypes.c_int() for _ in range(5)]
-    pm, pn, pk, pld, pldc = (ctypes.byref(c) for c in cells)
-    pc, px, py = (ctypes.c_void_p() for _ in range(3))
+    steps = schedule.diag.tolist()
+    m, n, k, ld, ldc, info = cells = [ctypes.c_int() for _ in range(6)]
+    pm, pn, pk, pld, pldc, pinfo = (ctypes.byref(c) for c in cells)
+    pa, pb, pc, px, py = (ctypes.c_void_p() for _ in range(5))
+
+    def fail(failed: int) -> None:  # dpotrf's info, counted over the whole matrix
+        _check_pivots(_pivots(data, schedule.diag, failed), failed)
+
+    def step(j: int) -> None:
+        at, rows, a, first = steps[j]
+        pa.value = base + 8 * at
+        k.value, ld.value = a, rows
+        dpotrf(_LO, pk, pa, pld, pinfo)
+        if info.value:
+            fail(first + info.value)
+        if rows > a:
+            pb.value = pa.value + 8 * a
+            m.value = rows - a
+            dtrsm(_RIGHT, _LO, _TRANS, _NOTRANS, pm, pk, _ONE, pa, pld, pb, pld)
 
     def syrk(C, c, ld_c, rows, x, ld_x, depth):
         pc.value = bases[id(C)] + 8 * c
@@ -316,22 +314,24 @@ def _supernode_calls(data: np.ndarray, schedule: CallSchedule, arena: np.ndarray
         px.value, py.value = base + 8 * x, base + 8 * y
         m.value, n.value, k.value, ld.value, ldc.value = rows, cols, depth, ld_x, ld_c
         dgemm(_NOTRANS, _TRANS, pm, pn, pk, _MINUS_ONE, px, pld, py, pld, _ONE, pc, pldc)
-    return step, syrk, gemm
 
-
-def run_views(backend: KernelBackend, data: np.ndarray, schedule: CallSchedule) -> None:
-    """Run ``schedule`` on ``data`` through ``supernode_calls``: per group j
-    its step, then its update rows, whose X and Y are rows of the group's
-    panel.  The view path of a backend without ``run_schedule``."""
-    step, syrk, gemm = supernode_calls(backend, data, schedule)
-    ptr = schedule.ptr.tolist()
-    for j, (_, ld, a, _) in enumerate(schedule.diag.tolist()):
-        step(j)
-        for kind, c, ldc, m, n, x, y in schedule.rows[ptr[j]:ptr[j + 1]].tolist():
-            if kind == SYRK:
-                syrk(data, c, ldc, n, x, ld, a)
-            else:
-                gemm(data, c, ldc, m, n, x, y, ld, a)
+    def run() -> None:
+        table, ptr = schedule.rows, schedule.ptr.tolist()
+        for j in range(len(ptr) - 1):
+            step(j)  # sets the group's depth and leading dimension
+            for kind, c, ld_c, rows, cols, x, y in table[ptr[j]:ptr[j + 1]].tolist():
+                pc.value = base + 8 * c
+                px.value = base + 8 * x
+                n.value = cols
+                ldc.value = ld_c
+                if kind == SYRK:
+                    dsyrk(_LO, _NOTRANS, pn, pk, _MINUS_ONE, px, pld, _ONE, pc, pldc)
+                else:
+                    py.value = base + 8 * y
+                    m.value = rows
+                    dgemm(_NOTRANS, _TRANS, pm, pn, pk, _MINUS_ONE, px, pld, py, pld, _ONE, pc,
+                          pldc)
+    return step, syrk, gemm, run
 
 
 # Byte offset of ``char *data`` in numpy's C array struct (PyArrayObject_fields):
@@ -419,12 +419,10 @@ def get_backend(name: str) -> KernelBackend:
     only in the name runs report.
 
     Each call passes the views' data pointers and leading dimensions straight
-    to dpotrf, dtrsm, dsyrk or dgemm: no copies and no float scratch.
-    ``run_schedule`` runs a whole ``CallSchedule`` from one checked base
-    address: per group its diagonal step (``_diagonal_steps``), then its
-    dsyrk/dgemm rows, each at ``base + 8*offset``, the group's depth and
-    leading dimension set once.  The instance owns its argument cells, so one
-    instance serves one thread.
+    to dpotrf, dtrsm, dsyrk or dgemm: no copies and no float scratch.  These
+    four view kernels share the instance's argument cells, so one instance
+    serves one thread.  ``run_schedule`` is the ``run()`` of
+    ``supernode_calls`` by address, which builds its own cells each call.
     """
     if name not in ("reference", "vendor"):
         raise ValueError(f"unknown kernel backend '{name}' (choose reference or vendor)")
@@ -486,25 +484,8 @@ def get_backend(name: str) -> KernelBackend:
         ldc.value, c = _operand(C, True)
         dgemm(_NOTRANS, _TRANS, pm, pn, pk, _MINUS_ONE, x, plda, y, pldb, _ONE, c, pldc)
 
-    pc, px, py = (ctypes.c_void_p() for _ in range(3))
-
     def run_schedule(data, schedule):
-        step = _diagonal_steps(data, schedule, k, lda)  # sets the group's depth and ld
-        base, table, ptr = data.ctypes.data, schedule.rows, schedule.ptr.tolist()
-        for j in range(len(ptr) - 1):
-            step(j)
-            for kind, c, ld_c, rows, cols, x, y in table[ptr[j]:ptr[j + 1]].tolist():
-                pc.value = base + 8 * c
-                px.value = base + 8 * x
-                n.value = cols
-                ldc.value = ld_c
-                if kind == SYRK:
-                    dsyrk(_LO, _NOTRANS, pn, pk, _MINUS_ONE, px, plda, _ONE, pc, pldc)
-                else:
-                    py.value = base + 8 * y
-                    m.value = rows
-                    dgemm(_NOTRANS, _TRANS, pm, pn, pk, _MINUS_ONE, px, plda, py, plda, _ONE, pc,
-                          pldc)
+        _calls_by_address(data, schedule, None, 0)[3]()
 
     return KernelBackend(name, chol, trsm, syrk, gemm, run_schedule)
 

@@ -34,10 +34,11 @@ scatter-add, through a flat index of their lower trapezoids that each run
 builds once.  ll's pairs whose updater is one column wide take no kernel
 call: each subtracts its outer product by one gather-multiply-subtract on
 ``F.data``, through a second flat index.  rlb's schedule holds the whole
-factorization: per supernode, its diagonal step and its updates.  rlb is one ``run_schedule``
-call that checks ``F.data`` once (see ``kernels``).  With a backend that has
-none (a logging or timing wrapper), every method makes the same calls
-through that backend's four kernels on views, rlb by ``kernels.run_views``.
+factorization: per supernode, its diagonal step and its updates.  rlb is
+the ``run()`` of the same helper, which checks ``F.data`` once.  With a
+backend that has no ``run_schedule`` (a logging or timing wrapper), the
+helper makes every method's calls, rlb's ``run()`` too, through that
+backend's four kernels on views.
 The solve goes by address too (``kernels.supernodal_solve``).
 """
 
@@ -51,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import (KernelBackend, NotPositiveDefiniteError, final_pivot_scan, get_backend,
-                      run_views, supernodal_solve, supernode_calls)
+                      supernodal_solve, supernode_calls)
 from .matrix import (Permutation, PermutationFileError, SymmetricSparseMatrix,
                      SymmetricSparsePattern, apply_symmetric_permutation, minimum_degree_order)
 from .symbolic import (BuildOptions, SymbolicFactor, _ranges, build_symbolic_factor,
@@ -332,14 +333,15 @@ _PACKED = np.zeros((2, 0), dtype=np.int32)
 _PACKED.flags.writeable = False
 
 
-def _packed(n: int, cols: int = None) -> np.ndarray:
-    """(rows, columns), one read-only 2-by-k array, of the first ``cols``
-    columns (default all; c of them make the n-by-c trapezoid) of an n-by-n
+def _packed(n: int) -> np.ndarray:
+    """(rows, columns), one read-only 2-by-n(n+1)/2 array, of an n-by-n
     lower triangle in packed column-major order, the update-matrix stack's
     layout, counted from the end: entry (i, t) is (i - n, t - n), an index
-    into arrays of length n.  A slice of one cached list, the largest
-    triangle's, rebuilt only for a larger n: any smaller triangle's entries
-    are its last n(n+1)/2, so no call does arithmetic on the index."""
+    into arrays of length n.  Its first k = c n - c(c-1)/2 entries are the
+    n-by-c trapezoid of the first c columns.  A slice of one cached list,
+    the largest triangle's, rebuilt only for a larger n: any smaller
+    triangle's entries are its last n(n+1)/2, so no call does arithmetic on
+    the index."""
     global _PACKED
     u = n * (n + 1) // 2
     index = _PACKED  # one read, so a concurrent rebuild cannot shrink what is sliced
@@ -348,9 +350,7 @@ def _packed(n: int, cols: int = None) -> np.ndarray:
         index = np.array((i - n, t - n), dtype=np.int32)
         index.flags.writeable = False
         _PACKED = index
-    k = u if cols is None else cols * n - cols * (cols - 1) // 2
-    start = index.shape[1] - u
-    return index[:, start:start + k]
+    return index[:, index.shape[1] - u:]
 
 
 def _extend_in_place(arena, src_off, nrows, dst_off, m, qpos) -> None:
@@ -393,8 +393,8 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     with_parent = T.lo == 0
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
                          with_parent):
-        step, syrk, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
-                                        S.plans.mf_peak)
+        step, syrk, _, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
+                                           S.plans.mf_peak)
         assemble = _assembler(F, S, with_parent, T.lo + T.r)
         for j in S.plans.mf_postorder.tolist():
             p, ld, a, _ = diag[j]
@@ -460,8 +460,8 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                "gemm": int(np.count_nonzero(wide & (T.r > T.c)))}
     steps = diag.tolist()
     with _supernodal_run(F, S, W, stats, updates, ~(wide & T.dense)):
-        step, syrk, gemm = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
-                                           S.plans.ll_peak)
+        step, syrk, gemm, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
+                                              S.plans.ll_peak)
         assemble, outer = _assembler(F, S, wide & ~T.dense, T.r), _outer_updater(F, S, ~wide)
         for j, (pj_at, ld_j, _, _) in enumerate(steps):
             for e in into[ptr[j]:ptr[j + 1]]:
@@ -498,8 +498,8 @@ def factor_rl(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     T = S.update_table
     up, every = T.ptr.tolist(), np.ones(T.k.size, dtype=bool)
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]}, every):
-        step, syrk, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
-                                        S.plans.rl_peak)
+        step, syrk, _, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
+                                           S.plans.rl_peak)
         assemble = _assembler(F, S, every, T.lo + T.r)
         for j, (p, ld, a, _) in enumerate(S.rlb_schedule.diag.tolist()):
             step(j)
@@ -518,18 +518,15 @@ def factor_rlb(F: FactorStorage, S: SymbolicFactor, R, backend: KernelBackend,
                stats: RunStats) -> None:
     """Blocked right-looking factorization: ``S.rlb_schedule`` factors each
     supernode's columns in its panel, then makes every update as a dense
-    kernel call straight into an ancestor panel.  It runs as one
-    ``backend.run_schedule`` call where the backend has one, else through
-    ``run_views`` on the backend's four kernels; the update calls counted
-    are the schedule's rows.  No floating-point workspace exists and the
-    assembly counter stays at zero by construction.  ``R`` is not used; the
+    kernel call straight into an ancestor panel.  It is the ``run()`` of
+    ``supernode_calls``, by address on a library backend, else on views
+    through the backend's four kernels; the update calls counted are the
+    schedule's rows.  No floating-point workspace exists and the assembly
+    counter stays at zero by construction.  ``R`` is not used; the
     parameter stays so that existing callers keep working."""
     schedule = S.rlb_schedule
     with _supernodal_run(F, S, None, stats, schedule.calls):
-        if backend.run_schedule:
-            backend.run_schedule(F.data, schedule)
-        else:
-            run_views(backend, F.data, schedule)
+        supernode_calls(backend, F.data, schedule)[3]()
 
 
 # ---------------------------------------------------------------------------

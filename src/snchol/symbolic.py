@@ -429,7 +429,6 @@ class Plans:
     mf_postorder: np.ndarray
     mf_peak: int
     push_size: np.ndarray
-    square_size: np.ndarray
     ll_peak: int
     rl_peak: int
 
@@ -608,9 +607,9 @@ class SymbolicFactor:
         post, mf_peak = stack_minimizing_postorder(self.snode_parent, square, push)
         slab = T.r * T.c * ((widths[T.k] > 1) & ~T.dense)
         rl_peak = int(square.max()) if self.nsuper else 0
-        for a in (post, push, square):
+        for a in (post, push):
             a.flags.writeable = False
-        return Plans(post, int(mf_peak), push, square, int(slab.max(initial=0)), rl_peak)
+        return Plans(post, int(mf_peak), push, int(slab.max(initial=0)), rl_peak)
 
     @cached_property
     def rlb_schedule(self) -> CallSchedule:
@@ -644,7 +643,8 @@ def _rlb_rows(S: SymbolicFactor) -> tuple:
     columns is no gap, so when the positions continue across it, the GEMM of
     an earlier head run covers the runs on both sides in one call."""
     T = S.update_table
-    pairs = sum(b.size * (b.size + 1) // 2 for b in S.block_sizes)  # bounds every index below
+    blocks = np.bincount(T.k, T.heads, S.nsuper).astype(np.int64)  # each updater's blocks
+    pairs = int(blocks @ (blocks + 1)) // 2  # bounds every index below
     it = np.int32 if max(S.panel_storage, pairs) < 2**31 else np.int64
     width, lens, offsets = (a.astype(it) for a in (np.diff(S.first_col), S._lens,
                                                    S.panel_offsets))

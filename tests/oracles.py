@@ -783,18 +783,19 @@ def assembler_by_columns(F, S, assembled, ld):
 
 def outer_updater_by_panels(F, S, pairs):
     """``numeric._outer_updater`` as ``factor_ll`` made its width-1 updates
-    before their flat index: pair e's r-by-c trapezoid ``_packed(r, c)`` of
-    v v^T, v the updater's one column at the pair's r rows in its panel
-    view, subtracted from the target's panel view by one 2-D tuple index,
-    row factor times column factor.  The same contract: ``outer(e)`` for a
-    pair e that ``pairs`` selects."""
+    before their flat index: pair e's r-by-c trapezoid, the first
+    c r - c(c-1)/2 entries of ``_packed(r)``, of v v^T, v the updater's one
+    column at the pair's r rows in its panel view, subtracted from the
+    target's panel view by one 2-D tuple index, row factor times column
+    factor.  The same contract: ``outer(e)`` for a pair e that ``pairs``
+    selects."""
     from snchol.numeric import _packed
     T, P = S.update_table, panels(F)
 
     def outer(e: int) -> None:
         assert pairs[e], e
         at, r, c = T.at.item(e), T.r.item(e), T.c.item(e)
-        v, i = P[T.k.item(e)][1 + T.lo.item(e):, 0], _packed(r, c)
+        v, i = P[T.k.item(e)][1 + T.lo.item(e):, 0], _packed(r)[:, :c * r - c * (c - 1) // 2]
         P[T.p.item(e)][tuple(T.pos[at:at + r][i])] -= np.multiply(*v[i])
     return outer
 

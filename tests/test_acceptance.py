@@ -175,7 +175,7 @@ def test_criterion_6_stack_schedule_is_optimal():
         if S.nsuper > 8:
             continue
         parent = S.snode_parent
-        square = S.plans.square_size
+        square = (S._lens - np.diff(S.first_col)) ** 2  # each square update matrix's size
         push = S.plans.push_size
         _, peak = stack_minimizing_postorder(parent, square, push)
         assert peak == oracles.exhaustive_stack_minimum(parent, square, push)

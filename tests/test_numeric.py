@@ -208,22 +208,29 @@ def test_pack_descending_matches_out_of_place():
         assert np.allclose(arena[dst:dst + len(want)], want)
 
 
+def trapezoid(n: int, cols: int = None) -> np.ndarray:
+    """The first ``cols`` columns (default all) of ``_packed(n)``."""
+    index = numeric._packed(n)
+    return index if cols is None else index[:, :cols * n - cols * (cols - 1) // 2]
+
+
 def test_packed_index_is_the_column_by_column_list(monkeypatch):
-    """``_packed(n, cols)`` lists the first cols columns of an n-by-n lower
-    triangle column by column, counted from the end (n is added back here),
-    read-only, whether its cached list was built for this n or a larger one."""
+    """``_packed(n)`` lists an n-by-n lower triangle column by column,
+    counted from the end (n is added back here), read-only, whether its
+    cached list was built for this n or a larger one; its first
+    cols n - cols(cols-1)/2 entries are the first cols columns."""
     monkeypatch.setattr(numeric, "_PACKED", numeric._PACKED[:, :0])
     first = {}
     for n in range(41):  # each n rebuilds the cached list
         for cols in (None, *range(n + 1)):
             want = [(i, t) for t in range(n if cols is None else cols) for i in range(t, n)]
-            index = numeric._packed(n, cols)
+            index = trapezoid(n, cols)
             assert index.shape == (2, len(want)) and not index.flags.writeable, (n, cols)
             assert list(zip(*(n + index).tolist())) == want, (n, cols)
             first[n, cols] = index.tobytes()
     numeric._packed(75)
     for (n, cols), got in reversed(first.items()):  # now all cut from the list of 75
-        assert numeric._packed(n, cols).tobytes() == got, (n, cols)
+        assert trapezoid(n, cols).tobytes() == got, (n, cols)
     assert numeric._PACKED.shape == (2, 75 * 76 // 2) and not numeric._PACKED.flags.writeable
 
 
@@ -559,6 +566,14 @@ def logging_backend(base, log):
         logged("gemm", base.gemm, lambda C, X, Y: gemm_flops(X.shape[0], *Y.shape)))
 
 
+def without_view_kernels(name):
+    """``get_backend(name)`` whose four view kernels fail if called."""
+    def no_view_kernel(*args):
+        raise AssertionError("a view kernel was called")
+    return dataclasses.replace(get_backend(name), chol=no_view_kernel, trsm=no_view_kernel,
+                               syrk=no_view_kernel, gemm=no_view_kernel)
+
+
 def updates_per_group(log) -> list:
     """The syrk/gemm calls a logging backend saw after each potrf."""
     per = []
@@ -760,20 +775,17 @@ def test_extent_check_rejects_a_diagonal_step_off_its_panel(field):
 
 @pytest.mark.parametrize("backend", ["reference", "vendor"])
 def test_rlb_is_one_schedule_run(monkeypatch, backend):
-    """On either backend name, rlb checks its storage once and takes no view
-    loop at all; that loop, on a logging backend without a runner, makes the
-    calls the counters report, group by group, and gives the same panels."""
+    """On either backend name, rlb checks its storage once and calls no view
+    kernel at all; the view run, on a logging backend without a runner,
+    makes the calls the counters report, group by group, and gives the same
+    panels."""
     checks = []
     check = kernels._storage_address
     monkeypatch.setattr(kernels, "_storage_address", lambda *a: checks.append(a) or check(*a))
-
-    def no_view_loop(*args):
-        raise AssertionError("rlb took the view loop")
     for name, an in schedule_cases():
         checks.clear()
         with monkeypatch.context() as m:
-            m.setattr(numeric, "run_views", no_view_loop)
-            m.setattr(kernels, "run_views", no_view_loop)
+            m.setattr(numeric, "get_backend", without_view_kernels)
             r = an.factor("rlb", backend)
         assert len(checks) == 1, name
         log = []
@@ -1348,12 +1360,7 @@ def test_every_method_steps_by_address_and_the_solve_builds_no_view(monkeypatch)
     checks = []
     check = kernels._storage_address
     monkeypatch.setattr(kernels, "_storage_address", lambda *a: checks.append(a) or check(*a))
-
-    def no_view_kernel(*args):
-        raise AssertionError("a view kernel was called")
-    monkeypatch.setattr(numeric, "get_backend", lambda name: dataclasses.replace(
-        get_backend(name), chol=no_view_kernel, trsm=no_view_kernel, syrk=no_view_kernel,
-        gemm=no_view_kernel))
+    monkeypatch.setattr(numeric, "get_backend", without_view_kernels)
     for method, (data, x) in want.items():
         checks.clear()
         got = an.factor(method)

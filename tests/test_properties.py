@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from snchol import symbolic
-from snchol.kernels import get_backend, run_views
+from snchol.kernels import get_backend, supernode_calls
 from snchol.matrix import (_assemble_lower, apply_symmetric_permutation, generate_spd,
                            minimum_degree_order)
 from snchol.numeric import (RunOptions, RunStats, analyze, deviation_from_reference,
@@ -215,12 +215,11 @@ def test_update_table_is_the_walk_and_the_index_map(n, density, seed, cap, pr, m
 def test_schedule_runner_is_the_view_path(backend, n, density, seed, cap, pr):
     """On ``gen:`` matrices the schedule runner, which sets each group's
     depth and leading dimension once and takes its diagonal steps by
-    address, writes the bytes that ``run_views`` writes through the public
-    kernels, under either backend name; the view path takes its steps
-    through chol and trsm.  The rows
-    have 7 columns, and the schedule's calls and flops are those of the
-    update calls the view path makes, by the flop model of their operand
-    shapes."""
+    address, writes the bytes that the view ``run()`` of ``supernode_calls``
+    writes through the public kernels, under either backend name; the view
+    path takes its steps through chol and trsm.  The rows have 7 columns,
+    and the schedule's calls and flops are those of the update calls the
+    view path makes, by the flop model of their operand shapes."""
     an = analyze(generate_spd(n, density, seed), "mindeg", cap, pr)
     S, sched = an.S, an.S.rlb_schedule
     assert sched.rows.shape == (sched.ptr[-1], 7)
@@ -228,7 +227,7 @@ def test_schedule_runner_is_the_view_path(backend, n, density, seed, cap, pr):
     F, G = scatter_into_factor(an.A2, S), scatter_into_factor(an.A2, S)
     be.run_schedule(F.data, sched)
     logged = logging_backend(be, log)
-    run_views(logged, G.data, sched)
+    supernode_calls(logged, G.data, sched)[3]()
     assert F.data.tobytes() == G.data.tobytes()
     assert updates_per_group(log) == np.diff(sched.ptr).tolist()
     updates = [(kind, f) for kind, f in log if kind in sched.calls]

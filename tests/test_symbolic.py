@@ -647,7 +647,7 @@ def test_derived_structure_is_read_only():
     S = build_symbolic_factor(A.pattern, BuildOptions(12.5, True))
     assert {"run", "run_ptr", "heads"} <= set(vars(S.update_table))
     arrays = [*S.block_sizes, *S.block_starts, S.plans.mf_postorder,
-              S.plans.push_size, S.plans.square_size, S.rlb_schedule.rows, S.rlb_schedule.ptr,
+              S.plans.push_size, S.rlb_schedule.rows, S.rlb_schedule.ptr,
               *vars(S.update_table).values()]
     assert arrays and not any(a.flags.writeable for a in arrays)
     assert all(isinstance(x, tuple) for x in (S.block_sizes, S.block_starts))
