@@ -6,7 +6,8 @@ Methods
 ref   column-by-column left-looking algorithm with a length-n scatter vector;
       the oracle the supernodal methods are checked against
 mf    multifrontal: postorder, children's update matrices popped off a stack,
-      the first one extended in place into the square update matrix
+      the first one extended in place into the square update matrix, each
+      triangle moved by one flat-indexed copy or add
 ll    left-looking supernodal with one scratch update matrix; an update that
       is dense with respect to its target goes straight into factor storage
 rl    right-looking: one square update matrix per supernode, assembled into
@@ -25,17 +26,23 @@ order a method factors in, a failure
 names the first bad pivot in column order: each run ends with one NaN scan
 of all pivots.  No method counts
 call by call: each run adds the calls and flops the analysis predicts, and
-the lower-triangle entries its updates add (``assembly_ops``).  mf, ll and rl
-add each update into its targets through ``_assembler``: an
-``S.update_table`` pair with no more ``S.rlb_schedule`` rows than columns by
-one slice-add per rectangle of its rows, the other pairs of one call (mf's
-pair with the parent, one ll slab, all of one rl updater's pairs) by one
-scatter-add, through a flat index of their lower trapezoids that each run
-builds once.  ll's pairs whose updater is one column wide take no kernel
-call: each subtracts its outer product by one gather-multiply-subtract on
-``F.data``, through a second flat index.  rlb's schedule holds the whole
-factorization: per supernode, its diagonal step and its updates.  rlb is
-the ``run()`` of the same helper, which checks ``F.data`` once.  With a
+the lower-triangle entries its updates add (``assembly_ops``).  Assembly is
+priced in numpy calls: a slice-add costs about as much as K entries through
+a flat index that each run builds once, in one vectorized pass
+(``_pair_index``).  mf, ll and rl add each update into its targets through
+``_assembler``: an ``S.update_table`` pair with more than K lower-trapezoid
+entries per ``S.rlb_schedule`` row by one slice-add per rectangle of its
+rows, the other pairs of one call (mf's pair with the parent, one ll slab,
+all of one rl updater's pairs) by one scatter-add through the run's index of
+their lower trapezoids.  mf's triangles of at most 3K entries take their
+flat offsets in the update matrices from one more such index, larger ones
+compute theirs (``_stack_offsets``).  ll's pairs whose updater is one column
+wide take no kernel call: each subtracts its outer product by one
+gather-multiply-subtract on ``F.data``, through a flat index of its own; its
+dense pairs read their targets' offsets from lists made once per run.
+rlb's schedule holds the whole factorization: per supernode, its diagonal
+step and its updates.  rlb is the ``run()`` of the same helper, which
+checks ``F.data`` once.  With a
 backend that has no ``run_schedule`` (a logging or timing wrapper), the
 helper makes every method's calls, rlb's ``run()`` too, through that
 backend's four kernels on views.
@@ -55,7 +62,7 @@ from .kernels import (KernelBackend, NotPositiveDefiniteError, final_pivot_scan,
                       supernodal_solve, supernode_calls)
 from .matrix import (Permutation, PermutationFileError, SymmetricSparseMatrix,
                      SymmetricSparsePattern, apply_symmetric_permutation, minimum_degree_order)
-from .symbolic import (BuildOptions, SymbolicFactor, _ranges, build_symbolic_factor,
+from .symbolic import (BuildOptions, SymbolicFactor, _ranges, _trap_nnz, build_symbolic_factor,
                        elimination_tree, symbolic_factorization)
 
 
@@ -207,20 +214,40 @@ def _supernodal_run(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace | No
     F.state = "L"
 
 
+# One slice-add of a schedule rectangle costs about as much as K entries
+# through a flat index, built each run and scatter-added once.  Measured on
+# the bench workloads' rl pairs (seed 0), every pair sent each way in turn,
+# with numpy 2.4, one OpenBLAS thread, 2-core shared sandbox: a rectangle
+# about 2.1-2.5 us in ``_assembler``'s loop, its build included, on grid2d
+# and random, whose rectangles are a few entries; an entry about 27-29 ns on
+# grid3d-nd and random, whose flat pairs are long enough to spread the
+# scatter-add's own call.  K from 60 to 150 read the same within noise.
+K = 80
+
+
+def _by_rectangles(S: SymbolicFactor) -> np.ndarray:
+    """The ``S.update_table`` pairs ``_assembler`` adds by their
+    ``S.rlb_schedule`` rectangles, one slice-add each: those whose lower
+    trapezoid holds more than K entries per rectangle.  The others are
+    cheaper through the flat index."""
+    T = S.update_table
+    return _trap_nnz(T.c, T.r) > K * np.diff(S.rlb_schedule.pair_ptr)
+
+
 def _assembler(F: FactorStorage, S: SymbolicFactor, assembled: np.ndarray, ld: np.ndarray):
     """``assemble(e0, e1, U)``: add U, the update matrix of the
     ``S.update_table`` pairs e0 to e1 - 1 of one updater, into their targets'
     panels, each entry of each pair's lower trapezoid once.  U has ``ld[e]``
     rows, column-major; pair e's r rows are its last, and its columns start
     at the same offset.  The method adds the pairs ``assembled`` selects.  A
-    pair with no more ``S.rlb_schedule`` rows than columns adds each row's
-    rectangle as one slice (a SYRK row the whole square: the strict upper
-    triangle of U's square must be zero); the others' entries go in one
-    scatter-add per call, through ``_flat_index``: one updater's pairs have
-    distinct targets, so no offset repeats within a call."""
+    pair ``_by_rectangles`` selects adds each row's rectangle as one slice (a
+    SYRK row the whole square: the strict upper triangle of U's square must
+    be zero); the others' entries go in one scatter-add per call, through
+    ``_flat_index``: one updater's pairs have distinct targets, so no offset
+    repeats within a call."""
     T, sched = S.update_table, S.rlb_schedule
     count = np.diff(sched.pair_ptr)
-    by_rows = assembled & (count <= T.c)
+    by_rows = assembled & _by_rectangles(S)
     # the rectangles' rows, by pair, their operands as offsets into U
     first = np.repeat((S.panel_offsets[T.k] + S._lens[T.k] - ld)[by_rows], count[by_rows])
     rows = sched.rows[np.repeat(by_rows, count)]
@@ -245,23 +272,53 @@ def _flat_index(S: SymbolicFactor, pairs: np.ndarray, ld: np.ndarray) -> tuple:
     pairs ``pairs`` selects, entry by entry, pair e's from ``ptr[e]`` to
     ``ptr[e + 1]``: ``dst`` the offset in ``F.data``, ``src`` the offset in
     its column-major update matrix of ``ld[e]`` rows, whose last r rows are
-    the pair's.  Entry (i, t) of pair e's r-by-c trapezoid is read from
-    ``_packed``, counted from the end, for all pairs at once."""
+    the pair's."""
     T = S.update_table
-    c = np.where(pairs, T.c, 0)
-    size = c * T.r - c * (c - 1) // 2
+    return _pair_index(S, pairs, ld, np.zeros_like(T.c), T.c, S.panel_offsets[T.p],
+                       S._lens[T.p])
+
+
+def _pair_index(S: SymbolicFactor, pairs: np.ndarray, ld: np.ndarray, t0: np.ndarray,
+                t1: np.ndarray, base: np.ndarray, lead: np.ndarray) -> tuple:
+    """``(dst, src, ptr)`` over the ``S.update_table`` pairs ``pairs``
+    selects: columns ``t0[e]`` to ``t1[e] - 1`` of pair e's r-by-r lower
+    triangle, entry by entry in packed column-major order, from ``ptr[e]`` to
+    ``ptr[e + 1]``.  Entry (i, t) is at ``dst`` = base + lead pos[t] +
+    pos[i], pos the pair's r positions in its target's row list, and at
+    ``src`` = (d + i) + (d + t) w in a column-major matrix of w = ``ld[e]``
+    rows, d = w - r.  One pass for all pairs: each column's part of both
+    offsets once, then the entries by ``_runs`` into one buffer, which holds
+    each entry's index into ``T.pos``, then its column's part of ``dst``,
+    then ``src``: besides the two results, nothing of the entries' length."""
+    T = S.update_table
+    size = np.where(pairs, _trap_nnz(t1, T.r) - _trap_nnz(t0, T.r), 0)
     ptr = np.zeros(size.size + 1, dtype=np.int64)
     np.cumsum(size, out=ptr[1:])
     e = np.flatnonzero(pairs)
-    n, r = size[e], T.r[e]
-    top = int(r.max(initial=0))
-    packed = _packed(top)
-    at = _ranges(top * (top + 1) // 2 - r * (r + 1) // 2, n)  # pair e's triangle in the largest
-    i, t = packed[0].take(at), packed[1].take(at)
-    end = (T.at[e] + r).repeat(n)  # one past the pair's positions in T.pos
-    p, w = T.p[e], ld[e].repeat(n)
-    dst = S.panel_offsets[p].repeat(n) + T.pos[end + t] * S._lens[p].repeat(n) + T.pos[end + i]
-    return dst, (w + i) + (w + t) * w, ptr
+    k = (t1 - t0)[e]
+    col = e.repeat(k)  # each column's pair
+    t = _ranges(t0[e], k)
+    count = T.r[col] - t
+    at = np.cumsum(count) - count  # each column's first entry
+    first = T.at[col] + t  # the column's diagonal entry, as an index into T.pos
+    buffer = _runs(np.empty(int(ptr[-1]), dtype=np.intp), first, count, at, 1)
+    dst = T.pos.take(buffer)
+    dst += _runs(buffer, base[col] + lead[col] * T.pos[first], count, at, 0)
+    w, d = ld[col], ld[col] - T.r[col]
+    return dst, _runs(buffer, (d + t) * (w + 1), count, at, 1), ptr
+
+
+def _runs(out: np.ndarray, lo: np.ndarray, count: np.ndarray, at: np.ndarray,
+          step: int) -> np.ndarray:
+    """``out``, filled in place with one run per column c: lo[c], lo[c] +
+    step, ..., ``count[c]`` >= 1 entries from ``out[at[c]]`` on, the runs
+    back to back.  One cumulative sum of the steps."""
+    out.fill(step)
+    if at.size:
+        out[0] = lo[0]
+        out[at[1:]] = lo[1:] - lo[:-1] - step * (count[:-1] - 1)
+    np.cumsum(out, out=out)
+    return out
 
 
 def _outer_updater(F: FactorStorage, S: SymbolicFactor, pairs: np.ndarray):
@@ -341,7 +398,9 @@ def _packed(n: int) -> np.ndarray:
     n-by-c trapezoid of the first c columns.  A slice of one cached list,
     the largest triangle's, rebuilt only for a larger n: any smaller
     triangle's entries are its last n(n+1)/2, so no call does arithmetic on
-    the index."""
+    the index.  mf's triangles of more than 3K entries read it
+    (``_stack_offsets``); the smaller ones and the flat assembly indexes
+    come from ``_pair_index`` instead."""
     global _PACKED
     u = n * (n + 1) // 2
     index = _PACKED  # one read, so a concurrent rebuild cannot shrink what is sliced
@@ -353,24 +412,47 @@ def _packed(n: int) -> np.ndarray:
     return index[:, index.shape[1] - u:]
 
 
-def _extend_in_place(arena, src_off, nrows, dst_off, m, qpos) -> None:
-    """Scatter a packed lower triangle over ``nrows`` rows at ``src_off`` into
-    the m-by-m square at ``dst_off``: entry (i, t) goes to (qpos[i], qpos[t]),
-    every other entry is zero.  The square may overlap the source: the source
-    is copied out before the square is zeroed."""
-    rows, cols = qpos[_packed(nrows)]
-    packed = arena[src_off:src_off + rows.size].copy()
-    arena[dst_off:dst_off + m * m] = 0.0
-    arena[dst_off + rows + m * cols] = packed
+def _stack_offsets(S: SymbolicFactor) -> tuple:
+    """``(offsets, pack_offsets)``: the packed triangle supernode c pushes,
+    entry (i, t) counted from the end, as flat offsets into a column-major
+    square: ``offsets(c)`` into its parent's m-by-m update matrix, at the
+    pushed rows' positions q there, q[i] + m q[t]; ``pack_offsets(c)`` into
+    its own, the trailing triangle, (m + i) + m (m + t).  A triangle of at
+    most 3K entries reads both from one index over the pairs with the
+    parent, built once per run by ``_pair_index``; a larger one computes its
+    own, a few calls that its many entries outweigh."""
+    T = S.update_table
+    a = np.diff(S.first_col)
+    m = S._lens - a
+    u = _trap_nnz(T.r - T.c, T.r - T.c)
+    small = (T.lo == 0) & (u <= 3 * K)
+    into, own, ptr = _pair_index(S, small, T.r, T.c, T.r, -a[T.p] * (1 + m[T.p]), m[T.p])
+    up, at, cs, rs, ps = (x.tolist() for x in (T.ptr[:-1], T.at, T.c, T.r, T.p))
+    a, m, small, ptr = a.tolist(), m.tolist(), small.tolist(), ptr.tolist()
 
+    def offsets(c: int) -> np.ndarray:
+        e = up[c]
+        if small[e]:
+            return into[ptr[e]:ptr[e + 1]]
+        p = ps[e]
+        q = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a[p]
+        i, t = _packed(q.size)
+        o = q[t]
+        o *= m[p]
+        o += q[i]
+        return o
 
-def _pack_descending(arena, sq_off, m, k, dst_off) -> None:
-    """Pack the trailing (m-k) lower triangle of the m-by-m square at
-    ``sq_off`` into a packed triangle at ``dst_off``.  One gather, which
-    copies: the destination may overlap the square."""
-    square = arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
-    trailing = _packed(m - k)  # counted from the end of the square's rows and columns
-    arena[dst_off:dst_off + trailing.shape[1]] = square[tuple(trailing)]
+    def pack_offsets(c: int) -> np.ndarray:
+        e = up[c]
+        if small[e]:
+            return own[ptr[e]:ptr[e + 1]]
+        mc = rs[e]
+        i, t = _packed(mc - cs[e])
+        o = np.multiply(t, mc, dtype=np.intp)
+        o += i
+        o += mc + mc * mc
+        return o
+    return offsets, pack_offsets
 
 
 def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
@@ -381,37 +463,40 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
     ``S.update_table``; the rest is pushed as one packed triangle.  The
     square starts as the top child's triangle, extended in place; the other
     children's triangles are added into it.  Each extension, merge and push
-    moves a whole triangle through the ``_packed`` index.  ``R`` is not
-    read; it stays for existing callers."""
+    moves a whole triangle by one flat-indexed copy or add, at the offsets
+    ``_stack_offsets`` gives.  ``R`` is not read; it stays for existing
+    callers."""
     T = S.update_table
-    up, cs, rs, at = (x.tolist() for x in (T.ptr, T.c, T.r, T.at))  # up[j]: pair with parent
+    up, cs = T.ptr.tolist(), T.c.tolist()  # up[j]: pair with parent
     diag, parent = S.rlb_schedule.diag.tolist(), S.snode_parent.tolist()
-    top = cap = W.arena.size
+    arena = W.arena
+    top = cap = arena.size
     tags = []
     push = S.plans.push_size
     # one syrk per supernode with rows below, as many as there are trsm steps
     with_parent = T.lo == 0
     with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
                          with_parent):
-        step, syrk, _, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
+        step, syrk, _, _ = supernode_calls(backend, F.data, S.rlb_schedule, arena,
                                            S.plans.mf_peak)
         assemble = _assembler(F, S, with_parent, T.lo + T.r)
+        offsets, pack_offsets = _stack_offsets(S)
         for j in S.plans.mf_postorder.tolist():
             p, ld, a, _ = diag[j]
             m = ld - a
-            sq = None
+            sq = None  # j's square update matrix, flat
             # in postorder, the children that pushed are the stack's top entries
             while tags and parent[tags[-1][0]] == j:
                 c, u_c = tags.pop()
-                e = up[c]
-                qpos = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a  # pushed rows, in j's update matrix
                 if sq is None:
                     # extension is a scatter-copy, not a scatter-add: no assembly count
                     sq_off = top + u_c - m * m
-                    _extend_in_place(W.arena, top, qpos.size, sq_off, m, qpos)
-                    sq = W.arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
+                    packed = arena[top:top + u_c].copy()  # the square may overlap it
+                    sq = arena[sq_off:sq_off + m * m]
+                    sq[:] = 0.0
+                    sq[offsets(c)] = packed
                 else:
-                    sq[tuple(qpos[_packed(qpos.size)])] += W.arena[top:top + u_c]
+                    sq[offsets(c)] += arena[top:top + u_c]
                     stats.assembly_ops += u_c
                 top += u_c
             step(j)
@@ -421,19 +506,19 @@ def factor_mf(F: FactorStorage, S: SymbolicFactor, R, W: UpdateWorkspace,
                 continue
             if sq is None:
                 sq_off = top - m * m
-                sq = W.arena[sq_off:top].reshape((m, m), order="F")
+                sq = arena[sq_off:top]
                 sq[:] = 0.0
             if sq_off < 0:
                 raise RuntimeError("update-matrix stack overflows its arena")
             W.peak = max(W.peak, cap - sq_off)
-            syrk(W.arena, sq_off, m, m, p + a, ld, a)
-            assemble(up[j], up[j] + 1, sq)
+            syrk(arena, sq_off, m, m, p + a, ld, a)
+            assemble(up[j], up[j] + 1, sq.reshape((m, m), order="F"))
             k = cs[up[j]]
             u_j = (m - k) * (m - k + 1) // 2
             assert u_j == push[j], "runtime push size disagrees with the plan"
             if u_j:
                 top -= u_j
-                _pack_descending(W.arena, sq_off, m, k, top)
+                arena[top:top + u_j] = sq[pack_offsets(j)]  # a gather: it copies
                 tags.append((j, u_j))
         assert not tags and top == cap, "update-matrix stack not empty at exit"
 
@@ -452,18 +537,23 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
     slab, which ``_assembler`` adds into the panel.  Both index their
     pairs' trapezoids through ``_flat_index``, once per run each."""
     T = S.update_table
-    ks, los, cs, rs, dense, at = (x.tolist() for x in (T.k, T.lo, T.c, T.r, T.dense, T.at))
+    ks, los, cs, rs, dense = (x.tolist() for x in (T.k, T.lo, T.c, T.r, T.dense))
     into, ptr = T.by_target.tolist(), T.target_ptr.tolist()
     diag = S.rlb_schedule.diag
     wide = diag[T.k, 2] > 1
     updates = {"syrk": int(np.count_nonzero(wide)),
                "gemm": int(np.count_nonzero(wide & (T.r > T.c)))}
     steps = diag.tolist()
+    # a dense pair's syrk and gemm targets in F.data: its first row in the
+    # target's columns, and its first row below them (where it has one)
+    p0, below = T.pos[T.at], T.pos[np.where(T.r > T.c, T.at + T.c, T.at)]
+    col = S.panel_offsets[T.p] + p0 * S._lens[T.p]  # the pair's first column
+    syrk_at, gemm_at = (col + p0).tolist(), (col + below).tolist()
     with _supernodal_run(F, S, W, stats, updates, ~(wide & T.dense)):
         step, syrk, gemm, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
                                               S.plans.ll_peak)
         assemble, outer = _assembler(F, S, wide & ~T.dense, T.r), _outer_updater(F, S, ~wide)
-        for j, (pj_at, ld_j, _, _) in enumerate(steps):
+        for j, (_, ld_j, _, _) in enumerate(steps):
             for e in into[ptr[j]:ptr[j + 1]]:
                 k, c, r = ks[e], cs[e], rs[e]
                 pk_at, ld, a, _ = steps[k]
@@ -472,11 +562,9 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
                     continue
                 x = pk_at + a + los[e]  # the pair's r rows of k's panel, Y its first c
                 if dense[e]:
-                    p0 = T.pos.item(at[e])
-                    col = pj_at + p0 * ld_j  # the target's first column
-                    syrk(F.data, col + p0, ld_j, c, x, ld, a)
+                    syrk(F.data, syrk_at[e], ld_j, c, x, ld, a)
                     if r > c:
-                        gemm(F.data, col + T.pos.item(at[e] + c), ld_j, r - c, c, x + c, x, ld, a)
+                        gemm(F.data, gemm_at[e], ld_j, r - c, c, x + c, x, ld, a)
                 else:
                     U = W.slab(r, c)
                     syrk(W.arena, 0, r, c, x, ld, a)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snchol.matrix import SymmetricSparseMatrix, SymmetricSparsePattern
+from snchol.matrix import SymmetricSparseMatrix, SymmetricSparsePattern, _assemble_lower
 
 import oracles
 
@@ -46,6 +46,16 @@ def grid_laplacian(k: int, shift=0.01) -> SymmetricSparseMatrix:
     pat = SymmetricSparsePattern(n, colptr,
                                  np.concatenate([np.asarray(c, np.int64) for c in cols]))
     return SymmetricSparseMatrix(pat, np.concatenate([np.asarray(v) for v in vals]))
+
+
+def grid3d_laplacian(k: int, shift=0.01) -> SymmetricSparseMatrix:
+    """Shifted 7-point Laplacian on a k-by-k-by-k grid (SPD)."""
+    n = k ** 3
+    v = np.arange(n).reshape(k, k, k)
+    rows = np.concatenate([v.ravel(), v[1:].ravel(), v[:, 1:].ravel(), v[:, :, 1:].ravel()])
+    cols = np.concatenate([v.ravel(), v[:-1].ravel(), v[:, :-1].ravel(), v[:, :, :-1].ravel()])
+    vals = np.where(rows == cols, 6.0 + shift, -1.0)
+    return _assemble_lower(n, rows, cols, vals, False)
 
 
 @pytest.fixture

@@ -800,6 +800,82 @@ def outer_updater_by_panels(F, S, pairs):
     return outer
 
 
+def extend_in_place(arena, src_off, nrows, dst_off, m, qpos) -> None:
+    """Scatter a packed lower triangle over ``nrows`` rows at ``src_off`` into
+    the m-by-m square at ``dst_off``: entry (i, t) goes to (qpos[i], qpos[t]),
+    every other entry is zero.  The square may overlap the source: the source
+    is copied out before the square is zeroed."""
+    from snchol.numeric import _packed
+    rows, cols = qpos[_packed(nrows)]
+    packed = arena[src_off:src_off + rows.size].copy()
+    arena[dst_off:dst_off + m * m] = 0.0
+    arena[dst_off + rows + m * cols] = packed
+
+
+def pack_descending(arena, sq_off, m, k, dst_off) -> None:
+    """Pack the trailing (m-k) lower triangle of the m-by-m square at
+    ``sq_off`` into a packed triangle at ``dst_off``.  One gather, which
+    copies: the destination may overlap the square."""
+    from snchol.numeric import _packed
+    square = arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
+    trailing = _packed(m - k)  # counted from the end of the square's rows and columns
+    arena[dst_off:dst_off + trailing.shape[1]] = square[tuple(trailing)]
+
+
+def factor_mf_per_child(F, S, R, W, backend, stats) -> None:
+    """``numeric.factor_mf`` as it moved its triangles before their flat
+    offsets, child by child through 2-D indexes read from ``_packed``: the
+    top child's triangle extended in place (``extend_in_place``), the
+    others' added by one 2-D tuple index into the square, the push packed by
+    ``pack_descending``.  The same contract, calls and counters."""
+    from snchol.kernels import supernode_calls
+    from snchol.numeric import _assembler, _packed, _supernodal_run
+    T = S.update_table
+    up, cs, rs, at = (x.tolist() for x in (T.ptr, T.c, T.r, T.at))
+    diag, parent = S.rlb_schedule.diag.tolist(), S.snode_parent.tolist()
+    top = cap = W.arena.size
+    tags = []
+    with_parent = T.lo == 0
+    with _supernodal_run(F, S, W, stats, {"syrk": S.rlb_schedule.diag_calls["trsm"]},
+                         with_parent):
+        step, syrk, _, _ = supernode_calls(backend, F.data, S.rlb_schedule, W.arena,
+                                           S.plans.mf_peak)
+        assemble = _assembler(F, S, with_parent, T.lo + T.r)
+        for j in S.plans.mf_postorder.tolist():
+            p, ld, a, _ = diag[j]
+            m = ld - a
+            sq = None
+            while tags and parent[tags[-1][0]] == j:
+                c, u_c = tags.pop()
+                e = up[c]
+                qpos = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a  # pushed rows, in j's square
+                if sq is None:
+                    sq_off = top + u_c - m * m
+                    extend_in_place(W.arena, top, qpos.size, sq_off, m, qpos)
+                    sq = W.arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
+                else:
+                    sq[tuple(qpos[_packed(qpos.size)])] += W.arena[top:top + u_c]
+                    stats.assembly_ops += u_c
+                top += u_c
+            step(j)
+            if m == 0:
+                continue
+            if sq is None:
+                sq_off = top - m * m
+                sq = W.arena[sq_off:top].reshape((m, m), order="F")
+                sq[:] = 0.0
+            W.peak = max(W.peak, cap - sq_off)
+            syrk(W.arena, sq_off, m, m, p + a, ld, a)
+            assemble(up[j], up[j] + 1, sq)
+            k = cs[up[j]]
+            u_j = (m - k) * (m - k + 1) // 2
+            if u_j:
+                top -= u_j
+                pack_descending(W.arena, sq_off, m, k, top)
+                tags.append((j, u_j))
+        assert not tags and top == cap
+
+
 def generate_spd_by_table(n: int, density: float, seed: int):
     """``generate_spd`` as it was written first: the same draws, each linear
     index looked up in the n x n table of ``np.tril_indices``."""

@@ -11,7 +11,7 @@ from snchol.matrix import (SymmetricSparseMatrix, _assemble_lower, apply_symmetr
                            generate_spd, minimum_degree_order, read_matrix_market)
 from snchol.numeric import (METHODS, FactorizationResult, FactorStateError, FactorStorage,
                             NonFiniteEntryError, RunOptions, RunStats, StructureError,
-                            UpdateWorkspace, _extend_in_place, _pack_descending, analyze,
+                            UpdateWorkspace, analyze,
                             deviation_from_reference, factor_ll, factor_mf, factor_reference,
                             factor_rl, factor_rlb, run_factorization, scatter_into_factor, solve)
 from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
@@ -19,7 +19,7 @@ from snchol.symbolic import (BuildOptions, RelativeIndexMap, SymbolicFactor,
                              symbolic_factorization)
 
 import oracles
-from conftest import fig1_matrix, fig1_pattern, grid_laplacian
+from conftest import fig1_matrix, fig1_pattern, grid3d_laplacian, grid_laplacian
 
 
 def build_fig1(pr=False):
@@ -186,7 +186,7 @@ def test_extend_in_place_matches_out_of_place():
         top = cap - packed.size
         arena[top:] = packed  # packed triangle sits at the top of the stack
         dst = top + packed.size - m * m
-        _extend_in_place(arena, top, nr, dst, m, qpos)
+        oracles.extend_in_place(arena, top, nr, dst, m, qpos)
         got = arena[dst:dst + m * m].reshape((m, m), order="F")
         assert np.array_equal(got, want)
 
@@ -204,7 +204,7 @@ def test_pack_descending_matches_out_of_place():
         arena = np.zeros(m * m + c * (c + 1) // 2 + 5)
         arena[:m * m] = sq.reshape(-1, order="F")
         dst = m * m - 3  # overlaps the square's tail on purpose
-        _pack_descending(arena, 0, m, k, dst)
+        oracles.pack_descending(arena, 0, m, k, dst)
         assert np.allclose(arena[dst:dst + len(want)], want)
 
 
@@ -252,18 +252,18 @@ def test_packed_moves_match_out_of_place_loops_above_size_8():
         cap = packed.size + m * m + 3
         arena = np.full(cap, np.nan)
         arena[cap - packed.size:] = packed
-        _extend_in_place(arena, cap - packed.size, nr, cap - m * m, m, qpos)
+        oracles.extend_in_place(arena, cap - packed.size, nr, cap - m * m, m, qpos)
         assert np.array_equal(arena[cap - m * m:].reshape((m, m), order="F"), tri)
         sq = rng.standard_normal((m, m))
         merged = sq.copy()
-        merged[tuple(qpos[numeric._packed(nr)])] += packed  # factor_mf's child merge
+        merged[tuple(qpos[numeric._packed(nr)])] += packed  # the oracle's child merge
         assert np.array_equal(merged, sq + tri)
         k = int(rng.integers(0, m))
         want = np.concatenate([sq[t:, t] for t in range(k, m)])
         arena = np.zeros(m * m + want.size)
         arena[:m * m] = sq.reshape(-1, order="F")
         dst = int(rng.integers(0, m * m + 1))  # anywhere over the square
-        _pack_descending(arena, 0, m, k, dst)
+        oracles.pack_descending(arena, 0, m, k, dst)
         assert np.array_equal(arena[dst:dst + want.size], want)
 
 
@@ -384,13 +384,14 @@ def assembled_pairs(S) -> dict:
 def test_mf_ll_rl_assemble_pairs_by_rectangles_and_one_flat_scatter(monkeypatch):
     """mf assembles each supernode's pair with its parent, ll its non-dense
     pairs from updaters wider than one column, each in a call of its own,
-    and rl every pair, one call per updater; each pair once.  A pair with no
-    more schedule rows than columns reads its update matrix in rectangles,
-    one two-slice read per schedule row; the other pairs of a call are read
-    together in one flat gather of all their lower-trapezoid entries.  Each
-    method takes both ways on these inputs.  ``assembly_ops`` is those
-    pairs' lower triangles, plus ll's width-1 pairs (added without a slab)
-    and the packed triangles mf merges from all but the first child it pops."""
+    and rl every pair, one call per updater; each pair once.  A pair with
+    more than K entries per schedule row (``numeric._by_rectangles``) reads
+    its update matrix in rectangles, one two-slice read per schedule row;
+    the other pairs of a call are read together in one flat gather of all
+    their lower-trapezoid entries.  Each method takes both ways on these
+    inputs.  ``assembly_ops`` is those pairs' lower triangles, plus ll's
+    width-1 pairs (added without a slab) and the packed triangles mf merges
+    from all but the first child it pops."""
     seen, real = [], numeric._assembler
 
     def spy(F, S, assembled, ld):
@@ -404,10 +405,12 @@ def test_mf_ll_rl_assemble_pairs_by_rectangles_and_one_flat_scatter(monkeypatch)
         return logged
     monkeypatch.setattr(numeric, "_assembler", spy)
     taken = {"mf": set(), "ll": set(), "rl": set()}
-    for name, an in schedule_cases():
+    # ll's non-dense pairs seldom hold K entries per rectangle below n = 100
+    cases = [*schedule_cases(), ("grid3d7", analyze(grid3d_laplacian(7), "mindeg", 12.5, True))]
+    for name, an in cases:
         T, sched = an.S.update_table, an.S.rlb_schedule
         count = np.diff(sched.pair_ptr)
-        by_rows = count <= T.c
+        by_rows = numeric._by_rectangles(an.S)
         pairs = assembled_pairs(an.S)
         entries = T.c * T.r - T.c * (T.c - 1) // 2
         push, order = an.S.plans.push_size, an.S.plans.mf_postorder.tolist()
@@ -448,8 +451,8 @@ def test_mf_ll_rl_assemble_pairs_by_rectangles_and_one_flat_scatter(monkeypatch)
 
 def test_a_runs_flat_index_holds_its_column_pairs_trapezoids_only(monkeypatch):
     """Each mf, ll and rl run builds one flat index for ``_assembler``.  It
-    holds the lower trapezoids of the pairs the method assembles that have
-    more schedule rows than columns, by pair and column by column: entry
+    holds the lower trapezoids of the pairs the method assembles that
+    ``numeric._by_rectangles`` leaves out, by pair and column by column: entry
     (i, t) of pair e's r-by-c trapezoid at its target's panel offset of rows
     pos[i] and pos[t], and at (d + i, d + t) of the column-major update
     matrix of ld rows, d = ld - r.  A rectangle pair, or one the method does
@@ -468,7 +471,7 @@ def test_a_runs_flat_index_holds_its_column_pairs_trapezoids_only(monkeypatch):
     total = {"assembled": 0, "outer": 0}
     for name, an in schedule_cases():
         S, T = an.S, an.S.update_table
-        by_columns = np.diff(S.rlb_schedule.pair_ptr) > T.c
+        by_columns = ~numeric._by_rectangles(S)
         narrow = np.diff(S.first_col)[T.k] == 1
         offsets, lens, up = S.panel_offsets.tolist(), S._lens.tolist(), T.ptr.tolist()
         for method, (assembled, rows) in assembled_pairs(S).items():
@@ -537,6 +540,77 @@ def updates_outer_like_the_panel_index(an, where) -> int:
 def test_ll_updates_its_width_1_pairs_as_the_panel_index_does():
     pairs = sum(updates_outer_like_the_panel_index(an, name) for name, an in schedule_cases())
     assert pairs > 100, pairs
+
+
+def offsets_taken(taken: set, swap: bool = False):
+    """A stand-in for ``numeric._stack_offsets`` that adds to ``taken``, per
+    triangle mf moves, "index" where its offsets are a slice of the run's
+    index (the one ``_pair_index`` builds in ``_stack_offsets``) and "per
+    child" where they are not.  With ``swap`` the offsets into the parent's
+    square swap row and column, a fault the oracle must catch."""
+    real, real_index = numeric._stack_offsets, numeric._pair_index
+
+    def spy(S):
+        built = []
+
+        def index(*args):
+            built.append(real_index(*args))
+            return built[-1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numeric, "_pair_index", index)
+            offsets, pack_offsets = real(S)
+        (into, own, _), = built
+        a = np.diff(S.first_col)
+        m = (S._lens - a)[S.snode_parent]  # each child's parent's square side
+
+        def logged(fn, index, swapped):
+            def call(c):
+                o = fn(c)
+                taken.add("index" if np.shares_memory(o, index) else "per child")
+                return o % m[c] * m[c] + o // m[c] if swapped else o
+            return call
+        return logged(offsets, into, swap), logged(pack_offsets, own, False)
+    return spy
+
+
+def extends_like_the_per_child_oracle(an, where, taken: set = None, swap=False) -> bool:
+    """Whether mf writes the panel bytes, and counts the counters, of a run
+    that moves each child's triangle by 2-D indexes
+    (``oracles.factor_mf_per_child``: the in-place extension, the 2-D tuple
+    merge and the push that its flat offsets replaced); ``taken`` and
+    ``swap`` as in ``offsets_taken``.  Unless ``swap``, it must."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "_stack_offsets", offsets_taken(set() if taken is None else taken,
+                                                               swap))
+        got = an.factor("mf")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "factor_mf", oracles.factor_mf_per_child)
+        want = an.factor("mf")
+    same = got.F.data.tobytes() == want.F.data.tobytes()
+    assert counters(got) == counters(want), where
+    assert same or swap, where
+    return same
+
+
+def test_mf_extends_and_merges_what_the_per_child_oracle_does():
+    """Small triangles take their offsets from the run's index, large ones
+    compute their own: both ways write the oracle's bytes."""
+    taken = set()
+    for name, an in schedule_cases():
+        extends_like_the_per_child_oracle(an, name, taken)
+    assert taken == {"index", "per child"}, taken
+
+
+def test_a_transposed_merge_offset_is_caught_by_the_per_child_oracle():
+    """Swapping row and column in the offsets of the triangles mf merges
+    into its parent's square changes the panels of every input where a
+    pushed triangle has an entry off its diagonal."""
+    caught = 0
+    for name, an in schedule_cases():
+        if an.S.plans.push_size.max(initial=0) > 1:
+            assert not extends_like_the_per_child_oracle(an, name, swap=True), name
+            caught += 1
+    assert caught >= 10, caught
 
 
 @pytest.mark.parametrize("backend", ["reference", "vendor"])

@@ -8,7 +8,8 @@ column oracle, hit its workspace plan exactly, and (for rlb) use no workspace
 and no assembly and make exactly the calls its precompiled schedule lists, the
 calls the ancestor walk finds.  On ``gen:`` matrices mf, ll and rl must
 write the panels the per-column assembly loop writes, ll's width-1 pairs
-the panels the 2-D tuple update on panel views writes, and the update table
+the panels the 2-D tuple update on panel views writes, mf the panels its
+per-child 2-D extend-add writes, and the update table
 must be what the ancestor walk and the left-looking index map find, its runs
 what a loop over each pair's positions finds, and its blocks the
 per-supernode block lists.  The supernodal solve must leave a residual of at most n * 1e-12 and
@@ -35,7 +36,8 @@ from snchol.symbolic import (BuildOptions, SymbolicFactor,
                              symbolic_factorization)
 
 import oracles
-from test_numeric import (DIRECT, assembles_like_the_column_loop, logging_backend,
+from test_numeric import (DIRECT, assembles_like_the_column_loop,
+                          extends_like_the_per_child_oracle, logging_backend,
                           updates_outer_like_the_panel_index, updates_per_group)
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, database=None, deadline=None,
@@ -269,6 +271,17 @@ def test_mf_ll_rl_assemble_what_the_column_loop_assembles(n, density, seed, cap,
     per-column loop they replaced."""
     an = analyze(generate_spd(n, density, seed), "mindeg", cap, pr)
     assembles_like_the_column_loop(an, (n, density, seed, cap, pr))
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 90), density=st.floats(0.005, 0.5), seed=st.integers(0, 2**16),
+       cap=st.sampled_from((None, 12.5)), pr=st.booleans())
+def test_mf_extends_and_merges_what_the_per_child_oracle_does(n, density, seed, cap, pr):
+    """On ``gen:`` matrices mf, which moves each child's triangle by flat
+    offsets, from the run's index or computed per child, writes the panel
+    bytes and counts the counters of the 2-D indexes it replaced."""
+    an = analyze(generate_spd(n, density, seed), "mindeg", cap, pr)
+    extends_like_the_per_child_oracle(an, (n, density, seed, cap, pr))
 
 
 @PROPERTY_SETTINGS
