@@ -400,6 +400,19 @@ def generate_spd(n: int, density: float, seed: int) -> SymmetricSparseMatrix:
     return _assemble_lower(n, ii, jj, vv, pattern_only=False)
 
 
+# A pivot's remaining neighbours R each join R by one in-place set union when
+# |R| is at most UNION_LIMIT; a larger R adds each of them only the members it
+# lacks.  ``a |= R`` sizes a's hash table for all of R before adding, members
+# a already holds included, so an unbounded union nearly doubled the
+# ordering's tracemalloc peak on the bench's random pattern (1.73 to 3.17 MB,
+# seed 0), whose late cliques reach 87 members.  Measured with CPython
+# 3.11, in-process medians of 41 alternating calls, 2-core shared sandbox: at
+# 16, grid2d took 0.90x and random 0.94x the time of no union at all (limit
+# 0) with random's peak unchanged; at 32, 0.87x and 0.90x, but random's peak
+# rose 0.7%.
+UNION_LIMIT = 16
+
+
 def minimum_degree_order(pattern: SymmetricSparsePattern) -> Permutation:
     """Greedy minimum external degree ordering, ties broken by smallest index,
     computed by mass elimination (George & Liu, SIAM Review 31, 1989).
@@ -423,12 +436,21 @@ def minimum_degree_order(pattern: SymmetricSparsePattern) -> Permutation:
     The greedy rule therefore numbers the group right after v, in increasing
     index order.
 
-    What remains is v's other neighbours R, each losing v and the group and
-    gaining R - adj(w) - {w}; one pass makes that update and pushes each
-    member of R onto the heap once.  Adding only the missing members, not all
-    of R, keeps a set from growing its hash table for members it already
-    holds.  Stale heap entries (degree changed, or vertex numbered) are
-    skipped when popped.
+    The inclusion test and the sort run only for neighbours of degree d.
+
+    What remains is v's other neighbours R, each losing v and the group (only
+    v, a single discard, when the group is v alone) and gaining
+    R - adj(w) - {w}.  For |R| at most UNION_LIMIT that is one in-place union
+    with R, then dropping w; a larger R adds only the missing members, which
+    keeps a set from growing its hash table for members it already holds.
+
+    Heap keys are lazy: ``key[w]``, w's smallest live heap entry, is at most
+    w's degree, and a neighbour is pushed only when its degree falls below
+    it.  A popped live entry below its vertex's degree is pushed again at the
+    degree, not numbered; one at its degree is the least (degree, index) of
+    all remaining vertices, since every other vertex's live entry is no
+    smaller and bounds its degree from below.  Entries that are no longer
+    their vertex's key (superseded, or the vertex numbered) are skipped.
     """
     n = pattern.n
     ptr = pattern.colptr.tolist()
@@ -439,28 +461,48 @@ def minimum_degree_order(pattern: SymmetricSparsePattern) -> Permutation:
             adj[i].add(j)
     del ptr, rows  # before fill grows the sets
     perm = np.empty(n, dtype=np.int64)
-    heap = [(len(a), v) for v, a in enumerate(adj)]
+    key = [len(a) for a in adj]
+    heap = list(zip(key, range(n)))
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     step = 0
     while step < n:
-        d, v = heapq.heappop(heap)
-        nbrs = adj[v]
-        if nbrs is None or d != len(nbrs):
+        k, v = pop(heap)
+        if k != key[v]:
             continue
-        nbrs.add(v)  # N[v], for the inclusion test only
-        group = sorted(u for u in nbrs if u != v and len(adj[u]) == d and adj[u] <= nbrs)
-        nbrs.discard(v)
+        nbrs = adj[v]
+        d = len(nbrs)
+        if d != k:
+            key[v] = d
+            push(heap, (d, v))
+            continue
+        group = [u for u in nbrs if len(adj[u]) == d]
+        if group:
+            nbrs.add(v)  # N[v], for the inclusion test only
+            group = sorted(u for u in group if adj[u] <= nbrs)
+            nbrs.discard(v)
         group.insert(0, v)
         for u in group:
             perm[u] = step
             step += 1
-            adj[u] = None
-        rest = nbrs.difference(group)
+            adj[u], key[u] = None, -1
+        alone = len(group) == 1
+        rest = nbrs if alone else nbrs.difference(group)
+        small = len(rest) <= UNION_LIMIT
         for w in rest:
             a = adj[w]
-            a.difference_update(group)
-            grow = rest - a
-            grow.discard(w)
-            a |= grow
-            heapq.heappush(heap, (len(a), w))
+            if alone:
+                a.discard(v)
+            else:
+                a.difference_update(group)
+            if small:
+                a |= rest
+                a.discard(w)
+            else:
+                grow = rest - a
+                grow.discard(w)
+                a |= grow
+            if len(a) < key[w]:
+                key[w] = len(a)
+                push(heap, (key[w], w))
     return Permutation(perm)

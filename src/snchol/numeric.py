@@ -291,21 +291,30 @@ def _pair_index(S: SymbolicFactor, pairs: np.ndarray, ld: np.ndarray, t0: np.nda
     each entry's index into ``T.pos``, then its column's part of ``dst``,
     then ``src``: besides the two results, nothing of the entries' length."""
     T = S.update_table
-    size = np.where(pairs, _trap_nnz(t1, T.r) - _trap_nnz(t0, T.r), 0)
-    ptr = np.zeros(size.size + 1, dtype=np.int64)
-    np.cumsum(size, out=ptr[1:])
-    e = np.flatnonzero(pairs)
-    k = (t1 - t0)[e]
-    col = e.repeat(k)  # each column's pair
-    t = _ranges(t0[e], k)
-    count = T.r[col] - t
-    at = np.cumsum(count) - count  # each column's first entry
+    ptr, col, t, count, at = _pair_columns(T, pairs, t0, t1)
     first = T.at[col] + t  # the column's diagonal entry, as an index into T.pos
     buffer = _runs(np.empty(int(ptr[-1]), dtype=np.intp), first, count, at, 1)
     dst = T.pos.take(buffer)
     dst += _runs(buffer, base[col] + lead[col] * T.pos[first], count, at, 0)
     w, d = ld[col], ld[col] - T.r[col]
     return dst, _runs(buffer, (d + t) * (w + 1), count, at, 1), ptr
+
+
+def _pair_columns(T, pairs: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> tuple:
+    """``(ptr, col, t, count, at)``: the columns ``t0[e]`` to ``t1[e] - 1``
+    of the r-by-r lower triangles of the update table ``T``'s pairs ``pairs``
+    selects, pair by pair, packed column-major: pair e's entries from
+    ``ptr[e]`` to ``ptr[e + 1]``, and per column its pair, its index t, its
+    r - t entries and its first entry's place."""
+    size = np.where(pairs, _trap_nnz(t1, T.r) - _trap_nnz(t0, T.r), 0)
+    ptr = np.zeros(size.size + 1, dtype=np.int64)
+    np.cumsum(size, out=ptr[1:])
+    e = np.flatnonzero(pairs)
+    k = (t1 - t0)[e]
+    col = e.repeat(k)
+    t = _ranges(t0[e], k)
+    count = T.r[col] - t
+    return ptr, col, t, count, np.cumsum(count) - count
 
 
 def _runs(out: np.ndarray, lo: np.ndarray, count: np.ndarray, at: np.ndarray,
@@ -323,15 +332,19 @@ def _runs(out: np.ndarray, lo: np.ndarray, count: np.ndarray, at: np.ndarray,
 
 def _outer_updater(F: FactorStorage, S: SymbolicFactor, pairs: np.ndarray):
     """``outer(e)``: subtract v v^T, v the one column of pair e's updater
-    at the pair's r rows (from ``v0`` in ``F.data``), from the pair's lower
-    trapezoid, for the ``S.update_table`` pairs ``pairs`` selects: one
-    gather-multiply-subtract through ``_flat_index`` with ld = r, entry
-    (i, t) at ``src`` v[src % r] * v[src // r], row times column factor."""
+    at the pair's r rows, from the pair's lower trapezoid, for the
+    ``S.update_table`` pairs ``pairs`` selects: one gather-multiply-subtract,
+    entry (i, t) at ``_flat_index``'s ``dst`` (ld = r; its ``src`` is
+    dropped) less v[i] v[t].  The factors' offsets in ``F.data`` are filled
+    column by column by ``_runs``, v[i] a run from v[t] and v[t] repeated:
+    nothing else of the entries' length is built."""
     T = S.update_table
-    dst, src, fp = _flat_index(S, pairs, T.r)
-    n = np.diff(fp)
-    r, v0 = T.r.repeat(n), (S.panel_offsets[T.k] + 1 + T.lo).repeat(n)
-    vi, vt, fp, data = v0 + src % r, v0 + src // r, fp.tolist(), F.data
+    dst, fp = _flat_index(S, pairs, T.r)[::2]
+    _, col, t, count, at = _pair_columns(T, pairs, np.zeros_like(T.c), T.c)
+    lo = (S.panel_offsets[T.k] + 1 + T.lo)[col] + t  # each column's v[t]
+    vi = _runs(np.empty_like(dst), lo, count, at, 1)
+    vt = _runs(np.empty_like(dst), lo, count, at, 0)
+    fp, data = fp.tolist(), F.data
 
     def outer(e: int) -> None:
         a, b = fp[e], fp[e + 1]

@@ -177,8 +177,7 @@ def _shorten(cities: np.ndarray, weight: np.ndarray, m: np.ndarray) -> np.ndarra
     final, live = path.copy(), np.arange(m.size)
     ok = np.triu(np.ones((n, n), dtype=bool), 1) & (np.arange(n) <= m[:, None, None])  # j > i
     while live.size:
-        row = (np.arange(live.size)[:, None] * n + path) * n  # where path[:, x]'s row starts
-        d = dist.take(row[:, :, None] + path[:, None, :])
+        d = dist[np.arange(live.size)[:, None, None], path[:, :, None], path[:, None, :]]
         edge = d.diagonal(1, 1, 2)
         gain = (edge[:, :, None] + edge[:, None, :] - d[:, :-1, :-1] - d[:, 1:, 1:]) * ok
         best, won = gain.argmax(axis=2), gain.max(axis=2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from snchol.matrix import (MatrixMarketError, MatrixMarketHeaderError,
+from snchol.matrix import (UNION_LIMIT, MatrixMarketError, MatrixMarketHeaderError,
                            MatrixMarketIndexError, MatrixMarketSymmetryError,
                            Permutation, PermutationFileError, SymmetricSparseMatrix,
                            SymmetricSparsePattern, apply_symmetric_permutation, generate_spd,
@@ -398,19 +398,26 @@ def test_minimum_degree_matches_explicit_cliques():
 @st.composite
 def graphs(draw) -> SymmetricSparsePattern:
     """Graphs joined from parts: isolated vertices, stars, cliques, paths and
-    random graphs, in several components, with shuffled labels; n = 1 too."""
+    random graphs, in several components, with shuffled labels; n = 1 too.
+    A clique may outgrow ``UNION_LIMIT`` and lack a few edges, so a pivot's
+    remaining neighbours can take the large-clique update."""
     ei, ej, n = [], [], 0
-    for kind, size in draw(st.lists(st.tuples(
-            st.sampled_from(["isolated", "star", "clique", "path", "random"]),
-            st.integers(1, 9)), min_size=1, max_size=5)):
+    for kind, size in draw(st.lists(st.one_of(
+            st.tuples(st.sampled_from(["isolated", "star", "path", "random"]),
+                      st.integers(1, 9)),
+            st.tuples(st.just("clique"), st.integers(1, UNION_LIMIT + 8))),
+            min_size=1, max_size=5)):
         v = np.arange(n, n + size)
         if kind == "star":
             ei += [v[0]] * (size - 1)
             ej += list(v[1:])
         elif kind == "clique":
             a, b = np.triu_indices(size, 1)
-            ei += list(v[a])
-            ej += list(v[b])
+            keep = np.ones(a.size, dtype=bool)
+            if a.size:
+                keep[draw(st.lists(st.integers(0, a.size - 1), max_size=3))] = False
+            ei += list(v[a[keep]])
+            ej += list(v[b[keep]])
         elif kind == "path":
             ei += list(v[:-1])
             ej += list(v[1:])
@@ -433,6 +440,20 @@ def graphs(draw) -> SymmetricSparsePattern:
 @given(pattern=graphs())
 def test_minimum_degree_matches_explicit_cliques_on_joined_graphs(pattern):
     assert_same_order(pattern)
+
+
+def test_minimum_degree_rekeys_a_vertex_whose_degree_rose():
+    """On the d-cube every vertex starts at degree d and no two neighbours of
+    a vertex are adjacent.  Eliminating vertex 0 joins its neighbours 1, 2,
+    4, ... into a clique, which raises each to degree 2d - 2 while its heap
+    key stays d.  Vertex 1's key pops next, but 3, still at degree d, comes
+    next in the greedy order: 1 must be re-keyed, not numbered."""
+    for dim in range(3, 7):
+        pairs = [(v, v ^ 1 << b) for v in range(2**dim) for b in range(dim) if v < v ^ 1 << b]
+        pattern = edge_pattern(2**dim, *zip(*pairs))
+        assert_same_order(pattern)
+        perm = minimum_degree_order(pattern).perm
+        assert (perm[0], perm[3]) == (0, 1), dim
 
 
 def test_minimum_degree_memory_follows_the_edges():
