@@ -400,19 +400,6 @@ def generate_spd(n: int, density: float, seed: int) -> SymmetricSparseMatrix:
     return _assemble_lower(n, ii, jj, vv, pattern_only=False)
 
 
-# A pivot's remaining neighbours R each join R by one in-place set union when
-# |R| is at most UNION_LIMIT; a larger R adds each of them only the members it
-# lacks.  ``a |= R`` sizes a's hash table for all of R before adding, members
-# a already holds included, so an unbounded union nearly doubled the
-# ordering's tracemalloc peak on the bench's random pattern (1.73 to 3.17 MB,
-# seed 0), whose late cliques reach 87 members.  Measured with CPython
-# 3.11, in-process medians of 41 alternating calls, 2-core shared sandbox: at
-# 16, grid2d took 0.90x and random 0.94x the time of no union at all (limit
-# 0) with random's peak unchanged; at 32, 0.87x and 0.90x, but random's peak
-# rose 0.7%.
-UNION_LIMIT = 16
-
-
 def minimum_degree_order(pattern: SymmetricSparsePattern) -> Permutation:
     """Greedy minimum external degree ordering, ties broken by smallest index,
     computed by mass elimination (George & Liu, SIAM Review 31, 1989).
@@ -438,11 +425,10 @@ def minimum_degree_order(pattern: SymmetricSparsePattern) -> Permutation:
 
     The inclusion test and the sort run only for neighbours of degree d.
 
-    What remains is v's other neighbours R, each losing v and the group (only
-    v, a single discard, when the group is v alone) and gaining
-    R - adj(w) - {w}.  For |R| at most UNION_LIMIT that is one in-place union
-    with R, then dropping w; a larger R adds only the missing members, which
-    keeps a set from growing its hash table for members it already holds.
+    What remains is v's other neighbours R, each losing v and the group and
+    gaining R - adj(w) - {w}; one pass makes that update.  Adding only the
+    missing members, not all of R, keeps a set from growing its hash table
+    for members it already holds.
 
     Heap keys are lazy: ``key[w]``, w's smallest live heap entry, is at most
     w's degree, and a neighbour is pushed only when its degree falls below
@@ -486,22 +472,13 @@ def minimum_degree_order(pattern: SymmetricSparsePattern) -> Permutation:
             perm[u] = step
             step += 1
             adj[u], key[u] = None, -1
-        alone = len(group) == 1
-        rest = nbrs if alone else nbrs.difference(group)
-        small = len(rest) <= UNION_LIMIT
+        rest = nbrs.difference(group)
         for w in rest:
             a = adj[w]
-            if alone:
-                a.discard(v)
-            else:
-                a.difference_update(group)
-            if small:
-                a |= rest
-                a.discard(w)
-            else:
-                grow = rest - a
-                grow.discard(w)
-                a |= grow
+            a.difference_update(group)
+            grow = rest - a
+            grow.discard(w)
+            a |= grow
             if len(a) < key[w]:
                 key[w] = len(a)
                 push(heap, (key[w], w))

@@ -339,7 +339,7 @@ def _outer_updater(F: FactorStorage, S: SymbolicFactor, pairs: np.ndarray):
     column by column by ``_runs``, v[i] a run from v[t] and v[t] repeated:
     nothing else of the entries' length is built."""
     T = S.update_table
-    dst, fp = _flat_index(S, pairs, T.r)[::2]
+    dst, _, fp = _flat_index(S, pairs, T.r)
     _, col, t, count, at = _pair_columns(T, pairs, np.zeros_like(T.c), T.c)
     lo = (S.panel_offsets[T.k] + 1 + T.lo)[col] + t  # each column's v[t]
     vi = _runs(np.empty_like(dst), lo, count, at, 1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from snchol.matrix import (UNION_LIMIT, MatrixMarketError, MatrixMarketHeaderError,
+from snchol.matrix import (MatrixMarketError, MatrixMarketHeaderError,
                            MatrixMarketIndexError, MatrixMarketSymmetryError,
                            Permutation, PermutationFileError, SymmetricSparseMatrix,
                            SymmetricSparsePattern, apply_symmetric_permutation, generate_spd,
@@ -398,26 +398,19 @@ def test_minimum_degree_matches_explicit_cliques():
 @st.composite
 def graphs(draw) -> SymmetricSparsePattern:
     """Graphs joined from parts: isolated vertices, stars, cliques, paths and
-    random graphs, in several components, with shuffled labels; n = 1 too.
-    A clique may outgrow ``UNION_LIMIT`` and lack a few edges, so a pivot's
-    remaining neighbours can take the large-clique update."""
+    random graphs, in several components, with shuffled labels; n = 1 too."""
     ei, ej, n = [], [], 0
-    for kind, size in draw(st.lists(st.one_of(
-            st.tuples(st.sampled_from(["isolated", "star", "path", "random"]),
-                      st.integers(1, 9)),
-            st.tuples(st.just("clique"), st.integers(1, UNION_LIMIT + 8))),
-            min_size=1, max_size=5)):
+    for kind, size in draw(st.lists(st.tuples(
+            st.sampled_from(["isolated", "star", "clique", "path", "random"]),
+            st.integers(1, 9)), min_size=1, max_size=5)):
         v = np.arange(n, n + size)
         if kind == "star":
             ei += [v[0]] * (size - 1)
             ej += list(v[1:])
         elif kind == "clique":
             a, b = np.triu_indices(size, 1)
-            keep = np.ones(a.size, dtype=bool)
-            if a.size:
-                keep[draw(st.lists(st.integers(0, a.size - 1), max_size=3))] = False
-            ei += list(v[a[keep]])
-            ej += list(v[b[keep]])
+            ei += list(v[a])
+            ej += list(v[b])
         elif kind == "path":
             ei += list(v[:-1])
             ej += list(v[1:])
