@@ -340,7 +340,7 @@ _DATA_FIELD = object.__basicsize__
 _at = ctypes.c_void_p.from_address
 # The constant arguments of the LAPACK/BLAS calls, shared: no call writes them.
 _LO, _NOTRANS, _RIGHT, _TRANS = (ctypes.byref(ctypes.c_char(f)) for f in (b"L", b"N", b"R", b"T"))
-_ONE, _MINUS_ONE = ctypes.byref(ctypes.c_double(1.0)), ctypes.byref(ctypes.c_double(-1.0))
+_ONE, _MINUS_ONE, _ZERO = (ctypes.byref(ctypes.c_double(v)) for v in (1.0, -1.0, 0.0))
 
 
 @functools.cache
@@ -490,45 +490,61 @@ def get_backend(name: str) -> KernelBackend:
     return KernelBackend(name, chol, trsm, syrk, gemm, run_schedule)
 
 
-def supernodal_solve(data: np.ndarray, schedule: CallSchedule, below: Callable,
-                     x: np.ndarray) -> None:
+def supernodal_solve(data: np.ndarray, schedule: CallSchedule, plan, x: np.ndarray) -> None:
     """Overwrite x, holding b, with the solution of L L^T x = b for the
-    factor L in ``data`` (checked once), whose supernode j has the rows
-    ``below(j)`` under its diagonal block: per supernode and direction, one
-    dtrsv and one dgemv by address, the latter with x gathered at those rows."""
+    factor L in ``data`` (checked once), level by level of the supernodal
+    tree (``plan``, the factor's ``symbolic.SolvePlan``).
+
+    Per supernode and direction: one dtrsv against the a-by-a diagonal block
+    at column f and, where m > 0 rows lie below it, one dgemv with the
+    m-by-a panel B under it, by address.  The products go through y, one
+    float per row of the plan's ``rows``.  Forward, a level's supernodes
+    solve x[f:f + a] and write B x[f:f + a] into their segments of y, then
+    x[rows] -= y at the level's rows by ``np.subtract.at``, since siblings
+    share their ancestors' rows.  Backward, from the top level, y takes x at
+    the level's rows (solved, being of higher levels), then each supernode
+    subtracts B^T y from x[f:f + a] and solves the transposed block.  A
+    level costs in proportion to its supernodes and rows, not to n."""
     dtrsv, dgemv = _vendor_functions()[4:]
     base = _storage_address(data, schedule.storage)
-    steps = schedule.diag.tolist()
+    at, ld, a, f = schedule.diag[plan.order].T.astype(np.int64)  # in level order
     if not (isinstance(x, np.ndarray) and x.dtype == _F8 and x.ndim == 1 and
-            x.flags.c_contiguous and x.flags.writeable and x.size == sum(s[2] for s in steps)):
+            x.flags.c_contiguous and x.flags.writeable and x.size == a.sum()):
         raise ValueError("x must be a writeable contiguous float64 vector, one entry per column")
-    at_x = x.ctypes.data
-    m, n, ld, inc = cells = [ctypes.c_int() for _ in range(4)]
+    if not np.array_equal(np.diff(plan.row_ptr), ld - a):  # the dgemv's lengths in y
+        raise ValueError("solve plan does not match the schedule's panels")
+    rows = plan.rows
+    y = np.zeros(rows.size)  # not empty: a BLAS may scale y by beta = 0, keeping a NaN
+    # the range of each level's rows in y, at the level's last supernode; an
+    # empty one at the others
+    lo, hi = np.zeros((2, at.size), dtype=np.int64)
+    last = plan.level_ptr[1:] - 1
+    lo[last], hi[last] = plan.row_ptr[plan.level_ptr[:-1]], plan.row_ptr[plan.level_ptr[1:]]
+    steps = (a.tolist(), (ld - a).tolist(), ld.tolist(), (base + 8 * at).tolist(),
+             (base + 8 * (at + a)).tolist(), (x.ctypes.data + 8 * f).tolist(),
+             (y.ctypes.data + 8 * plan.row_ptr[:-1]).tolist(), lo.tolist(), hi.tolist())
+    m, n, lda, inc = cells = [ctypes.c_int() for _ in range(4)]
     pm, pn, pld, pinc = (ctypes.byref(c) for c in cells)
-    pa, pb, px = ctypes.c_void_p(), ctypes.c_void_p(), ctypes.c_void_p()
+    pa, pb, px, py = (ctypes.c_void_p() for _ in range(4))
     inc.value = 1
+    subtract_at, take = np.subtract.at, x.take
 
-    def aim(j: int) -> np.ndarray:  # the arguments at supernode j; its rows below
-        at, g, a, first = steps[j]
-        n.value, m.value, ld.value = a, g - a, g
-        pa.value, pb.value, px.value = base + 8 * at, base + 8 * (at + a), at_x + 8 * first
-        return below(j)
-
-    # dtrsv's third argument is b"N": the diagonal is not a unit one
-    for j in range(len(steps)):
-        rows = aim(j)
+    # dtrsv's third argument is b"N": the diagonal is not a unit one.  The
+    # supernodes of a level are independent, so backward goes through them in
+    # reverse, and a level's last supernode comes first.
+    for n.value, m.value, lda.value, pa.value, pb.value, px.value, py.value, r0, r1 in \
+            zip(*steps):
         dtrsv(_LO, _NOTRANS, _NOTRANS, pn, pa, pld, px, pinc)
-        if rows.size:
-            t = x[rows]
-            dgemv(_NOTRANS, pm, pn, _MINUS_ONE, pb, pld, px, pinc, _ONE,
-                  _at(id(t) + _DATA_FIELD), pinc)
-            x[rows] = t
-    for j in reversed(range(len(steps))):
-        rows = aim(j)
-        if rows.size:
-            t = x[rows]
-            dgemv(_TRANS, pm, pn, _MINUS_ONE, pb, pld, _at(id(t) + _DATA_FIELD), pinc, _ONE,
-                  px, pinc)
+        if m.value:
+            dgemv(_NOTRANS, pm, pn, _ONE, pb, pld, px, pinc, _ZERO, py, pinc)
+        if r0 < r1:
+            subtract_at(x, rows[r0:r1], y[r0:r1])
+    for n.value, m.value, lda.value, pa.value, pb.value, px.value, py.value, r0, r1 in \
+            zip(*(s[::-1] for s in steps)):
+        if r0 < r1:
+            take(rows[r0:r1], out=y[r0:r1], mode="clip")  # "raise" would buffer the output
+        if m.value:
+            dgemv(_TRANS, pm, pn, _MINUS_ONE, pb, pld, py, pinc, _ONE, px, pinc)
         dtrsv(_LO, _TRANS, _NOTRANS, pn, pa, pld, px, pinc)
 
 

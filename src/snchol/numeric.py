@@ -46,7 +46,8 @@ checks ``F.data`` once.  With a
 backend that has no ``run_schedule`` (a logging or timing wrapper), the
 helper makes every method's calls, rlb's ``run()`` too, through that
 backend's four kernels on views.
-The solve goes by address too (``kernels.supernodal_solve``).
+The solve goes by address too, level by level of the supernodal tree
+(``kernels.supernodal_solve``).
 """
 
 from __future__ import annotations
@@ -291,11 +292,8 @@ def _pair_index(S: SymbolicFactor, pairs: np.ndarray, ld: np.ndarray, t0: np.nda
     each entry's index into ``T.pos``, then its column's part of ``dst``,
     then ``src``: besides the two results, nothing of the entries' length."""
     T = S.update_table
-    ptr, col, t, count, at = _pair_columns(T, pairs, t0, t1)
-    first = T.at[col] + t  # the column's diagonal entry, as an index into T.pos
-    buffer = _runs(np.empty(int(ptr[-1]), dtype=np.intp), first, count, at, 1)
-    dst = T.pos.take(buffer)
-    dst += _runs(buffer, base[col] + lead[col] * T.pos[first], count, at, 0)
+    columns = ptr, col, t, count, at = _pair_columns(T, pairs, t0, t1)
+    dst, buffer = _pair_dst(T, columns, base, lead)
     w, d = ld[col], ld[col] - T.r[col]
     return dst, _runs(buffer, (d + t) * (w + 1), count, at, 1), ptr
 
@@ -317,6 +315,18 @@ def _pair_columns(T, pairs: np.ndarray, t0: np.ndarray, t1: np.ndarray) -> tuple
     return ptr, col, t, count, np.cumsum(count) - count
 
 
+def _pair_dst(T, columns: tuple, base: np.ndarray, lead: np.ndarray) -> tuple:
+    """``(dst, buffer)``: ``_pair_index``'s ``dst`` over the ``columns`` of
+    ``_pair_columns``, and the buffer of the same length it filled on the
+    way (each entry's index into ``T.pos``), free for the caller to refill."""
+    ptr, col, t, count, at = columns
+    first = T.at[col] + t  # the column's diagonal entry, as an index into T.pos
+    buffer = _runs(np.empty(int(ptr[-1]), dtype=np.intp), first, count, at, 1)
+    dst = T.pos.take(buffer)
+    dst += _runs(buffer, base[col] + lead[col] * T.pos[first], count, at, 0)
+    return dst, buffer
+
+
 def _runs(out: np.ndarray, lo: np.ndarray, count: np.ndarray, at: np.ndarray,
           step: int) -> np.ndarray:
     """``out``, filled in place with one run per column c: lo[c], lo[c] +
@@ -334,15 +344,15 @@ def _outer_updater(F: FactorStorage, S: SymbolicFactor, pairs: np.ndarray):
     """``outer(e)``: subtract v v^T, v the one column of pair e's updater
     at the pair's r rows, from the pair's lower trapezoid, for the
     ``S.update_table`` pairs ``pairs`` selects: one gather-multiply-subtract,
-    entry (i, t) at ``_flat_index``'s ``dst`` (ld = r; its ``src`` is
-    dropped) less v[i] v[t].  The factors' offsets in ``F.data`` are filled
-    column by column by ``_runs``, v[i] a run from v[t] and v[t] repeated:
-    nothing else of the entries' length is built."""
+    entry (i, t) at ``_flat_index``'s ``dst`` less v[i] v[t].  The factors'
+    offsets in ``F.data`` are filled column by column by ``_runs``, v[i] a
+    run from v[t] (into ``_pair_dst``'s buffer) and v[t] repeated: one
+    enumeration of the columns, and nothing else of the entries' length."""
     T = S.update_table
-    dst, _, fp = _flat_index(S, pairs, T.r)
-    _, col, t, count, at = _pair_columns(T, pairs, np.zeros_like(T.c), T.c)
+    columns = fp, col, t, count, at = _pair_columns(T, pairs, np.zeros_like(T.c), T.c)
+    dst, vi = _pair_dst(T, columns, S.panel_offsets[T.p], S._lens[T.p])
     lo = (S.panel_offsets[T.k] + 1 + T.lo)[col] + t  # each column's v[t]
-    vi = _runs(np.empty_like(dst), lo, count, at, 1)
+    _runs(vi, lo, count, at, 1)
     vt = _runs(np.empty_like(dst), lo, count, at, 0)
     fp, data = fp.tolist(), F.data
 
@@ -634,25 +644,21 @@ def factor_rlb(F: FactorStorage, S: SymbolicFactor, R, backend: KernelBackend,
 # Triangular solves.
 
 def solve(F: FactorStorage, S: SymbolicFactor, b) -> np.ndarray:
-    """Solve L L^T x = b by supernodal forward and backward substitution.
-
-    Supernode j owns the consecutive columns f..l-1, so its part of x is the
-    slice x[f:l].  In each direction the solve makes, per supernode, one dense
-    triangular solve against the a-by-a diagonal block (BLAS-2 ``dtrsv``,
-    transposed on the way back) and one product with the panel B below that
-    block (``dgemv``), x gathered at and scattered to the row list:
-    x[below] -= B @ x[f:l] forward, x[f:l] -= B^T @ x[below] backward, by
-    address on ``F.data`` and on x, a copy of b (``kernels.supernodal_solve``).
-    It uses no kernel backend, so factors from either backend are solved the
-    same way.  ``b`` may be any array-like of length n; a wrong length raises
-    ValueError."""
+    """Solve L L^T x = b by supernodal forward and backward substitution,
+    level by level of the supernodal tree (``S.solve_plan``), on x, a copy of
+    b: per supernode and direction one ``dtrsv`` against its diagonal block
+    and one ``dgemv`` with the panel rows below it, and per level one scatter
+    (forward) or gather (backward) of x at the level's rows, by address on
+    ``F.data`` (``kernels.supernodal_solve``).  It uses no kernel backend, so
+    factors from either backend are solved the same way.  ``b`` may be any
+    array-like of length n; a wrong length raises ValueError."""
     if F.state != "L":
         raise FactorStateError("factor storage does not hold L; factor first")
     x = np.array(b, dtype=np.float64)
     if x.shape != (S.n,):
         got = f"length {x.shape[0]}" if x.ndim == 1 else f"shape {x.shape}"
         raise ValueError(f"right-hand side has {got}, expected length {S.n}")
-    supernodal_solve(F.data, S.rlb_schedule, S.below, x)
+    supernodal_solve(F.data, S.rlb_schedule, S.solve_plan, x)
     return x
 
 

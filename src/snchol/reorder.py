@@ -169,8 +169,11 @@ def _shorten(cities: np.ndarray, weight: np.ndarray, m: np.ndarray) -> np.ndarra
     c, u = cities.astype(float), cities.shape[2]
     load = c @ weight[:, :, None]
     it = np.int32 if 4 * u * (4 * u + 1) < 2**31 else np.int64  # holds two edges' sum
-    dist = np.rint(load + load.transpose(0, 2, 1)
-                   - 2 * (c * weight[:, None, :]) @ c.transpose(0, 2, 1)).astype(it)
+    dist = (c * weight[:, None, :]) @ c.transpose(0, 2, 1)
+    dist *= -2  # in place and exact: every value is a whole number
+    dist += load
+    dist += load.transpose(0, 2, 1)
+    dist = np.rint(dist, out=dist).astype(it)
     n = cities.shape[1]  # edges per padded path
     path = np.minimum(np.arange(-1, n), m[:, None])
     path[:, 0] = m

@@ -4,7 +4,7 @@ Everything that can be computed from the pattern alone: the elimination tree,
 fundamental supernodes with their row lists, supernode merging under a
 storage-growth cap, a stack-minimizing sibling order for the multifrontal
 schedule, dense-block lists, the update table, workspace size plans for each
-factorization method and the ``rlb`` call schedule.
+factorization method, the ``rlb`` call schedule and the solve's levels.
 
 A supernode partition travels as its first columns (sentinel n included) plus
 one row list per supernode.  ``fundamental_supernodes`` finds both on the
@@ -464,6 +464,22 @@ class UpdateTable:
     heads: np.ndarray
 
 
+@dataclass(frozen=True)
+class SolvePlan:
+    """The supernodes by level of the supernodal tree, for the triangular
+    solves: a supernode's level is its height above the leaves, so every
+    parent is at a higher level than its children.  ``order`` holds the
+    supernodes level by level, by index within a level, level l's from
+    ``order[level_ptr[l]]`` to ``order[level_ptr[l + 1] - 1]``.  ``rows``
+    lists their rows below the diagonal blocks in that order, the i-th's from
+    ``row_ptr[i]`` to ``row_ptr[i + 1]``.  Read-only."""
+
+    order: np.ndarray
+    level_ptr: np.ndarray
+    row_ptr: np.ndarray
+    rows: np.ndarray
+
+
 class SymbolicFactor:
     """Supernode partition, per-supernode row lists, block lists and workspace
     plans for the numeric factorizations.  Immutable once built.
@@ -474,10 +490,10 @@ class SymbolicFactor:
     supernode's parent owns its first row below the diagonal (-1 for a root).
 
     The derived structure (``update_table``, the blocks ``block_sizes``/
-    ``block_starts`` read out of its runs, ``plans`` and ``rlb_schedule``) is
-    computed on first access and cached as read-only arrays, so a factor that
-    is only reordered pays for nothing but the pairs and row keys the
-    reordering reads.  A target's updaters are the table's ``k`` in
+    ``block_starts`` read out of its runs, ``plans``, ``rlb_schedule`` and
+    ``solve_plan``) is computed on first access and cached as read-only
+    arrays, so a factor that is only reordered pays for nothing but the pairs
+    and row keys the reordering reads.  A target's updaters are the table's ``k`` in
     ``by_target`` order.
     """
 
@@ -492,9 +508,6 @@ class SymbolicFactor:
 
         self._lens = np.diff(self._glbind.ptr)
         widths = np.diff(self.first_col)
-        # where each row list's rows below the diagonal start, and where it ends
-        self._below_at = (self._glbind.ptr[:-1] + widths).tolist()
-        self._end = self._glbind.ptr[1:].tolist()
         self.factor_nnz = int(_trap_nnz(widths, self._lens).sum())
         # where each supernode's column-major panel starts in the factor storage
         self.panel_offsets = np.cumsum(np.append(0, widths * self._lens))
@@ -511,11 +524,8 @@ class SymbolicFactor:
     def glbind(self, j: int) -> np.ndarray:
         return self._glbind[j]
 
-    def below(self, j: int) -> np.ndarray:
-        return self._glbind.rows[self._below_at[j]:self._end[j]]
-
     def mrows(self, j: int) -> int:
-        return self._end[j] - self._below_at[j]
+        return int(self._lens[j]) - self.width(j)
 
     def nblocks(self, j: int) -> int:
         return self.block_sizes[j].size
@@ -629,6 +639,25 @@ class SymbolicFactor:
         # derive the prediction here, as part of the analysis
         schedule.calls, schedule.flops, schedule.diag_calls
         return schedule
+
+    @cached_property
+    def solve_plan(self) -> SolvePlan:
+        """The supernodes by level, with their rows below the diagonal
+        blocks, for ``kernels.supernodal_solve``."""
+        height = [0] * (self.nsuper + 1)  # the last entry takes the roots' parent, -1
+        for j, p in enumerate(self.snode_parent.tolist()):  # a parent comes after its children
+            if height[p] <= height[j]:
+                height[p] = height[j] + 1
+        level = np.fromiter(height, np.int64, self.nsuper)
+        order = np.argsort(level, kind="stable")
+        level_ptr = np.append(0, np.cumsum(np.bincount(level)))
+        m = (self._lens - np.diff(self.first_col))[order]
+        row_ptr = np.append(0, np.cumsum(m))
+        rows = self._glbind.rows[_ranges(self._glbind.ptr[1:][order] - m, m)]
+        plan = SolvePlan(order, level_ptr, row_ptr, rows)
+        for a in vars(plan).values():
+            a.flags.writeable = False
+        return plan
 
 
 def _rlb_rows(S: SymbolicFactor) -> tuple:
@@ -744,7 +773,7 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
     Steps: elimination tree, postorder relabel, fundamental supernodes with
     their row lists, merging under the storage cap (with its relabel),
     optional within-supernode reordering, block lists, the update table,
-    workspace plans and the ``rlb`` call schedule.
+    workspace plans, the ``rlb`` call schedule and the solve plan.
     ``.relabel`` holds the composed permutation this analysis applied on top of
     the input pattern; apply it to the matrix before scattering values.
     """
@@ -755,5 +784,5 @@ def build_symbolic_factor(pattern: SymmetricSparsePattern,
     if options.pr:
         from .reorder import reorder_within_supernodes
         _, S = reorder_within_supernodes(S)
-    S.block_sizes, S.update_table, S.plans, S.rlb_schedule  # derive them here
+    S.block_sizes, S.update_table, S.plans, S.rlb_schedule, S.solve_plan  # derive them here
     return S

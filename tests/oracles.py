@@ -30,6 +30,12 @@ def pattern_from_columns(n: int, cols: list) -> SymmetricSparsePattern:
     return SymmetricSparsePattern(n, colptr, np.concatenate(rows) if rows else np.zeros(0, np.int64))
 
 
+def below(S, j: int) -> np.ndarray:
+    """Supernode j's rows below its diagonal block: its row list after its
+    width."""
+    return S.glbind(j)[S.width(j):]
+
+
 def reference_to_dense(n: int, colptr, rowind, values) -> np.ndarray:
     """Dense n x n image of a CSC lower triangle."""
     L = np.zeros((n, n))
@@ -234,7 +240,7 @@ def parent_relative_indices(S) -> list:
     parent's row list, by one binary search per supernode."""
     rels = []
     for j in range(S.nsuper):
-        rows = S.below(j)
+        rows = below(S, j)
         rel = np.zeros(0, dtype=np.int64)
         if rows.size:  # only roots have no rows below
             pg = S.glbind(int(S.snode_parent[j]))
@@ -331,7 +337,7 @@ def update_pairs_by_indmap(S) -> list:
         f, l = S.cols(p)
         build_indmap(S, p, indmap)
         for k in ks:
-            b = S.below(k)
+            b = below(S, k)
             lo = int(np.searchsorted(b, f))
             c = int(np.searchsorted(b, l, side="right")) - lo
             pos = S.glbind(p).size - 1 - indmap[b[lo:]]
@@ -434,7 +440,7 @@ def incoming_block_count(S, p: int, col_positions=None, updaters=None) -> int:
     f, l = S.cols(p)
     total = 0
     for k in (updater_lists(S) if updaters is None else updaters)[p]:
-        b = S.below(int(k))
+        b = below(S, int(k))
         rows = b[(b >= f) & (b <= l)]
         if rows.size == 0:
             continue
@@ -489,7 +495,7 @@ def reorder_by_refinement(S) -> tuple:
         f, l = S.cols(p)
         pivots = []
         for k in ups[p]:
-            b = S.below(k)
+            b = below(S, k)
             s0, s1 = b.searchsorted((f, l + 1)).tolist()
             pivots.append((s1 - s0, k, b[s0:s1].tolist()))
         if not pivots:
@@ -648,7 +654,7 @@ def block_lists(S) -> tuple:
     """(sizes, starts) of each supernode's dense blocks, one supernode at a time."""
     sizes, starts = [], []
     for j in range(S.nsuper):
-        b = S.below(j)
+        b = below(S, j)
         owner = S.col_to_snode[b]
         brk = np.flatnonzero((np.diff(b) != 1) | (np.diff(owner) != 0)) + 1
         st = np.concatenate([[0], brk]).astype(np.int64) if b.size else brk
@@ -661,7 +667,7 @@ def updater_lists(S) -> list:
     """updaters[p] by appending each k to the owners of its below rows."""
     ups = [[] for _ in range(S.nsuper)]
     for k in range(S.nsuper):
-        for p in np.unique(S.col_to_snode[S.below(k)]):
+        for p in np.unique(S.col_to_snode[below(S, k)]):
             ups[int(p)].append(k)
     return ups
 

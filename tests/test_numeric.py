@@ -288,7 +288,7 @@ def test_ll_indmap_and_gather_example():
     oracles.build_indmap(S, 2, indmap)  # third supernode {5..9}
     assert indmap[4:9].tolist() == [4, 3, 2, 1, 0]
     # gathering the shared rows {5,6,9} of the first supernode picks [4,3,0]
-    shared = S.below(0)
+    shared = oracles.below(S, 0)
     assert indmap[shared].tolist() == [4, 3, 0]
 
 
@@ -458,16 +458,30 @@ def test_a_runs_flat_index_holds_its_column_pairs_trapezoids_only(monkeypatch):
     matrix of ld rows, d = ld - r.  A rectangle pair, or one the method does
     not assemble, has no entry, so the index is no larger than those
     trapezoids.  An ll run then builds a second one, for
-    ``_outer_updater``: the trapezoids of its pairs whose updater is one
-    column wide, whatever their schedule rows, with ld = r.  One updater's
-    entries in an index land on distinct offsets, so one scatter-add adds
-    each once."""
+    ``_outer_updater``: the panel offsets (``dst``, from its one
+    ``_pair_dst`` call) of the trapezoids of its pairs whose updater is one
+    column wide, whatever their schedule rows, and no update matrix offsets.
+    One updater's entries in an index land on distinct offsets, so one
+    scatter-add adds each once."""
     built, real = [], numeric._flat_index
+    dsts, real_dst, real_outer = [], numeric._pair_dst, numeric._outer_updater
 
     def spy(S, pairs, ld):
         built.append((pairs, ld, real(S, pairs, ld)))
         return built[-1][2]
+
+    def spy_dst(T, columns, base, lead):
+        dsts.append((columns[0], real_dst(T, columns, base, lead)))
+        return dsts[-1][1]
+
+    def spy_outer(F, S, pairs):
+        outer = real_outer(F, S, pairs)
+        ptr, (dst, _) = dsts[-1]
+        built.append((pairs, None, (dst, None, ptr)))
+        return outer
     monkeypatch.setattr(numeric, "_flat_index", spy)
+    monkeypatch.setattr(numeric, "_pair_dst", spy_dst)
+    monkeypatch.setattr(numeric, "_outer_updater", spy_outer)
     total = {"assembled": 0, "outer": 0}
     for name, an in schedule_cases():
         S, T = an.S, an.S.update_table
@@ -484,7 +498,8 @@ def test_a_runs_flat_index_holds_its_column_pairs_trapezoids_only(monkeypatch):
             for (pairs, ld, (dst, src, ptr)), (which, (keep, rows)) in zip(built, want.items()):
                 where = (name, method, which)
                 assert np.array_equal(pairs, keep), where
-                assert np.array_equal(ld[keep], rows[keep]), where
+                outer = which == "outer"
+                assert ld is None if outer else np.array_equal(ld[keep], rows[keep]), where
                 want_dst, want_src, sizes = [], [], []
                 for e in range(T.k.size):
                     at, r, c, p = (int(x[e]) for x in (T.at, T.r, T.c, T.p))
@@ -496,7 +511,7 @@ def test_a_runs_flat_index_holds_its_column_pairs_trapezoids_only(monkeypatch):
                             want_dst.append(offsets[p] + pos[t] * lens[p] + pos[i])
                             want_src.append(d + i + (d + t) * w)
                 assert dst.tolist() == want_dst, where
-                assert src.tolist() == want_src, where
+                assert src is None if outer else src.tolist() == want_src, where
                 assert np.diff(ptr).tolist() == sizes, where
                 for a, b in zip(up, up[1:]):
                     one = dst[ptr[a]:ptr[b]]
@@ -1216,6 +1231,115 @@ def test_solve_leaves_the_right_hand_side_alone():
     b = np.arange(1.0, 31.0)
     r.solve(b)
     assert np.array_equal(b, np.arange(1.0, 31.0))
+
+
+def level_solve_cases():
+    """(name, matrix) in the natural order, for the solve by levels: a
+    tridiagonal chain (one supernode per level), a diagonal matrix (one
+    level, no rows below) and an arrow, whose leaves share the hub's row."""
+    rng = np.random.default_rng(8)
+    n = 120
+    chain = oracles.pattern_from_columns(n, [[j + 1] for j in range(n - 1)] + [[]])
+    vals = np.concatenate([[4.0, -1.0]] * (n - 1) + [[4.0]]) + rng.uniform(0, 0.5, 2 * n - 1)
+    yield "chain", SymmetricSparseMatrix(chain, vals)
+    yield "diagonal", SymmetricSparseMatrix(oracles.pattern_from_columns(9, [[]] * 9),
+                                            rng.uniform(1, 2, 9))
+    arrow = oracles.pattern_from_columns(n, [[n - 1]] * (n - 1) + [[]])
+    vals = np.concatenate([[2.0, -1.0]] * (n - 1) + [[n + 1.0]]) + rng.uniform(0, 0.5, 2 * n - 1)
+    yield "arrow", SymmetricSparseMatrix(arrow, vals)
+
+
+def test_level_solve_matches_the_per_column_solve_on_chains_diagonals_and_arrows():
+    rng = np.random.default_rng(19)
+    for name, A in level_solve_cases():
+        b = rng.standard_normal(A.n)
+        for method in ("mf", "ll", "rl", "rlb"):
+            r = run(A, method)
+            want = oracles.solve_per_column(r.F, r.S, b)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert float(np.abs(r.solve(b) - want).max()) <= 1e-12 * scale, (name, method)
+        S, plan = r.S, r.S.solve_plan
+        per_level = np.diff(plan.level_ptr).tolist()
+        if name == "chain":
+            assert per_level == [1] * S.nsuper and S.nsuper > 100
+        elif name == "diagonal":
+            assert per_level == [9] and plan.rows.size == 0
+        else:  # every leaf's one row below is the hub's, in one level
+            assert per_level == [A.n - 1, 1] and plan.rows.tolist() == [A.n - 1] * (A.n - 1)
+
+
+def solve_plan_heights(S) -> list:
+    """Each supernode's height above the leaves, from its children."""
+    children = [[] for _ in range(S.nsuper)]
+    for j, p in enumerate(S.snode_parent.tolist()):
+        if p >= 0:
+            children[p].append(j)
+
+    def height(j):
+        return 1 + max(map(height, children[j])) if children[j] else 0
+    return [height(j) for j in range(S.nsuper)]
+
+
+def test_solve_plan_orders_the_supernodes_by_height():
+    """``solve_plan``: the levels partition the supernodes, by index within a
+    level; a supernode's level is its height above the leaves, so it sits
+    lower than its parent; and the rows, in level order, are each
+    supernode's rows below its diagonal block.  Every array is read-only."""
+    cases = [(name, an.S) for name, an in schedule_cases()]
+    cases += [(name, run(A, "rlb").S) for name, A in level_solve_cases()]
+    for name, S in cases:
+        plan = S.solve_plan
+        assert all(not a.flags.writeable for a in vars(plan).values()), name
+        assert sorted(plan.order.tolist()) == list(range(S.nsuper)), name
+        level = np.empty(S.nsuper, dtype=np.int64)
+        level[plan.order] = np.repeat(np.arange(plan.level_ptr.size - 1), np.diff(plan.level_ptr))
+        assert level.tolist() == solve_plan_heights(S), name
+        p = S.snode_parent
+        assert (level[p >= 0] < level[p[p >= 0]]).all(), name
+        for lo, hi in zip(plan.level_ptr, plan.level_ptr[1:]):
+            assert (np.diff(plan.order[lo:hi]) > 0).all(), name
+        for i, j in enumerate(plan.order.tolist()):
+            got = plan.rows[plan.row_ptr[i]:plan.row_ptr[i + 1]]
+            assert np.array_equal(got, oracles.below(S, j)), (name, j)
+        assert plan.row_ptr[-1] == plan.rows.size, name
+
+
+def test_the_solve_makes_two_dtrsv_per_supernode_and_two_dgemv_per_one_with_rows_below(
+        monkeypatch):
+    """Per supernode the solve makes one dtrsv each way, and one dgemv each
+    way where it has rows below its diagonal block; it checks the storage
+    once per solve."""
+    results = [run(A, "rlb", **kw) for _, A, kw in solve_cases()]
+    results += [run(A, "rlb") for _, A in level_solve_cases()]
+    real, calls, checks = kernels._vendor_functions(), [], []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+    funcs = real[:4] + (counted("dtrsv", real[4]), counted("dgemv", real[5]))
+    monkeypatch.setattr(kernels, "_vendor_functions", lambda: funcs)
+    check = kernels._storage_address
+    monkeypatch.setattr(kernels, "_storage_address", lambda *a: checks.append(a) or check(*a))
+    for r in results:
+        S = r.S
+        calls.clear()
+        checks.clear()
+        r.solve(np.ones(S.n))
+        below = sum(S.mrows(j) > 0 for j in range(S.nsuper))
+        assert calls.count("dtrsv") == 2 * S.nsuper
+        assert calls.count("dgemv") == 2 * below
+        assert len(calls) == 2 * (S.nsuper + below) and len(checks) == 1
+
+
+def test_the_solve_refuses_a_plan_of_other_panels():
+    """The plan's segments of y must hold the schedule's rows below the
+    diagonal blocks, or no call runs."""
+    r = run(generate_spd(40, 0.1, 1), "rlb")
+    plan = r.S.solve_plan
+    longer = dataclasses.replace(plan, row_ptr=plan.row_ptr + np.arange(plan.row_ptr.size))
+    x = np.ones(40)
+    with pytest.raises(ValueError, match="solve plan does not match the schedule's panels"):
+        kernels.supernodal_solve(r.F.data, r.S.rlb_schedule, longer, x)
+    assert np.array_equal(x, np.ones(40))
 
 
 def test_lower_csc_equals_the_per_column_loop():

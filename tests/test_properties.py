@@ -122,7 +122,7 @@ def runs_per_updater(S) -> list:
     out = []
     for p, ks in enumerate(oracles.updater_lists(S)):
         f, l = S.cols(p)
-        out.append([oracles.run_count([r for r in S.below(k).tolist() if f <= r <= l])
+        out.append([oracles.run_count([r for r in oracles.below(S, k).tolist() if f <= r <= l])
                     for k in ks])
     return out
 

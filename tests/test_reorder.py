@@ -95,7 +95,7 @@ def test_reorder_single_descendant_single_block():
         if len(ks) == 1:
             k = ks[0]
             f, l = S2.cols(p)
-            b = S2.below(k)
+            b = oracles.below(S2, k)
             rows = b[(b >= f) & (b <= l)]
             if rows.size:
                 assert rows.max() - rows.min() + 1 == rows.size

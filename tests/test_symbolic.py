@@ -366,7 +366,7 @@ def test_relind_fig1():
     assert R.rel(0).tolist() == [4, 3, 0]
     assert R.rel(1).tolist() == [4, 2, 1]
     assert R.rel(2).tolist() == []  # the root has no parent
-    assert (S.below(0) + 1).tolist() == [5, 6, 9]
+    assert (oracles.below(S, 0) + 1).tolist() == [5, 6, 9]
 
 
 def test_relind_full_overlap_and_round_trip():
@@ -387,7 +387,7 @@ def test_relind_full_overlap_and_round_trip():
             p = S.snode_parent[j]
             if p >= 0:  # each distance leads back to the row it stands for
                 pg = S.glbind(p)
-                assert np.array_equal(pg[pg.size - 1 - R.rel(j)], S.below(j))
+                assert np.array_equal(pg[pg.size - 1 - R.rel(j)], oracles.below(S, j))
 
 
 def test_relind_arrays_are_read_only():
@@ -432,7 +432,7 @@ def test_walk_segments_match_composition_and_direct_indices():
         rels = oracles.parent_relative_indices(S)
         for j in range(S.nsuper):
             for idx in (np.arange(S.mrows(j)), S.block_starts[j]):  # rows, block firsts
-                rows = S.below(j)[idx]
+                rows = oracles.below(S, j)[idx]
                 rel = rels[j][idx]
                 covered = 0
                 for P, lo, hi in oracles.walk(S, rels, j, rel):
@@ -535,7 +535,7 @@ def test_containment_invariant():
             p = S.snode_parent[j]
             if p < 0:
                 continue
-            assert set(S.below(j).tolist()) <= set(S.glbind(p).tolist())
+            assert set(oracles.below(S, j).tolist()) <= set(S.glbind(p).tolist())
 
 
 def test_supernode_interior_permutation_keeps_panels_valid():
