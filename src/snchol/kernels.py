@@ -179,12 +179,10 @@ class CallSchedule:
 
     @cached_property
     def flops(self) -> int:
-        kind, m, n = (self.rows[:, i] for i in (0, 3, 4))
-        k = np.repeat(self.diag[:, 2], np.diff(self.ptr))  # each row's group's width a
-        # syrk_flops(n, k) = k n (n + 1) and gemm_flops(m, n, k) = 2 m n k
-        per_kn = np.where(kind == SYRK, np.add(n, 1, dtype=np.int64),
-                          np.multiply(m, 2, dtype=np.int64))
-        return int(np.multiply(k, n, dtype=np.int64) @ per_kn)
+        # the rows are int32: cast before multiplying
+        m, n = (self.rows[:, i].astype(np.int64) for i in (3, 4))
+        k = np.repeat(self.diag[:, 2].astype(np.int64), np.diff(self.ptr))  # each group's width a
+        return int(np.where(self.rows[:, 0] == SYRK, syrk_flops(n, k), gemm_flops(m, n, k)).sum())
 
     @cached_property
     def diag_calls(self) -> dict:

@@ -299,25 +299,19 @@ def _scan_entries(lines, k, n, nent, pattern_only) -> tuple:
 
 
 def _assemble_lower(n, ii, jj, vv, pattern_only) -> SymmetricSparseMatrix:
+    missing = np.ones(n, dtype=bool)
+    missing[jj[ii == jj]] = False
+    if missing.any():  # each missing diagonal, as an explicit zero
+        add = np.flatnonzero(missing)
+        ii, jj = np.concatenate([ii, add]), np.concatenate([jj, add])
+        vv = np.concatenate([vv, np.zeros(add.size)])
     order = np.lexsort((ii, jj))
     ii, jj, vv = ii[order], jj[order], vv[order]
     # sum duplicates
     if ii.size:
         keep = np.concatenate([[True], (np.diff(ii) != 0) | (np.diff(jj) != 0)])
         idx = np.flatnonzero(keep)
-        sums = np.add.reduceat(vv, idx) if vv.size else vv
-        ii, jj, vv = ii[idx], jj[idx], sums
-
-    missing = np.ones(n, dtype=bool)
-    diag_mask = ii == jj
-    missing[jj[diag_mask]] = False
-    if np.any(missing):
-        add = np.flatnonzero(missing)
-        ii = np.concatenate([ii, add])
-        jj = np.concatenate([jj, add])
-        vv = np.concatenate([vv, np.zeros(add.size)])
-        order = np.lexsort((ii, jj))
-        ii, jj, vv = ii[order], jj[order], vv[order]
+        ii, jj, vv = ii[idx], jj[idx], np.add.reduceat(vv, idx)
 
     if pattern_only:
         deg = np.zeros(n, dtype=np.int64)

@@ -244,8 +244,9 @@ def _assembler(F: FactorStorage, S: SymbolicFactor, assembled: np.ndarray, ld: n
     pair ``_by_rectangles`` selects adds each row's rectangle as one slice (a
     SYRK row the whole square: the strict upper triangle of U's square must
     be zero); the others' entries go in one scatter-add per call, through
-    ``_flat_index``: one updater's pairs have distinct targets, so no offset
-    repeats within a call."""
+    the run's ``_pair_index`` over their whole lower trapezoids: one
+    updater's pairs have distinct targets, so no offset repeats within a
+    call."""
     T, sched = S.update_table, S.rlb_schedule
     count = np.diff(sched.pair_ptr)
     by_rows = assembled & _by_rectangles(S)
@@ -254,7 +255,8 @@ def _assembler(F: FactorStorage, S: SymbolicFactor, assembled: np.ndarray, ld: n
     rows = sched.rows[np.repeat(by_rows, count)]
     rects = np.column_stack([rows[:, 1:5], rows[:, 5] - first, rows[:, 6] - first]).tolist()
     rp = np.append(0, np.cumsum(count * by_rows)).tolist()
-    dst, src, fp = _flat_index(S, assembled & ~by_rows, ld)
+    dst, src, fp = _pair_index(S, assembled & ~by_rows, ld, np.zeros_like(T.c), T.c,
+                               S.panel_offsets[T.p], S._lens[T.p])
     fp = fp.tolist()
     data, view, f8 = F.data, np.ndarray, F.data.dtype
 
@@ -266,17 +268,6 @@ def _assembler(F: FactorStorage, S: SymbolicFactor, assembled: np.ndarray, ld: n
         if a < b:
             data[dst[a:b]] += U.ravel("F")[src[a:b]]
     return assemble
-
-
-def _flat_index(S: SymbolicFactor, pairs: np.ndarray, ld: np.ndarray) -> tuple:
-    """``(dst, src, ptr)``: the lower trapezoids of the ``S.update_table``
-    pairs ``pairs`` selects, entry by entry, pair e's from ``ptr[e]`` to
-    ``ptr[e + 1]``: ``dst`` the offset in ``F.data``, ``src`` the offset in
-    its column-major update matrix of ``ld[e]`` rows, whose last r rows are
-    the pair's."""
-    T = S.update_table
-    return _pair_index(S, pairs, ld, np.zeros_like(T.c), T.c, S.panel_offsets[T.p],
-                       S._lens[T.p])
 
 
 def _pair_index(S: SymbolicFactor, pairs: np.ndarray, ld: np.ndarray, t0: np.ndarray,
@@ -344,7 +335,7 @@ def _outer_updater(F: FactorStorage, S: SymbolicFactor, pairs: np.ndarray):
     """``outer(e)``: subtract v v^T, v the one column of pair e's updater
     at the pair's r rows, from the pair's lower trapezoid, for the
     ``S.update_table`` pairs ``pairs`` selects: one gather-multiply-subtract,
-    entry (i, t) at ``_flat_index``'s ``dst`` less v[i] v[t].  The factors'
+    entry (i, t) at ``_pair_index``'s ``dst`` less v[i] v[t].  The factors'
     offsets in ``F.data`` are filled column by column by ``_runs``, v[i] a
     run from v[t] (into ``_pair_dst``'s buffer) and v[t] repeated: one
     enumeration of the columns, and nothing else of the entries' length."""
@@ -409,32 +400,6 @@ def factor_reference(A: SymmetricSparseMatrix, glb: list, stats: RunStats = None
 # ---------------------------------------------------------------------------
 # Multifrontal.
 
-_PACKED = np.zeros((2, 0), dtype=np.int32)
-_PACKED.flags.writeable = False
-
-
-def _packed(n: int) -> np.ndarray:
-    """(rows, columns), one read-only 2-by-n(n+1)/2 array, of an n-by-n
-    lower triangle in packed column-major order, the update-matrix stack's
-    layout, counted from the end: entry (i, t) is (i - n, t - n), an index
-    into arrays of length n.  Its first k = c n - c(c-1)/2 entries are the
-    n-by-c trapezoid of the first c columns.  A slice of one cached list,
-    the largest triangle's, rebuilt only for a larger n: any smaller
-    triangle's entries are its last n(n+1)/2, so no call does arithmetic on
-    the index.  mf's triangles of more than 3K entries read it
-    (``_stack_offsets``); the smaller ones and the flat assembly indexes
-    come from ``_pair_index`` instead."""
-    global _PACKED
-    u = n * (n + 1) // 2
-    index = _PACKED  # one read, so a concurrent rebuild cannot shrink what is sliced
-    if index.shape[1] < u:
-        t, i = np.triu_indices(n)
-        index = np.array((i - n, t - n), dtype=np.int32)
-        index.flags.writeable = False
-        _PACKED = index
-    return index[:, index.shape[1] - u:]
-
-
 def _stack_offsets(S: SymbolicFactor) -> tuple:
     """``(offsets, pack_offsets)``: the packed triangle supernode c pushes,
     entry (i, t) counted from the end, as flat offsets into a column-major
@@ -443,15 +408,26 @@ def _stack_offsets(S: SymbolicFactor) -> tuple:
     its own, the trailing triangle, (m + i) + m (m + t).  A triangle of at
     most 3K entries reads both from one index over the pairs with the
     parent, built once per run by ``_pair_index``; a larger one computes its
-    own, a few calls that its many entries outweigh."""
+    own, a few calls that its many entries outweigh, from the last n(n+1)/2
+    entries of one (i, t) list: the run's largest such triangle's, packed
+    column-major, column t's w = n - t entries from i = -w to -1."""
     T = S.update_table
     a = np.diff(S.first_col)
     m = S._lens - a
-    u = _trap_nnz(T.r - T.c, T.r - T.c)
-    small = (T.lo == 0) & (u <= 3 * K)
+    n = T.r - T.c  # the rows each pair's updater pushes, if the pair is with its parent
+    small = (T.lo == 0) & (_trap_nnz(n, n) <= 3 * K)
     into, own, ptr = _pair_index(S, small, T.r, T.c, T.r, -a[T.p] * (1 + m[T.p]), m[T.p])
+    w = np.arange(n[(T.lo == 0) & ~small].max(initial=0), 0, -1, dtype=np.int32)
+    packed_t = np.repeat(-w, w)
+    packed_i = np.arange(packed_t.size, dtype=np.int32)
+    packed_i -= np.repeat(np.cumsum(w, dtype=np.int32), w)  # less each column's end
     up, at, cs, rs, ps = (x.tolist() for x in (T.ptr[:-1], T.at, T.c, T.r, T.p))
     a, m, small, ptr = a.tolist(), m.tolist(), small.tolist(), ptr.tolist()
+
+    def packed(k: int) -> tuple:
+        """(i, t) of a k-by-k triangle: the list's last k(k+1)/2 entries."""
+        first = packed_t.size - k * (k + 1) // 2
+        return packed_i[first:], packed_t[first:]
 
     def offsets(c: int) -> np.ndarray:
         e = up[c]
@@ -459,7 +435,7 @@ def _stack_offsets(S: SymbolicFactor) -> tuple:
             return into[ptr[e]:ptr[e + 1]]
         p = ps[e]
         q = T.pos[at[e] + cs[e]:at[e] + rs[e]] - a[p]
-        i, t = _packed(q.size)
+        i, t = packed(q.size)
         o = q[t]
         o *= m[p]
         o += q[i]
@@ -470,7 +446,7 @@ def _stack_offsets(S: SymbolicFactor) -> tuple:
         if small[e]:
             return own[ptr[e]:ptr[e + 1]]
         mc = rs[e]
-        i, t = _packed(mc - cs[e])
+        i, t = packed(mc - cs[e])
         o = np.multiply(t, mc, dtype=np.intp)
         o += i
         o += mc + mc * mc
@@ -558,7 +534,7 @@ def factor_ll(F: FactorStorage, S: SymbolicFactor, W: UpdateWorkspace,
     pair is one syrk, and one gemm where it has rows below its target's
     columns, straight into j's panel where the pair is dense, else into the
     slab, which ``_assembler`` adds into the panel.  Both index their
-    pairs' trapezoids through ``_flat_index``, once per run each."""
+    pairs' trapezoids once per run each (``_pair_columns``)."""
     T = S.update_table
     ks, los, cs, rs, dense = (x.tolist() for x in (T.k, T.lo, T.c, T.r, T.dense))
     into, ptr = T.by_target.tolist(), T.target_ptr.tolist()

@@ -787,21 +787,29 @@ def assembler_by_columns(F, S, assembled, ld):
     return assemble
 
 
+def packed(n: int) -> np.ndarray:
+    """(rows, columns) of an n-by-n lower triangle in packed column-major
+    order, the update-matrix stack's layout, counted from the end: entry
+    (i, t) is (i - n, t - n).  Its first c n - c(c-1)/2 entries are the
+    n-by-c trapezoid of the first c columns."""
+    t, i = np.triu_indices(n)
+    return np.array((i - n, t - n))
+
+
 def outer_updater_by_panels(F, S, pairs):
     """``numeric._outer_updater`` as ``factor_ll`` made its width-1 updates
     before their flat index: pair e's r-by-c trapezoid, the first
-    c r - c(c-1)/2 entries of ``_packed(r)``, of v v^T, v the updater's one
+    c r - c(c-1)/2 entries of ``packed(r)``, of v v^T, v the updater's one
     column at the pair's r rows in its panel view, subtracted from the
     target's panel view by one 2-D tuple index, row factor times column
     factor.  The same contract: ``outer(e)`` for a pair e that ``pairs``
     selects."""
-    from snchol.numeric import _packed
     T, P = S.update_table, panels(F)
 
     def outer(e: int) -> None:
         assert pairs[e], e
         at, r, c = T.at.item(e), T.r.item(e), T.c.item(e)
-        v, i = P[T.k.item(e)][1 + T.lo.item(e):, 0], _packed(r)[:, :c * r - c * (c - 1) // 2]
+        v, i = P[T.k.item(e)][1 + T.lo.item(e):, 0], packed(r)[:, :c * r - c * (c - 1) // 2]
         P[T.p.item(e)][tuple(T.pos[at:at + r][i])] -= np.multiply(*v[i])
     return outer
 
@@ -811,31 +819,29 @@ def extend_in_place(arena, src_off, nrows, dst_off, m, qpos) -> None:
     the m-by-m square at ``dst_off``: entry (i, t) goes to (qpos[i], qpos[t]),
     every other entry is zero.  The square may overlap the source: the source
     is copied out before the square is zeroed."""
-    from snchol.numeric import _packed
-    rows, cols = qpos[_packed(nrows)]
-    packed = arena[src_off:src_off + rows.size].copy()
+    rows, cols = qpos[packed(nrows)]
+    source = arena[src_off:src_off + rows.size].copy()
     arena[dst_off:dst_off + m * m] = 0.0
-    arena[dst_off + rows + m * cols] = packed
+    arena[dst_off + rows + m * cols] = source
 
 
 def pack_descending(arena, sq_off, m, k, dst_off) -> None:
     """Pack the trailing (m-k) lower triangle of the m-by-m square at
     ``sq_off`` into a packed triangle at ``dst_off``.  One gather, which
     copies: the destination may overlap the square."""
-    from snchol.numeric import _packed
     square = arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
-    trailing = _packed(m - k)  # counted from the end of the square's rows and columns
+    trailing = packed(m - k)  # counted from the end of the square's rows and columns
     arena[dst_off:dst_off + trailing.shape[1]] = square[tuple(trailing)]
 
 
 def factor_mf_per_child(F, S, R, W, backend, stats) -> None:
     """``numeric.factor_mf`` as it moved its triangles before their flat
-    offsets, child by child through 2-D indexes read from ``_packed``: the
+    offsets, child by child through 2-D indexes read from ``packed``: the
     top child's triangle extended in place (``extend_in_place``), the
     others' added by one 2-D tuple index into the square, the push packed by
     ``pack_descending``.  The same contract, calls and counters."""
     from snchol.kernels import supernode_calls
-    from snchol.numeric import _assembler, _packed, _supernodal_run
+    from snchol.numeric import _assembler, _supernodal_run
     T = S.update_table
     up, cs, rs, at = (x.tolist() for x in (T.ptr, T.c, T.r, T.at))
     diag, parent = S.rlb_schedule.diag.tolist(), S.snode_parent.tolist()
@@ -860,7 +866,7 @@ def factor_mf_per_child(F, S, R, W, backend, stats) -> None:
                     extend_in_place(W.arena, top, qpos.size, sq_off, m, qpos)
                     sq = W.arena[sq_off:sq_off + m * m].reshape((m, m), order="F")
                 else:
-                    sq[tuple(qpos[_packed(qpos.size)])] += W.arena[top:top + u_c]
+                    sq[tuple(qpos[packed(qpos.size)])] += W.arena[top:top + u_c]
                     stats.assembly_ops += u_c
                 top += u_c
             step(j)
@@ -1064,6 +1070,39 @@ def read_matrix_market_per_line(path):
         raise MatrixMarketError(f"line {lineno}: {m} entries read, {nent} declared")
 
     return _assemble_lower(n, ii[:m], jj[:m], vv[:m], pattern_only)
+
+
+def assemble_lower_two_sorts(n, ii, jj, vv, pattern_only):
+    """``matrix._assemble_lower`` as it was before it sorted once: sort and
+    sum duplicates, then append the missing diagonals as explicit zeros and
+    sort again."""
+    from snchol.matrix import SymmetricSparseMatrix, SymmetricSparsePattern
+    order = np.lexsort((ii, jj))
+    ii, jj, vv = ii[order], jj[order], vv[order]
+    if ii.size:
+        keep = np.concatenate([[True], (np.diff(ii) != 0) | (np.diff(jj) != 0)])
+        idx = np.flatnonzero(keep)
+        ii, jj, vv = ii[idx], jj[idx], np.add.reduceat(vv, idx)
+    missing = np.ones(n, dtype=bool)
+    missing[jj[ii == jj]] = False
+    if np.any(missing):
+        add = np.flatnonzero(missing)
+        ii = np.concatenate([ii, add])
+        jj = np.concatenate([jj, add])
+        vv = np.concatenate([vv, np.zeros(add.size)])
+        order = np.lexsort((ii, jj))
+        ii, jj, vv = ii[order], jj[order], vv[order]
+    if pattern_only:
+        deg = np.zeros(n, dtype=np.int64)
+        off = ii != jj
+        np.add.at(deg, ii[off], 1)
+        np.add.at(deg, jj[off], 1)
+        vv = np.where(ii == jj, deg[ii] + 1.0, -1.0)
+        missing = np.zeros(n, dtype=bool)
+    colptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(colptr, jj + 1, 1)
+    np.cumsum(colptr, out=colptr)
+    return SymmetricSparseMatrix(SymmetricSparsePattern(n, colptr, ii), vv, missing)
 
 
 def chol_columns(T) -> None:

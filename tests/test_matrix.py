@@ -53,6 +53,34 @@ def test_read_sums_duplicates_and_flags_missing_diag(tmp_path):
     assert A.col_values(1).tolist() == [0.0]
 
 
+def test_assembly_sorts_once_as_the_two_sort_version_did():
+    """``_assemble_lower`` appends the missing diagonals before its one sort
+    and duplicate sum, and gives the CSC, values and ``missing_diag`` of the
+    version that sorted again after appending them, byte for byte: on
+    seeded entry lists with duplicates, mirrored upper-triangle entries,
+    missing diagonals and pattern-only input."""
+    from snchol.matrix import _assemble_lower
+    rng = np.random.default_rng(37)
+    seen = {"duplicate": 0, "upper": 0, "missing": 0, "pattern": 0}
+    for _ in range(3000):
+        n = int(rng.integers(1, 12))
+        i, j = rng.integers(0, n, size=(2, int(rng.integers(0, 3 * n))))
+        ii, jj = np.maximum(i, j), np.minimum(i, j)  # as the reader mirrors them
+        vv = rng.uniform(-1.0, 1.0, ii.size)
+        pattern_only = bool(rng.random() < 0.3)
+        got = _assemble_lower(n, ii, jj, vv, pattern_only)
+        want = oracles.assemble_lower_two_sorts(n, ii, jj, vv, pattern_only)
+        for a, b in ((got.pattern.colptr, want.pattern.colptr),
+                     (got.pattern.rowind, want.pattern.rowind),
+                     (got.values, want.values), (got.missing_diag, want.missing_diag)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, ii, jj, pattern_only)
+        seen["duplicate"] += np.unique(ii * n + jj).size < ii.size
+        seen["upper"] += bool((i < j).any())
+        seen["missing"] += np.unique(jj[ii == jj]).size < n
+        seen["pattern"] += pattern_only
+    assert min(seen.values()) > 500, seen
+
+
 def test_read_pattern_file_synthesizes_values(tmp_path):
     p = tmp_path / "pat.mtx"
     p.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -208,63 +209,124 @@ def test_pack_descending_matches_out_of_place():
         assert np.allclose(arena[dst:dst + len(want)], want)
 
 
-def trapezoid(n: int, cols: int = None) -> np.ndarray:
-    """The first ``cols`` columns (default all) of ``_packed(n)``."""
-    index = numeric._packed(n)
-    return index if cols is None else index[:, :cols * n - cols * (cols - 1) // 2]
+def big_pushes(an):
+    """(m, q, mc, k, offsets, pack_offsets) per supernode c that pushes a
+    triangle, from one ``numeric._stack_offsets`` call: m its parent's
+    square side, q the pushed rows' positions there, mc its own square
+    side, k the columns it leaves to the parent, and the two offset lists.
+    Only triangles above 3K entries take the per-child path; with K patched
+    to 0, all do."""
+    S, T = an.S, an.S.update_table
+    a = np.diff(S.first_col)
+    offsets, pack_offsets = numeric._stack_offsets(S)
+    for c in range(S.nsuper):
+        e = int(T.ptr[c])
+        if e == T.ptr[c + 1] or T.lo[e] or T.r[e] == T.c[e]:
+            continue  # a root, or nothing to push
+        p, at, k, mc = (int(x[e]) for x in (T.p, T.at, T.c, T.r))
+        q = T.pos[at + k:at + mc] - a[p]
+        yield int(S._lens[p] - a[p]), q, mc, k, offsets(c), pack_offsets(c)
+
+
+def gen1500():
+    """CI's gen:n=1500,density=0.004,seed=2 matrix, analyzed."""
+    return analyze(generate_spd(1500, 0.004, 2))
 
 
 def test_packed_index_is_the_column_by_column_list(monkeypatch):
-    """``_packed(n)`` lists an n-by-n lower triangle column by column,
-    counted from the end (n is added back here), read-only, whether its
-    cached list was built for this n or a larger one; its first
-    cols n - cols(cols-1)/2 entries are the first cols columns."""
-    monkeypatch.setattr(numeric, "_PACKED", numeric._PACKED[:, :0])
-    first = {}
-    for n in range(41):  # each n rebuilds the cached list
-        for cols in (None, *range(n + 1)):
-            want = [(i, t) for t in range(n if cols is None else cols) for i in range(t, n)]
-            index = trapezoid(n, cols)
-            assert index.shape == (2, len(want)) and not index.flags.writeable, (n, cols)
-            assert list(zip(*(n + index).tolist())) == want, (n, cols)
-            first[n, cols] = index.tobytes()
-    numeric._packed(75)
-    for (n, cols), got in reversed(first.items()):  # now all cut from the list of 75
-        assert trapezoid(n, cols).tobytes() == got, (n, cols)
-    assert numeric._PACKED.shape == (2, 75 * 76 // 2) and not numeric._PACKED.flags.writeable
+    """Each triangle ``_stack_offsets`` moves by its per-child path lists its
+    n-by-n lower triangle column by column: into its parent's m-by-m square
+    at q[i] + m q[t], and in its own mc-by-mc square as the trailing
+    triangle below its k columns.  One run's triangles are all cut from the
+    end of its largest one's (i, t) list: on CI's gen:n=1500 matrix its 76
+    triangles above 3K entries, and with K = 0 every pushed triangle of the
+    schedule cases, of sizes from 1 up."""
+    pushes = list(big_pushes(gen1500()))
+    rows, cols = oracles.packed(max(q.size for _, q, *_ in pushes))
+    big = 0
+    for m, q, mc, k, into, own in pushes:
+        n = q.size
+        cut = slice(rows.size - n * (n + 1) // 2, None)  # the oracle's n-by-n triangle
+        assert np.array_equal(into, q[rows[cut]] + m * q[cols[cut]])
+        assert np.array_equal(own, (mc + rows[cut]) + mc * (mc + cols[cut]))
+        big += n * (n + 1) // 2 > 3 * numeric.K
+    assert big == 76
+    monkeypatch.setattr(numeric, "K", 0)
+    sizes = set()
+    for name, an in schedule_cases():
+        for m, q, mc, k, into, own in big_pushes(an):
+            n = q.size
+            cols = [(i, t) for t in range(n) for i in range(t, n)]
+            assert into.tolist() == [int(q[i] + m * q[t]) for i, t in cols], name
+            assert own.tolist() == [k + i + mc * (k + t) for i, t in cols], name
+            sizes.add(n)
+    assert len(sizes) >= 20 and max(sizes) > 25, sorted(sizes)
 
 
-def test_packed_moves_match_out_of_place_loops_above_size_8():
-    """Extension, a child merge and a push of triangles over 9 to 40 rows,
-    all cut from the cached list of a larger triangle, against column loops."""
+def test_packed_moves_match_out_of_place_loops_above_size_8(monkeypatch):
+    """Extension, a child merge and a push of the triangles of 9 rows or
+    more, at ``_stack_offsets``' per-child offsets (each cut from the run's
+    largest triangle's list), and by the oracles' 2-D indexes, against
+    column loops."""
+    monkeypatch.setattr(numeric, "K", 0)
     rng = np.random.default_rng(4)
-    numeric._packed(80)
-    for _ in range(40):
-        m = int(rng.integers(9, 41))
-        nr = int(rng.integers(1, m + 1))
-        qpos = np.sort(rng.choice(m, size=nr, replace=False))
-        packed = rng.standard_normal(nr * (nr + 1) // 2)
-        tri = np.zeros((m, m))  # the packed triangle at rows and columns qpos
-        at = 0
-        for t in range(nr):
-            tri[qpos[t:], qpos[t]] = packed[at:at + nr - t]
-            at += nr - t
-        cap = packed.size + m * m + 3
-        arena = np.full(cap, np.nan)
-        arena[cap - packed.size:] = packed
-        oracles.extend_in_place(arena, cap - packed.size, nr, cap - m * m, m, qpos)
-        assert np.array_equal(arena[cap - m * m:].reshape((m, m), order="F"), tri)
-        sq = rng.standard_normal((m, m))
-        merged = sq.copy()
-        merged[tuple(qpos[numeric._packed(nr)])] += packed  # the oracle's child merge
-        assert np.array_equal(merged, sq + tri)
-        k = int(rng.integers(0, m))
-        want = np.concatenate([sq[t:, t] for t in range(k, m)])
-        arena = np.zeros(m * m + want.size)
-        arena[:m * m] = sq.reshape(-1, order="F")
-        dst = int(rng.integers(0, m * m + 1))  # anywhere over the square
-        oracles.pack_descending(arena, 0, m, k, dst)
-        assert np.array_equal(arena[dst:dst + want.size], want)
+    moved = 0
+    for name, an in schedule_cases():
+        for m, qpos, mc, k, into, own in big_pushes(an):
+            nr = qpos.size
+            if nr <= 8:
+                continue
+            packed = rng.standard_normal(nr * (nr + 1) // 2)
+            tri = np.zeros((m, m))  # the packed triangle at rows and columns qpos
+            at = 0
+            for t in range(nr):
+                tri[qpos[t:], qpos[t]] = packed[at:at + nr - t]
+                at += nr - t
+            sq = np.zeros(m * m)
+            sq[into] = packed
+            assert np.array_equal(sq.reshape((m, m), order="F"), tri), name
+            cap = packed.size + m * m + 3
+            arena = np.full(cap, np.nan)
+            arena[cap - packed.size:] = packed
+            oracles.extend_in_place(arena, cap - packed.size, nr, cap - m * m, m, qpos)
+            assert np.array_equal(arena[cap - m * m:].reshape((m, m), order="F"), tri), name
+            sq = rng.standard_normal((m, m))
+            merged = sq.ravel("F")
+            merged[into] += packed
+            assert np.array_equal(merged.reshape((m, m), order="F"), sq + tri), name
+            merged = sq.copy()
+            merged[tuple(qpos[oracles.packed(nr)])] += packed  # the oracle's child merge
+            assert np.array_equal(merged, sq + tri), name
+            sq = rng.standard_normal((mc, mc))
+            want = np.concatenate([sq[t:, t] for t in range(k, mc)])
+            assert np.array_equal(sq.ravel("F")[own], want), name
+            arena = np.zeros(mc * mc + want.size)
+            arena[:mc * mc] = sq.reshape(-1, order="F")
+            dst = int(rng.integers(0, mc * mc + 1))  # anywhere over the square
+            oracles.pack_descending(arena, 0, mc, k, dst)
+            assert np.array_equal(arena[dst:dst + want.size], want), name
+            moved += 1
+    assert moved > 40, moved
+
+
+def test_mf_keeps_no_index_between_runs():
+    """mf's packed index lives for one run: ``numeric`` holds no array at
+    module level, and a second run on CI's gen:n=1500 matrix, whose 76
+    pushed triangles above 3K entries take the per-child path, leaves no
+    array allocated behind it."""
+    an = gen1500()
+    an.factor("mf")
+    assert not [name for name, x in vars(numeric).items() if isinstance(x, np.ndarray)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        an.factor("mf")
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # what stays is a few dozen interpreter and numpy objects of under 1 KB
+    kept = [d for d in after.compare_to(before, "traceback") if d.size_diff > 0]
+    assert all(d.size_diff < 1024 * max(d.count_diff, 1) for d in kept), kept
 
 
 def test_mf_diagonal_no_stack_traffic():
@@ -463,12 +525,14 @@ def test_a_runs_flat_index_holds_its_column_pairs_trapezoids_only(monkeypatch):
     column wide, whatever their schedule rows, and no update matrix offsets.
     One updater's entries in an index land on distinct offsets, so one
     scatter-add adds each once."""
-    built, real = [], numeric._flat_index
+    built, real = [], numeric._pair_index
     dsts, real_dst, real_outer = [], numeric._pair_dst, numeric._outer_updater
 
-    def spy(S, pairs, ld):
-        built.append((pairs, ld, real(S, pairs, ld)))
-        return built[-1][2]
+    def spy(S, pairs, ld, *columns):
+        index = real(S, pairs, ld, *columns)
+        if sys._getframe(1).f_code.co_name == "_assembler":  # not mf's stack index
+            built.append((pairs, ld, index))
+        return index
 
     def spy_dst(T, columns, base, lead):
         dsts.append((columns[0], real_dst(T, columns, base, lead)))
@@ -479,7 +543,7 @@ def test_a_runs_flat_index_holds_its_column_pairs_trapezoids_only(monkeypatch):
         ptr, (dst, _) = dsts[-1]
         built.append((pairs, None, (dst, None, ptr)))
         return outer
-    monkeypatch.setattr(numeric, "_flat_index", spy)
+    monkeypatch.setattr(numeric, "_pair_index", spy)
     monkeypatch.setattr(numeric, "_pair_dst", spy_dst)
     monkeypatch.setattr(numeric, "_outer_updater", spy_outer)
     total = {"assembled": 0, "outer": 0}
